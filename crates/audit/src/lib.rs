@@ -1,28 +1,22 @@
-//! Static analysis for the HeteroPrio workspace, in two halves:
+//! The paper-invariant auditor for the HeteroPrio workspace.
 //!
-//! 1. **The invariant auditor** ([`audit`]): replays a recorded run — a
-//!    [`Schedule`](heteroprio_core::Schedule) plus its
-//!    [`SchedEvent`](heteroprio_trace::SchedEvent) stream — and checks the
-//!    paper's structural properties as typed [`Rule`]s: the list property
-//!    behind Lemma 3 (no idle worker while ready work exists), Algorithm 1's
-//!    pop orientation (GPUs take max-ρ, CPUs min-ρ), the spoliation
-//!    preconditions, the Lemma 1–2 structure of the area bound, and the
-//!    Theorem 7/9/12 approximation certificate. Violations carry the event
-//!    index, simulated time and worker; the [`AuditReport`] serializes to
-//!    JSON for tooling. The same rules also run **online**:
-//!    [`StreamAuditor`] is a `TraceSink` that plugs into any traced engine
-//!    entry point and reports violations at the offending event while the
-//!    run executes. Informational DualHP rules (§6) are opt-in via
-//!    [`AuditOptions::dualhp`](auditor::AuditOptions::dualhp).
+//! [`audit`] replays a recorded run — a
+//! [`Schedule`](heteroprio_core::Schedule) plus its
+//! [`SchedEvent`](heteroprio_trace::SchedEvent) stream — and checks the
+//! paper's structural properties as typed [`Rule`]s: the list property
+//! behind Lemma 3 (no idle worker while ready work exists), Algorithm 1's
+//! pop orientation (GPUs take max-ρ, CPUs min-ρ), the spoliation
+//! preconditions, the Lemma 1–2 structure of the area bound, and the
+//! Theorem 7/9/12 approximation certificate. Violations carry the event
+//! index, simulated time and worker; the [`AuditReport`] serializes to
+//! JSON for tooling. The same rules also run **online**: [`StreamAuditor`]
+//! is a `TraceSink` that plugs into any traced engine entry point and
+//! reports violations at the offending event while the run executes.
+//! Informational DualHP rules (§6) are opt-in via
+//! [`AuditOptions::dualhp`](auditor::AuditOptions::dualhp).
 //!
-//! 2. **The lint gate** ([`lint`]): repo-specific source checks that clippy
-//!    cannot express. The implementation moved to the dedicated
-//!    `heteroprio-lint` crate (a token-aware scanner with determinism and
-//!    panic-path rule families, baseline gating, and JSON/SARIF reports);
-//!    this crate re-exports it under the historical `lint` path so existing
-//!    imports keep working. Run via
-//!    `cargo run -q -p heteroprio-lint --bin audit-lint` from
-//!    `scripts/check.sh` and CI.
+//! The source-level lint gate lives in the separate `heteroprio-lint`
+//! crate (`cargo run -q -p heteroprio-lint --bin audit-lint`).
 //!
 //! The crate deliberately depends only on `core`, `trace` and `bounds`: the
 //! simulator, runtime and CLI call *into* it, never the other way around.
@@ -31,11 +25,9 @@
 
 pub mod auditor;
 pub(crate) mod dualhp_rules;
-pub use heteroprio_lint as lint;
 pub mod report;
 pub mod stream;
 
 pub use auditor::{audit, schedule_from_events, AuditOptions};
-pub use lint::{lint_source, lint_workspace, LintViolation};
 pub use report::{AuditReport, RatioCertificate, Rule, Violation};
 pub use stream::StreamAuditor;

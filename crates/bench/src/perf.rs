@@ -15,16 +15,14 @@
 //! stays deterministic.
 
 use heteroprio_core::durability::metric as dmetric;
-use heteroprio_core::kernel::metric;
+use heteroprio_core::kernel::{self, metric, Run};
 use heteroprio_core::Platform;
-use heteroprio_core::{heteroprio_metered, HeteroPrioConfig, Instance, MeteredJournal};
+use heteroprio_core::{heteroprio_metered, journaled, HeteroPrioConfig, Instance, MeteredJournal};
 use heteroprio_metrics::{InMemoryRegistry, MetricsSnapshot, Stopwatch};
 use heteroprio_schedulers::HeteroPrioDagPolicy;
-use heteroprio_simulator::{try_simulate_faulty_metered, FaultPlan, TransferModel};
+use heteroprio_simulator::{dag, FaultPlan, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
-use heteroprio_trace::{
-    event_line, json, FileJournal, Journal, JournalSink, NullSink, SchedEvent, TraceSink,
-};
+use heteroprio_trace::{event_line, json, FileJournal, NullSink, SchedEvent, TraceSink};
 use heteroprio_workloads::{
     independent_instance, multi_class_instance, paper_platform, random_instance, ChameleonTiming,
     MultiClassParams, RandomInstanceParams,
@@ -159,15 +157,13 @@ fn run_independent_journaled(
     let path = std::env::temp_dir().join(format!("hp-bench-{}-{name}.journal", std::process::id()));
     let journal = FileJournal::create(&path).expect("create bench journal");
     let mut metered = MeteredJournal::new(journal, &registry);
-    let mut sink = JournalSink::new(&mut metered);
+    let config = HeteroPrioConfig::new();
     let sw = Stopwatch::start();
-    let res =
-        heteroprio_metered(instance, &platform, &HeteroPrioConfig::new(), &mut sink, &registry);
-    let sink_error = sink.error().cloned();
-    drop(sink);
-    metered.sync().expect("final bench journal sync");
+    let res = journaled(&mut metered, &mut NullSink, |sink| {
+        heteroprio_metered(instance, &platform, &config, sink, &registry)
+    })
+    .expect("bench journal append and final sync");
     let wall_s = sw.elapsed_secs_f64();
-    assert!(sink_error.is_none(), "bench journal append failed: {sink_error:?}");
     drop(metered);
     let _ = std::fs::remove_file(&path);
     CaseResult {
@@ -253,16 +249,12 @@ fn run_dag(name: &'static str, scale: &'static str, tiles: usize) -> CaseResult 
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
     let registry = InMemoryRegistry::new();
     let sw = Stopwatch::start();
-    let res = try_simulate_faulty_metered(
-        &graph,
-        &platform,
-        &mut policy,
-        &TransferModel::NONE,
-        &FaultPlan::NONE,
-        &mut NullSink,
-        &registry,
-    )
-    .expect("fault-free simulation cannot fail");
+    let (mut workload, mut policy, _) =
+        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &FaultPlan::NONE)
+            .expect("the empty fault plan is valid");
+    let res =
+        kernel::run(&platform, &mut workload, &mut policy, Run::new(&mut NullSink, &registry))
+            .expect("fault-free simulation cannot fail");
     let wall_s = sw.elapsed_secs_f64();
     CaseResult {
         name,

@@ -5,21 +5,20 @@ use crate::format::{parse_instance_k, serialize_instance};
 use heteroprio_audit::{audit, schedule_from_events, AuditOptions, AuditReport, StreamAuditor};
 use heteroprio_bounds::{combined_lower_bound, optimal_makespan, MAX_EXACT_TASKS};
 use heteroprio_core::gantt::to_svg;
-use heteroprio_core::kernel::metric;
-use heteroprio_core::kernel::EngineError;
+use heteroprio_core::kernel::{self, metric, Checkpoints, EngineError, Resume, Run};
 use heteroprio_core::{
-    heteroprio, heteroprio_durable, heteroprio_metered, heteroprio_resume, CheckpointStore,
-    ClassTable, CrashPlan, DurabilityOptions, FileCheckpointStore, HeteroPrioConfig, Instance,
-    MeteredJournal, Platform, Schedule,
+    heteroprio, heteroprio_metered, independent, journaled, ClassTable, CrashPlan,
+    FileCheckpointStore, HeteroPrioConfig, Instance, MeteredJournal, Platform, ResumeError,
+    Schedule,
 };
 use heteroprio_metrics::{InMemoryRegistry, MetricsRegistry, NullRegistry};
-use heteroprio_runtime::DurableOutcome;
+use heteroprio_runtime::{Execution, Outcome};
 use heteroprio_schedulers::{dualhp_independent, heft, heuristic_schedule, HeftVariant, Heuristic};
 use heteroprio_simulator::{FaultPlan, FaultSpec, RetryPolicy};
 use heteroprio_taskgraph::{Factorization, TaskGraph, WeightScheme};
 use heteroprio_trace::{
-    chrome_trace, jsonl, parse_jsonl, ChromeTraceOptions, FileJournal, Journal, JournalSink,
-    SchedEvent, TeeSink, TraceSummary, VecSink,
+    chrome_trace, jsonl, parse_jsonl, ChromeTraceOptions, FileJournal, Journal, SchedEvent,
+    TeeSink, TraceSummary, VecSink,
 };
 use heteroprio_workloads::{independent_instance, ChameleonTiming};
 use std::fmt::Write as _;
@@ -313,20 +312,11 @@ impl Algo {
     }
 
     /// Run the scheduler and also return its event stream: live events for
-    /// the instrumented HeteroPrio variants, a stream reconstructed from
-    /// the finished schedule for the static algorithms.
-    pub fn run_traced(
-        self,
-        instance: &Instance,
-        platform: &Platform,
-    ) -> (Schedule, Vec<SchedEvent>) {
-        self.run_metered(instance, platform, &NullRegistry)
-    }
-
-    /// [`Algo::run_traced`] with a metrics registry threaded into the live
-    /// kernel. Static algorithms never enter the kernel, so their runs
-    /// record nothing (`cmd_schedule` rejects `--metrics` for them).
-    fn run_metered(
+    /// the instrumented HeteroPrio variants, metered into `metrics`; a
+    /// stream reconstructed from the finished schedule for the static
+    /// algorithms, which never enter the kernel and so record no metrics
+    /// (`cmd_schedule` rejects `--metrics` for them).
+    pub fn trace(
         self,
         instance: &Instance,
         platform: &Platform,
@@ -370,9 +360,72 @@ impl Algo {
 /// Outcome of a journaled run: either the injected crash fired (the report
 /// is final and the command exits cleanly — the crash is the point of the
 /// harness), or the run completed and flows into the normal report path.
-enum DurableRun {
+enum DurableRun<T> {
     Crashed(String),
-    Done { schedule: Schedule, events: Vec<SchedEvent>, notes: Vec<String> },
+    Done { value: T, notes: Vec<String> },
+}
+
+/// How the engine call inside a journaled run ended.
+enum Journaled<T> {
+    Done(T),
+    Crashed { time: f64, events: u64 },
+}
+
+/// The durable knobs a journaled engine call receives: the (metered)
+/// journal, to be committed through [`journaled`], the crash plan, the
+/// checkpoint cadence and store, and on `resume` the recovered record.
+struct Durable<'d> {
+    journal: &'d mut dyn Journal,
+    crash: CrashPlan,
+    checkpoints: Option<Checkpoints<'d>>,
+    resume: Option<Resume<'d>>,
+}
+
+/// The one journaled-run path of `schedule`, `dag` and `resume`: create
+/// the journal — or recover it and its checkpoint on `resume` — meter it
+/// into `metrics`, hand `run` the durable knobs, and turn the outcome into
+/// report notes or the crash report.
+fn journaled_run<T>(
+    d: &DurableOpts,
+    metrics: &dyn MetricsRegistry,
+    run: impl FnOnce(Durable<'_>) -> Result<Journaled<T>, String>,
+) -> Result<DurableRun<T>, String> {
+    let path = d.journal.as_deref().ok_or("durable runs need --journal PATH")?;
+    let mut notes = Vec::new();
+    let (journal, recovered, snapshot) = if d.resume {
+        let (journal, recovered) = open_journal(path, &mut notes)?;
+        (journal, recovered, load_snapshot(d.snapshot.as_deref(), &mut notes))
+    } else {
+        (FileJournal::create(path).map_err(|e| format!("{path}: {e}"))?, Vec::new(), None)
+    };
+    let mut journal = MeteredJournal::new(journal, metrics);
+    let mut store = d.snapshot.as_deref().filter(|_| !d.resume).map(FileCheckpointStore::new);
+    let every = d.checkpoint_every.unwrap_or(64);
+    let durable = Durable {
+        journal: &mut journal,
+        crash: d.crash_at.map(CrashPlan::at_event).unwrap_or(CrashPlan::NONE),
+        checkpoints: store.as_mut().map(|store| Checkpoints { every, store }),
+        resume: d.resume.then_some(Resume { journal: &recovered, snapshot: snapshot.as_ref() }),
+    };
+    let value = match run(durable) {
+        Ok(Journaled::Done(value)) => value,
+        Ok(Journaled::Crashed { time, events }) => {
+            return Ok(DurableRun::Crashed(crash_report(path, time, events, store.as_mut())))
+        }
+        Err(e) if d.resume => return Err(format!("resume failed: {e}")),
+        Err(e) => return Err(e),
+    };
+    if d.resume {
+        notes.push(format!(
+            "resumed    : replayed {} journaled events, continued to {} total",
+            recovered.len(),
+            journal.len()
+        ));
+    } else {
+        notes.push(format!("journal    : {path} ({} records)", journal.len()));
+        notes.extend(store.as_mut().map(checkpoint_note));
+    }
+    Ok(DurableRun::Done { value, notes })
 }
 
 /// The report printed when `--crash-at` fires: where the run died and what
@@ -444,82 +497,29 @@ fn durable_schedule_run(
     algo: Algo,
     d: &DurableOpts,
     metrics: &dyn MetricsRegistry,
-) -> Result<DurableRun, String> {
+) -> Result<DurableRun<(Schedule, Vec<SchedEvent>)>, String> {
     let config = algo.config().ok_or_else(|| {
         format!(
             "--journal/--crash-at/resume need the live kernel; {algo:?} is a \
              static algorithm that never enters it (use hp or hp-ns)"
         )
     })?;
-    let path = d.journal.as_deref().ok_or("durable runs need --journal PATH")?;
-    let mut notes = Vec::new();
-    if d.resume {
-        let (journal, recovered) = open_journal(path, &mut notes)?;
-        let snapshot = load_snapshot(d.snapshot.as_deref(), &mut notes);
-        let mut metered = MeteredJournal::new(journal, metrics);
-        let mut sink = VecSink::new();
-        let mut jsink = JournalSink::resuming(&mut metered, recovered.len());
-        let result = heteroprio_resume(
-            instance,
-            platform,
-            &config,
-            snapshot.as_ref(),
-            &recovered,
-            &mut TeeSink(&mut sink, &mut jsink),
-            metrics,
-        )
-        .map_err(|e| format!("resume failed: {e}"))?;
-        if let Some(e) = jsink.error() {
-            return Err(format!("journal append failed: {e}"));
-        }
-        // The appended continuation must be durable before we report success.
-        metered.sync().map_err(|e| format!("final journal sync failed: {e}"))?;
-        notes.push(format!(
-            "resumed    : replayed {} journaled events, continued to {} total",
-            recovered.len(),
-            sink.events.len()
-        ));
-        Ok(DurableRun::Done { schedule: result.schedule, events: sink.into_events(), notes })
-    } else {
-        let journal = FileJournal::create(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut journal = MeteredJournal::new(journal, metrics);
-        let mut store = d.snapshot.as_deref().map(FileCheckpointStore::new);
-        let durability = DurabilityOptions {
-            crash: d.crash_at.map(CrashPlan::at_event).unwrap_or(CrashPlan::NONE),
-            checkpoint_every: store.is_some().then(|| d.checkpoint_every.unwrap_or(64)),
-            store: store.as_mut().map(|s| s as &mut dyn CheckpointStore),
-        };
-        let mut sink = VecSink::new();
-        let mut jsink = JournalSink::new(&mut journal);
-        let result = heteroprio_durable(
-            instance,
-            platform,
-            &config,
-            durability,
-            &mut TeeSink(&mut sink, &mut jsink),
-            metrics,
-        );
-        if let Some(e) = jsink.error() {
-            return Err(format!("journal append failed: {e}"));
-        }
-        // Commit the tail whether the run completed or crashed on cue: the
-        // sync cadence only bounds loss mid-run, and the crash report tells
-        // the user to resume from this journal.
-        journal.sync().map_err(|e| format!("final journal sync failed: {e}"))?;
+    journaled_run(d, metrics, |d| {
+        let (mut workload, mut policy) = independent(instance, platform, &config);
+        let mut events = VecSink::new();
+        let result = journaled(d.journal, &mut events, |sink| {
+            let Durable { crash, checkpoints, resume, .. } = d;
+            let spec = Run { crash, checkpoints, resume, ..Run::new(sink, metrics) };
+            kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
+        })?;
         match result {
-            Ok(r) => {
-                notes.push(format!("journal    : {path} ({} records)", journal.inner().len()));
-                if let Some(store) = store.as_mut() {
-                    notes.push(checkpoint_note(store));
-                }
-                Ok(DurableRun::Done { schedule: r.schedule, events: sink.into_events(), notes })
-            }
-            Err(EngineError::Crashed { time, events }) => {
-                Ok(DurableRun::Crashed(crash_report(path, time, events, store.as_mut())))
+            Ok(outcome) => Ok(Journaled::Done((outcome.schedule, events.into_events()))),
+            Err(ResumeError::Engine(EngineError::Crashed { time, events })) => {
+                Ok(Journaled::Crashed { time, events })
             }
             Err(e) => Err(e.to_string()),
         }
-    }
+    })
 }
 
 /// `schedule`: run one scheduler on an instance file's contents.
@@ -550,7 +550,7 @@ pub fn cmd_schedule(
     let (schedule, events, audit_report, notes) = if opts.durable.active() {
         match durable_schedule_run(&instance, platform, algo, &opts.durable, metrics)? {
             DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
-            DurableRun::Done { schedule, events, notes } => {
+            DurableRun::Done { value: (schedule, events), notes } => {
                 let report = opts
                     .audit
                     .then(|| audit(&instance, platform, &schedule, &events, &audit_opts(algo)));
@@ -573,12 +573,12 @@ pub fn cmd_schedule(
                 (result.schedule, sink.into_events(), Some(report))
             }
             (true, None) => {
-                let (schedule, events) = algo.run_traced(&instance, platform);
+                let (schedule, events) = algo.trace(&instance, platform, &NullRegistry);
                 let report = audit(&instance, platform, &schedule, &events, &audit_opts(algo));
                 (schedule, events, Some(report))
             }
             (false, _) if opts.wants_events() => {
-                let (schedule, events) = algo.run_metered(&instance, platform, metrics);
+                let (schedule, events) = algo.trace(&instance, platform, metrics);
                 (schedule, events, None)
             }
             (false, _) => (algo.run(&instance, platform), Vec::new(), None),
@@ -675,7 +675,7 @@ pub fn cmd_audit(
             let events = parse_jsonl(t)?;
             (schedule_from_events(&events), events)
         }
-        None => algo.run_traced(&instance, platform),
+        None => algo.trace(&instance, platform, &NullRegistry),
     };
     let report = audit(&instance, platform, &schedule, &events, &audit_opts(algo));
     finish_audit(&report)
@@ -801,61 +801,38 @@ pub fn cmd_dag(
     };
     let rt = build().with_faults(plan.clone());
     let registry = InMemoryRegistry::new();
+    let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
     let mut notes = Vec::new();
     let report = if opts.durable.active() {
-        let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
         if !algo.scheduler().supports_durable() {
             return Err("static HEFT builds its schedule outside the kernel and cannot journal; \
                  use an online scheduler"
                 .to_string());
         }
-        let path = opts.durable.journal.as_deref().ok_or("durable runs need --journal PATH")?;
-        if opts.durable.resume {
-            let (journal, recovered) = open_journal(path, &mut notes)?;
-            let snapshot = load_snapshot(opts.durable.snapshot.as_deref(), &mut notes);
-            let mut journal = MeteredJournal::new(journal, metrics);
-            let report =
-                rt.resume_from(algo.scheduler(), snapshot.as_ref(), &mut journal, metrics)?;
-            notes.push(format!(
-                "resumed    : replayed {} journaled events, continued to {} total",
-                recovered.len(),
-                report.events.len()
-            ));
-            report
-        } else {
-            let journal = FileJournal::create(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut journal = MeteredJournal::new(journal, metrics);
-            let mut store = opts.durable.snapshot.as_deref().map(FileCheckpointStore::new);
-            let durability = DurabilityOptions {
-                crash: opts.durable.crash_at.map(CrashPlan::at_event).unwrap_or(CrashPlan::NONE),
-                checkpoint_every: store
-                    .is_some()
-                    .then(|| opts.durable.checkpoint_every.unwrap_or(64)),
-                store: store.as_mut().map(|s| s as &mut dyn CheckpointStore),
+        let ran = journaled_run(&opts.durable, metrics, |d| {
+            let exec = Execution {
+                record: true,
+                metrics,
+                journal: Some(d.journal),
+                crash: d.crash,
+                checkpoints: d.checkpoints,
+                resume: d.resume,
             };
-            match rt.run_durable(algo.scheduler(), &mut journal, durability, metrics)? {
-                DurableOutcome::Completed(report) => {
-                    notes.push(format!("journal    : {path} ({} records)", journal.inner().len()));
-                    if let Some(store) = store.as_mut() {
-                        notes.push(checkpoint_note(store));
-                    }
-                    *report
-                }
-                DurableOutcome::Crashed { time, events } => {
-                    return Ok(CmdOutput {
-                        report: crash_report(path, time, events, store.as_mut()),
-                        svg: None,
-                        trace: None,
-                    })
-                }
+            Ok(match rt.execute(algo.scheduler(), exec)? {
+                Outcome::Completed(report) => Journaled::Done(*report),
+                Outcome::Crashed { time, events } => Journaled::Crashed { time, events },
+            })
+        })?;
+        match ran {
+            DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
+            DurableRun::Done { value, notes: durable_notes } => {
+                notes = durable_notes;
+                value
             }
         }
-    } else if opts.metrics {
-        rt.run_metered(algo.scheduler(), &registry)?
-    } else if opts.wants_events() {
-        rt.run_traced(algo.scheduler())?
     } else {
-        rt.run(algo.scheduler())?
+        let exec = Execution { record: opts.wants_events(), metrics, ..Execution::default() };
+        rt.execute(algo.scheduler(), exec)?.report().expect("no crash plan was given")
     };
     let mut out = String::new();
     let _ = writeln!(

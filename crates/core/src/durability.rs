@@ -8,7 +8,7 @@
 //! model, options). Recovery therefore needs no redo/undo log — replaying
 //! the journaled prefix through a fresh kernel reproduces the crashed
 //! run's state bit-for-bit, and the run then continues past the crash
-//! point ([`kernel::resume`](crate::kernel::resume)).
+//! point ([`kernel::Resume`](crate::kernel::Resume)).
 //!
 //! A [`KernelSnapshot`] is an optimization on top of that contract: it
 //! captures the kernel's complete mid-run state (task states, running
@@ -25,7 +25,7 @@ use crate::model::{ClassId, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
 use heteroprio_metrics::{CounterId, HistogramId, MetricsRegistry, Stopwatch};
 use heteroprio_trace::journal::{crc32, Journal, JournalError};
-use heteroprio_trace::{json, SchedEvent};
+use heteroprio_trace::{json, JournalSink, SchedEvent, TeeSink, TraceSink};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -73,24 +73,31 @@ impl CrashPlan {
     }
 }
 
-/// Durability knobs for [`kernel::run_durable`](crate::kernel::run_durable):
-/// the crash plan and an optional checkpoint cadence + store.
-pub struct DurabilityOptions<'c> {
-    pub crash: CrashPlan,
-    /// Capture a [`KernelSnapshot`] every this-many emitted events (`None`
-    /// = journal-only durability).
-    pub checkpoint_every: Option<u64>,
-    /// Where checkpoints go. Snapshot persistence is best-effort — the
-    /// journal stays authoritative — so a failed save is latched in the
-    /// store (see [`FileCheckpointStore::take_error`]) instead of aborting
-    /// the run.
-    pub store: Option<&'c mut dyn CheckpointStore>,
-}
-
-impl Default for DurabilityOptions<'static> {
-    fn default() -> Self {
-        DurabilityOptions { crash: CrashPlan::NONE, checkpoint_every: None, store: None }
+/// Run `f` with a sink that feeds both `sink` and `journal`, then commit
+/// the journal. This is the one place a run's journal is closed: the first
+/// append error latched during the run fails the call, and a final
+/// [`Journal::sync`] makes the whole stream durable whether `f` completed,
+/// stopped at an injected crash or resumed a recovered run — the sync
+/// cadence only bounds loss mid-run, and a crash report points the user at
+/// this journal.
+///
+/// The journal must already hold exactly the events the run re-emits
+/// before its first new one: nothing for a fresh run, the recovered prefix
+/// for a resume. Those are not appended again.
+pub fn journaled<J: Journal + ?Sized, S: TraceSink, R>(
+    journal: &mut J,
+    sink: &mut S,
+    f: impl FnOnce(&mut TeeSink<&mut S, JournalSink<'_, J>>) -> R,
+) -> Result<R, JournalError> {
+    let skip = journal.len();
+    let mut tee = TeeSink(sink, JournalSink::resuming(journal, skip));
+    let result = f(&mut tee);
+    if let Some(e) = tee.1.error() {
+        return Err(e.clone());
     }
+    drop(tee);
+    journal.sync()?;
+    Ok(result)
 }
 
 /// Sink for kernel checkpoints.
@@ -142,7 +149,7 @@ impl FileCheckpointStore {
         &self.path
     }
 
-    /// First save error since the last call, if any. `run_durable` treats
+    /// First save error since the last call, if any. The kernel treats
     /// checkpointing as best-effort; callers that care poll this.
     pub fn take_error(&mut self) -> Option<String> {
         self.last_error.take()
@@ -287,12 +294,7 @@ fn get_f64(obj: &json::Value, key: &str) -> Result<f64, String> {
 }
 
 fn get_usize(obj: &json::Value, key: &str) -> Result<usize, String> {
-    let x = get_f64(obj, key)?;
-    // lint: allow(float-eq): fract() == 0.0 is the exact IEEE integrality test.
-    if x < 0.0 || x.fract() != 0.0 || x > (1u64 << 53) as f64 {
-        return Err(format!("snapshot field {key:?} is not a valid count: {x}"));
-    }
-    Ok(x as usize)
+    num_u64(get(obj, key)?, key).map(|n| n as usize)
 }
 
 fn num_f64(v: &json::Value, what: &str) -> Result<f64, String> {
@@ -302,12 +304,8 @@ fn num_f64(v: &json::Value, what: &str) -> Result<f64, String> {
 /// A count serialized as a JSON number: exact only below 2^53, which every
 /// kernel counter (events, generations, timeline cursor) stays far under.
 fn num_u64(v: &json::Value, what: &str) -> Result<u64, String> {
-    let x = num_f64(v, what)?;
-    // lint: allow(float-eq): fract() == 0.0 is the exact IEEE integrality test.
-    if x < 0.0 || x.fract() != 0.0 || x > (1u64 << 53) as f64 {
-        return Err(format!("{what}: not a valid count: {x}"));
-    }
-    Ok(x as u64)
+    let n = v.as_i64().and_then(|n| u64::try_from(n).ok());
+    n.ok_or_else(|| format!("{what}: not a valid count: {v:?}"))
 }
 
 impl KernelSnapshot {
@@ -563,10 +561,12 @@ impl KernelSnapshot {
     }
 }
 
-/// Typed recovery failure (see [`kernel::resume`](crate::kernel::resume)).
+/// Typed failure of a [`kernel::run`](crate::kernel::run): the engine's
+/// own error, or — when resuming — a recovery failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ResumeError {
-    /// The continued run itself failed (task abandoned, all workers down).
+    /// The run itself failed (task abandoned, all workers down, injected
+    /// crash).
     Engine(EngineError),
     /// The snapshot is internally inconsistent or does not match the
     /// supplied workload/platform.
@@ -585,7 +585,7 @@ pub enum ResumeError {
 impl fmt::Display for ResumeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ResumeError::Engine(e) => write!(f, "resumed run failed: {e:?}"),
+            ResumeError::Engine(e) => write!(f, "run failed: {e}"),
             ResumeError::BadSnapshot(why) => write!(f, "bad snapshot: {why}"),
             ResumeError::Divergence { index, expected, got } => write!(
                 f,
@@ -893,6 +893,43 @@ mod tests {
                 TaskRun { task: TaskId(0), worker: WorkerId(1), start: 0.0, end: 3.0 },
             ]
         );
+    }
+
+    #[test]
+    fn engine_errors_display_as_text_not_debug() {
+        let e = ResumeError::Engine(EngineError::TaskAbandoned { task: 3, attempts: 2, time: 1.5 });
+        assert_eq!(e.to_string(), "run failed: task 3 abandoned after 2 attempts at t=1.5");
+    }
+
+    #[test]
+    fn journaled_commits_on_success_and_reports_append_errors() {
+        let e = SchedEvent::TaskReady { time: 0.0, task: 7 };
+        let mut journal = MemJournal::new();
+        let mut seen = heteroprio_trace::VecSink::new();
+        journaled(&mut journal, &mut seen, |sink| sink.emit(e)).expect("commit");
+        assert_eq!((journal.events(), journal.syncs()), (&[e][..], 1));
+        assert_eq!(seen.events, vec![e]);
+        // A resumed run re-emits the prefix already in the journal.
+        journaled(&mut journal, &mut seen, |sink| (sink.emit(e), sink.emit(e))).expect("commit");
+        assert_eq!((journal.events(), journal.syncs()), (&[e, e][..], 2));
+
+        struct Broken;
+        impl Journal for Broken {
+            fn append(&mut self, _: &SchedEvent) -> Result<usize, JournalError> {
+                Err(JournalError::Io { op: "append", detail: "disk full".into() })
+            }
+            fn sync(&mut self) -> Result<(), JournalError> {
+                unreachable!("a failed append must not be committed")
+            }
+            fn len(&self) -> usize {
+                0
+            }
+            fn replay(&mut self) -> Result<Vec<SchedEvent>, JournalError> {
+                Ok(Vec::new())
+            }
+        }
+        let err = journaled(&mut Broken, &mut heteroprio_trace::NullSink, |sink| sink.emit(e));
+        assert_eq!(err.unwrap_err().to_string(), "journal append failed: disk full");
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //! the Algorithm 1 queue discipline as a [`KernelPolicy`] over an
 //! all-ready-at-zero [`Workload`].
 
-use crate::durability::{DurabilityOptions, KernelSnapshot, ResumeError};
 use crate::kernel::{
-    self, EngineError, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, RunningTask,
-    SnapshotPolicy, Workload,
+    self, KernelContext, KernelOutcome, KernelPolicy, Pick, Run, RunningTask, SnapshotPolicy,
+    Workload,
 };
 use crate::model::{ClassId, Instance, Platform, ResourceKind, TaskId, WorkerId};
 use crate::queue::ClassQueue;
@@ -119,6 +118,17 @@ pub struct HeteroPrioResult {
 impl HeteroPrioResult {
     pub fn makespan(&self) -> f64 {
         self.schedule.makespan()
+    }
+}
+
+impl From<KernelOutcome> for HeteroPrioResult {
+    fn from(o: KernelOutcome) -> Self {
+        HeteroPrioResult {
+            schedule: o.schedule,
+            first_idle: o.first_idle,
+            spoliations: o.spoliations,
+            summary: o.summary,
+        }
     }
 }
 
@@ -243,7 +253,7 @@ pub(crate) fn scan_victim(
 }
 
 /// All tasks of an [`Instance`] ready at time zero, no dependencies.
-struct IndependentWorkload<'a> {
+pub struct IndependentWorkload<'a> {
     instance: &'a Instance,
 }
 
@@ -284,7 +294,7 @@ impl ReadyQueue {
 }
 
 /// Algorithm 1's affinity-ordered queue as a [`KernelPolicy`].
-struct IndependentPolicy<'a> {
+pub struct IndependentPolicy<'a> {
     instance: &'a Instance,
     config: HeteroPrioConfig,
     queue: ReadyQueue,
@@ -354,6 +364,19 @@ impl SnapshotPolicy for IndependentPolicy<'_> {
     // queue order reproduces it.
 }
 
+/// The independent-task engine: every task of `instance` ready at time
+/// zero, scheduled by Algorithm 1's queue discipline under `config`. Drive
+/// the pair with [`kernel::run`], or with [`kernel::run_checkpointed`] to
+/// journal, checkpoint and resume it.
+pub fn independent<'a>(
+    instance: &'a Instance,
+    platform: &Platform,
+    config: &HeteroPrioConfig,
+) -> (IndependentWorkload<'a>, IndependentPolicy<'a>) {
+    let queue = ReadyQueue::new(platform, config);
+    (IndependentWorkload { instance }, IndependentPolicy { instance, config: *config, queue })
+}
+
 /// Run HeteroPrio (Algorithm 1) on an instance of independent tasks.
 pub fn heteroprio(
     instance: &Instance,
@@ -386,88 +409,10 @@ pub fn heteroprio_metered<S: TraceSink, M: MetricsRegistry + ?Sized>(
     sink: &mut S,
     metrics: &M,
 ) -> HeteroPrioResult {
-    let mut workload = IndependentWorkload { instance };
-    let mut policy =
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform, config) };
-    let outcome = kernel::run(
-        platform,
-        &mut workload,
-        &mut policy,
-        FaultModel::none(),
-        KernelOptions { emit_decisions: false, metrics },
-        sink,
-    )
-    .expect("fault-free run cannot fail");
-    HeteroPrioResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    }
-}
-
-/// [`heteroprio_metered`] through the durability plane: crash injection and
-/// checkpoint capture (see [`kernel::run_durable`]). Journaling is the
-/// caller's sink choice — pass a
-/// [`JournalSink`](heteroprio_trace::JournalSink).
-pub fn heteroprio_durable<S: TraceSink, M: MetricsRegistry + ?Sized>(
-    instance: &Instance,
-    platform: &Platform,
-    config: &HeteroPrioConfig,
-    durability: DurabilityOptions<'_>,
-    sink: &mut S,
-    metrics: &M,
-) -> Result<HeteroPrioResult, EngineError> {
-    let mut workload = IndependentWorkload { instance };
-    let mut policy =
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform, config) };
-    let outcome = kernel::run_durable(
-        platform,
-        &mut workload,
-        &mut policy,
-        FaultModel::none(),
-        KernelOptions { emit_decisions: false, metrics },
-        durability,
-        sink,
-    )?;
-    Ok(HeteroPrioResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
-}
-
-/// Resume a crashed [`heteroprio_durable`] run from its recovered journal
-/// (and optionally a checkpoint); see [`kernel::resume`] for the contract.
-pub fn heteroprio_resume<S: TraceSink, M: MetricsRegistry + ?Sized>(
-    instance: &Instance,
-    platform: &Platform,
-    config: &HeteroPrioConfig,
-    snapshot: Option<&KernelSnapshot>,
-    journal: &[heteroprio_trace::SchedEvent],
-    sink: &mut S,
-    metrics: &M,
-) -> Result<HeteroPrioResult, ResumeError> {
-    let mut workload = IndependentWorkload { instance };
-    let mut policy =
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform, config) };
-    let outcome = kernel::resume(
-        platform,
-        &mut workload,
-        &mut policy,
-        FaultModel::none(),
-        KernelOptions { emit_decisions: false, metrics },
-        snapshot,
-        journal,
-        sink,
-    )?;
-    Ok(HeteroPrioResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
+    let (mut workload, mut policy) = independent(instance, platform, config);
+    let spec = Run::new(sink, metrics);
+    let outcome = kernel::run(platform, &mut workload, &mut policy, spec);
+    outcome.expect("fault-free run cannot fail").into()
 }
 
 #[cfg(test)]

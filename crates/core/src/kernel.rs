@@ -31,15 +31,59 @@
 //!
 //! Determinism is also the recovery story: because every state transition
 //! is emitted as a trace event *before* its consequences are acted on, the
-//! event stream is a write-ahead journal. [`run_durable`] injects crashes
-//! ([`CrashPlan`](crate::durability::CrashPlan)) and captures periodic
-//! [`KernelSnapshot`]s; [`resume`]
-//! rebuilds a crashed run — from a snapshot plus the journal tail, or from
-//! the journal alone — verifies the replay event-for-event against the
-//! journal, and continues to completion. Policies participate through
-//! [`SnapshotPolicy`].
+//! event stream is a write-ahead journal. A [`Run`] spec injects crashes
+//! ([`CrashPlan`]), captures periodic [`KernelSnapshot`]s ([`Checkpoints`])
+//! and resumes a crashed run ([`Resume`]) — from a snapshot plus the
+//! journal tail, or from the journal alone — verifying the replay
+//! event-for-event against the journal before continuing to completion.
+//!
+//! # Entry points
+//!
+//! Every engine is a constructor of a (workload, policy) pair, and every
+//! run goes through [`run`] with a [`Run`] spec. Capturing checkpoints
+//! needs the policy's ready order, so a checkpointed run goes through
+//! [`run_checkpointed`], which additionally requires [`SnapshotPolicy`].
+//!
+//! Crash and resume an independent-task run through a journal:
+//!
+//! ```
+//! use heteroprio_core::kernel::{self, EngineError, Resume, Run};
+//! use heteroprio_core::{independent, journaled, CrashPlan, HeteroPrioConfig, Instance, Platform};
+//! use heteroprio_core::ResumeError;
+//! use heteroprio_metrics::NullRegistry;
+//! use heteroprio_trace::{MemJournal, NullSink, VecSink};
+//!
+//! let instance = Instance::from_times(&[(8.0, 1.0), (4.0, 1.0), (2.0, 2.0), (1.0, 4.0)]);
+//! let (platform, config) = (Platform::new(2, 1), HeteroPrioConfig::new());
+//!
+//! // 1. Record a journaled run and kill it after 5 events.
+//! let mut journal = MemJournal::new();
+//! let (mut workload, mut policy) = independent(&instance, &platform, &config);
+//! let crashed = journaled(&mut journal, &mut NullSink, |sink| {
+//!     let spec = Run { crash: CrashPlan::at_event(5), ..Run::new(sink, &NullRegistry) };
+//!     kernel::run(&platform, &mut workload, &mut policy, spec)
+//! })
+//! .expect("in-memory journal");
+//! assert!(matches!(crashed, Err(ResumeError::Engine(EngineError::Crashed { events: 5, .. }))));
+//!
+//! // 2. Resume with the same inputs: the 5 journaled events are replayed and
+//! //    verified, the continuation is appended, and the journal is committed.
+//! let recovered = journal.events().to_vec();
+//! let (mut workload, mut policy) = independent(&instance, &platform, &config);
+//! let mut stream = VecSink::new();
+//! let resume = Some(Resume { journal: &recovered, snapshot: None });
+//! journaled(&mut journal, &mut stream, |sink| {
+//!     let spec = Run { resume, ..Run::new(sink, &NullRegistry) };
+//!     kernel::run(&platform, &mut workload, &mut policy, spec)
+//! })
+//! .expect("in-memory journal")
+//! .expect("the replay matches the journal");
+//! assert_eq!(journal.events(), stream.events.as_slice());
+//! ```
 
-use crate::durability::{schedule_from_events, DurabilityOptions, KernelSnapshot, ResumeError};
+use crate::durability::{
+    schedule_from_events, CheckpointStore, CrashPlan, KernelSnapshot, ResumeError,
+};
 use crate::heteroprio::WorkerOrder;
 use crate::model::{ClassId, Platform, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
@@ -186,9 +230,9 @@ pub enum EngineError {
     TaskAbandoned { task: u32, attempts: u32, time: f64 },
     /// Every worker is down with no recovery scheduled while tasks remain.
     AllWorkersDown { time: f64, remaining: usize },
-    /// An injected [`CrashPlan`](crate::durability::CrashPlan) fired: the
-    /// kernel "died" at simulated time `time` after emitting `events`
-    /// trace events. Recovery continues via [`resume`].
+    /// An injected [`CrashPlan`] fired: the kernel "died" at simulated
+    /// time `time` after emitting `events` trace events. Recovery
+    /// continues via a [`Resume`] run.
     Crashed { time: f64, events: u64 },
 }
 
@@ -210,40 +254,71 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Kernel knobs that are engine-shape, not policy: whether the trace
-/// carries `PolicyDecision` events (the DAG simulator's vocabulary; the
-/// independent-task engines speak `QueuePop` instead), and where
-/// performance metrics go. The registry defaults to [`NullRegistry`], whose
-/// no-op recording monomorphizes the instrumentation away entirely — the
-/// metrics-off kernel is pinned byte-identical to the pre-metrics one.
-pub struct KernelOptions<'m, M: MetricsRegistry + ?Sized = NullRegistry> {
-    pub emit_decisions: bool,
-    pub metrics: &'m M,
+/// Everything a kernel run carries besides the platform, the workload and
+/// the policy. [`Run::new`] gives a fresh, fault-free run; set the other
+/// fields with struct-update syntax. The run is generic over the sink and
+/// the registry, so [`NullSink`](heteroprio_trace::NullSink) and
+/// [`NullRegistry`] compile tracing and metrics away entirely.
+pub struct Run<'r, S: TraceSink, M: MetricsRegistry + ?Sized = NullRegistry> {
+    pub faults: FaultModel,
+    /// Receives every emitted event; on resume, the journaled prefix too.
+    pub sink: &'r mut S,
+    pub metrics: &'r M,
+    pub crash: CrashPlan,
+    /// Checkpoint cadence and store; only [`run_checkpointed`] takes them.
+    pub checkpoints: Option<Checkpoints<'r>>,
+    /// Continue a journaled run instead of starting at t = 0.
+    pub resume: Option<Resume<'r>>,
 }
 
-impl Default for KernelOptions<'static, NullRegistry> {
-    fn default() -> Self {
-        KernelOptions { emit_decisions: false, metrics: &NullRegistry }
+impl<'r, S: TraceSink, M: MetricsRegistry + ?Sized> Run<'r, S, M> {
+    /// A fresh, fault-free run without crash, checkpoints or resume.
+    pub fn new(sink: &'r mut S, metrics: &'r M) -> Self {
+        Run {
+            faults: FaultModel::none(),
+            sink,
+            metrics,
+            crash: CrashPlan::NONE,
+            checkpoints: None,
+            resume: None,
+        }
     }
 }
 
-// Manual impls: derives would demand `M: Clone/Copy/Debug`, but only a
-// shared reference to `M` is held.
-impl<M: MetricsRegistry + ?Sized> Clone for KernelOptions<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// Capture a [`KernelSnapshot`] every `every` emitted events into `store`.
+/// Checkpoints are taken at quiescent points (after the assignment
+/// fixpoint) and saved best-effort: the journal stays the authoritative
+/// recovery source, so a failed save is latched in the store rather than
+/// aborting the run. The store type is `'static` so that the spec stays
+/// covariant: a [`Run`] may then borrow its sink for less time than the
+/// store.
+pub struct Checkpoints<'c> {
+    pub every: u64,
+    pub store: &'c mut (dyn CheckpointStore + 'static),
 }
 
-impl<M: MetricsRegistry + ?Sized> Copy for KernelOptions<'_, M> {}
-
-impl<M: MetricsRegistry + ?Sized> std::fmt::Debug for KernelOptions<'_, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelOptions")
-            .field("emit_decisions", &self.emit_decisions)
-            .field("metrics_enabled", &self.metrics.is_enabled())
-            .finish()
-    }
+/// The recovered record of a crashed run.
+///
+/// The caller re-supplies the same platform, workload, policy and fault
+/// model as the recorded run; the kernel re-derives everything else.
+/// Without a snapshot the whole journaled prefix deterministically
+/// re-executes; with one, execution restarts at the snapshot instant and
+/// only the tail past it re-executes. Either way every re-emitted event
+/// inside the journaled range is checked against the journal record — a
+/// mismatch means the inputs differ from the recorded run and yields
+/// [`ResumeError::Divergence`] instead of silent corruption. A snapshot
+/// taken *after* the last surviving journal record (its tail was lost with
+/// the page cache) is unusable and is ignored in favor of journal-only
+/// replay.
+///
+/// The sink receives the full event stream from t = 0: the journaled
+/// prefix verbatim, then the continuation's events as they are produced.
+/// When appending the resumed run to the same journal, see
+/// [`journaled`](crate::durability::journaled).
+#[derive(Clone, Copy, Debug)]
+pub struct Resume<'j> {
+    pub journal: &'j [SchedEvent],
+    pub snapshot: Option<&'j KernelSnapshot>,
 }
 
 /// Pre-registered handles for every kernel metric, resolved once per run so
@@ -381,7 +456,7 @@ pub struct KernelContext<'a> {
 pub struct Pick {
     pub task: TaskId,
     /// `Some(end)` emits `QueuePop`; `None` (generic policies) emits only
-    /// the `PolicyDecision` when [`KernelOptions::emit_decisions`] is set.
+    /// the `PolicyDecision` when [`KernelPolicy::EMIT_DECISIONS`] is set.
     pub queue_end: Option<QueueEnd>,
 }
 
@@ -393,6 +468,11 @@ pub struct Pick {
 /// picked tasks must be ready, spoliations must cross resource classes,
 /// target a busy worker, and strictly improve the task's completion time.
 pub trait KernelPolicy {
+    /// Whether the trace carries `PolicyDecision` events: the DAG
+    /// simulator's vocabulary. The independent-task engines speak
+    /// `QueuePop` instead.
+    const EMIT_DECISIONS: bool = false;
+
     /// New tasks whose availability condition is satisfied.
     fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>);
 
@@ -446,172 +526,95 @@ pub enum TaskState {
     Done,
 }
 
-/// Drive `policy` over `workload` on `platform` to completion.
+/// Drive `policy` over `workload` on `platform` to completion, under the
+/// faults, crash plan and resume source of `spec`.
 ///
 /// Panics on policy protocol violations: picking a task that is not ready,
 /// spoliating an idle worker or one of the same class, a spoliation that
 /// does not strictly improve the task's completion time, or a deadlock
-/// (work remains, nothing runs, and the policy schedules nothing).
+/// (work remains, nothing runs, and the policy schedules nothing). Also
+/// panics if `spec.checkpoints` is set: capturing a checkpoint needs the
+/// policy's ready order, which only [`run_checkpointed`] can ask for. A
+/// resumed snapshot's ready list is re-announced through
+/// [`KernelPolicy::on_ready`] (the default [`SnapshotPolicy::restore`]).
 pub fn run<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
     platform: &Platform,
     workload: &mut W,
     policy: &mut P,
-    faults: FaultModel,
-    options: KernelOptions<'_, M>,
-    sink: &mut S,
-) -> Result<KernelOutcome, EngineError> {
-    let mut kernel = Kernel::new(platform, workload.len(), faults, options, sink);
-    kernel.run(workload, policy)?;
-    Ok(finish_outcome(kernel))
+    spec: Run<'_, S, M>,
+) -> Result<KernelOutcome, ResumeError> {
+    assert!(spec.checkpoints.is_none(), "checkpoints need a SnapshotPolicy: use run_checkpointed");
+    drive(platform, workload, policy, spec, |_| Vec::new(), P::on_ready)
 }
 
-fn finish_outcome<S: TraceSink, M: MetricsRegistry + ?Sized>(
-    kernel: Kernel<'_, S, M>,
-) -> KernelOutcome {
-    let mut summary = kernel.summary;
-    summary.finish();
-    KernelOutcome {
-        schedule: kernel.schedule,
-        first_idle: summary.first_idle,
-        spoliations: summary.spoliation_count,
-        summary,
-    }
-}
-
-/// [`run`] with the durability plane attached: an injected
-/// [`CrashPlan`](crate::durability::CrashPlan) and an optional checkpoint
-/// cadence. Checkpoints are captured at quiescent points (after the
-/// assignment fixpoint) and saved best-effort — the journal, fed through
-/// `sink`, remains the authoritative recovery source, so a failed save is
-/// latched in the store rather than aborting the run.
-pub fn run_durable<W, P, S, M>(
-    platform: &Platform,
-    workload: &mut W,
-    policy: &mut P,
-    faults: FaultModel,
-    options: KernelOptions<'_, M>,
-    durability: DurabilityOptions<'_>,
-    sink: &mut S,
-) -> Result<KernelOutcome, EngineError>
-where
+/// [`run`] for a [`SnapshotPolicy`]: also captures the checkpoints of
+/// `spec`, and restores a resumed snapshot through
+/// [`SnapshotPolicy::restore`].
+pub fn run_checkpointed<
     W: Workload,
     P: SnapshotPolicy,
     S: TraceSink,
     M: MetricsRegistry + ?Sized,
-{
-    let mut kernel = Kernel::new(platform, workload.len(), faults, options, sink);
-    kernel.crash_at = durability.crash.at_event;
-    kernel.checkpoint_every = durability.checkpoint_every;
-    let mut store = durability.store;
-    kernel.run_inner(workload, policy, None, &mut |k, p, now| {
-        if let Some(store) = store.as_deref_mut() {
-            let _ = store.save(&k.snapshot_of(p, now));
-        }
-    })?;
-    Ok(finish_outcome(kernel))
-}
-
-/// Verifies the resumed kernel's emissions against the journaled record
-/// while forwarding everything to the real sink. The first disagreement is
-/// latched (emission itself cannot fail mid-run); [`resume`] turns it into
-/// a typed [`ResumeError::Divergence`] at the end.
-struct VerifySink<'v, S: TraceSink> {
-    inner: &'v mut S,
-    expected: &'v [SchedEvent],
-    pos: usize,
-    mismatch: Option<(usize, SchedEvent)>,
-}
-
-impl<S: TraceSink> TraceSink for VerifySink<'_, S> {
-    fn emit(&mut self, event: SchedEvent) {
-        if self.pos < self.expected.len() {
-            if self.mismatch.is_none() && self.expected[self.pos] != event {
-                self.mismatch = Some((self.pos, event));
-            }
-            self.pos += 1;
-        }
-        self.inner.emit(event);
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.inner.is_enabled()
-    }
-}
-
-/// Rebuild a crashed run from its recovered journal (and optionally a
-/// checkpoint) and drive it to completion.
-///
-/// The caller re-supplies the same platform, workload, policy, fault model
-/// and options as the recorded run; the kernel re-derives everything else.
-/// Without a snapshot the whole journaled prefix deterministically
-/// re-executes; with one, execution restarts at the snapshot instant and
-/// only the tail past it re-executes. Either way every re-emitted event
-/// inside the journaled range is checked against the journal record —
-/// a mismatch means the supplied inputs differ from the recorded run and
-/// yields [`ResumeError::Divergence`] instead of silent corruption. A
-/// snapshot taken *after* the last surviving journal record (its tail was
-/// lost with the page cache) is unusable and is ignored in favor of
-/// journal-only replay.
-///
-/// `sink` receives the full event stream from t = 0: the journaled prefix
-/// verbatim, then the continuation's events as they are produced. When
-/// appending the resumed run to the same journal, wrap it in
-/// `JournalSink::resuming(journal, journal.len())` so the prefix is not
-/// re-appended.
-#[allow(clippy::too_many_arguments)]
-pub fn resume<W, P, S, M>(
+>(
     platform: &Platform,
     workload: &mut W,
     policy: &mut P,
-    faults: FaultModel,
-    options: KernelOptions<'_, M>,
-    snapshot: Option<&KernelSnapshot>,
-    journal: &[SchedEvent],
-    sink: &mut S,
-) -> Result<KernelOutcome, ResumeError>
-where
-    W: Workload,
-    P: SnapshotPolicy,
-    S: TraceSink,
-    M: MetricsRegistry + ?Sized,
-{
+    spec: Run<'_, S, M>,
+) -> Result<KernelOutcome, ResumeError> {
+    drive(platform, workload, policy, spec, P::ready_order, P::restore)
+}
+
+/// The policy's ready order, captured into each checkpoint.
+type ReadyOrder<P> = fn(&P) -> Vec<TaskId>;
+
+/// Re-seeds the policy with a restored snapshot's ready list.
+type Restore<P> = fn(&mut P, &[TaskId], &KernelContext<'_>);
+
+fn drive<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
+    platform: &Platform,
+    workload: &mut W,
+    policy: &mut P,
+    spec: Run<'_, S, M>,
+    ready_order: ReadyOrder<P>,
+    restore: Restore<P>,
+) -> Result<KernelOutcome, ResumeError> {
+    let Run { faults, sink, metrics, crash, mut checkpoints, resume } = spec;
+    let Resume { journal, snapshot } = resume.unwrap_or(Resume { journal: &[], snapshot: None });
     let snap = snapshot.filter(|s| (s.events_seen as usize) <= journal.len());
-    let (prefix, tail) = match snap {
-        Some(s) => journal.split_at(s.events_seen as usize),
-        None => journal.split_at(0),
-    };
+    let (prefix, tail) = journal.split_at(snap.map_or(0, |s| s.events_seen as usize));
     // The forwarded prefix counts toward the trace-event metric so the
     // counter always equals "events delivered to the sink", whether they
     // came from the journal or from live execution.
     if !prefix.is_empty() {
-        let counter = options.metrics.counter(metric::TRACE_EVENTS_TOTAL);
-        options.metrics.inc_by(counter, prefix.len() as u64);
+        metrics.inc_by(metrics.counter(metric::TRACE_EVENTS_TOTAL), prefix.len() as u64);
     }
     for e in prefix {
         sink.emit(*e);
     }
-    let mut verify = VerifySink { inner: sink, expected: tail, pos: 0, mismatch: None };
-    let mut kernel = Kernel::new(platform, workload.len(), faults, options, &mut verify);
+    let mut kernel = Kernel::new(platform, workload.len(), faults, metrics, sink);
+    kernel.crash_at = crash.at_event;
+    kernel.expected = tail;
     let run_result = match snap {
         Some(s) => kernel
-            .restore_from(s, prefix, workload, policy)
+            .restore_from(s, prefix, workload, policy, restore)
             .map_err(ResumeError::BadSnapshot)
             .and_then(|()| {
                 kernel
-                    .run_inner(workload, policy, Some(s.now), &mut |_, _, _| {})
+                    .run_inner(workload, policy, Some(s.now), &mut checkpoints, ready_order)
                     .map_err(ResumeError::from)
             }),
-        None => {
-            kernel.run_inner(workload, policy, None, &mut |_, _, _| {}).map_err(ResumeError::from)
-        }
+        None => kernel
+            .run_inner(workload, policy, None, &mut checkpoints, ready_order)
+            .map_err(ResumeError::from),
     };
-    let outcome = finish_outcome(kernel);
-    let produced = prefix.len() + verify.pos;
-    if let Some((i, got)) = verify.mismatch {
+    let (verified, mismatch) = (kernel.verified, kernel.mismatch);
+    let outcome = kernel.finish();
+    if let Some((i, got)) = mismatch {
         return Err(ResumeError::Divergence { index: prefix.len() + i, expected: tail[i], got });
     }
     run_result?;
-    if verify.pos < tail.len() {
+    if verified < tail.len() {
+        let produced = prefix.len() + verified;
         return Err(ResumeError::ShortReplay { produced, journaled: journal.len() });
     }
     Ok(outcome)
@@ -669,7 +672,6 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     /// failures); `None` keeps the zero model byte-identical to a
     /// fault-free run.
     rng: Option<StdRng>,
-    options: KernelOptions<'a, M>,
     /// Pre-registered metric handles (all no-ops under [`NullRegistry`]).
     meter: Meter<'a, M>,
     /// Current ready-set size, mirrored into the [`metric::READY_DEPTH`]
@@ -685,10 +687,16 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     crashed: bool,
     /// Simulated time at which the crash fired.
     crashed_time: f64,
-    /// Capture a snapshot every this-many emitted events.
-    checkpoint_every: Option<u64>,
     /// Emission count at the last checkpoint.
     last_checkpoint: u64,
+    /// On resume, the journaled events past the restore point: every
+    /// re-emitted event is checked against them (empty for a fresh run).
+    expected: &'a [SchedEvent],
+    /// Re-emitted events checked against `expected` so far.
+    verified: usize,
+    /// The first disagreement with the journal, latched because emission
+    /// cannot fail mid-run: (index into `expected`, event produced).
+    mismatch: Option<(usize, SchedEvent)>,
     /// Reusable buffers for the hot loop (see [`Scratch`]).
     scratch: Scratch,
 }
@@ -698,7 +706,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         platform: &'a Platform,
         tasks: usize,
         faults: FaultModel,
-        options: KernelOptions<'a, M>,
+        metrics: &'a M,
         sink: &'a mut S,
     ) -> Self {
         let summary = if sink.is_enabled() {
@@ -728,16 +736,29 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             timeline_pos: 0,
             retries: BinaryHeap::new(),
             rng,
-            meter: Meter::new(options.metrics),
-            options,
+            meter: Meter::new(metrics),
             ready_depth: 0,
             emitted: 0,
             crash_at: None,
             crashed: false,
             crashed_time: 0.0,
-            checkpoint_every: None,
             last_checkpoint: 0,
+            expected: &[],
+            verified: 0,
+            mismatch: None,
             scratch: Scratch::default(),
+        }
+    }
+
+    /// The finished run's outcome, summarized from the emitted events.
+    fn finish(self) -> KernelOutcome {
+        let mut summary = self.summary;
+        summary.finish();
+        KernelOutcome {
+            schedule: self.schedule,
+            first_idle: summary.first_idle,
+            spoliations: summary.spoliation_count,
+            summary,
         }
     }
 
@@ -750,6 +771,12 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         }
         self.meter.m.inc(self.meter.trace_events);
         self.summary.record(&event);
+        if let Some(want) = self.expected.get(self.verified) {
+            if self.mismatch.is_none() && *want != event {
+                self.mismatch = Some((self.verified, event));
+            }
+            self.verified += 1;
+        }
         self.sink.emit(event);
         self.emitted = self.emitted.checked_add(1).expect("u64 event counter never saturates");
         if self.crash_at == Some(self.emitted) {
@@ -908,7 +935,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                             end,
                         });
                     }
-                    if self.options.emit_decisions {
+                    if P::EMIT_DECISIONS {
                         self.emit(SchedEvent::PolicyDecision {
                             time: now,
                             worker: w.0,
@@ -951,7 +978,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                         start: r.start,
                         end: now,
                     });
-                    if self.options.emit_decisions {
+                    if P::EMIT_DECISIONS {
                         self.emit(SchedEvent::PolicyDecision {
                             time: now,
                             worker: w.0,
@@ -971,7 +998,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                     acted = true;
                     continue;
                 }
-                if went_idle && self.options.emit_decisions {
+                if went_idle && P::EMIT_DECISIONS {
                     self.emit(SchedEvent::PolicyDecision {
                         time: now,
                         worker: w.0,
@@ -1161,37 +1188,34 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         next
     }
 
-    fn run<W: Workload, P: KernelPolicy>(
+    /// Save a checkpoint at a quiescent point (post-fixpoint) when the
+    /// cadence is due. Best-effort: a failed save stays latched in the
+    /// store.
+    fn checkpoint<P: KernelPolicy>(
         &mut self,
-        workload: &mut W,
-        policy: &mut P,
-    ) -> Result<(), EngineError> {
-        self.run_inner(workload, policy, None, &mut |_, _, _| {})
-    }
-
-    fn checkpoint_due(&self) -> bool {
-        match self.checkpoint_every {
-            Some(n) => !self.crashed && self.emitted.saturating_sub(self.last_checkpoint) >= n,
-            None => false,
+        checkpoints: &mut Option<Checkpoints<'_>>,
+        policy: &P,
+        ready_order: ReadyOrder<P>,
+        now: f64,
+    ) {
+        let Some(c) = checkpoints else { return };
+        if self.crashed || self.emitted.saturating_sub(self.last_checkpoint) < c.every {
+            return;
         }
+        let _ = c.store.save(&self.snapshot_of(ready_order(policy), now));
+        self.last_checkpoint = self.emitted;
     }
 
     /// The main loop, parameterized for durability: `resume_at` skips the
-    /// t=0 prologue and picks up at a restored snapshot's time;
-    /// `checkpoint` is invoked at quiescent points (post-fixpoint) when
-    /// the checkpoint cadence is due.
-    fn run_inner<W, P, F>(
+    /// t=0 prologue and picks up at a restored snapshot's time.
+    fn run_inner<W: Workload, P: KernelPolicy>(
         &mut self,
         workload: &mut W,
         policy: &mut P,
         resume_at: Option<f64>,
-        checkpoint: &mut F,
-    ) -> Result<(), EngineError>
-    where
-        W: Workload,
-        P: KernelPolicy,
-        F: FnMut(&Self, &P, f64),
-    {
+        checkpoints: &mut Option<Checkpoints<'_>>,
+        ready_order: ReadyOrder<P>,
+    ) -> Result<(), EngineError> {
         let meter = self.meter;
         let _run_span = ScopedTimer::start(meter.m, meter.run_ns);
         let total = workload.len();
@@ -1202,10 +1226,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             self.process_faults_at(policy, now);
             self.assign_fixpoint(workload, policy, now);
             self.crash_check()?;
-            if self.checkpoint_due() {
-                checkpoint(self, policy, now);
-                self.last_checkpoint = self.emitted;
-            }
+            self.checkpoint(checkpoints, policy, ready_order, now);
         }
         while self.completed < total {
             let Some(t) = self.next_time(workload) else {
@@ -1250,17 +1271,14 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             self.process_retries_at(policy, now);
             self.assign_fixpoint(workload, policy, now);
             self.crash_check()?;
-            if self.checkpoint_due() {
-                checkpoint(self, policy, now);
-                self.last_checkpoint = self.emitted;
-            }
+            self.checkpoint(checkpoints, policy, ready_order, now);
         }
         self.crash_check()
     }
 
     /// Capture the complete kernel state at a quiescent point. `now` is
     /// the loop's current instant (snapshots are taken post-fixpoint).
-    fn snapshot_of<P: SnapshotPolicy>(&self, policy: &P, now: f64) -> KernelSnapshot {
+    fn snapshot_of(&self, ready: Vec<TaskId>, now: f64) -> KernelSnapshot {
         let mut heap: Vec<(f64, u32, u64)> = self
             .events
             .iter()
@@ -1289,7 +1307,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             timeline_pos: self.timeline_pos,
             retries,
             rng: self.rng.as_ref().map(StdRng::state),
-            ready: policy.ready_order(),
+            ready,
         }
     }
 
@@ -1297,12 +1315,13 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     /// prefix it corresponds to. The prefix feeds the trace summary and
     /// the schedule (both are event-derived); the snapshot supplies
     /// everything else, including the actual heap instants and RNG state.
-    fn restore_from<W: Workload, P: SnapshotPolicy>(
+    fn restore_from<W: Workload, P: KernelPolicy>(
         &mut self,
         snap: &KernelSnapshot,
         prefix: &[SchedEvent],
         workload: &mut W,
         policy: &mut P,
+        restore: Restore<P>,
     ) -> Result<(), String> {
         snap.validate()?;
         if snap.tasks != self.state.len() {
@@ -1367,7 +1386,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         for run in &self.schedule.runs {
             let _ = workload.on_complete(run.task);
         }
-        policy.restore(&snap.ready, &self.context(snap.now));
+        restore(policy, &snap.ready, &self.context(snap.now));
         Ok(())
     }
 }
@@ -1375,12 +1394,32 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::{CrashPlan, MemCheckpointStore};
-    use crate::heteroprio::{
-        heteroprio_durable, heteroprio_resume, heteroprio_traced, HeteroPrioConfig,
-    };
+    use crate::durability::MemCheckpointStore;
+    use crate::heteroprio::{heteroprio_traced, independent, HeteroPrioConfig};
     use crate::model::Instance;
-    use heteroprio_trace::{Journal, JournalSink, MemJournal, VecSink};
+    use heteroprio_trace::{Journal, JournalSink, MemJournal, NullSink, VecSink};
+
+    /// Drive the independent engine on `inst` under `spec`.
+    fn drive_independent<S: TraceSink>(
+        inst: &Instance,
+        plat: &Platform,
+        spec: Run<'_, S>,
+    ) -> Result<KernelOutcome, ResumeError> {
+        let (mut workload, mut policy) = independent(inst, plat, &HeteroPrioConfig::new());
+        run_checkpointed(plat, &mut workload, &mut policy, spec)
+    }
+
+    /// Resume the independent engine on `inst` from a journaled prefix.
+    fn resume_independent<S: TraceSink>(
+        inst: &Instance,
+        plat: &Platform,
+        snapshot: Option<&KernelSnapshot>,
+        journal: &[SchedEvent],
+        sink: &mut S,
+    ) -> Result<KernelOutcome, ResumeError> {
+        let resume = Some(Resume { journal, snapshot });
+        drive_independent(inst, plat, Run { resume, ..Run::new(sink, &NullRegistry) })
+    }
 
     #[test]
     fn backoff_delay_is_total_and_capped() {
@@ -1427,43 +1466,29 @@ mod tests {
             let mut journal = MemJournal::new();
             {
                 let mut sink = JournalSink::new(&mut journal);
-                let err = heteroprio_durable(
-                    &inst,
-                    &plat,
-                    &config,
-                    DurabilityOptions {
-                        crash: CrashPlan::at_event(crash_at),
-                        checkpoint_every: None,
-                        store: None,
-                    },
-                    &mut sink,
-                    &heteroprio_metrics::NullRegistry,
-                )
-                .expect_err("crash plan must fire");
-                assert_eq!(err, EngineError::Crashed { time: err_time(&err), events: crash_at });
+                let crash = CrashPlan::at_event(crash_at);
+                let spec = Run { crash, ..Run::new(&mut sink, &NullRegistry) };
+                let err = drive_independent(&inst, &plat, spec).expect_err("crash plan must fire");
+                let time = err_time(&err);
+                assert_eq!(
+                    err,
+                    ResumeError::Engine(EngineError::Crashed { time, events: crash_at })
+                );
             }
             assert_eq!(journal.len() as u64, crash_at, "journal ends exactly at the crash");
             let prefix = journal.replay().expect("replay");
             let mut resumed = VecSink::new();
-            let res = heteroprio_resume(
-                &inst,
-                &plat,
-                &config,
-                None,
-                &prefix,
-                &mut resumed,
-                &heteroprio_metrics::NullRegistry,
-            )
-            .expect("resume");
+            let res =
+                resume_independent(&inst, &plat, None, &prefix, &mut resumed).expect("resume");
             assert_eq!(resumed.events, full.events, "crash at {crash_at}");
             assert_eq!(res.schedule.runs, reference.schedule.runs);
             assert_eq!(res.schedule.aborted, reference.schedule.aborted);
         }
     }
 
-    fn err_time(err: &EngineError) -> f64 {
+    fn err_time(err: &ResumeError) -> f64 {
         match *err {
-            EngineError::Crashed { time, .. } => time,
+            ResumeError::Engine(EngineError::Crashed { time, .. }) => time,
             ref other => panic!("expected Crashed, got {other:?}"),
         }
     }
@@ -1480,19 +1505,12 @@ mod tests {
             let mut store = MemCheckpointStore::new();
             {
                 let mut sink = JournalSink::new(&mut journal);
-                heteroprio_durable(
-                    &inst,
-                    &plat,
-                    &config,
-                    DurabilityOptions {
-                        crash: CrashPlan::at_event(crash_at),
-                        checkpoint_every: Some(2),
-                        store: Some(&mut store),
-                    },
-                    &mut sink,
-                    &heteroprio_metrics::NullRegistry,
-                )
-                .expect_err("crash plan must fire");
+                let spec = Run {
+                    crash: CrashPlan::at_event(crash_at),
+                    checkpoints: Some(Checkpoints { every: 2, store: &mut store }),
+                    ..Run::new(&mut sink, &NullRegistry)
+                };
+                drive_independent(&inst, &plat, spec).expect_err("crash plan must fire");
             }
             let prefix = journal.replay().expect("replay");
             // The persisted form round-trips through JSON, like the real
@@ -1502,16 +1520,8 @@ mod tests {
                 .as_ref()
                 .map(|s| KernelSnapshot::parse(&s.to_json()).expect("snapshot round trip"));
             let mut resumed = VecSink::new();
-            let res = heteroprio_resume(
-                &inst,
-                &plat,
-                &config,
-                snapshot.as_ref(),
-                &prefix,
-                &mut resumed,
-                &heteroprio_metrics::NullRegistry,
-            )
-            .expect("resume");
+            let res = resume_independent(&inst, &plat, snapshot.as_ref(), &prefix, &mut resumed)
+                .expect("resume");
             assert_eq!(resumed.events, full.events, "crash at {crash_at}");
             assert_eq!(res.schedule.runs, reference.schedule.runs);
             assert_eq!(res.schedule.aborted, reference.schedule.aborted);
@@ -1527,15 +1537,7 @@ mod tests {
         // Resume against a different instance: replay must flag the
         // divergence instead of producing a plausible-looking schedule.
         let other = Instance::from_times(&[(1.0, 8.0), (2.0, 6.0), (4.0, 4.0)]);
-        let result = heteroprio_resume(
-            &other,
-            &plat,
-            &config,
-            None,
-            &full.events,
-            &mut heteroprio_trace::NullSink,
-            &heteroprio_metrics::NullRegistry,
-        );
+        let result = resume_independent(&other, &plat, None, &full.events, &mut NullSink);
         assert!(
             matches!(
                 result,
@@ -1552,16 +1554,8 @@ mod tests {
         let mut full = VecSink::new();
         let reference = heteroprio_traced(&inst, &plat, &config, &mut full);
         let mut resumed = VecSink::new();
-        let res = heteroprio_resume(
-            &inst,
-            &plat,
-            &config,
-            None,
-            &full.events,
-            &mut resumed,
-            &heteroprio_metrics::NullRegistry,
-        )
-        .expect("resume");
+        let res =
+            resume_independent(&inst, &plat, None, &full.events, &mut resumed).expect("resume");
         assert_eq!(resumed.events, full.events);
         assert_eq!(res.schedule.runs, reference.schedule.runs);
     }

@@ -52,19 +52,18 @@ pub mod theory;
 pub mod time;
 
 pub use durability::{
-    schedule_from_events, CheckpointStore, CrashPlan, DurabilityOptions, FileCheckpointStore,
+    journaled, schedule_from_events, CheckpointStore, CrashPlan, FileCheckpointStore,
     KernelSnapshot, MemCheckpointStore, MeteredJournal, ResumeError,
 };
 pub use heteroprio::{
-    heteroprio, heteroprio_durable, heteroprio_metered, heteroprio_resume, heteroprio_traced,
-    sorted_queue, HeteroPrioConfig, HeteroPrioResult, QueueTieBreak, SpoliationTieBreak,
-    WorkerOrder,
+    heteroprio, heteroprio_metered, heteroprio_traced, independent, sorted_queue, HeteroPrioConfig,
+    HeteroPrioResult, QueueTieBreak, SpoliationTieBreak, WorkerOrder,
 };
 pub use model::{
     ClassId, ClassTable, Instance, ModelError, Platform, ResourceKind, Task, TaskId, WorkerId,
     MAX_CLASSES,
 };
-pub use online::{heteroprio_online, heteroprio_online_traced};
+pub use online::{heteroprio_online, heteroprio_online_traced, release_dates};
 pub use queue::{AffinityQueue, ClassQueue};
 pub use schedule::{Schedule, ScheduleError, TaskRun};
 pub use theory::{is_tight, known_lower_bound, proven_upper_bound};

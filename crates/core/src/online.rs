@@ -14,14 +14,37 @@
 //!
 //! Arrivals are a [`Workload`] over the shared event kernel
 //! ([`crate::kernel`]); the queue discipline is the same Algorithm 1 policy
-//! as the offline engine, backed by the incremental [`AffinityQueue`](crate::queue::AffinityQueue).
+//! as the offline engine, backed by the incremental [`ClassQueue`].
 
 use crate::heteroprio::{scan_victim, HeteroPrioConfig, HeteroPrioResult};
-use crate::kernel::{self, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, Workload};
+use crate::kernel::{self, KernelContext, KernelPolicy, Pick, Run, Workload};
 use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
 use crate::queue::{ClassQueue, PopSide};
 use crate::WorkerOrder;
+use heteroprio_metrics::NullRegistry;
 use heteroprio_trace::{NullSink, QueueEnd, TraceSink};
+
+/// The release-dates engine: task `i` of `instance` arrives at
+/// `releases[i]` and is scheduled by Algorithm 1's queue discipline under
+/// `config`. Drive the pair with [`kernel::run`].
+///
+/// Panics if `releases.len() != instance.len()` or any release is negative
+/// or not finite.
+pub fn release_dates<'a>(
+    instance: &'a Instance,
+    releases: &'a [f64],
+    platform: &Platform,
+    config: &HeteroPrioConfig,
+) -> (ReleaseWorkload<'a>, OnlineQueuePolicy<'a>) {
+    assert_eq!(releases.len(), instance.len(), "one release date per task");
+    assert!(
+        releases.iter().all(|&r| r >= 0.0 && r.is_finite()),
+        "release dates must be non-negative and finite"
+    );
+    let queue = ClassQueue::new(platform.k(), config.queue_tie);
+    let policy = OnlineQueuePolicy { instance, config: *config, queue };
+    (ReleaseWorkload::new(instance, releases), policy)
+}
 
 /// Run HeteroPrio with per-task release dates (`releases[i]` for task `i`).
 ///
@@ -44,37 +67,15 @@ pub fn heteroprio_online_traced<S: TraceSink>(
     config: &HeteroPrioConfig,
     sink: &mut S,
 ) -> HeteroPrioResult {
-    assert_eq!(releases.len(), instance.len(), "one release date per task");
-    assert!(
-        releases.iter().all(|&r| r >= 0.0 && r.is_finite()),
-        "release dates must be non-negative and finite"
-    );
-    let mut workload = ReleaseWorkload::new(instance, releases);
-    let mut policy = OnlineQueuePolicy {
-        instance,
-        config: *config,
-        queue: ClassQueue::new(platform.k(), config.queue_tie),
-    };
-    let outcome = kernel::run(
-        platform,
-        &mut workload,
-        &mut policy,
-        FaultModel::none(),
-        KernelOptions::default(),
-        sink,
-    )
-    .expect("fault-free run cannot fail");
-    HeteroPrioResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    }
+    let (mut workload, mut policy) = release_dates(instance, releases, platform, config);
+    let spec = Run::new(sink, &NullRegistry);
+    let outcome = kernel::run(platform, &mut workload, &mut policy, spec);
+    outcome.expect("fault-free run cannot fail").into()
 }
 
 /// Independent tasks with release dates: arrivals sorted by (release, id)
 /// feed the kernel as externally-timed ready announcements.
-struct ReleaseWorkload<'a> {
+pub struct ReleaseWorkload<'a> {
     instance: &'a Instance,
     releases: &'a [f64],
     /// Task ids sorted by (release, id).
@@ -143,10 +144,9 @@ impl Workload for ReleaseWorkload<'_> {
 }
 
 /// Algorithm 1's queue discipline over an incrementally-maintained
-/// [`ClassQueue`] (arrivals insert in O(log n) instead of re-sorting; the
-/// canonical two-class platform delegates to the bucketed
-/// [`AffinityQueue`](crate::queue::AffinityQueue) unchanged).
-struct OnlineQueuePolicy<'a> {
+/// [`ClassQueue`]: arrivals insert in O(log n) instead of re-sorting (at
+/// k = 2 the queue is the bucketed `AffinityQueue` inside).
+pub struct OnlineQueuePolicy<'a> {
     instance: &'a Instance,
     config: HeteroPrioConfig,
     queue: ClassQueue,

@@ -4,9 +4,9 @@ use heteroprio_core::{heteroprio, HeteroPrioConfig, Instance, Platform, Schedule
 use heteroprio_schedulers::{
     dualhp_independent, heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy,
 };
-use heteroprio_simulator::{simulate, simulate_traced, TransferModel};
+use heteroprio_simulator::{simulate_traced, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, TaskGraph, WeightScheme};
-use heteroprio_trace::{SchedEvent, VecSink};
+use heteroprio_trace::{NullSink, TraceSink};
 
 /// Above this size, HEFT switches to its no-insertion variant: the
 /// insertion scan is quadratic per worker and dominates on the largest
@@ -100,22 +100,35 @@ impl DagAlgo {
 
     /// Run the algorithm on (a rank-annotated copy of) the graph.
     pub fn run(self, graph: &TaskGraph, platform: &Platform) -> Schedule {
+        self.trace(graph, platform, &mut NullSink)
+    }
+
+    /// [`DagAlgo::run`] streaming the scheduler's events into `sink`: live
+    /// events for the simulated policies, a stream reconstructed from the
+    /// finished schedule for static HEFT.
+    pub fn trace<S: TraceSink>(
+        self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        sink: &mut S,
+    ) -> Schedule {
         let mut ranked = graph.clone();
         if let Some(scheme) = self.ranking() {
             apply_bottom_level_priorities(&mut ranked, scheme);
         }
+        let none = TransferModel::NONE;
         match self {
             DagAlgo::HeteroPrioAvg | DagAlgo::HeteroPrioMin => {
                 let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                simulate(&ranked, platform, &mut policy).schedule
+                simulate_traced(&ranked, platform, &mut policy, &none, sink).schedule
             }
             DagAlgo::DualHpFifo => {
                 let mut policy = DualHpDagPolicy::new(DualHpRank::Fifo);
-                simulate(&ranked, platform, &mut policy).schedule
+                simulate_traced(&ranked, platform, &mut policy, &none, sink).schedule
             }
             DagAlgo::DualHpAvg | DagAlgo::DualHpMin => {
                 let mut policy = DualHpDagPolicy::new(DualHpRank::Priority);
-                simulate(&ranked, platform, &mut policy).schedule
+                simulate_traced(&ranked, platform, &mut policy, &none, sink).schedule
             }
             DagAlgo::HeftAvg | DagAlgo::HeftMin => {
                 let scheme = self.ranking().expect("HEFT has a scheme");
@@ -124,43 +137,13 @@ impl DagAlgo {
                 } else {
                     HeftVariant::NoInsertion
                 };
-                heft(&ranked, platform, scheme, variant)
-            }
-        }
-    }
-
-    /// [`DagAlgo::run`] additionally returning the scheduler's event
-    /// stream: live events for the simulated policies, a stream
-    /// reconstructed from the finished schedule for static HEFT.
-    pub fn run_traced(self, graph: &TaskGraph, platform: &Platform) -> (Schedule, Vec<SchedEvent>) {
-        let mut ranked = graph.clone();
-        if let Some(scheme) = self.ranking() {
-            apply_bottom_level_priorities(&mut ranked, scheme);
-        }
-        let mut sink = VecSink::new();
-        let schedule = match self {
-            DagAlgo::HeteroPrioAvg | DagAlgo::HeteroPrioMin => {
-                let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                simulate_traced(&ranked, platform, &mut policy, &TransferModel::NONE, &mut sink)
-                    .schedule
-            }
-            DagAlgo::DualHpFifo => {
-                let mut policy = DualHpDagPolicy::new(DualHpRank::Fifo);
-                simulate_traced(&ranked, platform, &mut policy, &TransferModel::NONE, &mut sink)
-                    .schedule
-            }
-            DagAlgo::DualHpAvg | DagAlgo::DualHpMin => {
-                let mut policy = DualHpDagPolicy::new(DualHpRank::Priority);
-                simulate_traced(&ranked, platform, &mut policy, &TransferModel::NONE, &mut sink)
-                    .schedule
-            }
-            DagAlgo::HeftAvg | DagAlgo::HeftMin => {
-                let schedule = self.run(graph, platform);
-                sink.events = schedule.to_events(platform);
+                let schedule = heft(&ranked, platform, scheme, variant);
+                if sink.is_enabled() {
+                    schedule.to_events(platform).into_iter().for_each(|e| sink.emit(e));
+                }
                 schedule
             }
-        };
-        (schedule, sink.into_events())
+        }
     }
 }
 

@@ -18,11 +18,13 @@
 #![forbid(unsafe_code)]
 
 use heteroprio_bounds::dag_lower_bound;
+use heteroprio_core::kernel::{self, Run};
 use heteroprio_core::{HeteroPrioConfig, Platform, ResourceKind};
 use heteroprio_experiments::{emit, flag_value, TextTable};
+use heteroprio_metrics::NullRegistry;
 use heteroprio_schedulers::{DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy, PriorityListPolicy};
 use heteroprio_simulator::{
-    try_simulate_faulty, FaultPlan, RetryPolicy, SimError, SimResult, TransferModel, WorkerFault,
+    dag, FaultPlan, OnlinePolicy, RetryPolicy, SimError, SimResult, TransferModel, WorkerFault,
 };
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio_trace::NullSink;
@@ -52,23 +54,31 @@ impl Algo {
         platform: &Platform,
         plan: &FaultPlan,
     ) -> Result<SimResult, SimError> {
-        let model = TransferModel::NONE;
-        let mut sink = NullSink;
         match self {
             Algo::HeteroPrio => {
                 let mut p = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                try_simulate_faulty(graph, platform, &mut p, &model, plan, &mut sink)
+                run_plan(graph, platform, &mut p, plan)
             }
             Algo::DualHp => {
-                let mut p = DualHpDagPolicy::new(DualHpRank::Priority);
-                try_simulate_faulty(graph, platform, &mut p, &model, plan, &mut sink)
+                run_plan(graph, platform, &mut DualHpDagPolicy::new(DualHpRank::Priority), plan)
             }
-            Algo::List => {
-                let mut p = PriorityListPolicy::new();
-                try_simulate_faulty(graph, platform, &mut p, &model, plan, &mut sink)
-            }
+            Algo::List => run_plan(graph, platform, &mut PriorityListPolicy::new(), plan),
         }
     }
+}
+
+/// Drive `policy` over `graph` under `plan` through the kernel.
+fn run_plan<P: OnlinePolicy>(
+    graph: &TaskGraph,
+    platform: &Platform,
+    policy: &mut P,
+    plan: &FaultPlan,
+) -> Result<SimResult, SimError> {
+    let (mut workload, mut policy, faults) =
+        dag(graph, platform, policy, &TransferModel::NONE, plan)?;
+    let mut sink = NullSink;
+    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    Ok(kernel::run(platform, &mut workload, &mut policy, spec)?.into())
 }
 
 fn ranked_cholesky(n: usize) -> TaskGraph {

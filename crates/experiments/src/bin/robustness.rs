@@ -17,8 +17,9 @@ use heteroprio_bounds::{combined_lower_bound, dag_lower_bound};
 use heteroprio_core::HeteroPrioConfig;
 use heteroprio_experiments::{emit, flag_list, flag_value, IndepAlgo, TextTable};
 use heteroprio_schedulers::{DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy, PriorityListPolicy};
-use heteroprio_simulator::{simulate_with, TransferModel};
+use heteroprio_simulator::{simulate_traced, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
+use heteroprio_trace::NullSink;
 use heteroprio_workloads::{
     independent_instance, paper_platform, ChameleonTiming, JitteredTiming, TileScaledTiming,
 };
@@ -63,11 +64,11 @@ fn penalty_sweep() {
     for frac in [0.0, 0.05, 0.1, 0.25, 0.5] {
         let model = TransferModel::new(frac * mean_gpu);
         let mut hp = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-        let hp_res = simulate_with(&graph, &platform, &mut hp, &model);
+        let hp_res = simulate_traced(&graph, &platform, &mut hp, &model, &mut NullSink);
         let mut dual = DualHpDagPolicy::new(DualHpRank::Fifo);
-        let dual_res = simulate_with(&graph, &platform, &mut dual, &model);
+        let dual_res = simulate_traced(&graph, &platform, &mut dual, &model, &mut NullSink);
         let mut list = PriorityListPolicy::new();
-        let list_res = simulate_with(&graph, &platform, &mut list, &model);
+        let list_res = simulate_traced(&graph, &platform, &mut list, &model, &mut NullSink);
         for res in [&hp_res, &dual_res, &list_res] {
             res.schedule
                 .validate_with_overhead(graph.instance(), &platform, model.cross_class_penalty)

@@ -16,6 +16,7 @@ use heteroprio_experiments::{
     ramp_up_time, ready_profile_from_events, utilization_profile_from_events, DagAlgo,
 };
 use heteroprio_taskgraph::Factorization;
+use heteroprio_trace::VecSink;
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
 
 fn main() {
@@ -24,7 +25,9 @@ fn main() {
     let graph = Factorization::Cholesky.generate(n, &ChameleonTiming);
     println!("Cholesky N={n} on 20 CPUs + 4 GPUs — utilization over normalized time\n");
     for algo in DagAlgo::PAPER {
-        let (sched, events) = algo.run_traced(&graph, &platform);
+        let mut sink = VecSink::new();
+        let sched = algo.trace(&graph, &platform, &mut sink);
+        let events = sink.into_events();
         let width = 56;
         let cpu = utilization_profile_from_events(&events, &platform, ResourceKind::Cpu, width);
         let gpu = utilization_profile_from_events(&events, &platform, ResourceKind::Gpu, width);

@@ -250,7 +250,9 @@ mod tests {
         use heteroprio_taskgraph::{cholesky, ConstTiming};
         let g = cholesky(5, &ConstTiming { cpu: 3.0, gpu: 1.0 });
         let plat = Platform::new(3, 2);
-        let (sched, events) = DagAlgo::HeteroPrioMin.run_traced(&g, &plat);
+        let mut sink = heteroprio_trace::VecSink::new();
+        let sched = DagAlgo::HeteroPrioMin.trace(&g, &plat, &mut sink);
+        let events = sink.into_events();
         for kind in ResourceKind::BOTH {
             let from_sched = utilization_profile(&sched, &plat, kind, 16);
             let from_events = utilization_profile_from_events(&events, &plat, kind, 16);

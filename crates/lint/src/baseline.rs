@@ -8,9 +8,9 @@
 //! gate fails too, forcing the baseline to shrink as sites are fixed: a
 //! baseline can only ever burn down, never silently rot.
 
-use crate::json::{self, Value};
 use crate::report::LintReport;
 use crate::LintViolation;
+use heteroprio_trace::json::{self, Value};
 use std::path::Path;
 
 /// One grandfathered `(file, rule)` pair.

@@ -20,14 +20,11 @@
 //!    [`report::LintReport`] renders text, JSON, or SARIF 2.1.0.
 //!
 //! The `audit-lint` binary (kept under its historical name for CI
-//! compatibility) drives the whole pipeline; `crates/audit` re-exports
-//! this crate as `heteroprio_audit::lint` so existing imports keep
-//! working.
+//! compatibility) drives the whole pipeline.
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod json;
 pub mod report;
 pub mod rules;
 pub mod source;

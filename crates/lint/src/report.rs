@@ -2,9 +2,9 @@
 //! and SARIF 2.1.0 for code-scanning UIs. All three are views over the
 //! same [`LintReport`].
 
-use crate::json::Value;
 use crate::rules::RULES;
 use crate::LintViolation;
+use heteroprio_trace::json::Value;
 
 /// The outcome of a lint run after the baseline is applied.
 #[derive(Default)]
@@ -59,7 +59,7 @@ impl LintReport {
         let violation = |v: &LintViolation| {
             Value::Obj(vec![
                 ("file".into(), Value::Str(v.file.clone())),
-                ("line".into(), Value::Num(v.line as i64)),
+                ("line".into(), Value::Num(v.line as f64)),
                 ("rule".into(), Value::Str(v.rule.into())),
                 ("message".into(), Value::Str(v.message.clone())),
             ])
@@ -96,9 +96,9 @@ impl LintReport {
             (
                 "summary".into(),
                 Value::Obj(vec![
-                    ("new".into(), Value::Num(self.new.len() as i64)),
-                    ("baselined".into(), Value::Num(self.baselined.len() as i64)),
-                    ("stale".into(), Value::Num(self.stale.len() as i64)),
+                    ("new".into(), Value::Num(self.new.len() as f64)),
+                    ("baselined".into(), Value::Num(self.baselined.len() as f64)),
+                    ("stale".into(), Value::Num(self.stale.len() as f64)),
                 ]),
             ),
         ])
@@ -130,7 +130,7 @@ impl LintReport {
                                 "region".into(),
                                 Value::Obj(vec![(
                                     "startLine".into(),
-                                    Value::Num(v.line.max(1) as i64),
+                                    Value::Num(v.line.max(1) as f64),
                                 )]),
                             ),
                         ]),
@@ -201,7 +201,7 @@ impl LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use heteroprio_trace::json;
 
     fn sample() -> LintReport {
         LintReport {

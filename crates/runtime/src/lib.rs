@@ -30,4 +30,4 @@ pub mod runtime;
 pub use apps::{submit_cholesky, submit_lu, submit_qr};
 pub use handles::{Access, DataHandle};
 pub use heteroprio_simulator::{FaultPlan, RetryPolicy, SimError, WorkerFault};
-pub use runtime::{DurableOutcome, Report, Runtime, Scheduler};
+pub use runtime::{Execution, Outcome, Report, Runtime, Scheduler};

@@ -2,24 +2,20 @@
 
 use crate::handles::{Access, DataHandle};
 use heteroprio_bounds::dag_lower_bound;
+use heteroprio_core::kernel::{self, Checkpoints, EngineError, Resume, Run};
 use heteroprio_core::{
-    DurabilityOptions, HeteroPrioConfig, KernelSnapshot, Platform, Schedule, Task, TaskId,
+    journaled, CrashPlan, HeteroPrioConfig, Platform, ResumeError, Schedule, Task, TaskId,
 };
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
 use heteroprio_schedulers::{
     heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy, PriorityListPolicy,
 };
-use heteroprio_simulator::{
-    try_resume_faulty, try_simulate_durable, try_simulate_faulty_metered, FaultPlan, OnlinePolicy,
-    SimError, SnapshotOnlinePolicy, TransferModel,
-};
+use heteroprio_simulator::{dag, FaultPlan, SimError, SnapshotOnlinePolicy, TransferModel};
 use heteroprio_taskgraph::{
     apply_bottom_level_priorities, check_precedence, CycleError, DagBuilder, TaskGraph,
     WeightScheme,
 };
-use heteroprio_trace::{
-    Journal, JournalSink, NullSink, SchedEvent, TeeSink, TraceSummary, VecSink,
-};
+use heteroprio_trace::{Journal, NullSink, SchedEvent, TraceSink, TraceSummary, VecSink};
 
 /// Which scheduler executes the submitted graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,8 +59,8 @@ pub struct Report {
     /// scheduler's event stream (or reconstructed from the schedule for
     /// static schedulers such as HEFT).
     pub summary: TraceSummary,
-    /// The full event stream; empty unless the report came from
-    /// [`Runtime::run_traced`].
+    /// The full event stream; empty unless [`Execution::record`] was set
+    /// or the run was journaled.
     pub events: Vec<SchedEvent>,
     /// The fault plan the run executed under ([`FaultPlan::NONE`] for a
     /// fault-free run). Failure/retry/downtime counters live in `summary`.
@@ -77,56 +73,72 @@ impl Report {
     }
 }
 
-/// What a durable run produced: a finished [`Report`], or the injected
-/// crash point. On a crash everything emitted before the cut is already in
-/// the journal, ready for [`Runtime::resume_from`].
-#[derive(Debug)]
-pub enum DurableOutcome {
-    Completed(Box<Report>),
-    Crashed { time: f64, events: u64 },
+/// What [`Runtime::execute`] records and persists besides the schedule:
+/// the observation and durability planes of one run. The default is a
+/// plain run ([`Runtime::run`]).
+pub struct Execution<'e> {
+    /// Keep the full event stream in [`Report::events`] (journaled runs
+    /// always do). Static schedulers get a stream reconstructed from the
+    /// finished schedule.
+    pub record: bool,
+    /// Where the kernel's perf counters, queue-depth gauges and
+    /// pick-latency histograms go. Static HEFT builds its schedule outside
+    /// the kernel, so it reports no kernel metrics.
+    pub metrics: &'e dyn MetricsRegistry,
+    /// Append the event stream to this journal as it is emitted, and commit
+    /// it at the end — on completion, at an injected crash, and after a
+    /// resume.
+    pub journal: Option<&'e mut dyn Journal>,
+    /// Cut the run after the chosen event ([`Outcome::Crashed`]); the
+    /// journal then holds exactly the pre-crash prefix.
+    pub crash: CrashPlan,
+    pub checkpoints: Option<Checkpoints<'e>>,
+    /// Continue an interrupted run from its recovered journal (and
+    /// snapshot) instead of starting over. Replay is verified
+    /// event-for-event: a journal from different inputs is rejected, never
+    /// silently accepted. When `journal` is set it must hold exactly the
+    /// recovered events; the continuation is appended to it.
+    pub resume: Option<Resume<'e>>,
 }
 
-impl DurableOutcome {
-    /// The report, if the run survived to the end.
-    pub fn report(self) -> Option<Report> {
-        match self {
-            DurableOutcome::Completed(r) => Some(*r),
-            DurableOutcome::Crashed { .. } => None,
+impl Default for Execution<'_> {
+    fn default() -> Self {
+        Execution {
+            record: false,
+            metrics: &NullRegistry,
+            journal: None,
+            crash: CrashPlan::NONE,
+            checkpoints: None,
+            resume: None,
         }
     }
 }
 
-/// Run a policy under a fault plan, optionally recording the event stream
-/// and always reporting kernel metrics into `metrics` (a
-/// [`NullRegistry`] compiles the instrumentation away).
-fn run_policy<P: OnlinePolicy, M: MetricsRegistry + ?Sized>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    policy: &mut P,
-    transfer: &TransferModel,
-    plan: &FaultPlan,
-    record: bool,
-    metrics: &M,
-) -> Result<(Schedule, TraceSummary, Vec<SchedEvent>), String> {
-    if record {
-        let mut sink = VecSink::new();
-        let res = try_simulate_faulty_metered(
-            graph, platform, policy, transfer, plan, &mut sink, metrics,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok((res.schedule, res.summary, sink.into_events()))
-    } else {
-        let res = try_simulate_faulty_metered(
-            graph,
-            platform,
-            policy,
-            transfer,
-            plan,
-            &mut NullSink,
-            metrics,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok((res.schedule, res.summary, Vec::new()))
+impl Execution<'_> {
+    fn durable(&self) -> bool {
+        self.journal.is_some()
+            || !self.crash.is_none()
+            || self.checkpoints.is_some()
+            || self.resume.is_some()
+    }
+}
+
+/// What an execution produced: a finished [`Report`], or the injected
+/// crash point. On a crash everything emitted before the cut is already in
+/// the journal, ready for a resumed [`Runtime::execute`].
+#[derive(Debug)]
+pub enum Outcome {
+    Completed(Box<Report>),
+    Crashed { time: f64, events: u64 },
+}
+
+impl Outcome {
+    /// The report, if the run survived to the end.
+    pub fn report(self) -> Option<Report> {
+        match self {
+            Outcome::Completed(r) => Some(*r),
+            Outcome::Crashed { .. } => None,
+        }
     }
 }
 
@@ -243,35 +255,15 @@ impl Runtime {
     /// Execute everything submitted so far and return the report.
     /// The schedule is validated (structure + precedence) before returning.
     pub fn run(self, scheduler: Scheduler) -> Result<Report, String> {
-        self.run_impl(scheduler, false, &NullRegistry)
+        let outcome = self.execute(scheduler, Execution::default())?;
+        Ok(outcome.report().expect("no crash plan was given"))
     }
 
-    /// [`Runtime::run`], additionally recording the scheduler's full
-    /// [`SchedEvent`] stream in [`Report::events`] (for export to
-    /// Chrome-trace/JSONL). Static schedulers get a stream reconstructed
-    /// from the finished schedule.
-    pub fn run_traced(self, scheduler: Scheduler) -> Result<Report, String> {
-        self.run_impl(scheduler, true, &NullRegistry)
-    }
-
-    /// [`Runtime::run_traced`] with a metrics registry: the scheduling
-    /// kernel's perf counters, queue-depth gauges and pick-latency
-    /// histograms are recorded into `metrics`. Static HEFT builds its
-    /// schedule outside the kernel, so it reports no kernel metrics.
-    pub fn run_metered<M: MetricsRegistry + ?Sized>(
-        self,
-        scheduler: Scheduler,
-        metrics: &M,
-    ) -> Result<Report, String> {
-        self.run_impl(scheduler, true, metrics)
-    }
-
-    fn run_impl<M: MetricsRegistry + ?Sized>(
-        self,
-        scheduler: Scheduler,
-        record: bool,
-        metrics: &M,
-    ) -> Result<Report, String> {
+    /// [`Runtime::run`] under an [`Execution`] spec: record the event
+    /// stream, meter the kernel, journal, crash on cue, checkpoint, or
+    /// resume an interrupted run. Static HEFT builds its schedule outside
+    /// the kernel and cannot journal, crash or resume.
+    pub fn execute(self, scheduler: Scheduler, exec: Execution<'_>) -> Result<Outcome, String> {
         let platform = self.platform.ok_or("runtime has no platform")?;
         let transfer = self.transfer;
         let plan = self.faults;
@@ -279,18 +271,28 @@ impl Runtime {
         if graph.is_empty() {
             return Err("no tasks were submitted".to_string());
         }
-        let (schedule, summary, events) = match scheduler {
+        let ran = match scheduler {
             Scheduler::HeteroPrio(scheme) => {
                 apply_bottom_level_priorities(&mut graph, scheme);
                 let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                run_policy(&graph, &platform, &mut policy, &transfer, &plan, record, metrics)?
+                execute_policy(&graph, &platform, &transfer, &plan, &mut policy, exec)?
             }
             Scheduler::DualHp(rank, scheme) => {
                 apply_bottom_level_priorities(&mut graph, scheme);
                 let mut policy = DualHpDagPolicy::new(rank);
-                run_policy(&graph, &platform, &mut policy, &transfer, &plan, record, metrics)?
+                execute_policy(&graph, &platform, &transfer, &plan, &mut policy, exec)?
+            }
+            Scheduler::PriorityList(scheme) => {
+                apply_bottom_level_priorities(&mut graph, scheme);
+                let mut policy = PriorityListPolicy::new();
+                execute_policy(&graph, &platform, &transfer, &plan, &mut policy, exec)?
             }
             Scheduler::Heft(scheme, variant) => {
+                if exec.durable() {
+                    return Err("static HEFT builds its schedule outside the kernel and cannot \
+                         journal; use an online scheduler"
+                        .to_string());
+                }
                 if transfer != TransferModel::NONE {
                     return Err("static HEFT does not support transfer penalties".to_string());
                 }
@@ -302,227 +304,52 @@ impl Runtime {
                 let schedule = heft(&graph, &platform, scheme, variant);
                 let events = schedule.to_events(&platform);
                 let summary = TraceSummary::from_events(platform.workers(), &events);
-                (schedule, summary, if record { events } else { Vec::new() })
-            }
-            Scheduler::PriorityList(scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = PriorityListPolicy::new();
-                run_policy(&graph, &platform, &mut policy, &transfer, &plan, record, metrics)?
+                Ok((schedule, summary, if exec.record { events } else { Vec::new() }))
             }
         };
-        finish_report(graph, &platform, &transfer, plan, schedule, summary, events)
-    }
-
-    /// [`Runtime::run_traced`] with the event stream additionally appended
-    /// to `journal` as it is emitted, and an optional crash/checkpoint plan.
-    /// An injected crash ([`heteroprio_core::CrashPlan`]) cuts the run at
-    /// the chosen event and returns [`DurableOutcome::Crashed`]; the journal
-    /// then holds exactly the pre-crash prefix. Static HEFT builds its
-    /// schedule outside the kernel and cannot journal.
-    pub fn run_durable<J, M>(
-        self,
-        scheduler: Scheduler,
-        journal: &mut J,
-        durability: DurabilityOptions<'_>,
-        metrics: &M,
-    ) -> Result<DurableOutcome, String>
-    where
-        J: Journal,
-        M: MetricsRegistry + ?Sized,
-    {
-        let platform = self.platform.ok_or("runtime has no platform")?;
-        let transfer = self.transfer;
-        let plan = self.faults;
-        let mut graph = self.builder.build().map_err(|e| e.to_string())?;
-        if graph.is_empty() {
-            return Err("no tasks were submitted".to_string());
-        }
-        let mut policy = durable_policy(scheduler, &mut graph)?;
-        let mut events = VecSink::new();
-        let mut jsink = JournalSink::new(journal);
-        let res = try_simulate_durable(
-            &graph,
-            &platform,
-            &mut PolicyRef(policy.as_mut()),
-            &transfer,
-            &plan,
-            durability,
-            &mut TeeSink(&mut events, &mut jsink),
-            metrics,
-        );
-        if let Some(e) = jsink.error() {
-            return Err(format!("journal append failed: {e}"));
-        }
-        // Commit the tail: the sync cadence only bounds loss *during* the
-        // run; at completion (or at a simulated crash, whose report points
-        // the user at this journal) the whole stream must be durable.
-        journal.sync().map_err(|e| format!("final journal sync failed: {e}"))?;
-        let res = match res {
-            Ok(r) => r,
-            Err(SimError::Crashed { time, events }) => {
-                return Ok(DurableOutcome::Crashed { time, events })
-            }
-            Err(e) => return Err(e.to_string()),
+        let (schedule, summary, events) = match ran {
+            Ok(done) => done,
+            Err((time, events)) => return Ok(Outcome::Crashed { time, events }),
         };
-        let report = finish_report(
-            graph,
-            &platform,
-            &transfer,
-            plan,
-            res.schedule,
-            res.summary,
-            events.into_events(),
-        )?;
-        Ok(DurableOutcome::Completed(Box::new(report)))
-    }
-
-    /// Recover an interrupted durable run: replay the journal (and apply
-    /// `snapshot`, when one was checkpointed) to rebuild the exact kernel
-    /// state, then continue to completion. The continuation is appended to
-    /// `journal`, so after a successful resume the journal holds the full
-    /// stream; [`Report::events`] holds it too. Replay is verified
-    /// event-for-event — a journal from different inputs is rejected, never
-    /// silently accepted.
-    pub fn resume_from<J, M>(
-        self,
-        scheduler: Scheduler,
-        snapshot: Option<&KernelSnapshot>,
-        journal: &mut J,
-        metrics: &M,
-    ) -> Result<Report, String>
-    where
-        J: Journal,
-        M: MetricsRegistry + ?Sized,
-    {
-        let platform = self.platform.ok_or("runtime has no platform")?;
-        let transfer = self.transfer;
-        let plan = self.faults;
-        let mut graph = self.builder.build().map_err(|e| e.to_string())?;
-        if graph.is_empty() {
-            return Err("no tasks were submitted".to_string());
-        }
-        let tail = journal.replay().map_err(|e| format!("journal replay failed: {e}"))?;
-        let mut policy = durable_policy(scheduler, &mut graph)?;
-        let mut events = VecSink::new();
-        let mut jsink = JournalSink::resuming(journal, tail.len());
-        let res = try_resume_faulty(
-            &graph,
-            &platform,
-            &mut PolicyRef(policy.as_mut()),
-            &transfer,
-            &plan,
-            snapshot,
-            &tail,
-            &mut TeeSink(&mut events, &mut jsink),
-            metrics,
-        )
-        .map_err(|e| e.to_string())?;
-        if let Some(e) = jsink.error() {
-            return Err(format!("journal append failed: {e}"));
-        }
-        // After a successful resume the journal holds the full stream —
-        // make the appended continuation durable before reporting success.
-        journal.sync().map_err(|e| format!("final journal sync failed: {e}"))?;
-        finish_report(
-            graph,
-            &platform,
-            &transfer,
-            plan,
-            res.schedule,
-            res.summary,
-            events.into_events(),
-        )
+        let report = finish_report(graph, &platform, &transfer, plan, schedule, summary, events)?;
+        Ok(Outcome::Completed(Box::new(report)))
     }
 }
 
-/// The durable entry points dispatch on [`Scheduler`] at runtime, so the
-/// three snapshotable policies are handled behind one object-safe facade.
-trait ErasedSnapshotPolicy {
-    fn as_online(&mut self) -> &mut dyn OnlinePolicy;
-    fn ready_order_erased(&self) -> Vec<TaskId>;
-    fn worker_order_erased(&self) -> heteroprio_core::WorkerOrder;
-}
+/// A finished execution's schedule, summary and event stream, or the
+/// injected crash point `(time, events)`, before the report is assembled.
+type Ran = Result<(Schedule, TraceSummary, Vec<SchedEvent>), (f64, u64)>;
 
-impl<P: SnapshotOnlinePolicy> ErasedSnapshotPolicy for P {
-    fn as_online(&mut self) -> &mut dyn OnlinePolicy {
-        self
-    }
-
-    fn ready_order_erased(&self) -> Vec<TaskId> {
-        self.ready_order()
-    }
-
-    fn worker_order_erased(&self) -> heteroprio_core::WorkerOrder {
-        self.worker_order()
-    }
-}
-
-/// Wrapper giving `&mut dyn ErasedSnapshotPolicy` the concrete
-/// [`SnapshotOnlinePolicy`] bound the engine entry points require.
-struct PolicyRef<'p>(&'p mut dyn ErasedSnapshotPolicy);
-
-impl OnlinePolicy for PolicyRef<'_> {
-    fn init(&mut self, graph: &TaskGraph, platform: &Platform) {
-        self.0.as_online().init(graph, platform);
-    }
-
-    fn on_ready(&mut self, tasks: &[TaskId], ctx: &heteroprio_simulator::SimContext<'_>) {
-        self.0.as_online().on_ready(tasks, ctx);
-    }
-
-    fn pick_task(
-        &mut self,
-        worker: heteroprio_core::WorkerId,
-        ctx: &heteroprio_simulator::SimContext<'_>,
-    ) -> Option<TaskId> {
-        self.0.as_online().pick_task(worker, ctx)
-    }
-
-    fn spoliation_victim(
-        &mut self,
-        worker: heteroprio_core::WorkerId,
-        ctx: &heteroprio_simulator::SimContext<'_>,
-    ) -> Option<heteroprio_core::WorkerId> {
-        self.0.as_online().spoliation_victim(worker, ctx)
-    }
-
-    fn worker_order(&self) -> heteroprio_core::WorkerOrder {
-        // `as_online` needs `&mut`; route through the erased trait instead.
-        self.0.worker_order_erased()
-    }
-}
-
-impl SnapshotOnlinePolicy for PolicyRef<'_> {
-    fn ready_order(&self) -> Vec<TaskId> {
-        self.0.ready_order_erased()
-    }
-}
-
-/// Build the snapshotable policy for `scheduler`, applying its priority
-/// scheme to `graph`. Static HEFT has no online state to journal.
-fn durable_policy(
-    scheduler: Scheduler,
-    graph: &mut TaskGraph,
-) -> Result<Box<dyn ErasedSnapshotPolicy>, String> {
-    Ok(match scheduler {
-        Scheduler::HeteroPrio(scheme) => {
-            apply_bottom_level_priorities(graph, scheme);
-            Box::new(HeteroPrioDagPolicy::new(HeteroPrioConfig::new()))
+/// Drive one concrete policy over `graph` through the kernel under `exec`.
+fn execute_policy<P: SnapshotOnlinePolicy>(
+    graph: &TaskGraph,
+    platform: &Platform,
+    transfer: &TransferModel,
+    plan: &FaultPlan,
+    policy: &mut P,
+    exec: Execution<'_>,
+) -> Result<Ran, String> {
+    let (mut workload, mut policy, faults) =
+        dag(graph, platform, policy, transfer, plan).map_err(|e| e.to_string())?;
+    let Execution { record, metrics, journal, crash, checkpoints, resume } = exec;
+    let run = |sink: &mut dyn TraceSink| {
+        let mut sink = sink;
+        let spec = Run { faults, crash, checkpoints, resume, ..Run::new(&mut sink, metrics) };
+        kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
+    };
+    let mut events = VecSink::new();
+    let result = match journal {
+        Some(journal) => {
+            journaled(journal, &mut events, |sink| run(sink)).map_err(|e| e.to_string())?
         }
-        Scheduler::DualHp(rank, scheme) => {
-            apply_bottom_level_priorities(graph, scheme);
-            Box::new(DualHpDagPolicy::new(rank))
-        }
-        Scheduler::PriorityList(scheme) => {
-            apply_bottom_level_priorities(graph, scheme);
-            Box::new(PriorityListPolicy::new())
-        }
-        Scheduler::Heft(..) => {
-            return Err("static HEFT builds its schedule outside the kernel and cannot journal; \
-                 use an online scheduler"
-                .to_string())
-        }
-    })
+        None if record => run(&mut events),
+        None => run(&mut NullSink),
+    };
+    match result {
+        Ok(outcome) => Ok(Ok((outcome.schedule, outcome.summary, events.into_events()))),
+        Err(ResumeError::Engine(EngineError::Crashed { time, events })) => Ok(Err((time, events))),
+        Err(e) => Err(SimError::from(e).to_string()),
+    }
 }
 
 /// Validate the finished schedule and assemble the [`Report`] (shared by
@@ -570,6 +397,10 @@ mod tests {
 
     fn unit(p: f64, q: f64) -> Task {
         Task::new(p, q)
+    }
+
+    fn traced() -> Execution<'static> {
+        Execution { record: true, ..Execution::default() }
     }
 
     #[test]
@@ -720,7 +551,12 @@ mod tests {
             worker_faults: vec![WorkerFault::permanent(2, 1.5)],
             ..FaultPlan::default()
         };
-        let report = build().with_faults(plan.clone()).run_traced(Scheduler::default()).unwrap();
+        let report = build()
+            .with_faults(plan.clone())
+            .execute(Scheduler::default(), traced())
+            .unwrap()
+            .report()
+            .unwrap();
         assert_eq!(report.fault_plan, plan);
         assert_eq!(report.summary.worker_failures, 1);
         assert!(report.makespan > baseline.makespan, "losing the GPU must cost time");
@@ -746,7 +582,7 @@ mod tests {
 
     #[test]
     fn crash_and_resume_matches_the_uninterrupted_run() {
-        use heteroprio_core::{CrashPlan, MemCheckpointStore};
+        use heteroprio_core::MemCheckpointStore;
         use heteroprio_trace::MemJournal;
         let build = || {
             let mut rt = Runtime::new(Platform::new(2, 1));
@@ -763,26 +599,27 @@ mod tests {
             Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Min),
             Scheduler::PriorityList(WeightScheme::Min),
         ] {
-            let reference = build().run_traced(scheduler).unwrap();
+            let reference = build().execute(scheduler, traced()).unwrap().report().unwrap();
             let total = reference.events.len() as u64;
             for crash_at in [1, total / 2, total] {
                 let mut journal = MemJournal::new();
                 let mut store = MemCheckpointStore::default();
-                let durability = DurabilityOptions {
+                let exec = Execution {
+                    journal: Some(&mut journal),
                     crash: CrashPlan::at_event(crash_at),
-                    checkpoint_every: Some(3),
-                    store: Some(&mut store),
+                    checkpoints: Some(Checkpoints { every: 3, store: &mut store }),
+                    ..Execution::default()
                 };
-                let outcome = build()
-                    .run_durable(scheduler, &mut journal, durability, &NullRegistry)
-                    .unwrap();
-                assert!(
-                    matches!(outcome, DurableOutcome::Crashed { events, .. } if events == crash_at)
-                );
+                let outcome = build().execute(scheduler, exec).unwrap();
+                assert!(matches!(outcome, Outcome::Crashed { events, .. } if events == crash_at));
                 assert_eq!(journal.len() as u64, crash_at);
-                let resumed = build()
-                    .resume_from(scheduler, store.latest.as_ref(), &mut journal, &NullRegistry)
-                    .unwrap();
+                let recovered = journal.events().to_vec();
+                let exec = Execution {
+                    resume: Some(Resume { journal: &recovered, snapshot: store.latest.as_ref() }),
+                    journal: Some(&mut journal),
+                    ..Execution::default()
+                };
+                let resumed = build().execute(scheduler, exec).unwrap().report().unwrap();
                 assert_eq!(resumed.events, reference.events, "{scheduler:?} @ {crash_at}");
                 assert_eq!(resumed.schedule.runs, reference.schedule.runs);
                 // The journal now holds the full stream again, and both the
@@ -804,15 +641,11 @@ mod tests {
             }
             rt
         };
-        let reference = build().run_traced(Scheduler::default()).unwrap();
+        let reference = build().execute(Scheduler::default(), traced()).unwrap().report().unwrap();
         let mut journal = MemJournal::new();
+        let exec = Execution { journal: Some(&mut journal), ..Execution::default() };
         let report = build()
-            .run_durable(
-                Scheduler::default(),
-                &mut journal,
-                DurabilityOptions::default(),
-                &NullRegistry,
-            )
+            .execute(Scheduler::default(), exec)
             .unwrap()
             .report()
             .expect("no crash was injected");
@@ -821,12 +654,8 @@ mod tests {
         assert_eq!(journal.syncs(), 1, "completion commits the journal tail");
         // HEFT has no kernel to journal.
         let mut journal = MemJournal::new();
-        let err = build().run_durable(
-            Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion),
-            &mut journal,
-            DurabilityOptions::default(),
-            &NullRegistry,
-        );
+        let exec = Execution { journal: Some(&mut journal), ..Execution::default() };
+        let err = build().execute(Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion), exec);
         assert!(err.unwrap_err().contains("cannot journal"));
     }
 

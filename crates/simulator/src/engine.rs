@@ -7,21 +7,20 @@
 //! restart, losing all progress — the paper's §2.1 mechanism).
 //!
 //! The event loop itself is the shared kernel in
-//! [`heteroprio_core::kernel`]; this module contributes the DAG availability
-//! frontend (dependency release via [`ReadyTracker`], cross-class transfer
-//! penalties) and adapts [`OnlinePolicy`] implementations to the kernel's
-//! policy interface.
+//! [`heteroprio_core::kernel`]; this module contributes the DAG engine
+//! constructor [`dag`]: the availability frontend (dependency release via
+//! [`ReadyTracker`], cross-class transfer penalties), an adapter from
+//! [`OnlinePolicy`] to the kernel's policy interface, and the kernel fault
+//! model built from a [`FaultPlan`].
 
 use crate::fault::{FaultPlan, SimError};
 use crate::policy::{OnlinePolicy, SimContext, SnapshotOnlinePolicy, TransferModel};
 use heteroprio_core::kernel::{
-    self, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, SnapshotPolicy,
+    self, FaultModel, KernelContext, KernelOutcome, KernelPolicy, Pick, Run, SnapshotPolicy,
     TimelineEvent, Workload,
 };
-use heteroprio_core::{
-    ClassId, DurabilityOptions, KernelSnapshot, Platform, Schedule, TaskId, WorkerId, WorkerOrder,
-};
-use heteroprio_metrics::{MetricsRegistry, NullRegistry};
+use heteroprio_core::{ClassId, Platform, Schedule, TaskId, WorkerId, WorkerOrder};
+use heteroprio_metrics::NullRegistry;
 use heteroprio_taskgraph::{ReadyTracker, TaskGraph};
 use heteroprio_trace::{NullSink, TraceSink, TraceSummary};
 
@@ -42,6 +41,17 @@ pub struct SimResult {
 impl SimResult {
     pub fn makespan(&self) -> f64 {
         self.schedule.makespan()
+    }
+}
+
+impl From<KernelOutcome> for SimResult {
+    fn from(o: KernelOutcome) -> Self {
+        SimResult {
+            schedule: o.schedule,
+            first_idle: o.first_idle,
+            spoliations: o.spoliations,
+            summary: o.summary,
+        }
     }
 }
 
@@ -98,6 +108,37 @@ fn expand_timeline(plan: &FaultPlan, workers: usize) -> Result<Vec<TimelineEvent
     Ok(out)
 }
 
+/// The DAG engine: `graph`'s tasks become ready as their predecessors
+/// complete, pay `model`'s cross-class transfer penalty, and are placed by
+/// `policy` (initialized here). Returns the (workload, policy) pair plus
+/// the kernel fault model expanded from `plan`, for [`kernel::run`] — or
+/// [`kernel::run_checkpointed`] when `policy` is a
+/// [`SnapshotOnlinePolicy`].
+///
+/// With [`FaultPlan::NONE`] the fault model draws no random numbers and the
+/// run reproduces the fault-free event stream byte for byte. Policy
+/// protocol violations panic in the kernel (they are bugs, not simulated
+/// faults); a malformed plan is an error here.
+pub fn dag<'a, P: OnlinePolicy>(
+    graph: &'a TaskGraph,
+    platform: &Platform,
+    policy: &'a mut P,
+    model: &'a TransferModel,
+    plan: &FaultPlan,
+) -> Result<(DagWorkload<'a>, PolicyAdapter<'a, P>, FaultModel), SimError> {
+    plan.validate()?;
+    let faults = FaultModel {
+        timeline: expand_timeline(plan, platform.workers())?,
+        task_failure_prob: plan.task_failure_prob,
+        exec_jitter: plan.exec_jitter,
+        seed: plan.seed,
+        retry: plan.retry,
+    };
+    policy.init(graph, platform);
+    let workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
+    Ok((workload, PolicyAdapter { graph, model, policy }, faults))
+}
+
 /// Run `policy` over `graph` on `platform` to completion.
 ///
 /// Panics on policy protocol violations: picking a task that is not ready,
@@ -112,19 +153,9 @@ pub fn simulate<P: OnlinePolicy>(
     simulate_traced(graph, platform, policy, &TransferModel::NONE, &mut NullSink)
 }
 
-/// [`simulate`] with an explicit transfer-cost model: tasks whose inputs
-/// were produced on the other resource class pay the model's penalty on top
-/// of their base time.
-pub fn simulate_with<P: OnlinePolicy>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    policy: &mut P,
-    model: &TransferModel,
-) -> SimResult {
-    simulate_traced(graph, platform, policy, model, &mut NullSink)
-}
-
-/// [`simulate_with`] streaming every scheduler event into `sink`.
+/// [`simulate`] under a transfer-cost model (tasks whose inputs were
+/// produced on another resource class pay the model's penalty on top of
+/// their base time), streaming every scheduler event into `sink`.
 ///
 /// The engine emits [`SchedEvent`](heteroprio_trace::SchedEvent)s for
 /// dependency release, starts, completions, spoliations, idle transitions,
@@ -137,72 +168,15 @@ pub fn simulate_traced<P: OnlinePolicy, S: TraceSink>(
     model: &TransferModel,
     sink: &mut S,
 ) -> SimResult {
-    try_simulate_faulty(graph, platform, policy, model, &FaultPlan::NONE, sink)
-        .expect("fault-free simulation cannot fail")
-}
-
-/// [`simulate_traced`] under a [`FaultPlan`]: injected worker failures and
-/// recoveries, stochastic execution times, and task failures with retry.
-///
-/// With [`FaultPlan::NONE`] this draws no random numbers and reproduces
-/// the fault-free event stream byte for byte. Policy protocol violations
-/// still panic (they are bugs, not simulated faults); exhausted retry
-/// budgets and unrecoverable platforms return a structured [`SimError`].
-pub fn try_simulate_faulty<P: OnlinePolicy, S: TraceSink>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    policy: &mut P,
-    model: &TransferModel,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    try_simulate_faulty_metered(graph, platform, policy, model, plan, sink, &NullRegistry)
-}
-
-/// [`try_simulate_faulty`] with a metrics registry: the kernel's perf
-/// counters, queue-depth gauges and pick-latency histograms are recorded
-/// into `metrics` ([`NullRegistry`] compiles the instrumentation away).
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_faulty_metered<P: OnlinePolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    policy: &mut P,
-    model: &TransferModel,
-    plan: &FaultPlan,
-    sink: &mut S,
-    metrics: &M,
-) -> Result<SimResult, SimError> {
-    plan.validate()?;
-    let timeline = expand_timeline(plan, platform.workers())?;
-    policy.init(graph, platform);
-    let mut workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    let mut adapter = PolicyAdapter { graph, model, policy };
-    let faults = FaultModel {
-        timeline,
-        task_failure_prob: plan.task_failure_prob,
-        exec_jitter: plan.exec_jitter,
-        seed: plan.seed,
-        retry: plan.retry,
-    };
-    let outcome = kernel::run(
-        platform,
-        &mut workload,
-        &mut adapter,
-        faults,
-        KernelOptions { emit_decisions: true, metrics },
-        sink,
-    )?;
-    Ok(SimResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
+    let (mut workload, mut policy, _) = dag(graph, platform, policy, model, &FaultPlan::NONE)
+        .expect("the empty fault plan is valid");
+    let outcome = kernel::run(platform, &mut workload, &mut policy, Run::new(sink, &NullRegistry));
+    outcome.expect("fault-free simulation cannot fail").into()
 }
 
 /// DAG availability: tasks become ready when their predecessors complete,
 /// and durations include the cross-class transfer penalty.
-struct DagWorkload<'a> {
+pub struct DagWorkload<'a> {
     graph: &'a TaskGraph,
     tracker: ReadyTracker,
     model: &'a TransferModel,
@@ -246,7 +220,7 @@ impl Workload for DagWorkload<'_> {
 
 /// Adapts an [`OnlinePolicy`] (which sees the richer [`SimContext`] with
 /// graph and transfer model) to the kernel's policy interface.
-struct PolicyAdapter<'a, P: OnlinePolicy> {
+pub struct PolicyAdapter<'a, P: OnlinePolicy> {
     graph: &'a TaskGraph,
     model: &'a TransferModel,
     policy: &'a mut P,
@@ -270,6 +244,8 @@ impl<'a, P: OnlinePolicy> PolicyAdapter<'a, P> {
 }
 
 impl<P: OnlinePolicy> KernelPolicy for PolicyAdapter<'_, P> {
+    const EMIT_DECISIONS: bool = true;
+
     fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
         let ctx = self.sim_ctx(ctx);
         self.policy.on_ready(tasks, &ctx);
@@ -301,108 +277,6 @@ impl<P: SnapshotOnlinePolicy> SnapshotPolicy for PolicyAdapter<'_, P> {
     }
 }
 
-/// [`try_simulate_faulty_metered`] through the durability plane: an
-/// injected crash plan and optional checkpoint capture (see
-/// [`kernel::run_durable`]). Journal the run by passing a
-/// [`JournalSink`](heteroprio_trace::JournalSink).
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_durable<P, S, M>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    policy: &mut P,
-    model: &TransferModel,
-    plan: &FaultPlan,
-    durability: DurabilityOptions<'_>,
-    sink: &mut S,
-    metrics: &M,
-) -> Result<SimResult, SimError>
-where
-    P: SnapshotOnlinePolicy,
-    S: TraceSink,
-    M: MetricsRegistry + ?Sized,
-{
-    plan.validate()?;
-    let timeline = expand_timeline(plan, platform.workers())?;
-    policy.init(graph, platform);
-    let mut workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    let mut adapter = PolicyAdapter { graph, model, policy };
-    let faults = FaultModel {
-        timeline,
-        task_failure_prob: plan.task_failure_prob,
-        exec_jitter: plan.exec_jitter,
-        seed: plan.seed,
-        retry: plan.retry,
-    };
-    let outcome = kernel::run_durable(
-        platform,
-        &mut workload,
-        &mut adapter,
-        faults,
-        KernelOptions { emit_decisions: true, metrics },
-        durability,
-        sink,
-    )?;
-    Ok(SimResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
-}
-
-/// Resume a crashed [`try_simulate_durable`] run from its recovered
-/// journal (and optionally a checkpoint). The caller re-supplies the same
-/// graph, policy, transfer model, and fault plan as the recorded run; the
-/// replay is verified event-for-event against the journal (see
-/// [`kernel::resume`]) and any disagreement surfaces as
-/// [`SimError::Recovery`] rather than a silently wrong schedule.
-#[allow(clippy::too_many_arguments)]
-pub fn try_resume_faulty<P, S, M>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    policy: &mut P,
-    model: &TransferModel,
-    plan: &FaultPlan,
-    snapshot: Option<&KernelSnapshot>,
-    journal: &[heteroprio_trace::SchedEvent],
-    sink: &mut S,
-    metrics: &M,
-) -> Result<SimResult, SimError>
-where
-    P: SnapshotOnlinePolicy,
-    S: TraceSink,
-    M: MetricsRegistry + ?Sized,
-{
-    plan.validate()?;
-    let timeline = expand_timeline(plan, platform.workers())?;
-    policy.init(graph, platform);
-    let mut workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    let mut adapter = PolicyAdapter { graph, model, policy };
-    let faults = FaultModel {
-        timeline,
-        task_failure_prob: plan.task_failure_prob,
-        exec_jitter: plan.exec_jitter,
-        seed: plan.seed,
-        retry: plan.retry,
-    };
-    let outcome = kernel::resume(
-        platform,
-        &mut workload,
-        &mut adapter,
-        faults,
-        KernelOptions { emit_decisions: true, metrics },
-        snapshot,
-        journal,
-        sink,
-    )?;
-    Ok(SimResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +305,20 @@ mod tests {
         fn pick_task(&mut self, _worker: WorkerId, _ctx: &SimContext<'_>) -> Option<TaskId> {
             self.queue.pop_front()
         }
+    }
+
+    /// Drive `policy` over `graph` under `plan` through the kernel.
+    fn run_plan<P: OnlinePolicy, S: TraceSink>(
+        graph: &TaskGraph,
+        platform: &Platform,
+        policy: &mut P,
+        plan: &FaultPlan,
+        sink: &mut S,
+    ) -> Result<SimResult, SimError> {
+        let model = TransferModel::NONE;
+        let (mut workload, mut policy, faults) = dag(graph, platform, policy, &model, plan)?;
+        let spec = Run { faults, ..Run::new(sink, &NullRegistry) };
+        Ok(kernel::run(platform, &mut workload, &mut policy, spec)?.into())
     }
 
     fn run_fifo(graph: &TaskGraph, platform: &Platform) -> SimResult {
@@ -582,7 +470,7 @@ mod tests {
         let plat = Platform::new(1, 1);
         let model = crate::policy::TransferModel::new(0.5);
         let mut policy = Alternate { queue: VecDeque::new(), next_cpu: false };
-        let res = super::simulate_with(&g, &plat, &mut policy, &model);
+        let res = simulate_traced(&g, &plat, &mut policy, &model, &mut NullSink);
         // GPU, CPU (+0.5), GPU (+0.5): 2 + 2.5 + 2.5 = 7.
         assert!(approx_eq(res.makespan(), 7.0), "{}", res.makespan());
         res.schedule
@@ -597,9 +485,8 @@ mod tests {
         let g = fork_join(6, 2.0, 1.0);
         let plat = Platform::new(2, 2);
         let a = simulate(&g, &plat, &mut Fifo::new()).makespan();
-        let b =
-            super::simulate_with(&g, &plat, &mut Fifo::new(), &crate::policy::TransferModel::NONE)
-                .makespan();
+        let b = simulate_traced(&g, &plat, &mut Fifo::new(), &TransferModel::NONE, &mut NullSink)
+            .makespan();
         assert!(approx_eq(a, b));
     }
 
@@ -629,7 +516,7 @@ mod tests {
         let plat = Platform::new(1, 1);
         let model = crate::policy::TransferModel::new(0.25);
         let mut policy = Probe { queue: VecDeque::new(), observed: Vec::new() };
-        let res = super::simulate_with(&g, &plat, &mut policy, &model);
+        let res = simulate_traced(&g, &plat, &mut policy, &model, &mut NullSink);
         // First task: no preds → 1.0; second: pred ran on CPU → GPU time 1.25.
         assert_eq!(policy.observed, vec![1.0, 1.25]);
         assert!(res.makespan() > 0.0);
@@ -644,15 +531,8 @@ mod tests {
         let base =
             simulate_traced(&g, &plat, &mut Fifo::new(), &TransferModel::NONE, &mut base_sink);
         let mut fault_sink = VecSink::new();
-        let faulty = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &FaultPlan::NONE,
-            &mut fault_sink,
-        )
-        .unwrap();
+        let faulty =
+            run_plan(&g, &plat, &mut Fifo::new(), &FaultPlan::NONE, &mut fault_sink).unwrap();
         assert_eq!(base_sink.events, fault_sink.events);
         assert_eq!(base.schedule.runs, faulty.schedule.runs);
         assert_eq!(base.schedule.aborted, faulty.schedule.aborted);
@@ -668,15 +548,7 @@ mod tests {
             worker_faults: vec![crate::fault::WorkerFault::transient(1, 1.0, 2.0)],
             ..FaultPlan::NONE
         };
-        let res = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &plan,
-            &mut NullSink,
-        )
-        .unwrap();
+        let res = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap();
         // CPU run [1, 5].
         assert!(approx_eq(res.makespan(), 5.0), "{}", res.makespan());
         assert_eq!(res.schedule.aborted.len(), 1, "the lost GPU run is recorded");
@@ -698,15 +570,7 @@ mod tests {
             ],
             ..FaultPlan::NONE
         };
-        let res = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &plan,
-            &mut NullSink,
-        )
-        .unwrap();
+        let res = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap();
         assert_eq!(res.schedule.runs.len(), 6, "all tasks complete despite dead GPUs");
         // Every completed run after t=0.5 is on a CPU.
         for r in &res.schedule.runs {
@@ -729,15 +593,7 @@ mod tests {
             ],
             ..FaultPlan::NONE
         };
-        let err = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &plan,
-            &mut NullSink,
-        )
-        .unwrap_err();
+        let err = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap_err();
         match err {
             SimError::AllWorkersDown { remaining, .. } => assert_eq!(remaining, 3),
             other => panic!("expected AllWorkersDown, got {other:?}"),
@@ -757,15 +613,7 @@ mod tests {
             },
             ..FaultPlan::NONE
         };
-        let err = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &plan,
-            &mut NullSink,
-        )
-        .unwrap_err();
+        let err = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap_err();
         match err {
             SimError::TaskAbandoned { task: 0, attempts: 3, .. } => {}
             other => panic!("expected TaskAbandoned after 3 attempts, got {other:?}"),
@@ -791,30 +639,14 @@ mod tests {
             ..FaultPlan::NONE
         };
         let mut sink = VecSink::new();
-        let res = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &plan,
-            &mut sink,
-        )
-        .unwrap();
+        let res = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut sink).unwrap();
         assert_eq!(res.schedule.runs.len(), 10);
         let replay = TraceSummary::from_events(plat.workers(), &sink.events);
         assert_eq!(replay.task_failures, res.summary.task_failures);
         assert_eq!(replay.retries, res.summary.retries);
         assert!(approx_eq(replay.lost_work, res.summary.lost_work));
         // Same seed ⇒ same makespan.
-        let again = super::try_simulate_faulty(
-            &g,
-            &plat,
-            &mut Fifo::new(),
-            &TransferModel::NONE,
-            &plan,
-            &mut NullSink,
-        )
-        .unwrap();
+        let again = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap();
         assert_eq!(res.makespan(), again.makespan());
     }
 

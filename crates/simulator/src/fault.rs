@@ -137,8 +137,9 @@ pub enum SimError {
     AllWorkersDown { time: f64, remaining: usize },
     /// The fault plan itself is malformed.
     InvalidPlan { reason: String },
-    /// An injected `CrashPlan` fired after `events` emitted events
-    /// (durable simulation only); recover via `try_resume_faulty`.
+    /// An injected `CrashPlan` fired after `events` emitted events; recover
+    /// by running again with a `Resume` from the journal (see
+    /// `heteroprio_core::kernel::Resume`).
     Crashed { time: f64, events: u64 },
     /// Recovery failed: the journal or snapshot disagrees with the
     /// supplied graph/policy/plan (see

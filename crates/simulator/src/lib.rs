@@ -16,10 +16,7 @@ pub mod engine;
 pub mod fault;
 pub mod policy;
 
-pub use engine::{
-    simulate, simulate_traced, simulate_with, try_resume_faulty, try_simulate_durable,
-    try_simulate_faulty, try_simulate_faulty_metered, SimResult,
-};
+pub use engine::{dag, simulate, simulate_traced, DagWorkload, PolicyAdapter, SimResult};
 pub use fault::{FaultPlan, FaultSpec, RetryPolicy, SimError, WorkerFault};
 pub use policy::{
     OnlinePolicy, RunningTask, SimContext, SnapshotOnlinePolicy, TransferModel, WorkerOrder,

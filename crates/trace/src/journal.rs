@@ -490,14 +490,14 @@ impl Journal for FileJournal {
 /// On resume, [`JournalSink::resuming`] skips the first `skip` events — the
 /// prefix already present in the journal — and appends only the
 /// continuation.
-pub struct JournalSink<'j, J: Journal> {
+pub struct JournalSink<'j, J: Journal + ?Sized> {
     journal: &'j mut J,
     skip: usize,
     seen: usize,
     error: Option<JournalError>,
 }
 
-impl<'j, J: Journal> JournalSink<'j, J> {
+impl<'j, J: Journal + ?Sized> JournalSink<'j, J> {
     pub fn new(journal: &'j mut J) -> Self {
         JournalSink { journal, skip: 0, seen: 0, error: None }
     }
@@ -521,7 +521,7 @@ impl<'j, J: Journal> JournalSink<'j, J> {
     }
 }
 
-impl<J: Journal> TraceSink for JournalSink<'_, J> {
+impl<J: Journal + ?Sized> TraceSink for JournalSink<'_, J> {
     fn emit(&mut self, event: SchedEvent) {
         self.seen = self.seen.checked_add(1).expect("event tally fits in usize");
         if self.seen <= self.skip || self.error.is_some() {

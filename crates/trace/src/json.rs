@@ -1,6 +1,10 @@
-//! Minimal JSON support: string escaping for the exporters and a small
-//! recursive-descent parser used by tests (and available to tooling) to
-//! check that exported traces are well-formed without external crates.
+//! Minimal JSON support for the whole workspace: string escaping for the
+//! exporters, an insertion-ordered [`Value`] with a stable pretty printer
+//! (the lint reports and baseline), and a small recursive-descent parser
+//! (snapshots, baselines, and tests that check exported traces are
+//! well-formed) — without external crates.
+
+use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal (no quotes added).
 pub fn escape(s: &str) -> String {
@@ -63,6 +67,64 @@ impl Value {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+
+    /// The number as an integer, if it is whole and within ±2^53 (where
+    /// every integer is exact in an `f64`); `None` otherwise.
+    pub fn as_i64(&self) -> Option<i64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        let x = self.as_f64()?;
+        // lint: allow(float-eq): fract() == 0.0 is the exact IEEE integrality test.
+        (x.fract() == 0.0 && x.abs() <= EXACT).then_some(x as i64)
+    }
+
+    /// Serialize with two-space indentation and a trailing newline —
+    /// stable, diff-friendly output for committed files and CI artifacts.
+    /// Whole numbers print without a fractional part.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_indented(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_indented(&self, out: &mut String, indent: usize) {
+        let pad = |out: &mut String, indent: usize| out.push_str(&"  ".repeat(indent));
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Value::Num(x) => {
+                let _ = write!(out, "{x}");
+            }
+            Value::Str(s) => {
+                let _ = write!(out, "\"{}\"", escape(s));
+            }
+            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Value::Obj(members) if members.is_empty() => out.push_str("{}"),
+            Value::Arr(items) => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    pad(out, indent + 1);
+                    item.write_indented(out, indent + 1);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push(']');
+            }
+            Value::Obj(members) => {
+                out.push_str("{\n");
+                for (i, (k, v)) in members.iter().enumerate() {
+                    pad(out, indent + 1);
+                    let _ = write!(out, "\"{}\": ", escape(k));
+                    v.write_indented(out, indent + 1);
+                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push('}');
+            }
         }
     }
 }
@@ -277,6 +339,29 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] x").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn pretty_output_round_trips_and_prints_whole_numbers_as_integers() {
+        let v = Value::Obj(vec![
+            ("name".into(), Value::Str("slice-index".into())),
+            ("line".into(), Value::Num(42.0)),
+            ("ok".into(), Value::Bool(true)),
+            ("tags".into(), Value::Arr(vec![Value::Str("a \"b\"".into()), Value::Null])),
+            ("empty".into(), Value::Obj(vec![])),
+        ]);
+        let text = v.pretty();
+        assert!(text.contains("\"line\": 42,\n"), "{text}");
+        assert_eq!(parse(&text).expect("round trip"), v);
+    }
+
+    #[test]
+    fn integer_reads_reject_fractions_and_inexact_magnitudes() {
+        assert_eq!(parse("-7").unwrap().as_i64(), Some(-7));
+        assert_eq!(parse("1e3").unwrap().as_i64(), Some(1000));
+        assert_eq!(parse("1.5").unwrap().as_i64(), None);
+        assert_eq!(parse("1e300").unwrap().as_i64(), None);
+        assert_eq!(parse("\"1\"").unwrap().as_i64(), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! The event stream doubles as the durability substrate: the [`journal`]
 //! module persists it as CRC-framed records ([`FileJournal`]) so a crashed
 //! run can be recovered and resumed deterministically (see
-//! `heteroprio_core::kernel::resume`).
+//! `heteroprio_core::kernel::Resume`).
 //!
 //! `Schedule` above refers to `heteroprio_core::Schedule`.
 

@@ -18,6 +18,9 @@ cargo run -q -p heteroprio-lint --bin audit-lint
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== benchmark package tests (its own workspace; the run API's outside caller)"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 

@@ -3,10 +3,12 @@
 //! run fire exactly the rule that guards the violated property.
 
 use heteroprio::audit::{audit, schedule_from_events, AuditOptions, Rule};
+use heteroprio::core::kernel::{self, Run};
 use heteroprio::core::{heteroprio_traced, HeteroPrioConfig, Instance, Platform, Task};
+use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
 use heteroprio::simulator::{
-    simulate_traced, try_simulate_faulty, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
+    dag, simulate_traced, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
 };
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, WeightScheme};
 use heteroprio::trace::{jsonl, parse_jsonl, QueueEnd, SchedEvent, VecSink};
@@ -114,9 +116,11 @@ fn faulty_run_audits_clean_modulo_liveness() {
     };
     let mut sink = VecSink::new();
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let res =
-        try_simulate_faulty(&graph, &platform, &mut policy, &TransferModel::NONE, &plan, &mut sink)
-            .expect("run completes under this plan");
+    let (mut workload, mut policy, faults) =
+        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
+    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let res = kernel::run(&platform, &mut workload, &mut policy, spec)
+        .expect("run completes under this plan");
     let events = sink.into_events();
     let opts = AuditOptions::dag_run(0.0, None).with_faults();
     let report = audit(graph.instance(), &platform, &res.schedule, &events, &opts);

@@ -2,16 +2,32 @@
 //! under arbitrary fault plans, byte-identity of the zero plan, structured
 //! abandonment, and the headline all-GPUs-die recovery scenario.
 
+use heteroprio::core::kernel::{self, Run};
 use heteroprio::core::{HeteroPrioConfig, Instance, Platform};
+use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{HeteroPrioDagPolicy, PriorityListPolicy};
 use heteroprio::simulator::{
-    simulate_traced, try_simulate_faulty, FaultPlan, RetryPolicy, SimError, TransferModel,
+    dag, simulate_traced, FaultPlan, OnlinePolicy, RetryPolicy, SimError, SimResult, TransferModel,
     WorkerFault,
 };
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
-use heteroprio::trace::{TraceSummary, VecSink};
+use heteroprio::trace::{TraceSink, TraceSummary, VecSink};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 use proptest::prelude::*;
+
+/// Drive `policy` over `graph` under `plan` through the kernel.
+fn run_plan<P: OnlinePolicy, S: TraceSink>(
+    graph: &TaskGraph,
+    platform: &Platform,
+    policy: &mut P,
+    model: &TransferModel,
+    plan: &FaultPlan,
+    sink: &mut S,
+) -> Result<SimResult, SimError> {
+    let (mut workload, mut policy, faults) = dag(graph, platform, policy, model, plan)?;
+    let spec = Run { faults, ..Run::new(sink, &NullRegistry) };
+    Ok(kernel::run(platform, &mut workload, &mut policy, spec)?.into())
+}
 
 fn ranked_cholesky(n: usize) -> TaskGraph {
     let mut graph = cholesky(n, &ChameleonTiming);
@@ -31,15 +47,8 @@ fn zero_plan_reproduces_fault_free_traces_exactly() {
 
     let mut zero_sink = VecSink::new();
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let zero = try_simulate_faulty(
-        &graph,
-        &platform,
-        &mut policy,
-        &model,
-        &FaultPlan::NONE,
-        &mut zero_sink,
-    )
-    .expect("zero plan cannot fail");
+    let zero = run_plan(&graph, &platform, &mut policy, &model, &FaultPlan::NONE, &mut zero_sink)
+        .expect("zero plan cannot fail");
 
     assert_eq!(plain.makespan(), zero.makespan());
     assert_eq!(plain.schedule.runs, zero.schedule.runs);
@@ -56,7 +65,7 @@ fn certain_failure_is_a_structured_error() {
         ..FaultPlan::NONE
     };
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let err = try_simulate_faulty(
+    let err = run_plan(
         &graph,
         &platform,
         &mut policy,
@@ -82,7 +91,7 @@ fn all_gpus_die_and_cholesky_still_completes() {
     let model = TransferModel::NONE;
 
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let m0 = try_simulate_faulty(
+    let m0 = run_plan(
         &graph,
         &platform,
         &mut policy,
@@ -100,7 +109,7 @@ fn all_gpus_die_and_cholesky_still_completes() {
     };
     let mut sink = VecSink::new();
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let res = try_simulate_faulty(&graph, &platform, &mut policy, &model, &plan, &mut sink)
+    let res = run_plan(&graph, &platform, &mut policy, &model, &plan, &mut sink)
         .expect("the CPUs alone must finish the DAG");
 
     // Every task completed exactly once, entirely after the GPUs died or on CPUs.
@@ -174,7 +183,7 @@ proptest! {
             retry: RetryPolicy { max_attempts: 12, ..RetryPolicy::DEFAULT },
         };
         let mut policy = PriorityListPolicy::new();
-        let run = try_simulate_faulty(
+        let run = run_plan(
             &graph,
             &platform,
             &mut policy,
@@ -213,7 +222,7 @@ proptest! {
 
         let mut s2 = VecSink::new();
         let mut p2 = PriorityListPolicy::new();
-        let zero = try_simulate_faulty(&graph, &platform, &mut p2, &model, &FaultPlan::NONE, &mut s2)
+        let zero = run_plan(&graph, &platform, &mut p2, &model, &FaultPlan::NONE, &mut s2)
             .unwrap();
 
         prop_assert_eq!(plain.schedule.runs, zero.schedule.runs);

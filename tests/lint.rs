@@ -6,8 +6,8 @@
 //! against the 2.1.0 shape.
 
 use heteroprio::lint::baseline::{self, BaselineEntry};
-use heteroprio::lint::json::{self, Value};
 use heteroprio::lint::{help_text, lint_source, LintViolation, RULES};
+use heteroprio::trace::json::{self, Value};
 
 fn count(violations: &[LintViolation], rule: &str) -> usize {
     violations.iter().filter(|v| v.rule == rule).count()
@@ -309,15 +309,4 @@ fn stale_baseline_entries_fail_the_gate() {
     assert_eq!(report.stale.len(), 1, "undercount must surface as stale");
     assert!(report.gate_failures() > 0, "stale entries fail the gate");
     assert!(report.summary_line().contains("stale"));
-}
-
-#[test]
-fn the_repo_re_export_shim_still_resolves() {
-    // `crates/audit` historically owned the scanner; the shim must keep
-    // `heteroprio::audit::lint::*` working for downstream imports.
-    let v = heteroprio::audit::lint::lint_source(
-        KERNEL,
-        "fn f(o: Option<u64>) -> u64 { o.unwrap() }\n",
-    );
-    assert_eq!(count(&v, "unwrap"), 1);
 }

@@ -4,11 +4,11 @@
 //! accounting, and a real kernel snapshot survives the Prometheus
 //! exposition round trip.
 
-use heteroprio::core::kernel::metric;
+use heteroprio::core::kernel::{self, metric, Run};
 use heteroprio::core::{heteroprio_metered, HeteroPrioConfig, Instance, Platform};
 use heteroprio::metrics::{prometheus, InMemoryRegistry, MetricsRegistry, NullRegistry};
 use heteroprio::schedulers::HeteroPrioDagPolicy;
-use heteroprio::simulator::{try_simulate_faulty_metered, FaultPlan, TransferModel};
+use heteroprio::simulator::{dag, FaultPlan, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio::trace::{TraceSummary, VecSink};
 use heteroprio::workloads::{random_instance, ChameleonTiming, RandomInstanceParams};
@@ -63,16 +63,11 @@ fn null_registry_dag_run_is_byte_identical_too() {
     let run = |metrics: &dyn MetricsRegistry| {
         let mut sink = VecSink::new();
         let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-        let res = try_simulate_faulty_metered(
-            &graph,
-            &platform,
-            &mut policy,
-            &TransferModel::NONE,
-            &FaultPlan::NONE,
-            &mut sink,
-            metrics,
-        )
-        .expect("fault-free simulation cannot fail");
+        let (mut workload, mut policy, _) =
+            dag(&graph, &platform, &mut policy, &TransferModel::NONE, &FaultPlan::NONE)
+                .expect("the empty fault plan is valid");
+        let res = kernel::run(&platform, &mut workload, &mut policy, Run::new(&mut sink, metrics))
+            .expect("fault-free simulation cannot fail");
         (sink.into_events(), res.schedule)
     };
     let registry = InMemoryRegistry::new();

@@ -9,27 +9,47 @@
 //! truncation, trailing garbage) must recover without panics and without
 //! silently dropping any record written before the damage.
 
-use heteroprio::core::kernel::EngineError;
+use heteroprio::core::kernel::{self, Checkpoints, EngineError, KernelOutcome, Resume, Run};
 use heteroprio::core::{
-    heteroprio_durable, heteroprio_resume, heteroprio_traced, CheckpointStore, CrashPlan,
-    DurabilityOptions, HeteroPrioConfig, HeteroPrioResult, Instance, MemCheckpointStore, Platform,
-    TaskRun,
+    heteroprio_traced, independent, journaled, CrashPlan, HeteroPrioConfig, HeteroPrioResult,
+    Instance, KernelSnapshot, MemCheckpointStore, Platform, ResumeError, TaskRun,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
-use heteroprio::simulator::{
-    try_resume_faulty, try_simulate_durable, try_simulate_faulty, FaultPlan, SimError,
-    TransferModel,
-};
-use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, WeightScheme};
+use heteroprio::simulator::{dag, FaultPlan, SimError, SimResult, TransferModel};
+use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio::trace::{
-    event_line, FileJournal, Journal, JournalSink, MemJournal, SchedEvent, TeeSink, VecSink,
+    event_line, FileJournal, Journal, MemJournal, NullSink, SchedEvent, TraceSink, VecSink,
 };
 use heteroprio::workloads::ChameleonTiming;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const M: NullRegistry = NullRegistry;
+
+/// Drive the independent engine under `spec`.
+fn run_independent<S: TraceSink>(
+    instance: &Instance,
+    platform: &Platform,
+    config: &HeteroPrioConfig,
+    spec: Run<'_, S>,
+) -> Result<KernelOutcome, ResumeError> {
+    let (mut workload, mut policy) = independent(instance, platform, config);
+    kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
+}
+
+/// Resume the independent engine from a recovered journal prefix.
+fn resume_independent<S: TraceSink>(
+    instance: &Instance,
+    platform: &Platform,
+    config: &HeteroPrioConfig,
+    snapshot: Option<&KernelSnapshot>,
+    journal: &[SchedEvent],
+    sink: &mut S,
+) -> Result<KernelOutcome, ResumeError> {
+    let resume = Some(Resume { journal, snapshot });
+    run_independent(instance, platform, config, Run { resume, ..Run::new(sink, &M) })
+}
 
 /// Uninterrupted independent-task reference: full event stream + result.
 fn independent_reference(
@@ -56,23 +76,15 @@ fn crash_resume_independent(
     let (ref_events, ref_res) = reference;
     let mut journal = MemJournal::new();
     let mut store = MemCheckpointStore::new();
-    let mut jsink = JournalSink::new(&mut journal);
-    let err = heteroprio_durable(
-        instance,
-        platform,
-        config,
-        DurabilityOptions {
-            crash: CrashPlan::at_event(crash_at),
-            checkpoint_every,
-            store: checkpoint_every.is_some().then_some(&mut store as &mut dyn CheckpointStore),
-        },
-        &mut jsink,
-        &M,
-    )
+    let checkpoints = checkpoint_every.map(|every| Checkpoints { every, store: &mut store });
+    let err = journaled(&mut journal, &mut NullSink, |sink| {
+        let spec = Run { crash: CrashPlan::at_event(crash_at), checkpoints, ..Run::new(sink, &M) };
+        run_independent(instance, platform, config, spec)
+    })
+    .expect("in-memory journal appends and syncs cannot fail")
     .expect_err("the crash plan must abort the run");
-    assert!(jsink.error().is_none(), "journal append failed: {:?}", jsink.error());
     match err {
-        EngineError::Crashed { events, .. } => assert_eq!(events, crash_at),
+        ResumeError::Engine(EngineError::Crashed { events, .. }) => assert_eq!(events, crash_at),
         other => panic!("expected Crashed, got {other:?}"),
     }
     assert_eq!(journal.len() as u64, crash_at, "journal must hold exactly the pre-crash events");
@@ -85,7 +97,7 @@ fn crash_resume_independent(
     }
     let mut resumed = VecSink::new();
     let res =
-        heteroprio_resume(instance, platform, config, snapshot.as_ref(), &tail, &mut resumed, &M)
+        resume_independent(instance, platform, config, snapshot.as_ref(), &tail, &mut resumed)
             .expect("recovery must complete");
     assert_eq!(&resumed.events, ref_events, "recovered stream diverged (crash_at={crash_at})");
     assert_eq!(res.schedule.runs, ref_res.schedule.runs);
@@ -118,6 +130,27 @@ fn independent_engine_recovers_from_every_crash_point() {
     }
 }
 
+/// Drive HeteroPrio over a ranked Cholesky DAG under `plan` and `spec`
+/// (whose fault model is taken from the plan).
+fn run_dag<S: TraceSink>(
+    graph: &TaskGraph,
+    platform: &Platform,
+    plan: &FaultPlan,
+    spec: Run<'_, S>,
+) -> Result<SimResult, SimError> {
+    let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+    let (mut workload, mut policy, faults) =
+        dag(graph, platform, &mut policy, &TransferModel::NONE, plan)?;
+    let spec = Run { faults, ..spec };
+    Ok(kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)?.into())
+}
+
+fn ranked_cholesky(n: usize) -> TaskGraph {
+    let mut graph = cholesky(n, &ChameleonTiming);
+    apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+    graph
+}
+
 /// Uninterrupted DAG reference under a fault plan (stresses the RNG state
 /// carried by snapshots): full stream + schedule.
 fn dag_reference(
@@ -125,13 +158,9 @@ fn dag_reference(
     platform: &Platform,
     plan: &FaultPlan,
 ) -> (Vec<SchedEvent>, Vec<TaskRun>) {
-    let mut graph = cholesky(n, &ChameleonTiming);
-    apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
-    let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
     let mut sink = VecSink::new();
-    let res =
-        try_simulate_faulty(&graph, platform, &mut policy, &TransferModel::NONE, plan, &mut sink)
-            .expect("reference run must complete");
+    let res = run_dag(&ranked_cholesky(n), platform, plan, Run::new(&mut sink, &M))
+        .expect("reference run must complete");
     (sink.events, res.schedule.runs)
 }
 
@@ -147,26 +176,15 @@ fn crash_resume_dag(
     checkpoint_every: Option<u64>,
 ) {
     let (ref_events, ref_runs) = reference;
-    let mut graph = cholesky(n, &ChameleonTiming);
-    apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+    let graph = ranked_cholesky(n);
     let mut journal = MemJournal::new();
     let mut store = MemCheckpointStore::new();
-    let mut jsink = JournalSink::new(&mut journal);
-    let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let err = try_simulate_durable(
-        &graph,
-        platform,
-        &mut policy,
-        &TransferModel::NONE,
-        plan,
-        DurabilityOptions {
-            crash: CrashPlan::at_event(crash_at),
-            checkpoint_every,
-            store: checkpoint_every.is_some().then_some(&mut store as &mut dyn CheckpointStore),
-        },
-        &mut jsink,
-        &M,
-    )
+    let checkpoints = checkpoint_every.map(|every| Checkpoints { every, store: &mut store });
+    let err = journaled(&mut journal, &mut NullSink, |sink| {
+        let spec = Run { crash: CrashPlan::at_event(crash_at), checkpoints, ..Run::new(sink, &M) };
+        run_dag(&graph, platform, plan, spec)
+    })
+    .expect("in-memory journal appends and syncs cannot fail")
     .expect_err("the crash plan must abort the run");
     match err {
         SimError::Crashed { events, .. } => assert_eq!(events, crash_at),
@@ -176,20 +194,10 @@ fn crash_resume_dag(
 
     let tail = journal.replay().expect("MemJournal replay cannot fail");
     let snapshot = store.latest.take();
-    let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
     let mut resumed = VecSink::new();
-    let res = try_resume_faulty(
-        &graph,
-        platform,
-        &mut policy,
-        &TransferModel::NONE,
-        plan,
-        snapshot.as_ref(),
-        &tail,
-        &mut resumed,
-        &M,
-    )
-    .expect("recovery must complete");
+    let resume = Some(Resume { journal: &tail, snapshot: snapshot.as_ref() });
+    let res = run_dag(&graph, platform, plan, Run { resume, ..Run::new(&mut resumed, &M) })
+        .expect("recovery must complete");
     assert_eq!(&resumed.events, ref_events, "recovered stream diverged (crash_at={crash_at})");
     assert_eq!(&res.schedule.runs, ref_runs);
 }
@@ -225,7 +233,7 @@ fn resume_rejects_a_foreign_journal() {
     let config = HeteroPrioConfig::new();
     let (events_a, _) = independent_reference(&a, &platform, &config);
     let mut sink = VecSink::new();
-    let err = heteroprio_resume(&b, &platform, &config, None, &events_a, &mut sink, &M)
+    let err = resume_independent(&b, &platform, &config, None, &events_a, &mut sink)
         .expect_err("a journal recorded from another instance must not verify");
     let msg = format!("{err}");
     assert!(
@@ -380,12 +388,11 @@ proptest! {
             let (mut journal, opened, _) = FileJournal::open(&path).expect("open damaged journal");
             prop_assert_eq!(&opened[..], &events[..]);
             let mut resumed = VecSink::new();
-            let res = {
-                let mut jsink = JournalSink::resuming(&mut journal, opened.len());
-                let mut tee = TeeSink(&mut resumed, &mut jsink);
-                heteroprio_resume(&instance, &platform, &config, None, &opened, &mut tee, &M)
-                    .expect("resume from the recovered prefix must complete")
-            };
+            let res = journaled(&mut journal, &mut resumed, |sink| {
+                resume_independent(&instance, &platform, &config, None, &opened, sink)
+            })
+            .expect("the healed journal accepts the continuation")
+            .expect("resume from the recovered prefix must complete");
             prop_assert_eq!(&resumed.events, &ref_events);
             prop_assert_eq!(&res.schedule.runs, &ref_res.schedule.runs);
             // After resume the journal holds the complete, clean stream.
