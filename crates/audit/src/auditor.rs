@@ -267,6 +267,9 @@ pub(crate) struct Replay<'a> {
     max_overhead: f64,
     ready: Vec<bool>,
     ready_count: usize,
+    /// The ready set ordered by ρ, so a pop finds the extreme ready ρ
+    /// without walking `ready`. Empty at k ≠ 2, where the ρ rule is off.
+    rho_index: RhoIndex,
     running: Vec<Option<Running>>,
     idle: Vec<bool>,
     alive: Vec<bool>,
@@ -295,6 +298,11 @@ impl<'a> Replay<'a> {
             max_overhead,
             ready: vec![false; instance.len()],
             ready_count: 0,
+            rho_index: if platform.k() == 2 {
+                RhoIndex::new(instance)
+            } else {
+                RhoIndex::default()
+            },
             running: vec![None; platform.workers()],
             idle: vec![false; platform.workers()],
             alive: vec![true; platform.workers()],
@@ -364,11 +372,7 @@ impl<'a> Replay<'a> {
         match *e {
             SchedEvent::TaskReady { time, task } => {
                 let Some(t) = self.task_index(i, time, task, report) else { return };
-                if !self.ready[t] {
-                    self.ready[t] = true;
-                    self.ready_count =
-                        self.ready_count.checked_add(1).expect("ready tasks fit in usize");
-                }
+                self.set_ready(t, true);
             }
             SchedEvent::QueuePop { time, task, worker, end } => {
                 self.check_pop(i, time, task, worker, Some(end), report);
@@ -400,12 +404,10 @@ impl<'a> Replay<'a> {
                             ),
                         });
                     }
-                } else if self.ready[t] {
-                    // Streams without pop/pick events reach here; with them
-                    // the ready slot was already cleared at the pop.
-                    self.ready[t] = false;
-                    self.ready_count =
-                        self.ready_count.checked_sub(1).expect("guarded by self.ready[t]");
+                } else {
+                    // Streams without pop/pick events clear the ready slot
+                    // here; with them it was already cleared at the pop.
+                    self.set_ready(t, false);
                 }
                 if self.running[w].is_some() {
                     report.violations.push(Violation {
@@ -488,6 +490,13 @@ impl<'a> Replay<'a> {
     /// end. Equal-ρ ties may resolve either way — that is the documented
     /// tie policy (`QueueTieBreak`) — so only *strictly* better leftovers
     /// are violations.
+    ///
+    /// The ρ rule costs O(n / 4096) per pop: the popped ρ is compared with
+    /// the extreme ready ρ from [`RhoIndex`] (max for GPU pops, min for CPU
+    /// pops). `strictly_less` is monotone in each argument, so no ready task
+    /// beats the popped one unless the extreme does. Only then does the
+    /// O(n) scan of the ready set run, to name the *first* offending task
+    /// in id order, which is the one the violation message reports.
     fn check_pop(
         &mut self,
         i: usize,
@@ -519,11 +528,17 @@ impl<'a> Replay<'a> {
         }
         if two_class {
             let kind = self.platform.kind_of(WorkerId(worker));
+            // `better(rho, rho_u)`: a ready task of ρ `rho_u` should have
+            // been taken instead of one of ρ `rho` from this worker's end.
+            let (expected, extreme, better): (_, _, fn(f64, f64) -> bool) = match kind {
+                ResourceKind::Gpu => {
+                    (QueueEnd::Front, self.rho_index.max(), |r, u| strictly_less(r, u))
+                }
+                ResourceKind::Cpu => {
+                    (QueueEnd::Back, self.rho_index.min(), |r, u| strictly_less(u, r))
+                }
+            };
             if let Some(end) = end {
-                let expected = match kind {
-                    ResourceKind::Gpu => QueueEnd::Front,
-                    ResourceKind::Cpu => QueueEnd::Back,
-                };
                 if end != expected {
                     report.violations.push(Violation {
                         rule: Rule::PopOrderConsistency,
@@ -536,34 +551,59 @@ impl<'a> Replay<'a> {
                     });
                 }
             }
-            let rho = self.instance.task(TaskId(task)).accel_factor();
-            for (u, &ready) in self.ready.iter().enumerate() {
-                if !ready || u == t {
-                    continue;
-                }
-                let rho_u = self.instance.task(TaskId(u as u32)).accel_factor();
-                let better = match kind {
-                    ResourceKind::Gpu => strictly_less(rho, rho_u),
-                    ResourceKind::Cpu => strictly_less(rho_u, rho),
-                };
-                if better {
-                    report.violations.push(Violation {
-                        rule: Rule::PopOrderConsistency,
-                        event_index: Some(i),
-                        time: Some(time),
-                        worker: Some(worker),
-                        message: format!(
-                            "{kind} worker popped task {task} (rho {rho}) while task {u} \
-                             (rho {rho_u}) was ready"
-                        ),
-                    });
-                    break;
-                }
+            let rho_of = |u: u32| self.instance.task(TaskId(u)).accel_factor();
+            let rho = rho_of(task);
+            let rival = if extreme.is_some_and(|u| better(rho, rho_of(u))) {
+                self.first_better(t, rho, better)
+            } else {
+                None
+            };
+            // The equivalence proptest swaps the reference scan in here.
+            #[cfg(test)]
+            let rival = tests::oracle_rival(self, t, kind, rho).unwrap_or(rival);
+            if let Some((u, rho_u)) = rival {
+                report.violations.push(Violation {
+                    rule: Rule::PopOrderConsistency,
+                    event_index: Some(i),
+                    time: Some(time),
+                    worker: Some(worker),
+                    message: format!(
+                        "{kind} worker popped task {task} (rho {rho}) while task {u} \
+                         (rho {rho_u}) was ready"
+                    ),
+                });
             }
         }
-        self.ready[t] = false;
-        self.ready_count =
-            self.ready_count.checked_sub(1).expect("guarded by the ready-set check above");
+        self.set_ready(t, false);
+    }
+
+    /// The lowest-id ready task other than `t` whose ρ is `better` than
+    /// `rho`, with that ρ.
+    fn first_better(
+        &self,
+        t: usize,
+        rho: f64,
+        better: fn(f64, f64) -> bool,
+    ) -> Option<(usize, f64)> {
+        self.ready.iter().enumerate().filter(|&(u, &ready)| ready && u != t).find_map(|(u, _)| {
+            let rho_u = self.instance.task(TaskId(u as u32)).accel_factor();
+            better(rho, rho_u).then_some((u, rho_u))
+        })
+    }
+
+    /// Add `t` to, or drop it from, the ready set and its ρ index.
+    fn set_ready(&mut self, t: usize, on: bool) {
+        if self.ready[t] == on {
+            return;
+        }
+        self.ready[t] = on;
+        if on {
+            self.ready_count = self.ready_count.checked_add(1).expect("ready tasks fit in usize");
+            self.rho_index.insert(t);
+        } else {
+            self.ready_count = self.ready_count.checked_sub(1).expect("guarded by self.ready[t]");
+            self.rho_index.remove(t);
+        }
     }
 
     /// §3 spoliation preconditions, checked at the `Spoliation` event.
@@ -738,6 +778,78 @@ impl<'a> Replay<'a> {
     }
 }
 
+/// The ready tasks ordered by ρ, for the pop-order rule's extreme lookup.
+///
+/// Every task with a finite ρ gets a rank from one sort by `(ρ, id)`; the
+/// ready ones are bits in a two-level occupancy bitmap over those ranks,
+/// so insert and remove are O(1) and min/max are O(n / 4096). Tasks whose
+/// ρ is not finite are left out: `strictly_less` never counts a NaN or
+/// infinite ρ as better (the tolerance becomes infinite or NaN), so they
+/// can never be the rival a pop is judged against.
+#[derive(Default)]
+struct RhoIndex {
+    /// Rank of each task, or [`RhoIndex::UNRANKED`] for a non-finite ρ.
+    rank: Vec<u32>,
+    /// The task at each rank: ascending ρ, ties by ascending id.
+    by_rank: Vec<u32>,
+    /// Bit `r % 64` of word `r / 64` is set while the task of rank `r` is
+    /// ready.
+    words: Vec<u64>,
+    /// Bit `w % 64` of summary word `w / 64` is set while `words[w] != 0`.
+    summary: Vec<u64>,
+}
+
+impl RhoIndex {
+    const UNRANKED: u32 = u32::MAX;
+
+    fn new(instance: &Instance) -> Self {
+        let rho_of = |id: u32| instance.task(TaskId(id)).accel_factor();
+        let mut by_rank = Vec::with_capacity(instance.len());
+        by_rank.extend((0..instance.len() as u32).filter(|&id| rho_of(id).is_finite()));
+        by_rank.sort_unstable_by_key(|&id| (F64Ord::new(rho_of(id)), id));
+        let mut rank = vec![Self::UNRANKED; instance.len()];
+        for (r, &id) in by_rank.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let words = vec![0; by_rank.len().div_ceil(64)];
+        RhoIndex { rank, by_rank, summary: vec![0; words.len().div_ceil(64)], words }
+    }
+
+    fn insert(&mut self, task: usize) {
+        let Some(r) = self.rank_of(task) else { return };
+        let w = r / 64;
+        self.words[w] |= 1 << (r % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    fn remove(&mut self, task: usize) {
+        let Some(r) = self.rank_of(task) else { return };
+        let w = r / 64;
+        self.words[w] &= !(1 << (r % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    fn rank_of(&self, task: usize) -> Option<usize> {
+        self.rank.get(task).filter(|&&r| r != Self::UNRANKED).map(|&r| r as usize)
+    }
+
+    /// The ready task of smallest ρ.
+    fn min(&self) -> Option<u32> {
+        let (s, bits) = self.summary.iter().enumerate().find(|(_, &b)| b != 0)?;
+        let w = s * 64 + bits.trailing_zeros() as usize;
+        Some(self.by_rank[w * 64 + self.words[w].trailing_zeros() as usize])
+    }
+
+    /// The ready task of largest ρ.
+    fn max(&self) -> Option<u32> {
+        let (s, bits) = self.summary.iter().enumerate().rfind(|(_, &b)| b != 0)?;
+        let w = s * 64 + 63 - bits.leading_zeros() as usize;
+        Some(self.by_rank[w * 64 + 63 - self.words[w].leading_zeros() as usize])
+    }
+}
+
 /// Rebuild a [`Schedule`] from a recorded event stream, for auditing traces
 /// that arrive without one (e.g. a JSONL file handed to `heteroprio audit`).
 /// Completed runs come from `TaskStart`/`TaskComplete` pairs; aborted runs
@@ -842,9 +954,55 @@ pub fn schedule_from_events(events: &[SchedEvent]) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamAuditor;
     use heteroprio_core::heteroprio::{heteroprio_traced, HeteroPrioConfig};
-    use heteroprio_core::{Instance, Platform};
-    use heteroprio_trace::VecSink;
+    use heteroprio_core::{Instance, Platform, Task};
+    use heteroprio_trace::{TraceSink, VecSink};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, [`Replay::check_pop`] judges the ρ rule with
+        /// [`linear_scan`] instead of the ρ index.
+        static LINEAR_ORACLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Reference pop-order rule: walk the whole ready set on every pop and
+    /// report the first strictly better task. The ρ index must agree.
+    fn linear_scan(
+        instance: &Instance,
+        ready: &[bool],
+        t: usize,
+        kind: ResourceKind,
+        rho: f64,
+    ) -> Option<(usize, f64)> {
+        for (u, &ready) in ready.iter().enumerate() {
+            if !ready || u == t {
+                continue;
+            }
+            let rho_u = instance.task(TaskId(u as u32)).accel_factor();
+            let better = match kind {
+                ResourceKind::Gpu => strictly_less(rho, rho_u),
+                ResourceKind::Cpu => strictly_less(rho_u, rho),
+            };
+            if better {
+                return Some((u, rho_u));
+            }
+        }
+        None
+    }
+
+    /// `Some(linear_scan(..))` while [`LINEAR_ORACLE`] is set.
+    pub(super) fn oracle_rival(
+        replay: &Replay<'_>,
+        t: usize,
+        kind: ResourceKind,
+        rho: f64,
+    ) -> Option<Option<(usize, f64)>> {
+        LINEAR_ORACLE
+            .with(Cell::get)
+            .then(|| linear_scan(replay.instance, &replay.ready, t, kind, rho))
+    }
 
     fn fig1_instance() -> Instance {
         // The running example of the paper's Figure 1: ρ spans both sides
@@ -935,5 +1093,182 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.rule == Rule::SpoliationLegality && v.message.contains("ready")));
+    }
+
+    /// A k=2 task whose ρ is drawn to collide: exact ties among four base
+    /// values, pairs inside and just outside the 1e-9 tolerance band, and
+    /// the degenerate ρ of 0, +∞ and NaN (raw times, never validated).
+    fn colliding_task(shape: u32, base: u32, scale: u32) -> Task {
+        let rho = [0.25, 1.0, 2.0, 4.0][base as usize % 4];
+        let q = f64::from(scale);
+        let times = match shape {
+            0..=3 => [rho * q, q],
+            4 => [rho * (1.0 + 4e-10) * q, q],
+            5 => [rho * (1.0 - 4e-10) * q, q],
+            6 => [rho * (1.0 + 3e-9) * q, q],
+            7 => [0.0, q],
+            8 => [q, 0.0],
+            _ => [0.0, 0.0],
+        };
+        Task::from_raw_times(&times, 0.0)
+    }
+
+    /// The stream styles the pop-order rule sees.
+    #[derive(Clone, Copy)]
+    enum Style {
+        /// Independent-task engines: `QueuePop` records.
+        Pops,
+        /// The DAG engine: `PolicyDecision::Pick` records, no pops.
+        Picks,
+        /// Neither: `TaskStart` clears the ready slot itself.
+        StartsOnly,
+    }
+
+    /// Interpret random op tuples as an event stream: announcements,
+    /// pops (extremal, non-extremal, wrong-end, not-ready, unknown ids),
+    /// starts with and without a preceding pop, and completions.
+    fn random_stream(
+        instance: &Instance,
+        platform: &Platform,
+        style: Style,
+        ops: &[(u32, u32, u32, u32, u32)],
+    ) -> Vec<SchedEvent> {
+        let n = instance.len() as u32;
+        let workers = platform.workers() as u32;
+        let rho = |t: u32| instance.task(TaskId(t)).accel_factor();
+        let mut ready: Vec<u32> = Vec::new();
+        let mut time = 0.0;
+        let mut events = Vec::new();
+        for &(op, a, b, c, d) in ops {
+            if c == 0 {
+                time += 1.0;
+            }
+            let worker = d % (workers + u32::from(b == 7));
+            match op {
+                0..=2 => {
+                    let task = a % n;
+                    if !ready.contains(&task) {
+                        ready.push(task);
+                    }
+                    events.push(SchedEvent::TaskReady { time, task });
+                }
+                3..=5 => {
+                    let finite = ready.iter().copied().filter(|&t| rho(t).is_finite());
+                    let gpu =
+                        worker < workers && platform.kind_of(WorkerId(worker)) == ResourceKind::Gpu;
+                    let extreme = if gpu {
+                        finite.max_by(|&x, &y| rho(x).total_cmp(&rho(y)))
+                    } else {
+                        finite.min_by(|&x, &y| rho(x).total_cmp(&rho(y)))
+                    };
+                    let task = match (b, extreme) {
+                        (0..=2, Some(t)) => t,
+                        (3..=5, _) if !ready.is_empty() => ready[a as usize % ready.len()],
+                        (6, _) => n,
+                        _ => a % n,
+                    };
+                    ready.retain(|&t| t != task);
+                    match style {
+                        Style::Pops => {
+                            let end = if a % 2 == 0 { QueueEnd::Front } else { QueueEnd::Back };
+                            events.push(SchedEvent::QueuePop { time, task, worker, end });
+                        }
+                        Style::Picks => {
+                            let decision = Decision::Pick(task);
+                            events.push(SchedEvent::PolicyDecision { time, worker, decision });
+                        }
+                        Style::StartsOnly => {}
+                    }
+                    let expected_end = time + 1.0;
+                    events.push(SchedEvent::TaskStart { time, task, worker, expected_end });
+                }
+                6 => {
+                    let task = a % n;
+                    ready.retain(|&t| t != task);
+                    let expected_end = time + 1.0;
+                    events.push(SchedEvent::TaskStart { time, task, worker, expected_end });
+                }
+                _ => events.push(SchedEvent::TaskComplete { time, task: a % n, worker }),
+            }
+        }
+        events
+    }
+
+    fn with_oracle<T>(on: bool, f: impl FnOnce() -> T) -> T {
+        LINEAR_ORACLE.with(|o| o.set(on));
+        let out = f();
+        LINEAR_ORACLE.with(|o| o.set(false));
+        out
+    }
+
+    fn stream_audit(
+        instance: &Instance,
+        platform: &Platform,
+        schedule: &Schedule,
+        events: &[SchedEvent],
+        opts: &AuditOptions,
+    ) -> AuditReport {
+        let mut auditor = StreamAuditor::new(instance, platform, opts.clone());
+        for &e in events {
+            auditor.emit(e);
+        }
+        auditor.finish(schedule)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The ρ index is an exact stand-in for the linear scan it replaced:
+        // the same violations (rule, event, time, worker, message) and the
+        // same check count, batch and streaming, on every stream style.
+        #[test]
+        fn rho_index_agrees_with_the_linear_scan(
+            tasks in prop::collection::vec((0u32..10, 0u32..4, 1u32..=3), 1..=24),
+            cpus in 1usize..=3,
+            gpus in 1usize..=3,
+            style in 0u32..3,
+            ops in prop::collection::vec((0u32..8, 0u32..64, 0u32..8, 0u32..3, 0u32..8), 0..=96),
+        ) {
+            let instance = Instance::from_tasks(
+                tasks.iter().map(|&(shape, base, scale)| colliding_task(shape, base, scale)).collect(),
+            );
+            let platform = Platform::new(cpus, gpus);
+            let style = [Style::Pops, Style::Picks, Style::StartsOnly][style as usize];
+            let events = random_stream(&instance, &platform, style, &ops);
+            // The streams carry unknown worker ids, which the schedule-level
+            // well-formedness checks do not take; the rule under test only
+            // reads the stream.
+            let schedule = Schedule::default();
+            let opts = AuditOptions::dag_run(0.0, Some(1.0));
+            let batch = |on| with_oracle(on, || audit(&instance, &platform, &schedule, &events, &opts));
+            let stream =
+                |on| with_oracle(on, || stream_audit(&instance, &platform, &schedule, &events, &opts));
+            for (fast, oracle) in [(batch(false), batch(true)), (stream(false), stream(true))] {
+                prop_assert_eq!(&fast.violations, &oracle.violations);
+                prop_assert_eq!(fast.checks, oracle.checks);
+            }
+        }
+    }
+
+    #[test]
+    fn generated_streams_reach_the_rho_rule() {
+        // Guards the equivalence proptest against vacuity: a generated
+        // non-extremal GPU pop does produce the ρ rule's violation.
+        let instance = Instance::from_tasks(vec![
+            colliding_task(0, 3, 1),
+            colliding_task(0, 0, 1),
+            colliding_task(8, 0, 1),
+        ]);
+        let platform = Platform::new(1, 1);
+        let ops = [(0, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 2, 0, 1, 0), (3, 1, 3, 1, 1)];
+        let events = random_stream(&instance, &platform, Style::Pops, &ops);
+        let schedule = schedule_from_events(&events);
+        let opts = AuditOptions::dag_run(0.0, Some(1.0));
+        let report = audit(&instance, &platform, &schedule, &events, &opts);
+        assert!(
+            report.violations.iter().any(|v| v.message.contains("while task 0 (rho 4) was ready")),
+            "{}",
+            report.render()
+        );
     }
 }

@@ -22,7 +22,7 @@ use heteroprio_metrics::{InMemoryRegistry, MetricsSnapshot, Stopwatch};
 use heteroprio_schedulers::HeteroPrioDagPolicy;
 use heteroprio_simulator::{dag, FaultPlan, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
-use heteroprio_trace::{event_line, json, FileJournal, NullSink, SchedEvent, TraceSink};
+use heteroprio_trace::{encode_into, json, FileJournal, NullSink, SchedEvent, TraceSink};
 use heteroprio_workloads::{
     independent_instance, multi_class_instance, paper_platform, random_instance, ChameleonTiming,
     MultiClassParams, RandomInstanceParams,
@@ -190,15 +190,21 @@ fn run_independent_journaled(
 /// would sit in page cache and the comparison would charge the journal for
 /// write-out the baseline silently skips. [`run_independent`]'s `NullSink`
 /// case stays in the document to show the cost of persistence itself.
+///
+/// Lines go through [`encode_into`], the journal's own encoder, into a
+/// reused buffer, so the two runs pay the same encoding cost.
 struct TraceFileSink {
     out: std::io::BufWriter<std::fs::File>,
+    line: Vec<u8>,
 }
 
 impl TraceSink for TraceFileSink {
     fn emit(&mut self, event: SchedEvent) {
         use std::io::Write;
-        let _ = self.out.write_all(event_line(&event).as_bytes());
-        let _ = self.out.write_all(b"\n");
+        self.line.clear();
+        encode_into(&event, &mut self.line);
+        self.line.push(b'\n');
+        let _ = self.out.write_all(&self.line);
     }
 
     fn is_enabled(&self) -> bool {
@@ -215,7 +221,7 @@ fn run_independent_traced(
     let registry = InMemoryRegistry::new();
     let path = std::env::temp_dir().join(format!("hp-bench-{}-{name}.jsonl", std::process::id()));
     let file = std::fs::File::create(&path).expect("create bench trace file");
-    let mut sink = TraceFileSink { out: std::io::BufWriter::new(file) };
+    let mut sink = TraceFileSink { out: std::io::BufWriter::new(file), line: Vec::new() };
     let sw = Stopwatch::start();
     let res =
         heteroprio_metered(instance, &platform, &HeteroPrioConfig::new(), &mut sink, &registry);

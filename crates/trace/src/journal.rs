@@ -8,7 +8,8 @@
 //! * [`MemJournal`] — in-memory implementation for tests and embedding;
 //! * [`FileJournal`] — file-backed implementation framing each event as a
 //!   `[len: u32 LE][crc32: u32 LE][payload]` record, where the payload is
-//!   the event's canonical JSONL line ([`crate::jsonl::event_line`]);
+//!   the event's canonical JSONL line ([`crate::jsonl::encode_into`]),
+//!   encoded straight into the write buffer behind a reserved header;
 //! * [`JournalSink`] — a [`TraceSink`] adapter appending every emitted
 //!   event, so any instrumented engine journals without modification.
 //!
@@ -22,7 +23,7 @@
 //! journal paths elsewhere, so the CRC framing and fsync discipline cannot
 //! be bypassed.
 
-use crate::jsonl::{event_line, parse_event_line};
+use crate::jsonl::{encode_into, parse_event_line};
 use crate::{SchedEvent, TraceSink};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -34,10 +35,13 @@ pub const MAGIC: &[u8; 6] = b"HPJL1\n";
 /// bytes; anything claiming more is a corrupt length field, not a record.
 const MAX_PAYLOAD: u32 = 1 << 20;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -46,17 +50,42 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3, reflected) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+        let lo = (word as u32) ^ c;
+        let hi = (word >> 32) as u32;
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -210,6 +239,9 @@ pub struct MemJournal {
     events: Vec<SchedEvent>,
     synced: usize,
     sync_calls: u64,
+    /// Reused encoding buffer: `append` reports the framed size a
+    /// [`FileJournal`] would write.
+    line: Vec<u8>,
 }
 
 impl MemJournal {
@@ -232,7 +264,9 @@ impl MemJournal {
 impl Journal for MemJournal {
     fn append(&mut self, event: &SchedEvent) -> Result<usize, JournalError> {
         self.events.push(*event);
-        Ok(8 + event_line(event).len())
+        self.line.clear();
+        encode_into(event, &mut self.line);
+        Ok(8 + self.line.len())
     }
 
     fn sync(&mut self) -> Result<(), JournalError> {
@@ -436,11 +470,17 @@ impl Drop for FileJournal {
 
 impl Journal for FileJournal {
     fn append(&mut self, event: &SchedEvent) -> Result<usize, JournalError> {
-        let payload = event_line(event);
-        let payload = payload.as_bytes();
-        self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        // Frame in place: reserve the header, encode the payload after it,
+        // then patch in its length and CRC. No per-event allocation once
+        // the buffer has grown to its flush threshold.
+        let header = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        encode_into(event, &mut self.buf);
+        let payload = &self.buf[header + 8..];
+        let len = payload.len();
+        let crc = crc32(payload);
+        self.buf[header..header + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
         self.records += 1;
         self.since_sync += 1;
         let due = match self.policy {
@@ -453,7 +493,7 @@ impl Journal for FileJournal {
         } else if self.buf.len() >= FLUSH_THRESHOLD {
             self.flush_buf()?;
         }
-        Ok(8 + payload.len())
+        Ok(8 + len)
     }
 
     fn sync(&mut self) -> Result<(), JournalError> {
@@ -562,6 +602,42 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Reference CRC: one table lookup per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_crc() {
+        // xorshift64: a fixed, dependency-free byte source.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let bytes: Vec<u8> = (0..72).map(|_| next() as u8).collect();
+        // Every length 0..=64 at every alignment 0..8: covers empty input,
+        // pure remainders, whole words and every word/remainder split.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        for round in 0..64 {
+            let len = (next() % 4096) as usize;
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "random buffer {round} of {len} bytes");
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
     #[test]
     fn mem_journal_round_trips() {
         let mut j = MemJournal::new();
@@ -581,8 +657,10 @@ mod tests {
         let events = sample_events();
         {
             let mut j = FileJournal::create(&path).unwrap().with_sync(SyncPolicy::EveryRecord);
+            let mut mem = MemJournal::new();
             for e in &events {
-                j.append(e).unwrap();
+                // Both journals report the framed size of the same record.
+                assert_eq!(j.append(e).unwrap(), mem.append(e).unwrap());
             }
             assert_eq!(j.replay().unwrap(), events);
         }

@@ -8,19 +8,20 @@ use crate::{Decision, QueueEnd, SchedEvent};
 
 /// Render an event stream as line-delimited JSON.
 pub fn jsonl(events: &[SchedEvent]) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for e in events {
-        out.push_str(&line(e));
-        out.push('\n');
+        encode_into(e, &mut out);
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("encode_into writes UTF-8")
 }
 
-/// Render a single event as its JSONL line (no trailing newline). This is
-/// the canonical wire form: the journal frames exactly these bytes, and
-/// [`parse_event_line`] inverts them.
+/// Render a single event as its JSONL line (no trailing newline): the
+/// bytes of [`encode_into`] as a `String`.
 pub fn event_line(e: &SchedEvent) -> String {
-    line(e)
+    let mut out = Vec::with_capacity(96);
+    encode_into(e, &mut out);
+    String::from_utf8(out).expect("encode_into writes UTF-8")
 }
 
 /// Parse one JSONL line back into an event.
@@ -29,66 +30,134 @@ pub fn parse_event_line(text: &str) -> Result<SchedEvent, String> {
     parse_event(&v)
 }
 
-fn line(e: &SchedEvent) -> String {
-    let kind = e.kind();
+/// Append an event's JSONL line (no trailing newline) to `out`. This is
+/// the canonical wire form: the journal frames exactly these bytes, and
+/// [`parse_event_line`] inverts them. Floats print as `Display` does
+/// (shortest round-trip form, never an exponent); ids and the fixed text
+/// are written directly, which keeps the formatter off everything else.
+pub fn encode_into(e: &SchedEvent, out: &mut Vec<u8>) {
+    let mut line = Line::open(out, e.kind(), e.time());
     match *e {
-        SchedEvent::TaskReady { time, task } => {
-            format!(r#"{{"type":"{kind}","time":{time},"task":{task}}}"#)
+        SchedEvent::TaskReady { task, .. } => line.id("task", task),
+        SchedEvent::TaskStart { task, worker, expected_end, .. } => {
+            line.id("task", task);
+            line.id("worker", worker);
+            line.num("expected_end", expected_end);
         }
-        SchedEvent::TaskStart { time, task, worker, expected_end } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"expected_end":{expected_end}}}"#
-        ),
-        SchedEvent::TaskComplete { time, task, worker } => {
-            format!(r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker}}}"#)
+        SchedEvent::TaskComplete { task, worker, .. } => {
+            line.id("task", task);
+            line.id("worker", worker);
         }
-        SchedEvent::Spoliation { time, task, victim, thief, wasted_work } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"victim":{victim},"thief":{thief},"wasted_work":{wasted_work}}}"#
-        ),
-        SchedEvent::WorkerIdleBegin { time, worker }
-        | SchedEvent::WorkerIdleEnd { time, worker } => {
-            format!(r#"{{"type":"{kind}","time":{time},"worker":{worker}}}"#)
+        SchedEvent::Spoliation { task, victim, thief, wasted_work, .. } => {
+            line.id("task", task);
+            line.id("victim", victim);
+            line.id("thief", thief);
+            line.num("wasted_work", wasted_work);
         }
-        SchedEvent::QueuePop { time, task, worker, end } => {
-            let end = match end {
-                QueueEnd::Front => "front",
-                QueueEnd::Back => "back",
-            };
-            format!(
-                r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"end":"{end}"}}"#
-            )
+        SchedEvent::WorkerIdleBegin { worker, .. }
+        | SchedEvent::WorkerIdleEnd { worker, .. }
+        | SchedEvent::WorkerUp { worker, .. } => line.id("worker", worker),
+        SchedEvent::QueuePop { task, worker, end, .. } => {
+            line.id("task", task);
+            line.id("worker", worker);
+            line.text(
+                "end",
+                match end {
+                    QueueEnd::Front => "front",
+                    QueueEnd::Back => "back",
+                },
+            );
         }
-        SchedEvent::PolicyDecision { time, worker, decision } => {
+        SchedEvent::PolicyDecision { worker, decision, .. } => {
+            line.id("worker", worker);
             let (verdict, target) = match decision {
                 Decision::Pick(t) => ("pick", Some(t)),
                 Decision::Spoliate(v) => ("spoliate", Some(v)),
                 Decision::Idle => ("idle", None),
             };
-            match target {
-                Some(t) => format!(
-                    r#"{{"type":"{kind}","time":{time},"worker":{worker},"decision":"{verdict}","target":{t}}}"#
-                ),
-                None => format!(
-                    r#"{{"type":"{kind}","time":{time},"worker":{worker},"decision":"{verdict}"}}"#
-                ),
+            line.text("decision", verdict);
+            if let Some(t) = target {
+                line.id("target", t);
             }
         }
-        SchedEvent::WorkerDown { time, worker, lost_task, permanent } => match lost_task {
-            Some(t) => format!(
-                r#"{{"type":"{kind}","time":{time},"worker":{worker},"lost_task":{t},"permanent":{permanent}}}"#
-            ),
-            None => format!(
-                r#"{{"type":"{kind}","time":{time},"worker":{worker},"permanent":{permanent}}}"#
-            ),
-        },
-        SchedEvent::WorkerUp { time, worker } => {
-            format!(r#"{{"type":"{kind}","time":{time},"worker":{worker}}}"#)
+        SchedEvent::WorkerDown { worker, lost_task, permanent, .. } => {
+            line.id("worker", worker);
+            if let Some(t) = lost_task {
+                line.id("lost_task", t);
+            }
+            line.key("permanent");
+            line.0.extend_from_slice(if permanent { b"true" } else { b"false" });
         }
-        SchedEvent::TaskFailed { time, task, worker, lost_work, attempt } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"lost_work":{lost_work},"attempt":{attempt}}}"#
-        ),
-        SchedEvent::TaskRetry { time, task, attempt, delay } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"attempt":{attempt},"delay":{delay}}}"#
-        ),
+        SchedEvent::TaskFailed { task, worker, lost_work, attempt, .. } => {
+            line.id("task", task);
+            line.id("worker", worker);
+            line.num("lost_work", lost_work);
+            line.id("attempt", attempt);
+        }
+        SchedEvent::TaskRetry { task, attempt, delay, .. } => {
+            line.id("task", task);
+            line.id("attempt", attempt);
+            line.num("delay", delay);
+        }
+    }
+    line.0.push(b'}');
+}
+
+/// One JSONL object being appended to a byte buffer, field by field.
+struct Line<'a>(&'a mut Vec<u8>);
+
+impl<'a> Line<'a> {
+    /// `{"type":"<kind>","time":<time>`
+    fn open(out: &'a mut Vec<u8>, kind: &str, time: f64) -> Self {
+        out.extend_from_slice(b"{\"type\":\"");
+        out.extend_from_slice(kind.as_bytes());
+        out.push(b'"');
+        let mut line = Line(out);
+        line.num("time", time);
+        line
+    }
+
+    /// `,"<name>":`
+    fn key(&mut self, name: &str) {
+        self.0.extend_from_slice(b",\"");
+        self.0.extend_from_slice(name.as_bytes());
+        self.0.extend_from_slice(b"\":");
+    }
+
+    fn num(&mut self, name: &str, value: f64) {
+        use std::fmt::Write;
+        self.key(name);
+        write!(self, "{value}").expect("writing to a Vec cannot fail");
+    }
+
+    fn id(&mut self, name: &str, value: u32) {
+        self.key(name);
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut rest = value;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.0.extend_from_slice(&digits[at..]);
+    }
+
+    fn text(&mut self, name: &str, value: &str) {
+        self.key(name);
+        self.0.push(b'"');
+        self.0.extend_from_slice(value.as_bytes());
+        self.0.push(b'"');
+    }
+}
+
+impl std::fmt::Write for Line<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -332,6 +401,122 @@ mod tests {
         let line3_start = full.lines().take(2).map(|l| l.len() + 1).sum::<usize>();
         assert_eq!(err.byte_offset, line3_start);
         assert!(err.to_string().contains("line 3"), "{err}");
+    }
+
+    /// Reference encoder: one `format!` per variant, the wire format as it
+    /// was first defined. `encode_into` must write the same bytes.
+    fn format_line(e: &SchedEvent) -> String {
+        let kind = e.kind();
+        match *e {
+            SchedEvent::TaskReady { time, task } => {
+                format!(r#"{{"type":"{kind}","time":{time},"task":{task}}}"#)
+            }
+            SchedEvent::TaskStart { time, task, worker, expected_end } => format!(
+                r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"expected_end":{expected_end}}}"#
+            ),
+            SchedEvent::TaskComplete { time, task, worker } => {
+                format!(r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker}}}"#)
+            }
+            SchedEvent::Spoliation { time, task, victim, thief, wasted_work } => format!(
+                r#"{{"type":"{kind}","time":{time},"task":{task},"victim":{victim},"thief":{thief},"wasted_work":{wasted_work}}}"#
+            ),
+            SchedEvent::WorkerIdleBegin { time, worker }
+            | SchedEvent::WorkerIdleEnd { time, worker } => {
+                format!(r#"{{"type":"{kind}","time":{time},"worker":{worker}}}"#)
+            }
+            SchedEvent::QueuePop { time, task, worker, end } => {
+                let end = match end {
+                    QueueEnd::Front => "front",
+                    QueueEnd::Back => "back",
+                };
+                format!(
+                    r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"end":"{end}"}}"#
+                )
+            }
+            SchedEvent::PolicyDecision { time, worker, decision } => {
+                let (verdict, target) = match decision {
+                    Decision::Pick(t) => ("pick", Some(t)),
+                    Decision::Spoliate(v) => ("spoliate", Some(v)),
+                    Decision::Idle => ("idle", None),
+                };
+                match target {
+                    Some(t) => format!(
+                        r#"{{"type":"{kind}","time":{time},"worker":{worker},"decision":"{verdict}","target":{t}}}"#
+                    ),
+                    None => format!(
+                        r#"{{"type":"{kind}","time":{time},"worker":{worker},"decision":"{verdict}"}}"#
+                    ),
+                }
+            }
+            SchedEvent::WorkerDown { time, worker, lost_task, permanent } => match lost_task {
+                Some(t) => format!(
+                    r#"{{"type":"{kind}","time":{time},"worker":{worker},"lost_task":{t},"permanent":{permanent}}}"#
+                ),
+                None => format!(
+                    r#"{{"type":"{kind}","time":{time},"worker":{worker},"permanent":{permanent}}}"#
+                ),
+            },
+            SchedEvent::WorkerUp { time, worker } => {
+                format!(r#"{{"type":"{kind}","time":{time},"worker":{worker}}}"#)
+            }
+            SchedEvent::TaskFailed { time, task, worker, lost_work, attempt } => format!(
+                r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"lost_work":{lost_work},"attempt":{attempt}}}"#
+            ),
+            SchedEvent::TaskRetry { time, task, attempt, delay } => format!(
+                r#"{{"type":"{kind}","time":{time},"task":{task},"attempt":{attempt},"delay":{delay}}}"#
+            ),
+        }
+    }
+
+    /// Every variant (and every optional-field and enum shape) with all
+    /// float fields set to `x` and all ids to `id`.
+    fn every_shape(x: f64, id: u32) -> Vec<SchedEvent> {
+        vec![
+            SchedEvent::TaskReady { time: x, task: id },
+            SchedEvent::TaskStart { time: x, task: id, worker: id, expected_end: x },
+            SchedEvent::TaskComplete { time: x, task: id, worker: id },
+            SchedEvent::Spoliation { time: x, task: id, victim: id, thief: id, wasted_work: x },
+            SchedEvent::WorkerIdleBegin { time: x, worker: id },
+            SchedEvent::WorkerIdleEnd { time: x, worker: id },
+            SchedEvent::QueuePop { time: x, task: id, worker: id, end: QueueEnd::Front },
+            SchedEvent::QueuePop { time: x, task: id, worker: id, end: QueueEnd::Back },
+            SchedEvent::PolicyDecision { time: x, worker: id, decision: Decision::Pick(id) },
+            SchedEvent::PolicyDecision { time: x, worker: id, decision: Decision::Spoliate(id) },
+            SchedEvent::PolicyDecision { time: x, worker: id, decision: Decision::Idle },
+            SchedEvent::WorkerDown { time: x, worker: id, lost_task: Some(id), permanent: true },
+            SchedEvent::WorkerDown { time: x, worker: id, lost_task: None, permanent: false },
+            SchedEvent::WorkerUp { time: x, worker: id },
+            SchedEvent::TaskFailed { time: x, task: id, worker: id, lost_work: x, attempt: id },
+            SchedEvent::TaskRetry { time: x, task: id, attempt: id, delay: x },
+        ]
+    }
+
+    #[test]
+    fn encode_into_writes_the_format_bytes() {
+        let floats = [0.0, -0.0, 5e-324, 0.1 + 0.2, 1e21, 1e300, 1.5, -2.75, 123456.789];
+        let ids = [0, 7, 10, 99_999, u32::MAX];
+        let mut buf = b"prefix ".to_vec();
+        for x in floats {
+            for id in ids {
+                for e in every_shape(x, id) {
+                    let want = format_line(&e);
+                    assert_eq!(event_line(&e), want);
+                    // Appends after what the buffer already holds.
+                    buf.truncate(7);
+                    encode_into(&e, &mut buf);
+                    assert_eq!(&buf[7..], want.as_bytes());
+                    assert_eq!(&buf[..7], b"prefix ");
+                }
+            }
+        }
+        // Mixed values within one line, as real events carry them.
+        let e = SchedEvent::TaskStart {
+            time: 0.1 + 0.2,
+            task: 3,
+            worker: u32::MAX,
+            expected_end: -0.0,
+        };
+        assert_eq!(event_line(&e), format_line(&e));
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub use journal::{
     DamageKind, FileJournal, Journal, JournalDamage, JournalError, JournalSink, MemJournal,
     SyncPolicy,
 };
-pub use jsonl::{event_line, jsonl, parse_event_line, parse_jsonl, JsonlError};
+pub use jsonl::{encode_into, event_line, jsonl, parse_event_line, parse_jsonl, JsonlError};
 pub use sink::{NullSink, TeeSink, TraceSink, VecSink};
 pub use summary::{TraceSummary, WorkerStats};

@@ -41,6 +41,10 @@ cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 --audit \
 cargo run -q -p heteroprio-cli -- audit --cpus 2 --gpus 1 \
     --trace "$tmp/trace.jsonl" "$tmp/instance.txt"
 cargo run -q -p heteroprio-cli -- audit cholesky 8 --cpus 2 --gpus 1
+# 19,600 tasks, a DAG stream of Pick decisions: the pop-order rule must stay
+# sub-linear per pop (a full ready-set scan per pop makes this step seconds
+# long in the debug build).
+cargo run -q -p heteroprio-cli -- audit cholesky 48 --cpus 20 --gpus 4
 
 echo "== recovery smoke: journal a run, kill it mid-flight, resume, diff traces"
 cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 \

@@ -11,7 +11,8 @@ use heteroprio::core::{
     heteroprio as hp, heteroprio_traced, HeteroPrioConfig, Instance, Platform, ResourceKind, Task,
 };
 use heteroprio::trace::{
-    chrome_trace, json, jsonl, ChromeTraceOptions, SchedEvent, TraceSummary, VecSink,
+    chrome_trace, json, jsonl, ChromeTraceOptions, FileJournal, Journal, JournalSink, SchedEvent,
+    TraceSummary, VecSink,
 };
 use proptest::prelude::*;
 
@@ -210,4 +211,37 @@ fn fig1_jsonl_lines_all_parse() {
     // The queue events only live tracing can provide are present.
     assert!(sink.events.iter().any(|e| matches!(e, SchedEvent::QueuePop { .. })));
     assert!(sink.events.iter().any(|e| matches!(e, SchedEvent::TaskReady { .. })));
+}
+
+/// The HPJL1 journal of the Fig. 1 run, byte for byte as the format was
+/// first written: new code must frame the same bytes, and journals written
+/// by older builds must still recover.
+const FIG1_JOURNAL: &[u8] = include_bytes!("golden/fig1.hpjl");
+
+#[test]
+fn fig1_journal_matches_the_golden_bytes() {
+    let platform = Platform::new(2, 1);
+    let path = std::env::temp_dir().join(format!("hp-golden-fig1-{}.hpjl", std::process::id()));
+    let mut journal = FileJournal::create(&path).expect("create journal");
+    let mut events = VecSink::new();
+    {
+        let mut sink = JournalSink::new(&mut journal);
+        let mut both = heteroprio::trace::TeeSink(&mut events, &mut sink);
+        heteroprio_traced(&fig1_instance(), &platform, &HeteroPrioConfig::new(), &mut both);
+        assert!(sink.error().is_none());
+    }
+    journal.sync().expect("sync journal");
+    drop(journal);
+    let written = std::fs::read(&path).expect("read journal back");
+    std::fs::remove_file(&path).ok();
+    assert!(written == FIG1_JOURNAL, "the Fig. 1 journal's bytes changed");
+
+    // The golden file recovers to the run's event stream, undamaged.
+    let golden =
+        std::env::temp_dir().join(format!("hp-golden-fig1-{}-in.hpjl", std::process::id()));
+    std::fs::write(&golden, FIG1_JOURNAL).expect("write golden copy");
+    let (recovered, damage) = FileJournal::recover(&golden).expect("recover golden journal");
+    std::fs::remove_file(&golden).ok();
+    assert!(damage.is_none(), "{damage:?}");
+    assert_eq!(recovered, events.events);
 }
