@@ -99,6 +99,37 @@ fn audit_accepts_a_clean_trace_and_rejects_a_corrupted_one() {
 }
 
 #[test]
+fn audit_reports_a_worker_beyond_the_platform_instead_of_panicking() {
+    let instance = scratch("audit-worker-instance.txt");
+    std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();
+    let trace = scratch("audit-worker-trace.jsonl");
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1", "--trace"])
+        .arg(&trace)
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli schedule");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    // Move worker 2's runs onto worker 9, which a 3-worker platform lacks.
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(text.contains("\"worker\":2"), "expected a run on worker 2 in:\n{text}");
+    std::fs::write(&trace, text.replace("\"worker\":2", "\"worker\":9")).unwrap();
+    let out = bin()
+        .args(["audit", "--cpus", "2", "--gpus", "1", "--trace"])
+        .arg(&trace)
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli audit (unknown worker)");
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown worker W9"), "violation missing from stderr:\n{stderr}");
+
+    let _ = std::fs::remove_file(&instance);
+    let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
 fn audit_flag_and_workload_form_audit_clean() {
     let instance = scratch("audit-flag.txt");
     std::fs::write(&instance, "28.8 1.0\n8.72 1.0\n1.72 1.0\n1.0 3.0\n2.0 6.0\n").unwrap();

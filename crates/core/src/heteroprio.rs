@@ -275,8 +275,8 @@ impl Workload for IndependentWorkload<'_> {
 ///
 /// The canonical two-class platform keeps Algorithm 1's double-ended
 /// sorted queue verbatim (its pops and `QueueEnd` annotations are pinned
-/// by the parity suites); a `k ≥ 3` platform uses the per-class-pair
-/// [`ClassQueue`], whose argmax pop degenerates to the same front/back
+/// by the parity suites); a `k ≥ 3` platform uses the [`ClassQueue`],
+/// whose per-class-pair argmax pop degenerates to the same front/back
 /// discipline at `k = 2`.
 enum ReadyQueue {
     Deque(VecDeque<TaskId>),
@@ -361,7 +361,8 @@ impl SnapshotPolicy for IndependentPolicy<'_> {
     // The default `restore` (re-announce via `on_ready`) is exact here:
     // `sorted_queue` is a deterministic total order under Priority ties and
     // a stable sort under InsertionOrder ties, so feeding back the saved
-    // queue order reproduces it.
+    // queue order reproduces it; a `ClassQueue` saves its push order, which
+    // re-pushing reproduces in every class pair.
 }
 
 /// The independent-task engine: every task of `instance` ready at time

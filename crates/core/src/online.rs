@@ -144,8 +144,10 @@ impl Workload for ReleaseWorkload<'_> {
 }
 
 /// Algorithm 1's queue discipline over an incrementally-maintained
-/// [`ClassQueue`]: arrivals insert in O(log n) instead of re-sorting (at
-/// k = 2 the queue is the bucketed `AffinityQueue` inside).
+/// [`ClassQueue`]: arrivals are pushed instead of re-sorting the ready
+/// set. At k = 2 a push is the bucketed `AffinityQueue`'s (O(1) in
+/// order, an ordered insert otherwise); at k ≥ 3 it is one heap push per
+/// class, O(k log n).
 pub struct OnlineQueuePolicy<'a> {
     instance: &'a Instance,
     config: HeteroPrioConfig,

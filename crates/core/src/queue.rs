@@ -32,9 +32,10 @@
 //! the `queue_parity` proptests, and the `kernel_parity` suite).
 
 use crate::heteroprio::QueueTieBreak;
-use crate::model::{ClassId, Instance, ResourceKind, TaskId};
+use crate::model::{ClassId, Instance, ResourceKind, TaskId, MAX_CLASSES};
 use crate::time::F64Ord;
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Key ordering: ascending = the GPU end of the queue.
 type Key = (F64Ord, F64Ord, u64, TaskId);
@@ -62,6 +63,25 @@ fn bucket_of(rho: f64) -> usize {
     // raw <= BUCKET_COUNT - 1 by construction; const overflow is a
     // compile error.
     (BUCKET_COUNT - 1) - raw
+}
+
+/// The tie component of a queue key for a task of ratio `rho`: the
+/// priority, oriented so the highest priority sits closest to the end
+/// whose class the ratio favours, or 0 under insertion order.
+#[inline]
+fn tie_key(tie: QueueTieBreak, rho: f64, priority: f64) -> f64 {
+    match tie {
+        QueueTieBreak::Priority => {
+            // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1 exactly
+            // is a documented policy choice (the accelerated-side tie rule applies).
+            if rho >= 1.0 {
+                -priority
+            } else {
+                priority
+            }
+        }
+        QueueTieBreak::InsertionOrder => 0.0,
+    }
 }
 
 /// A dynamic ready queue ordered by acceleration factor.
@@ -99,18 +119,7 @@ impl AffinityQueue {
             Ok(rho) => rho,
             Err(e) => panic!("cannot queue {task}: {e}"),
         };
-        let tie = match self.tie {
-            QueueTieBreak::Priority => {
-                // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1 exactly
-                // is a documented policy choice (GPU-side tie rule applies).
-                if rho >= 1.0 {
-                    -t.priority
-                } else {
-                    t.priority
-                }
-            }
-            QueueTieBreak::InsertionOrder => 0.0,
-        };
+        let tie = tie_key(self.tie, rho, t.priority);
         let seq = self.seq;
         self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
         (F64Ord::new(-rho), F64Ord::new(tie), seq, task)
@@ -219,46 +228,138 @@ pub enum PopSide {
     Back,
 }
 
-/// The ready queue generalized to `k` resource classes: one
-/// affinity-ordered queue per unordered class pair `{a, b}`, keyed by the
-/// pair ratio `ρ_ab = t_a / t_b`. A worker of class `c` pops the candidate
-/// with the largest relative speedup on `c` across the `k − 1` pairs that
-/// involve `c` — the argmax generalization of "GPUs pop the front, CPUs
-/// the back".
+/// Most unordered class pairs a task can have.
+const MAX_PAIRS: usize = MAX_CLASSES * (MAX_CLASSES - 1) / 2;
+
+/// Index of the pair `{a, b}` (`a < b < k`) in row-major
+/// upper-triangular order.
+#[inline]
+fn pair_index(k: usize, a: usize, b: usize) -> usize {
+    debug_assert!(a < b && b < k);
+    a * (2 * k - a - 1) / 2 + (b - a - 1)
+}
+
+/// `queued` value of a task that is not in the queue.
+const NOT_QUEUED: u64 = u64::MAX;
+
+/// A task's entry in class `c`'s heap: its best pair `{c, d}` for `c`,
+/// with that pair's exact key turned so that larger is better for `c`.
+///
+/// Field order is comparison order. Within one heap every entry has its
+/// own push sequence number, so `task` never decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Entry {
+    /// Relative speedup on `c`: `ρ_dc` when `d < c`, `1 / ρ_cd` when
+    /// `d > c` — computed exactly as the pair's extreme is judged.
+    advantage: F64Ord,
+    /// The other class `d`; the lowest wins equal advantages.
+    other: Reverse<u8>,
+    /// The pair key `(−ρ, tie, seq)` as is when `c` takes the pair's back
+    /// (largest key), negated when `c` takes its front (smallest key).
+    rho: F64Ord,
+    tie: F64Ord,
+    seq: u64,
+    task: TaskId,
+}
+
+impl Entry {
+    /// Class `c`'s entry for `task` over the pair `{c, d}` with ratio
+    /// `rho = ρ_ab = t_a / t_b`, `a < b`, pushed with sequence `seq`.
+    #[inline]
+    fn new(c: usize, d: usize, rho: f64, tie: f64, seq: u64, task: TaskId) -> Entry {
+        let other = Reverse(u8::try_from(d).expect("class index < MAX_CLASSES"));
+        if c > d {
+            // `c` is the pair's `b`: it takes the front, the smallest key.
+            Entry {
+                advantage: F64Ord::new(rho),
+                other,
+                rho: F64Ord::new(rho),
+                tie: F64Ord::new(-tie),
+                seq: !seq,
+                task,
+            }
+        } else {
+            Entry {
+                advantage: F64Ord::new(1.0 / rho),
+                other,
+                rho: F64Ord::new(-rho),
+                tie: F64Ord::new(tie),
+                seq,
+                task,
+            }
+        }
+    }
+
+    /// Which end of the pair `{c, d}` this entry of class `c` pops from.
+    #[inline]
+    fn side(&self, c: usize) -> PopSide {
+        if c > usize::from(self.other.0) {
+            PopSide::Front
+        } else {
+            PopSide::Back
+        }
+    }
+
+    /// The push sequence number this entry was made with.
+    #[inline]
+    fn push_seq(&self, c: usize) -> u64 {
+        match self.side(c) {
+            PopSide::Front => !self.seq,
+            PopSide::Back => self.seq,
+        }
+    }
+}
+
+/// The ready queue generalized to `k` resource classes. Every unordered
+/// class pair `{a, b}` orders the tasks by the pair ratio
+/// `ρ_ab = t_a / t_b` under the exact key `(−ρ_ab, tie, seq, id)`, and a
+/// worker of class `c` pops the task with the largest relative speedup on
+/// `c` across the `k − 1` pairs that involve `c`: each pair offers its
+/// extreme in `c`'s direction, the largest advantage wins (strict `>`, so
+/// the lowest other class wins ties). This is the argmax generalization
+/// of "GPUs pop the front, CPUs the back".
 ///
 /// On the canonical two-class platform there is exactly one pair, and the
 /// structure *is* the bucketed [`AffinityQueue`] (same keys, same pops:
 /// bit-identical order, pinned by `two_class_matches_affinity_queue`
-/// below). For `k ≥ 3` every task sits in `k−1` relevant pairs, so each
-/// pair holds an exact sorted set and a pop eagerly removes the task's
-/// entries from the other pairs (`O(k² log n)`, still cheap for the class
-/// counts [`MAX_CLASSES`](crate::model::MAX_CLASSES) allows).
+/// below).
+///
+/// For `k ≥ 3` the queue keeps **one binary max-heap per class**. Class
+/// `c`'s pop is the maximum over all `(task, d)` of
+/// `(advantage, lowest d, pair key in c's direction)`, so each task needs
+/// only its best pair for `c`: push computes the `k(k−1)/2` ratios once
+/// and pushes one `Entry` per class heap. A pop leaves the task's
+/// entries in the other heaps behind as stale (their sequence number no
+/// longer matches the task's), skips them when they surface, and compacts
+/// every heap once stale entries outnumber queued tasks. Push is
+/// `O(k log n)`, pop `O(k log n + k²)` amortized.
 #[derive(Clone, Debug)]
 pub struct ClassQueue {
     tie: QueueTieBreak,
     k: usize,
     /// `k == 2` fast path: the single pair, bucketed.
     two: Option<AffinityQueue>,
-    /// `k ≥ 3`: one sorted set per pair `(a, b)`, `a < b`, indexed by
-    /// [`ClassQueue::pair_index`]. Ascending key order = class-`b` end.
-    pairs: Vec<BTreeSet<Key>>,
-    /// Per-task keys currently sitting in `pairs` (by task index), so a
-    /// pop can remove the task from every other pair exactly.
-    keys: Vec<Option<Vec<Key>>>,
+    /// `k ≥ 3`: one max-heap of `Entry`s per class.
+    heaps: Vec<BinaryHeap<Entry>>,
+    /// Push sequence number of each queued task (by index), or
+    /// `NOT_QUEUED`; an entry with another sequence number is stale.
+    queued: Vec<u64>,
     live: usize,
+    /// Stale entries across all heaps.
+    stale: usize,
     seq: u64,
 }
 
 impl ClassQueue {
     /// A queue for platforms with `k` resource classes.
     pub fn new(k: usize, tie: QueueTieBreak) -> Self {
-        assert!(k >= 2, "class queue needs at least two classes");
-        let (two, pairs) = if k == 2 {
+        assert!((2..=MAX_CLASSES).contains(&k), "class queue needs 2..={MAX_CLASSES} classes");
+        let (two, heaps) = if k == 2 {
             (Some(AffinityQueue::new(tie)), Vec::new())
         } else {
-            (None, vec![BTreeSet::new(); k * (k - 1) / 2])
+            (None, vec![BinaryHeap::new(); k])
         };
-        ClassQueue { tie, k, two, pairs, keys: Vec::new(), live: 0, seq: 0 }
+        ClassQueue { tie, k, two, heaps, queued: Vec::new(), live: 0, stale: 0, seq: 0 }
     }
 
     /// Number of classes this queue was sized for.
@@ -266,54 +367,50 @@ impl ClassQueue {
         self.k
     }
 
-    /// Index of the pair `{a, b}` (`a < b`) in row-major upper-triangular
-    /// order.
-    #[inline]
-    fn pair_index(&self, a: usize, b: usize) -> usize {
-        debug_assert!(a < b && b < self.k);
-        a * (2 * self.k - a - 1) / 2 + (b - a - 1)
-    }
-
-    /// Insert a ready task.
+    /// Insert a ready task. A task already in the queue takes a fresh
+    /// sequence number, as if popped and pushed again.
     pub fn push(&mut self, instance: &Instance, task: TaskId) {
         if let Some(two) = &mut self.two {
             two.push(instance, task);
             return;
         }
         let t = instance.task(task);
-        let seq = self.seq;
-        self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
-        let mut keys = Vec::with_capacity(self.k - 1);
+        let mut ratios = [0.0; MAX_PAIRS];
         for a in 0..self.k {
             for b in (a + 1)..self.k {
                 let rho = match t.try_affinity(ClassId::from(a), ClassId::from(b)) {
                     Ok(rho) => rho,
                     Err(e) => panic!("cannot queue {task}: {e}"),
                 };
-                let tie = match self.tie {
-                    QueueTieBreak::Priority => {
-                        // lint: allow(float-ord): orientation branch, not arithmetic — the
-                        // pair ratio exactly 1 takes the accelerated-side tie rule, same
-                        // boundary choice as the two-class queue.
-                        if rho >= 1.0 {
-                            -t.priority
-                        } else {
-                            t.priority
-                        }
-                    }
-                    QueueTieBreak::InsertionOrder => 0.0,
-                };
-                let key = (F64Ord::new(-rho), F64Ord::new(tie), seq, task);
-                let idx = self.pair_index(a, b);
-                self.pairs.get_mut(idx).expect("pair_index < pair count").insert(key);
-                keys.push(key);
+                *ratios.get_mut(pair_index(self.k, a, b)).expect("pair_index < MAX_PAIRS") = rho;
             }
         }
-        if self.keys.len() <= task.index() {
-            self.keys.resize(task.index() + 1, None);
+        let seq = self.seq;
+        self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
+        if self.queued.len() <= task.index() {
+            self.queued.resize(task.index() + 1, NOT_QUEUED);
         }
-        *self.keys.get_mut(task.index()).expect("resized above") = Some(keys);
-        self.live += 1;
+        let slot = self.queued.get_mut(task.index()).expect("resized above");
+        if *slot == NOT_QUEUED {
+            self.live += 1;
+        } else {
+            self.stale += self.k;
+        }
+        *slot = seq;
+        let (k, tie) = (self.k, self.tie);
+        for (c, heap) in self.heaps.iter_mut().enumerate() {
+            let best = (0..k)
+                .filter(|&d| d != c)
+                .map(|d| {
+                    let rho = *ratios
+                        .get(pair_index(k, c.min(d), c.max(d)))
+                        .expect("pair_index < MAX_PAIRS");
+                    Entry::new(c, d, rho, tie_key(tie, rho, t.priority), seq, task)
+                })
+                .max()
+                .expect("k >= 3 gives every class another class");
+            heap.push(best);
+        }
     }
 
     /// Pop the task best suited to a worker of class `class`: the argmax
@@ -331,56 +428,28 @@ impl ClassQueue {
             };
         }
         let c = class.index();
-        assert!(c < self.k, "class {class} out of range (k = {})", self.k);
-        let mut best: Option<(f64, usize, PopSide, Key)> = None;
-        for d in 0..self.k {
-            if d == c {
-                continue;
+        let Some(heap) = self.heaps.get_mut(c) else {
+            panic!("class {class} out of range (k = {})", self.k);
+        };
+        let entry = loop {
+            let top = heap.pop()?;
+            let slot = self.queued.get_mut(top.task.index()).expect("queued task has a slot");
+            if *slot == top.push_seq(c) {
+                *slot = NOT_QUEUED;
+                break top;
             }
-            let (a, b) = (c.min(d), c.max(d));
-            let idx = self.pair_index(a, b);
-            let set = self.pairs.get(idx).expect("pair_index < pair count");
-            // Ascending key order is descending ρ_ab = t_a / t_b: the
-            // first element favours class b most, the last class a most.
-            let (key, side) =
-                if c == b { (set.first(), PopSide::Front) } else { (set.last(), PopSide::Back) };
-            let Some(&key) = key else { continue };
-            let rho = -(key.0).0;
-            let advantage = match side {
-                PopSide::Front => rho,
-                PopSide::Back => 1.0 / rho,
-            };
-            // lint: allow(float-ord): argmax selection over positive finite
-            // ratios; construction rejects NaN before keys are built.
-            let better = match &best {
-                None => true,
-                Some((adv, ..)) => advantage > *adv,
-            };
-            if better {
-                best = Some((advantage, idx, side, key));
-            }
-        }
-        let (_, winner_idx, side, key) = best?;
-        let task = key.3;
-        self.pairs.get_mut(winner_idx).expect("pair_index < pair count").remove(&key);
-        let keys = self
-            .keys
-            .get_mut(task.index())
-            .and_then(Option::take)
-            .expect("popped task has recorded keys");
-        for (idx, k) in Self::pair_indices(self.k).zip(&keys) {
-            if idx != winner_idx {
-                self.pairs.get_mut(idx).expect("pair_index < pair count").remove(k);
-            }
-        }
+            self.stale -= 1;
+        };
         self.live -= 1;
-        Some((task, side))
-    }
-
-    /// Pair indices in the push order (`(0,1), (0,2), …`), matching the
-    /// layout of the per-task key vectors.
-    fn pair_indices(k: usize) -> impl Iterator<Item = usize> {
-        (0..k).flat_map(move |a| ((a + 1)..k).map(move |b| a * (2 * k - a - 1) / 2 + (b - a - 1)))
+        self.stale += self.k - 1;
+        if self.stale > self.live {
+            let queued = &self.queued;
+            for (c, heap) in self.heaps.iter_mut().enumerate() {
+                heap.retain(|e| queued.get(e.task.index()) == Some(&e.push_seq(c)));
+            }
+            self.stale = 0;
+        }
+        Some((entry.task, entry.side(c)))
     }
 
     pub fn len(&self) -> usize {
@@ -394,22 +463,23 @@ impl ClassQueue {
         self.len() == 0
     }
 
-    /// Tasks in snapshot order. On a two-class queue this is the exact
+    /// Tasks in snapshot order: re-pushing them in this order into a fresh
+    /// queue reproduces every pop. On a two-class queue this is the exact
     /// accelerated-to-decelerated order of the underlying
-    /// [`AffinityQueue`]; for `k ≥ 3` it is the `(0, 1)` pair's order —
-    /// re-pushing reproduces every pair's ρ order exactly and the `(0, 1)`
-    /// pair's FIFO ties, which is the strongest order a single linear
-    /// snapshot can preserve across `k−1` interleaved tie spaces.
+    /// [`AffinityQueue`]; for `k ≥ 3` it is push order, which keeps every
+    /// pair's FIFO ties because fresh sequence numbers ascend in it.
     pub fn iter(&self) -> Box<dyn Iterator<Item = TaskId> + '_> {
         match &self.two {
             Some(two) => Box::new(two.iter()),
-            None => Box::new(
-                self.pairs
-                    .first()
-                    .expect("k >= 3 queue has pairs")
-                    .iter()
-                    .map(|&(_, _, _, task)| task),
-            ),
+            None => {
+                let mut live: Vec<(u64, TaskId)> = (0u32..)
+                    .zip(&self.queued)
+                    .filter(|&(_, &seq)| seq != NOT_QUEUED)
+                    .map(|(i, &seq)| (seq, TaskId(i)))
+                    .collect();
+                live.sort_unstable();
+                Box::new(live.into_iter().map(|(_, task)| task))
+            }
         }
     }
 }
@@ -655,6 +725,43 @@ mod tests {
         // Spoliation re-push: the task returns and is poppable again.
         q.push(&inst, TaskId(0));
         assert_eq!(q.pop(ClassId(0)).unwrap().0, TaskId(0));
+    }
+
+    #[test]
+    fn three_class_repush_of_a_queued_task_keeps_one_copy() {
+        let inst = Instance::from_class_times(&[&[2.0, 2.0, 1.0], &[2.0, 2.0, 1.0]]);
+        let mut q = ClassQueue::new(3, QueueTieBreak::InsertionOrder);
+        q.push(&inst, TaskId(0));
+        q.push(&inst, TaskId(1));
+        q.push(&inst, TaskId(0));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![TaskId(1), TaskId(0)]);
+        assert_eq!(q.pop(ClassId(2)).map(|(t, _)| t), Some(TaskId(1)), "T0 lost its FIFO place");
+        assert_eq!(q.pop(ClassId(0)).map(|(t, _)| t), Some(TaskId(0)));
+        assert_eq!(q.pop(ClassId(1)), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn three_class_snapshot_rebuild_keeps_fifo_ties_in_every_pair() {
+        // T0 and T1 tie in pair (0, 2) (ρ = 2 for both) but not in pair
+        // (0, 1), so a snapshot in (0, 1) order would re-push T1 first and
+        // hand class 2 the wrong tie. Push order keeps every pair's ties.
+        let inst = Instance::from_class_times(&[&[2.0, 2.0, 1.0], &[4.0, 2.0, 2.0]]);
+        let mut live = ClassQueue::new(3, QueueTieBreak::InsertionOrder);
+        for id in inst.ids() {
+            live.push(&inst, id);
+        }
+        let saved: Vec<TaskId> = live.iter().collect();
+        assert_eq!(saved, vec![TaskId(0), TaskId(1)]);
+        let mut rebuilt = ClassQueue::new(3, QueueTieBreak::InsertionOrder);
+        for &t in &saved {
+            rebuilt.push(&inst, t);
+        }
+        assert_eq!(live.pop(ClassId(2)), Some((TaskId(0), PopSide::Front)));
+        assert_eq!(rebuilt.pop(ClassId(2)), Some((TaskId(0), PopSide::Front)));
+        assert_eq!(rebuilt.pop(ClassId(0)), live.pop(ClassId(0)));
+        assert!(rebuilt.is_empty() && live.is_empty());
     }
 
     #[test]

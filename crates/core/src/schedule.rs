@@ -343,14 +343,20 @@ impl Schedule {
     /// before the task would have completed (otherwise they should have
     /// completed). Meaningless under stochastic execution times — fault
     /// runs use [`Schedule::validate_structure`] which skips this check.
+    /// Runs naming an unknown task or worker are skipped here:
+    /// [`check_membership`](Schedule::check_membership) reports them.
     pub fn check_durations(
         &self,
         instance: &Instance,
         platform: &Platform,
         max_overhead: f64,
     ) -> Result<(), ScheduleError> {
+        let calibrated = |r: &TaskRun| {
+            (r.task.index() < instance.len() && r.worker.index() < platform.workers())
+                .then(|| instance.task(r.task).time_on(platform.class_of(r.worker)))
+        };
         for r in &self.runs {
-            let expected = instance.task(r.task).time_on(platform.class_of(r.worker));
+            let Some(expected) = calibrated(r) else { continue };
             let within_band = approx_eq(r.duration(), expected)
                 || (r.duration() >= expected && approx_le(r.duration(), expected + max_overhead));
             if !within_band {
@@ -362,7 +368,8 @@ impl Schedule {
             }
         }
         for r in &self.aborted {
-            let full = instance.task(r.task).time_on(platform.class_of(r.worker)) + max_overhead;
+            let Some(time) = calibrated(r) else { continue };
+            let full = time + max_overhead;
             if r.duration() >= full + tol(r.duration(), full) {
                 return Err(ScheduleError::AbortedTooLong {
                     task: r.task,
@@ -374,14 +381,15 @@ impl Schedule {
         Ok(())
     }
 
-    /// No two runs (completed or aborted) overlap on the same worker.
+    /// No two runs (completed or aborted) overlap on the same worker. Runs
+    /// on a worker the platform does not have are skipped here:
+    /// [`check_membership`](Schedule::check_membership) reports them.
     pub fn check_overlap(&self, platform: &Platform) -> Result<(), ScheduleError> {
         let mut per_worker: Vec<Vec<&TaskRun>> = vec![Vec::new(); platform.workers()];
         for r in self.runs.iter().chain(&self.aborted) {
-            per_worker
-                .get_mut(r.worker.index())
-                .expect("worker ids bounded by platform.workers()")
-                .push(r);
+            if let Some(runs) = per_worker.get_mut(r.worker.index()) {
+                runs.push(r);
+            }
         }
         for (w, runs) in per_worker.iter_mut().enumerate() {
             // Sort by (start, end) so zero-length aborted runs sort before a

@@ -11,7 +11,9 @@
 //! (identical ρ, tie key and — for the priority rule — priority) must
 //! survive any number of such round trips.
 
-use heteroprio_core::{AffinityQueue, Instance, QueueTieBreak, ResourceKind, Task, TaskId};
+use heteroprio_core::{
+    AffinityQueue, ClassId, ClassQueue, Instance, QueueTieBreak, ResourceKind, Task, TaskId,
+};
 use proptest::prelude::*;
 
 /// Frozen copy of the `BTreeSet`-based `AffinityQueue` exactly as it stood
@@ -251,6 +253,153 @@ proptest! {
                 prop_assert_eq!(bucketed.pop(ResourceKind::Gpu), oracle.pop(ResourceKind::Gpu));
                 prop_assert_eq!(bucketed.pop(ResourceKind::Cpu), oracle.pop(ResourceKind::Cpu));
             }
+        }
+    }
+}
+
+/// Brute-force oracle for the `k ≥ 3` [`ClassQueue`] rule, O(n) per pop:
+/// for class `c`, each pair `{c, d}` offers its extreme task in `c`'s
+/// direction under the pair key `(−ρ_ab, tie, seq, id)`; the pair whose
+/// extreme has the largest advantage (`ρ_ab` when `c = b`, `1 / ρ_ab`
+/// when `c = a`) wins under strict `>`, so the lowest `d` wins ties.
+mod oracle {
+    use super::frozen::Ord64;
+    use heteroprio_core::queue::PopSide;
+    use heteroprio_core::{ClassId, Instance, QueueTieBreak, TaskId};
+
+    type Key = (Ord64, Ord64, u64, TaskId);
+
+    pub struct ArgmaxOracle {
+        k: usize,
+        tie: QueueTieBreak,
+        /// Live tasks with the sequence number of their push.
+        live: Vec<(TaskId, u64)>,
+        seq: u64,
+    }
+
+    impl ArgmaxOracle {
+        pub fn new(k: usize, tie: QueueTieBreak) -> Self {
+            ArgmaxOracle { k, tie, live: Vec::new(), seq: 0 }
+        }
+
+        pub fn push(&mut self, task: TaskId) {
+            self.live.push((task, self.seq));
+            self.seq += 1;
+        }
+
+        pub fn len(&self) -> usize {
+            self.live.len()
+        }
+
+        fn key(&self, instance: &Instance, (task, seq): (TaskId, u64), a: usize, b: usize) -> Key {
+            let t = instance.task(task);
+            let rho = t.affinity(ClassId::from(a), ClassId::from(b));
+            let tie = match self.tie {
+                QueueTieBreak::Priority => {
+                    if rho >= 1.0 {
+                        -t.priority
+                    } else {
+                        t.priority
+                    }
+                }
+                QueueTieBreak::InsertionOrder => 0.0,
+            };
+            (Ord64(-rho), Ord64(tie), seq, task)
+        }
+
+        pub fn pop(&mut self, instance: &Instance, c: usize) -> Option<(TaskId, PopSide)> {
+            let mut best: Option<(f64, PopSide, usize)> = None;
+            for d in (0..self.k).filter(|&d| d != c) {
+                let (a, b) = (c.min(d), c.max(d));
+                let keyed =
+                    self.live.iter().enumerate().map(|(i, &e)| (self.key(instance, e, a, b), i));
+                let (extreme, side) = if c == b {
+                    (keyed.min_by_key(|&(key, _)| key), PopSide::Front)
+                } else {
+                    (keyed.max_by_key(|&(key, _)| key), PopSide::Back)
+                };
+                let Some((key, i)) = extreme else { continue };
+                let rho = -(key.0).0;
+                let advantage = if c == b { rho } else { 1.0 / rho };
+                if best.is_none_or(|(adv, ..)| advantage > adv) {
+                    best = Some((advantage, side, i));
+                }
+            }
+            let (_, side, i) = best?;
+            Some((self.live.remove(i).0, side))
+        }
+    }
+}
+
+/// Drive `ClassQueue` and the argmax oracle through one op script on a
+/// `k`-class instance, re-pushing popped tasks (the spoliation path) and
+/// rebuilding the queue from its snapshot order (the resume path).
+fn check_class_script(
+    k: usize,
+    tie: QueueTieBreak,
+    rows: &[(Vec<usize>, usize)],
+    ops: &[(u8, usize)],
+) {
+    let mut inst = Instance::new();
+    for (times, p) in rows {
+        let times: Vec<f64> = times.iter().take(k).map(|&t| (t + 1) as f64).collect();
+        inst.push(Task::from_times(&times).with_priority(PRIORITIES[p % PRIORITIES.len()]));
+    }
+    let n = inst.len();
+    let mut queue = ClassQueue::new(k, tie);
+    let mut oracle = oracle::ArgmaxOracle::new(k, tie);
+    let mut queued = vec![false; n];
+    for (step, &(op, sel)) in ops.iter().enumerate() {
+        if op < 2 {
+            // Push the first task at or after `sel` that is not queued;
+            // popped tasks come back here, as a spoliated task does.
+            let Some(t) = (0..n).map(|i| (sel + i) % n).find(|&t| !queued[t]) else { continue };
+            queued[t] = true;
+            queue.push(&inst, TaskId(t as u32));
+            oracle.push(TaskId(t as u32));
+        } else if op == 4 {
+            let saved: Vec<TaskId> = queue.iter().collect();
+            queue = ClassQueue::new(k, tie);
+            for t in saved {
+                queue.push(&inst, t);
+            }
+        } else {
+            let c = sel % k;
+            let got = queue.pop(ClassId::from(c));
+            prop_assert_eq!(
+                got,
+                oracle.pop(&inst, c),
+                "class {} pop diverged at step {} (k = {}, {:?})",
+                c,
+                step,
+                k,
+                tie
+            );
+            if let Some((t, _)) = got {
+                queued[t.index()] = false;
+            }
+        }
+        prop_assert_eq!(queue.len(), oracle.len(), "len diverged at step {}", step);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The k ≥ 3 queue pops exactly what the brute-force argmax rule pops,
+    // under heavy ties (integer times in 1..=5), both tie-break modes and
+    // interleaved push/pop/re-push/snapshot-rebuild.
+    #[test]
+    fn class_queue_matches_brute_force_argmax_oracle(
+        rows in prop::collection::vec(
+            (prop::collection::vec(0usize..5, 4..5), 0usize..3),
+            1..20,
+        ),
+        ops in prop::collection::vec((0u8..5, 0usize..64), 1..160),
+    ) {
+        for k in [3, 4] {
+            check_class_script(k, QueueTieBreak::Priority, &rows, &ops);
+            check_class_script(k, QueueTieBreak::InsertionOrder, &rows, &ops);
         }
     }
 }

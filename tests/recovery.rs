@@ -12,7 +12,8 @@
 use heteroprio::core::kernel::{self, Checkpoints, EngineError, KernelOutcome, Resume, Run};
 use heteroprio::core::{
     heteroprio_traced, independent, journaled, CrashPlan, HeteroPrioConfig, HeteroPrioResult,
-    Instance, KernelSnapshot, MemCheckpointStore, Platform, ResumeError, TaskRun,
+    Instance, KernelSnapshot, MemCheckpointStore, Platform, QueueTieBreak, ResumeError, Task,
+    TaskRun,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
@@ -126,6 +127,39 @@ fn independent_engine_recovers_from_every_crash_point() {
                 crash_at,
                 checkpoint_every,
             );
+        }
+    }
+}
+
+/// At k = 3 a checkpoint's saved ready order must restore every class
+/// pair's FIFO ties, not only pair (0, 1)'s. A tie-heavy instance (a few
+/// integer-time shapes, repeated) on one worker per class is swept over
+/// every crash point with frequent checkpoints, under both tie rules.
+#[test]
+fn three_class_engine_recovers_ties_from_every_crash_point() {
+    const SHAPES: [[f64; 3]; 4] =
+        [[2.0, 2.0, 1.0], [4.0, 2.0, 2.0], [1.0, 2.0, 2.0], [2.0, 1.0, 2.0]];
+    let mut instance = Instance::new();
+    for i in 0..16 {
+        let shape = &SHAPES[(i * 3 + i / 4) % SHAPES.len()];
+        instance.push(Task::from_times(shape).with_priority((i % 2) as f64));
+    }
+    let platform = Platform::from_counts(&[1, 1, 1]);
+    for queue_tie in [QueueTieBreak::InsertionOrder, QueueTieBreak::Priority] {
+        let config = HeteroPrioConfig { queue_tie, ..HeteroPrioConfig::new() };
+        let reference = independent_reference(&instance, &platform, &config);
+        let total = reference.0.len() as u64;
+        for crash_at in 1..=total {
+            for checkpoint_every in [None, Some(2), Some(5)] {
+                crash_resume_independent(
+                    &instance,
+                    &platform,
+                    &config,
+                    &reference,
+                    crash_at,
+                    checkpoint_every,
+                );
+            }
         }
     }
 }
