@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use heteroprio_bench::bench_instance;
 use heteroprio_core::{heteroprio, HeteroPrioConfig, QueueTieBreak};
-use heteroprio_experiments::DagAlgo;
+use heteroprio_experiments::{run_dag, DAG_PAPER};
 use heteroprio_schedulers::{heft, HeftVariant};
 use heteroprio_taskgraph::{cholesky, WeightScheme};
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
@@ -29,12 +29,9 @@ fn report_quality() {
             without.makespan()
         );
         let g = cholesky(16, &ChameleonTiming);
-        for algo in [DagAlgo::HeteroPrioAvg, DagAlgo::HeteroPrioMin] {
-            eprintln!(
-                "[ablation] ranking {}: makespan {:.1}",
-                algo.name(),
-                algo.run(&g, &platform).makespan()
-            );
+        for (name, algo) in &DAG_PAPER[..2] {
+            let makespan = run_dag(*algo, &g, &platform).makespan();
+            eprintln!("[ablation] ranking {name}: makespan {makespan:.1}");
         }
     });
 }
@@ -77,11 +74,10 @@ fn ranking_ablation(c: &mut Criterion) {
     let g = cholesky(12, &ChameleonTiming);
     let mut group = c.benchmark_group("ablation_ranking");
     group.sample_size(10);
-    for algo in
-        [DagAlgo::HeteroPrioAvg, DagAlgo::HeteroPrioMin, DagAlgo::DualHpFifo, DagAlgo::DualHpAvg]
-    {
-        group.bench_function(algo.name(), |b| {
-            b.iter(|| black_box(algo.run(&g, &platform).makespan()))
+    // HeteroPrio-avg/min, DualHP-fifo/avg.
+    for &(name, algo) in &DAG_PAPER[..4] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(run_dag(algo, &g, &platform).makespan()))
         });
     }
     group.finish();

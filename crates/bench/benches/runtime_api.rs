@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heteroprio_bench::bench_instance;
 use heteroprio_core::Platform;
+use heteroprio_metrics::NullRegistry;
 use heteroprio_runtime::{submit_cholesky, Runtime, Scheduler};
-use heteroprio_schedulers::{heuristic_schedule, Heuristic};
+use heteroprio_schedulers::{HeftVariant, IndepAlgo};
 use heteroprio_taskgraph::{expected_task_count, Factorization, WeightScheme};
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
 use std::hint::black_box;
@@ -44,9 +45,10 @@ fn heuristics_cost(c: &mut Criterion) {
     let platform = paper_platform();
     let instance = bench_instance(2_000);
     let mut group = c.benchmark_group("heuristics_cost");
-    for h in Heuristic::ALL {
-        group.bench_function(h.name(), |b| {
-            b.iter(|| black_box(heuristic_schedule(h, &instance, &platform).makespan()))
+    for h in IndepAlgo::HEURISTICS {
+        group.bench_function(h.label(), |b| {
+            let run = || h.run(&instance, &platform, HeftVariant::Insertion, &NullRegistry);
+            b.iter(|| black_box(run().makespan()))
         });
     }
     group.finish();

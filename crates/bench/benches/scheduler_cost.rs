@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heteroprio_bench::bench_instance;
 use heteroprio_core::{heteroprio, HeteroPrioConfig};
-use heteroprio_experiments::IndepAlgo;
+use heteroprio_experiments::{run_indep, IndepAlgo};
 use heteroprio_schedulers::dualhp_independent;
 use heteroprio_workloads::paper_platform;
 use std::hint::black_box;
@@ -25,7 +25,7 @@ fn scheduler_cost(c: &mut Criterion) {
             b.iter(|| black_box(dualhp_independent(inst, &platform).makespan()))
         });
         group.bench_with_input(BenchmarkId::new("heft", size), &instance, |b, inst| {
-            b.iter(|| black_box(IndepAlgo::Heft.run(inst, &platform).makespan()))
+            b.iter(|| black_box(run_indep(IndepAlgo::Heft, inst, &platform).makespan()))
         });
     }
     group.finish();

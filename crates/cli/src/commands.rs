@@ -5,20 +5,19 @@ use crate::format::{parse_instance_k, serialize_instance};
 use heteroprio_audit::{audit, schedule_from_events, AuditOptions, AuditReport, StreamAuditor};
 use heteroprio_bounds::{combined_lower_bound, optimal_makespan, MAX_EXACT_TASKS};
 use heteroprio_core::gantt::to_svg;
-use heteroprio_core::kernel::{self, metric, Checkpoints, EngineError, Resume, Run};
+use heteroprio_core::kernel::{self, metric, Checkpoints, EngineError, Resume};
 use heteroprio_core::{
-    heteroprio, heteroprio_metered, independent, journaled, ClassTable, CrashPlan,
-    FileCheckpointStore, HeteroPrioConfig, Instance, MeteredJournal, Platform, ResumeError,
-    Schedule,
+    independent, ClassTable, CrashPlan, FileCheckpointStore, Instance, MeteredJournal, Platform,
+    ResumeError, Schedule,
 };
 use heteroprio_metrics::{InMemoryRegistry, MetricsRegistry, NullRegistry};
 use heteroprio_runtime::{Execution, Outcome};
-use heteroprio_schedulers::{dualhp_independent, heft, heuristic_schedule, HeftVariant, Heuristic};
+use heteroprio_schedulers::{HeftVariant, IndepAlgo, Scheduler};
 use heteroprio_simulator::{FaultPlan, FaultSpec, RetryPolicy};
-use heteroprio_taskgraph::{Factorization, TaskGraph, WeightScheme};
+use heteroprio_taskgraph::Factorization;
 use heteroprio_trace::{
     chrome_trace, jsonl, parse_jsonl, ChromeTraceOptions, FileJournal, Journal, SchedEvent,
-    TeeSink, TraceSummary, VecSink,
+    TraceSink, TraceSummary,
 };
 use heteroprio_workloads::{independent_instance, ChameleonTiming};
 use std::fmt::Write as _;
@@ -26,8 +25,8 @@ use std::fmt::Write as _;
 /// Extra outputs a command may produce alongside its text report.
 #[derive(Clone, Debug, Default)]
 pub struct OutputOpts {
-    /// Render the schedule as an SVG Gantt chart.
-    pub svg: bool,
+    /// Render the schedule as an SVG Gantt chart to this file.
+    pub svg: Option<String>,
     /// Export the scheduler's event stream to this file. A `.jsonl`
     /// extension selects the JSONL exporter; anything else gets Chrome
     /// `trace_event` JSON (open in <https://ui.perfetto.dev>).
@@ -132,8 +131,8 @@ impl FaultOpts {
 #[derive(Clone, Debug)]
 pub struct CmdOutput {
     pub report: String,
-    pub svg: Option<String>,
-    /// `(path, contents)` of the requested trace export.
+    /// `(path, contents)` of the requested SVG and trace exports.
+    pub svg: Option<(String, String)>,
     pub trace: Option<(String, String)>,
 }
 
@@ -271,125 +270,31 @@ fn metrics_report(registry: &InMemoryRegistry, summary: &TraceSummary) -> Result
     Ok(snapshot.render())
 }
 
-/// Which scheduler the `schedule` command runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    HeteroPrio,
-    HeteroPrioNoSpoliation,
-    DualHp,
-    Heft,
-    MinMin,
-    MaxMin,
-    Sufferage,
-    Mct,
-}
-
-impl Algo {
-    pub fn parse(s: &str) -> Option<Algo> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "hp" | "heteroprio" => Algo::HeteroPrio,
-            "hp-ns" | "heteroprio-ns" => Algo::HeteroPrioNoSpoliation,
-            "dualhp" => Algo::DualHp,
-            "heft" => Algo::Heft,
-            "minmin" => Algo::MinMin,
-            "maxmin" => Algo::MaxMin,
-            "sufferage" => Algo::Sufferage,
-            "mct" => Algo::Mct,
-            _ => return None,
-        })
-    }
-
-    pub const NAMES: &'static str = "hp, hp-ns, dualhp, heft, minmin, maxmin, sufferage, mct";
-
-    /// The engine configuration for the instrumented (live-traced)
-    /// HeteroPrio variants; `None` for the static algorithms.
-    fn config(self) -> Option<HeteroPrioConfig> {
-        match self {
-            Algo::HeteroPrio => Some(HeteroPrioConfig::new()),
-            Algo::HeteroPrioNoSpoliation => Some(HeteroPrioConfig::without_spoliation()),
-            _ => None,
-        }
-    }
-
-    /// Run the scheduler and also return its event stream: live events for
-    /// the instrumented HeteroPrio variants, metered into `metrics`; a
-    /// stream reconstructed from the finished schedule for the static
-    /// algorithms, which never enter the kernel and so record no metrics
-    /// (`cmd_schedule` rejects `--metrics` for them).
-    pub fn trace(
-        self,
-        instance: &Instance,
-        platform: &Platform,
-        metrics: &dyn MetricsRegistry,
-    ) -> (Schedule, Vec<SchedEvent>) {
-        match self.config() {
-            Some(config) => {
-                let mut sink = VecSink::new();
-                let result = heteroprio_metered(instance, platform, &config, &mut sink, metrics);
-                (result.schedule, sink.into_events())
-            }
-            None => {
-                let schedule = self.run(instance, platform);
-                let events = schedule.to_events(platform);
-                (schedule, events)
-            }
-        }
-    }
-
-    pub fn run(self, instance: &Instance, platform: &Platform) -> Schedule {
-        match self {
-            Algo::HeteroPrio => heteroprio(instance, platform, &HeteroPrioConfig::new()).schedule,
-            Algo::HeteroPrioNoSpoliation => {
-                heteroprio(instance, platform, &HeteroPrioConfig::without_spoliation()).schedule
-            }
-            Algo::DualHp => dualhp_independent(instance, platform),
-            Algo::Heft => heft(
-                &TaskGraph::independent(instance.clone()),
-                platform,
-                WeightScheme::Avg,
-                HeftVariant::Insertion,
-            ),
-            Algo::MinMin => heuristic_schedule(Heuristic::MinMin, instance, platform),
-            Algo::MaxMin => heuristic_schedule(Heuristic::MaxMin, instance, platform),
-            Algo::Sufferage => heuristic_schedule(Heuristic::Sufferage, instance, platform),
-            Algo::Mct => heuristic_schedule(Heuristic::Mct, instance, platform),
-        }
-    }
-}
-
-/// Outcome of a journaled run: either the injected crash fired (the report
-/// is final and the command exits cleanly — the crash is the point of the
-/// harness), or the run completed and flows into the normal report path.
+/// Outcome of a run: either the injected crash fired (the report is final
+/// and the command exits cleanly — the crash is the point of the harness),
+/// or the run completed and flows into the normal report path.
 enum DurableRun<T> {
     Crashed(String),
     Done { value: T, notes: Vec<String> },
 }
 
-/// How the engine call inside a journaled run ended.
-enum Journaled<T> {
-    Done(T),
-    Crashed { time: f64, events: u64 },
-}
-
-/// The durable knobs a journaled engine call receives: the (metered)
-/// journal, to be committed through [`journaled`], the crash plan, the
-/// checkpoint cadence and store, and on `resume` the recovered record.
-struct Durable<'d> {
-    journal: &'d mut dyn Journal,
-    crash: CrashPlan,
-    checkpoints: Option<Checkpoints<'d>>,
-    resume: Option<Resume<'d>>,
-}
-
-/// The one journaled-run path of `schedule`, `dag` and `resume`: create
-/// the journal — or recover it and its checkpoint on `resume` — meter it
-/// into `metrics`, hand `run` the durable knobs, and turn the outcome into
-/// report notes or the crash report.
+/// The one run path of `schedule`, `dag`, `audit` and `resume`: hand `run`
+/// the run's [`Execution`] — its metrics registry and, under a durable
+/// flag, its journal, crash plan, checkpoints and recovered record. A
+/// durable run creates the journal — or recovers it and its checkpoint on
+/// `resume` — meters it into `metrics`, and turns the outcome into report
+/// notes or the crash report.
 fn journaled_run<T>(
     d: &DurableOpts,
     metrics: &dyn MetricsRegistry,
-    run: impl FnOnce(Durable<'_>) -> Result<Journaled<T>, String>,
+    run: impl FnOnce(Execution<'_>) -> Result<Outcome<T>, String>,
 ) -> Result<DurableRun<T>, String> {
+    if !d.active() {
+        return match run(Execution { metrics, ..Execution::default() })? {
+            Outcome::Completed(value) => Ok(DurableRun::Done { value, notes: Vec::new() }),
+            Outcome::Crashed { .. } => Err("crashed without a crash plan".to_string()),
+        };
+    }
     let path = d.journal.as_deref().ok_or("durable runs need --journal PATH")?;
     let mut notes = Vec::new();
     let (journal, recovered, snapshot) = if d.resume {
@@ -401,15 +306,17 @@ fn journaled_run<T>(
     let mut journal = MeteredJournal::new(journal, metrics);
     let mut store = d.snapshot.as_deref().filter(|_| !d.resume).map(FileCheckpointStore::new);
     let every = d.checkpoint_every.unwrap_or(64);
-    let durable = Durable {
-        journal: &mut journal,
+    let durable = Execution {
+        record: false,
+        metrics,
+        journal: Some(&mut journal),
         crash: d.crash_at.map(CrashPlan::at_event).unwrap_or(CrashPlan::NONE),
         checkpoints: store.as_mut().map(|store| Checkpoints { every, store }),
         resume: d.resume.then_some(Resume { journal: &recovered, snapshot: snapshot.as_ref() }),
     };
     let value = match run(durable) {
-        Ok(Journaled::Done(value)) => value,
-        Ok(Journaled::Crashed { time, events }) => {
+        Ok(Outcome::Completed(value)) => value,
+        Ok(Outcome::Crashed { time, events }) => {
             return Ok(DurableRun::Crashed(crash_report(path, time, events, store.as_mut())))
         }
         Err(e) if d.resume => return Err(format!("resume failed: {e}")),
@@ -489,35 +396,66 @@ fn open_journal(
     Ok((journal, prefix))
 }
 
-/// The journaling/crash/resume path of the `schedule` command
-/// (independent tasks through the live HeteroPrio kernel).
-fn durable_schedule_run(
+/// A finished independent-task run: the schedule, its event stream (empty
+/// unless the flags need it) and, under `--audit`, the audit report.
+struct IndepRun {
+    schedule: Schedule,
+    events: Vec<SchedEvent>,
+    audit: Option<AuditReport>,
+}
+
+/// Parse an instance file for `table`'s classes; empty is an error.
+fn read_instance(text: &str, table: &ClassTable) -> Result<Instance, String> {
+    let instance = parse_instance_k(text, table.k()).map_err(|e| e.to_string())?;
+    if instance.is_empty() {
+        return Err("instance is empty".to_string());
+    }
+    Ok(instance)
+}
+
+/// Run an independent-task algorithm observed as `opts` asks. A live
+/// algorithm is one kernel call whose sink (the event recorder, teed into
+/// the streaming auditor under `--audit`), registry and journal come from
+/// the flags. A static one runs, then has its event stream reconstructed
+/// from the schedule and batch-audited.
+fn run_indep(
     instance: &Instance,
     platform: &Platform,
-    algo: Algo,
-    d: &DurableOpts,
+    algo: IndepAlgo,
+    opts: &OutputOpts,
     metrics: &dyn MetricsRegistry,
-) -> Result<DurableRun<(Schedule, Vec<SchedEvent>)>, String> {
-    let config = algo.config().ok_or_else(|| {
-        format!(
-            "--journal/--crash-at/resume need the live kernel; {algo:?} is a \
-             static algorithm that never enters it (use hp or hp-ns)"
-        )
-    })?;
-    journaled_run(d, metrics, |d| {
+) -> Result<DurableRun<IndepRun>, String> {
+    let audit_opts = audit_opts(algo);
+    let Some(config) = algo.config() else {
+        let schedule = algo.run(instance, platform, HeftVariant::Insertion, metrics);
+        let events = if opts.wants_events() { schedule.to_events(platform) } else { Vec::new() };
+        let audit = opts.audit.then(|| audit(instance, platform, &schedule, &events, &audit_opts));
+        return Ok(DurableRun::Done {
+            value: IndepRun { schedule, events, audit },
+            notes: Vec::new(),
+        });
+    };
+    let mut auditor = opts.audit.then(|| StreamAuditor::new(instance, platform, audit_opts));
+    let ran = journaled_run(&opts.durable, metrics, |exec| {
         let (mut workload, mut policy) = independent(instance, platform, &config);
-        let mut events = VecSink::new();
-        let result = journaled(d.journal, &mut events, |sink| {
-            let Durable { crash, checkpoints, resume, .. } = d;
-            let spec = Run { crash, checkpoints, resume, ..Run::new(sink, metrics) };
+        let exec = Execution { record: opts.wants_events(), ..exec };
+        let observer = auditor.as_mut().map(|a| a as &mut dyn TraceSink);
+        let (result, events) = exec.drive(observer, |spec| {
             kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
         })?;
         match result {
-            Ok(outcome) => Ok(Journaled::Done((outcome.schedule, events.into_events()))),
+            Ok(outcome) => Ok(Outcome::Completed((outcome.schedule, events))),
             Err(ResumeError::Engine(EngineError::Crashed { time, events })) => {
-                Ok(Journaled::Crashed { time, events })
+                Ok(Outcome::Crashed { time, events })
             }
             Err(e) => Err(e.to_string()),
+        }
+    })?;
+    Ok(match ran {
+        DurableRun::Crashed(report) => DurableRun::Crashed(report),
+        DurableRun::Done { value: (schedule, events), notes } => {
+            let audit = auditor.map(|auditor| auditor.finish(&schedule));
+            DurableRun::Done { value: IndepRun { schedule, events, audit }, notes }
         }
     })
 }
@@ -526,71 +464,33 @@ fn durable_schedule_run(
 pub fn cmd_schedule(
     text: &str,
     table: &ClassTable,
-    algo: Algo,
+    algo: IndepAlgo,
     opts: &OutputOpts,
 ) -> Result<CmdOutput, String> {
     let platform = &table.platform();
-    let instance = parse_instance_k(text, table.k()).map_err(|e| e.to_string())?;
-    if instance.is_empty() {
-        return Err("instance is empty".to_string());
-    }
-    if opts.metrics && algo.config().is_none() {
-        return Err(format!(
-            "--metrics instruments the live kernel; {algo:?} is a static \
-             algorithm that never enters it (use hp or hp-ns)"
-        ));
+    let instance = read_instance(text, table)?;
+    if !algo.is_live() {
+        let why = format!("{algo:?} is a static algorithm that never enters it (use hp or hp-ns)");
+        if opts.metrics {
+            return Err(format!("--metrics instruments the live kernel; {why}"));
+        }
+        if opts.durable.active() {
+            return Err(format!("--journal/--crash-at/resume need the live kernel; {why}"));
+        }
     }
     let registry = InMemoryRegistry::new();
     let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
-    // Under `--audit`, live HeteroPrio runs stream their events through the
-    // online auditor as the engine emits them (a tee also records the stream
-    // for `--trace`/`--summary`); static algorithms are batch-audited on the
-    // stream reconstructed from their finished schedule. Durable runs go
-    // through the journaling kernel and are batch-audited afterwards.
-    let (schedule, events, audit_report, notes) = if opts.durable.active() {
-        match durable_schedule_run(&instance, platform, algo, &opts.durable, metrics)? {
+    let (IndepRun { schedule, events, audit }, notes) =
+        match run_indep(&instance, platform, algo, opts, metrics)? {
             DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
-            DurableRun::Done { value: (schedule, events), notes } => {
-                let report = opts
-                    .audit
-                    .then(|| audit(&instance, platform, &schedule, &events, &audit_opts(algo)));
-                (schedule, events, report, notes)
-            }
-        }
-    } else {
-        let (schedule, events, audit_report) = match (opts.audit, algo.config()) {
-            (true, Some(config)) => {
-                let mut sink = VecSink::new();
-                let mut auditor = StreamAuditor::new(&instance, platform, audit_opts(algo));
-                let result = heteroprio_metered(
-                    &instance,
-                    platform,
-                    &config,
-                    &mut TeeSink(&mut sink, &mut auditor),
-                    metrics,
-                );
-                let report = auditor.finish(&result.schedule);
-                (result.schedule, sink.into_events(), Some(report))
-            }
-            (true, None) => {
-                let (schedule, events) = algo.trace(&instance, platform, &NullRegistry);
-                let report = audit(&instance, platform, &schedule, &events, &audit_opts(algo));
-                (schedule, events, Some(report))
-            }
-            (false, _) if opts.wants_events() => {
-                let (schedule, events) = algo.trace(&instance, platform, metrics);
-                (schedule, events, None)
-            }
-            (false, _) => (algo.run(&instance, platform), Vec::new(), None),
+            DurableRun::Done { value, notes } => (value, notes),
         };
-        (schedule, events, audit_report, Vec::new())
-    };
     schedule
         .validate(&instance, platform)
         .map_err(|e| format!("internal error: invalid schedule: {e}"))?;
     let lb = combined_lower_bound(&instance, platform);
     let mut out = String::new();
-    let _ = writeln!(out, "{} tasks on {}, algorithm {:?}", instance.len(), describe(table), algo);
+    let _ = writeln!(out, "{} tasks on {}, algorithm {algo:?}", instance.len(), describe(table));
     for note in &notes {
         let _ = writeln!(out, "{note}");
     }
@@ -608,15 +508,14 @@ pub fn cmd_schedule(
         );
     }
     out.push_str(&schedule.render_ascii(platform, 72));
+    let summary = TraceSummary::from_events(platform.workers(), &events);
     if opts.summary {
-        let summary = TraceSummary::from_events(platform.workers(), &events);
         out.push_str(&format_summary(&summary, table));
     }
     if opts.metrics {
-        let summary = TraceSummary::from_events(platform.workers(), &events);
         out.push_str(&metrics_report(&registry, &summary)?);
     }
-    if let Some(report) = &audit_report {
+    if let Some(report) = &audit {
         out.push_str(&finish_audit(report)?);
     }
     let trace = opts.trace.as_ref().map(|path| {
@@ -624,7 +523,7 @@ pub fn cmd_schedule(
             ChromeTraceOptions { worker_names: worker_names(table), task_names: Vec::new() };
         (path.clone(), render_trace(&events, path, &chrome_opts))
     });
-    let svg = opts.svg.then(|| to_svg(&schedule, &instance, platform));
+    let svg = opts.svg.clone().map(|path| (path, to_svg(&schedule, &instance, platform)));
     Ok(CmdOutput { report: out, svg, trace })
 }
 
@@ -640,17 +539,19 @@ fn finish_audit(report: &AuditReport) -> Result<String, String> {
     }
 }
 
-/// Audit options matching what an independent-task `Algo` run guarantees.
-fn audit_opts(algo: Algo) -> AuditOptions {
+/// Audit options matching what an independent-task algorithm guarantees.
+fn audit_opts(algo: IndepAlgo) -> AuditOptions {
     match algo {
-        Algo::HeteroPrio => AuditOptions::independent(),
+        IndepAlgo::HeteroPrio => AuditOptions::independent(),
         // The queue discipline still applies without spoliation, but the
         // theorem constants are proven for full HeteroPrio only (§3 shows
         // the ratio is unbounded otherwise) — report, don't enforce.
-        Algo::HeteroPrioNoSpoliation => AuditOptions { dag: true, ..AuditOptions::independent() },
+        IndepAlgo::HeteroPrioNoSpoliation => {
+            AuditOptions { dag: true, ..AuditOptions::independent() }
+        }
         // DualHP gets its informational partition/no-steal rules on top of
         // the generic certificate checks.
-        Algo::DualHp => AuditOptions::dualhp(),
+        IndepAlgo::DualHp => AuditOptions::dualhp(),
         _ => AuditOptions::generic(),
     }
 }
@@ -658,26 +559,28 @@ fn audit_opts(algo: Algo) -> AuditOptions {
 /// `audit`: check a recorded run — or a fresh traced one — against the
 /// paper's invariants. With `trace_text` (a JSONL export), the schedule is
 /// rebuilt from the events and audited as-is; otherwise the algorithm runs
-/// live with tracing.
+/// under `--audit`.
 pub fn cmd_audit(
     text: &str,
     table: &ClassTable,
-    algo: Algo,
+    algo: IndepAlgo,
     trace_text: Option<&str>,
 ) -> Result<String, String> {
     let platform = &table.platform();
-    let instance = parse_instance_k(text, table.k()).map_err(|e| e.to_string())?;
-    if instance.is_empty() {
-        return Err("instance is empty".to_string());
-    }
-    let (schedule, events) = match trace_text {
+    let instance = read_instance(text, table)?;
+    let report = match trace_text {
         Some(t) => {
             let events = parse_jsonl(t)?;
-            (schedule_from_events(&events), events)
+            audit(&instance, platform, &schedule_from_events(&events), &events, &audit_opts(algo))
         }
-        None => algo.trace(&instance, platform, &NullRegistry),
+        None => {
+            let opts = OutputOpts { audit: true, ..OutputOpts::default() };
+            match run_indep(&instance, platform, algo, &opts, &NullRegistry)? {
+                DurableRun::Done { value: IndepRun { audit: Some(report), .. }, .. } => report,
+                _ => return Err("audit run produced no report".to_string()),
+            }
+        }
     };
-    let report = audit(&instance, platform, &schedule, &events, &audit_opts(algo));
     finish_audit(&report)
 }
 
@@ -715,50 +618,13 @@ pub fn cmd_bounds(text: &str, table: &ClassTable) -> Result<String, String> {
     Ok(out)
 }
 
-/// Which DAG scheduler the `dag` command runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DagAlgoArg {
-    HeteroPrio,
-    DualHpFifo,
-    DualHp,
-    Heft,
-    List,
-}
-
-impl DagAlgoArg {
-    pub fn parse(s: &str) -> Option<DagAlgoArg> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "hp" | "heteroprio" => DagAlgoArg::HeteroPrio,
-            "dualhp-fifo" => DagAlgoArg::DualHpFifo,
-            "dualhp" => DagAlgoArg::DualHp,
-            "heft" => DagAlgoArg::Heft,
-            "list" => DagAlgoArg::List,
-            _ => return None,
-        })
-    }
-
-    pub const NAMES: &'static str = "hp, dualhp, dualhp-fifo, heft, list";
-
-    fn scheduler(self) -> heteroprio_runtime::Scheduler {
-        use heteroprio_runtime::Scheduler;
-        use heteroprio_schedulers::DualHpRank;
-        match self {
-            DagAlgoArg::HeteroPrio => Scheduler::HeteroPrio(WeightScheme::Min),
-            DagAlgoArg::DualHpFifo => Scheduler::DualHp(DualHpRank::Fifo, WeightScheme::Min),
-            DagAlgoArg::DualHp => Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Min),
-            DagAlgoArg::Heft => Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion),
-            DagAlgoArg::List => Scheduler::PriorityList(WeightScheme::Min),
-        }
-    }
-}
-
 /// `dag`: generate a factorization DAG, submit it through the runtime and
 /// schedule it, optionally under a fault plan.
 pub fn cmd_dag(
     kind: &str,
     n: usize,
     table: &ClassTable,
-    algo: DagAlgoArg,
+    algo: Scheduler,
     opts: &OutputOpts,
     faults: &FaultOpts,
 ) -> Result<CmdOutput, String> {
@@ -780,10 +646,17 @@ pub fn cmd_dag(
     if !matches!(kind_lc.as_str(), "cholesky" | "qr" | "lu") {
         return Err(format!("unknown workload `{kind_lc}` (cholesky, qr, lu)"));
     }
-    if opts.metrics && algo == DagAlgoArg::Heft {
-        return Err("--metrics instruments the live kernel; heft replays a static \
-             schedule and never enters it"
-            .to_string());
+    if !algo.is_live() {
+        if opts.metrics {
+            return Err("--metrics instruments the live kernel; heft replays a static \
+                 schedule and never enters it"
+                .to_string());
+        }
+        if opts.durable.active() {
+            return Err("static HEFT builds its schedule outside the kernel and cannot journal; \
+                 use an online scheduler"
+                .to_string());
+        }
     }
     let build = || {
         let mut rt = Runtime::new(*platform);
@@ -795,49 +668,25 @@ pub fn cmd_dag(
         rt
     };
     let (plan, baseline) = if faults.active() {
-        faults.plan(table, || build().run(algo.scheduler()).map(|r| r.makespan))?
+        faults.plan(table, || build().run(algo).map(|r| r.makespan))?
     } else {
         (FaultPlan::NONE, None)
     };
     let rt = build().with_faults(plan.clone());
     let registry = InMemoryRegistry::new();
     let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
-    let mut notes = Vec::new();
-    let report = if opts.durable.active() {
-        if !algo.scheduler().supports_durable() {
-            return Err("static HEFT builds its schedule outside the kernel and cannot journal; \
-                 use an online scheduler"
-                .to_string());
-        }
-        let ran = journaled_run(&opts.durable, metrics, |d| {
-            let exec = Execution {
-                record: true,
-                metrics,
-                journal: Some(d.journal),
-                crash: d.crash,
-                checkpoints: d.checkpoints,
-                resume: d.resume,
-            };
-            Ok(match rt.execute(algo.scheduler(), exec)? {
-                Outcome::Completed(report) => Journaled::Done(*report),
-                Outcome::Crashed { time, events } => Journaled::Crashed { time, events },
-            })
-        })?;
-        match ran {
-            DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
-            DurableRun::Done { value, notes: durable_notes } => {
-                notes = durable_notes;
-                value
-            }
-        }
-    } else {
-        let exec = Execution { record: opts.wants_events(), metrics, ..Execution::default() };
-        rt.execute(algo.scheduler(), exec)?.report().expect("no crash plan was given")
+    let ran = journaled_run(&opts.durable, metrics, |exec| {
+        let exec = Execution { record: opts.wants_events(), ..exec };
+        rt.execute(algo, exec)
+    })?;
+    let (report, notes) = match ran {
+        DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
+        DurableRun::Done { value, notes } => (*value, notes),
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{kind} N={n}: {} tasks, {} edges on {} ({algo:?})",
+        "{kind} N={n}: {} tasks, {} edges on {} ({algo})",
         report.graph.len(),
         report.graph.edge_count(),
         describe(table)
@@ -872,24 +721,23 @@ pub fn cmd_dag(
     if opts.metrics {
         out.push_str(&metrics_report(&registry, &report.summary)?);
     }
+    let instance = report.graph.instance();
     if opts.audit {
         let mut aopts = AuditOptions::dag_run(0.0, Some(report.lower_bound));
-        aopts.heteroprio = algo == DagAlgoArg::HeteroPrio;
+        aopts.heteroprio = matches!(algo, Scheduler::HeteroPrio(_));
         if faults.active() {
             aopts = aopts.with_faults();
         }
-        let audit_report =
-            audit(report.graph.instance(), platform, &report.schedule, &report.events, &aopts);
+        let audit_report = audit(instance, platform, &report.schedule, &report.events, &aopts);
         out.push_str(&finish_audit(&audit_report)?);
     }
     let trace = opts.trace.as_ref().map(|path| {
-        let task_names = (0..report.graph.len())
-            .map(|i| format!("{}[{i}]", report.graph.label(heteroprio_core::TaskId(i as u32))))
-            .collect();
+        let task_names =
+            instance.ids().map(|t| format!("{}[{}]", report.graph.label(t), t.0)).collect();
         let chrome_opts = ChromeTraceOptions { worker_names: worker_names(table), task_names };
         (path.clone(), render_trace(&report.events, path, &chrome_opts))
     });
-    let svg = opts.svg.then(|| to_svg(&report.schedule, report.graph.instance(), platform));
+    let svg = opts.svg.clone().map(|path| (path, to_svg(&report.schedule, instance, platform)));
     Ok(CmdOutput { report: out, svg, trace })
 }
 
@@ -941,36 +789,30 @@ mod tests {
     use super::*;
     use crate::format::parse_instance;
 
+    const HEFT: Scheduler =
+        Scheduler::Heft(heteroprio_taskgraph::WeightScheme::Avg, HeftVariant::Insertion);
+
     const SAMPLE: &str = "28.8 1.0\n8.72 1.0\n1.72 1.0\n1.0 3.0\n2.0 6.0\n";
 
     fn svg_only() -> OutputOpts {
-        OutputOpts { svg: true, ..OutputOpts::default() }
+        OutputOpts { svg: Some("out.svg".to_string()), ..OutputOpts::default() }
     }
 
     #[test]
     fn schedule_reports_every_field() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
-        let out = cmd_schedule(SAMPLE, &plat, Algo::HeteroPrio, &svg_only()).unwrap();
+        let out = cmd_schedule(SAMPLE, &plat, IndepAlgo::HeteroPrio, &svg_only()).unwrap();
         assert!(out.report.contains("makespan"));
         assert!(out.report.contains("ratio"));
         assert!(out.report.contains("CPU"));
-        assert!(out.svg.unwrap().starts_with("<svg"));
+        assert!(out.svg.unwrap().1.starts_with("<svg"));
         assert!(out.trace.is_none());
     }
 
     #[test]
     fn all_algorithms_run_from_the_cli_layer() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
-        for algo in [
-            Algo::HeteroPrio,
-            Algo::HeteroPrioNoSpoliation,
-            Algo::DualHp,
-            Algo::Heft,
-            Algo::MinMin,
-            Algo::MaxMin,
-            Algo::Sufferage,
-            Algo::Mct,
-        ] {
+        for algo in IndepAlgo::NAMES.map(|name| IndepAlgo::parse(name).unwrap()) {
             let out = cmd_schedule(SAMPLE, &plat, algo, &OutputOpts::default()).unwrap();
             assert!(out.report.contains("makespan"), "{algo:?}");
         }
@@ -981,12 +823,11 @@ mod tests {
         use heteroprio_trace::json;
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts {
-            svg: false,
             trace: Some("out.json".to_string()),
             summary: true,
             ..OutputOpts::default()
         };
-        for algo in [Algo::HeteroPrio, Algo::Heft, Algo::MinMin, Algo::DualHp] {
+        for algo in [IndepAlgo::HeteroPrio, IndepAlgo::Heft, IndepAlgo::MinMin, IndepAlgo::DualHp] {
             let out = cmd_schedule(SAMPLE, &plat, algo, &opts).unwrap();
             assert!(out.report.contains("trace summary"), "{algo:?}");
             assert!(out.report.contains("first idle"), "{algo:?}");
@@ -1011,12 +852,11 @@ mod tests {
         use heteroprio_trace::json;
         let plat = ClassTable::cpu_gpu(1, 1).unwrap();
         let opts = OutputOpts {
-            svg: false,
             trace: Some("out.jsonl".to_string()),
             summary: false,
             ..OutputOpts::default()
         };
-        let out = cmd_schedule(SAMPLE, &plat, Algo::HeteroPrio, &opts).unwrap();
+        let out = cmd_schedule(SAMPLE, &plat, IndepAlgo::HeteroPrio, &opts).unwrap();
         let (_, contents) = out.trace.unwrap();
         for line in contents.lines() {
             json::parse(line).expect("each JSONL line parses");
@@ -1031,7 +871,7 @@ mod tests {
         // HeteroPrio goes through the streaming auditor, HEFT and DualHP
         // through the batch path (DualHP with its partition rules enabled);
         // all must report clean and end up in the same report format.
-        for algo in [Algo::HeteroPrio, Algo::Heft, Algo::DualHp] {
+        for algo in [IndepAlgo::HeteroPrio, IndepAlgo::Heft, IndepAlgo::DualHp] {
             let out = cmd_schedule(SAMPLE, &plat, algo, &opts).unwrap();
             assert!(out.report.contains("audit clean"), "{algo:?}: {}", out.report);
         }
@@ -1041,7 +881,7 @@ mod tests {
     fn metrics_flag_reports_and_cross_checks() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { metrics: true, summary: true, ..OutputOpts::default() };
-        for algo in [Algo::HeteroPrio, Algo::HeteroPrioNoSpoliation] {
+        for algo in [IndepAlgo::HeteroPrio, IndepAlgo::HeteroPrioNoSpoliation] {
             let out = cmd_schedule(SAMPLE, &plat, algo, &opts).unwrap();
             assert!(out.report.contains("metrics:"), "{algo:?}: {}", out.report);
             assert!(out.report.contains("kernel_trace_events_total"), "{algo:?}");
@@ -1049,7 +889,7 @@ mod tests {
         }
         // Static algorithms never enter the kernel: refuse rather than
         // print an all-zero report.
-        let err = cmd_schedule(SAMPLE, &plat, Algo::Heft, &opts).unwrap_err();
+        let err = cmd_schedule(SAMPLE, &plat, IndepAlgo::Heft, &opts).unwrap_err();
         assert!(err.contains("static"), "{err}");
     }
 
@@ -1057,7 +897,7 @@ mod tests {
     fn metrics_flag_composes_with_audit_on_the_live_path() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { metrics: true, audit: true, ..OutputOpts::default() };
-        let out = cmd_schedule(SAMPLE, &plat, Algo::HeteroPrio, &opts).unwrap();
+        let out = cmd_schedule(SAMPLE, &plat, IndepAlgo::HeteroPrio, &opts).unwrap();
         assert!(out.report.contains("metrics:"), "{}", out.report);
         assert!(out.report.contains("audit clean"), "{}", out.report);
     }
@@ -1066,13 +906,11 @@ mod tests {
     fn dag_metrics_flag_reports_and_rejects_static_heft() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { metrics: true, ..OutputOpts::default() };
-        let out =
-            cmd_dag("cholesky", 4, &plat, DagAlgoArg::HeteroPrio, &opts, &FaultOpts::default())
-                .unwrap();
+        let out = cmd_dag("cholesky", 4, &plat, Scheduler::default(), &opts, &FaultOpts::default())
+            .unwrap();
         assert!(out.report.contains("kernel_events_total"), "{}", out.report);
         assert!(out.report.contains("kernel_tasks_completed_total"), "{}", out.report);
-        let err = cmd_dag("cholesky", 4, &plat, DagAlgoArg::Heft, &opts, &FaultOpts::default())
-            .unwrap_err();
+        let err = cmd_dag("cholesky", 4, &plat, HEFT, &opts, &FaultOpts::default()).unwrap_err();
         assert!(err.contains("static"), "{err}");
     }
 
@@ -1081,14 +919,6 @@ mod tests {
         let doc = cmd_perf(true, None).unwrap();
         assert!(doc.contains("\"schema\": \"heteroprio-bench-kernel\""), "{doc}");
         assert!(doc.contains("\"smoke\": true"), "{doc}");
-    }
-
-    #[test]
-    fn algo_names_parse() {
-        assert_eq!(Algo::parse("HP"), Some(Algo::HeteroPrio));
-        assert_eq!(Algo::parse("dualhp"), Some(Algo::DualHp));
-        assert_eq!(Algo::parse("sufferage"), Some(Algo::Sufferage));
-        assert_eq!(Algo::parse("nope"), None);
     }
 
     #[test]
@@ -1110,28 +940,22 @@ mod tests {
     #[test]
     fn dag_command_runs_every_scheduler() {
         let plat = ClassTable::cpu_gpu(3, 2).unwrap();
-        for algo in [
-            DagAlgoArg::HeteroPrio,
-            DagAlgoArg::DualHpFifo,
-            DagAlgoArg::DualHp,
-            DagAlgoArg::Heft,
-            DagAlgoArg::List,
-        ] {
+        for algo in Scheduler::NAMES.map(|name| Scheduler::parse(name).unwrap()) {
             let opts =
-                if algo == DagAlgoArg::HeteroPrio { svg_only() } else { OutputOpts::default() };
+                if algo == Scheduler::default() { svg_only() } else { OutputOpts::default() };
             let out = cmd_dag("cholesky", 5, &plat, algo, &opts, &FaultOpts::default()).unwrap();
             assert!(out.report.contains("makespan"), "{algo:?}");
             assert!(out.report.contains("DPOTRF"), "{algo:?}");
-            if algo == DagAlgoArg::HeteroPrio {
-                assert!(out.svg.unwrap().starts_with("<svg"));
+            if algo == Scheduler::default() {
+                assert!(out.svg.unwrap().1.starts_with("<svg"));
             }
         }
         let none = OutputOpts::default();
         assert!(
-            cmd_dag("fft", 5, &plat, DagAlgoArg::HeteroPrio, &none, &FaultOpts::default()).is_err()
+            cmd_dag("fft", 5, &plat, Scheduler::default(), &none, &FaultOpts::default()).is_err()
         );
         assert!(
-            cmd_dag("qr", 0, &plat, DagAlgoArg::HeteroPrio, &none, &FaultOpts::default()).is_err()
+            cmd_dag("qr", 0, &plat, Scheduler::default(), &none, &FaultOpts::default()).is_err()
         );
     }
 
@@ -1140,14 +964,12 @@ mod tests {
         use heteroprio_trace::json;
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts {
-            svg: false,
             trace: Some("chol.json".to_string()),
             summary: true,
             ..OutputOpts::default()
         };
-        let out =
-            cmd_dag("cholesky", 4, &plat, DagAlgoArg::HeteroPrio, &opts, &FaultOpts::default())
-                .unwrap();
+        let out = cmd_dag("cholesky", 4, &plat, Scheduler::default(), &opts, &FaultOpts::default())
+            .unwrap();
         let (_, contents) = out.trace.unwrap();
         let doc = json::parse(&contents).expect("valid chrome trace");
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -1164,17 +986,17 @@ mod tests {
     #[test]
     fn dag_runs_under_a_fault_spec() {
         let plat = ClassTable::cpu_gpu(4, 2).unwrap();
-        let opts = OutputOpts { svg: false, trace: None, summary: true, ..OutputOpts::default() };
+        let opts = OutputOpts { trace: None, summary: true, ..OutputOpts::default() };
         // All GPUs die at 25% of the fault-free makespan; % time forces a
         // baseline run, and the report shows the fault accounting.
         let faults = FaultOpts { spec: Some("gpu@25%".to_string()), ..FaultOpts::default() };
-        let out = cmd_dag("cholesky", 6, &plat, DagAlgoArg::HeteroPrio, &opts, &faults).unwrap();
+        let out = cmd_dag("cholesky", 6, &plat, Scheduler::default(), &opts, &faults).unwrap();
         assert!(out.report.contains("fault plan  : 2 worker faults"), "{}", out.report);
         assert!(out.report.contains("baseline    :"), "{}", out.report);
         assert!(out.report.contains("worker down : 2 failures, 0 recoveries"), "{}", out.report);
         // A transient single-worker fault with an absolute time needs no baseline.
         let faults = FaultOpts { spec: Some("w0@1+2".to_string()), ..FaultOpts::default() };
-        let out = cmd_dag("cholesky", 6, &plat, DagAlgoArg::HeteroPrio, &opts, &faults).unwrap();
+        let out = cmd_dag("cholesky", 6, &plat, Scheduler::default(), &opts, &faults).unwrap();
         assert!(!out.report.contains("baseline"), "{}", out.report);
         assert!(out.report.contains("1 failures, 1 recoveries"), "{}", out.report);
     }
@@ -1184,11 +1006,11 @@ mod tests {
         let plat = ClassTable::cpu_gpu(1, 1).unwrap();
         let opts = OutputOpts::default();
         let faults = FaultOpts { spec: Some("gpu@nonsense".to_string()), ..FaultOpts::default() };
-        let err = cmd_dag("cholesky", 4, &plat, DagAlgoArg::HeteroPrio, &opts, &faults);
+        let err = cmd_dag("cholesky", 4, &plat, Scheduler::default(), &opts, &faults);
         assert!(err.unwrap_err().contains("invalid fault plan"));
         // HEFT is static and must refuse fault injection.
         let faults = FaultOpts { spec: Some("w0@1+2".to_string()), ..FaultOpts::default() };
-        let err = cmd_dag("cholesky", 4, &plat, DagAlgoArg::Heft, &opts, &faults);
+        let err = cmd_dag("cholesky", 4, &plat, HEFT, &opts, &faults);
         assert!(err.unwrap_err().contains("fault injection"));
     }
 
@@ -1197,16 +1019,8 @@ mod tests {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts::default();
         let faults = FaultOpts { exec_jitter: 0.2, seed: Some(42), ..FaultOpts::default() };
-        let out = cmd_dag("cholesky", 5, &plat, DagAlgoArg::HeteroPrio, &opts, &faults).unwrap();
+        let out = cmd_dag("cholesky", 5, &plat, Scheduler::default(), &opts, &faults).unwrap();
         assert!(out.report.contains("jitter=0.2, seed=42"), "{}", out.report);
-    }
-
-    #[test]
-    fn dag_algo_names_parse() {
-        assert_eq!(DagAlgoArg::parse("hp"), Some(DagAlgoArg::HeteroPrio));
-        assert_eq!(DagAlgoArg::parse("dualhp-fifo"), Some(DagAlgoArg::DualHpFifo));
-        assert_eq!(DagAlgoArg::parse("LIST"), Some(DagAlgoArg::List));
-        assert_eq!(DagAlgoArg::parse("??"), None);
     }
 
     /// Unique temp paths for journal/snapshot files (tests run in parallel).
@@ -1224,7 +1038,7 @@ mod tests {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let (journal, snapshot) = temp_paths("sched");
         let trace_opts = OutputOpts { trace: Some("ref.jsonl".into()), ..OutputOpts::default() };
-        let reference = cmd_schedule(SAMPLE, &plat, Algo::HeteroPrio, &trace_opts).unwrap();
+        let reference = cmd_schedule(SAMPLE, &plat, IndepAlgo::HeteroPrio, &trace_opts).unwrap();
         let (_, ref_trace) = reference.trace.unwrap();
         let crash = OutputOpts {
             durable: DurableOpts {
@@ -1236,7 +1050,7 @@ mod tests {
             },
             ..OutputOpts::default()
         };
-        let out = cmd_schedule(SAMPLE, &plat, Algo::HeteroPrio, &crash).unwrap();
+        let out = cmd_schedule(SAMPLE, &plat, IndepAlgo::HeteroPrio, &crash).unwrap();
         assert!(out.report.contains("simulated crash after event 4"), "{}", out.report);
         assert!(out.report.contains("resume"), "{}", out.report);
         let resume = OutputOpts {
@@ -1250,7 +1064,7 @@ mod tests {
             },
             ..OutputOpts::default()
         };
-        let out = cmd_schedule(SAMPLE, &plat, Algo::HeteroPrio, &resume).unwrap();
+        let out = cmd_schedule(SAMPLE, &plat, IndepAlgo::HeteroPrio, &resume).unwrap();
         assert!(out.report.contains("resumed    : replayed 4"), "{}", out.report);
         assert!(out.report.contains("audit clean"), "{}", out.report);
         // The resumed trace is bit-identical to the uninterrupted one, and
@@ -1268,15 +1082,9 @@ mod tests {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let (journal, snapshot) = temp_paths("dag");
         let trace_opts = OutputOpts { trace: Some("ref.jsonl".into()), ..OutputOpts::default() };
-        let reference = cmd_dag(
-            "cholesky",
-            4,
-            &plat,
-            DagAlgoArg::HeteroPrio,
-            &trace_opts,
-            &FaultOpts::default(),
-        )
-        .unwrap();
+        let reference =
+            cmd_dag("cholesky", 4, &plat, Scheduler::default(), &trace_opts, &FaultOpts::default())
+                .unwrap();
         let (_, ref_trace) = reference.trace.unwrap();
         let crash = OutputOpts {
             durable: DurableOpts {
@@ -1289,7 +1097,7 @@ mod tests {
             ..OutputOpts::default()
         };
         let out =
-            cmd_dag("cholesky", 4, &plat, DagAlgoArg::HeteroPrio, &crash, &FaultOpts::default())
+            cmd_dag("cholesky", 4, &plat, Scheduler::default(), &crash, &FaultOpts::default())
                 .unwrap();
         assert!(out.report.contains("simulated crash after event 25"), "{}", out.report);
         let resume = OutputOpts {
@@ -1305,7 +1113,7 @@ mod tests {
             ..OutputOpts::default()
         };
         let out =
-            cmd_dag("cholesky", 4, &plat, DagAlgoArg::HeteroPrio, &resume, &FaultOpts::default())
+            cmd_dag("cholesky", 4, &plat, Scheduler::default(), &resume, &FaultOpts::default())
                 .unwrap();
         assert!(out.report.contains("resumed    : replayed 25"), "{}", out.report);
         assert!(out.report.contains("audit clean"), "{}", out.report);
@@ -1313,7 +1121,7 @@ mod tests {
         assert!(out.report.contains("journal_appends_total"), "{}", out.report);
         assert_eq!(out.trace.unwrap().1, ref_trace);
         // A journal recorded for different inputs is rejected, not accepted.
-        let err = cmd_dag("qr", 4, &plat, DagAlgoArg::HeteroPrio, &resume, &FaultOpts::default())
+        let err = cmd_dag("qr", 4, &plat, Scheduler::default(), &resume, &FaultOpts::default())
             .unwrap_err();
         assert!(
             err.contains("diverge") || err.contains("short") || err.contains("snapshot"),
@@ -1333,10 +1141,9 @@ mod tests {
             },
             ..OutputOpts::default()
         };
-        let err = cmd_schedule(SAMPLE, &plat, Algo::Heft, &opts).unwrap_err();
+        let err = cmd_schedule(SAMPLE, &plat, IndepAlgo::Heft, &opts).unwrap_err();
         assert!(err.contains("static"), "{err}");
-        let err = cmd_dag("cholesky", 4, &plat, DagAlgoArg::Heft, &opts, &FaultOpts::default())
-            .unwrap_err();
+        let err = cmd_dag("cholesky", 4, &plat, HEFT, &opts, &FaultOpts::default()).unwrap_err();
         assert!(err.contains("cannot journal"), "{err}");
         // The rejection must fire before the journal file is created — a
         // refused run leaves nothing behind.
@@ -1373,7 +1180,7 @@ mod tests {
         let plat = parse_platform_args(Some("cpu=2,gpu=1,fpga=1"), None, None).unwrap();
         let opts =
             OutputOpts { audit: true, metrics: true, summary: true, ..OutputOpts::default() };
-        let out = cmd_schedule(SAMPLE_K3, &plat, Algo::HeteroPrio, &opts).unwrap();
+        let out = cmd_schedule(SAMPLE_K3, &plat, IndepAlgo::HeteroPrio, &opts).unwrap();
         assert!(out.report.contains("2 CPUs + 1 GPUs + 1 FPGAs"), "{}", out.report);
         assert!(out.report.contains("audit clean"), "{}", out.report);
         assert!(out.report.contains("kernel_trace_events_total"), "{}", out.report);
@@ -1392,15 +1199,9 @@ mod tests {
     #[test]
     fn dag_rejects_platforms_beyond_two_classes() {
         let plat = parse_platform_args(Some("cpu=2,gpu=1,fpga=1"), None, None).unwrap();
-        let err = cmd_dag(
-            "cholesky",
-            4,
-            &plat,
-            DagAlgoArg::HeteroPrio,
-            &svg_only(),
-            &FaultOpts::default(),
-        )
-        .unwrap_err();
+        let err =
+            cmd_dag("cholesky", 4, &plat, Scheduler::default(), &svg_only(), &FaultOpts::default())
+                .unwrap_err();
         assert!(err.contains("two-class"), "{err}");
         // Renamed two-class platforms are fine: only the count matters.
         let plat = parse_platform_args(Some("big=2,little=1"), None, None).unwrap();
@@ -1408,7 +1209,7 @@ mod tests {
             "cholesky",
             4,
             &plat,
-            DagAlgoArg::HeteroPrio,
+            Scheduler::default(),
             &OutputOpts::default(),
             &FaultOpts::default(),
         )
@@ -1420,9 +1221,10 @@ mod tests {
     fn bad_input_is_reported() {
         let plat = ClassTable::cpu_gpu(1, 1).unwrap();
         let opts = OutputOpts::default();
-        let err = cmd_schedule("garbage here too many fields\n", &plat, Algo::HeteroPrio, &opts)
-            .unwrap_err();
+        let err =
+            cmd_schedule("garbage here too many fields\n", &plat, IndepAlgo::HeteroPrio, &opts)
+                .unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        assert!(cmd_schedule("", &plat, Algo::HeteroPrio, &opts).is_err());
+        assert!(cmd_schedule("", &plat, IndepAlgo::HeteroPrio, &opts).is_err());
     }
 }

@@ -11,6 +11,6 @@ pub mod format;
 
 pub use commands::{
     cmd_audit, cmd_bounds, cmd_dag, cmd_gen, cmd_perf, cmd_perf_gate, cmd_schedule,
-    parse_platform_args, Algo, CmdOutput, DagAlgoArg, DurableOpts, FaultOpts, OutputOpts,
+    parse_platform_args, CmdOutput, DurableOpts, FaultOpts, OutputOpts,
 };
 pub use format::{parse_instance, parse_instance_k, serialize_instance, ParseError};

@@ -10,11 +10,13 @@
 
 use heteroprio_cli::{
     cmd_audit, cmd_bounds, cmd_dag, cmd_gen, cmd_perf, cmd_perf_gate, cmd_schedule,
-    parse_platform_args, Algo, DagAlgoArg, DurableOpts, FaultOpts, OutputOpts,
+    parse_platform_args, CmdOutput, FaultOpts, OutputOpts,
 };
 use heteroprio_core::ClassTable;
+use heteroprio_schedulers::{IndepAlgo, Scheduler};
 use std::process::ExitCode;
 
+/// `{INDEP}` and `{DAG}` stand for the scheduler tables' names.
 const USAGE: &str = "\
 usage:
   heteroprio-cli schedule --cpus M --gpus N [--algo NAME] [--svg FILE]
@@ -46,7 +48,11 @@ usage:
 INSTANCE is a text file with one `cpu_time gpu_time [priority]` task per
 line (`#` comments); under a k-class --platform each line carries k
 per-class times. `gen` writes such a file for the kernel mix of an
-N-tile factorization. Algorithms: see --algo (default hp).
+N-tile factorization.
+
+--algo picks the scheduler (default hp). INSTANCE forms (`schedule`, and
+`audit`/`resume` on a file) take {INDEP}; workload forms (`dag`, and
+`audit`/`resume` on cholesky|qr|lu) take {DAG}.
 
 --platform declares the worker classes by name and count (class 0 pops
 the affinity queue from the CPU end, the last class from the GPU end).
@@ -105,6 +111,7 @@ failure probability), `seed=N`. Example: `--faults gpu@25%,fail=0.05`.
 [est/(1+J), est*(1+J)]; --retry-max K caps attempts per task (default 3).
 ";
 
+#[derive(Default)]
 struct Args {
     positional: Vec<String>,
     /// `--platform name=count[,name=count...]`: a k-class worker spec.
@@ -112,14 +119,9 @@ struct Args {
     platform: Option<String>,
     cpus: Option<usize>,
     gpus: Option<usize>,
-    algo: Algo,
-    /// Raw `--algo` value, for subcommands with their own algorithm set.
-    dag_algo: Option<String>,
-    svg: Option<String>,
-    trace: Option<String>,
-    summary: bool,
-    audit: bool,
-    metrics: bool,
+    /// Raw `--algo` value, parsed against the command's own table.
+    algo: Option<String>,
+    opts: OutputOpts,
     /// `perf --smoke`: tiny deterministic cases only.
     smoke: bool,
     /// `perf --out FILE`: write the JSON document instead of printing it.
@@ -128,115 +130,54 @@ struct Args {
     /// gate tolerance versus this committed baseline.
     against: Option<String>,
     faults: FaultOpts,
-    durable: DurableOpts,
     /// `resume --no-audit`: skip the post-recovery invariant audit.
     no_audit: bool,
 }
 
+/// A numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {flag} `{v}`"))
+}
+
+/// Parse the flags and positionals after the command. An unknown flag is
+/// an error, not a positional.
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        positional: Vec::new(),
-        platform: None,
-        cpus: None,
-        gpus: None,
-        algo: Algo::HeteroPrio,
-        dag_algo: None,
-        svg: None,
-        trace: None,
-        summary: false,
-        audit: false,
-        metrics: false,
-        smoke: false,
-        out: None,
-        against: None,
-        faults: FaultOpts::default(),
-        durable: DurableOpts::default(),
-        no_audit: false,
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--platform" => {
-                args.platform = Some(argv.next().ok_or("--platform needs name=count[,...]")?);
-            }
-            "--cpus" => {
-                let v = argv.next().ok_or("--cpus needs a value")?;
-                args.cpus = Some(v.parse().map_err(|_| format!("bad --cpus `{v}`"))?);
-            }
-            "--gpus" => {
-                let v = argv.next().ok_or("--gpus needs a value")?;
-                args.gpus = Some(v.parse().map_err(|_| format!("bad --gpus `{v}`"))?);
-            }
-            "--algo" => {
-                let v = argv.next().ok_or("--algo needs a value")?;
-                args.dag_algo = Some(v.clone());
-                if let Some(a) = Algo::parse(&v) {
-                    args.algo = a;
-                } else if DagAlgoArg::parse(&v).is_none() {
-                    return Err(format!(
-                        "unknown algorithm `{v}` (independent: {}; dag: {})",
-                        Algo::NAMES,
-                        DagAlgoArg::NAMES
-                    ));
-                }
-            }
-            "--svg" => {
-                args.svg = Some(argv.next().ok_or("--svg needs a file name")?);
-            }
-            "--trace" => {
-                args.trace = Some(argv.next().ok_or("--trace needs a file name")?);
-            }
-            "--summary" => args.summary = true,
-            "--audit" => args.audit = true,
-            "--metrics" => args.metrics = true,
+    let mut args = Args::default();
+    while let Some(flag) = argv.next() {
+        let mut value = |what: &str| argv.next().ok_or(format!("{flag} needs {what}"));
+        match flag.as_str() {
+            "--platform" => args.platform = Some(value("name=count[,...]")?),
+            "--cpus" => args.cpus = Some(number(&flag, value("a value")?)?),
+            "--gpus" => args.gpus = Some(number(&flag, value("a value")?)?),
+            "--algo" => args.algo = Some(value("a value")?),
+            "--svg" => args.opts.svg = Some(value("a file name")?),
+            "--trace" => args.opts.trace = Some(value("a file name")?),
+            "--summary" => args.opts.summary = true,
+            "--audit" => args.opts.audit = true,
+            "--metrics" => args.opts.metrics = true,
             "--smoke" => args.smoke = true,
-            "--out" => {
-                args.out = Some(argv.next().ok_or("--out needs a file name")?);
-            }
-            "--against" => {
-                args.against = Some(argv.next().ok_or("--against needs a baseline file")?);
-            }
-            "--faults" => {
-                args.faults.spec = Some(argv.next().ok_or("--faults needs a spec")?);
-            }
-            "--exec-jitter" => {
-                let v = argv.next().ok_or("--exec-jitter needs a value")?;
-                args.faults.exec_jitter =
-                    v.parse().map_err(|_| format!("bad --exec-jitter `{v}`"))?;
-            }
-            "--retry-max" => {
-                let v = argv.next().ok_or("--retry-max needs a value")?;
-                args.faults.retry_max =
-                    Some(v.parse().map_err(|_| format!("bad --retry-max `{v}`"))?);
-            }
-            "--fault-seed" => {
-                let v = argv.next().ok_or("--fault-seed needs a value")?;
-                args.faults.seed = Some(v.parse().map_err(|_| format!("bad --fault-seed `{v}`"))?);
-            }
-            "--journal" => {
-                args.durable.journal = Some(argv.next().ok_or("--journal needs a file name")?);
-            }
-            "--crash-at" => {
-                let v = argv.next().ok_or("--crash-at needs an event number")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad --crash-at `{v}`"))?;
-                if n == 0 {
-                    return Err("--crash-at counts from 1 (the first journaled event)".into());
-                }
-                args.durable.crash_at = Some(n);
-            }
-            "--snapshot" => {
-                args.durable.snapshot = Some(argv.next().ok_or("--snapshot needs a file name")?);
-            }
-            "--checkpoint-every" => {
-                let v = argv.next().ok_or("--checkpoint-every needs a value")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad --checkpoint-every `{v}`"))?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be at least 1".into());
-                }
-                args.durable.checkpoint_every = Some(n);
-            }
+            "--out" => args.out = Some(value("a file name")?),
+            "--against" => args.against = Some(value("a baseline file")?),
+            "--faults" => args.faults.spec = Some(value("a spec")?),
+            "--exec-jitter" => args.faults.exec_jitter = number(&flag, value("a value")?)?,
+            "--retry-max" => args.faults.retry_max = Some(number(&flag, value("a value")?)?),
+            "--fault-seed" => args.faults.seed = Some(number(&flag, value("a value")?)?),
+            "--journal" => args.opts.durable.journal = Some(value("a file name")?),
+            "--crash-at" => match number(&flag, value("an event number")?)? {
+                0 => return Err("--crash-at counts from 1 (the first journaled event)".into()),
+                n => args.opts.durable.crash_at = Some(n),
+            },
+            "--snapshot" => args.opts.durable.snapshot = Some(value("a file name")?),
+            "--checkpoint-every" => match number(&flag, value("a value")?)? {
+                0 => return Err("--checkpoint-every must be at least 1".into()),
+                n => args.opts.durable.checkpoint_every = Some(n),
+            },
             "--no-audit" => args.no_audit = true,
             "--help" | "-h" => return Err(String::new()),
-            other => args.positional.push(other.to_string()),
+            _ if flag.starts_with('-') && flag.len() > 1 => {
+                return Err(format!("unknown flag `{flag}`"))
+            }
+            _ => args.positional.push(flag),
         }
     }
     Ok(args)
@@ -246,27 +187,60 @@ fn platform_of(args: &Args) -> Result<ClassTable, String> {
     parse_platform_args(args.platform.as_deref(), args.cpus, args.gpus)
 }
 
-fn output_opts(args: &Args) -> OutputOpts {
-    OutputOpts {
-        svg: args.svg.is_some(),
-        trace: args.trace.clone(),
-        summary: args.summary,
-        audit: args.audit,
-        metrics: args.metrics,
-        durable: args.durable.clone(),
+/// `--algo` against the independent-task table.
+fn indep_algo(args: &Args) -> Result<IndepAlgo, String> {
+    match &args.algo {
+        None => Ok(IndepAlgo::HeteroPrio),
+        Some(name) => IndepAlgo::parse(name)
+            .ok_or_else(|| format!("unknown algorithm `{name}` ({})", IndepAlgo::NAMES.join(", "))),
     }
 }
 
-/// Print the report and write the artifacts a command produced.
-fn emit(out: heteroprio_cli::CmdOutput, svg_path: Option<&String>) -> Result<(), String> {
-    print!("{}", out.report);
-    if let (Some(path), Some(svg)) = (svg_path, out.svg) {
-        std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+/// `--algo` against the DAG scheduler table.
+fn dag_algo(args: &Args) -> Result<Scheduler, String> {
+    match &args.algo {
+        None => Ok(Scheduler::default()),
+        Some(name) => Scheduler::parse(name).ok_or_else(|| {
+            format!("unknown DAG algorithm `{name}` ({})", Scheduler::NAMES.join(", "))
+        }),
     }
-    if let Some((path, contents)) = out.trace {
-        std::fs::write(&path, contents).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+}
+
+/// The command's positionals, of which it takes at most `max`.
+fn positionals(args: &Args, max: usize) -> Result<&[String], String> {
+    match args.positional.get(max) {
+        Some(extra) => Err(format!("unexpected argument `{extra}`")),
+        None => Ok(&args.positional),
+    }
+}
+
+/// Whether a positional names a factorization workload rather than a file.
+fn is_workload(first: &str) -> bool {
+    matches!(first, "cholesky" | "qr" | "lu")
+}
+
+/// The tile count after a workload kind.
+fn tile_count(pos: &[String], command: &str) -> Result<usize, String> {
+    let n = pos.get(1).ok_or_else(|| format!("{command} needs a tile count"))?;
+    n.parse().map_err(|_| "bad tile count".to_string())
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Write an output file and say so.
+fn write(path: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+/// Print the report and write the artifacts a command produced.
+fn emit(out: CmdOutput) -> Result<(), String> {
+    print!("{}", out.report);
+    for (path, contents) in out.svg.into_iter().chain(out.trace) {
+        write(&path, contents)?;
     }
     Ok(())
 }
@@ -274,151 +248,88 @@ fn emit(out: heteroprio_cli::CmdOutput, svg_path: Option<&String>) -> Result<(),
 fn run() -> Result<(), String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or("")?;
-    let args = parse_args(argv)?;
+    let mut args = parse_args(argv)?;
     match command.as_str() {
-        "schedule" => {
+        "schedule" | "dag" | "resume" => {
             let platform = platform_of(&args)?;
-            let file = args.positional.first().ok_or("missing INSTANCE file")?;
-            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let out = cmd_schedule(&text, &platform, args.algo, &output_opts(&args))?;
-            emit(out, args.svg.as_ref())
+            if command == "resume" {
+                if args.opts.durable.journal.is_none() {
+                    return Err("resume needs --journal FILE".to_string());
+                }
+                if args.opts.durable.crash_at.is_some() {
+                    return Err("--crash-at only applies to the original run".to_string());
+                }
+                args.opts.durable.resume = true;
+                // Recovery re-audits the full stream by default.
+                args.opts.audit = !args.no_audit;
+            }
+            let first = args.positional.first().ok_or(match command.as_str() {
+                "schedule" => "missing INSTANCE file",
+                "dag" => "dag needs a workload kind",
+                _ => "resume needs an INSTANCE file or a workload kind",
+            })?;
+            // `resume` continues either form, told apart by the first argument.
+            let out = if command == "dag" || command == "resume" && is_workload(first) {
+                let n = tile_count(positionals(&args, 2)?, &command)?;
+                cmd_dag(first, n, &platform, dag_algo(&args)?, &args.opts, &args.faults)?
+            } else {
+                positionals(&args, 1)?;
+                cmd_schedule(&read(first)?, &platform, indep_algo(&args)?, &args.opts)?
+            };
+            emit(out)
         }
         "bounds" => {
+            let pos = positionals(&args, 1)?;
             let platform = platform_of(&args)?;
-            let file = args.positional.first().ok_or("missing INSTANCE file")?;
-            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            print!("{}", cmd_bounds(&text, &platform)?);
+            let file = pos.first().ok_or("missing INSTANCE file")?;
+            print!("{}", cmd_bounds(&read(file)?, &platform)?);
             Ok(())
-        }
-        "dag" => {
-            let platform = platform_of(&args)?;
-            let kind = args.positional.first().ok_or("dag needs a workload kind")?.clone();
-            let n: usize = args
-                .positional
-                .get(1)
-                .ok_or("dag needs a tile count")?
-                .parse()
-                .map_err(|_| "bad tile count")?;
-            let algo = match &args.dag_algo {
-                Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
-                    format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES)
-                })?,
-                None => DagAlgoArg::HeteroPrio,
-            };
-            let out = cmd_dag(&kind, n, &platform, algo, &output_opts(&args), &args.faults)?;
-            emit(out, args.svg.as_ref())
-        }
-        "resume" => {
-            let platform = platform_of(&args)?;
-            if args.durable.journal.is_none() {
-                return Err("resume needs --journal FILE".to_string());
-            }
-            if args.durable.crash_at.is_some() {
-                return Err("--crash-at only applies to the original run".to_string());
-            }
-            let mut args = args;
-            args.durable.resume = true;
-            // Recovery re-audits the full stream by default.
-            args.audit = !args.no_audit;
-            let first = args
-                .positional
-                .first()
-                .ok_or("resume needs an INSTANCE file or a workload kind")?;
-            if matches!(first.as_str(), "cholesky" | "qr" | "lu") {
-                let kind = first.clone();
-                let n: usize = args
-                    .positional
-                    .get(1)
-                    .ok_or("resume needs a tile count")?
-                    .parse()
-                    .map_err(|_| "bad tile count")?;
-                let algo = match &args.dag_algo {
-                    Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
-                        format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES)
-                    })?,
-                    None => DagAlgoArg::HeteroPrio,
-                };
-                let out = cmd_dag(&kind, n, &platform, algo, &output_opts(&args), &args.faults)?;
-                emit(out, args.svg.as_ref())
-            } else {
-                let text = std::fs::read_to_string(first).map_err(|e| format!("{first}: {e}"))?;
-                let out = cmd_schedule(&text, &platform, args.algo, &output_opts(&args))?;
-                emit(out, args.svg.as_ref())
-            }
         }
         "audit" => {
             let platform = platform_of(&args)?;
-            let first = args
-                .positional
-                .first()
-                .ok_or("audit needs an INSTANCE file or a workload kind")?
-                .clone();
-            if matches!(first.as_str(), "cholesky" | "qr" | "lu") {
+            let first =
+                args.positional.first().ok_or("audit needs an INSTANCE file or a workload kind")?;
+            if is_workload(first) {
                 // Workload form: audit a fresh runtime execution.
-                let n: usize = args
-                    .positional
-                    .get(1)
-                    .ok_or("audit needs a tile count")?
-                    .parse()
-                    .map_err(|_| "bad tile count")?;
-                let algo = match &args.dag_algo {
-                    Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
-                        format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES)
-                    })?,
-                    None => DagAlgoArg::HeteroPrio,
-                };
+                let pos = positionals(&args, 2)?;
+                let n = tile_count(pos, "audit")?;
                 let opts = OutputOpts { audit: true, ..OutputOpts::default() };
-                let out = cmd_dag(&first, n, &platform, algo, &opts, &args.faults)?;
+                let out = cmd_dag(first, n, &platform, dag_algo(&args)?, &opts, &args.faults)?;
                 print!("{}", out.report);
-                Ok(())
             } else {
                 // Instance form: audit a recorded JSONL trace, or a fresh
                 // traced run when no --trace is given.
-                let text = std::fs::read_to_string(&first).map_err(|e| format!("{first}: {e}"))?;
-                let trace_text = match &args.trace {
-                    Some(path) => {
-                        Some(std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?)
-                    }
-                    None => None,
-                };
-                print!("{}", cmd_audit(&text, &platform, args.algo, trace_text.as_deref())?);
-                Ok(())
+                positionals(&args, 1)?;
+                let text = read(first)?;
+                let trace_text = args.opts.trace.as_deref().map(read).transpose()?;
+                let algo = indep_algo(&args)?;
+                print!("{}", cmd_audit(&text, &platform, algo, trace_text.as_deref())?);
             }
+            Ok(())
         }
         "perf" => {
+            positionals(&args, 0)?;
             let custom = match &args.platform {
                 Some(spec) => Some(ClassTable::parse(spec).map_err(|e| e.to_string())?),
                 None => None,
             };
             let doc = cmd_perf(args.smoke, custom.as_ref())?;
             match &args.out {
-                Some(path) => {
-                    std::fs::write(path, &doc).map_err(|e| format!("{path}: {e}"))?;
-                    println!("wrote {path}");
-                }
+                Some(path) => write(path, doc.clone())?,
                 None if args.against.is_none() => print!("{doc}"),
                 None => {}
             }
             if let Some(path) = &args.against {
-                let baseline = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                print!("{}", cmd_perf_gate(&doc, &baseline)?);
+                print!("{}", cmd_perf_gate(&doc, &read(path)?)?);
             }
             Ok(())
         }
         "gen" => {
-            let kind = args.positional.first().ok_or("gen needs a workload kind")?;
-            let n: usize = args
-                .positional
-                .get(1)
-                .ok_or("gen needs a tile count")?
-                .parse()
-                .map_err(|_| "bad tile count")?;
-            let text = cmd_gen(kind, n)?;
-            match args.positional.get(2) {
-                Some(path) => {
-                    std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-                    println!("wrote {path}");
-                }
+            let pos = positionals(&args, 3)?;
+            let kind = pos.first().ok_or("gen needs a workload kind")?;
+            let text = cmd_gen(kind, tile_count(pos, "gen")?)?;
+            match pos.get(2) {
+                Some(path) => write(path, text)?,
                 None => print!("{text}"),
             }
             Ok(())
@@ -434,7 +345,9 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            eprint!("{USAGE}");
+            let indep = IndepAlgo::NAMES.join(", ");
+            let dag = Scheduler::NAMES.join(", ");
+            eprint!("{}", USAGE.replace("{INDEP}", &indep).replace("{DAG}", &dag));
             ExitCode::FAILURE
         }
     }

@@ -174,3 +174,83 @@ fn dag_trace_writes_jsonl_when_asked() {
 
     let _ = std::fs::remove_file(&trace);
 }
+
+#[test]
+fn algo_is_checked_against_the_commands_own_table() {
+    let instance = scratch("algo-table.txt");
+    std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();
+    let journal = scratch("algo-table.journal");
+    // DAG-only names are not independent-task algorithms: every instance
+    // form must refuse them instead of running HeteroPrio.
+    for algo in ["list", "dualhp-fifo"] {
+        for form in [
+            vec!["schedule", "--cpus", "2", "--gpus", "1", "--algo", algo],
+            vec!["audit", "--cpus", "2", "--gpus", "1", "--algo", algo],
+            vec!["resume", "--cpus", "2", "--gpus", "1", "--algo", algo, "--journal"],
+        ] {
+            let mut cmd = bin();
+            cmd.args(&form);
+            if form[0] == "resume" {
+                cmd.arg(&journal);
+            }
+            let out = cmd.arg(&instance).output().expect("run heteroprio-cli");
+            assert_eq!(out.status.code(), Some(1), "{form:?} must fail");
+            assert!(out.stdout.is_empty(), "{form:?} ran a scheduler");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!(
+                    "unknown algorithm `{algo}` (hp, hp-ns, dualhp, heft, minmin, maxmin, \
+                     sufferage, mct)"
+                )),
+                "{form:?}: {stderr}"
+            );
+        }
+    }
+    // The workload forms take the DAG table's names only.
+    let out = bin()
+        .args(["dag", "cholesky", "4", "--cpus", "2", "--gpus", "1", "--algo", "minmin"])
+        .output()
+        .expect("run heteroprio-cli dag");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("(hp, dualhp, dualhp-fifo, heft, list)"), "{stderr}");
+    assert!(!journal.exists(), "a refused resume touches no journal");
+
+    let _ = std::fs::remove_file(&instance);
+}
+
+#[test]
+fn unknown_flags_and_surplus_arguments_are_errors() {
+    let instance = scratch("typo.txt");
+    std::fs::write(&instance, "8 1\n4 1\n2 2\n").unwrap();
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1"])
+        .arg(&instance)
+        .arg("--sumary")
+        .output()
+        .expect("run heteroprio-cli");
+    assert_eq!(out.status.code(), Some(1), "a typo'd flag must not be ignored");
+    assert!(out.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--sumary`"));
+
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1"])
+        .arg(&instance)
+        .arg("second.txt")
+        .output()
+        .expect("run heteroprio-cli");
+    assert_eq!(out.status.code(), Some(1), "a surplus positional must not be ignored");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `second.txt`"));
+
+    let generated = scratch("gen.txt");
+    let out = bin()
+        .args(["gen", "cholesky", "2"])
+        .arg(&generated)
+        .arg("extra")
+        .output()
+        .expect("run heteroprio-cli gen");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!generated.exists(), "a refused command writes nothing");
+
+    let _ = std::fs::remove_file(&instance);
+}

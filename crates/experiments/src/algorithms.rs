@@ -1,11 +1,13 @@
-//! Unified runners for every algorithm compared in the paper's evaluation.
+//! The paper's algorithm lists over the scheduler tables of
+//! `heteroprio-schedulers`, with the experiments' HEFT insertion choice.
 
-use heteroprio_core::{heteroprio, HeteroPrioConfig, Instance, Platform, Schedule};
-use heteroprio_schedulers::{
-    dualhp_independent, heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy,
-};
-use heteroprio_simulator::{simulate_traced, TransferModel};
-use heteroprio_taskgraph::{apply_bottom_level_priorities, TaskGraph, WeightScheme};
+use heteroprio_core::kernel::Run;
+use heteroprio_core::{Instance, Platform, Schedule};
+use heteroprio_metrics::NullRegistry;
+use heteroprio_schedulers::{DualHpRank, HeftVariant};
+pub use heteroprio_schedulers::{IndepAlgo, Scheduler};
+use heteroprio_simulator::{FaultPlan, TransferModel};
+use heteroprio_taskgraph::{TaskGraph, WeightScheme};
 use heteroprio_trace::{NullSink, TraceSink};
 
 /// Above this size, HEFT switches to its no-insertion variant: the
@@ -13,138 +15,58 @@ use heteroprio_trace::{NullSink, TraceSink};
 /// Figure 7 graphs without changing the picture.
 pub const HEFT_INSERTION_LIMIT: usize = 20_000;
 
-/// The three independent-task algorithms of Figure 6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndepAlgo {
-    HeteroPrio,
-    DualHp,
-    Heft,
-}
-
-impl IndepAlgo {
-    pub const PAPER: [IndepAlgo; 3] = [IndepAlgo::HeteroPrio, IndepAlgo::DualHp, IndepAlgo::Heft];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            IndepAlgo::HeteroPrio => "HeteroPrio",
-            IndepAlgo::DualHp => "DualHP",
-            IndepAlgo::Heft => "HEFT",
-        }
-    }
-
-    pub fn run(self, instance: &Instance, platform: &Platform) -> Schedule {
-        match self {
-            IndepAlgo::HeteroPrio => {
-                heteroprio(instance, platform, &HeteroPrioConfig::new()).schedule
-            }
-            IndepAlgo::DualHp => dualhp_independent(instance, platform),
-            IndepAlgo::Heft => {
-                let graph = TaskGraph::independent(instance.clone());
-                let variant = if graph.len() <= HEFT_INSERTION_LIMIT {
-                    HeftVariant::Insertion
-                } else {
-                    HeftVariant::NoInsertion
-                };
-                heft(&graph, platform, WeightScheme::Avg, variant)
-            }
-        }
+/// HEFT's variant for `tasks` tasks: insertion up to
+/// [`HEFT_INSERTION_LIMIT`].
+fn heft_variant(tasks: usize) -> HeftVariant {
+    if tasks <= HEFT_INSERTION_LIMIT {
+        HeftVariant::Insertion
+    } else {
+        HeftVariant::NoInsertion
     }
 }
 
-/// The seven DAG algorithms of Figure 7.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DagAlgo {
-    HeteroPrioAvg,
-    HeteroPrioMin,
-    DualHpFifo,
-    DualHpAvg,
-    DualHpMin,
-    HeftAvg,
-    HeftMin,
+/// The seven DAG algorithms of Figure 7, under the names the figures
+/// print. [`trace_dag`] picks HEFT's variant by graph size.
+pub const DAG_PAPER: [(&str, Scheduler); 7] = [
+    ("HeteroPrio-avg", Scheduler::HeteroPrio(WeightScheme::Avg)),
+    ("HeteroPrio-min", Scheduler::HeteroPrio(WeightScheme::Min)),
+    ("DualHP-fifo", Scheduler::DualHp(DualHpRank::Fifo, WeightScheme::Min)),
+    ("DualHP-avg", Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Avg)),
+    ("DualHP-min", Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Min)),
+    ("HEFT-avg", Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion)),
+    ("HEFT-min", Scheduler::Heft(WeightScheme::Min, HeftVariant::Insertion)),
+];
+
+/// Run an independent-task algorithm; HEFT drops insertion above
+/// [`HEFT_INSERTION_LIMIT`] tasks.
+pub fn run_indep(algo: IndepAlgo, instance: &Instance, platform: &Platform) -> Schedule {
+    algo.run(instance, platform, heft_variant(instance.len()), &NullRegistry)
 }
 
-impl DagAlgo {
-    pub const PAPER: [DagAlgo; 7] = [
-        DagAlgo::HeteroPrioAvg,
-        DagAlgo::HeteroPrioMin,
-        DagAlgo::DualHpFifo,
-        DagAlgo::DualHpAvg,
-        DagAlgo::DualHpMin,
-        DagAlgo::HeftAvg,
-        DagAlgo::HeftMin,
-    ];
+/// Run a DAG scheduler on a ranked copy of `graph`.
+pub fn run_dag(scheduler: Scheduler, graph: &TaskGraph, platform: &Platform) -> Schedule {
+    trace_dag(scheduler, graph, platform, &mut NullSink)
+}
 
-    pub fn name(self) -> &'static str {
-        match self {
-            DagAlgo::HeteroPrioAvg => "HeteroPrio-avg",
-            DagAlgo::HeteroPrioMin => "HeteroPrio-min",
-            DagAlgo::DualHpFifo => "DualHP-fifo",
-            DagAlgo::DualHpAvg => "DualHP-avg",
-            DagAlgo::DualHpMin => "DualHP-min",
-            DagAlgo::HeftAvg => "HEFT-avg",
-            DagAlgo::HeftMin => "HEFT-min",
-        }
-    }
-
-    fn ranking(self) -> Option<WeightScheme> {
-        match self {
-            DagAlgo::HeteroPrioAvg | DagAlgo::DualHpAvg | DagAlgo::HeftAvg => {
-                Some(WeightScheme::Avg)
-            }
-            DagAlgo::HeteroPrioMin | DagAlgo::DualHpMin | DagAlgo::HeftMin => {
-                Some(WeightScheme::Min)
-            }
-            DagAlgo::DualHpFifo => None,
-        }
-    }
-
-    /// Run the algorithm on (a rank-annotated copy of) the graph.
-    pub fn run(self, graph: &TaskGraph, platform: &Platform) -> Schedule {
-        self.trace(graph, platform, &mut NullSink)
-    }
-
-    /// [`DagAlgo::run`] streaming the scheduler's events into `sink`: live
-    /// events for the simulated policies, a stream reconstructed from the
-    /// finished schedule for static HEFT.
-    pub fn trace<S: TraceSink>(
-        self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        sink: &mut S,
-    ) -> Schedule {
-        let mut ranked = graph.clone();
-        if let Some(scheme) = self.ranking() {
-            apply_bottom_level_priorities(&mut ranked, scheme);
-        }
-        let none = TransferModel::NONE;
-        match self {
-            DagAlgo::HeteroPrioAvg | DagAlgo::HeteroPrioMin => {
-                let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                simulate_traced(&ranked, platform, &mut policy, &none, sink).schedule
-            }
-            DagAlgo::DualHpFifo => {
-                let mut policy = DualHpDagPolicy::new(DualHpRank::Fifo);
-                simulate_traced(&ranked, platform, &mut policy, &none, sink).schedule
-            }
-            DagAlgo::DualHpAvg | DagAlgo::DualHpMin => {
-                let mut policy = DualHpDagPolicy::new(DualHpRank::Priority);
-                simulate_traced(&ranked, platform, &mut policy, &none, sink).schedule
-            }
-            DagAlgo::HeftAvg | DagAlgo::HeftMin => {
-                let scheme = self.ranking().expect("HEFT has a scheme");
-                let variant = if ranked.len() <= HEFT_INSERTION_LIMIT {
-                    HeftVariant::Insertion
-                } else {
-                    HeftVariant::NoInsertion
-                };
-                let schedule = heft(&ranked, platform, scheme, variant);
-                if sink.is_enabled() {
-                    schedule.to_events(platform).into_iter().for_each(|e| sink.emit(e));
-                }
-                schedule
-            }
-        }
-    }
+/// [`run_dag`] streaming the scheduler's events into `sink`: live events
+/// for the kernel policies, the reconstructed stream for static HEFT.
+pub fn trace_dag<S: TraceSink>(
+    scheduler: Scheduler,
+    graph: &TaskGraph,
+    platform: &Platform,
+    sink: &mut S,
+) -> Schedule {
+    let scheduler = match scheduler {
+        Scheduler::Heft(scheme, _) => Scheduler::Heft(scheme, heft_variant(graph.len())),
+        live => live,
+    };
+    let mut ranked = graph.clone();
+    scheduler.rank(&mut ranked);
+    let spec = Run::new(sink, &NullRegistry);
+    scheduler
+        .run(&ranked, platform, &TransferModel::NONE, &FaultPlan::NONE, spec)
+        .expect("a fault-free run cannot fail")
+        .schedule
 }
 
 #[cfg(test)]
@@ -162,8 +84,8 @@ mod tests {
         );
         let plat = Platform::new(4, 2);
         for algo in IndepAlgo::PAPER {
-            let sched = algo.run(&inst, &plat);
-            sched.validate(&inst, &plat).unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            let sched = run_indep(algo, &inst, &plat);
+            sched.validate(&inst, &plat).unwrap_or_else(|e| panic!("{}: {e}", algo.label()));
         }
     }
 
@@ -171,19 +93,13 @@ mod tests {
     fn all_dag_algorithms_produce_valid_schedules() {
         let g = cholesky(5, &ConstTiming { cpu: 3.0, gpu: 1.0 });
         let plat = Platform::new(3, 2);
-        for algo in DagAlgo::PAPER {
-            let sched = algo.run(&g, &plat);
-            sched.validate(g.instance(), &plat).unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-            check_precedence(&g, &sched).unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-        }
-    }
-
-    #[test]
-    fn names_are_unique() {
-        for (i, a) in DagAlgo::PAPER.iter().enumerate() {
-            for b in &DagAlgo::PAPER[i + 1..] {
-                assert_ne!(a.name(), b.name());
+        for (i, (name, algo)) in DAG_PAPER.into_iter().enumerate() {
+            for (other, entry) in &DAG_PAPER[i + 1..] {
+                assert!(name != *other && algo != *entry, "{name} is listed twice");
             }
+            let sched = run_dag(algo, &g, &plat);
+            sched.validate(g.instance(), &plat).unwrap_or_else(|e| panic!("{name}: {e}"));
+            check_precedence(&g, &sched).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 }

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use heteroprio_experiments::{emit, ns_from_args, IndepAlgo, TextTable};
+use heteroprio_experiments::{emit, ns_from_args, run_indep, IndepAlgo, TextTable};
 use heteroprio_metrics::Stopwatch;
 use heteroprio_workloads::{paper_platform, random_instance, RandomInstanceParams};
 
@@ -23,7 +23,7 @@ fn main() {
             let reps = if size <= 1_000 { 10 } else { 1 };
             let sw = Stopwatch::start();
             for _ in 0..reps {
-                let sched = algo.run(&instance, &platform);
+                let sched = run_indep(algo, &instance, &platform);
                 std::hint::black_box(sched.makespan());
             }
             let ms = sw.elapsed_secs_f64() * 1e3 / reps as f64;

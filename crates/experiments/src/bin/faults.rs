@@ -18,72 +18,40 @@
 #![forbid(unsafe_code)]
 
 use heteroprio_bounds::dag_lower_bound;
-use heteroprio_core::kernel::{self, Run};
-use heteroprio_core::{HeteroPrioConfig, Platform, ResourceKind};
-use heteroprio_experiments::{emit, flag_value, TextTable};
+use heteroprio_core::kernel::Run;
+use heteroprio_core::{Platform, ResourceKind};
+use heteroprio_experiments::{emit, flag_value, Scheduler, TextTable};
 use heteroprio_metrics::NullRegistry;
-use heteroprio_schedulers::{DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy, PriorityListPolicy};
+use heteroprio_schedulers::DualHpRank;
 use heteroprio_simulator::{
-    dag, FaultPlan, OnlinePolicy, RetryPolicy, SimError, SimResult, TransferModel, WorkerFault,
+    FaultPlan, RetryPolicy, SimError, SimResult, TransferModel, WorkerFault,
 };
-use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
+use heteroprio_taskgraph::{cholesky, TaskGraph, WeightScheme};
 use heteroprio_trace::NullSink;
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
 
-#[derive(Clone, Copy, Debug)]
-enum Algo {
-    HeteroPrio,
-    DualHp,
-    List,
-}
+/// The online schedulers under study, all ranked by `min` bottom levels.
+const ALGOS: [(&str, Scheduler); 3] = [
+    ("HeteroPrio", Scheduler::HeteroPrio(WeightScheme::Min)),
+    ("DualHP", Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Min)),
+    ("priority list", Scheduler::PriorityList(WeightScheme::Min)),
+];
 
-impl Algo {
-    const ALL: [Algo; 3] = [Algo::HeteroPrio, Algo::DualHp, Algo::List];
-
-    fn name(self) -> &'static str {
-        match self {
-            Algo::HeteroPrio => "HeteroPrio",
-            Algo::DualHp => "DualHP",
-            Algo::List => "priority list",
-        }
-    }
-
-    fn run(
-        self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        plan: &FaultPlan,
-    ) -> Result<SimResult, SimError> {
-        match self {
-            Algo::HeteroPrio => {
-                let mut p = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                run_plan(graph, platform, &mut p, plan)
-            }
-            Algo::DualHp => {
-                run_plan(graph, platform, &mut DualHpDagPolicy::new(DualHpRank::Priority), plan)
-            }
-            Algo::List => run_plan(graph, platform, &mut PriorityListPolicy::new(), plan),
-        }
-    }
-}
-
-/// Drive `policy` over `graph` under `plan` through the kernel.
-fn run_plan<P: OnlinePolicy>(
+/// Run `scheduler` over the ranked `graph` under `plan`.
+fn run(
+    scheduler: Scheduler,
     graph: &TaskGraph,
     platform: &Platform,
-    policy: &mut P,
     plan: &FaultPlan,
 ) -> Result<SimResult, SimError> {
-    let (mut workload, mut policy, faults) =
-        dag(graph, platform, policy, &TransferModel::NONE, plan)?;
     let mut sink = NullSink;
-    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
-    Ok(kernel::run(platform, &mut workload, &mut policy, spec)?.into())
+    let spec = Run::new(&mut sink, &NullRegistry);
+    Ok(scheduler.run(graph, platform, &TransferModel::NONE, plan, spec)?.into())
 }
 
 fn ranked_cholesky(n: usize) -> TaskGraph {
     let mut graph = cholesky(n, &ChameleonTiming);
-    apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+    Scheduler::default().rank(&mut graph);
     graph
 }
 
@@ -117,8 +85,8 @@ fn all_gpus_die(seed: u64) {
         "lost work",
         "downtime",
     ]);
-    for algo in Algo::ALL {
-        let m0 = algo.run(&graph, &platform, &FaultPlan::NONE).expect("fault-free").makespan();
+    for (name, algo) in ALGOS {
+        let m0 = run(algo, &graph, &platform, &FaultPlan::NONE).expect("fault-free").makespan();
         let t_kill = 0.25 * m0;
         let worker_faults: Vec<WorkerFault> = platform
             .workers_of(ResourceKind::Gpu)
@@ -126,12 +94,11 @@ fn all_gpus_die(seed: u64) {
             .collect();
         let plan = FaultPlan { worker_faults, seed, ..FaultPlan::NONE };
         let degraded_lb = degraded_lower_bound(&graph, &platform, t_kill);
-        let res = algo
-            .run(&graph, &platform, &plan)
+        let res = run(algo, &graph, &platform, &plan)
             .expect("the degraded platform must still complete the DAG");
         let downtime: f64 = res.summary.workers.iter().map(|w| w.downtime).sum();
         t.push_row(vec![
-            algo.name().to_string(),
+            name.to_string(),
             format!("{m0:.2}"),
             format!("{t_kill:.2}"),
             format!("{:.2}", res.makespan()),
@@ -148,9 +115,9 @@ fn all_gpus_die(seed: u64) {
 fn failure_sweep(seed: u64) {
     let platform = paper_platform();
     let graph = ranked_cholesky(16);
-    let m0: Vec<f64> = Algo::ALL
+    let m0: Vec<f64> = ALGOS
         .iter()
-        .map(|a| a.run(&graph, &platform, &FaultPlan::NONE).expect("fault-free").makespan())
+        .map(|&(_, a)| run(a, &graph, &platform, &FaultPlan::NONE).expect("fault-free").makespan())
         .collect();
     let mut t = TextTable::new(vec![
         "p(fail)",
@@ -167,11 +134,11 @@ fn failure_sweep(seed: u64) {
         let mut row = vec![format!("{p:.2}")];
         let mut hp_retries = 0;
         let mut hp_lost = 0.0;
-        for (i, algo) in Algo::ALL.into_iter().enumerate() {
-            match algo.run(&graph, &platform, &plan) {
+        for (i, (_, algo)) in ALGOS.into_iter().enumerate() {
+            match run(algo, &graph, &platform, &plan) {
                 Ok(res) => {
                     row.push(format!("{:.4}", res.makespan() / m0[i]));
-                    if matches!(algo, Algo::HeteroPrio) {
+                    if matches!(algo, Scheduler::HeteroPrio(_)) {
                         hp_retries = res.summary.retries;
                         hp_lost = res.summary.lost_work;
                     }
@@ -195,16 +162,16 @@ fn failure_sweep(seed: u64) {
 fn jitter_sweep(seed: u64) {
     let platform = paper_platform();
     let graph = ranked_cholesky(16);
-    let m0: Vec<f64> = Algo::ALL
+    let m0: Vec<f64> = ALGOS
         .iter()
-        .map(|a| a.run(&graph, &platform, &FaultPlan::NONE).expect("fault-free").makespan())
+        .map(|&(_, a)| run(a, &graph, &platform, &FaultPlan::NONE).expect("fault-free").makespan())
         .collect();
     let mut t = TextTable::new(vec!["jitter", "HeteroPrio", "DualHP", "priority list"]);
     for j in [0.0, 0.1, 0.3, 0.5] {
         let plan = FaultPlan { exec_jitter: j, seed, ..FaultPlan::NONE };
         let mut row = vec![format!("{j:.2}")];
-        for (i, algo) in Algo::ALL.into_iter().enumerate() {
-            let res = algo.run(&graph, &platform, &plan).expect("jitter cannot abandon tasks");
+        for (i, (_, algo)) in ALGOS.into_iter().enumerate() {
+            let res = run(algo, &graph, &platform, &plan).expect("jitter cannot abandon tasks");
             row.push(format!("{:.4}", res.makespan() / m0[i]));
         }
         t.push_row(row);

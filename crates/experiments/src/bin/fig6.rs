@@ -15,7 +15,7 @@ fn main() {
     let platform = paper_platform();
     for f in Factorization::ALL {
         let mut headers = vec!["N".to_string(), "tasks".to_string(), "area_bound".to_string()];
-        headers.extend(IndepAlgo::PAPER.iter().map(|a| a.name().to_string()));
+        headers.extend(IndepAlgo::PAPER.iter().map(|a| a.label().to_string()));
         let mut t = TextTable::new(headers);
         for pt in fig6_series(f, &ns, &platform, &ChameleonTiming) {
             let mut row =

@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use heteroprio_experiments::{emit, fig7_series, ns_from_args, DagAlgo, TextTable, DEFAULT_NS};
+use heteroprio_experiments::{emit, fig7_series, ns_from_args, TextTable, DAG_PAPER, DEFAULT_NS};
 use heteroprio_taskgraph::Factorization;
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
 
@@ -15,7 +15,7 @@ fn main() {
     let platform = paper_platform();
     for f in Factorization::ALL {
         let mut headers = vec!["N".to_string(), "tasks".to_string(), "lower_bound".to_string()];
-        headers.extend(DagAlgo::PAPER.iter().map(|a| a.name().to_string()));
+        headers.extend(DAG_PAPER.iter().map(|(name, _)| name.to_string()));
         let mut t = TextTable::new(headers);
         for pt in fig7_series(f, &ns, &platform, &ChameleonTiming) {
             let mut row =

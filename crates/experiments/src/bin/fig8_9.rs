@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use heteroprio_experiments::{
-    emit, fig7_series, fmt_opt, ns_from_args, DagAlgo, TextTable, DEFAULT_NS,
+    emit, fig7_series, fmt_opt, ns_from_args, TextTable, DAG_PAPER, DEFAULT_NS,
 };
 use heteroprio_taskgraph::Factorization;
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
@@ -31,9 +31,9 @@ fn main() {
         ];
         for (title, pick) in views {
             let mut headers = vec!["N".to_string()];
-            for a in DagAlgo::PAPER {
-                headers.push(format!("{}:cpu", a.name()));
-                headers.push(format!("{}:gpu", a.name()));
+            for (name, _) in DAG_PAPER {
+                headers.push(format!("{name}:cpu"));
+                headers.push(format!("{name}:gpu"));
             }
             let mut t = TextTable::new(headers);
             for pt in &points {

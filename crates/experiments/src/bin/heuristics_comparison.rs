@@ -9,8 +9,7 @@
 #![forbid(unsafe_code)]
 
 use heteroprio_bounds::combined_lower_bound;
-use heteroprio_experiments::{emit, ns_from_args, IndepAlgo, TextTable};
-use heteroprio_schedulers::{heuristic_schedule, Heuristic};
+use heteroprio_experiments::{emit, ns_from_args, run_indep, IndepAlgo, TextTable};
 use heteroprio_taskgraph::Factorization;
 use heteroprio_workloads::{independent_instance, paper_platform, ChameleonTiming};
 
@@ -20,19 +19,15 @@ fn main() {
     let platform = paper_platform();
     for f in Factorization::ALL {
         let mut headers: Vec<String> = vec!["N".into(), "lb".into()];
-        headers.extend(IndepAlgo::PAPER.iter().map(|a| a.name().to_string()));
-        headers.extend(Heuristic::ALL.iter().map(|h| h.name().to_string()));
+        let columns = || IndepAlgo::PAPER.into_iter().chain(IndepAlgo::HEURISTICS);
+        headers.extend(columns().map(|a| a.label().to_string()));
         let mut t = TextTable::new(headers);
         for &n in &ns {
             let instance = independent_instance(f, n, &ChameleonTiming);
             let lb = combined_lower_bound(&instance, &platform);
             let mut row = vec![n.to_string(), format!("{lb:.1}")];
-            for algo in IndepAlgo::PAPER {
-                let ms = algo.run(&instance, &platform).makespan();
-                row.push(format!("{:.4}", ms / lb));
-            }
-            for h in Heuristic::ALL {
-                let sched = heuristic_schedule(h, &instance, &platform);
+            for algo in columns() {
+                let sched = run_indep(algo, &instance, &platform);
                 sched.validate(&instance, &platform).expect("valid");
                 row.push(format!("{:.4}", sched.makespan() / lb));
             }

@@ -14,10 +14,13 @@
 #![forbid(unsafe_code)]
 
 use heteroprio_bounds::{combined_lower_bound, dag_lower_bound};
-use heteroprio_core::HeteroPrioConfig;
-use heteroprio_experiments::{emit, flag_list, flag_value, IndepAlgo, TextTable};
-use heteroprio_schedulers::{DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy, PriorityListPolicy};
-use heteroprio_simulator::{simulate_traced, TransferModel};
+use heteroprio_core::kernel::Run;
+use heteroprio_experiments::{
+    emit, flag_list, flag_value, run_indep, IndepAlgo, Scheduler, TextTable,
+};
+use heteroprio_metrics::NullRegistry;
+use heteroprio_schedulers::DualHpRank;
+use heteroprio_simulator::{FaultPlan, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
 use heteroprio_trace::NullSink;
 use heteroprio_workloads::{
@@ -33,7 +36,7 @@ fn jitter_sweep(seed: u64, jitters: &[f64]) {
         let lb = combined_lower_bound(&instance, &platform);
         let mut row = vec![format!("{jitter:.2}")];
         for algo in IndepAlgo::PAPER {
-            let ms = algo.run(&instance, &platform).makespan();
+            let ms = run_indep(algo, &instance, &platform).makespan();
             row.push(format!("{:.4}", ms / lb));
         }
         t.push_row(row);
@@ -63,23 +66,27 @@ fn penalty_sweep() {
     ]);
     for frac in [0.0, 0.05, 0.1, 0.25, 0.5] {
         let model = TransferModel::new(frac * mean_gpu);
-        let mut hp = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-        let hp_res = simulate_traced(&graph, &platform, &mut hp, &model, &mut NullSink);
-        let mut dual = DualHpDagPolicy::new(DualHpRank::Fifo);
-        let dual_res = simulate_traced(&graph, &platform, &mut dual, &model, &mut NullSink);
-        let mut list = PriorityListPolicy::new();
-        let list_res = simulate_traced(&graph, &platform, &mut list, &model, &mut NullSink);
-        for res in [&hp_res, &dual_res, &list_res] {
+        let [hp, dual, list] = [
+            Scheduler::HeteroPrio(WeightScheme::Min),
+            Scheduler::DualHp(DualHpRank::Fifo, WeightScheme::Min),
+            Scheduler::PriorityList(WeightScheme::Min),
+        ]
+        .map(|scheduler| {
+            let mut sink = NullSink;
+            let spec = Run::new(&mut sink, &NullRegistry);
+            let res = scheduler.run(&graph, &platform, &model, &FaultPlan::NONE, spec);
+            let res = res.expect("fault-free");
             res.schedule
                 .validate_with_overhead(graph.instance(), &platform, model.cross_class_penalty)
                 .expect("valid under the cost model");
-        }
+            res
+        });
         t.push_row(vec![
             format!("{:.0}%", frac * 100.0),
-            format!("{:.4}", hp_res.makespan() / lb),
-            hp_res.spoliations.to_string(),
-            format!("{:.4}", dual_res.makespan() / lb),
-            format!("{:.4}", list_res.makespan() / lb),
+            format!("{:.4}", hp.schedule.makespan() / lb),
+            hp.spoliations.to_string(),
+            format!("{:.4}", dual.schedule.makespan() / lb),
+            format!("{:.4}", list.schedule.makespan() / lb),
         ]);
     }
     emit(
@@ -103,7 +110,7 @@ fn tile_size_sweep() {
             format!("{:.2}", timing.accel(heteroprio_taskgraph::Kernel::Gemm)),
         ];
         for algo in IndepAlgo::PAPER {
-            let ms = algo.run(&instance, &platform).makespan();
+            let ms = run_indep(algo, &instance, &platform).makespan();
             row.push(format!("{:.4}", ms / lb));
         }
         t.push_row(row);

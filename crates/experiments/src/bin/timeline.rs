@@ -13,7 +13,7 @@
 
 use heteroprio_core::ResourceKind;
 use heteroprio_experiments::{
-    ramp_up_time, ready_profile_from_events, utilization_profile_from_events, DagAlgo,
+    ramp_up_time, ready_profile_from_events, trace_dag, utilization_profile_from_events, DAG_PAPER,
 };
 use heteroprio_taskgraph::Factorization;
 use heteroprio_trace::VecSink;
@@ -24,9 +24,9 @@ fn main() {
     let platform = paper_platform();
     let graph = Factorization::Cholesky.generate(n, &ChameleonTiming);
     println!("Cholesky N={n} on 20 CPUs + 4 GPUs — utilization over normalized time\n");
-    for algo in DagAlgo::PAPER {
+    for (name, algo) in DAG_PAPER {
         let mut sink = VecSink::new();
-        let sched = algo.trace(&graph, &platform, &mut sink);
+        let sched = trace_dag(algo, &graph, &platform, &mut sink);
         let events = sink.into_events();
         let width = 56;
         let cpu = utilization_profile_from_events(&events, &platform, ResourceKind::Cpu, width);
@@ -34,7 +34,7 @@ fn main() {
         let ready = ready_profile_from_events(&events, width);
         let ramp = ramp_up_time(&sched, &platform, ResourceKind::Cpu, 0.5)
             .map_or("never".to_string(), |t| format!("{:.0}ms", t));
-        println!("{} (makespan {:.0}ms)", algo.name(), sched.makespan());
+        println!("{name} (makespan {:.0}ms)", sched.makespan());
         println!("  CPU |{}| mean {:.2}, 50%-ramp-up {}", cpu.sparkline(), cpu.mean(), ramp);
         println!("  GPU |{}| mean {:.2}", gpu.sparkline(), gpu.mean());
         println!("  RDY |{}| peak {:.0} ready tasks", ready.sparkline(), ready.max());

@@ -1,6 +1,6 @@
 //! Data series behind Figures 6–9.
 
-use crate::algorithms::{DagAlgo, IndepAlgo};
+use crate::algorithms::{run_dag, run_indep, IndepAlgo, DAG_PAPER};
 use crate::metrics::{alloc_stats, AllocStats};
 use crate::sweep::parallel_map;
 use heteroprio_bounds::{combined_lower_bound, dag_lower_bound};
@@ -49,11 +49,11 @@ pub fn fig6_series<T: KernelTiming + Sync>(
         let outcomes = IndepAlgo::PAPER
             .iter()
             .map(|algo| {
-                let sched = algo.run(&instance, platform);
+                let sched = run_indep(*algo, &instance, platform);
                 debug_assert!(sched.validate(&instance, platform).is_ok());
                 let makespan = sched.makespan();
                 AlgoOutcome {
-                    algo_name: algo.name(),
+                    algo_name: algo.label(),
                     makespan,
                     ratio: makespan / lb,
                     stats: alloc_stats(&instance, platform, &sched),
@@ -76,14 +76,14 @@ pub fn fig7_series<T: KernelTiming + Sync>(
     parallel_map(ns.to_vec(), |n| {
         let graph = f.generate(n, timing);
         let lb = dag_lower_bound(&graph, platform);
-        let outcomes = DagAlgo::PAPER
+        let outcomes = DAG_PAPER
             .iter()
-            .map(|algo| {
-                let sched = algo.run(&graph, platform);
+            .map(|&(name, algo)| {
+                let sched = run_dag(algo, &graph, platform);
                 debug_assert!(sched.validate(graph.instance(), platform).is_ok());
                 let makespan = sched.makespan();
                 AlgoOutcome {
-                    algo_name: algo.name(),
+                    algo_name: name,
                     makespan,
                     ratio: makespan / lb,
                     stats: alloc_stats(graph.instance(), platform, &sched),

@@ -25,7 +25,9 @@ pub mod sweep;
 pub mod table;
 pub mod timeline;
 
-pub use algorithms::{DagAlgo, IndepAlgo, HEFT_INSERTION_LIMIT};
+pub use algorithms::{
+    run_dag, run_indep, trace_dag, IndepAlgo, Scheduler, DAG_PAPER, HEFT_INSERTION_LIMIT,
+};
 pub use figures::{fig6_series, fig7_series, AlgoOutcome, SweepPoint, DEFAULT_NS, SMOKE_NS};
 pub use metrics::{alloc_stats, fmt_opt, AllocStats};
 pub use sweep::parallel_map;

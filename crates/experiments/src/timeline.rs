@@ -246,12 +246,13 @@ mod tests {
 
     #[test]
     fn event_profile_matches_schedule_profile() {
-        use crate::DagAlgo;
+        use crate::{trace_dag, Scheduler};
+        use heteroprio_taskgraph::WeightScheme;
         use heteroprio_taskgraph::{cholesky, ConstTiming};
         let g = cholesky(5, &ConstTiming { cpu: 3.0, gpu: 1.0 });
         let plat = Platform::new(3, 2);
         let mut sink = heteroprio_trace::VecSink::new();
-        let sched = DagAlgo::HeteroPrioMin.trace(&g, &plat, &mut sink);
+        let sched = trace_dag(Scheduler::HeteroPrio(WeightScheme::Min), &g, &plat, &mut sink);
         let events = sink.into_events();
         for kind in ResourceKind::BOTH {
             let from_sched = utilization_profile(&sched, &plat, kind, 16);

@@ -2,50 +2,18 @@
 
 use crate::handles::{Access, DataHandle};
 use heteroprio_bounds::dag_lower_bound;
-use heteroprio_core::kernel::{self, Checkpoints, EngineError, Resume, Run};
-use heteroprio_core::{
-    journaled, CrashPlan, HeteroPrioConfig, Platform, ResumeError, Schedule, Task, TaskId,
-};
+use heteroprio_core::kernel::{Checkpoints, Resume, Run};
+use heteroprio_core::{journaled, CrashPlan, Platform, Schedule, Task, TaskId};
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
-use heteroprio_schedulers::{
-    heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy, PriorityListPolicy,
+use heteroprio_simulator::{FaultPlan, SimError, TransferModel};
+use heteroprio_taskgraph::{check_precedence, CycleError, DagBuilder, TaskGraph};
+use heteroprio_trace::{
+    Journal, JournalError, NullSink, SchedEvent, TeeSink, TraceSink, TraceSummary, VecSink,
 };
-use heteroprio_simulator::{dag, FaultPlan, SimError, SnapshotOnlinePolicy, TransferModel};
-use heteroprio_taskgraph::{
-    apply_bottom_level_priorities, check_precedence, CycleError, DagBuilder, TaskGraph,
-    WeightScheme,
-};
-use heteroprio_trace::{Journal, NullSink, SchedEvent, TraceSink, TraceSummary, VecSink};
 
-/// Which scheduler executes the submitted graph.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Scheduler {
-    /// HeteroPrio with bottom-level priorities under the given scheme.
-    HeteroPrio(WeightScheme),
-    /// DualHP; `Priority` rank uses bottom levels under the given scheme.
-    DualHp(DualHpRank, WeightScheme),
-    /// Static HEFT.
-    Heft(WeightScheme, HeftVariant),
-    /// Plain priority list scheduling (no affinity, no spoliation).
-    PriorityList(WeightScheme),
-}
-
-impl Scheduler {
-    /// Whether this scheduler runs inside the event kernel and can
-    /// therefore journal and resume. Static HEFT builds its schedule
-    /// offline and never enters the kernel. Callers should check this
-    /// *before* creating journal or checkpoint files, so a rejected run
-    /// leaves nothing behind.
-    pub fn supports_durable(&self) -> bool {
-        !matches!(self, Scheduler::Heft(..))
-    }
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::HeteroPrio(WeightScheme::Min)
-    }
-}
+/// Which scheduler executes the submitted graph: the DAG table of
+/// [`heteroprio_schedulers::table`].
+pub use heteroprio_schedulers::Scheduler;
 
 /// Everything the runtime knows after an execution.
 #[derive(Clone, Debug)]
@@ -114,21 +82,43 @@ impl Default for Execution<'_> {
     }
 }
 
-impl Execution<'_> {
-    fn durable(&self) -> bool {
-        self.journal.is_some()
-            || !self.crash.is_none()
-            || self.checkpoints.is_some()
-            || self.resume.is_some()
+impl<'e> Execution<'e> {
+    /// Drive one kernel run under this execution. `run` gets the kernel
+    /// spec; its sink records the event stream when `record` is set or a
+    /// journal is given, tees it into `observer` (a streaming auditor, say)
+    /// and appends it to the journal, which [`journaled`] commits at the
+    /// end. Returns `run`'s result and the recorded events.
+    pub fn drive<R>(
+        self,
+        observer: Option<&mut dyn TraceSink>,
+        run: impl FnOnce(Run<'_, &mut dyn TraceSink, dyn MetricsRegistry + 'e>) -> R,
+    ) -> Result<(R, Vec<SchedEvent>), JournalError> {
+        let Execution { record, metrics, journal, crash, checkpoints, resume } = self;
+        let (mut events, mut null, mut tee) = (VecSink::new(), NullSink, None);
+        let recorder: &mut dyn TraceSink =
+            if record || journal.is_some() { &mut events } else { &mut null };
+        let mut sink: &mut dyn TraceSink = match observer {
+            Some(observer) => tee.insert(TeeSink(recorder, observer)),
+            None => recorder,
+        };
+        let result = match journal {
+            Some(journal) => journaled(journal, &mut sink, |tee| {
+                let mut sink: &mut dyn TraceSink = tee;
+                run(Run { crash, checkpoints, resume, ..Run::new(&mut sink, metrics) })
+            })?,
+            None => run(Run { crash, checkpoints, resume, ..Run::new(&mut sink, metrics) }),
+        };
+        Ok((result, events.into_events()))
     }
 }
 
-/// What an execution produced: a finished [`Report`], or the injected
-/// crash point. On a crash everything emitted before the cut is already in
-/// the journal, ready for a resumed [`Runtime::execute`].
+/// What an execution produced: its result (a finished [`Report`] for
+/// [`Runtime::execute`]), or the injected crash point. On a crash everything
+/// emitted before the cut is already in the journal, ready for a resumed
+/// run.
 #[derive(Debug)]
-pub enum Outcome {
-    Completed(Box<Report>),
+pub enum Outcome<T = Box<Report>> {
+    Completed(T),
     Crashed { time: f64, events: u64 },
 }
 
@@ -271,129 +261,64 @@ impl Runtime {
         if graph.is_empty() {
             return Err("no tasks were submitted".to_string());
         }
-        let ran = match scheduler {
-            Scheduler::HeteroPrio(scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                execute_policy(&graph, &platform, &transfer, &plan, &mut policy, exec)?
+        if !scheduler.is_live() {
+            let Execution { journal, crash, checkpoints, resume, .. } = &exec;
+            if journal.is_some() || !crash.is_none() || checkpoints.is_some() || resume.is_some() {
+                return Err("static HEFT builds its schedule outside the kernel and cannot \
+                     journal; use an online scheduler"
+                    .to_string());
             }
-            Scheduler::DualHp(rank, scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = DualHpDagPolicy::new(rank);
-                execute_policy(&graph, &platform, &transfer, &plan, &mut policy, exec)?
+            if transfer != TransferModel::NONE {
+                return Err("static HEFT does not support transfer penalties".to_string());
             }
-            Scheduler::PriorityList(scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = PriorityListPolicy::new();
-                execute_policy(&graph, &platform, &transfer, &plan, &mut policy, exec)?
+            if !plan.is_none() {
+                return Err("static HEFT does not support fault injection; \
+                     use an online scheduler"
+                    .to_string());
             }
-            Scheduler::Heft(scheme, variant) => {
-                if exec.durable() {
-                    return Err("static HEFT builds its schedule outside the kernel and cannot \
-                         journal; use an online scheduler"
-                        .to_string());
-                }
-                if transfer != TransferModel::NONE {
-                    return Err("static HEFT does not support transfer penalties".to_string());
-                }
-                if !plan.is_none() {
-                    return Err("static HEFT does not support fault injection; \
-                         use an online scheduler"
-                        .to_string());
-                }
-                let schedule = heft(&graph, &platform, scheme, variant);
-                let events = schedule.to_events(&platform);
-                let summary = TraceSummary::from_events(platform.workers(), &events);
-                Ok((schedule, summary, if exec.record { events } else { Vec::new() }))
-            }
-        };
-        let (schedule, summary, events) = match ran {
-            Ok(done) => done,
-            Err((time, events)) => return Ok(Outcome::Crashed { time, events }),
-        };
-        let report = finish_report(graph, &platform, &transfer, plan, schedule, summary, events)?;
-        Ok(Outcome::Completed(Box::new(report)))
-    }
-}
-
-/// A finished execution's schedule, summary and event stream, or the
-/// injected crash point `(time, events)`, before the report is assembled.
-type Ran = Result<(Schedule, TraceSummary, Vec<SchedEvent>), (f64, u64)>;
-
-/// Drive one concrete policy over `graph` through the kernel under `exec`.
-fn execute_policy<P: SnapshotOnlinePolicy>(
-    graph: &TaskGraph,
-    platform: &Platform,
-    transfer: &TransferModel,
-    plan: &FaultPlan,
-    policy: &mut P,
-    exec: Execution<'_>,
-) -> Result<Ran, String> {
-    let (mut workload, mut policy, faults) =
-        dag(graph, platform, policy, transfer, plan).map_err(|e| e.to_string())?;
-    let Execution { record, metrics, journal, crash, checkpoints, resume } = exec;
-    let run = |sink: &mut dyn TraceSink| {
-        let mut sink = sink;
-        let spec = Run { faults, crash, checkpoints, resume, ..Run::new(&mut sink, metrics) };
-        kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
-    };
-    let mut events = VecSink::new();
-    let result = match journal {
-        Some(journal) => {
-            journaled(journal, &mut events, |sink| run(sink)).map_err(|e| e.to_string())?
         }
-        None if record => run(&mut events),
-        None => run(&mut NullSink),
-    };
-    match result {
-        Ok(outcome) => Ok(Ok((outcome.schedule, outcome.summary, events.into_events()))),
-        Err(ResumeError::Engine(EngineError::Crashed { time, events })) => Ok(Err((time, events))),
-        Err(e) => Err(SimError::from(e).to_string()),
+        scheduler.rank(&mut graph);
+        let (result, events) =
+            exec.drive(None, |spec| scheduler.run(&graph, &platform, &transfer, &plan, spec))?;
+        let outcome = match result {
+            Ok(outcome) => outcome,
+            Err(SimError::Crashed { time, events }) => {
+                return Ok(Outcome::Crashed { time, events })
+            }
+            Err(e) => return Err(e.to_string()),
+        };
+        let schedule = outcome.schedule;
+        if plan.is_none() {
+            schedule
+                .validate_with_overhead(graph.instance(), &platform, transfer.cross_class_penalty)
+                .map_err(|e| format!("invalid schedule: {e}"))?;
+        } else {
+            // Jitter perturbs durations and failures truncate aborted runs,
+            // so only the duration-agnostic invariants can be enforced.
+            schedule
+                .validate_structure(graph.instance(), &platform)
+                .map_err(|e| format!("invalid schedule: {e}"))?;
+        }
+        check_precedence(&graph, &schedule)?;
+        Ok(Outcome::Completed(Box::new(Report {
+            makespan: schedule.makespan(),
+            spoliations: schedule.spoliation_count(),
+            lower_bound: dag_lower_bound(&graph, &platform),
+            graph,
+            schedule,
+            summary: outcome.summary,
+            events,
+            fault_plan: plan,
+        })))
     }
-}
-
-/// Validate the finished schedule and assemble the [`Report`] (shared by
-/// the plain, durable and resumed execution paths).
-fn finish_report(
-    graph: TaskGraph,
-    platform: &Platform,
-    transfer: &TransferModel,
-    plan: FaultPlan,
-    schedule: Schedule,
-    summary: TraceSummary,
-    events: Vec<SchedEvent>,
-) -> Result<Report, String> {
-    if plan.is_none() {
-        schedule
-            .validate_with_overhead(graph.instance(), platform, transfer.cross_class_penalty)
-            .map_err(|e| format!("invalid schedule: {e}"))?;
-    } else {
-        // Jitter perturbs durations and failures truncate aborted runs,
-        // so only the duration-agnostic invariants can be enforced.
-        schedule
-            .validate_structure(graph.instance(), platform)
-            .map_err(|e| format!("invalid schedule: {e}"))?;
-    }
-    check_precedence(&graph, &schedule)?;
-    let makespan = schedule.makespan();
-    let spoliations = schedule.spoliation_count();
-    let lower_bound = dag_lower_bound(&graph, platform);
-    Ok(Report {
-        graph,
-        schedule,
-        makespan,
-        lower_bound,
-        spoliations,
-        summary,
-        events,
-        fault_plan: plan,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use heteroprio_core::time::approx_eq;
+    use heteroprio_schedulers::{DualHpRank, HeftVariant};
+    use heteroprio_taskgraph::WeightScheme;
 
     fn unit(p: f64, q: f64) -> Task {
         Task::new(p, q)

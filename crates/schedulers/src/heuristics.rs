@@ -15,30 +15,8 @@
 //! * **Sufferage**: map the task that would "suffer" most if denied its
 //!   best worker (largest second-best − best gap).
 
+use crate::IndepAlgo;
 use heteroprio_core::{Instance, Platform, Schedule, TaskId, TaskRun, WorkerId};
-
-/// Which of the classic heuristics to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Heuristic {
-    Mct,
-    MinMin,
-    MaxMin,
-    Sufferage,
-}
-
-impl Heuristic {
-    pub const ALL: [Heuristic; 4] =
-        [Heuristic::Mct, Heuristic::MinMin, Heuristic::MaxMin, Heuristic::Sufferage];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Heuristic::Mct => "MCT",
-            Heuristic::MinMin => "MinMin",
-            Heuristic::MaxMin => "MaxMin",
-            Heuristic::Sufferage => "Sufferage",
-        }
-    }
-}
 
 /// Best and second-best completion options for a task given worker
 /// availabilities.
@@ -67,9 +45,10 @@ fn options(instance: &Instance, platform: &Platform, avail: &[f64], task: TaskId
     Options { best_worker, best_finish, second_finish }
 }
 
-/// Run one of the classic heuristics on an independent-task instance.
-pub fn heuristic_schedule(
-    heuristic: Heuristic,
+/// Run one of the classic heuristics ([`IndepAlgo::HEURISTICS`]) on an
+/// independent-task instance; any other entry maps in MCT order.
+pub(crate) fn heuristic_schedule(
+    heuristic: IndepAlgo,
     instance: &Instance,
     platform: &Platform,
 ) -> Schedule {
@@ -85,16 +64,11 @@ pub fn heuristic_schedule(
     };
 
     match heuristic {
-        Heuristic::Mct => {
-            for task in instance.ids() {
-                place(task, &mut avail, &mut runs);
-            }
-        }
-        Heuristic::MinMin | Heuristic::MaxMin | Heuristic::Sufferage => {
+        IndepAlgo::MinMin | IndepAlgo::MaxMin | IndepAlgo::Sufferage => {
             let mut unmapped: Vec<TaskId> = instance.ids().collect();
             while !unmapped.is_empty() {
                 let pick = match heuristic {
-                    Heuristic::MinMin => unmapped
+                    IndepAlgo::MinMin => unmapped
                         .iter()
                         .enumerate()
                         .min_by(|&(_, &a), &(_, &b)| {
@@ -104,7 +78,7 @@ pub fn heuristic_schedule(
                         })
                         .map(|(i, _)| i)
                         .expect("unmapped is non-empty inside the while loop"),
-                    Heuristic::MaxMin => unmapped
+                    IndepAlgo::MaxMin => unmapped
                         .iter()
                         .enumerate()
                         .max_by(|&(_, &a), &(_, &b)| {
@@ -114,7 +88,7 @@ pub fn heuristic_schedule(
                         })
                         .map(|(i, _)| i)
                         .expect("unmapped is non-empty inside the while loop"),
-                    Heuristic::Sufferage => unmapped
+                    _ => unmapped
                         .iter()
                         .enumerate()
                         .max_by(|&(_, &a), &(_, &b)| {
@@ -126,9 +100,13 @@ pub fn heuristic_schedule(
                         })
                         .map(|(i, _)| i)
                         .expect("unmapped is non-empty inside the while loop"),
-                    Heuristic::Mct => unreachable!(),
                 };
                 let task = unmapped.swap_remove(pick);
+                place(task, &mut avail, &mut runs);
+            }
+        }
+        _ => {
+            for task in instance.ids() {
                 place(task, &mut avail, &mut runs);
             }
         }
@@ -142,16 +120,16 @@ mod tests {
     use heteroprio_bounds::{combined_lower_bound, optimal_makespan};
     use heteroprio_core::time::approx_eq;
 
-    fn check_all(instance: &Instance, platform: &Platform) -> Vec<(Heuristic, f64)> {
-        Heuristic::ALL
+    fn check_all(instance: &Instance, platform: &Platform) -> Vec<(IndepAlgo, f64)> {
+        IndepAlgo::HEURISTICS
             .iter()
             .map(|&h| {
                 let sched = heuristic_schedule(h, instance, platform);
-                sched.validate(instance, platform).unwrap_or_else(|e| panic!("{}: {e}", h.name()));
+                sched.validate(instance, platform).unwrap_or_else(|e| panic!("{}: {e}", h.label()));
                 assert!(
                     sched.makespan() >= combined_lower_bound(instance, platform) - 1e-9,
                     "{} beat the lower bound",
-                    h.name()
+                    h.label()
                 );
                 (h, sched.makespan())
             })
@@ -177,9 +155,9 @@ mod tests {
     fn single_task_goes_to_its_fast_worker() {
         let inst = Instance::from_times(&[(10.0, 2.0)]);
         let plat = Platform::new(2, 1);
-        for h in Heuristic::ALL {
+        for h in IndepAlgo::HEURISTICS {
             let sched = heuristic_schedule(h, &inst, &plat);
-            assert!(approx_eq(sched.makespan(), 2.0), "{}", h.name());
+            assert!(approx_eq(sched.makespan(), 2.0), "{}", h.label());
         }
     }
 
@@ -190,7 +168,7 @@ mod tests {
         // Then A: CPU finish 1+4=5, GPU 3 → A to GPU. Makespan 3.
         let inst = Instance::from_times(&[(4.0, 3.0), (1.0, 2.0)]);
         let plat = Platform::new(1, 1);
-        let sched = heuristic_schedule(Heuristic::MinMin, &inst, &plat);
+        let sched = heuristic_schedule(IndepAlgo::MinMin, &inst, &plat);
         assert!(approx_eq(sched.makespan(), 3.0), "{}", sched.makespan());
     }
 
@@ -199,7 +177,7 @@ mod tests {
         // MaxMin maps the task with the largest best-finish first.
         let inst = Instance::from_times(&[(9.0, 9.0), (1.0, 1.0)]);
         let plat = Platform::new(1, 1);
-        let sched = heuristic_schedule(Heuristic::MaxMin, &inst, &plat);
+        let sched = heuristic_schedule(IndepAlgo::MaxMin, &inst, &plat);
         // Big task first (either worker), small task to the other: 9.
         assert!(approx_eq(sched.makespan(), 9.0));
         let big = sched.run_of(TaskId(0)).unwrap();
@@ -212,7 +190,7 @@ mod tests {
         // A must win the GPU.
         let inst = Instance::from_times(&[(10.0, 1.0), (3.0, 2.0)]);
         let plat = Platform::new(1, 1);
-        let sched = heuristic_schedule(Heuristic::Sufferage, &inst, &plat);
+        let sched = heuristic_schedule(IndepAlgo::Sufferage, &inst, &plat);
         let a = sched.run_of(TaskId(0)).unwrap();
         assert_eq!(plat.kind_of(a.worker), heteroprio_core::ResourceKind::Gpu);
         assert!(approx_eq(sched.makespan(), 3.0), "{}", sched.makespan());
@@ -226,7 +204,7 @@ mod tests {
         let plat = Platform::new(2, 1);
         let opt = optimal_makespan(&inst, &plat).makespan;
         for (h, ms) in check_all(&inst, &plat) {
-            assert!(ms <= 3.0 * opt + 1e-9, "{}: {ms} vs opt {opt}", h.name());
+            assert!(ms <= 3.0 * opt + 1e-9, "{}: {ms} vs opt {opt}", h.label());
         }
     }
 
@@ -236,7 +214,7 @@ mod tests {
         // reversed instance and still validates.
         let forward = Instance::from_times(&[(5.0, 1.0), (1.0, 5.0), (3.0, 3.0)]);
         let plat = Platform::new(1, 1);
-        let sched = heuristic_schedule(Heuristic::Mct, &forward, &plat);
+        let sched = heuristic_schedule(IndepAlgo::Mct, &forward, &plat);
         sched.validate(&forward, &plat).unwrap();
     }
 }

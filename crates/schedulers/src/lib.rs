@@ -13,15 +13,19 @@
 //! * **HEFT** (Topcuoglu et al. \[11\]) with `avg`/`min` weight schemes and
 //!   insertion / no-insertion variants ([`heft()`](heft::heft));
 //! * baselines: plain priority list scheduling and a random scheduler.
+//!
+//! The [`table`] module names them once per task model ([`IndepAlgo`] for
+//! independent tasks, [`Scheduler`] for DAGs) for every front-end.
 
 pub mod baselines;
 pub mod dualhp;
 pub mod heft;
 pub mod heteroprio_dag;
 pub mod heuristics;
+pub mod table;
 
 pub use baselines::{PriorityListPolicy, RandomPolicy};
 pub use dualhp::{dualhp_independent, faster_class_schedule, DualHpDagPolicy, DualHpRank};
 pub use heft::{heft, HeftVariant};
 pub use heteroprio_dag::HeteroPrioDagPolicy;
-pub use heuristics::{heuristic_schedule, Heuristic};
+pub use table::{IndepAlgo, Scheduler};

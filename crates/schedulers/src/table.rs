@@ -1,0 +1,346 @@
+//! The scheduler tables: every algorithm the front-ends (CLI, runtime,
+//! experiments) can run, named once per task model.
+//!
+//! * [`IndepAlgo`] — independent task sets: HeteroPrio with and without
+//!   spoliation, the DualHP packer, HEFT and the classic heuristics.
+//! * [`Scheduler`] — task graphs executed through the event kernel:
+//!   HeteroPrio, DualHP and plain list scheduling as online policies, and
+//!   static HEFT. The bottom-level ranking scheme and HEFT's insertion
+//!   variant are data of the entry.
+//!
+//! Each table has `parse`/`name`/`NAMES` for the command line and one
+//! `is_live` predicate. A *live* algorithm makes its decisions inside the
+//! kernel, so its run can be metered, journaled, crashed and resumed, and
+//! (for DAGs) faulted or charged transfer penalties. A *static* one builds
+//! its schedule offline; its event stream is reconstructed from the finished
+//! schedule. Every "static algorithms cannot do X" check calls `is_live`.
+
+use crate::heuristics::heuristic_schedule;
+use crate::{
+    dualhp_independent, heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy,
+    PriorityListPolicy,
+};
+use heteroprio_core::kernel::{self, KernelOutcome, Run};
+use heteroprio_core::{heteroprio_metered, HeteroPrioConfig, Instance, Platform, Schedule};
+use heteroprio_metrics::MetricsRegistry;
+use heteroprio_simulator::{dag, FaultPlan, SimError, SnapshotOnlinePolicy, TransferModel};
+use heteroprio_taskgraph::{apply_bottom_level_priorities, TaskGraph, WeightScheme};
+use heteroprio_trace::{NullSink, TraceSink, TraceSummary};
+use std::fmt;
+
+/// The independent-task algorithms, by the names `--algo` accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IndepAlgo {
+    HeteroPrio,
+    HeteroPrioNoSpoliation,
+    DualHp,
+    Heft,
+    MinMin,
+    MaxMin,
+    Sufferage,
+    Mct,
+}
+
+impl IndepAlgo {
+    /// The command-line names, one per entry (`heteroprio` and
+    /// `heteroprio-ns` are accepted as aliases of the first two).
+    pub const NAMES: [&'static str; 8] =
+        ["hp", "hp-ns", "dualhp", "heft", "minmin", "maxmin", "sufferage", "mct"];
+
+    /// The three algorithms of the paper's Figure 6.
+    pub const PAPER: [IndepAlgo; 3] = [IndepAlgo::HeteroPrio, IndepAlgo::DualHp, IndepAlgo::Heft];
+
+    /// The classic mapping heuristics (see [`crate::heuristics`]).
+    pub const HEURISTICS: [IndepAlgo; 4] =
+        [IndepAlgo::Mct, IndepAlgo::MinMin, IndepAlgo::MaxMin, IndepAlgo::Sufferage];
+
+    pub fn parse(s: &str) -> Option<IndepAlgo> {
+        Some(match s.to_ascii_lowercase().as_str() {
+            "hp" | "heteroprio" => IndepAlgo::HeteroPrio,
+            "hp-ns" | "heteroprio-ns" => IndepAlgo::HeteroPrioNoSpoliation,
+            "dualhp" => IndepAlgo::DualHp,
+            "heft" => IndepAlgo::Heft,
+            "minmin" => IndepAlgo::MinMin,
+            "maxmin" => IndepAlgo::MaxMin,
+            "sufferage" => IndepAlgo::Sufferage,
+            "mct" => IndepAlgo::Mct,
+            _ => return None,
+        })
+    }
+
+    /// The command-line name ([`IndepAlgo::parse`] maps it back).
+    pub fn name(self) -> &'static str {
+        match self {
+            IndepAlgo::HeteroPrio => "hp",
+            IndepAlgo::HeteroPrioNoSpoliation => "hp-ns",
+            IndepAlgo::DualHp => "dualhp",
+            IndepAlgo::Heft => "heft",
+            IndepAlgo::MinMin => "minmin",
+            IndepAlgo::MaxMin => "maxmin",
+            IndepAlgo::Sufferage => "sufferage",
+            IndepAlgo::Mct => "mct",
+        }
+    }
+
+    /// The column label the experiment tables print.
+    pub fn label(self) -> &'static str {
+        match self {
+            IndepAlgo::HeteroPrio => "HeteroPrio",
+            IndepAlgo::HeteroPrioNoSpoliation => "HeteroPrio-NS",
+            IndepAlgo::DualHp => "DualHP",
+            IndepAlgo::Heft => "HEFT",
+            IndepAlgo::MinMin => "MinMin",
+            IndepAlgo::MaxMin => "MaxMin",
+            IndepAlgo::Sufferage => "Sufferage",
+            IndepAlgo::Mct => "MCT",
+        }
+    }
+
+    /// The kernel configuration of the live HeteroPrio variants; `None` for
+    /// the static algorithms.
+    pub fn config(self) -> Option<HeteroPrioConfig> {
+        match self {
+            IndepAlgo::HeteroPrio => Some(HeteroPrioConfig::new()),
+            IndepAlgo::HeteroPrioNoSpoliation => Some(HeteroPrioConfig::without_spoliation()),
+            _ => None,
+        }
+    }
+
+    /// Whether the algorithm runs inside the event kernel (see the module
+    /// docs).
+    pub fn is_live(self) -> bool {
+        self.config().is_some()
+    }
+
+    /// Schedule `instance`. `heft_variant` picks HEFT's variant; the other
+    /// algorithms ignore it. The live variants record their kernel metrics
+    /// into `metrics`; static algorithms never enter the kernel and record
+    /// nothing.
+    pub fn run<M: MetricsRegistry + ?Sized>(
+        self,
+        instance: &Instance,
+        platform: &Platform,
+        heft_variant: HeftVariant,
+        metrics: &M,
+    ) -> Schedule {
+        match (self.config(), self) {
+            (Some(config), _) => {
+                heteroprio_metered(instance, platform, &config, &mut NullSink, metrics).schedule
+            }
+            (None, IndepAlgo::DualHp) => dualhp_independent(instance, platform),
+            (None, IndepAlgo::Heft) => {
+                let graph = TaskGraph::independent(instance.clone());
+                heft(&graph, platform, WeightScheme::Avg, heft_variant)
+            }
+            (None, heuristic) => heuristic_schedule(heuristic, instance, platform),
+        }
+    }
+}
+
+/// The DAG schedulers, with their ranking scheme and HEFT variant as data.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Scheduler {
+    /// HeteroPrio with bottom-level priorities under the given scheme.
+    HeteroPrio(WeightScheme),
+    /// DualHP; `Priority` rank uses bottom levels under the given scheme.
+    DualHp(DualHpRank, WeightScheme),
+    /// Static HEFT.
+    Heft(WeightScheme, HeftVariant),
+    /// Plain priority list scheduling (no affinity, no spoliation).
+    PriorityList(WeightScheme),
+}
+
+impl Default for Scheduler {
+    fn default() -> Self {
+        Scheduler::HeteroPrio(WeightScheme::Min)
+    }
+}
+
+impl Scheduler {
+    /// The command-line names, one per entry (`heteroprio` is accepted as
+    /// an alias of `hp`).
+    pub const NAMES: [&'static str; 5] = ["hp", "dualhp", "dualhp-fifo", "heft", "list"];
+
+    /// The entry a command-line name selects: bottom levels under the `min`
+    /// scheme, HEFT under `avg` with insertion.
+    pub fn parse(s: &str) -> Option<Scheduler> {
+        Some(match s.to_ascii_lowercase().as_str() {
+            "hp" | "heteroprio" => Scheduler::HeteroPrio(WeightScheme::Min),
+            "dualhp" => Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Min),
+            "dualhp-fifo" => Scheduler::DualHp(DualHpRank::Fifo, WeightScheme::Min),
+            "heft" => Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion),
+            "list" => Scheduler::PriorityList(WeightScheme::Min),
+            _ => return None,
+        })
+    }
+
+    /// The command-line name of this scheduler's family.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scheduler::HeteroPrio(_) => "hp",
+            Scheduler::DualHp(DualHpRank::Priority, _) => "dualhp",
+            Scheduler::DualHp(DualHpRank::Fifo, _) => "dualhp-fifo",
+            Scheduler::Heft(..) => "heft",
+            Scheduler::PriorityList(_) => "list",
+        }
+    }
+
+    /// Whether the scheduler runs inside the event kernel (see the module
+    /// docs). Callers should check this *before* creating journal or
+    /// checkpoint files, so a rejected run leaves nothing behind.
+    pub fn is_live(self) -> bool {
+        !matches!(self, Scheduler::Heft(..))
+    }
+
+    /// Attach the bottom-level priorities this scheduler ranks by.
+    pub fn rank(self, graph: &mut TaskGraph) {
+        let (Scheduler::HeteroPrio(scheme)
+        | Scheduler::DualHp(_, scheme)
+        | Scheduler::Heft(scheme, _)
+        | Scheduler::PriorityList(scheme)) = self;
+        apply_bottom_level_priorities(graph, scheme);
+    }
+
+    /// Schedule `graph` (ranked by [`Scheduler::rank`]) under `spec`, with
+    /// `transfer` charged and `plan`'s faults injected; `spec.faults` is
+    /// replaced by `plan`'s expansion. Live schedulers drive their policy
+    /// through the kernel. Static HEFT builds its schedule offline and
+    /// replays the reconstructed event stream into `spec.sink`; it takes no
+    /// transfer model, fault plan, crash, checkpoints or resume.
+    pub fn run<S: TraceSink, M: MetricsRegistry + ?Sized>(
+        self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        transfer: &TransferModel,
+        plan: &FaultPlan,
+        spec: Run<'_, S, M>,
+    ) -> Result<KernelOutcome, SimError> {
+        match self {
+            Scheduler::HeteroPrio(_) => {
+                let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+                run_policy(graph, platform, transfer, plan, &mut policy, spec)
+            }
+            Scheduler::DualHp(rank, _) => {
+                run_policy(graph, platform, transfer, plan, &mut DualHpDagPolicy::new(rank), spec)
+            }
+            Scheduler::PriorityList(_) => {
+                run_policy(graph, platform, transfer, plan, &mut PriorityListPolicy::new(), spec)
+            }
+            Scheduler::Heft(scheme, variant) => {
+                let plain = spec.crash.is_none()
+                    && spec.checkpoints.is_none()
+                    && spec.resume.is_none()
+                    && *transfer == TransferModel::NONE
+                    && plan.is_none();
+                if !plain {
+                    return Err(SimError::InvalidPlan {
+                        reason: "static HEFT builds its schedule outside the kernel: no \
+                                 transfer model, faults, crash, checkpoints or resume"
+                            .into(),
+                    });
+                }
+                let schedule = heft(graph, platform, scheme, variant);
+                let events = schedule.to_events(platform);
+                let summary = TraceSummary::from_events(platform.workers(), &events);
+                if spec.sink.is_enabled() {
+                    events.into_iter().for_each(|e| spec.sink.emit(e));
+                }
+                Ok(KernelOutcome {
+                    schedule,
+                    first_idle: summary.first_idle,
+                    spoliations: summary.spoliation_count,
+                    summary,
+                })
+            }
+        }
+    }
+}
+
+/// Drive one concrete policy over `graph` through the kernel.
+fn run_policy<P: SnapshotOnlinePolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
+    graph: &TaskGraph,
+    platform: &Platform,
+    transfer: &TransferModel,
+    plan: &FaultPlan,
+    policy: &mut P,
+    spec: Run<'_, S, M>,
+) -> Result<KernelOutcome, SimError> {
+    let (mut workload, mut policy, faults) = dag(graph, platform, policy, transfer, plan)?;
+    Ok(kernel::run_checkpointed(platform, &mut workload, &mut policy, Run { faults, ..spec })?)
+}
+
+/// Report label: the family name, with DualHP's rank.
+impl fmt::Display for Scheduler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Scheduler::HeteroPrio(_) => "HeteroPrio",
+            Scheduler::DualHp(DualHpRank::Priority, _) => "DualHp",
+            Scheduler::DualHp(DualHpRank::Fifo, _) => "DualHpFifo",
+            Scheduler::Heft(..) => "Heft",
+            Scheduler::PriorityList(_) => "List",
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use heteroprio_core::kernel::metric;
+    use heteroprio_metrics::InMemoryRegistry;
+    use heteroprio_taskgraph::{cholesky, ConstTiming};
+
+    /// Kernel events a registry counted.
+    fn events(registry: &InMemoryRegistry) -> u64 {
+        registry.snapshot().counter(metric::EVENTS_TOTAL).unwrap_or(0)
+    }
+
+    #[test]
+    fn every_table_entry_round_trips_and_is_live_exactly_when_it_enters_the_kernel() {
+        let platform = Platform::new(2, 1);
+        let instance = Instance::from_times(&[(3.0, 1.0), (1.0, 2.0), (2.0, 2.0), (4.0, 1.0)]);
+        let mut seen: Vec<IndepAlgo> = Vec::new();
+        for name in IndepAlgo::NAMES {
+            let algo = IndepAlgo::parse(name).unwrap_or_else(|| panic!("{name} does not parse"));
+            assert_eq!(algo.name(), name);
+            assert_eq!(IndepAlgo::parse(&name.to_uppercase()), Some(algo), "case-insensitive");
+            assert!(seen.iter().all(|s| *s != algo && s.label() != algo.label()), "{name}");
+            seen.push(algo);
+            let registry = InMemoryRegistry::new();
+            let schedule = algo.run(&instance, &platform, HeftVariant::Insertion, &registry);
+            schedule.validate(&instance, &platform).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(algo.is_live(), events(&registry) > 0, "{name}");
+        }
+        assert_eq!(IndepAlgo::parse("heteroprio"), Some(IndepAlgo::HeteroPrio));
+        assert_eq!(IndepAlgo::parse("heteroprio-ns"), Some(IndepAlgo::HeteroPrioNoSpoliation));
+
+        let graph = cholesky(3, &ConstTiming { cpu: 3.0, gpu: 1.0 });
+        let mut seen: Vec<Scheduler> = Vec::new();
+        for name in Scheduler::NAMES {
+            let scheduler =
+                Scheduler::parse(name).unwrap_or_else(|| panic!("{name} does not parse"));
+            assert_eq!(scheduler.name(), name);
+            assert_eq!(Scheduler::parse(&name.to_uppercase()), Some(scheduler), "case-insensitive");
+            let label = scheduler.to_string();
+            assert!(seen.iter().all(|s| *s != scheduler && s.to_string() != label), "{name}");
+            seen.push(scheduler);
+            let mut ranked = graph.clone();
+            scheduler.rank(&mut ranked);
+            let registry = InMemoryRegistry::new();
+            let mut sink = NullSink;
+            let spec = Run::new(&mut sink, &registry);
+            let outcome =
+                scheduler.run(&ranked, &platform, &TransferModel::NONE, &FaultPlan::NONE, spec);
+            let schedule = outcome.unwrap_or_else(|e| panic!("{name}: {e}")).schedule;
+            schedule
+                .validate(graph.instance(), &platform)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(scheduler.is_live(), events(&registry) > 0, "{name}");
+        }
+        assert_eq!(Scheduler::parse("heteroprio"), Some(Scheduler::default()));
+        // Each table rejects the other's names and garbage.
+        for (indep, dag) in [("list", "minmin"), ("dualhp-fifo", "hp-ns"), ("nope", "??")] {
+            assert_eq!(IndepAlgo::parse(indep), None);
+            assert_eq!(Scheduler::parse(dag), None);
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! ```
 
 use heteroprio::bounds::dag_lower_bound;
-use heteroprio::experiments::DagAlgo;
+use heteroprio::experiments::{run_dag, DAG_PAPER};
 use heteroprio::taskgraph::cholesky;
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 
@@ -27,13 +27,12 @@ fn main() {
     println!("kernel mix: {:?}", graph.label_histogram());
     println!("lower bound (area + critical path): {lb:.1} ms\n");
     println!("{:<16} {:>12} {:>8} {:>12}", "algorithm", "makespan", "ratio", "spoliations");
-    for algo in DagAlgo::PAPER {
-        let sched = algo.run(&graph, &platform);
+    for (name, algo) in DAG_PAPER {
+        let sched = run_dag(algo, &graph, &platform);
         sched.validate(graph.instance(), &platform).expect("valid");
         heteroprio::taskgraph::check_precedence(&graph, &sched).expect("precedence");
         println!(
-            "{:<16} {:>10.1}ms {:>8.3} {:>12}",
-            algo.name(),
+            "{name:<16} {:>10.1}ms {:>8.3} {:>12}",
             sched.makespan(),
             sched.makespan() / lb,
             sched.spoliation_count(),

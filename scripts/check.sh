@@ -32,6 +32,14 @@ echo "== perf smoke + regression gate (>20% tasks/sec loss vs committed baseline
 # committed BENCH_kernel.json, and debug timings always "regress".
 cargo run -q --release -p heteroprio-cli -- perf --smoke --against BENCH_kernel.json
 
+echo "== committed results: the fast deterministic experiment binaries reproduce results/"
+# fig6, fig7, fig8_9 and heuristics_comparison take seconds to minutes, and
+# complexity.txt records wall-clock timings, so they are not re-run here.
+for bin in table1 table2 fig1_example fig4_5 timeline robustness faults; do
+    cargo run -q --release -p heteroprio-experiments --bin "$bin" | diff -u "results/$bin.txt" - \
+        || { echo "results/$bin.txt is stale: regenerate it (see results/README.md)"; exit 1; }
+done
+
 echo "== audit smoke: record a trace, then re-audit it from disk"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

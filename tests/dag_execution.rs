@@ -4,8 +4,9 @@
 
 use heteroprio::bounds::dag_lower_bound;
 use heteroprio::core::Platform;
-use heteroprio::experiments::{alloc_stats, DagAlgo};
-use heteroprio::taskgraph::{check_precedence, ConstTiming, Factorization};
+use heteroprio::experiments::{alloc_stats, run_dag, Scheduler, DAG_PAPER};
+use heteroprio::schedulers::DualHpRank;
+use heteroprio::taskgraph::{check_precedence, ConstTiming, Factorization, WeightScheme};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 
 #[test]
@@ -14,17 +15,16 @@ fn every_algorithm_schedules_every_factorization() {
     for f in Factorization::ALL {
         let graph = f.generate(6, &ChameleonTiming);
         let lb = dag_lower_bound(&graph, &platform);
-        for algo in DagAlgo::PAPER {
-            let sched = algo.run(&graph, &platform);
+        for (name, algo) in DAG_PAPER {
+            let sched = run_dag(algo, &graph, &platform);
             sched
                 .validate(graph.instance(), &platform)
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", algo.name(), f.name()));
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", f.name()));
             check_precedence(&graph, &sched)
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", algo.name(), f.name()));
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", f.name()));
             assert!(
                 sched.makespan() >= lb - 1e-9,
-                "{} on {}: makespan below lower bound",
-                algo.name(),
+                "{name} on {}: makespan below lower bound",
                 f.name()
             );
         }
@@ -35,10 +35,10 @@ fn every_algorithm_schedules_every_factorization() {
 fn runs_are_deterministic() {
     let platform = paper_platform();
     let graph = Factorization::Cholesky.generate(8, &ChameleonTiming);
-    for algo in DagAlgo::PAPER {
-        let a = algo.run(&graph, &platform).makespan();
-        let b = algo.run(&graph, &platform).makespan();
-        assert_eq!(a, b, "{} is nondeterministic", algo.name());
+    for (name, algo) in DAG_PAPER {
+        let a = run_dag(algo, &graph, &platform).makespan();
+        let b = run_dag(algo, &graph, &platform).makespan();
+        assert_eq!(a, b, "{name} is nondeterministic");
     }
 }
 
@@ -48,8 +48,8 @@ fn heteroprio_puts_low_affinity_work_on_cpus() {
     // factor is lower (better) than HEFT's on the same Cholesky instance.
     let platform = paper_platform();
     let graph = Factorization::Cholesky.generate(12, &ChameleonTiming);
-    let hp = DagAlgo::HeteroPrioMin.run(&graph, &platform);
-    let heft = DagAlgo::HeftAvg.run(&graph, &platform);
+    let hp = run_dag(Scheduler::HeteroPrio(WeightScheme::Min), &graph, &platform);
+    let heft = run_dag(Scheduler::parse("heft").unwrap(), &graph, &platform);
     let hp_stats = alloc_stats(graph.instance(), &platform, &hp);
     let heft_stats = alloc_stats(graph.instance(), &platform, &heft);
     let (hp_cpu, heft_cpu) = (hp_stats.accel_cpu.unwrap(), heft_stats.accel_cpu.unwrap());
@@ -65,9 +65,9 @@ fn chain_critical_path_is_respected() {
     // exactly the sum of the per-task best times when the GPU dominates.
     let graph = heteroprio::taskgraph::chain(10, 5.0, 1.0);
     let platform = Platform::new(2, 1);
-    for algo in DagAlgo::PAPER {
-        let ms = algo.run(&graph, &platform).makespan();
-        assert!((ms - 10.0).abs() < 1e-9, "{}: chain makespan {ms}, expected 10", algo.name());
+    for (name, algo) in DAG_PAPER {
+        let ms = run_dag(algo, &graph, &platform).makespan();
+        assert!((ms - 10.0).abs() < 1e-9, "{name}: chain makespan {ms}, expected 10");
     }
 }
 
@@ -77,8 +77,8 @@ fn dualhp_idles_cpus_more_than_heteroprio() {
     // at the start of the schedule; HeteroPrio keeps them busy.
     let platform = paper_platform();
     let graph = Factorization::Cholesky.generate(16, &ChameleonTiming);
-    let hp = DagAlgo::HeteroPrioMin.run(&graph, &platform);
-    let dual = DagAlgo::DualHpFifo.run(&graph, &platform);
+    let hp = run_dag(Scheduler::HeteroPrio(WeightScheme::Min), &graph, &platform);
+    let dual = run_dag(Scheduler::DualHp(DualHpRank::Fifo, WeightScheme::Min), &graph, &platform);
     let hp_idle = alloc_stats(graph.instance(), &platform, &hp).idle_cpu.unwrap();
     let dual_idle = alloc_stats(graph.instance(), &platform, &dual).idle_cpu.unwrap();
     assert!(hp_idle <= dual_idle + 1e-9, "HeteroPrio CPU idle {hp_idle} vs DualHP {dual_idle}");
@@ -91,8 +91,8 @@ fn unit_kernels_fill_the_machine() {
     let platform = Platform::new(2, 2);
     let graph = Factorization::Cholesky.generate(10, &ConstTiming { cpu: 1.0, gpu: 1.0 });
     let lb = dag_lower_bound(&graph, &platform);
-    for algo in [DagAlgo::HeteroPrioAvg, DagAlgo::HeftAvg] {
-        let ms = algo.run(&graph, &platform).makespan();
-        assert!(ms <= 2.0 * lb, "{}: {ms} vs lb {lb}", algo.name());
+    for algo in [Scheduler::HeteroPrio(WeightScheme::Avg), Scheduler::parse("heft").unwrap()] {
+        let ms = run_dag(algo, &graph, &platform).makespan();
+        assert!(ms <= 2.0 * lb, "{algo}: {ms} vs lb {lb}");
     }
 }

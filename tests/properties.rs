@@ -170,15 +170,16 @@ proptest! {
         instance in instance_strategy(7),
         platform in platform_strategy(),
     ) {
-        use heteroprio::schedulers::{heuristic_schedule, Heuristic};
+        use heteroprio::metrics::NullRegistry;
+        use heteroprio::schedulers::{HeftVariant, IndepAlgo};
         let opt = optimal_makespan(&instance, &platform).makespan;
         let hp_ms = hp(&instance, &platform, &HeteroPrioConfig::new()).makespan();
         prop_assert!(hp_ms >= opt - 1e-9, "HeteroPrio {hp_ms} beat OPT {opt}");
         let dual_ms = dualhp_independent(&instance, &platform).makespan();
         prop_assert!(dual_ms >= opt - 1e-9, "DualHP {dual_ms} beat OPT {opt}");
-        for h in Heuristic::ALL {
-            let ms = heuristic_schedule(h, &instance, &platform).makespan();
-            prop_assert!(ms >= opt - 1e-9, "{} {ms} beat OPT {opt}", h.name());
+        for h in IndepAlgo::HEURISTICS {
+            let ms = h.run(&instance, &platform, HeftVariant::Insertion, &NullRegistry).makespan();
+            prop_assert!(ms >= opt - 1e-9, "{} {ms} beat OPT {opt}", h.label());
         }
     }
 
@@ -187,10 +188,11 @@ proptest! {
         instance in instance_strategy(20),
         platform in platform_strategy(),
     ) {
-        use heteroprio::schedulers::{heuristic_schedule, Heuristic};
-        for h in Heuristic::ALL {
-            let sched = heuristic_schedule(h, &instance, &platform);
-            prop_assert!(sched.validate(&instance, &platform).is_ok(), "{}", h.name());
+        use heteroprio::metrics::NullRegistry;
+        use heteroprio::schedulers::{HeftVariant, IndepAlgo};
+        for h in IndepAlgo::HEURISTICS {
+            let sched = h.run(&instance, &platform, HeftVariant::Insertion, &NullRegistry);
+            prop_assert!(sched.validate(&instance, &platform).is_ok(), "{}", h.label());
             prop_assert!(
                 sched.makespan() >= combined_lower_bound(&instance, &platform) - 1e-9
             );
