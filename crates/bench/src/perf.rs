@@ -22,7 +22,8 @@ use heteroprio_metrics::{InMemoryRegistry, MetricsSnapshot, Stopwatch};
 use heteroprio_schedulers::HeteroPrioDagPolicy;
 use heteroprio_simulator::{dag, FaultPlan, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
-use heteroprio_trace::{encode_into, json, FileJournal, NullSink, SchedEvent, TraceSink};
+use heteroprio_trace::journal::encode_record;
+use heteroprio_trace::{json, FileJournal, NullSink, SchedEvent, TraceSink};
 use heteroprio_workloads::{
     independent_instance, multi_class_instance, paper_platform, random_instance, ChameleonTiming,
     MultiClassParams, RandomInstanceParams,
@@ -180,31 +181,32 @@ fn run_independent_journaled(
 }
 
 /// Journal-off persistence twin of [`run_independent_journaled`]: the same
-/// event stream written to a plain JSONL trace file through a buffered
-/// writer, with one write-out sync at the end — the serialization and disk
-/// bandwidth any persisted trace pays, without framing, checksums or the
-/// cadenced fsyncs. The journal *replaces* this file (it is the trace
-/// stream made durable), so this twin is the fair baseline for the
-/// durability tax: both runs put the same bytes on disk, and the ratio
-/// isolates the journal machinery. Without the final sync the twin's bytes
-/// would sit in page cache and the comparison would charge the journal for
-/// write-out the baseline silently skips. [`run_independent`]'s `NullSink`
-/// case stays in the document to show the cost of persistence itself.
+/// event stream written as unframed HPJL2 records to a plain trace file
+/// through a buffered writer, with one write-out sync at the end — the
+/// serialization and disk bandwidth any persisted trace pays, without
+/// framing, checksums or the cadenced fsyncs. The journal *replaces* this
+/// file (it is the trace stream made durable), so this twin is the fair
+/// baseline for the durability tax: both runs put the same records on disk
+/// (the journal adds an 8-byte header to each), and the ratio isolates the
+/// journal machinery. Without the final sync the twin's bytes would sit in
+/// page cache and the comparison would charge the journal for write-out
+/// the baseline silently skips. [`run_independent`]'s `NullSink` case
+/// stays in the document to show the cost of persistence itself.
 ///
-/// Lines go through [`encode_into`], the journal's own encoder, into a
-/// reused buffer, so the two runs pay the same encoding cost.
+/// Records go through [`encode_record`], the journal's own encoder, into a
+/// reused buffer, so the two runs pay the same encoding cost and the ratio
+/// isolates framing, CRC and fsync.
 struct TraceFileSink {
     out: std::io::BufWriter<std::fs::File>,
-    line: Vec<u8>,
+    record: Vec<u8>,
 }
 
 impl TraceSink for TraceFileSink {
     fn emit(&mut self, event: SchedEvent) {
         use std::io::Write;
-        self.line.clear();
-        encode_into(&event, &mut self.line);
-        self.line.push(b'\n');
-        let _ = self.out.write_all(&self.line);
+        self.record.clear();
+        encode_record(&event, &mut self.record);
+        let _ = self.out.write_all(&self.record);
     }
 
     fn is_enabled(&self) -> bool {
@@ -219,9 +221,9 @@ fn run_independent_traced(
 ) -> CaseResult {
     let platform = paper_platform();
     let registry = InMemoryRegistry::new();
-    let path = std::env::temp_dir().join(format!("hp-bench-{}-{name}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!("hp-bench-{}-{name}.trace", std::process::id()));
     let file = std::fs::File::create(&path).expect("create bench trace file");
-    let mut sink = TraceFileSink { out: std::io::BufWriter::new(file), line: Vec::new() };
+    let mut sink = TraceFileSink { out: std::io::BufWriter::new(file), record: Vec::new() };
     let sw = Stopwatch::start();
     let res =
         heteroprio_metered(instance, &platform, &HeteroPrioConfig::new(), &mut sink, &registry);

@@ -584,6 +584,16 @@ pub fn cmd_audit(
     finish_audit(&report)
 }
 
+/// `export`: the JSONL view of a journal, HPJL1 or HPJL2 alike — the
+/// lines `--trace FILE.jsonl` writes for the same run. A damaged journal
+/// is an error naming the typed damage, and nothing is exported.
+pub fn cmd_export(path: &str) -> Result<String, String> {
+    match FileJournal::recover(path).map_err(|e| format!("{path}: {e}"))? {
+        (events, None) => Ok(jsonl(&events)),
+        (_, Some(damage)) => Err(format!("{path}: journal damaged: {damage}")),
+    }
+}
+
 /// `bounds`: print every lower bound we can compute (plus the exact optimum
 /// for small instances).
 pub fn cmd_bounds(text: &str, table: &ClassTable) -> Result<String, String> {

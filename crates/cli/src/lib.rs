@@ -10,7 +10,7 @@ pub mod commands;
 pub mod format;
 
 pub use commands::{
-    cmd_audit, cmd_bounds, cmd_dag, cmd_gen, cmd_perf, cmd_perf_gate, cmd_schedule,
+    cmd_audit, cmd_bounds, cmd_dag, cmd_export, cmd_gen, cmd_perf, cmd_perf_gate, cmd_schedule,
     parse_platform_args, CmdOutput, DurableOpts, FaultOpts, OutputOpts,
 };
 pub use format::{parse_instance, parse_instance_k, serialize_instance, ParseError};

@@ -9,7 +9,7 @@
 //! ```
 
 use heteroprio_cli::{
-    cmd_audit, cmd_bounds, cmd_dag, cmd_gen, cmd_perf, cmd_perf_gate, cmd_schedule,
+    cmd_audit, cmd_bounds, cmd_dag, cmd_export, cmd_gen, cmd_perf, cmd_perf_gate, cmd_schedule,
     parse_platform_args, CmdOutput, FaultOpts, OutputOpts,
 };
 use heteroprio_core::ClassTable;
@@ -38,6 +38,7 @@ usage:
                           [--algo NAME] [--no-audit] [--trace FILE]
                           [--summary] [--metrics] (INSTANCE | (cholesky|qr|lu) N
                           [--faults SPEC] [--exec-jitter J] ...)
+  heteroprio-cli export   --journal FILE [--trace OUT.jsonl]
   heteroprio-cli audit    --cpus M --gpus N [--algo NAME]
                           [--trace FILE.jsonl] INSTANCE
   heteroprio-cli audit    (cholesky|qr|lu) N --cpus M --gpus N [--algo NAME]
@@ -101,6 +102,11 @@ event — and continues the run to completion, re-auditing the full
 stream against the paper's invariants (--no-audit skips that). Resume
 must be given the same inputs (instance/workload, platform, --algo,
 fault flags) as the original run; divergence is detected and reported.
+
+export prints a journal (HPJL2, or the older HPJL1) as JSONL, the lines
+`--trace FILE.jsonl` writes for the same run; --trace OUT.jsonl writes
+them to a file instead. A damaged journal exits 1 naming the damage
+(kind, byte offset, records kept) and exports nothing.
 
 --faults injects worker failures and task failures into the `dag`
 command. SPEC is comma-separated clauses: `wN|cpu|gpu|all @ time[+dur]`
@@ -321,6 +327,16 @@ fn run() -> Result<(), String> {
             }
             if let Some(path) = &args.against {
                 print!("{}", cmd_perf_gate(&doc, &read(path)?)?);
+            }
+            Ok(())
+        }
+        "export" => {
+            positionals(&args, 0)?;
+            let path = args.opts.durable.journal.as_deref().ok_or("export needs --journal FILE")?;
+            let text = cmd_export(path)?;
+            match &args.opts.trace {
+                Some(out) => write(out, text)?,
+                None => print!("{text}"),
             }
             Ok(())
         }

@@ -254,3 +254,59 @@ fn unknown_flags_and_surplus_arguments_are_errors() {
 
     let _ = std::fs::remove_file(&instance);
 }
+
+#[test]
+fn export_prints_a_journal_as_the_runs_jsonl_and_refuses_a_damaged_one() {
+    let instance = scratch("export.txt");
+    std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();
+    let reference = scratch("export-reference.jsonl");
+    let journal = scratch("export.journal");
+    let exported = scratch("export-out.jsonl");
+    for (flag, path) in [("--trace", &reference), ("--journal", &journal)] {
+        let out = bin()
+            .args(["schedule", "--cpus", "2", "--gpus", "1", flag])
+            .arg(path)
+            .arg(&instance)
+            .output()
+            .expect("run heteroprio-cli schedule");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let bytes = std::fs::read(&journal).unwrap();
+    assert_eq!(&bytes[..6], b"HPJL2\n", "new journals are binary");
+    let want = std::fs::read_to_string(&reference).unwrap();
+
+    // To stdout, and to a file: both are the run's JSONL trace.
+    let out = bin().args(["export", "--journal"]).arg(&journal).output().expect("run export");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    let out = bin()
+        .args(["export", "--journal"])
+        .arg(&journal)
+        .arg("--trace")
+        .arg(&exported)
+        .output()
+        .expect("run export --trace");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(std::fs::read_to_string(&exported).unwrap(), want);
+    std::fs::remove_file(&exported).unwrap();
+
+    // A flipped bit in the last record: exit 1 with the typed damage.
+    let mut damaged = bytes.clone();
+    *damaged.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&journal, &damaged).unwrap();
+    let out = bin()
+        .args(["export", "--journal"])
+        .arg(&journal)
+        .arg("--trace")
+        .arg(&exported)
+        .output()
+        .expect("run export on a damaged journal");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("journal damaged: BadChecksum at byte"), "{stderr}");
+    assert!(!exported.exists(), "a damaged journal exports nothing");
+
+    for path in [&instance, &reference, &journal] {
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -123,3 +123,28 @@ impl SchedEvent {
 pub fn sort_causal(events: &mut [SchedEvent]) {
     events.sort_by(|a, b| a.time().total_cmp(&b.time()).then(a.order_rank().cmp(&b.order_rank())));
 }
+
+/// Every variant (and every optional-field and enum shape) with `time` set
+/// to `time`, every other float field to `x` and every id to `id`: the
+/// shape grid the codec tests sweep.
+#[cfg(test)]
+pub(crate) fn every_shape(time: f64, x: f64, id: u32) -> Vec<SchedEvent> {
+    vec![
+        SchedEvent::TaskReady { time, task: id },
+        SchedEvent::TaskStart { time, task: id, worker: id, expected_end: x },
+        SchedEvent::TaskComplete { time, task: id, worker: id },
+        SchedEvent::Spoliation { time, task: id, victim: id, thief: id, wasted_work: x },
+        SchedEvent::WorkerIdleBegin { time, worker: id },
+        SchedEvent::WorkerIdleEnd { time, worker: id },
+        SchedEvent::QueuePop { time, task: id, worker: id, end: QueueEnd::Front },
+        SchedEvent::QueuePop { time, task: id, worker: id, end: QueueEnd::Back },
+        SchedEvent::PolicyDecision { time, worker: id, decision: Decision::Pick(id) },
+        SchedEvent::PolicyDecision { time, worker: id, decision: Decision::Spoliate(id) },
+        SchedEvent::PolicyDecision { time, worker: id, decision: Decision::Idle },
+        SchedEvent::WorkerDown { time, worker: id, lost_task: Some(id), permanent: true },
+        SchedEvent::WorkerDown { time, worker: id, lost_task: None, permanent: false },
+        SchedEvent::WorkerUp { time, worker: id },
+        SchedEvent::TaskFailed { time, task: id, worker: id, lost_work: x, attempt: id },
+        SchedEvent::TaskRetry { time, task: id, attempt: id, delay: x },
+    ]
+}

@@ -7,11 +7,19 @@
 //! * [`Journal`] — the persistence trait (append, sync, replay);
 //! * [`MemJournal`] — in-memory implementation for tests and embedding;
 //! * [`FileJournal`] — file-backed implementation framing each event as a
-//!   `[len: u32 LE][crc32: u32 LE][payload]` record, where the payload is
-//!   the event's canonical JSONL line ([`crate::jsonl::encode_into`]),
-//!   encoded straight into the write buffer behind a reserved header;
+//!   `[len: u32 LE][crc32: u32 LE][payload]` record, the payload encoded
+//!   straight into the write buffer behind a reserved header;
 //! * [`JournalSink`] — a [`TraceSink`] adapter appending every emitted
 //!   event, so any instrumented engine journals without modification.
+//!
+//! The file magic names the payload format. New journals are `HPJL2\n`:
+//! each payload is the event's fixed-layout binary record
+//! ([`encode_record`]), with floats stored as raw `f64` bits, so nothing
+//! is formatted and the round trip is bit-exact by construction. Journals
+//! written as `HPJL1\n` carry the event's JSONL line
+//! ([`crate::jsonl::encode_into`]) instead; they still recover, and
+//! reopening one keeps appending JSONL frames, so a resumed journal never
+//! mixes formats. JSONL stays the export view of either format.
 //!
 //! A journal hit by a torn write, truncation or bit corruption never takes
 //! the run's history down with it: [`FileJournal::open`] scans the file,
@@ -24,15 +32,255 @@
 //! be bypassed.
 
 use crate::jsonl::{encode_into, parse_event_line};
-use crate::{SchedEvent, TraceSink};
+use crate::{Decision, QueueEnd, SchedEvent, TraceSink};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// File magic: identifies a HeteroPrio journal, version 1.
-pub const MAGIC: &[u8; 6] = b"HPJL1\n";
+/// File magic of the binary journal, version 2: what every new journal
+/// writes.
+pub const MAGIC: &[u8; 6] = b"HPJL2\n";
 
-/// Upper bound on a single record's payload. Real event lines are ~100
-/// bytes; anything claiming more is a corrupt length field, not a record.
+/// File magic of the JSONL-payload journal, version 1: still read, and
+/// still appended to when such a file is reopened.
+const MAGIC_V1: &[u8; 6] = b"HPJL1\n";
+
+/// A journal file's payload format, named by its magic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Format {
+    /// `HPJL1\n`: each payload is the event's JSONL line.
+    Jsonl,
+    /// `HPJL2\n`: each payload is the event's binary record.
+    Binary,
+}
+
+impl Format {
+    /// The format whose magic `bytes` start with.
+    fn of(bytes: &[u8]) -> Option<Format> {
+        match bytes.get(..MAGIC.len())? {
+            m if m == MAGIC => Some(Format::Binary),
+            m if m == MAGIC_V1 => Some(Format::Jsonl),
+            _ => None,
+        }
+    }
+
+    fn encode(self, event: &SchedEvent, out: &mut Vec<u8>) {
+        match self {
+            Format::Jsonl => encode_into(event, out),
+            Format::Binary => encode_record(event, out),
+        }
+    }
+
+    fn decode(self, payload: &[u8]) -> Result<SchedEvent, String> {
+        match self {
+            Format::Jsonl => std::str::from_utf8(payload)
+                .map_err(|e| format!("not UTF-8: {e}"))
+                .and_then(parse_event_line),
+            Format::Binary => decode_record(payload),
+        }
+    }
+}
+
+/// Append `event`'s HPJL2 payload to `out`: a tag byte (the variant's
+/// declaration index), `time` as raw `f64` bits, then the variant's fields
+/// in declaration order. Ids are `u32` and floats raw `f64` bits, all
+/// little-endian. `QueueEnd`, `Decision`, `Option` and `bool` are one byte
+/// each (`Front`/`Back`, `Pick`/`Spoliate`/`Idle`, `None`/`Some`,
+/// `false`/`true` as 0, 1, 2), followed by their `u32` where they carry
+/// one.
+pub fn encode_record(event: &SchedEvent, out: &mut Vec<u8>) {
+    let w = &mut Record(out);
+    match *event {
+        SchedEvent::TaskReady { time, task } => w.head(0, time).id(task),
+        SchedEvent::TaskStart { time, task, worker, expected_end } => {
+            w.head(1, time).id(task).id(worker).num(expected_end)
+        }
+        SchedEvent::TaskComplete { time, task, worker } => w.head(2, time).id(task).id(worker),
+        SchedEvent::Spoliation { time, task, victim, thief, wasted_work } => {
+            w.head(3, time).id(task).id(victim).id(thief).num(wasted_work)
+        }
+        SchedEvent::WorkerIdleBegin { time, worker } => w.head(4, time).id(worker),
+        SchedEvent::WorkerIdleEnd { time, worker } => w.head(5, time).id(worker),
+        SchedEvent::QueuePop { time, task, worker, end } => {
+            w.head(6, time).id(task).id(worker).byte(match end {
+                QueueEnd::Front => 0,
+                QueueEnd::Back => 1,
+            })
+        }
+        SchedEvent::PolicyDecision { time, worker, decision } => {
+            let w = w.head(7, time).id(worker);
+            match decision {
+                Decision::Pick(task) => w.byte(0).id(task),
+                Decision::Spoliate(victim) => w.byte(1).id(victim),
+                Decision::Idle => w.byte(2),
+            }
+        }
+        SchedEvent::WorkerDown { time, worker, lost_task, permanent } => {
+            let w = w.head(8, time).id(worker);
+            let w = match lost_task {
+                Some(task) => w.byte(1).id(task),
+                None => w.byte(0),
+            };
+            w.byte(u8::from(permanent))
+        }
+        SchedEvent::WorkerUp { time, worker } => w.head(9, time).id(worker),
+        SchedEvent::TaskFailed { time, task, worker, lost_work, attempt } => {
+            w.head(10, time).id(task).id(worker).num(lost_work).id(attempt)
+        }
+        SchedEvent::TaskRetry { time, task, attempt, delay } => {
+            w.head(11, time).id(task).id(attempt).num(delay)
+        }
+    };
+}
+
+/// Bytes of `event`'s HPJL2 payload, known from its shape without
+/// encoding it.
+fn record_len(event: &SchedEvent) -> usize {
+    // Tag byte + `time`, then the fields.
+    9 + match *event {
+        SchedEvent::TaskReady { .. }
+        | SchedEvent::WorkerIdleBegin { .. }
+        | SchedEvent::WorkerIdleEnd { .. }
+        | SchedEvent::WorkerUp { .. } => 4,
+        SchedEvent::TaskComplete { .. } => 8,
+        SchedEvent::QueuePop { .. } => 9,
+        SchedEvent::TaskStart { .. } | SchedEvent::TaskRetry { .. } => 16,
+        SchedEvent::Spoliation { .. } | SchedEvent::TaskFailed { .. } => 20,
+        SchedEvent::PolicyDecision { decision: Decision::Idle, .. } => 5,
+        SchedEvent::PolicyDecision { .. } => 9,
+        SchedEvent::WorkerDown { lost_task: None, .. } => 6,
+        SchedEvent::WorkerDown { .. } => 10,
+    }
+}
+
+/// Bytes an HPJL2 [`FileJournal`] writes for `event`: header plus payload.
+pub fn frame_len(event: &SchedEvent) -> usize {
+    8 + record_len(event)
+}
+
+/// Decode one HPJL2 payload, the inverse of [`encode_record`]. An unknown
+/// tag, a payload that is short or has bytes left over, an out-of-range
+/// enum, option or bool byte, and a non-finite `time` are errors.
+fn decode_record(payload: &[u8]) -> Result<SchedEvent, String> {
+    let r = &mut Fields(payload);
+    let tag = r.byte()?;
+    let time = r.num()?;
+    if !time.is_finite() {
+        return Err(format!("non-finite time {time}"));
+    }
+    let event = match tag {
+        0 => SchedEvent::TaskReady { time, task: r.id()? },
+        1 => SchedEvent::TaskStart { time, task: r.id()?, worker: r.id()?, expected_end: r.num()? },
+        2 => SchedEvent::TaskComplete { time, task: r.id()?, worker: r.id()? },
+        3 => SchedEvent::Spoliation {
+            time,
+            task: r.id()?,
+            victim: r.id()?,
+            thief: r.id()?,
+            wasted_work: r.num()?,
+        },
+        4 => SchedEvent::WorkerIdleBegin { time, worker: r.id()? },
+        5 => SchedEvent::WorkerIdleEnd { time, worker: r.id()? },
+        6 => SchedEvent::QueuePop {
+            time,
+            task: r.id()?,
+            worker: r.id()?,
+            end: match r.byte()? {
+                0 => QueueEnd::Front,
+                1 => QueueEnd::Back,
+                b => return Err(format!("bad queue end byte {b}")),
+            },
+        },
+        7 => SchedEvent::PolicyDecision {
+            time,
+            worker: r.id()?,
+            decision: match r.byte()? {
+                0 => Decision::Pick(r.id()?),
+                1 => Decision::Spoliate(r.id()?),
+                2 => Decision::Idle,
+                b => return Err(format!("bad decision byte {b}")),
+            },
+        },
+        8 => SchedEvent::WorkerDown {
+            time,
+            worker: r.id()?,
+            lost_task: match r.byte()? {
+                0 => None,
+                1 => Some(r.id()?),
+                b => return Err(format!("bad option byte {b}")),
+            },
+            permanent: match r.byte()? {
+                0 => false,
+                1 => true,
+                b => return Err(format!("bad bool byte {b}")),
+            },
+        },
+        9 => SchedEvent::WorkerUp { time, worker: r.id()? },
+        10 => SchedEvent::TaskFailed {
+            time,
+            task: r.id()?,
+            worker: r.id()?,
+            lost_work: r.num()?,
+            attempt: r.id()?,
+        },
+        11 => SchedEvent::TaskRetry { time, task: r.id()?, attempt: r.id()?, delay: r.num()? },
+        tag => return Err(format!("unknown record tag {tag}")),
+    };
+    match r.0.len() {
+        0 => Ok(event),
+        n => Err(format!("{n} bytes after the record")),
+    }
+}
+
+/// An HPJL2 payload being appended to a byte buffer, field by field.
+struct Record<'a>(&'a mut Vec<u8>);
+
+impl Record<'_> {
+    fn head(&mut self, tag: u8, time: f64) -> &mut Self {
+        self.byte(tag).num(time)
+    }
+
+    fn byte(&mut self, b: u8) -> &mut Self {
+        self.0.push(b);
+        self
+    }
+
+    fn id(&mut self, v: u32) -> &mut Self {
+        self.0.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    fn num(&mut self, x: f64) -> &mut Self {
+        self.0.extend_from_slice(&x.to_bits().to_le_bytes());
+        self
+    }
+}
+
+/// The unread rest of an HPJL2 payload.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let (field, rest) = self.0.split_first_chunk::<N>().ok_or("payload ends mid-record")?;
+        self.0 = rest;
+        Ok(*field)
+    }
+
+    fn byte(&mut self) -> Result<u8, String> {
+        self.take().map(u8::from_le_bytes)
+    }
+
+    fn id(&mut self) -> Result<u32, String> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn num(&mut self) -> Result<f64, String> {
+        self.take().map(|b| f64::from_bits(u64::from_le_bytes(b)))
+    }
+}
+
+/// Upper bound on a single record's payload. HPJL2 records are at most
+/// 29 bytes and HPJL1 lines ~100; anything claiming more is a corrupt
+/// length field, not a record.
 const MAX_PAYLOAD: u32 = 1 << 20;
 
 /// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
@@ -131,7 +379,7 @@ pub enum DamageKind {
     BadLength,
     /// A record's payload does not match its CRC-32 (bit corruption).
     BadChecksum,
-    /// The CRC matched but the payload is not a valid event line.
+    /// The CRC matched but the payload does not decode to an event.
     BadPayload,
 }
 
@@ -183,7 +431,7 @@ pub enum SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// The default cadence: every 4096 records (roughly 300 KiB).
+    /// The default cadence: every 4096 records (roughly 105 KiB of HPJL2).
     ///
     /// The window can afford to be wide because the journaled run is
     /// deterministic and recomputable: an OS or power crash inside the
@@ -239,9 +487,6 @@ pub struct MemJournal {
     events: Vec<SchedEvent>,
     synced: usize,
     sync_calls: u64,
-    /// Reused encoding buffer: `append` reports the framed size a
-    /// [`FileJournal`] would write.
-    line: Vec<u8>,
 }
 
 impl MemJournal {
@@ -262,11 +507,10 @@ impl MemJournal {
 }
 
 impl Journal for MemJournal {
+    /// Reports the frame a new [`FileJournal`] would write.
     fn append(&mut self, event: &SchedEvent) -> Result<usize, JournalError> {
         self.events.push(*event);
-        self.line.clear();
-        encode_into(event, &mut self.line);
-        Ok(8 + self.line.len())
+        Ok(frame_len(event))
     }
 
     fn sync(&mut self) -> Result<(), JournalError> {
@@ -288,10 +532,15 @@ impl Journal for MemJournal {
     }
 }
 
-/// Decode the record stream of a journal file body (after the magic).
-/// Returns the events of the longest valid prefix, the byte offset where
-/// that prefix ends, and the damage that stopped the scan, if any.
-fn decode_records(body: &[u8], body_start: u64) -> (Vec<SchedEvent>, u64, Option<JournalDamage>) {
+/// Decode the record stream of a journal file body (after the magic),
+/// each payload in `format`. Returns the events of the longest valid
+/// prefix, the byte offset where that prefix ends, and the damage that
+/// stopped the scan, if any.
+fn decode_records(
+    body: &[u8],
+    body_start: u64,
+    format: Format,
+) -> (Vec<SchedEvent>, u64, Option<JournalDamage>) {
     let mut events = Vec::new();
     let mut pos = 0usize;
     let damage = loop {
@@ -331,11 +580,7 @@ fn decode_records(body: &[u8], body_start: u64) -> (Vec<SchedEvent>, u64, Option
         if crc32(payload) != crc {
             break Some(fail(DamageKind::BadChecksum, "payload CRC-32 mismatch".to_string()));
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(e) => break Some(fail(DamageKind::BadPayload, format!("not UTF-8: {e}"))),
-        };
-        match parse_event_line(text) {
+        match format.decode(payload) {
             Ok(e) => events.push(e),
             Err(e) => break Some(fail(DamageKind::BadPayload, e)),
         }
@@ -361,10 +606,14 @@ pub struct FileJournal {
     /// Framed records not yet written to `file`.
     buf: Vec<u8>,
     sync_count: u64,
+    /// The payload format of the file: HPJL2 unless an HPJL1 file was
+    /// reopened.
+    format: Format,
 }
 
 impl FileJournal {
-    /// Create (or truncate) a journal at `path`, writing the magic header.
+    /// Create (or truncate) an HPJL2 journal at `path`, writing the magic
+    /// header.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, JournalError> {
         let path = path.as_ref().to_path_buf();
         let mut file = std::fs::File::create(&path).map_err(io_err("create"))?;
@@ -377,6 +626,7 @@ impl FileJournal {
             policy: SyncPolicy::DEFAULT,
             buf: Vec::new(),
             sync_count: 0,
+            format: Format::Binary,
         })
     }
 
@@ -391,7 +641,8 @@ impl FileJournal {
     /// Scans every record, keeps the longest valid prefix, **truncates the
     /// file** to that prefix if anything after it is damaged, and returns
     /// the recovered events plus the damage report (if any). The returned
-    /// journal appends after the last valid record.
+    /// journal appends after the last valid record, in the file's own
+    /// format.
     pub fn open<P: AsRef<Path>>(
         path: P,
     ) -> Result<(Self, Vec<SchedEvent>, Option<JournalDamage>), JournalError> {
@@ -400,7 +651,7 @@ impl FileJournal {
             std::fs::File::options().read(true).write(true).open(&path).map_err(io_err("open"))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes).map_err(io_err("read"))?;
-        let (events, valid_end, damage) = Self::decode(&bytes)?;
+        let (format, events, valid_end, damage) = Self::decode(&bytes)?;
         if damage.is_some() {
             file.set_len(valid_end).map_err(io_err("truncate damage"))?;
             file.sync_all().map_err(io_err("sync truncation"))?;
@@ -416,6 +667,7 @@ impl FileJournal {
                 policy: SyncPolicy::DEFAULT,
                 buf: Vec::new(),
                 sync_count: 0,
+                format,
             },
             events,
             damage,
@@ -427,22 +679,25 @@ impl FileJournal {
         path: P,
     ) -> Result<(Vec<SchedEvent>, Option<JournalDamage>), JournalError> {
         let bytes = std::fs::read(path).map_err(io_err("read"))?;
-        let (events, _, damage) = Self::decode(&bytes)?;
+        let (_, events, _, damage) = Self::decode(&bytes)?;
         Ok((events, damage))
     }
 
-    fn decode(bytes: &[u8]) -> Result<(Vec<SchedEvent>, u64, Option<JournalDamage>), JournalError> {
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::BadHeader {
-                detail: format!(
-                    "expected {:?} magic, found {:?}",
-                    MAGIC,
-                    &bytes[..bytes.len().min(MAGIC.len())]
-                ),
-            });
-        }
-        let (events, valid_end, damage) = decode_records(&bytes[MAGIC.len()..], MAGIC.len() as u64);
-        Ok((events, valid_end, damage))
+    /// Pick the payload decoder by magic, then decode the records.
+    fn decode(
+        bytes: &[u8],
+    ) -> Result<(Format, Vec<SchedEvent>, u64, Option<JournalDamage>), JournalError> {
+        let format = Format::of(bytes).ok_or_else(|| JournalError::BadHeader {
+            detail: format!(
+                "expected {:?} or {:?} magic, found {:?}",
+                MAGIC,
+                MAGIC_V1,
+                &bytes[..bytes.len().min(MAGIC.len())]
+            ),
+        })?;
+        let (events, valid_end, damage) =
+            decode_records(&bytes[MAGIC.len()..], MAGIC.len() as u64, format);
+        Ok((format, events, valid_end, damage))
     }
 
     pub fn path(&self) -> &Path {
@@ -475,7 +730,7 @@ impl Journal for FileJournal {
         // the buffer has grown to its flush threshold.
         let header = self.buf.len();
         self.buf.extend_from_slice(&[0; 8]);
-        encode_into(event, &mut self.buf);
+        self.format.encode(event, &mut self.buf);
         let payload = &self.buf[header + 8..];
         let len = payload.len();
         let crc = crc32(payload);
@@ -580,6 +835,7 @@ impl<J: Journal + ?Sized> TraceSink for JournalSink<'_, J> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::every_shape;
 
     fn sample_events() -> Vec<SchedEvent> {
         vec![
@@ -734,6 +990,106 @@ mod tests {
         // The valid prefix is intact.
         assert_eq!(recovered, events[..recovered.len()].to_vec());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Every shape over the `every_shape` grid: finite times, and ±inf and
+    /// NaN in the other float fields.
+    fn codec_grid() -> Vec<SchedEvent> {
+        let times = [0.0, -0.0, 5e-324, 0.1 + 0.2, 1e300];
+        let extra = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut grid = Vec::new();
+        for time in times {
+            for x in times.iter().chain(&extra) {
+                for id in [0, u32::MAX] {
+                    grid.extend(every_shape(time, *x, id));
+                }
+            }
+        }
+        grid
+    }
+
+    fn record(e: &SchedEvent) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record(e, &mut out);
+        out
+    }
+
+    #[test]
+    fn hpjl2_round_trips_every_shape_bit_exactly() {
+        for e in codec_grid() {
+            let bytes = record(&e);
+            assert_eq!(bytes.len(), record_len(&e), "{e:?}");
+            let back = decode_record(&bytes).unwrap_or_else(|err| panic!("{e:?}: {err}"));
+            // Re-encoding compares every float bit, NaN payloads and the
+            // sign of zero included; `==` cannot see those.
+            assert_eq!(record(&back), bytes, "{e:?}");
+            assert_eq!(std::mem::discriminant(&back), std::mem::discriminant(&e));
+        }
+    }
+
+    #[test]
+    fn hpjl2_layout_is_the_documented_one() {
+        let e =
+            SchedEvent::TaskStart { time: 2.0, task: 3, worker: 0x0102_0304, expected_end: -1.0 };
+        let want: Vec<u8> = [
+            &[1][..],
+            &2.0f64.to_bits().to_le_bytes(),
+            &[3, 0, 0, 0],
+            &[4, 3, 2, 1],
+            &(-1.0f64).to_bits().to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(record(&e), want);
+        let e =
+            SchedEvent::WorkerDown { time: 0.5, worker: 9, lost_task: Some(7), permanent: true };
+        let want: Vec<u8> =
+            [&[8][..], &0.5f64.to_bits().to_le_bytes(), &[9, 0, 0, 0], &[1, 7, 0, 0, 0], &[1]]
+                .concat();
+        assert_eq!(record(&e), want);
+        let e = SchedEvent::PolicyDecision { time: 0.0, worker: 2, decision: Decision::Idle };
+        assert_eq!(record(&e), [&[7][..], &[0; 8], &[2, 0, 0, 0], &[2]].concat());
+    }
+
+    /// Frame `payload` with a correct length and CRC after an HPJL2 magic.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        file.extend_from_slice(&crc32(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
+    #[test]
+    fn malformed_hpjl2_payloads_are_bad_payload_damage() {
+        let time = 1.5f64.to_bits().to_le_bytes();
+        let head = |tag: u8| [&[tag][..], &time].concat();
+        let mut bad: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            head(12),
+            head(255),
+            [&head(6)[..], &[0; 8], &[2]].concat(),
+            [&head(7)[..], &[0; 4], &[3]].concat(),
+            [&head(8)[..], &[0; 4], &[2, 0]].concat(),
+            [&head(8)[..], &[0; 4], &[0, 2]].concat(),
+        ];
+        for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            bad.push(record(&SchedEvent::TaskReady { time: t, task: 0 }));
+        }
+        for e in every_shape(2.5, 0.5, 7) {
+            let full = record(&e);
+            // Every short prefix, and one byte too many.
+            bad.extend((0..full.len()).map(|n| full[..n].to_vec()));
+            bad.push([&full[..], &[0]].concat());
+        }
+        for payload in bad {
+            assert!(decode_record(&payload).is_err(), "{payload:?} decoded");
+            let file = framed(&payload);
+            let format = Format::of(&file).expect("HPJL2 magic");
+            let (events, end, damage) = decode_records(&file[6..], 6, format);
+            let damage = damage.expect("a bad payload is damage");
+            assert_eq!(damage.kind, DamageKind::BadPayload, "{payload:?}: {damage}");
+            assert_eq!((events.len(), end, damage.offset), (0, 6, 6));
+        }
     }
 
     #[test]

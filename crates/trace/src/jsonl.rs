@@ -31,10 +31,11 @@ pub fn parse_event_line(text: &str) -> Result<SchedEvent, String> {
 }
 
 /// Append an event's JSONL line (no trailing newline) to `out`. This is
-/// the canonical wire form: the journal frames exactly these bytes, and
-/// [`parse_event_line`] inverts them. Floats print as `Display` does
-/// (shortest round-trip form, never an exponent); ids and the fixed text
-/// are written directly, which keeps the formatter off everything else.
+/// the export view (`--trace FILE.jsonl`, `heteroprio-cli export`) and
+/// the payload of HPJL1 journals, and [`parse_event_line`] inverts it.
+/// Floats print as `Display` does (shortest round-trip form, never an
+/// exponent); ids and the fixed text are written directly, which keeps
+/// the formatter off everything else.
 pub fn encode_into(e: &SchedEvent, out: &mut Vec<u8>) {
     let mut line = Line::open(out, e.kind(), e.time());
     match *e {
@@ -336,6 +337,7 @@ fn parse_event(v: &Value) -> Result<SchedEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::every_shape;
     use crate::json;
 
     #[test]
@@ -468,29 +470,6 @@ mod tests {
         }
     }
 
-    /// Every variant (and every optional-field and enum shape) with all
-    /// float fields set to `x` and all ids to `id`.
-    fn every_shape(x: f64, id: u32) -> Vec<SchedEvent> {
-        vec![
-            SchedEvent::TaskReady { time: x, task: id },
-            SchedEvent::TaskStart { time: x, task: id, worker: id, expected_end: x },
-            SchedEvent::TaskComplete { time: x, task: id, worker: id },
-            SchedEvent::Spoliation { time: x, task: id, victim: id, thief: id, wasted_work: x },
-            SchedEvent::WorkerIdleBegin { time: x, worker: id },
-            SchedEvent::WorkerIdleEnd { time: x, worker: id },
-            SchedEvent::QueuePop { time: x, task: id, worker: id, end: QueueEnd::Front },
-            SchedEvent::QueuePop { time: x, task: id, worker: id, end: QueueEnd::Back },
-            SchedEvent::PolicyDecision { time: x, worker: id, decision: Decision::Pick(id) },
-            SchedEvent::PolicyDecision { time: x, worker: id, decision: Decision::Spoliate(id) },
-            SchedEvent::PolicyDecision { time: x, worker: id, decision: Decision::Idle },
-            SchedEvent::WorkerDown { time: x, worker: id, lost_task: Some(id), permanent: true },
-            SchedEvent::WorkerDown { time: x, worker: id, lost_task: None, permanent: false },
-            SchedEvent::WorkerUp { time: x, worker: id },
-            SchedEvent::TaskFailed { time: x, task: id, worker: id, lost_work: x, attempt: id },
-            SchedEvent::TaskRetry { time: x, task: id, attempt: id, delay: x },
-        ]
-    }
-
     #[test]
     fn encode_into_writes_the_format_bytes() {
         let floats = [0.0, -0.0, 5e-324, 0.1 + 0.2, 1e21, 1e300, 1.5, -2.75, 123456.789];
@@ -498,7 +477,7 @@ mod tests {
         let mut buf = b"prefix ".to_vec();
         for x in floats {
             for id in ids {
-                for e in every_shape(x, id) {
+                for e in every_shape(x, x, id) {
                     let want = format_line(&e);
                     assert_eq!(event_line(&e), want);
                     // Appends after what the buffer already holds.

@@ -54,7 +54,7 @@ cargo run -q -p heteroprio-cli -- audit cholesky 8 --cpus 2 --gpus 1
 # long in the debug build).
 cargo run -q -p heteroprio-cli -- audit cholesky 48 --cpus 20 --gpus 4
 
-echo "== recovery smoke: journal a run, kill it mid-flight, resume, diff traces"
+echo "== recovery smoke: journal a run, kill it mid-flight, resume, diff traces and the export"
 cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 \
     --trace "$tmp/reference.jsonl" "$tmp/instance.txt" > /dev/null
 cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 \
@@ -64,5 +64,9 @@ cargo run -q -p heteroprio-cli -- resume --journal "$tmp/run.journal" \
     --snapshot "$tmp/run.ckpt" --cpus 2 --gpus 1 \
     --trace "$tmp/resumed.jsonl" "$tmp/instance.txt" > /dev/null
 diff "$tmp/reference.jsonl" "$tmp/resumed.jsonl"
+# The resumed binary journal, exported, is the reference trace again.
+cargo run -q -p heteroprio-cli -- export --journal "$tmp/run.journal" \
+    --trace "$tmp/exported.jsonl" > /dev/null
+diff "$tmp/reference.jsonl" "$tmp/exported.jsonl"
 
 echo "all checks passed"

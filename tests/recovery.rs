@@ -19,8 +19,9 @@ use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
 use heteroprio::simulator::{dag, FaultPlan, SimError, SimResult, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
+use heteroprio::trace::journal::{crc32, frame_len, MAGIC};
 use heteroprio::trace::{
-    event_line, FileJournal, Journal, MemJournal, NullSink, SchedEvent, TraceSink, VecSink,
+    FileJournal, Journal, MemJournal, NullSink, SchedEvent, TraceSink, VecSink,
 };
 use heteroprio::workloads::ChameleonTiming;
 use proptest::prelude::*;
@@ -285,11 +286,11 @@ fn temp_journal_path() -> std::path::PathBuf {
 
 /// Frame byte offsets: `ends[i]` is the file offset one past record `i`.
 fn frame_ends(events: &[SchedEvent]) -> Vec<u64> {
-    let mut at = 6u64; // magic "HPJL1\n"
+    let mut at = MAGIC.len() as u64;
     events
         .iter()
         .map(|e| {
-            at += 8 + event_line(e).len() as u64;
+            at += frame_len(e) as u64;
             at
         })
         .collect()
@@ -435,6 +436,49 @@ proptest! {
             prop_assert!(damage.is_none());
             prop_assert_eq!(&healed, &ref_events);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Arbitrary bytes after an HPJL2 magic, both as CRC-valid frames (so
+    // the binary decoder itself sees them) and as a raw tail: recovery
+    // never panics, and keeps exactly the frames before the first bad one.
+    #[test]
+    fn arbitrary_bytes_after_the_hpjl2_magic_never_panic_recovery(
+        frames in prop::collection::vec(
+            (0u8..=1, 0u8..14, prop::collection::vec(0u8..=255, 0..30)),
+            0..8,
+        ),
+        tail in prop::collection::vec(0u8..=255, 0..64),
+    ) {
+        let mut file = MAGIC.to_vec();
+        let mut payloads = Vec::new();
+        for (tagged, tag, bytes) in frames {
+            let payload = if tagged == 1 { [&[tag][..], &bytes].concat() } else { bytes };
+            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            file.extend_from_slice(&crc32(&payload).to_le_bytes());
+            file.extend_from_slice(&payload);
+            payloads.push(payload);
+        }
+        file.extend_from_slice(&tail);
+        let path = temp_journal_path();
+        std::fs::write(&path, &file).expect("write journal");
+        let (events, damage) = FileJournal::recover(&path).expect("the magic is valid");
+        prop_assert!(events.len() <= payloads.len());
+        for (event, payload) in events.iter().zip(&payloads) {
+            let mut bytes = Vec::new();
+            heteroprio::trace::journal::encode_record(event, &mut bytes);
+            prop_assert_eq!(&bytes, payload, "a recovered event must be its frame's payload");
+        }
+        if damage.is_none() {
+            prop_assert_eq!(events.len(), payloads.len());
+            prop_assert!(tail.is_empty());
+        }
+        let (_, opened, _) = FileJournal::open(&path).expect("open heals the damage");
+        prop_assert_eq!(opened.len(), events.len());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,12 +7,15 @@
 //! trace-derived idle time (aborted work counts as idle, per the paper's
 //! footnote) equals [`Schedule::idle_time`].
 
+use heteroprio::core::kernel::{self, Resume, Run};
 use heteroprio::core::{
-    heteroprio as hp, heteroprio_traced, HeteroPrioConfig, Instance, Platform, ResourceKind, Task,
+    heteroprio as hp, heteroprio_traced, independent, journaled, HeteroPrioConfig, Instance,
+    Platform, ResourceKind, Task,
 };
+use heteroprio::metrics::NullRegistry;
 use heteroprio::trace::{
-    chrome_trace, json, jsonl, ChromeTraceOptions, FileJournal, Journal, JournalSink, SchedEvent,
-    TraceSummary, VecSink,
+    chrome_trace, json, jsonl, ChromeTraceOptions, DamageKind, FileJournal, Journal, JournalSink,
+    SchedEvent, TraceSummary, VecSink,
 };
 use proptest::prelude::*;
 
@@ -213,15 +216,29 @@ fn fig1_jsonl_lines_all_parse() {
     assert!(sink.events.iter().any(|e| matches!(e, SchedEvent::TaskReady { .. })));
 }
 
-/// The HPJL1 journal of the Fig. 1 run, byte for byte as the format was
-/// first written: new code must frame the same bytes, and journals written
-/// by older builds must still recover.
-const FIG1_JOURNAL: &[u8] = include_bytes!("golden/fig1.hpjl");
+/// The HPJL2 journal of the Fig. 1 run, byte for byte: new code must
+/// frame the same bytes.
+const FIG1_JOURNAL: &[u8] = include_bytes!("golden/fig1.hpjl2");
+
+/// The same run's HPJL1 journal, as that format was first written:
+/// journals written by older builds must still recover and resume.
+const FIG1_JOURNAL_V1: &[u8] = include_bytes!("golden/fig1.hpjl");
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("hp-golden-fig1-{}-{tag}.hpjl", std::process::id()))
+}
+
+/// The Fig. 1 run's event stream.
+fn fig1_events() -> Vec<SchedEvent> {
+    let mut sink = VecSink::new();
+    heteroprio_traced(&fig1_instance(), &Platform::new(2, 1), &HeteroPrioConfig::new(), &mut sink);
+    sink.events
+}
 
 #[test]
 fn fig1_journal_matches_the_golden_bytes() {
     let platform = Platform::new(2, 1);
-    let path = std::env::temp_dir().join(format!("hp-golden-fig1-{}.hpjl", std::process::id()));
+    let path = temp_path("out");
     let mut journal = FileJournal::create(&path).expect("create journal");
     let mut events = VecSink::new();
     {
@@ -236,12 +253,48 @@ fn fig1_journal_matches_the_golden_bytes() {
     std::fs::remove_file(&path).ok();
     assert!(written == FIG1_JOURNAL, "the Fig. 1 journal's bytes changed");
 
-    // The golden file recovers to the run's event stream, undamaged.
-    let golden =
-        std::env::temp_dir().join(format!("hp-golden-fig1-{}-in.hpjl", std::process::id()));
-    std::fs::write(&golden, FIG1_JOURNAL).expect("write golden copy");
-    let (recovered, damage) = FileJournal::recover(&golden).expect("recover golden journal");
-    std::fs::remove_file(&golden).ok();
+    // Both golden files recover to the run's event stream, undamaged.
+    for (tag, golden) in [("v2", FIG1_JOURNAL), ("v1", FIG1_JOURNAL_V1)] {
+        let path = temp_path(tag);
+        std::fs::write(&path, golden).expect("write golden copy");
+        let (recovered, damage) = FileJournal::recover(&path).expect("recover golden journal");
+        std::fs::remove_file(&path).ok();
+        assert!(damage.is_none(), "{tag}: {damage:?}");
+        assert_eq!(recovered, events.events, "{tag}");
+    }
+}
+
+/// A torn HPJL1 journal resumes in HPJL1: the continuation appends JSONL
+/// frames, so the healed file is the HPJL1 golden again, byte for byte.
+#[test]
+fn torn_hpjl1_golden_resumes_in_hpjl1() {
+    let platform = Platform::new(2, 1);
+    let config = HeteroPrioConfig::new();
+    let instance = fig1_instance();
+    let events = fig1_events();
+    let path = temp_path("torn-v1");
+    std::fs::write(&path, &FIG1_JOURNAL_V1[..FIG1_JOURNAL_V1.len() / 2]).expect("write torn copy");
+
+    let (mut journal, prefix, damage) = FileJournal::open(&path).expect("open torn journal");
+    assert_eq!(damage.expect("the cut lands mid-record").kind, DamageKind::TornWrite);
+    assert!(!prefix.is_empty() && prefix.len() < events.len());
+    assert_eq!(prefix, events[..prefix.len()]);
+    let mut resumed = VecSink::new();
+    journaled(&mut journal, &mut resumed, |sink| {
+        let (mut workload, mut policy) = independent(&instance, &platform, &config);
+        let resume = Some(Resume { journal: &prefix, snapshot: None });
+        let spec = Run { resume, ..Run::new(sink, &NullRegistry) };
+        kernel::run_checkpointed(&platform, &mut workload, &mut policy, spec)
+    })
+    .expect("the healed journal accepts the continuation")
+    .expect("resume completes");
+    drop(journal);
+    assert_eq!(resumed.events, events);
+
+    let healed = std::fs::read(&path).expect("read resumed journal");
+    let (recovered, damage) = FileJournal::recover(&path).expect("recover resumed journal");
+    std::fs::remove_file(&path).ok();
     assert!(damage.is_none(), "{damage:?}");
-    assert_eq!(recovered, events.events);
+    assert_eq!(recovered, events);
+    assert!(healed == FIG1_JOURNAL_V1, "the resumed HPJL1 journal differs from the golden");
 }
