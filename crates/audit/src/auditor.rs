@@ -183,8 +183,8 @@ pub(crate) fn check_area_bound(instance: &Instance, platform: &Platform, report:
         return;
     }
     report.checks += 1;
-    let ab = area_bound(instance, platform);
-    if let Err(msg) = check_structure(instance, platform, &ab) {
+    let checked = area_bound(instance, platform).map_err(|e| e.to_string());
+    if let Err(msg) = checked.and_then(|ab| check_structure(instance, platform, &ab)) {
         report.violations.push(Violation {
             rule: Rule::AreaBoundCertificate,
             event_index: None,

@@ -9,7 +9,7 @@
 //! threshold tasks split. This module computes that optimum exactly by
 //! sorting on ρ and locating the crossing point — no LP solver needed.
 
-use heteroprio_core::model::{ClassId, Instance, Platform, ResourceKind, TaskId};
+use heteroprio_core::model::{ClassId, Instance, ModelError, Platform, ResourceKind, Task, TaskId};
 use heteroprio_core::time::{approx_le, strictly_less};
 
 /// The exact solution of the area-bound linear program.
@@ -49,11 +49,17 @@ impl AreaBound {
 
 /// Compute `AreaBound(I)` exactly.
 ///
-/// Runs in `O(|I| log |I|)` (the sort dominates).
-pub fn area_bound(instance: &Instance, platform: &Platform) -> AreaBound {
+/// Runs in `O(|I| log |I|)` (the sort dominates). Every task's times are
+/// re-checked first, so a task assembled by `Task::from_raw_times` with a
+/// zero, negative or non-finite time gets the checked constructor's typed
+/// error instead of a bound.
+pub fn area_bound(instance: &Instance, platform: &Platform) -> Result<AreaBound, ModelError> {
+    for task in instance.tasks() {
+        Task::try_from_times(task.times())?;
+    }
     let n = instance.len();
     if n == 0 {
-        return AreaBound { value: 0.0, cpu_fraction: Vec::new(), threshold: 1.0 };
+        return Ok(AreaBound { value: 0.0, cpu_fraction: Vec::new(), threshold: 1.0 });
     }
     let m = platform.cpus() as f64;
     let g = platform.gpus() as f64;
@@ -98,7 +104,8 @@ pub fn area_bound(instance: &Instance, platform: &Platform) -> AreaBound {
         // Even with every task on the CPUs the GPU class is the bottleneck at
         // level 0 — only possible when there are no tasks, handled above.
         // With j_star == 0 and tasks present: gpu_finish(0) = 0 >= cpu_finish(0)
-        // requires cpu_finish(0) == 0, impossible for positive times.
+        // requires cpu_finish(0) == 0, impossible for the positive times
+        // checked on entry.
         unreachable!("positive processing times make cpu_finish(0) > 0");
     }
 
@@ -113,7 +120,7 @@ pub fn area_bound(instance: &Instance, platform: &Platform) -> AreaBound {
     cpu_fraction[split.index()] = x;
     let value = base_cpu + x * p / m;
 
-    AreaBound { value, cpu_fraction, threshold: instance.task(split).accel_factor() }
+    Ok(AreaBound { value, cpu_fraction, threshold: instance.task(split).accel_factor() })
 }
 
 /// Check that a fractional assignment `x` (CPU fractions) is feasible and
@@ -215,14 +222,11 @@ pub fn min_time_bound(instance: &Instance) -> f64 {
 
 /// The combined lower bound on the optimal makespan used throughout the
 /// experiments: `max(AreaBound, max_i min_c t_ic)`. Two-class platforms use
-/// the exact threshold solution; `k ≥ 3` the dual certificate of
-/// [`area_bound_dual`].
+/// the exact threshold solution; `k ≥ 3`, and any instance [`area_bound`]
+/// rejects, the dual certificate of [`area_bound_dual`].
 pub fn combined_lower_bound(instance: &Instance, platform: &Platform) -> f64 {
-    let area = if platform.k() == 2 {
-        area_bound(instance, platform).value
-    } else {
-        area_bound_dual(instance, platform)
-    };
+    let exact = if platform.k() == 2 { area_bound(instance, platform).ok() } else { None };
+    let area = exact.map_or_else(|| area_bound_dual(instance, platform), |ab| ab.value);
     area.max(min_time_bound(instance))
 }
 
@@ -268,9 +272,13 @@ pub fn check_structure(
 /// Per-class capacity used by the area-bound solution over `[0, value]`,
 /// needed by the paper's Figure 9 normalization (idle time is normalized by
 /// the amount of each resource used in the lower-bound solution).
-pub fn class_usage(instance: &Instance, platform: &Platform, kind: ResourceKind) -> f64 {
-    let ab = area_bound(instance, platform);
-    match kind {
+pub fn class_usage(
+    instance: &Instance,
+    platform: &Platform,
+    kind: ResourceKind,
+) -> Result<f64, ModelError> {
+    let ab = area_bound(instance, platform)?;
+    Ok(match kind {
         ResourceKind::Cpu => instance
             .ids()
             .map(|id| ab.cpu_fraction[id.index()] * instance.task(id).cpu_time())
@@ -279,7 +287,7 @@ pub fn class_usage(instance: &Instance, platform: &Platform, kind: ResourceKind)
             .ids()
             .map(|id| (1.0 - ab.cpu_fraction[id.index()]) * instance.task(id).gpu_time())
             .sum(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -289,10 +297,29 @@ mod tests {
     use heteroprio_core::Platform;
 
     #[test]
+    fn negative_raw_times_are_a_typed_error() {
+        // The negative task makes the total CPU work negative, so the empty
+        // GPU prefix already "finishes last": this used to reach the
+        // `unreachable!` instead of returning an error.
+        let inst = Instance::from_tasks(vec![
+            Task::new(2.0, 1.0),
+            Task::from_raw_times(&[-5.0, -2.0], 0.0),
+        ]);
+        let plat = Platform::new(1, 1);
+        assert_eq!(
+            area_bound(&inst, &plat).unwrap_err(),
+            ModelError::BadTaskTime { field: "cpu_time", value: -5.0 }
+        );
+        assert!(class_usage(&inst, &plat, ResourceKind::Cpu).is_err());
+        // The combined bound falls back to the dual certificate.
+        combined_lower_bound(&inst, &plat);
+    }
+
+    #[test]
     fn empty_instance_bound_is_zero() {
         let inst = Instance::new();
         let plat = Platform::new(1, 1);
-        assert_eq!(area_bound(&inst, &plat).value, 0.0);
+        assert_eq!(area_bound(&inst, &plat).unwrap().value, 0.0);
     }
 
     #[test]
@@ -300,7 +327,7 @@ mod tests {
         // One task (p=1, q=1) on (1,1): split evenly, bound 1/2.
         let inst = Instance::from_times(&[(1.0, 1.0)]);
         let plat = Platform::new(1, 1);
-        let ab = area_bound(&inst, &plat);
+        let ab = area_bound(&inst, &plat).unwrap();
         assert!(approx_eq(ab.value, 0.5), "{}", ab.value);
         assert!(approx_eq(ab.cpu_fraction[0], 0.5));
         check_structure(&inst, &plat, &ab).unwrap();
@@ -314,7 +341,7 @@ mod tests {
         use heteroprio_core::PHI;
         let inst = Instance::from_times(&[(PHI, 1.0), (1.0, 1.0 / PHI)]);
         let plat = Platform::new(1, 1);
-        let ab = area_bound(&inst, &plat);
+        let ab = area_bound(&inst, &plat).unwrap();
         assert!(approx_le(ab.value, 1.0));
         check_structure(&inst, &plat, &ab).unwrap();
     }
@@ -328,7 +355,7 @@ mod tests {
         // value = (1 + 3)/2 = 2.
         let inst = Instance::from_times(&[(10.0, 1.0), (4.0, 4.0), (1.0, 10.0)]);
         let plat = Platform::new(2, 1);
-        let ab = area_bound(&inst, &plat);
+        let ab = area_bound(&inst, &plat).unwrap();
         assert!(approx_eq(ab.value, 2.0), "{}", ab.value);
         assert!(approx_eq(ab.cpu_fraction[1], 0.75));
         assert!(approx_eq(ab.cpu_fraction[0], 0.0));
@@ -340,7 +367,7 @@ mod tests {
     fn bound_below_any_integral_assignment() {
         let inst = Instance::from_times(&[(3.0, 1.0), (2.0, 2.0), (1.0, 3.0), (5.0, 1.0)]);
         let plat = Platform::new(2, 2);
-        let ab = area_bound(&inst, &plat);
+        let ab = area_bound(&inst, &plat).unwrap();
         // Every integral class assignment is feasible for the LP, so the
         // area bound is at most each assignment's load objective.
         for mask in 0u32..16 {
@@ -365,7 +392,7 @@ mod tests {
         // 10/3 s.
         let inst = Instance::from_times(&[(2.0, 1.0); 10]);
         let plat = Platform::new(2, 2);
-        let ab = area_bound(&inst, &plat);
+        let ab = area_bound(&inst, &plat).unwrap();
         assert!(approx_eq(ab.value, 10.0 / 3.0), "{}", ab.value);
         check_structure(&inst, &plat, &ab).unwrap();
     }
@@ -374,8 +401,8 @@ mod tests {
     fn class_usage_sums_to_balanced_loads() {
         let inst = Instance::from_times(&[(10.0, 1.0), (4.0, 4.0), (1.0, 10.0)]);
         let plat = Platform::new(2, 1);
-        let cpu = class_usage(&inst, &plat, ResourceKind::Cpu);
-        let gpu = class_usage(&inst, &plat, ResourceKind::Gpu);
+        let cpu = class_usage(&inst, &plat, ResourceKind::Cpu).unwrap();
+        let gpu = class_usage(&inst, &plat, ResourceKind::Gpu).unwrap();
         // value 2.0 with 2 CPUs → CPU usage 4.0; 1 GPU → GPU usage 2.0.
         assert!(approx_eq(cpu, 4.0), "{cpu}");
         assert!(approx_eq(gpu, 2.0), "{gpu}");
@@ -393,7 +420,7 @@ mod tests {
         for times in cases {
             let inst = Instance::from_times(&times);
             for plat in [Platform::new(1, 1), Platform::new(2, 1), Platform::new(2, 2)] {
-                let exact = area_bound(&inst, &plat).value;
+                let exact = area_bound(&inst, &plat).unwrap().value;
                 let dual = area_bound_dual(&inst, &plat);
                 assert!(dual <= exact + 1e-9, "dual {dual} above exact {exact}");
                 assert!(dual >= 0.8 * exact, "dual {dual} too loose vs exact {exact}");

@@ -602,7 +602,7 @@ pub fn cmd_bounds(text: &str, table: &ClassTable) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(out, "tasks          : {}", instance.len());
     if table.k() == 2 {
-        let ab = heteroprio_bounds::area_bound(&instance, platform);
+        let ab = heteroprio_bounds::area_bound(&instance, platform).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "area bound     : {:.6}", ab.value);
     } else {
         let dual = heteroprio_bounds::area_bound_dual(&instance, platform);

@@ -16,7 +16,7 @@ pub struct AllocStats {
     /// divided by the amount of the resource used by the area-bound
     /// solution. Aborted (spoliated) work counts as idle, so all algorithms
     /// are charged for the same useful work. `None` when the lower bound
-    /// uses none of that resource.
+    /// uses none of that resource, or the instance has no area bound.
     pub idle_cpu: Option<f64>,
     pub idle_gpu: Option<f64>,
 }
@@ -25,7 +25,7 @@ pub struct AllocStats {
 pub fn alloc_stats(instance: &Instance, platform: &Platform, schedule: &Schedule) -> AllocStats {
     let horizon = schedule.makespan();
     let norm_idle = |kind: ResourceKind| {
-        let usage = class_usage(instance, platform, kind);
+        let usage = class_usage(instance, platform, kind).ok()?;
         if approx_le(usage, 0.0) {
             None
         } else {

@@ -201,20 +201,10 @@ impl Workload for DagWorkload<'_> {
         self.tracker.complete_into(self.graph, task, out);
     }
 
-    /// Duration the engine charges for `task` on class `class` (base time
-    /// plus the cross-class transfer penalty when an input was produced on
-    /// a different class).
+    /// Duration the engine charges for `task` on class `class`; see
+    /// [`TransferModel::effective_time`].
     fn duration(&self, task: TaskId, class: ClassId, ran_kind: &[Option<ClassId>]) -> f64 {
-        let base = self.graph.instance().task(task).time_on(class);
-        let cross =
-            self.graph.predecessors(task).iter().any(
-                |p| matches!(ran_kind.get(p.index()).copied().flatten(), Some(c) if c != class),
-            );
-        if cross {
-            base + self.model.cross_class_penalty
-        } else {
-            base
-        }
+        self.model.effective_time(self.graph, task, class, ran_kind)
     }
 }
 

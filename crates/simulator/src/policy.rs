@@ -28,6 +28,31 @@ impl TransferModel {
         assert!(cross_class_penalty >= 0.0 && cross_class_penalty.is_finite());
         TransferModel { cross_class_penalty }
     }
+
+    /// Time the engine charges for `task` on class `class`: its base time,
+    /// plus the penalty when a predecessor completed on another class
+    /// (`ran_kind` is indexed by task). With no penalty the predecessor
+    /// scan cannot change the result (`base + 0.0 == base`), so it is
+    /// skipped.
+    #[inline]
+    pub fn effective_time(
+        &self,
+        graph: &TaskGraph,
+        task: TaskId,
+        class: ClassId,
+        ran_kind: &[Option<ClassId>],
+    ) -> f64 {
+        let base = graph.instance().task(task).time_on(class);
+        let cross = self.cross_class_penalty > 0.0
+            && graph.predecessors(task).iter().any(
+                |p| matches!(ran_kind.get(p.index()).copied().flatten(), Some(c) if c != class),
+            );
+        if cross {
+            base + self.cross_class_penalty
+        } else {
+            base
+        }
+    }
 }
 
 /// Read-only view of the simulation state handed to policy callbacks.
@@ -73,16 +98,7 @@ impl SimContext<'_> {
     /// transfer penalty. This is what the engine will charge; policies must
     /// use it for spoliation-improvement checks.
     pub fn effective_time(&self, task: TaskId, class: impl Into<ClassId>) -> f64 {
-        let class = class.into();
-        let base = self.graph.instance().task(task).time_on(class);
-        let cross = self.graph.predecessors(task).iter().any(
-            |p| matches!(self.ran_kind.get(p.index()).copied().flatten(), Some(c) if c != class),
-        );
-        if cross {
-            base + self.model.cross_class_penalty
-        } else {
-            base
-        }
+        self.model.effective_time(self.graph, task, class.into(), self.ran_kind)
     }
 }
 

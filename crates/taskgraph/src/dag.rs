@@ -6,7 +6,6 @@
 
 use heteroprio_core::model::{Instance, Task, TaskId};
 use heteroprio_core::time::approx_le;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A task graph: tasks plus precedence edges.
@@ -14,8 +13,62 @@ use std::fmt;
 pub struct TaskGraph {
     instance: Instance,
     labels: Vec<&'static str>,
-    succs: Vec<Vec<TaskId>>,
-    preds: Vec<Vec<TaskId>>,
+    succs: Csr<TaskId>,
+    preds: Csr<TaskId>,
+}
+
+/// Compressed rows: row `i` is `items[start[i]..start[i + 1]]`. One flat
+/// allocation per direction instead of one heap `Vec` per node, so walking
+/// a node's neighbours reads contiguous memory.
+#[derive(Clone, Debug)]
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// `n` empty rows.
+    fn empty(n: usize) -> Self {
+        Csr { start: vec![0; n + 1], items: Vec::new() }
+    }
+
+    /// Group `(row, item)` pairs into `n` rows by a stable counting sort:
+    /// every row keeps its items in the order `pairs` yields them.
+    fn group<I>(n: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (usize, T)> + Clone,
+    {
+        let mut start = vec![0u32; n + 1];
+        let mut len = 0u32;
+        for (row, _) in pairs.clone() {
+            start[row + 1] += 1;
+            len = len.checked_add(1).expect("at most u32::MAX adjacency entries");
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        // Every slot is overwritten below; the first item is only a filler.
+        let mut items = match pairs.clone().next() {
+            Some((_, first)) => vec![first; len as usize],
+            None => Vec::new(),
+        };
+        for (row, item) in pairs {
+            items[next[row] as usize] = item;
+            next[row] += 1;
+        }
+        Csr { start, items }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    #[inline]
+    fn degree(&self, i: usize) -> u32 {
+        self.start[i + 1] - self.start[i]
+    }
 }
 
 /// Error raised when a builder's edges contain a cycle.
@@ -74,18 +127,40 @@ impl DagBuilder {
     }
 
     /// Finish construction, verifying acyclicity.
+    ///
+    /// Duplicate edges keep their first occurrence, and every successor and
+    /// predecessor slice lists its edges in insertion order: the order in
+    /// which a completion releases its successors is the ready queue's FIFO
+    /// order, so it is part of the schedule.
     pub fn build(self) -> Result<TaskGraph, CycleError> {
         let n = self.instance.len();
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut seen: HashSet<(TaskId, TaskId)> = HashSet::with_capacity(self.edges.len());
-        for (from, to) in self.edges {
-            assert!(from.index() < n && to.index() < n, "edge references unknown node");
-            if seen.insert((from, to)) {
-                succs[from.index()].push(to);
-                preds[to.index()].push(from);
+        let edges = self.edges;
+        assert!(
+            edges.iter().all(|&(from, to)| from.index() < n && to.index() < n),
+            "edge references unknown node"
+        );
+        // Edge ids by source, in insertion order. Within one source row a
+        // target is a duplicate iff it was stamped earlier in that row.
+        let by_source =
+            Csr::group(n, edges.iter().enumerate().map(|(e, &(f, _))| (f.index(), e as u32)));
+        let mut stamp = vec![u32::MAX; n];
+        let mut keep = vec![false; edges.len()];
+        let mut succs = Csr { start: Vec::with_capacity(n + 1), items: Vec::new() };
+        succs.start.push(0);
+        for from in 0..n {
+            for &e in by_source.row(from) {
+                let to = edges[e as usize].1;
+                if stamp[to.index()] != from as u32 {
+                    stamp[to.index()] = from as u32;
+                    keep[e as usize] = true;
+                    succs.items.push(to);
+                }
             }
+            succs.start.push(succs.items.len() as u32);
         }
+        drop(by_source);
+        let kept = edges.iter().zip(&keep).filter(|&(_, &k)| k).map(|(&edge, _)| edge);
+        let preds = Csr::group(n, kept.map(|(from, to)| (to.index(), from)));
         let graph = TaskGraph { instance: self.instance, labels: self.labels, succs, preds };
         if graph.topo_order().len() != n {
             return Err(CycleError);
@@ -98,12 +173,7 @@ impl TaskGraph {
     /// A graph of independent tasks (no edges).
     pub fn independent(instance: Instance) -> Self {
         let n = instance.len();
-        TaskGraph {
-            instance,
-            labels: vec!["task"; n],
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-        }
+        TaskGraph { instance, labels: vec!["task"; n], succs: Csr::empty(n), preds: Csr::empty(n) }
     }
 
     #[inline]
@@ -128,39 +198,39 @@ impl TaskGraph {
 
     #[inline]
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.succs[id.index()]
+        self.succs.row(id.index())
     }
 
     #[inline]
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        &self.preds[id.index()]
+        self.preds.row(id.index())
     }
 
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.items.len()
     }
 
     /// Nodes with no predecessors.
     pub fn sources(&self) -> Vec<TaskId> {
-        self.instance.ids().filter(|&id| self.preds[id.index()].is_empty()).collect()
+        self.instance.ids().filter(|&id| self.preds.degree(id.index()) == 0).collect()
     }
 
     /// Nodes with no successors.
     pub fn sinks(&self) -> Vec<TaskId> {
-        self.instance.ids().filter(|&id| self.succs[id.index()].is_empty()).collect()
+        self.instance.ids().filter(|&id| self.succs.degree(id.index()) == 0).collect()
     }
 
     /// Kahn topological order. Shorter than `len()` iff the graph is cyclic
     /// (never the case after a successful [`DagBuilder::build`]).
     pub fn topo_order(&self) -> Vec<TaskId> {
         let n = self.len();
-        let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut indegree: Vec<u32> = (0..n).map(|i| self.preds.degree(i)).collect();
         let mut order = Vec::with_capacity(n);
         let mut stack: Vec<TaskId> =
             self.instance.ids().filter(|id| indegree[id.index()] == 0).collect();
         while let Some(id) = stack.pop() {
             order.push(id);
-            for &s in &self.succs[id.index()] {
+            for &s in self.successors(id) {
                 indegree[s.index()] -= 1;
                 if indegree[s.index()] == 0 {
                     stack.push(s);
@@ -196,14 +266,14 @@ impl TaskGraph {
 /// simulator's dependency-release mechanism.
 #[derive(Clone, Debug)]
 pub struct ReadyTracker {
-    indegree: Vec<usize>,
+    indegree: Vec<u32>,
     remaining: usize,
 }
 
 impl ReadyTracker {
     pub fn new(graph: &TaskGraph) -> Self {
         ReadyTracker {
-            indegree: graph.instance().ids().map(|id| graph.predecessors(id).len()).collect(),
+            indegree: (0..graph.len()).map(|i| graph.preds.degree(i)).collect(),
             remaining: graph.len(),
         }
     }
@@ -226,8 +296,9 @@ impl ReadyTracker {
     pub fn complete_into(&mut self, graph: &TaskGraph, task: TaskId, out: &mut Vec<TaskId>) {
         self.remaining -= 1;
         for &s in graph.successors(task) {
-            self.indegree[s.index()] -= 1;
-            if self.indegree[s.index()] == 0 {
+            let d = &mut self.indegree[s.index()];
+            *d = d.checked_sub(1).expect("each task completes once, so no indegree underflows");
+            if *d == 0 {
                 out.push(s);
             }
         }

@@ -14,7 +14,24 @@ use crate::kernels::{Kernel, KernelTiming};
 use heteroprio_core::{Task, TaskId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+
+/// The last task that wrote each tile of an `n × n` grid, indexed
+/// `i * n + j`: a tile's next writer depends on it.
+struct LastWriter {
+    n: usize,
+    tiles: Vec<Option<TaskId>>,
+}
+
+impl LastWriter {
+    fn new(n: usize) -> Self {
+        LastWriter { n, tiles: vec![None; n * n] }
+    }
+
+    /// Record `task` as the writer of tile `(i, j)`; returns the previous one.
+    fn replace(&mut self, i: usize, j: usize, task: TaskId) -> Option<TaskId> {
+        self.tiles[i * self.n + j].replace(task)
+    }
+}
 
 /// Tiled Cholesky factorization (A = L·Lᵀ) on an `n × n` tile grid.
 ///
@@ -24,31 +41,27 @@ use std::collections::HashMap;
 pub fn cholesky(n: usize, timing: &impl KernelTiming) -> TaskGraph {
     assert!(n >= 1, "need at least one tile");
     let mut b = DagBuilder::new();
-    // last_writer[(i, j)] for the lower-triangular tiles i >= j.
-    let mut last: HashMap<(usize, usize), TaskId> = HashMap::new();
+    // Only the lower-triangular tiles i >= j are written.
+    let mut last = LastWriter::new(n);
     for k in 0..n {
         let potrf = b.add_task(timing.task(Kernel::Potrf), Kernel::Potrf.name());
-        b.add_edge_opt(last.get(&(k, k)).copied(), potrf);
-        last.insert((k, k), potrf);
+        b.add_edge_opt(last.replace(k, k, potrf), potrf);
         let mut trsm = Vec::with_capacity(n - k - 1);
         for i in k + 1..n {
             let t = b.add_task(timing.task(Kernel::Trsm), Kernel::Trsm.name());
             b.add_edge(potrf, t);
-            b.add_edge_opt(last.get(&(i, k)).copied(), t);
-            last.insert((i, k), t);
+            b.add_edge_opt(last.replace(i, k, t), t);
             trsm.push(t);
         }
         for i in k + 1..n {
             let syrk = b.add_task(timing.task(Kernel::Syrk), Kernel::Syrk.name());
             b.add_edge(trsm[i - k - 1], syrk);
-            b.add_edge_opt(last.get(&(i, i)).copied(), syrk);
-            last.insert((i, i), syrk);
+            b.add_edge_opt(last.replace(i, i, syrk), syrk);
             for j in k + 1..i {
                 let gemm = b.add_task(timing.task(Kernel::Gemm), Kernel::Gemm.name());
                 b.add_edge(trsm[i - k - 1], gemm);
                 b.add_edge(trsm[j - k - 1], gemm);
-                b.add_edge_opt(last.get(&(i, j)).copied(), gemm);
-                last.insert((i, j), gemm);
+                b.add_edge_opt(last.replace(i, j, gemm), gemm);
             }
         }
     }
@@ -64,31 +77,25 @@ pub fn cholesky(n: usize, timing: &impl KernelTiming) -> TaskGraph {
 pub fn qr(n: usize, timing: &impl KernelTiming) -> TaskGraph {
     assert!(n >= 1, "need at least one tile");
     let mut b = DagBuilder::new();
-    let mut last: HashMap<(usize, usize), TaskId> = HashMap::new();
+    let mut last = LastWriter::new(n);
     for k in 0..n {
         let geqrt = b.add_task(timing.task(Kernel::Geqrt), Kernel::Geqrt.name());
-        b.add_edge_opt(last.get(&(k, k)).copied(), geqrt);
-        last.insert((k, k), geqrt);
+        b.add_edge_opt(last.replace(k, k, geqrt), geqrt);
         for j in k + 1..n {
             let ormqr = b.add_task(timing.task(Kernel::Ormqr), Kernel::Ormqr.name());
             b.add_edge(geqrt, ormqr);
-            b.add_edge_opt(last.get(&(k, j)).copied(), ormqr);
-            last.insert((k, j), ormqr);
+            b.add_edge_opt(last.replace(k, j, ormqr), ormqr);
         }
         for i in k + 1..n {
             let tsqrt = b.add_task(timing.task(Kernel::Tsqrt), Kernel::Tsqrt.name());
             // Reads/writes the diagonal tile R(k,k) (chain) and tile (i,k).
-            b.add_edge_opt(last.get(&(k, k)).copied(), tsqrt);
-            b.add_edge_opt(last.get(&(i, k)).copied(), tsqrt);
-            last.insert((k, k), tsqrt);
-            last.insert((i, k), tsqrt);
+            b.add_edge_opt(last.replace(k, k, tsqrt), tsqrt);
+            b.add_edge_opt(last.replace(i, k, tsqrt), tsqrt);
             for j in k + 1..n {
                 let tsmqr = b.add_task(timing.task(Kernel::Tsmqr), Kernel::Tsmqr.name());
                 b.add_edge(tsqrt, tsmqr);
-                b.add_edge_opt(last.get(&(k, j)).copied(), tsmqr);
-                b.add_edge_opt(last.get(&(i, j)).copied(), tsmqr);
-                last.insert((k, j), tsmqr);
-                last.insert((i, j), tsmqr);
+                b.add_edge_opt(last.replace(k, j, tsmqr), tsmqr);
+                b.add_edge_opt(last.replace(i, j, tsmqr), tsmqr);
             }
         }
     }
@@ -103,25 +110,22 @@ pub fn qr(n: usize, timing: &impl KernelTiming) -> TaskGraph {
 pub fn lu(n: usize, timing: &impl KernelTiming) -> TaskGraph {
     assert!(n >= 1, "need at least one tile");
     let mut b = DagBuilder::new();
-    let mut last: HashMap<(usize, usize), TaskId> = HashMap::new();
+    let mut last = LastWriter::new(n);
     for k in 0..n {
         let getrf = b.add_task(timing.task(Kernel::Getrf), Kernel::Getrf.name());
-        b.add_edge_opt(last.get(&(k, k)).copied(), getrf);
-        last.insert((k, k), getrf);
+        b.add_edge_opt(last.replace(k, k, getrf), getrf);
         let mut row = Vec::with_capacity(n - k - 1);
         let mut col = Vec::with_capacity(n - k - 1);
         for j in k + 1..n {
             let t = b.add_task(timing.task(Kernel::Trsm), Kernel::Trsm.name());
             b.add_edge(getrf, t);
-            b.add_edge_opt(last.get(&(k, j)).copied(), t);
-            last.insert((k, j), t);
+            b.add_edge_opt(last.replace(k, j, t), t);
             row.push(t);
         }
         for i in k + 1..n {
             let t = b.add_task(timing.task(Kernel::Trsm), Kernel::Trsm.name());
             b.add_edge(getrf, t);
-            b.add_edge_opt(last.get(&(i, k)).copied(), t);
-            last.insert((i, k), t);
+            b.add_edge_opt(last.replace(i, k, t), t);
             col.push(t);
         }
         for i in k + 1..n {
@@ -129,8 +133,7 @@ pub fn lu(n: usize, timing: &impl KernelTiming) -> TaskGraph {
                 let gemm = b.add_task(timing.task(Kernel::Gemm), Kernel::Gemm.name());
                 b.add_edge(col[i - k - 1], gemm);
                 b.add_edge(row[j - k - 1], gemm);
-                b.add_edge_opt(last.get(&(i, j)).copied(), gemm);
-                last.insert((i, j), gemm);
+                b.add_edge_opt(last.replace(i, j, gemm), gemm);
             }
         }
     }

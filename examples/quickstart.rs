@@ -34,7 +34,7 @@ fn main() {
 
     // How good is it? Compare against the area bound (fractional relaxation)
     // and, for an instance this small, the true optimum.
-    let ab = area_bound(&instance, &platform);
+    let ab = area_bound(&instance, &platform).expect("tasks built by Task::new have valid times");
     let lb = combined_lower_bound(&instance, &platform);
     let opt = optimal_makespan(&instance, &platform);
     println!("area bound      : {:.3}", ab.value);

@@ -49,6 +49,9 @@ cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 --audit \
 cargo run -q -p heteroprio-cli -- audit --cpus 2 --gpus 1 \
     --trace "$tmp/trace.jsonl" "$tmp/instance.txt"
 cargo run -q -p heteroprio-cli -- audit cholesky 8 --cpus 2 --gpus 1
+# Every factorization generator, end to end through the DAG engine.
+cargo run -q -p heteroprio-cli -- audit qr 16 --cpus 4 --gpus 2
+cargo run -q -p heteroprio-cli -- audit lu 16 --cpus 4 --gpus 2
 # 19,600 tasks, a DAG stream of Pick decisions: the pop-order rule must stay
 # sub-linear per pop (a full ready-set scan per pop makes this step seconds
 # long in the debug build).

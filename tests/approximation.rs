@@ -169,7 +169,7 @@ fn lemma3_work_conservation_while_queue_is_nonempty() {
         for platform in [Platform::new(2, 1), Platform::new(3, 2)] {
             let res = hp(&instance, &platform, &HeteroPrioConfig::without_spoliation());
             let Some(first_idle) = res.first_idle else { continue };
-            let ab = area_bound(&instance, &platform);
+            let ab = area_bound(&instance, &platform).unwrap();
             let total = ab.value;
             // The consistency horizon: first instant a class starts work the
             // LP would place strictly on the other side of its threshold.
@@ -214,7 +214,7 @@ fn lemma3_work_conservation_while_queue_is_nonempty() {
             for frac in [0.25, 0.5, 0.75, 0.95] {
                 // Feasibility direction, any t up to first idle.
                 let t = first_idle * frac;
-                let rest_bound = area_bound(&rest_at(t), &platform).value;
+                let rest_bound = area_bound(&rest_at(t), &platform).unwrap().value;
                 assert!(
                     t + rest_bound >= total - 1e-6 * total.max(1.0),
                     "seed {seed} {platform:?} t={t}: {t} + {rest_bound} < {total}"
@@ -222,7 +222,7 @@ fn lemma3_work_conservation_while_queue_is_nonempty() {
                 // Equality within the consistency horizon.
                 if t_safe > 0.0 && t_safe.is_finite() {
                     let t_eq = t_safe * frac * 0.999;
-                    let rest_bound = area_bound(&rest_at(t_eq), &platform).value;
+                    let rest_bound = area_bound(&rest_at(t_eq), &platform).unwrap().value;
                     assert!(
                         (t_eq + rest_bound - total).abs() <= 1e-6 * total.max(1.0),
                         "seed {seed} {platform:?} t={t_eq}: {t_eq} + {rest_bound} != {total}"
@@ -254,7 +254,7 @@ fn lemma3_literal_equality_counterexample() {
     let platform = Platform::new(2, 1);
     let res = hp(&instance, &platform, &HeteroPrioConfig::without_spoliation());
     let first_idle = res.first_idle.expect("some worker idles");
-    let total = area_bound(&instance, &platform).value;
+    let total = area_bound(&instance, &platform).unwrap().value;
     let t = 0.9 * first_idle;
     assert!(t < first_idle);
     let mut rest = Instance::new();
@@ -271,7 +271,7 @@ fn lemma3_literal_equality_counterexample() {
             rest.push(Task::new(task.cpu_time() * remaining, task.gpu_time() * remaining));
         }
     }
-    let rest_bound = area_bound(&rest, &platform).value;
+    let rest_bound = area_bound(&rest, &platform).unwrap().value;
     assert!(
         t + rest_bound > total + 0.05,
         "expected a strict gap, got {} vs {total}",

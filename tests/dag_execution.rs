@@ -3,10 +3,14 @@
 //! factorization.
 
 use heteroprio::bounds::dag_lower_bound;
-use heteroprio::core::Platform;
+use heteroprio::core::{HeteroPrioConfig, Platform};
 use heteroprio::experiments::{alloc_stats, run_dag, Scheduler, DAG_PAPER};
-use heteroprio::schedulers::DualHpRank;
-use heteroprio::taskgraph::{check_precedence, ConstTiming, Factorization, WeightScheme};
+use heteroprio::schedulers::{DualHpRank, HeteroPrioDagPolicy};
+use heteroprio::simulator::{simulate_traced, TransferModel};
+use heteroprio::taskgraph::{
+    apply_bottom_level_priorities, check_precedence, ConstTiming, Factorization, WeightScheme,
+};
+use heteroprio::trace::{jsonl, VecSink};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 
 #[test]
@@ -94,5 +98,40 @@ fn unit_kernels_fill_the_machine() {
     for algo in [Scheduler::HeteroPrio(WeightScheme::Avg), Scheduler::parse("heft").unwrap()] {
         let ms = run_dag(algo, &graph, &platform).makespan();
         assert!(ms <= 2.0 * lb, "{algo}: {ms} vs lb {lb}");
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Golden pin of the DAG engine's full event stream: HeteroPrio over
+/// bottom-level-ranked factorizations, with and without a transfer
+/// penalty. Graph storage, dependency release and the transfer check must
+/// leave every event (release order included) byte-identical.
+#[test]
+fn dag_event_streams_match_golden_digests() {
+    const HALF: TransferModel = TransferModel { cross_class_penalty: 0.5 };
+    // (factorization, tiles, transfer model, event count, FNV-1a of the JSONL)
+    const GOLDEN: [(Factorization, usize, TransferModel, usize, u64); 6] = [
+        (Factorization::Cholesky, 8, TransferModel::NONE, 648, 0x5497_80da_03ff_b7bc),
+        (Factorization::Cholesky, 8, HALF, 566, 0x5a8f_8357_6196_bc0f),
+        (Factorization::Qr, 6, TransferModel::NONE, 527, 0x0a6e_4ca8_ba84_2b8a),
+        (Factorization::Qr, 6, HALF, 532, 0x96b5_21fe_070f_5c6b),
+        (Factorization::Lu, 6, TransferModel::NONE, 473, 0xf0fd_b666_1c18_2f80),
+        (Factorization::Lu, 6, HALF, 473, 0xcbcc_b801_0627_7b78),
+    ];
+    let platform = Platform::new(3, 2);
+    for (f, n, model, events, digest) in GOLDEN {
+        let mut graph = f.generate(n, &ChameleonTiming);
+        apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+        let mut sink = VecSink::new();
+        let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+        simulate_traced(&graph, &platform, &mut policy, &model, &mut sink);
+        let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
+        assert_eq!(got, (events, digest), "{} {n} under {model:?}", f.name());
     }
 }

@@ -70,7 +70,7 @@ proptest! {
         instance in instance_strategy(24),
         platform in platform_strategy(),
     ) {
-        let ab = area_bound(&instance, &platform);
+        let ab = area_bound(&instance, &platform).unwrap();
         prop_assert!(check_structure(&instance, &platform, &ab).is_ok());
     }
 
@@ -80,7 +80,7 @@ proptest! {
         platform in platform_strategy(),
         fracs in prop::collection::vec(0.0f64..=1.0, 12),
     ) {
-        let ab = area_bound(&instance, &platform);
+        let ab = area_bound(&instance, &platform).unwrap();
         let x: Vec<f64> = fracs.into_iter().take(instance.len()).collect();
         if x.len() == instance.len() {
             let obj = fractional_objective(&instance, &platform, &x);
@@ -93,7 +93,7 @@ proptest! {
         instance in instance_strategy(7),
         platform in platform_strategy(),
     ) {
-        let ab = area_bound(&instance, &platform);
+        let ab = area_bound(&instance, &platform).unwrap();
         let opt = optimal_makespan(&instance, &platform).makespan;
         prop_assert!(ab.value <= opt + 1e-9);
     }
@@ -323,8 +323,8 @@ proptest! {
 
         // Area bounds: bitwise-equal across routes, and the k-class dual
         // certificate never exceeds the exact two-class LP value.
-        let ab_compat = area_bound(&instance, &compat);
-        let ab_general = area_bound(&instance, &general);
+        let ab_compat = area_bound(&instance, &compat).unwrap();
+        let ab_general = area_bound(&instance, &general).unwrap();
         prop_assert_eq!(ab_compat.value.to_bits(), ab_general.value.to_bits());
         let dual = area_bound_dual(&instance, &general);
         prop_assert_eq!(dual.to_bits(), area_bound_dual(&instance, &compat).to_bits());
