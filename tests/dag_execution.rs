@@ -1,16 +1,20 @@
 //! Cross-crate integration: the full DAG pipeline (generator → ranking →
 //! policy → engine → validation → metrics) for every algorithm on every
-//! factorization.
+//! factorization, plus golden pins of the kernel's event streams.
 
 use heteroprio::bounds::dag_lower_bound;
-use heteroprio::core::{HeteroPrioConfig, Platform};
+use heteroprio::core::kernel::{self, Run};
+use heteroprio::core::{heteroprio_traced, HeteroPrioConfig, Instance, Platform};
 use heteroprio::experiments::{alloc_stats, run_dag, Scheduler, DAG_PAPER};
+use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{DualHpRank, HeteroPrioDagPolicy};
-use heteroprio::simulator::{simulate_traced, TransferModel};
+use heteroprio::simulator::{
+    dag, simulate_traced, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
+};
 use heteroprio::taskgraph::{
     apply_bottom_level_priorities, check_precedence, ConstTiming, Factorization, WeightScheme,
 };
-use heteroprio::trace::{jsonl, VecSink};
+use heteroprio::trace::{jsonl, SchedEvent, VecSink};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 
 #[test]
@@ -134,4 +138,74 @@ fn dag_event_streams_match_golden_digests() {
         let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
         assert_eq!(got, (events, digest), "{} {n} under {model:?}", f.name());
     }
+}
+
+/// Golden pin of a faulty DAG stream: ranked Cholesky 8 under one plan
+/// that mixes a transient GPU outage, a permanent CPU death, random task
+/// failures with retries, and execution jitter. This covers the kernel's
+/// cancel paths (a run lost to a dead worker, a failed attempt) that the
+/// fault-free pins never reach.
+#[test]
+fn faulty_dag_stream_matches_golden_digest() {
+    let mut graph = Factorization::Cholesky.generate(8, &ChameleonTiming);
+    apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+    let platform = Platform::new(3, 2);
+    let plan = FaultPlan {
+        worker_faults: vec![WorkerFault::transient(3, 40.0, 60.0), WorkerFault::permanent(1, 90.0)],
+        task_failure_prob: 0.05,
+        exec_jitter: 0.2,
+        seed: 11,
+        retry: RetryPolicy::DEFAULT,
+    };
+    let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+    let (mut workload, mut policy, faults) =
+        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
+    let mut sink = VecSink::new();
+    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let out = kernel::run(&platform, &mut workload, &mut policy, spec).expect("run completes");
+    let s = &out.summary;
+    assert!(s.worker_failures == 2 && s.worker_recoveries == 1, "both outages hit");
+    assert!(s.task_failures > 0 && s.retries > 0, "some attempts fail");
+    let lost = sink
+        .events
+        .iter()
+        .filter(|e| matches!(e, SchedEvent::WorkerDown { lost_task: Some(_), .. }))
+        .count();
+    assert!(lost > 0, "a worker death interrupts a run");
+    let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
+    assert_eq!(got, (601, 0x5eac_32e0_fef3_7a9a));
+}
+
+/// Golden pin of a spoliation-heavy independent stream: integer times, so
+/// several workers complete at the same instant, and GPU-friendly tasks
+/// parked on CPUs, so GPUs keep spoliating them. This covers the kernel's
+/// equal-instant dispatch order and its spoliation cancel path.
+#[test]
+fn spoliation_heavy_independent_stream_matches_golden_digest() {
+    let mut x: u64 = 7;
+    let mut next = |m: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % m
+    };
+    let times: Vec<(f64, f64)> = (0..48)
+        .map(|i| {
+            if i % 3 != 0 {
+                (40.0 + next(3) as f64 * 8.0, 2.0 + next(2) as f64 * 2.0)
+            } else {
+                (2.0 + next(3) as f64 * 2.0, 4.0 + next(3) as f64 * 2.0)
+            }
+        })
+        .collect();
+    let instance = Instance::from_times(&times);
+    let platform = Platform::new(4, 2);
+    let mut sink = VecSink::new();
+    let res = heteroprio_traced(&instance, &platform, &HeteroPrioConfig::new(), &mut sink);
+    res.schedule.validate(&instance, &platform).expect("valid schedule");
+    let mut ends: Vec<f64> = res.schedule.runs.iter().map(|r| r.end).collect();
+    ends.sort_by(f64::total_cmp);
+    let shared = ends.windows(2).filter(|w| w[0] == w[1]).count();
+    assert!(res.spoliations >= 3, "only {} spoliations", res.spoliations);
+    assert!(shared >= 3, "only {shared} shared completion instants");
+    let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
+    assert_eq!(got, (214, 0xce6f_7576_0fe4_4930));
 }
