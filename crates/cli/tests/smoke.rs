@@ -1,6 +1,7 @@
 //! End-to-end smoke test of the installed binary: `schedule --trace`
 //! and `dag --trace` must write parseable trace files and report them.
 
+use heteroprio_core::{CheckpointStore, FileCheckpointStore};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -307,6 +308,70 @@ fn export_prints_a_journal_as_the_runs_jsonl_and_refuses_a_damaged_one() {
     assert!(!exported.exists(), "a damaged journal exports nothing");
 
     for path in [&instance, &reference, &journal] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn resume_never_turns_a_tampered_checkpoint_into_a_different_trace() {
+    let instance = scratch("tamper.txt");
+    std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();
+    let reference = scratch("tamper-reference.jsonl");
+    let journal = scratch("tamper.journal");
+    let snapshot = scratch("tamper.ckpt");
+    let resumed = scratch("tamper-resumed.jsonl");
+    let plat = ["--cpus", "2", "--gpus", "1"];
+    let out = bin()
+        .arg("schedule")
+        .args(plat)
+        .arg("--trace")
+        .arg(&reference)
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli schedule");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .arg("schedule")
+        .args(plat)
+        .args(["--crash-at", "14", "--checkpoint-every", "2", "--journal"])
+        .arg(&journal)
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli schedule --crash-at");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    // A second live completion for a worker that already has one, written
+    // back with a valid frame so only the snapshot's meaning is wrong.
+    let (snap, damage) = FileCheckpointStore::load(&snapshot);
+    let mut snap = snap.unwrap_or_else(|| panic!("checkpoint unreadable: {damage:?}"));
+    let (t, w, g) = snap.heap[0];
+    snap.heap.push((t + 0.5, w, g));
+    FileCheckpointStore::new(&snapshot).save(&snap).expect("rewrite the checkpoint");
+
+    let out = bin()
+        .arg("resume")
+        .args(plat)
+        .arg("--journal")
+        .arg(&journal)
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .arg("--trace")
+        .arg(&resumed)
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli resume");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "resume panicked: {stderr}");
+    if out.status.success() {
+        let want = std::fs::read_to_string(&reference).unwrap();
+        assert_eq!(std::fs::read_to_string(&resumed).unwrap(), want, "resume changed the trace");
+    } else {
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    }
+
+    for path in [&instance, &reference, &journal, &snapshot, &resumed] {
         let _ = std::fs::remove_file(path);
     }
 }

@@ -12,13 +12,13 @@
 //!
 //! A [`KernelSnapshot`] is an optimization on top of that contract: it
 //! captures the kernel's complete mid-run state (task states, running
-//! intervals, the *actual* — possibly jittered — event-heap instants, RNG
-//! state, the policy's ready order) so recovery can skip re-executing the
-//! journaled prefix and only verify the tail. Snapshots are written
-//! atomically (temp file + rename) with the same CRC framing as journal
-//! records, so a crash mid-checkpoint leaves the previous checkpoint
-//! intact and a torn checkpoint is detected and discarded — the journal
-//! remains the source of truth.
+//! intervals, the *actual* — possibly jittered — pending completion
+//! instants, RNG state, the policy's ready order) so recovery can skip
+//! re-executing the journaled prefix and only verify the tail. Snapshots
+//! are written atomically (temp file + rename) with the same CRC framing
+//! as journal records, so a crash mid-checkpoint leaves the previous
+//! checkpoint intact and a torn checkpoint is detected and discarded — the
+//! journal remains the source of truth.
 
 use crate::kernel::{EngineError, RunningTask, TaskState};
 use crate::model::{ClassId, TaskId, WorkerId};
@@ -231,9 +231,10 @@ impl CheckpointStore for FileCheckpointStore {
 /// point (end of an event-loop iteration, after the assignment fixpoint).
 ///
 /// Everything the continuation depends on is here — including the *actual*
-/// event-heap instants (under jitter these differ from the estimates in
-/// `TaskStart::expected_end` and are recoverable from nowhere else) and the
-/// raw RNG state, so a resumed stochastic run draws the exact same stream.
+/// pending completion instants (under jitter these differ from the
+/// estimates in `TaskStart::expected_end` and are recoverable from nowhere
+/// else) and the raw RNG state, so a resumed stochastic run draws the exact
+/// same stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelSnapshot {
     /// Simulated time of capture.
@@ -245,9 +246,11 @@ pub struct KernelSnapshot {
     pub state: Vec<TaskState>,
     pub ran_kind: Vec<Option<ClassId>>,
     pub running: Vec<Option<RunningTask>>,
+    /// Per-worker abort counters; each `heap` entry carries its worker's.
     pub generation: Vec<u64>,
-    /// Live completion/failure heap entries `(time, worker, generation)`,
-    /// sorted for a canonical encoding. Stale generations are dropped.
+    /// Pending completion/failure events `(time, worker, generation)`, one
+    /// per running worker at its current generation, sorted by time, then
+    /// worker, for a canonical encoding.
     pub heap: Vec<(f64, u32, u64)>,
     pub idle: Vec<u32>,
     pub idle_announced: Vec<bool>,
@@ -517,7 +520,9 @@ impl KernelSnapshot {
     }
 
     /// Internal-consistency check: every per-task/per-worker vector matches
-    /// the declared counts and ids stay in range.
+    /// the declared counts, ids stay in range, and the pending events are
+    /// exactly one per running worker, at a finite instant no earlier than
+    /// `now`.
     pub fn validate(&self) -> Result<(), String> {
         let t = self.tasks;
         let w = self.workers;
@@ -543,6 +548,7 @@ impl KernelSnapshot {
         if let Some(&(_, wk, _)) = self.heap.iter().find(|&&(_, wk, _)| !worker_ok(wk)) {
             return Err(format!("snapshot heap references unknown worker {wk}"));
         }
+        self.validate_pending()?;
         if let Some(&wk) = self.idle.iter().find(|&&wk| !worker_ok(wk)) {
             return Err(format!("snapshot idle references unknown worker {wk}"));
         }
@@ -556,6 +562,37 @@ impl KernelSnapshot {
             if self.state[id.index()] != TaskState::Ready {
                 return Err(format!("snapshot ready order lists {id}, which is not ready"));
             }
+        }
+        Ok(())
+    }
+
+    /// The kernel keeps one pending event per running worker and none
+    /// for an idle one. A snapshot that disagrees would resume into
+    /// completions the run never scheduled. Worker ids and vector lengths
+    /// are checked by the caller.
+    fn validate_pending(&self) -> Result<(), String> {
+        let mut has_event = vec![false; self.workers];
+        for &(at, wk, g) in &self.heap {
+            if !at.is_finite() || at < 0.0 || at < self.now {
+                return Err(format!(
+                    "snapshot heap has worker {wk} finishing at {at}, before now ({}) or not finite",
+                    self.now
+                ));
+            }
+            let seen = has_event.get_mut(wk as usize).expect("worker ids checked");
+            if std::mem::replace(seen, true) {
+                return Err(format!("snapshot heap has two events for worker {wk}"));
+            }
+            if self.generation.get(wk as usize) != Some(&g) {
+                return Err(format!("snapshot heap event for worker {wk} has a stale generation"));
+            }
+            if matches!(self.running.get(wk as usize), Some(None)) {
+                return Err(format!("snapshot heap has an event for idle worker {wk}"));
+            }
+        }
+        let orphan = self.running.iter().zip(&has_event).position(|(r, &e)| r.is_some() && !e);
+        if let Some(wk) = orphan {
+            return Err(format!("snapshot running worker {wk} has no pending event"));
         }
         Ok(())
     }
@@ -828,7 +865,8 @@ mod tests {
         // Awkward floats survive the text round trip bit-for-bit.
         let mut snap = snap;
         snap.now = 0.1 + 0.2;
-        snap.heap[0].0 = f64::MIN_POSITIVE;
+        // A pending event may not precede `now`; a run's start may.
+        snap.running[0] = Some(RunningTask { task: TaskId(1), start: f64::MIN_POSITIVE, end: 4.1 });
         assert_eq!(KernelSnapshot::parse(&snap.to_json()).expect("parse"), snap);
     }
 

@@ -3,8 +3,9 @@
 //! One discrete-event loop drives every execution engine in the workspace:
 //! the independent-task HeteroPrio ([`crate::heteroprio()`]), the online
 //! release-dates variant ([`crate::online`]) and the DAG/fault simulator
-//! (`heteroprio-simulator`). The kernel owns **time** (the completion, fault
-//! and retry event heaps), **worker liveness**, and **trace emission**;
+//! (`heteroprio-simulator`). The kernel owns **time** (one pending
+//! completion slot per worker, the fault timeline and the retry heap),
+//! **worker liveness**, and **trace emission**;
 //! everything it does not own is injected through two traits:
 //!
 //! * a [`Workload`] answers "which tasks exist and when do they become
@@ -97,11 +98,14 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// A pending-event slot with nothing pending.
+const NOTHING_PENDING: f64 = f64::INFINITY;
+
 /// Names under which the kernel reports its metrics, for consumers that
 /// read registry snapshots by name (the CLI's `--metrics` report, the perf
 /// harness, tests).
 pub mod metric {
-    /// Heap events dispatched by the main loop (completions + failures).
+    /// Run events dispatched by the main loop (completions + failures).
     pub const EVENTS_TOTAL: &str = "kernel_events_total";
     /// Trace events pushed through the emission funnel. Cross-checked
     /// against `TraceSummary::events_recorded` to catch dropped events.
@@ -118,8 +122,9 @@ pub mod metric {
     pub const TASKS_COMPLETED_TOTAL: &str = "kernel_tasks_completed_total";
     /// Current ready-set size (snapshot also carries `…_peak`).
     pub const READY_DEPTH: &str = "kernel_ready_depth";
-    /// Current completion/failure event-heap size (snapshot also carries
-    /// `…_peak`).
+    /// Pending completion/failure events, set at every task start
+    /// (snapshot also carries `…_peak`). A worker has at most one, so this
+    /// never exceeds the worker count.
     pub const EVENT_HEAP_DEPTH: &str = "kernel_event_heap_depth";
     /// Latency of a single `KernelPolicy::pick` call, nanoseconds.
     pub const PICK_NS: &str = "kernel_pick_ns";
@@ -135,7 +140,8 @@ pub struct RunningTask {
     pub task: TaskId,
     pub start: f64,
     /// Expected completion time (estimate-based even under jitter: policies
-    /// and spoliation decisions compare estimates, the heap carries reality).
+    /// and spoliation decisions compare estimates, the pending event
+    /// carries reality).
     pub end: f64,
 }
 
@@ -620,6 +626,21 @@ fn drive<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Sized
     Ok(outcome)
 }
 
+/// The smallest pending instant. Slots are never NaN, so a compare-select
+/// is `f64::min`; four independent lanes replace one dependent chain of
+/// minima, because this scan runs once per completion instant.
+fn min_slot(slots: &[f64]) -> f64 {
+    let lesser = |a: f64, b: f64| if b < a { b } else { a };
+    let mut lanes = [NOTHING_PENDING; 4];
+    let mut chunks = slots.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &at) in lanes.iter_mut().zip(chunk) {
+            *lane = lesser(*lane, at);
+        }
+    }
+    chunks.remainder().iter().chain(&lanes).fold(NOTHING_PENDING, |min, &at| lesser(min, at))
+}
+
 /// Pooled scratch buffers for the steady-state loop. The fixpoint's idle
 /// lists, the per-completion release list and the retry/arrival batches
 /// are taken from this arena and returned cleared after use, so once the
@@ -639,17 +660,28 @@ struct Scratch {
     due: Vec<TaskId>,
 }
 
-/// The one discrete-event loop in the workspace. Owns time, the
-/// completion/fault/retry heaps, worker liveness, and trace emission.
+/// The one discrete-event loop in the workspace. Owns time, the pending
+/// completion slots, the fault timeline and retry heap, worker liveness,
+/// and trace emission.
 struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     platform: &'a Platform,
     ran_kind: Vec<Option<ClassId>>,
     state: Vec<TaskState>,
     running: Vec<Option<RunningTask>>,
-    /// Event invalidation counters (bumped when a run is aborted).
+    /// Per-worker abort counters. Only checkpoints read them: a snapshot
+    /// encodes each pending event as `(time, worker, generation)`.
     generation: Vec<u64>,
-    /// Min-heap of (completion/failure time, worker, generation).
-    events: BinaryHeap<Reverse<(F64Ord, u32, u64)>>,
+    /// Each worker's pending completion/failure instant, or
+    /// [`NOTHING_PENDING`]. A worker starts a task only when idle, and an
+    /// abort clears the slot, so one slot per worker holds every live
+    /// event.
+    pending: Vec<f64>,
+    /// The earliest pending instant, or `None` once the slot that held it
+    /// was cleared; the next read rescans.
+    earliest: Option<f64>,
+    /// Workers with an event pending (the [`metric::EVENT_HEAP_DEPTH`]
+    /// gauge).
+    in_flight: u64,
     idle: Vec<WorkerId>,
     completed: usize,
     schedule: Schedule,
@@ -659,7 +691,7 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     idle_announced: Vec<bool>,
     /// Liveness per worker (all `true` without a fault timeline).
     alive: Vec<bool>,
-    /// Whether the heap event for a worker's current run is a failure.
+    /// Whether the pending event of a worker's current run is a failure.
     will_fail: Vec<bool>,
     /// Failed attempts per task.
     failures: Vec<u32>,
@@ -722,7 +754,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             state: vec![TaskState::Pending; tasks],
             running: vec![None; platform.workers()],
             generation: vec![0; platform.workers()],
-            events: BinaryHeap::new(),
+            pending: vec![NOTHING_PENDING; platform.workers()],
+            earliest: Some(NOTHING_PENDING),
+            in_flight: 0,
             idle: platform.all_workers().collect(),
             completed: 0,
             schedule: Schedule::new(),
@@ -836,7 +870,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             worker: w.0,
             expected_end: end,
         });
-        // The policy decides on the estimate; the heap event carries
+        // The policy decides on the estimate; the pending event carries
         // reality: a jittered duration, cut short at the failure point if
         // this attempt is doomed. Draw order (jitter, then failure) is
         // fixed so traces are reproducible per seed.
@@ -859,8 +893,38 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         self.will_fail[w.index()] = fail_at.is_some();
         self.state[task.index()] = TaskState::Running;
         let event_at = fail_at.unwrap_or(now + actual);
-        self.events.push(Reverse((F64Ord::new(event_at), w.0, self.generation[w.index()])));
-        self.meter.m.gauge_set(self.meter.heap_depth, self.events.len() as u64);
+        debug_assert!(event_at.is_finite(), "{task} on worker {} ends at {event_at}", w.0);
+        let slot = self.pending.get_mut(w.index()).expect("worker ids index the slots");
+        debug_assert!(!slot.is_finite(), "worker {} started {task} with an event pending", w.0);
+        *slot = event_at;
+        self.earliest = self.earliest.map(|t| t.min(event_at));
+        self.in_flight += 1;
+        self.meter.m.gauge_set(self.meter.heap_depth, self.in_flight);
+    }
+
+    /// Clear `w`'s pending event: it is being dispatched, or its run was
+    /// aborted.
+    fn clear_pending(&mut self, w: WorkerId) {
+        let slot = self.pending.get_mut(w.index()).expect("worker ids index the slots");
+        let at = std::mem::replace(slot, NOTHING_PENDING);
+        if at.is_finite() {
+            self.in_flight -= 1;
+            if self.earliest == Some(at) {
+                self.earliest = None;
+            }
+        }
+    }
+
+    /// The earliest pending instant ([`NOTHING_PENDING`] if none),
+    /// rescanning the slots only after the cached one was cleared.
+    fn earliest_pending(&mut self) -> f64 {
+        *self.earliest.get_or_insert_with(|| min_slot(&self.pending))
+    }
+
+    /// The first worker at or after `from` whose run ends at `now`.
+    fn next_due(&self, from: usize, now: f64) -> Option<WorkerId> {
+        let offset = self.pending.get(from..)?.iter().position(|&at| at == now)?;
+        Some(WorkerId((from + offset) as u32))
     }
 
     fn worker_sort_key(&self, order: WorkerOrder, w: WorkerId) -> (u16, u32) {
@@ -972,6 +1036,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                         r.end
                     );
                     self.generation[victim.index()] += 1;
+                    self.clear_pending(victim);
                     self.schedule.aborted.push(TaskRun {
                         task: r.task,
                         worker: victim,
@@ -1103,6 +1168,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         let lost = self.running[w.index()].take();
         self.will_fail[w.index()] = false;
         self.generation[w.index()] += 1;
+        self.clear_pending(w);
         self.emit(SchedEvent::WorkerDown {
             time: now,
             worker: w.0,
@@ -1166,16 +1232,10 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     }
 
     /// Earliest pending instant across run completions/failures, the fault
-    /// timeline, retry expiries, and workload arrivals. Stale heap entries
-    /// are discarded.
+    /// timeline, retry expiries, and workload arrivals.
     fn next_time<W: Workload>(&mut self, workload: &W) -> Option<f64> {
-        while let Some(&Reverse((_, w, g))) = self.events.peek() {
-            if self.generation[w as usize] == g {
-                break;
-            }
-            self.events.pop();
-        }
-        let mut next: Option<f64> = self.events.peek().map(|&Reverse((F64Ord(t), _, _))| t);
+        let pending = self.earliest_pending();
+        let mut next = pending.is_finite().then_some(pending);
         if let Some(e) = self.faults.timeline.get(self.timeline_pos) {
             next = Some(next.map_or(e.time, |t| t.min(e.time)));
         }
@@ -1251,20 +1311,22 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             self.announce_ready(policy, &due, now);
             due.clear();
             self.scratch.due = due;
-            while let Some(&Reverse((F64Ord(t2), w2, g2))) = self.events.peek() {
-                if self.generation[w2 as usize] != g2 {
-                    self.events.pop();
-                } else if t2 == now {
-                    self.events.pop();
+            // Runs ending at `now` finish in ascending worker order, the
+            // order recorded journals and the seed engine fix. Dispatch
+            // starts no task, so no slot gains an event at `now` during
+            // the scan.
+            if self.earliest_pending() == now {
+                let mut from = 0;
+                while let Some(w) = self.next_due(from, now) {
+                    self.clear_pending(w);
+                    from = w.index() + 1;
                     meter.m.inc(meter.events_total);
                     // A crash during the dispatch outranks the engine
                     // error the dispatch may have produced: state changes
                     // past the crash point never "happened".
-                    let finished = self.finish_run(workload, policy, WorkerId(w2), now);
+                    let finished = self.finish_run(workload, policy, w, now);
                     self.crash_check()?;
                     finished?;
-                } else {
-                    break;
                 }
             }
             self.process_faults_at(policy, now);
@@ -1279,11 +1341,14 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     /// Capture the complete kernel state at a quiescent point. `now` is
     /// the loop's current instant (snapshots are taken post-fixpoint).
     fn snapshot_of(&self, ready: Vec<TaskId>, now: f64) -> KernelSnapshot {
+        // The checkpoint format's `heap`: (time, worker, generation),
+        // sorted by time, then worker.
         let mut heap: Vec<(f64, u32, u64)> = self
-            .events
-            .iter()
-            .filter(|&&Reverse((_, w, g))| self.generation[w as usize] == g)
-            .map(|&Reverse((F64Ord(t), w, g))| (t, w, g))
+            .platform
+            .all_workers()
+            .zip(self.pending.iter().zip(&self.generation))
+            .filter(|(_, (at, _))| at.is_finite())
+            .map(|(w, (&at, &g))| (at, w.0, g))
             .collect();
         heap.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut retries: Vec<(f64, u32)> =
@@ -1353,7 +1418,12 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         self.ran_kind = snap.ran_kind.clone();
         self.running = snap.running.clone();
         self.generation = snap.generation.clone();
-        self.events = snap.heap.iter().map(|&(t, w, g)| Reverse((F64Ord::new(t), w, g))).collect();
+        // `validate` admits exactly one live entry per running worker.
+        for &(at, w, _) in &snap.heap {
+            *self.pending.get_mut(w as usize).expect("validated worker id") = at;
+        }
+        self.earliest = None;
+        self.in_flight = snap.heap.len() as u64;
         self.idle = snap.idle.iter().map(|&w| WorkerId(w)).collect();
         self.completed = snap.state.iter().filter(|&&s| s == TaskState::Done).count();
         self.idle_announced = snap.idle_announced.clone();

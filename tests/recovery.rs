@@ -277,6 +277,65 @@ fn resume_rejects_a_foreign_journal() {
     );
 }
 
+/// A checkpoint whose pending events disagree with its running workers
+/// must be refused. Resuming one would dispatch a completion the run never
+/// scheduled and return `Ok` with a schedule that does not validate.
+#[test]
+fn resume_rejects_pending_events_that_disagree_with_running_workers() {
+    let times: Vec<(f64, f64)> =
+        (0..12).map(|i| (2.0 + (i % 4) as f64, 1.0 + 0.5 * (i % 3) as f64)).collect();
+    let instance = Instance::from_times(&times);
+    let platform = Platform::new(2, 1);
+    let config = HeteroPrioConfig::new();
+    let mut journal = MemJournal::new();
+    let mut store = MemCheckpointStore::new();
+    let checkpoints = Some(Checkpoints { every: 1, store: &mut store });
+    let crashed = journaled(&mut journal, &mut NullSink, |sink| {
+        let spec = Run { crash: CrashPlan::at_event(40), checkpoints, ..Run::new(sink, &M) };
+        run_independent(&instance, &platform, &config, spec)
+    })
+    .expect("in-memory journal appends and syncs cannot fail");
+    assert!(crashed.is_err(), "the crash plan must abort the run");
+    let tail = journal.replay().expect("MemJournal replay cannot fail");
+    let snap = store.latest.take().expect("a checkpoint was taken");
+    let (t, w, g) = snap.heap[0];
+
+    let mut tampered = Vec::new();
+    let mut s = snap.clone();
+    s.heap.push((t + 0.5, w, g));
+    tampered.push(("a second live entry for one worker", s));
+    let mut s = snap.clone();
+    s.running[w as usize] = None;
+    tampered.push(("a live entry for an idle worker", s));
+    let mut s = snap.clone();
+    s.heap.remove(0);
+    tampered.push(("a running worker without a live entry", s));
+    let mut s = snap.clone();
+    s.heap[0].2 += 1;
+    tampered.push(("an entry at a stale generation", s));
+    assert!(snap.now > 0.0);
+    for bad in [-1.0, f64::NAN, f64::INFINITY, 0.5 * snap.now] {
+        let mut s = snap.clone();
+        s.heap[0].0 = bad;
+        tampered.push(("a negative, non-finite or past instant", s));
+    }
+    for (what, s) in &tampered {
+        assert!(s.validate().is_err(), "validate accepted {what}");
+        let mut sink = VecSink::new();
+        match resume_independent(&instance, &platform, &config, Some(s), &tail, &mut sink) {
+            Err(ResumeError::BadSnapshot(_)) => {}
+            other => panic!("resume with {what} returned {other:?}"),
+        }
+    }
+
+    // The untampered checkpoint still resumes to the reference stream.
+    let (reference, _) = independent_reference(&instance, &platform, &config);
+    let mut sink = VecSink::new();
+    resume_independent(&instance, &platform, &config, Some(&snap), &tail, &mut sink)
+        .expect("the genuine checkpoint resumes");
+    assert_eq!(sink.events, reference);
+}
+
 static CASE: AtomicU64 = AtomicU64::new(0);
 
 fn temp_journal_path() -> std::path::PathBuf {
