@@ -4,7 +4,9 @@
 
 use heteroprio::bounds::dag_lower_bound;
 use heteroprio::core::kernel::{self, Run};
-use heteroprio::core::{heteroprio_traced, HeteroPrioConfig, Instance, Platform};
+use heteroprio::core::{
+    heteroprio_online_traced, heteroprio_traced, HeteroPrioConfig, Instance, Platform,
+};
 use heteroprio::experiments::{alloc_stats, run_dag, Scheduler, DAG_PAPER};
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{DualHpRank, HeteroPrioDagPolicy};
@@ -208,4 +210,51 @@ fn spoliation_heavy_independent_stream_matches_golden_digest() {
     assert!(shared >= 3, "only {shared} shared completion instants");
     let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
     assert_eq!(got, (214, 0xce6f_7576_0fe4_4930));
+}
+
+/// Golden pins of the release-dates engine's event stream at k = 2 and
+/// k = 3: integer times and staggered integer releases, so arrivals land
+/// on completion instants, several workers complete together, and
+/// GPU-friendly tasks parked on CPUs get spoliated.
+#[test]
+fn online_event_streams_match_golden_digests() {
+    let mut x: u64 = 13;
+    let mut next = |m: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % m
+    };
+    let rows: Vec<[f64; 3]> = (0..40)
+        .map(|i| match i % 3 {
+            0 => [30.0 + next(3) as f64 * 6.0, 2.0 + next(2) as f64 * 2.0, 8.0 + next(2) as f64],
+            1 => [2.0 + next(3) as f64 * 2.0, 6.0 + next(3) as f64 * 2.0, 4.0],
+            _ => [8.0 + next(2) as f64 * 4.0, 12.0, 1.0 + next(2) as f64],
+        })
+        .collect();
+    let releases: Vec<f64> = (0..40).map(|i| (i / 4) as f64 * 3.0 + next(2) as f64).collect();
+    let two: Vec<(f64, f64)> = rows.iter().map(|r| (r[0], r[1])).collect();
+    let three: Vec<&[f64]> = rows.iter().map(|r| &r[..]).collect();
+    // (instance, platform, event count, FNV-1a of the JSONL)
+    let cases = [
+        (Instance::from_times(&two), Platform::new(4, 2), 192, 0xee8d_e929_8efb_a40f),
+        (
+            Instance::from_class_times(&three),
+            Platform::from_counts(&[2, 1, 1]),
+            142,
+            0xd464_c04e_3e59_bfff,
+        ),
+    ];
+    for (instance, platform, events, digest) in cases {
+        let mut sink = VecSink::new();
+        let cfg = HeteroPrioConfig::new();
+        let res = heteroprio_online_traced(&instance, &releases, &platform, &cfg, &mut sink);
+        res.schedule.validate(&instance, &platform).expect("valid schedule");
+        let mut ends: Vec<f64> = res.schedule.runs.iter().map(|r| r.end).collect();
+        ends.sort_by(f64::total_cmp);
+        let shared = ends.windows(2).filter(|w| w[0] == w[1]).count();
+        let k = platform.k();
+        assert!(res.spoliations >= 2, "k={k}: only {} spoliations", res.spoliations);
+        assert!(shared >= 3, "k={k}: only {shared} shared completion instants");
+        let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
+        assert_eq!(got, (events, digest), "k={k}");
+    }
 }
