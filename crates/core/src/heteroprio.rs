@@ -20,15 +20,17 @@
 //!   ([`SpoliationTieBreak`]).
 //!
 //! The event loop itself lives in [`crate::kernel`]; this module contributes
-//! the Algorithm 1 queue discipline as a [`KernelPolicy`] over an
-//! all-ready-at-zero [`Workload`].
+//! Algorithm 1's queue discipline and victim search as one
+//! [`HeteroPrioState`]. The independent and release-dates engines drive it
+//! through [`HeteroPrioPolicy`], the DAG simulator through
+//! `HeteroPrioDagPolicy` in `heteroprio-schedulers`.
 
 use crate::kernel::{
     self, KernelContext, KernelOutcome, KernelPolicy, Pick, Run, RunningTask, SnapshotPolicy,
     Workload,
 };
-use crate::model::{ClassId, Instance, Platform, ResourceKind, TaskId, WorkerId};
-use crate::queue::ClassQueue;
+use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
+use crate::queue::{tie_key, ClassQueue, PopSide};
 use crate::schedule::Schedule;
 use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
@@ -133,8 +135,9 @@ impl From<KernelOutcome> for HeteroPrioResult {
 }
 
 /// Build the ready queue: non-increasing acceleration factor, ties per
-/// `tie`. Exposed for reuse by the DAG-mode policy in
-/// `heteroprio-schedulers`.
+/// `tie`. This is the independent engine's two-class queue, and the
+/// reference order the dynamic queues are tested against.
+///
 /// The sort keys are computed once per task and cached, not re-derived in
 /// the comparator: on a million-task queue the comparator runs tens of
 /// millions of times, and the two `accel_factor()` divisions per call used
@@ -171,10 +174,7 @@ pub fn sorted_queue(instance: &Instance, ids: &[TaskId], tie: QueueTieBreak) -> 
                 .map(|&id| {
                     let t = instance.task(id);
                     let rho = t.accel_factor();
-                    // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1
-                    // exactly is a documented policy choice (GPU-side tie rule applies).
-                    let oriented = if rho >= 1.0 { -t.priority } else { t.priority };
-                    (F64Ord(-rho), F64Ord(oriented), id)
+                    (F64Ord(-rho), F64Ord(tie_key(QueueTieBreak::Priority, rho, t.priority)), id)
                 })
                 .collect();
             sort_total(&mut keyed);
@@ -210,48 +210,6 @@ fn sort_total<T: Ord>(keyed: &mut [T]) {
     }
 }
 
-/// The paper's spoliation victim scan for idle worker `w`: tasks running on
-/// *any other* resource class, in decreasing order of expected completion
-/// time (ties per `tie`), first one strictly improvable. On the canonical
-/// two-class platform "any other class" is exactly the paper's "the other
-/// resource class"; for `k ≥ 3` the decreasing-completion scan *is* the
-/// argmax over other classes (the victim whose run the thief improves the
-/// most urgently). Shared by the offline and online queue policies.
-pub(crate) fn scan_victim(
-    instance: &Instance,
-    tie: SpoliationTieBreak,
-    w: WorkerId,
-    ctx: &KernelContext<'_>,
-) -> Option<WorkerId> {
-    let my_class = ctx.platform.class_of(w);
-    let mut candidates: Vec<(WorkerId, RunningTask)> = ctx
-        .platform
-        .all_workers()
-        .filter(|&v| ctx.platform.class_of(v) != my_class)
-        .filter_map(|v| ctx.running.get(v.index()).copied().flatten().map(|r| (v, r)))
-        .collect();
-    candidates.sort_by(|(_, a), (_, b)| {
-        b.end.total_cmp(&a.end).then_with(|| {
-            let ta = instance.task(a.task);
-            let tb = instance.task(b.task);
-            match tie {
-                SpoliationTieBreak::PriorityThenId => {
-                    tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
-                }
-                SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
-                SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
-            }
-        })
-    });
-    for (v, r) in candidates {
-        let new_end = ctx.now + instance.task(r.task).time_on(my_class);
-        if strictly_less(new_end, r.end) {
-            return Some(v);
-        }
-    }
-    None
-}
-
 /// All tasks of an [`Instance`] ready at time zero, no dependencies.
 pub struct IndependentWorkload<'a> {
     instance: &'a Instance,
@@ -271,98 +229,175 @@ impl Workload for IndependentWorkload<'_> {
     }
 }
 
-/// The ready structure of the independent-task policy.
+/// HeteroPrio's ready structure.
 ///
-/// The canonical two-class platform keeps Algorithm 1's double-ended
-/// sorted queue verbatim (its pops and `QueueEnd` annotations are pinned
-/// by the parity suites); a `k ≥ 3` platform uses the [`ClassQueue`],
-/// whose per-class-pair argmax pop degenerates to the same front/back
-/// discipline at `k = 2`.
+/// The independent engine on the canonical two-class platform keeps
+/// Algorithm 1's double-ended queue, built by one [`sorted_queue`] call:
+/// on a million-task instance one sort is far cheaper than a million
+/// pushes. A task announced later (lost to a worker failure, or retried)
+/// is inserted at its key position, after equal keys, so re-sorting the
+/// queue reproduces it. Every other engine and width uses the
+/// [`ClassQueue`], whose per-class-pair argmax pop degenerates to the same
+/// front/back discipline at `k = 2`.
 enum ReadyQueue {
-    Deque(VecDeque<TaskId>),
+    Sorted(VecDeque<TaskId>),
     Classes(Box<ClassQueue>),
 }
 
-impl ReadyQueue {
-    fn new(platform: &Platform, config: &HeteroPrioConfig) -> Self {
-        if platform.k() == 2 {
-            ReadyQueue::Deque(VecDeque::new())
-        } else {
-            ReadyQueue::Classes(Box::new(ClassQueue::new(platform.k(), config.queue_tie)))
-        }
-    }
-}
-
-/// Algorithm 1's affinity-ordered queue as a [`KernelPolicy`].
-pub struct IndependentPolicy<'a> {
-    instance: &'a Instance,
+/// HeteroPrio's queue discipline and victim search, shared by the
+/// independent, release-dates and DAG engines. The kernel engines drive it
+/// through [`HeteroPrioPolicy`]; the DAG simulator's policy is a shell
+/// around it. The instance is passed in by the caller, because the DAG
+/// policy only sees it through the simulator's context.
+pub struct HeteroPrioState {
     config: HeteroPrioConfig,
     queue: ReadyQueue,
 }
 
-impl KernelPolicy for IndependentPolicy<'_> {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
-        // Independent tasks: everything arrives in one batch at t = 0 (plus
-        // kernel restarts after spoliation, which re-enter through `pick`'s
-        // own bookkeeping — the kernel restarts stolen tasks directly, so
-        // this is called exactly once).
+impl HeteroPrioState {
+    /// A state whose ready tasks go to a [`ClassQueue`] for `k` classes.
+    pub fn new(k: usize, config: HeteroPrioConfig) -> Self {
+        let queue = ReadyQueue::Classes(Box::new(ClassQueue::new(k, config.queue_tie)));
+        HeteroPrioState { config, queue }
+    }
+
+    pub fn config(&self) -> HeteroPrioConfig {
+        self.config
+    }
+
+    /// Queue newly ready tasks of `instance`.
+    pub fn announce(&mut self, instance: &Instance, tasks: &[TaskId]) {
+        let tie = self.config.queue_tie;
         match &mut self.queue {
-            ReadyQueue::Deque(q) => {
-                *q = sorted_queue(self.instance, tasks, self.config.queue_tie);
+            ReadyQueue::Sorted(q) if q.is_empty() => *q = sorted_queue(instance, tasks, tie),
+            ReadyQueue::Sorted(q) => {
+                // `sorted_queue`'s key; under insertion order it is ρ
+                // alone, and the new task goes after its equal keys.
+                let key = |id: TaskId| {
+                    let t = instance.task(id);
+                    let rho = t.accel_factor();
+                    let id = (tie == QueueTieBreak::Priority).then_some(id);
+                    (F64Ord(-rho), F64Ord(tie_key(tie, rho, t.priority)), id)
+                };
+                for &task in tasks {
+                    let k = key(task);
+                    let pos = q.partition_point(|&u| key(u) <= k);
+                    q.insert(pos, task);
+                }
             }
             ReadyQueue::Classes(q) => {
-                let mut fresh = ClassQueue::new(q.k(), self.config.queue_tie);
-                for &t in tasks {
-                    fresh.push(self.instance, t);
+                for &task in tasks {
+                    q.push(instance, task);
                 }
-                **q = fresh;
             }
         }
     }
 
-    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
-        match &mut self.queue {
-            ReadyQueue::Deque(q) => {
-                let (popped, end) = match ctx.platform.kind_of(worker) {
-                    ResourceKind::Gpu => (q.pop_front(), QueueEnd::Front),
-                    ResourceKind::Cpu => (q.pop_back(), QueueEnd::Back),
-                };
-                popped.map(|task| Pick { task, queue_end: Some(end) })
-            }
-            // The pair-queue pop reports which end of the winning pair it
-            // came from, but the auditor's pop-order rule is a two-class
-            // certificate — leave the annotation off so k ≥ 3 traces make
-            // no claim the rule could misread.
-            ReadyQueue::Classes(q) => q
-                .pop(ctx.platform.class_of(worker))
-                .map(|(task, _side)| Pick { task, queue_end: None }),
-        }
+    /// The task for idle `worker`: the end of the queue its class favours.
+    /// The [`QueueEnd`] annotation is the auditor's two-class pop-order
+    /// certificate, so `k ≥ 3` picks make no claim it could misread.
+    pub fn pick(&mut self, platform: &Platform, worker: WorkerId) -> Option<Pick> {
+        let class = platform.class_of(worker);
+        let (task, side) = match &mut self.queue {
+            // Two classes: class 0 takes the decelerated back, class 1 the front.
+            ReadyQueue::Sorted(q) if class.index() == 0 => (q.pop_back()?, PopSide::Back),
+            ReadyQueue::Sorted(q) => (q.pop_front()?, PopSide::Front),
+            ReadyQueue::Classes(q) => q.pop(class)?,
+        };
+        let queue_end = (platform.k() == 2).then_some(match side {
+            PopSide::Front => QueueEnd::Front,
+            PopSide::Back => QueueEnd::Back,
+        });
+        Some(Pick { task, queue_end })
     }
 
-    fn spoliation_victim(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<WorkerId> {
+    /// The paper's spoliation victim scan for idle `worker`: tasks running
+    /// on *any other* resource class, in decreasing order of expected
+    /// completion time (ties per the configured [`SpoliationTieBreak`]),
+    /// first one whose restart strictly improves its completion.
+    /// `duration(task, class)` is what the engine would charge for the
+    /// restart. On the two-class platform "any other class" is the paper's
+    /// "other resource class"; for `k ≥ 3` the scan is the argmax over the
+    /// other classes.
+    pub fn victim(
+        &self,
+        instance: &Instance,
+        worker: WorkerId,
+        ctx: &KernelContext<'_>,
+        duration: impl Fn(TaskId, ClassId) -> f64,
+    ) -> Option<WorkerId> {
         if self.config.disable_spoliation {
             return None;
         }
-        scan_victim(self.instance, self.config.spoliation_tie, worker, ctx)
+        let my_class = ctx.platform.class_of(worker);
+        let mut candidates: Vec<(WorkerId, RunningTask)> = Vec::new();
+        for class in ctx.platform.classes().filter(|&c| c != my_class) {
+            for v in ctx.platform.workers_of(class) {
+                if let Some(r) = ctx.running.get(v.index()).copied().flatten() {
+                    candidates.push((v, r));
+                }
+            }
+        }
+        candidates.sort_by(|(_, a), (_, b)| {
+            b.end.total_cmp(&a.end).then_with(|| {
+                let ta = instance.task(a.task);
+                let tb = instance.task(b.task);
+                match self.config.spoliation_tie {
+                    SpoliationTieBreak::PriorityThenId => {
+                        tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
+                    }
+                    SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
+                    SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
+                }
+            })
+        });
+        candidates
+            .into_iter()
+            .find(|(_, r)| strictly_less(ctx.now + duration(r.task, my_class), r.end))
+            .map(|(v, _)| v)
     }
 
-    fn worker_order(&self) -> WorkerOrder {
-        self.config.worker_order
-    }
-}
-
-impl SnapshotPolicy for IndependentPolicy<'_> {
-    fn ready_order(&self) -> Vec<TaskId> {
+    /// Ready tasks in queue order. Announcing them to a fresh state
+    /// rebuilds this one: the sorted deque re-sorts to itself, and a
+    /// [`ClassQueue`] replays its snapshot order.
+    pub fn ready_order(&self) -> Vec<TaskId> {
         match &self.queue {
-            ReadyQueue::Deque(q) => q.iter().copied().collect(),
+            ReadyQueue::Sorted(q) => q.iter().copied().collect(),
             ReadyQueue::Classes(q) => q.iter().collect(),
         }
     }
-    // The default `restore` (re-announce via `on_ready`) is exact here:
-    // `sorted_queue` is a deterministic total order under Priority ties and
-    // a stable sort under InsertionOrder ties, so feeding back the saved
-    // queue order reproduces it; a `ClassQueue` saves its push order, which
-    // re-pushing reproduces in every class pair.
+}
+
+/// HeteroPrio over the tasks of one [`Instance`], as a [`KernelPolicy`]:
+/// the policy of both the independent and the release-dates engine.
+pub struct HeteroPrioPolicy<'a> {
+    pub(crate) instance: &'a Instance,
+    pub(crate) state: HeteroPrioState,
+}
+
+impl KernelPolicy for HeteroPrioPolicy<'_> {
+    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
+        self.state.announce(self.instance, tasks);
+    }
+
+    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
+        self.state.pick(ctx.platform, worker)
+    }
+
+    fn spoliation_victim(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<WorkerId> {
+        let instance = self.instance;
+        self.state.victim(instance, worker, ctx, |task, class| instance.task(task).time_on(class))
+    }
+
+    fn worker_order(&self) -> WorkerOrder {
+        self.state.config.worker_order
+    }
+}
+
+impl SnapshotPolicy for HeteroPrioPolicy<'_> {
+    fn ready_order(&self) -> Vec<TaskId> {
+        self.state.ready_order()
+    }
 }
 
 /// The independent-task engine: every task of `instance` ready at time
@@ -373,9 +408,13 @@ pub fn independent<'a>(
     instance: &'a Instance,
     platform: &Platform,
     config: &HeteroPrioConfig,
-) -> (IndependentWorkload<'a>, IndependentPolicy<'a>) {
-    let queue = ReadyQueue::new(platform, config);
-    (IndependentWorkload { instance }, IndependentPolicy { instance, config: *config, queue })
+) -> (IndependentWorkload<'a>, HeteroPrioPolicy<'a>) {
+    let state = if platform.k() == 2 {
+        HeteroPrioState { config: *config, queue: ReadyQueue::Sorted(VecDeque::new()) }
+    } else {
+        HeteroPrioState::new(platform.k(), *config)
+    };
+    (IndependentWorkload { instance }, HeteroPrioPolicy { instance, state })
 }
 
 /// Run HeteroPrio (Algorithm 1) on an instance of independent tasks.
@@ -419,7 +458,7 @@ pub fn heteroprio_metered<S: TraceSink, M: MetricsRegistry + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Task;
+    use crate::model::{ResourceKind, Task};
     use crate::time::{approx_eq, PHI};
 
     fn run(instance: &Instance, platform: &Platform) -> HeteroPrioResult {
@@ -578,5 +617,29 @@ mod tests {
         res.schedule.validate(&inst, &plat).unwrap();
         assert!(approx_eq(res.makespan(), 1.0));
         assert_eq!(res.spoliations, 1);
+    }
+
+    #[test]
+    fn late_announcement_lands_at_its_sort_key() {
+        // T1 is announced into a non-empty deque (as a task lost to a dead
+        // worker is): by id among its equal keys under the priority rule,
+        // after them under insertion order. Either way re-sorting the
+        // queue, as a restore does, gives the same deque back.
+        let inst =
+            Instance::from_times(&[(2.0, 1.0), (2.0, 1.0), (1.0, 2.0), (4.0, 1.0), (2.0, 1.0)]);
+        let plat = Platform::new(1, 1);
+        let ids = |v: &[u32]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
+        for (queue_tie, want) in [
+            (QueueTieBreak::Priority, ids(&[3, 0, 1, 4, 2])),
+            (QueueTieBreak::InsertionOrder, ids(&[3, 0, 4, 1, 2])),
+        ] {
+            let config = HeteroPrioConfig { queue_tie, ..HeteroPrioConfig::new() };
+            let (_, mut policy) = independent(&inst, &plat, &config);
+            policy.state.announce(&inst, &ids(&[0, 2, 3, 4]));
+            policy.state.announce(&inst, &ids(&[1]));
+            let order = policy.ready_order();
+            assert_eq!(order, want, "{queue_tie:?}");
+            assert_eq!(Vec::from(sorted_queue(&inst, &order, queue_tie)), order, "{queue_tie:?}");
+        }
     }
 }

@@ -57,7 +57,8 @@ pub use durability::{
 };
 pub use heteroprio::{
     heteroprio, heteroprio_metered, heteroprio_traced, independent, sorted_queue, HeteroPrioConfig,
-    HeteroPrioResult, QueueTieBreak, SpoliationTieBreak, WorkerOrder,
+    HeteroPrioPolicy, HeteroPrioResult, HeteroPrioState, QueueTieBreak, SpoliationTieBreak,
+    WorkerOrder,
 };
 pub use model::{
     ClassId, ClassTable, Instance, ModelError, Platform, ResourceKind, Task, TaskId, WorkerId,

@@ -13,16 +13,15 @@
 //! exactly (tested below).
 //!
 //! Arrivals are a [`Workload`] over the shared event kernel
-//! ([`crate::kernel`]); the queue discipline is the same Algorithm 1 policy
-//! as the offline engine, backed by the incremental [`ClassQueue`].
+//! ([`crate::kernel`]); the policy is the offline engine's
+//! [`HeteroPrioPolicy`], with arrivals pushed into the incremental
+//! [`ClassQueue`](crate::ClassQueue) instead of sorted in one batch.
 
-use crate::heteroprio::{scan_victim, HeteroPrioConfig, HeteroPrioResult};
-use crate::kernel::{self, KernelContext, KernelPolicy, Pick, Run, Workload};
-use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
-use crate::queue::{ClassQueue, PopSide};
-use crate::WorkerOrder;
+use crate::heteroprio::{HeteroPrioConfig, HeteroPrioPolicy, HeteroPrioResult, HeteroPrioState};
+use crate::kernel::{self, Run, Workload};
+use crate::model::{ClassId, Instance, Platform, TaskId};
 use heteroprio_metrics::NullRegistry;
-use heteroprio_trace::{NullSink, QueueEnd, TraceSink};
+use heteroprio_trace::{NullSink, TraceSink};
 
 /// The release-dates engine: task `i` of `instance` arrives at
 /// `releases[i]` and is scheduled by Algorithm 1's queue discipline under
@@ -35,15 +34,14 @@ pub fn release_dates<'a>(
     releases: &'a [f64],
     platform: &Platform,
     config: &HeteroPrioConfig,
-) -> (ReleaseWorkload<'a>, OnlineQueuePolicy<'a>) {
+) -> (ReleaseWorkload<'a>, HeteroPrioPolicy<'a>) {
     assert_eq!(releases.len(), instance.len(), "one release date per task");
     assert!(
         releases.iter().all(|&r| r >= 0.0 && r.is_finite()),
         "release dates must be non-negative and finite"
     );
-    let queue = ClassQueue::new(platform.k(), config.queue_tie);
-    let policy = OnlineQueuePolicy { instance, config: *config, queue };
-    (ReleaseWorkload::new(instance, releases), policy)
+    let state = HeteroPrioState::new(platform.k(), *config);
+    (ReleaseWorkload::new(instance, releases), HeteroPrioPolicy { instance, state })
 }
 
 /// Run HeteroPrio with per-task release dates (`releases[i]` for task `i`).
@@ -140,50 +138,6 @@ impl Workload for ReleaseWorkload<'_> {
 
     fn duration(&self, task: TaskId, class: ClassId, _ran_kind: &[Option<ClassId>]) -> f64 {
         self.instance.task(task).time_on(class)
-    }
-}
-
-/// Algorithm 1's queue discipline over an incrementally-maintained
-/// [`ClassQueue`]: arrivals are pushed instead of re-sorting the ready
-/// set. At k = 2 a push is the bucketed `AffinityQueue`'s (O(1) in
-/// order, an ordered insert otherwise); at k ≥ 3 it is one heap push per
-/// class, O(k log n).
-pub struct OnlineQueuePolicy<'a> {
-    instance: &'a Instance,
-    config: HeteroPrioConfig,
-    queue: ClassQueue,
-}
-
-impl KernelPolicy for OnlineQueuePolicy<'_> {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
-        for &t in tasks {
-            self.queue.push(self.instance, t);
-        }
-    }
-
-    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
-        let two_class = ctx.platform.k() == 2;
-        self.queue.pop(ctx.platform.class_of(worker)).map(|(task, side)| {
-            // The `QueueEnd` annotation is the two-class pop-order
-            // certificate; k ≥ 3 traces leave it off (see the offline
-            // policy for rationale).
-            let end = two_class.then_some(match side {
-                PopSide::Front => QueueEnd::Front,
-                PopSide::Back => QueueEnd::Back,
-            });
-            Pick { task, queue_end: end }
-        })
-    }
-
-    fn spoliation_victim(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<WorkerId> {
-        if self.config.disable_spoliation {
-            return None;
-        }
-        scan_victim(self.instance, self.config.spoliation_tie, worker, ctx)
-    }
-
-    fn worker_order(&self) -> WorkerOrder {
-        self.config.worker_order
     }
 }
 

@@ -6,8 +6,13 @@
 //! highest-priority task closest to the end of the queue served by the
 //! resource class that wants it, falling back to insertion order.
 //!
-//! Used by the independent-task algorithm, the online (release-dates)
-//! variant, and the DAG-mode policy in `heteroprio-schedulers`.
+//! [`ClassQueue`] is the ready structure of `heteroprio::HeteroPrioState`,
+//! the one HeteroPrio policy state: the release-dates engine, the DAG-mode
+//! policy in `heteroprio-schedulers`, and the independent engine at
+//! `k ≥ 3` push into it. At `k = 2` it wraps the bucketed
+//! [`AffinityQueue`] below. The independent engine at `k = 2` keeps the
+//! deque one `sorted_queue` call builds instead, whose order this queue
+//! reproduces.
 //!
 //! # Bucketed representation
 //!
@@ -69,7 +74,7 @@ fn bucket_of(rho: f64) -> usize {
 /// priority, oriented so the highest priority sits closest to the end
 /// whose class the ratio favours, or 0 under insertion order.
 #[inline]
-fn tie_key(tie: QueueTieBreak, rho: f64, priority: f64) -> f64 {
+pub(crate) fn tie_key(tie: QueueTieBreak, rho: f64, priority: f64) -> f64 {
     match tie {
         QueueTieBreak::Priority => {
             // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1 exactly

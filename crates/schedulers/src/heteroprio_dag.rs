@@ -6,79 +6,62 @@
 //! tasks." Priorities (bottom levels) break ties among equal acceleration
 //! factors and among spoliation candidates with equal completion times.
 
-use heteroprio_core::time::strictly_less;
-use heteroprio_core::{
-    AffinityQueue, HeteroPrioConfig, SpoliationTieBreak, TaskId, WorkerId, WorkerOrder,
-};
+use heteroprio_core::kernel::KernelContext;
+use heteroprio_core::{HeteroPrioConfig, HeteroPrioState, Platform, TaskId, WorkerId, WorkerOrder};
 use heteroprio_simulator::{OnlinePolicy, SimContext, SnapshotOnlinePolicy};
+use heteroprio_taskgraph::TaskGraph;
 
-/// HeteroPrio as an online policy for the runtime engine. The ready queue
-/// is the shared [`AffinityQueue`] (acceleration factor primary, the
-/// paper's priority tie rule secondary, arrival order final).
+/// HeteroPrio as an online policy for the runtime engine: a shell around
+/// the core [`HeteroPrioState`], the queue and victim search the
+/// independent engines use. Its spoliation check charges a restart what
+/// the engine will charge, transfer penalty included.
 pub struct HeteroPrioDagPolicy {
-    config: HeteroPrioConfig,
-    queue: AffinityQueue,
+    state: HeteroPrioState,
 }
 
 impl HeteroPrioDagPolicy {
+    /// A two-class policy until [`OnlinePolicy::init`] sizes it to the
+    /// platform.
     pub fn new(config: HeteroPrioConfig) -> Self {
-        HeteroPrioDagPolicy { config, queue: AffinityQueue::new(config.queue_tie) }
+        HeteroPrioDagPolicy { state: HeteroPrioState::new(2, config) }
     }
 }
 
 impl OnlinePolicy for HeteroPrioDagPolicy {
+    fn init(&mut self, _graph: &TaskGraph, platform: &Platform) {
+        self.state = HeteroPrioState::new(platform.k(), self.state.config());
+    }
+
     fn on_ready(&mut self, tasks: &[TaskId], ctx: &SimContext<'_>) {
-        for &t in tasks {
-            self.queue.push(ctx.graph.instance(), t);
-        }
+        self.state.announce(ctx.graph.instance(), tasks);
     }
 
     fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
-        self.queue.pop(ctx.platform.kind_of(worker))
+        self.state.pick(ctx.platform, worker).map(|pick| pick.task)
     }
 
     fn spoliation_victim(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<WorkerId> {
-        if self.config.disable_spoliation {
-            return None;
-        }
-        let my_kind = ctx.platform.kind_of(worker);
-        let mut candidates: Vec<(WorkerId, heteroprio_simulator::RunningTask)> =
-            ctx.running_on(my_kind.other()).collect();
-        candidates.sort_by(|(_, a), (_, b)| {
-            b.end.total_cmp(&a.end).then_with(|| {
-                let ta = ctx.graph.instance().task(a.task);
-                let tb = ctx.graph.instance().task(b.task);
-                match self.config.spoliation_tie {
-                    SpoliationTieBreak::PriorityThenId => {
-                        tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
-                    }
-                    SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
-                    SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
-                }
-            })
-        });
-        for (v, r) in candidates {
-            let new_end = ctx.now + ctx.effective_time(r.task, my_kind);
-            if strictly_less(new_end, r.end) {
-                return Some(v);
-            }
-        }
-        None
+        let kernel = KernelContext {
+            now: ctx.now,
+            platform: ctx.platform,
+            running: ctx.running,
+            ran_kind: ctx.ran_kind,
+            alive: ctx.alive,
+        };
+        let charged = |task, class| ctx.effective_time(task, class);
+        self.state.victim(ctx.graph.instance(), worker, &kernel, charged)
     }
 
     fn worker_order(&self) -> WorkerOrder {
-        self.config.worker_order
+        self.state.config().worker_order
     }
 }
 
 impl SnapshotOnlinePolicy for HeteroPrioDagPolicy {
     // The default `restore` (re-announce through `on_ready`) is exact: the
-    // affinity queue orders by acceleration factor, then the configured tie
-    // rule, then arrival sequence, and re-pushing in `iter()` order (GPU end
-    // to CPU end) assigns fresh ascending sequence numbers that reproduce
-    // the original arbitration.
+    // class queue's snapshot order re-pushes to the same queue.
     fn ready_order(&self) -> Vec<TaskId> {
-        self.queue.iter().collect()
+        self.state.ready_order()
     }
 }
 
@@ -86,9 +69,9 @@ impl SnapshotOnlinePolicy for HeteroPrioDagPolicy {
 mod tests {
     use super::*;
     use heteroprio_core::time::approx_eq;
-    use heteroprio_core::{heteroprio, Instance, Platform, ResourceKind};
+    use heteroprio_core::{heteroprio, Instance, Platform, ResourceKind, Task};
     use heteroprio_simulator::simulate;
-    use heteroprio_taskgraph::{check_precedence, cholesky, ConstTiming, TaskGraph};
+    use heteroprio_taskgraph::{check_precedence, cholesky, ConstTiming, DagBuilder, TaskGraph};
 
     #[test]
     fn matches_core_heteroprio_on_independent_tasks() {
@@ -159,5 +142,31 @@ mod tests {
             }
         }
         assert!(approx_eq(res.makespan(), 1.0));
+    }
+
+    #[test]
+    fn three_class_cholesky_completes_and_respects_deps() {
+        // Re-time Cholesky 4 onto three classes (an FPGA twice as slow as
+        // the GPU), preserving its structure.
+        let g = cholesky(4, &ConstTiming { cpu: 3.0, gpu: 1.0 });
+        let mut b = DagBuilder::new();
+        for t in g.instance().ids() {
+            let task = g.instance().task(t);
+            b.add_task(
+                Task::from_times(&[task.cpu_time(), task.gpu_time(), 2.0 * task.gpu_time()]),
+                g.label(t),
+            );
+        }
+        for t in g.instance().ids() {
+            for &s in g.successors(t) {
+                b.add_edge(t, s);
+            }
+        }
+        let g3 = b.build().unwrap();
+        let plat = Platform::from_counts(&[2, 1, 1]);
+        let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+        let res = simulate(&g3, &plat, &mut policy);
+        res.schedule.validate(g3.instance(), &plat).unwrap();
+        check_precedence(&g3, &res.schedule).unwrap();
     }
 }

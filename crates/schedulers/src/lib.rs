@@ -5,8 +5,10 @@
 //! The scheduling algorithms compared in the paper's §6 evaluation, for both
 //! independent task sets and DAGs executed on the runtime-engine simulator:
 //!
-//! * **HeteroPrio** in DAG mode ([`HeteroPrioDagPolicy`]) — the independent
-//!   task variant lives in `heteroprio-core`;
+//! * **HeteroPrio** in DAG mode ([`HeteroPrioDagPolicy`]) — a simulator
+//!   shell over `heteroprio-core`'s `HeteroPrioState`, the one queue and
+//!   victim search the independent and release-dates engines also run, so
+//!   it schedules any number of resource classes;
 //! * **DualHP** (Bleuse et al. \[15\]): the dual-approximation packing for
 //!   independent tasks ([`dualhp_independent`]) and its online DAG variant
 //!   ([`DualHpDagPolicy`]) with `fifo` or priority ranks;

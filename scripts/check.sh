@@ -72,4 +72,18 @@ cargo run -q -p heteroprio-cli -- export --journal "$tmp/run.journal" \
     --trace "$tmp/exported.jsonl" > /dev/null
 diff "$tmp/reference.jsonl" "$tmp/exported.jsonl"
 
+echo "== three-class smoke: audit, then crash, resume and diff at k = 3"
+k3="cpu=2,gpu=1,fpga=1"
+printf '8 1 4\n4 1 2\n2 2 1\n1 4 4\n3 3 1\n' > "$tmp/k3.txt"
+cargo run -q -p heteroprio-cli -- schedule --platform "$k3" --audit "$tmp/k3.txt" > /dev/null
+cargo run -q -p heteroprio-cli -- schedule --platform "$k3" \
+    --trace "$tmp/k3-reference.jsonl" "$tmp/k3.txt" > /dev/null
+cargo run -q -p heteroprio-cli -- schedule --platform "$k3" \
+    --journal "$tmp/k3.journal" --crash-at 10 \
+    --snapshot "$tmp/k3.ckpt" --checkpoint-every 2 "$tmp/k3.txt" > /dev/null
+cargo run -q -p heteroprio-cli -- resume --journal "$tmp/k3.journal" \
+    --snapshot "$tmp/k3.ckpt" --platform "$k3" \
+    --trace "$tmp/k3-resumed.jsonl" "$tmp/k3.txt" > /dev/null
+diff "$tmp/k3-reference.jsonl" "$tmp/k3-resumed.jsonl"
+
 echo "all checks passed"

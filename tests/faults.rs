@@ -2,8 +2,8 @@
 //! under arbitrary fault plans, byte-identity of the zero plan, structured
 //! abandonment, and the headline all-GPUs-die recovery scenario.
 
-use heteroprio::core::kernel::{self, Run};
-use heteroprio::core::{HeteroPrioConfig, Instance, Platform};
+use heteroprio::core::kernel::{self, FaultModel, Run, TimelineEvent};
+use heteroprio::core::{independent, HeteroPrioConfig, Instance, Platform};
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{HeteroPrioDagPolicy, PriorityListPolicy};
 use heteroprio::simulator::{
@@ -11,7 +11,7 @@ use heteroprio::simulator::{
     WorkerFault,
 };
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
-use heteroprio::trace::{TraceSink, TraceSummary, VecSink};
+use heteroprio::trace::{NullSink, TraceSink, TraceSummary, VecSink};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 use proptest::prelude::*;
 
@@ -227,5 +227,34 @@ proptest! {
 
         prop_assert_eq!(plain.schedule.runs, zero.schedule.runs);
         prop_assert_eq!(s1.events, s2.events);
+    }
+}
+
+/// The independent engine under a permanent GPU death at t = 0.5: the run
+/// the GPU loses is re-announced into a queue that still holds the waiting
+/// tasks, so every task completes exactly once, at k = 2 and at k = 3,
+/// with and without spoliation.
+#[test]
+fn independent_engine_keeps_its_queue_when_a_worker_dies() {
+    let three: [&[f64]; 8] = [&[4.0, 1.0, 2.0]; 8];
+    let down = TimelineEvent { time: 0.5, worker: 2, up: false, permanent: true };
+    let cases = [
+        (Instance::from_times(&[(4.0, 1.0); 8]), Platform::new(2, 1)),
+        (Instance::from_class_times(&three), Platform::from_counts(&[2, 1, 1])),
+    ];
+    for (instance, platform) in &cases {
+        for config in [HeteroPrioConfig::new(), HeteroPrioConfig::without_spoliation()] {
+            let (mut workload, mut policy) = independent(instance, platform, &config);
+            let faults = FaultModel { timeline: vec![down], ..FaultModel::none() };
+            let mut sink = NullSink;
+            let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+            let out = kernel::run(platform, &mut workload, &mut policy, spec)
+                .expect("the surviving workers finish the run");
+            out.schedule.validate(instance, platform).expect("valid schedule");
+            let mut done: Vec<_> = out.schedule.runs.iter().map(|r| r.task).collect();
+            done.sort();
+            assert_eq!(done, instance.ids().collect::<Vec<_>>(), "k={}", platform.k());
+            assert_eq!(out.summary.worker_failures, 1);
+        }
     }
 }

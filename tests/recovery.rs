@@ -9,11 +9,12 @@
 //! truncation, trailing garbage) must recover without panics and without
 //! silently dropping any record written before the damage.
 
-use heteroprio::core::kernel::{self, Checkpoints, EngineError, KernelOutcome, Resume, Run};
+use heteroprio::core::kernel::{
+    self, Checkpoints, EngineError, FaultModel, KernelOutcome, Resume, Run, TimelineEvent,
+};
 use heteroprio::core::{
-    heteroprio_traced, independent, journaled, CrashPlan, HeteroPrioConfig, HeteroPrioResult,
-    Instance, KernelSnapshot, MemCheckpointStore, Platform, QueueTieBreak, ResumeError, Task,
-    TaskRun,
+    independent, journaled, CrashPlan, HeteroPrioConfig, HeteroPrioResult, Instance,
+    KernelSnapshot, MemCheckpointStore, Platform, QueueTieBreak, ResumeError, Task, TaskRun,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
@@ -53,24 +54,30 @@ fn resume_independent<S: TraceSink>(
     run_independent(instance, platform, config, Run { resume, ..Run::new(sink, &M) })
 }
 
-/// Uninterrupted independent-task reference: full event stream + result.
+/// Uninterrupted independent-task reference under `faults`: full event
+/// stream + result.
 fn independent_reference(
     instance: &Instance,
     platform: &Platform,
     config: &HeteroPrioConfig,
+    faults: &FaultModel,
 ) -> (Vec<SchedEvent>, HeteroPrioResult) {
     let mut sink = VecSink::new();
-    let res = heteroprio_traced(instance, platform, config, &mut sink);
-    (sink.events, res)
+    let (mut workload, mut policy) = independent(instance, platform, config);
+    let spec = Run { faults: faults.clone(), ..Run::new(&mut sink, &M) };
+    let res = kernel::run(platform, &mut workload, &mut policy, spec).expect("reference completes");
+    (sink.events, res.into())
 }
 
 /// Crash the independent engine after `crash_at` events, then resume from
-/// the journal (and optionally the latest checkpoint) and require the
-/// recovered stream and schedule to match the reference exactly.
+/// the journal (and optionally the latest checkpoint) under the same
+/// `faults` and require the recovered stream and schedule to match the
+/// reference exactly.
 fn crash_resume_independent(
     instance: &Instance,
     platform: &Platform,
     config: &HeteroPrioConfig,
+    faults: &FaultModel,
     reference: &(Vec<SchedEvent>, HeteroPrioResult),
     crash_at: u64,
     checkpoint_every: Option<u64>,
@@ -80,7 +87,12 @@ fn crash_resume_independent(
     let mut store = MemCheckpointStore::new();
     let checkpoints = checkpoint_every.map(|every| Checkpoints { every, store: &mut store });
     let err = journaled(&mut journal, &mut NullSink, |sink| {
-        let spec = Run { crash: CrashPlan::at_event(crash_at), checkpoints, ..Run::new(sink, &M) };
+        let spec = Run {
+            faults: faults.clone(),
+            crash: CrashPlan::at_event(crash_at),
+            checkpoints,
+            ..Run::new(sink, &M)
+        };
         run_independent(instance, platform, config, spec)
     })
     .expect("in-memory journal appends and syncs cannot fail")
@@ -98,9 +110,9 @@ fn crash_resume_independent(
         assert!(snapshot.is_none());
     }
     let mut resumed = VecSink::new();
-    let res =
-        resume_independent(instance, platform, config, snapshot.as_ref(), &tail, &mut resumed)
-            .expect("recovery must complete");
+    let resume = Some(Resume { journal: &tail, snapshot: snapshot.as_ref() });
+    let spec = Run { faults: faults.clone(), resume, ..Run::new(&mut resumed, &M) };
+    let res = run_independent(instance, platform, config, spec).expect("recovery must complete");
     assert_eq!(&resumed.events, ref_events, "recovered stream diverged (crash_at={crash_at})");
     assert_eq!(res.schedule.runs, ref_res.schedule.runs);
     assert_eq!(res.spoliations, ref_res.spoliations);
@@ -115,7 +127,7 @@ fn independent_engine_recovers_from_every_crash_point() {
     let instance = Instance::from_times(&times);
     let platform = Platform::new(3, 2);
     let config = HeteroPrioConfig::new();
-    let reference = independent_reference(&instance, &platform, &config);
+    let reference = independent_reference(&instance, &platform, &config, &FaultModel::none());
     let total = reference.0.len() as u64;
     assert!(total > 0);
     for crash_at in 1..=total {
@@ -124,6 +136,7 @@ fn independent_engine_recovers_from_every_crash_point() {
                 &instance,
                 &platform,
                 &config,
+                &FaultModel::none(),
                 &reference,
                 crash_at,
                 checkpoint_every,
@@ -148,7 +161,7 @@ fn three_class_engine_recovers_ties_from_every_crash_point() {
     let platform = Platform::from_counts(&[1, 1, 1]);
     for queue_tie in [QueueTieBreak::InsertionOrder, QueueTieBreak::Priority] {
         let config = HeteroPrioConfig { queue_tie, ..HeteroPrioConfig::new() };
-        let reference = independent_reference(&instance, &platform, &config);
+        let reference = independent_reference(&instance, &platform, &config, &FaultModel::none());
         let total = reference.0.len() as u64;
         for crash_at in 1..=total {
             for checkpoint_every in [None, Some(2), Some(5)] {
@@ -156,11 +169,52 @@ fn three_class_engine_recovers_ties_from_every_crash_point() {
                     &instance,
                     &platform,
                     &config,
+                    &FaultModel::none(),
                     &reference,
                     crash_at,
                     checkpoint_every,
                 );
             }
+        }
+    }
+}
+
+/// Every crash point of a faulty independent run, journal-only and
+/// checkpointed: a GPU dies for good, a CPU goes down for a while, and
+/// attempts fail at random, so lost and retried tasks re-enter a queue that
+/// still holds waiting ones. Recovery must reproduce the stream exactly.
+#[test]
+fn independent_engine_recovers_from_every_crash_point_under_faults() {
+    let times: Vec<(f64, f64)> =
+        (0..14).map(|i| (1.0 + 0.7 * (i % 5) as f64, 0.5 + 0.3 * (i % 7) as f64)).collect();
+    let instance = Instance::from_times(&times);
+    let platform = Platform::new(3, 2);
+    let config = HeteroPrioConfig::new();
+    let faults = FaultModel {
+        timeline: vec![
+            TimelineEvent { time: 0.4, worker: 0, up: false, permanent: false },
+            TimelineEvent { time: 0.9, worker: 4, up: false, permanent: true },
+            TimelineEvent { time: 1.6, worker: 0, up: true, permanent: false },
+        ],
+        task_failure_prob: 0.1,
+        seed: 5,
+        ..FaultModel::none()
+    };
+    let reference = independent_reference(&instance, &platform, &config, &faults);
+    let s = &reference.1.summary;
+    assert!(s.worker_failures == 2 && s.task_failures > 0, "every fault kind fires");
+    let total = reference.0.len() as u64;
+    for crash_at in 1..=total {
+        for checkpoint_every in [None, Some(3)] {
+            crash_resume_independent(
+                &instance,
+                &platform,
+                &config,
+                &faults,
+                &reference,
+                crash_at,
+                checkpoint_every,
+            );
         }
     }
 }
@@ -266,7 +320,7 @@ fn resume_rejects_a_foreign_journal() {
     let b = Instance::from_times(&[(2.0, 1.0), (3.0, 1.5), (2.0, 4.0)]);
     let platform = Platform::new(2, 1);
     let config = HeteroPrioConfig::new();
-    let (events_a, _) = independent_reference(&a, &platform, &config);
+    let (events_a, _) = independent_reference(&a, &platform, &config, &FaultModel::none());
     let mut sink = VecSink::new();
     let err = resume_independent(&b, &platform, &config, None, &events_a, &mut sink)
         .expect_err("a journal recorded from another instance must not verify");
@@ -329,7 +383,7 @@ fn resume_rejects_pending_events_that_disagree_with_running_workers() {
     }
 
     // The untampered checkpoint still resumes to the reference stream.
-    let (reference, _) = independent_reference(&instance, &platform, &config);
+    let (reference, _) = independent_reference(&instance, &platform, &config, &FaultModel::none());
     let mut sink = VecSink::new();
     resume_independent(&instance, &platform, &config, Some(&snap), &tail, &mut sink)
         .expect("the genuine checkpoint resumes");
@@ -372,12 +426,13 @@ proptest! {
         let instance = Instance::from_times(&times);
         let platform = Platform::new(cpus, gpus);
         let config = HeteroPrioConfig::new();
-        let reference = independent_reference(&instance, &platform, &config);
+        let reference = independent_reference(&instance, &platform, &config, &FaultModel::none());
         let total = reference.0.len() as u64;
         prop_assert!(total > 0, "a non-empty instance must emit events");
         // lint: allow(cast-trunc): picking a crash index is intentional truncation.
         let crash_at = 1 + ((crash_frac * (total - 1) as f64) as u64).min(total - 1);
-        crash_resume_independent(&instance, &platform, &config, &reference, crash_at, ckpt);
+        let none = FaultModel::none();
+        crash_resume_independent(&instance, &platform, &config, &none, &reference, crash_at, ckpt);
     }
 
     // Random fault plans on the DAG engine: the snapshot's RNG state and
@@ -414,7 +469,7 @@ proptest! {
         let instance = Instance::from_times(&times);
         let platform = Platform::new(2, 1);
         let config = HeteroPrioConfig::new();
-        let (ref_events, ref_res) = independent_reference(&instance, &platform, &config);
+        let (ref_events, ref_res) = independent_reference(&instance, &platform, &config, &FaultModel::none());
 
         let path = temp_journal_path();
         {
