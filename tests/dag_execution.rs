@@ -9,7 +9,9 @@ use heteroprio::core::{
 };
 use heteroprio::experiments::{alloc_stats, run_dag, Scheduler, DAG_PAPER};
 use heteroprio::metrics::NullRegistry;
-use heteroprio::schedulers::{DualHpRank, HeteroPrioDagPolicy};
+use heteroprio::schedulers::{
+    dualhp_independent, DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy,
+};
 use heteroprio::simulator::{
     dag, simulate_traced, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
 };
@@ -17,7 +19,7 @@ use heteroprio::taskgraph::{
     apply_bottom_level_priorities, check_precedence, ConstTiming, Factorization, WeightScheme,
 };
 use heteroprio::trace::{jsonl, SchedEvent, VecSink};
-use heteroprio::workloads::{paper_platform, ChameleonTiming};
+use heteroprio::workloads::{independent_instance, paper_platform, ChameleonTiming};
 
 #[test]
 fn every_algorithm_schedules_every_factorization() {
@@ -257,4 +259,121 @@ fn online_event_streams_match_golden_digests() {
         let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
         assert_eq!(got, (events, digest), "k={k}");
     }
+}
+
+/// Integer-timed independent tasks: a third strongly GPU-accelerated, the
+/// rest CPU-friendly or indifferent, so DualHP's λ probes see forced,
+/// flexible and spilled tasks, and ties in both sort keys.
+fn integer_mix(tasks: usize, seed: u64) -> Instance {
+    let mut x = seed;
+    let mut next = |m: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % m
+    };
+    let times: Vec<(f64, f64)> = (0..tasks)
+        .map(|i| match i % 3 {
+            0 => (20.0 + next(4) as f64 * 10.0, 1.0 + next(3) as f64),
+            1 => (2.0 + next(3) as f64, 4.0 + next(4) as f64 * 2.0),
+            _ => (4.0 + next(4) as f64, 4.0 + next(4) as f64),
+        })
+        .collect();
+    Instance::from_times(&times)
+}
+
+/// Golden pins of DualHP's independent-task packing at k = 2: every
+/// placement (task, worker, start and end bits) of the smallest feasible λ
+/// the binary search finds.
+#[test]
+fn dualhp_independent_placements_match_golden_digests() {
+    // (instance, platform, FNV-1a of the placements)
+    let cases = [
+        (
+            independent_instance(Factorization::Cholesky, 12, &ChameleonTiming),
+            paper_platform(),
+            0x57ff_378b_0371_f681,
+        ),
+        (
+            independent_instance(Factorization::Lu, 8, &ChameleonTiming),
+            Platform::new(3, 2),
+            0xfe95_2622_775d_7fb7,
+        ),
+        (integer_mix(60, 5), Platform::new(4, 2), 0xa005_6d7e_ce01_379e),
+        (integer_mix(25, 9), Platform::new(1, 1), 0x6176_4e93_303e_b024),
+    ];
+    for (instance, platform, digest) in cases {
+        let schedule = dualhp_independent(&instance, &platform);
+        schedule.validate(&instance, &platform).expect("valid schedule");
+        let text: String = schedule
+            .runs
+            .iter()
+            .map(|r| {
+                format!(
+                    "{} {} {:x} {:x}\n",
+                    r.task.0,
+                    r.worker.0,
+                    r.start.to_bits(),
+                    r.end.to_bits()
+                )
+            })
+            .collect();
+        assert_eq!(fnv1a(text.as_bytes()), digest, "{} tasks on {platform:?}", instance.len());
+    }
+}
+
+/// Golden pins of the DAG engine's event stream under DualHP at k = 2, with
+/// FIFO and with bottom-level priority serve order: every repartition's λ
+/// search on the live ready set, with the running tasks' remaining time as
+/// each worker's initial load (the QR and LU cases change if that load is
+/// dropped).
+#[test]
+fn dualhp_dag_event_streams_match_golden_digests() {
+    // (factorization, tiles, rank, event count, FNV-1a of the JSONL)
+    const GOLDEN: [(Factorization, usize, DualHpRank, usize, u64); 4] = [
+        (Factorization::Cholesky, 8, DualHpRank::Fifo, 505, 0xd090_93c7_3cf5_92dc),
+        (Factorization::Cholesky, 8, DualHpRank::Priority, 493, 0x46f5_1ee7_d613_40c2),
+        (Factorization::Qr, 10, DualHpRank::Fifo, 1583, 0xa440_a43a_2466_12fe),
+        (Factorization::Lu, 12, DualHpRank::Priority, 2622, 0x9f7c_474c_28e5_3f3d),
+    ];
+    let platform = Platform::new(3, 2);
+    for (f, n, rank, events, digest) in GOLDEN {
+        let mut graph = f.generate(n, &ChameleonTiming);
+        apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+        let mut sink = VecSink::new();
+        let mut policy = DualHpDagPolicy::new(rank);
+        simulate_traced(&graph, &platform, &mut policy, &TransferModel::NONE, &mut sink);
+        let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
+        assert_eq!(got, (events, digest), "{} {n} under {rank:?}", f.name());
+    }
+}
+
+/// Golden pin of a faulty DualHP stream: both GPUs down together for a
+/// while (the λ search must spill every task onto the CPUs), one CPU dead
+/// for good, random task failures with retries and execution jitter.
+#[test]
+fn faulty_dualhp_dag_stream_matches_golden_digest() {
+    let mut graph = Factorization::Cholesky.generate(8, &ChameleonTiming);
+    apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+    let platform = Platform::new(3, 2);
+    let plan = FaultPlan {
+        worker_faults: vec![
+            WorkerFault::transient(3, 40.0, 60.0),
+            WorkerFault::transient(4, 50.0, 30.0),
+            WorkerFault::permanent(1, 90.0),
+        ],
+        task_failure_prob: 0.05,
+        exec_jitter: 0.2,
+        seed: 11,
+        retry: RetryPolicy::DEFAULT,
+    };
+    let mut policy = DualHpDagPolicy::new(DualHpRank::Priority);
+    let (mut workload, mut policy, faults) =
+        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
+    let mut sink = VecSink::new();
+    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let out = kernel::run(&platform, &mut workload, &mut policy, spec).expect("run completes");
+    let s = &out.summary;
+    assert!(s.worker_failures == 3 && s.worker_recoveries == 2, "every outage hits");
+    assert!(s.task_failures > 0 && s.retries > 0, "some attempts fail");
+    let got = (sink.events.len(), fnv1a(jsonl(&sink.events).as_bytes()));
+    assert_eq!(got, (567, 0x15fe_5bd5_c51d_1a9a));
 }
