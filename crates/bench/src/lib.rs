@@ -1,36 +1,18 @@
 //! # heteroprio-bench
 //!
-//! Criterion benchmarks. The library itself only hosts shared helpers; see
-//! the `benches/` directory:
+//! Kernel performance and parity fixtures:
 //!
-//! * `scheduler_cost` — the paper's "fast and efficient" claim: wall-clock
-//!   cost of each scheduler on growing ready sets;
-//! * `figures` — regeneration benches, one group per paper table/figure;
-//! * `ablations` — design-choice ablations (spoliation on/off, ranking
-//!   schemes, tie-break adversaries, HEFT insertion);
-//! * `kernel_parity` — the unified event kernel vs the frozen seed engine
-//!   ([`seed_reference`]): identical makespans, comparable wall-clock.
+//! * [`perf`] — the kernel perf harness behind `heteroprio-cli perf`,
+//!   `scripts/bench.sh` and the committed `BENCH_kernel.json`;
+//! * [`seed_reference`] — the frozen pre-kernel seed engine that
+//!   `tests/kernel_parity.rs` holds the unified event kernel to,
+//!   event for event.
+//!
+//! The scheduler-cost table of the paper's §1 claim is the `experiments`
+//! binary `complexity`; the per-layer throughput ledger is the standalone
+//! `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
 pub mod perf;
 pub mod seed_reference;
-
-use heteroprio_core::Instance;
-use heteroprio_workloads::{random_instance, RandomInstanceParams};
-
-/// A deterministic random instance with `tasks` tasks for cost benches.
-pub fn bench_instance(tasks: usize) -> Instance {
-    random_instance(&RandomInstanceParams { tasks, ..RandomInstanceParams::default() }, 0xBEEF)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_instance_is_deterministic() {
-        assert_eq!(bench_instance(50), bench_instance(50));
-        assert_eq!(bench_instance(50).len(), 50);
-    }
-}

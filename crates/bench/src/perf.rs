@@ -1,13 +1,13 @@
-//! The kernel perf harness behind `scripts/bench.sh`, the CLI `perf`
-//! subcommand, and the `perf_baseline` bench target.
+//! The kernel perf harness behind the CLI `perf` subcommand, which
+//! `scripts/bench.sh` runs to write the committed `BENCH_kernel.json`.
 //!
 //! Runs Fig. 6-scale (Cholesky N=16/N=32 kernel mixes on the paper's
 //! 20 CPU + 4 GPU platform) and 1000×-scale (Cholesky N=160 with ~695k
 //! tasks, a 1M-task random instance) workloads under an
 //! [`InMemoryRegistry`], and emits the schema-versioned `BENCH_kernel.json`
 //! checkpoint: events/sec, tasks/sec, p50/p99 pick latency and peak queue
-//! depths per case. This is the baseline every future kernel optimization
-//! (ROADMAP item 2) is measured against.
+//! depths per case. Kernel optimizations are measured against this
+//! baseline.
 //!
 //! [`validate_baseline`] checks the schema and the non-timing invariants
 //! (non-zero counters, required scales); the `perf --smoke` gate in
@@ -294,14 +294,10 @@ fn best_of(reps: usize, run: impl Fn() -> CaseResult) -> CaseResult {
 
 /// Run the suite and return the `BENCH_kernel.json` document. `smoke` runs
 /// tiny instances only (for the deterministic CI gate); the full suite runs
-/// the Fig. 6-scale and 1000×-scale cases the baseline commits.
-pub fn run_suite(smoke: bool) -> String {
-    run_suite_on(smoke, None)
-}
-
-/// [`run_suite`] with an optional extra case on a caller-supplied platform
-/// (the CLI's `perf --platform`): a seeded k-class random instance sized
-/// like the fig6 cases, named `custom_platform`.
+/// the Fig. 6-scale and 1000×-scale cases the baseline commits. `custom`
+/// adds one case on a caller-supplied platform (the CLI's `perf
+/// --platform`): a seeded k-class random instance sized like the fig6
+/// cases, named `custom_platform`.
 pub fn run_suite_on(smoke: bool, custom: Option<&Platform>) -> String {
     let mut cases: Vec<CaseResult> = if smoke {
         vec![
@@ -566,7 +562,7 @@ mod tests {
 
     #[test]
     fn smoke_suite_emits_a_valid_baseline() {
-        let doc = run_suite(true);
+        let doc = run_suite_on(true, None);
         validate_baseline(&doc).expect("smoke baseline validates");
         for needle in [
             "cholesky_n4_smoke",
@@ -615,10 +611,10 @@ mod tests {
     fn validate_rejects_broken_documents() {
         assert!(validate_baseline("{}").is_err());
         assert!(validate_baseline("not json").is_err());
-        let wrong_version = run_suite(true).replace("\"version\": 1", "\"version\": 999");
+        let wrong_version = run_suite_on(true, None).replace("\"version\": 1", "\"version\": 999");
         assert!(validate_baseline(&wrong_version).is_err());
         // A full baseline without the x1000 case must be rejected.
-        let fake_full = run_suite(true).replace("\"smoke\": true", "\"smoke\": false");
+        let fake_full = run_suite_on(true, None).replace("\"smoke\": true", "\"smoke\": false");
         assert!(validate_baseline(&fake_full).is_err());
     }
 }

@@ -6,13 +6,11 @@
 //! self-contained simulation owning its own completion heap, generation
 //! counters and idle bookkeeping. It is deliberately **not** maintained as a
 //! production engine — its sole purpose is to pin the unified kernel against
-//! the seed behaviour:
-//!
-//! * the `kernel_parity` proptest asserts event-for-event identical traces
-//!   between [`seed_heteroprio_traced`] and
-//!   [`heteroprio_core::heteroprio_traced`];
-//! * the `kernel_parity` criterion benchmark asserts identical makespans on
-//!   Fig. 6-scale instances and compares wall-clock time.
+//! the seed behaviour: `tests/kernel_parity.rs` asserts event-for-event
+//! identical traces between [`seed_heteroprio_traced`] and
+//! [`heteroprio_core::heteroprio_traced`], on small random instances and on
+//! the Fig. 6-scale Cholesky instances (N = 16, 32, 64) on the paper's
+//! 20 CPU + 4 GPU platform.
 //!
 //! Do not "fix" or modernise this module; behavioural changes belong in the
 //! kernel, and this copy exists precisely so such changes are detected.

@@ -1,7 +1,10 @@
 //! The §1 "fast and efficient" claim: wall-clock cost of scheduling k
-//! independent ready tasks, per algorithm. HeteroPrio's per-decision work is
-//! O(log k) (a deque/tree pop); DualHP re-packs the whole ready set; HEFT
-//! scans every worker per task.
+//! independent ready tasks, per algorithm, on the paper's 20 CPU + 4 GPU
+//! platform. HeteroPrio's per-decision work is a queue pop, O(log k) in the
+//! ready-set size; DualHP re-packs the whole ready set; HEFT scans every
+//! worker per task. Only the task count varies here, never the platform
+//! width: at larger widths HeteroPrio's spoliation victim search adds a
+//! term quadratic in the worker count (ROADMAP item 2).
 //!
 //! Usage: `complexity [sizes...] [--csv]`.
 

@@ -2,7 +2,9 @@
 //! MaxMin, Sufferage) against the paper's three algorithms on the
 //! independent-task kernel mixes. None of the classics orders by
 //! acceleration factor; Sufferage comes closest in spirit (it protects
-//! tasks that would suffer most without their best resource).
+//! tasks that would suffer most without their best resource). The
+//! `HeteroPrio-NS` column is HeteroPrio with spoliation disabled: the
+//! spoliation ablation of DESIGN.md §4.
 //!
 //! Usage: `heuristics_comparison [N...] [--csv]`.
 
@@ -19,7 +21,12 @@ fn main() {
     let platform = paper_platform();
     for f in Factorization::ALL {
         let mut headers: Vec<String> = vec!["N".into(), "lb".into()];
-        let columns = || IndepAlgo::PAPER.into_iter().chain(IndepAlgo::HEURISTICS);
+        let columns = || {
+            use IndepAlgo::*;
+            [HeteroPrio, HeteroPrioNoSpoliation, DualHp, Heft]
+                .into_iter()
+                .chain(IndepAlgo::HEURISTICS)
+        };
         headers.extend(columns().map(|a| a.label().to_string()));
         let mut t = TextTable::new(headers);
         for &n in &ns {

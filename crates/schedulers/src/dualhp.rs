@@ -14,242 +14,170 @@
 //! the bottom-level priorities already attached to the tasks).
 //!
 //! Performance note: the ready set is sorted once per repartition; each λ
-//! probe of the binary search is then a single O(R) pass, which keeps the
-//! per-ready-event cost low enough for the N=64 task graphs of Figure 7
-//! (tens of thousands of ready events).
+//! probe of the binary search is then a single O(R) pass that allocates
+//! nothing, which keeps the per-ready-event cost low enough for the N=64
+//! task graphs of Figure 7 (tens of thousands of ready events).
 
 use heteroprio_core::list::list_schedule;
 use heteroprio_core::{
-    ClassId, Instance, Platform, ResourceKind, Schedule, TaskId, TaskRun, WorkerId, WorkerOrder,
+    ClassId, Instance, Platform, Schedule, Task, TaskId, TaskRun, WorkerId, WorkerOrder,
 };
 use heteroprio_simulator::{OnlinePolicy, SimContext, SnapshotOnlinePolicy};
 
 /// Placement of every packed task: (task, worker, start, end).
 type Placements = Vec<(TaskId, WorkerId, f64, f64)>;
 
-/// Ready tasks pre-sorted for the λ probes.
-struct SortedReady {
-    tasks: Vec<TaskId>,
-    /// Local indices sorted by acceleration factor descending.
-    by_rho_desc: Vec<usize>,
-    /// Local indices sorted by CPU time descending.
-    by_p_desc: Vec<usize>,
-}
-
 /// Acceleration of a task relative to the spill class (class 0): its class-0
 /// time over its best time on any other class. Equal to
 /// [`Task::accel_factor`](heteroprio_core::Task::accel_factor) when `k = 2`.
-fn accel_over_spill(instance: &Instance, t: TaskId) -> f64 {
-    let task = instance.task(t);
+fn accel_over_spill(task: &Task) -> f64 {
     let best_other =
         (1..task.k()).map(|c| task.time_on(ClassId(c as u16))).fold(f64::INFINITY, f64::min);
     task.time_on(ClassId(0)) / best_other
 }
 
-impl SortedReady {
-    fn new(instance: &Instance, tasks: Vec<TaskId>) -> Self {
-        let mut by_rho_desc: Vec<usize> = (0..tasks.len()).collect();
-        by_rho_desc.sort_by(|&a, &b| {
-            let ra = accel_over_spill(instance, tasks[a]);
-            let rb = accel_over_spill(instance, tasks[b]);
-            rb.total_cmp(&ra).then(tasks[a].cmp(&tasks[b]))
-        });
-        let mut by_p_desc: Vec<usize> = (0..tasks.len()).collect();
-        by_p_desc.sort_by(|&a, &b| {
-            let pa = instance.task(tasks[a]).cpu_time();
-            let pb = instance.task(tasks[b]).cpu_time();
-            pb.total_cmp(&pa).then(tasks[a].cmp(&tasks[b]))
-        });
-        SortedReady { tasks, by_rho_desc, by_p_desc }
-    }
+/// The λ probes of one search: the ready tasks pre-sorted once, the alive
+/// workers of each class, and buffers every probe reuses, so a probe
+/// allocates nothing.
+struct Packer {
+    /// The ready tasks by decreasing acceleration over the spill class (ties
+    /// to the lower id), the order the probes place them in.
+    ranked: Vec<(TaskId, Task)>,
+    /// Each ranked task's non-spill classes, fastest first (ties to the
+    /// lower id), `k - 1` entries per rank. A probe only filters this order.
+    prefs: Vec<ClassId>,
+    /// Ranks sorted by spill-class time descending (ties to the lower id),
+    /// the order of the spill pass.
+    by_p_desc: Vec<usize>,
+    /// Alive workers per class: only they receive placements. After an
+    /// injected worker failure a whole class may be gone, in which case its
+    /// tasks are forced onto the surviving classes (and λ grows until that
+    /// is feasible).
+    workers: Vec<Vec<WorkerId>>,
+    /// Per-class worker loads during a probe.
+    loads: Vec<Vec<f64>>,
+    /// Per-class "refused a task" latch during a probe.
+    latched: Vec<bool>,
+    /// Per rank: left for the spill pass during a probe.
+    spill: Vec<bool>,
 }
 
-/// One λ probe: greedy pack within makespan 2λ. O(R · workers-per-class).
-///
-/// Only `alive` workers receive placements — after an injected worker
-/// failure a whole class may be gone, in which case every task is forced
-/// onto the surviving class (and λ grows until that is feasible).
-fn try_pack(
-    instance: &Instance,
-    platform: &Platform,
-    sorted: &SortedReady,
-    lambda: f64,
-    avail: &[f64],
-    alive: &[bool],
-    placements: &mut Placements,
-) -> bool {
-    placements.clear();
-    let limit = 2.0 * lambda + 1e-12;
-    let r = sorted.tasks.len();
-    // side[i]: 0 = GPU, 1 = CPU, for local index i.
-    let mut side = vec![0u8; r];
+impl Packer {
+    fn new(instance: &Instance, platform: &Platform, tasks: &[TaskId], alive: &[bool]) -> Self {
+        let k = platform.k();
+        let mut keyed: Vec<(f64, TaskId)> =
+            tasks.iter().map(|&t| (accel_over_spill(instance.task(t)), t)).collect();
+        keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let ranked: Vec<(TaskId, Task)> =
+            keyed.into_iter().map(|(_, t)| (t, *instance.task(t))).collect();
+        let mut by_p_desc: Vec<usize> = (0..ranked.len()).collect();
+        by_p_desc.sort_by(|&a, &b| {
+            let ((ta, pa), (tb, pb)) = (&ranked[a], &ranked[b]);
+            pb.cpu_time().total_cmp(&pa.cpu_time()).then(ta.cmp(tb))
+        });
+        let mut prefs = Vec::with_capacity(ranked.len() * (k - 1));
+        for (_, task) in &ranked {
+            let first = prefs.len();
+            prefs.extend((1..k).map(|c| ClassId(c as u16)));
+            prefs[first..]
+                .sort_by(|&a, &b| task.time_on(a).total_cmp(&task.time_on(b)).then(a.cmp(&b)));
+        }
+        let workers: Vec<Vec<WorkerId>> = (0..k)
+            .map(|c| platform.workers_of(ClassId(c as u16)).filter(|w| alive[w.index()]).collect())
+            .collect();
+        let loads = workers.iter().map(|ws| Vec::with_capacity(ws.len())).collect();
+        let spill = vec![false; ranked.len()];
+        Packer { ranked, prefs, by_p_desc, workers, loads, latched: vec![false; k], spill }
+    }
 
-    let gpu_workers: Vec<WorkerId> =
-        platform.workers_of(ResourceKind::Gpu).filter(|w| alive[w.index()]).collect();
-    let cpu_workers: Vec<WorkerId> =
-        platform.workers_of(ResourceKind::Cpu).filter(|w| alive[w.index()]).collect();
-    let mut gpu_loads: Vec<f64> = gpu_workers.iter().map(|w| avail[w.index()]).collect();
-    let mut spilling = false;
-    for &i in &sorted.by_rho_desc {
-        let task = instance.task(sorted.tasks[i]);
-        let cpu_over = task.cpu_time() > lambda || cpu_workers.is_empty();
-        let gpu_over = task.gpu_time() > lambda || gpu_workers.is_empty();
-        match (cpu_over, gpu_over) {
-            (true, true) => return false, // λ below the trivial bound
-            (false, true) => {
-                side[i] = 1; // forced CPU
-                continue;
-            }
-            (true, false) => {
-                // Forced GPU: must fit within 2λ.
-                let m = min_index(&gpu_loads);
-                if gpu_loads[m] + task.gpu_time() > limit {
-                    return false;
-                }
-                let start = gpu_loads[m];
-                gpu_loads[m] = start + task.gpu_time();
-                placements.push((sorted.tasks[i], gpu_workers[m], start, gpu_loads[m]));
-            }
-            (false, false) => {
-                // Flexible: GPU by decreasing ρ while it fits, then spill.
-                if spilling {
-                    side[i] = 1;
+    /// One λ probe: greedy pack within makespan 2λ, with class 0 as the
+    /// spill class. O(R · k · workers-per-class).
+    ///
+    /// A task may only run on classes where its time is ≤ λ and that have
+    /// alive workers. Tasks are scanned by decreasing acceleration over the
+    /// spill class; each is offered to its allowed non-spill classes fastest
+    /// first. A class that refuses a task latches full and stops taking
+    /// flexible tasks; a task whose spill class is disallowed retries
+    /// latched classes before failing. Spilled tasks go to class 0
+    /// longest-first within 2λ. At `k = 2` this is the paper's packing:
+    /// forced tasks on their only class, flexible ones on the GPUs by
+    /// decreasing ρ until the first that does not fit, the rest on the CPUs.
+    fn fits(&mut self, lambda: f64, avail: &[f64], placements: &mut Placements) -> bool {
+        placements.clear();
+        let limit = 2.0 * lambda + 1e-12;
+        let Packer { ranked, prefs, by_p_desc, workers, loads, latched, spill } = self;
+        for (ws, ls) in workers.iter().zip(loads.iter_mut()) {
+            ls.clear();
+            ls.extend(ws.iter().map(|w| avail[w.index()]));
+        }
+        latched.fill(false);
+        spill.fill(false);
+        let stride = workers.len() - 1;
+        for (j, &(id, task)) in ranked.iter().enumerate() {
+            let over = |c: ClassId| task.time_on(c) > lambda || workers[c.index()].is_empty();
+            let prefs = &prefs[j * stride..(j + 1) * stride];
+            let spill_ok = !over(ClassId(0));
+            let mut try_class = |c: ClassId| {
+                place(
+                    id,
+                    task.time_on(c),
+                    &workers[c.index()],
+                    &mut loads[c.index()],
+                    limit,
+                    placements,
+                )
+            };
+            let mut placed = false;
+            for &c in prefs {
+                if over(c) || latched[c.index()] {
                     continue;
                 }
-                let m = min_index(&gpu_loads);
-                if gpu_loads[m] + task.gpu_time() <= limit {
-                    let start = gpu_loads[m];
-                    gpu_loads[m] = start + task.gpu_time();
-                    placements.push((sorted.tasks[i], gpu_workers[m], start, gpu_loads[m]));
-                } else {
-                    spilling = true;
-                    side[i] = 1;
+                if try_class(c) {
+                    placed = true;
+                    break;
                 }
+                latched[c.index()] = true;
             }
-        }
-    }
-
-    // CPU pass: forced + spilled tasks, longest-first list schedule.
-    let mut cpu_loads: Vec<f64> = cpu_workers.iter().map(|w| avail[w.index()]).collect();
-    for &i in &sorted.by_p_desc {
-        if side[i] == 0 {
-            continue;
-        }
-        let task = instance.task(sorted.tasks[i]);
-        let m = min_index(&cpu_loads);
-        let start = cpu_loads[m];
-        let end = start + task.cpu_time();
-        if end > limit {
-            return false;
-        }
-        cpu_loads[m] = end;
-        placements.push((sorted.tasks[i], cpu_workers[m], start, end));
-    }
-    true
-}
-
-/// One λ probe on a `k ≥ 3` platform: the two-class packing generalized to
-/// k resource classes with class 0 as the spill class.
-///
-/// A task may only run on classes where its time is ≤ λ (and that still have
-/// alive workers). Tasks are scanned by decreasing acceleration over the
-/// spill class; each is offered to its allowed non-spill classes fastest
-/// first. A class that refuses a task latches full (monotone, like the
-/// two-class `spilling` flag) and stops taking flexible tasks; a task whose
-/// spill class is disallowed retries latched classes before failing. Spilled
-/// tasks go to class 0 longest-first within 2λ. At `k = 2` this decision
-/// procedure coincides with [`try_pack`] (the per-class latch *is* the
-/// spill flag); the legacy path is kept verbatim and pinned by an equality
-/// test because its output is frozen by the parity suites.
-fn try_pack_general(
-    instance: &Instance,
-    platform: &Platform,
-    sorted: &SortedReady,
-    lambda: f64,
-    avail: &[f64],
-    alive: &[bool],
-    placements: &mut Placements,
-) -> bool {
-    placements.clear();
-    let limit = 2.0 * lambda + 1e-12;
-    let k = platform.k();
-    let r = sorted.tasks.len();
-    let mut spill = vec![false; r];
-
-    let workers: Vec<Vec<WorkerId>> = (0..k)
-        .map(|c| platform.workers_of(ClassId(c as u16)).filter(|w| alive[w.index()]).collect())
-        .collect();
-    let mut loads: Vec<Vec<f64>> =
-        workers.iter().map(|ws| ws.iter().map(|w| avail[w.index()]).collect()).collect();
-    let mut latched = vec![false; k];
-
-    let mut prefs: Vec<usize> = Vec::with_capacity(k - 1);
-    for &i in &sorted.by_rho_desc {
-        let task = instance.task(sorted.tasks[i]);
-        let over = |c: usize| task.time_on(ClassId(c as u16)) > lambda || workers[c].is_empty();
-        let spill_ok = !over(0);
-        // Allowed non-spill classes, fastest first (ties to the lower id).
-        prefs.clear();
-        prefs.extend((1..k).filter(|&c| !over(c)));
-        prefs.sort_by(|&a, &b| {
-            task.time_on(ClassId(a as u16))
-                .total_cmp(&task.time_on(ClassId(b as u16)))
-                .then(a.cmp(&b))
-        });
-        if prefs.is_empty() && !spill_ok {
-            return false; // λ below the trivial bound
-        }
-        let mut place = |c: usize, loads: &mut Vec<Vec<f64>>| -> bool {
-            let m = min_index(&loads[c]);
-            let t = task.time_on(ClassId(c as u16));
-            if loads[c][m] + t > limit {
-                return false;
-            }
-            let start = loads[c][m];
-            loads[c][m] = start + t;
-            placements.push((sorted.tasks[i], workers[c][m], start, loads[c][m]));
-            true
-        };
-        let mut placed = false;
-        for &c in prefs.iter() {
-            if latched[c] {
+            if placed {
                 continue;
             }
-            if place(c, &mut loads) {
-                placed = true;
-                break;
+            if spill_ok {
+                spill[j] = true;
+                continue;
             }
-            latched[c] = true;
+            // No spill class: a latched class may still fit this (shorter)
+            // task. With no allowed class at all, λ is below the trivial
+            // bound.
+            if !prefs.iter().any(|&c| !over(c) && latched[c.index()] && try_class(c)) {
+                return false;
+            }
         }
-        if placed {
-            continue;
-        }
-        if spill_ok {
-            spill[i] = true;
-            continue;
-        }
-        // No spill class: a latched class may still fit this (shorter) task.
-        if !prefs.iter().filter(|&&c| latched[c]).any(|&c| place(c, &mut loads)) {
-            return false;
-        }
-    }
 
-    // Spill pass: class 0, longest-first list schedule within 2λ.
-    let mut spill_loads: Vec<f64> = loads.first().cloned().unwrap_or_default();
-    for &i in &sorted.by_p_desc {
-        if !spill[i] {
-            continue;
-        }
-        let task = instance.task(sorted.tasks[i]);
-        let m = min_index(&spill_loads);
-        let start = spill_loads[m];
-        let end = start + task.time_on(ClassId(0));
-        if end > limit {
-            return false;
-        }
-        spill_loads[m] = end;
-        placements.push((sorted.tasks[i], workers[0][m], start, end));
+        // Spill pass: class 0, longest-first list schedule within 2λ.
+        by_p_desc.iter().filter(|&&j| spill[j]).all(|&j| {
+            let (id, task) = ranked[j];
+            place(id, task.cpu_time(), &workers[0], &mut loads[0], limit, placements)
+        })
     }
+}
+
+/// Place task `id` of duration `time` on the least-loaded of `workers` if it
+/// ends within `limit`.
+fn place(
+    id: TaskId,
+    time: f64,
+    workers: &[WorkerId],
+    loads: &mut [f64],
+    limit: f64,
+    placements: &mut Placements,
+) -> bool {
+    let m = min_index(loads);
+    let start = loads[m];
+    if start + time > limit {
+        return false;
+    }
+    loads[m] = start + time;
+    placements.push((id, workers[m], start, loads[m]));
     true
 }
 
@@ -269,29 +197,26 @@ fn min_index(loads: &[f64]) -> usize {
 fn search(
     instance: &Instance,
     platform: &Platform,
-    tasks: Vec<TaskId>,
+    tasks: &[TaskId],
     avail: &[f64],
     alive: &[bool],
 ) -> Placements {
     if tasks.is_empty() || !alive.iter().any(|&a| a) {
         return Vec::new();
     }
-    // Two-class platforms keep the frozen legacy probe; its behaviour is
-    // pinned event-for-event by the parity and audit suites.
-    let probe = if platform.k() == 2 { try_pack } else { try_pack_general };
-    let sorted = SortedReady::new(instance, tasks);
+    let mut packer = Packer::new(instance, platform, tasks, alive);
     // Grow an upper bound until feasible.
-    let mut hi = sorted
-        .tasks
+    let mut hi = packer
+        .ranked
         .iter()
-        .map(|&t| instance.task(t).min_time())
+        .map(|(_, task)| task.min_time())
         .fold(0.0, f64::max)
         .max(avail.iter().copied().fold(0.0, f64::max))
         .max(1e-9);
     let mut best = Vec::new();
     let mut scratch = Vec::new();
     loop {
-        if probe(instance, platform, &sorted, hi, avail, alive, &mut scratch) {
+        if packer.fits(hi, avail, &mut scratch) {
             std::mem::swap(&mut best, &mut scratch);
             break;
         }
@@ -305,7 +230,7 @@ fn search(
         if mid <= lo || mid >= hi || (hi - lo) < 1e-9 * hi {
             break;
         }
-        if probe(instance, platform, &sorted, mid, avail, alive, &mut scratch) {
+        if packer.fits(mid, avail, &mut scratch) {
             hi = mid;
             std::mem::swap(&mut best, &mut scratch);
         } else {
@@ -320,7 +245,7 @@ pub fn dualhp_independent(instance: &Instance, platform: &Platform) -> Schedule 
     let tasks: Vec<TaskId> = instance.ids().collect();
     let avail = vec![0.0; platform.workers()];
     let alive = vec![true; platform.workers()];
-    let placements = search(instance, platform, tasks, &avail, &alive);
+    let placements = search(instance, platform, &tasks, &avail, &alive);
     Schedule {
         runs: placements
             .into_iter()
@@ -344,8 +269,11 @@ pub enum DualHpRank {
 /// changed, then serve each class queue in rank order. Never spoliates.
 pub struct DualHpDagPolicy {
     rank: DualHpRank,
-    /// Ready, not-yet-started tasks with their arrival sequence number.
-    pending: Vec<(TaskId, u64)>,
+    /// Ready, not-yet-started tasks in announcement order.
+    pending: Vec<TaskId>,
+    /// Announcement sequence number per task id (the FIFO rank), sized
+    /// lazily to the graph.
+    seq_of: Vec<u64>,
     /// One serve queue per resource class, indexed by class id (sized
     /// lazily at the first repartition).
     queues: Vec<Vec<TaskId>>,
@@ -363,6 +291,7 @@ impl DualHpDagPolicy {
         DualHpDagPolicy {
             rank,
             pending: Vec::new(),
+            seq_of: Vec::new(),
             queues: Vec::new(),
             seq: 0,
             dirty: false,
@@ -377,8 +306,8 @@ impl DualHpDagPolicy {
         let avail: Vec<f64> = (0..ctx.platform.workers())
             .map(|w| ctx.running[w].map_or(0.0, |r| (r.end - ctx.now).max(0.0)))
             .collect();
-        let tasks: Vec<TaskId> = self.pending.iter().map(|&(t, _)| t).collect();
-        let placements = search(ctx.graph.instance(), ctx.platform, tasks, &avail, ctx.alive);
+        let placements =
+            search(ctx.graph.instance(), ctx.platform, &self.pending, &avail, ctx.alive);
         self.queues.resize(ctx.platform.k(), Vec::new());
         for q in &mut self.queues {
             q.clear();
@@ -389,13 +318,10 @@ impl DualHpDagPolicy {
         // Serve order within each class. Queues pop from the back, so sort
         // ascending in urgency.
         let instance = ctx.graph.instance();
-        let pending = &self.pending;
-        let seq_of =
-            |t: TaskId| pending.iter().find(|&&(x, _)| x == t).map(|&(_, s)| s).unwrap_or(u64::MAX);
         for queue in &mut self.queues {
             match self.rank {
                 DualHpRank::Fifo => {
-                    queue.sort_by_key(|&t| std::cmp::Reverse(seq_of(t)));
+                    queue.sort_by_key(|&t| std::cmp::Reverse(self.seq_of[t.index()]));
                 }
                 DualHpRank::Priority => {
                     queue.sort_by(|&a, &b| {
@@ -412,9 +338,14 @@ impl DualHpDagPolicy {
 }
 
 impl OnlinePolicy for DualHpDagPolicy {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+    fn on_ready(&mut self, tasks: &[TaskId], ctx: &SimContext<'_>) {
+        let n = ctx.graph.instance().len();
+        if self.seq_of.len() < n {
+            self.seq_of.resize(n, u64::MAX);
+        }
         for &t in tasks {
-            self.pending.push((t, self.seq));
+            self.pending.push(t);
+            self.seq_of[t.index()] = self.seq;
             self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
         }
         self.dirty = true;
@@ -428,7 +359,7 @@ impl OnlinePolicy for DualHpDagPolicy {
         }
         let queue = self.queues.get_mut(ctx.platform.class_of(worker).index())?;
         let task = queue.pop()?;
-        self.pending.retain(|&(t, _)| t != task);
+        self.pending.retain(|&t| t != task);
         Some(task)
     }
 
@@ -438,13 +369,12 @@ impl OnlinePolicy for DualHpDagPolicy {
 }
 
 impl SnapshotOnlinePolicy for DualHpDagPolicy {
-    // `pending` holds the full ready set in announcement order (sequence
-    // numbers ascend with pushes and survive `retain`). The default
+    // `pending` holds the full ready set in announcement order. The default
     // `restore` re-announces that list, assigning fresh ascending sequence
     // numbers and marking the partition dirty, so the next pick re-runs the
     // λ search on exactly the state the original run would have had.
     fn ready_order(&self) -> Vec<TaskId> {
-        self.pending.iter().map(|&(t, _)| t).collect()
+        self.pending.clone()
     }
 }
 
@@ -492,7 +422,7 @@ mod tests {
     use super::*;
     use heteroprio_bounds::{combined_lower_bound, optimal_makespan};
     use heteroprio_core::time::approx_eq;
-    use heteroprio_core::Task;
+    use heteroprio_core::ResourceKind;
     use heteroprio_simulator::simulate;
     use heteroprio_taskgraph::{check_precedence, cholesky, ConstTiming, DagBuilder, TaskGraph};
 
@@ -577,41 +507,6 @@ mod tests {
         let plat = Platform::new(2, 1);
         let sched = faster_class_schedule(&inst, &plat);
         sched.validate(&inst, &plat).unwrap();
-    }
-
-    #[test]
-    fn general_probe_matches_legacy_on_two_classes() {
-        // The k-class packer must reproduce the frozen two-class probe
-        // decision-for-decision: same feasibility verdict and the same
-        // placements at every λ it is asked about.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) % 97 + 1) as f64 / 10.0
-        };
-        for case in 0..60 {
-            let n = 3 + case % 8;
-            let times: Vec<(f64, f64)> = (0..n).map(|_| (next(), next())).collect();
-            let inst = Instance::from_times(&times);
-            let plat = match case % 3 {
-                0 => Platform::new(1, 1),
-                1 => Platform::new(3, 2),
-                _ => Platform::new(2, 4),
-            };
-            let sorted = SortedReady::new(&inst, inst.ids().collect());
-            let avail = vec![0.0; plat.workers()];
-            let alive = vec![true; plat.workers()];
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for step in 1..=20 {
-                let lambda = 0.5 * step as f64;
-                let fa = try_pack(&inst, &plat, &sorted, lambda, &avail, &alive, &mut a);
-                let fb = try_pack_general(&inst, &plat, &sorted, lambda, &avail, &alive, &mut b);
-                assert_eq!(fa, fb, "feasibility diverged: case {case} λ={lambda}");
-                if fa {
-                    assert_eq!(a, b, "placements diverged: case {case} λ={lambda}");
-                }
-            }
-        }
     }
 
     #[test]

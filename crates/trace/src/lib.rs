@@ -15,8 +15,8 @@
 //!   ids and `f64` times instead of core's newtypes.
 //! * **Zero cost when disabled.** [`NullSink::emit`] is an empty inlined
 //!   body; the instrumented hot loops are generic over the sink so the
-//!   compiler erases the tracing entirely (the `scheduler_cost` bench
-//!   guards this).
+//!   compiler erases the tracing entirely (the `benchmark/` package's
+//!   `tasks_per_s` times this untraced path).
 //!
 //! The event stream doubles as the durability substrate: the [`journal`]
 //! module persists it as CRC-framed records ([`FileJournal`]) so a crashed

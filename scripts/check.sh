@@ -2,7 +2,7 @@
 # Repo-wide checks, in the order a reviewer cares about them: formatting,
 # lints (warnings are errors), the repo-specific lint gate, the full test
 # suite, then an end-to-end invariant-audit smoke.
-# Everything runs offline — the three external deps are vendored shims.
+# Everything runs offline — the two external deps are vendored shims.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,13 +24,13 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "== kernel-parity bench smoke (--test: parity asserts, no timing)"
-cargo bench -q -p heteroprio-bench --bench kernel_parity -- --test
-
 echo "== perf smoke + regression gate (>20% tasks/sec loss vs committed baseline fails)"
 # Release mode: the gate compares wall-clock throughput against the
 # committed BENCH_kernel.json, and debug timings always "regress".
 cargo run -q --release -p heteroprio-cli -- perf --smoke --against BENCH_kernel.json
+
+echo "== scheduler-cost smoke (wall-clock times, so printed, not diffed)"
+cargo run -q --release -p heteroprio-experiments --bin complexity 100 1000
 
 echo "== committed results: the fast deterministic experiment binaries reproduce results/"
 # fig6, fig7, fig8_9 and heuristics_comparison take seconds to minutes, and

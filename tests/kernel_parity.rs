@@ -5,12 +5,14 @@
 //! identical to the frozen pre-kernel engine kept in
 //! `heteroprio_bench::seed_reference` — same events, same order, same
 //! timestamps, same schedule — across both queue tie-break modes, with and
-//! without spoliation.
+//! without spoliation, and on the Fig. 6-scale Cholesky instances.
 
 use heteroprio::core::{
     heteroprio_traced, HeteroPrioConfig, Instance, Platform, QueueTieBreak, Task,
 };
+use heteroprio::taskgraph::Factorization;
 use heteroprio::trace::VecSink;
+use heteroprio::workloads::{independent_instance, paper_platform, ChameleonTiming};
 use heteroprio_bench::seed_reference::seed_heteroprio_traced;
 use proptest::prelude::*;
 
@@ -73,5 +75,17 @@ fn kernel_matches_seed_on_the_spoliation_workout() {
         for config in [HeteroPrioConfig::new(), HeteroPrioConfig::without_spoliation()] {
             assert_identical(&inst, &plat, &config);
         }
+    }
+}
+
+#[test]
+fn kernel_matches_seed_on_fig6_cholesky_at_paper_scale() {
+    // The Fig. 6 kernel mixes of an N-tile Cholesky (816 to 45,760 tasks)
+    // on the paper's 20 CPU + 4 GPU machine: the parity check at the scale
+    // the paper reports, where equal kernel times make ties the common case.
+    let platform = paper_platform();
+    for n in [16, 32, 64] {
+        let instance = independent_instance(Factorization::Cholesky, n, &ChameleonTiming);
+        assert_identical(&instance, &platform, &HeteroPrioConfig::new());
     }
 }
