@@ -1,13 +1,15 @@
-//! The invariant auditor: replays a recorded `(Schedule, SchedEvent)` pair
-//! and checks the paper's defining properties without re-running anything.
+//! The audit rules and the event replay behind [`StreamAuditor`], and
+//! [`audit`], which runs that auditor over a recorded `(Schedule,
+//! SchedEvent)` pair without re-running anything.
 
 use crate::report::{AuditReport, RatioCertificate, Rule, Violation};
+use crate::StreamAuditor;
 use heteroprio_bounds::{area_bound, check_structure, combined_lower_bound};
 use heteroprio_core::model::{Instance, Platform, ResourceKind, TaskId, WorkerId};
 use heteroprio_core::proven_upper_bound;
-use heteroprio_core::schedule::{Schedule, TaskRun};
+use heteroprio_core::schedule::Schedule;
 use heteroprio_core::time::{approx_eq, strictly_less, F64Ord};
-use heteroprio_trace::{Decision, QueueEnd, SchedEvent};
+use heteroprio_trace::{Decision, QueueEnd, SchedEvent, TraceSink};
 
 /// What kind of execution produced the artifacts under audit. The queue
 /// discipline rules only apply to HeteroPrio itself (DualHP and plain list
@@ -96,9 +98,11 @@ impl Default for AuditOptions {
 }
 
 /// Audit a recorded schedule and its event trace against the paper's
-/// invariants. Pass the events the run actually emitted (live traces carry
-/// queue information that [`Schedule::to_events`] reconstructions lack; the
-/// queue-discipline rules are skipped, and reported as skipped, without it).
+/// invariants: a [`StreamAuditor`] fed the slice, then
+/// [`finish`](StreamAuditor::finish)ed. Pass the events the run actually
+/// emitted (live traces carry queue information that
+/// [`Schedule::to_events`] reconstructions lack; the queue-discipline rules
+/// are skipped, and reported as skipped, without it).
 pub fn audit(
     instance: &Instance,
     platform: &Platform,
@@ -106,37 +110,11 @@ pub fn audit(
     events: &[SchedEvent],
     opts: &AuditOptions,
 ) -> AuditReport {
-    let mut report = AuditReport { events: events.len(), ..AuditReport::default() };
-
-    check_well_formed(instance, platform, schedule, opts, &mut report);
-
-    // Queue-discipline rules need the transient information of a live trace:
-    // reconstructed streams have no TaskReady events at all.
-    let live = events.iter().any(|e| matches!(e, SchedEvent::TaskReady { .. }));
-    let queue_rules =
-        [Rule::NoIdleWithReadyWork, Rule::PopOrderConsistency, Rule::SpoliationLegality];
-    if !opts.heteroprio {
-        for rule in queue_rules {
-            report.skipped.push((rule, "policy under audit is not HeteroPrio".into()));
-        }
-    } else if !live {
-        for rule in queue_rules {
-            report
-                .skipped
-                .push((rule, "trace has no queue events (reconstructed from schedule)".into()));
-        }
-    } else {
-        let mut replay = Replay::new(instance, platform, opts.max_overhead);
-        replay.has_pops = events.iter().any(|e| matches!(e, SchedEvent::QueuePop { .. }));
-        replay.run(events, schedule, &mut report);
+    let mut auditor = StreamAuditor::new(instance, platform, opts.clone());
+    for &e in events {
+        auditor.emit(e);
     }
-
-    if opts.dualhp {
-        crate::dualhp_rules::check_dualhp(instance, platform, schedule, events, opts, &mut report);
-    }
-    check_area_bound(instance, platform, &mut report);
-    check_approx_ratio(instance, platform, schedule, opts, &mut report);
-    report
+    auditor.finish(schedule)
 }
 
 pub(crate) fn check_well_formed(
@@ -254,11 +232,10 @@ struct Running {
 /// (ready set, running tasks, idle/alive flags) and checking the HeteroPrio
 /// queue-discipline rules event by event.
 ///
-/// The replay is incremental: events are fed one at a time through
-/// [`Replay::push`] (this is what lets [`crate::StreamAuditor`] report
-/// violations *during* a run), and [`Replay::reconcile_aborts`] closes the
-/// books against the final [`Schedule`]. The batch [`audit`] entry point
-/// drives the same machinery over a complete stream.
+/// Events are fed one at a time through [`Replay::push`] (this is what
+/// lets [`StreamAuditor`] report violations *during* a run), and
+/// [`Replay::reconcile_aborts`] closes the books against the final
+/// [`Schedule`].
 pub(crate) struct Replay<'a> {
     instance: &'a Instance,
     platform: &'a Platform,
@@ -280,10 +257,9 @@ pub(crate) struct Replay<'a> {
     /// runs), to reconcile against `schedule.aborted` at the end.
     abort_events: Vec<(u32, u32, f64)>,
     /// Whether the stream carries `QueuePop` events (the independent-task
-    /// engines) or only `PolicyDecision::Pick` (the DAG engine). Batch
-    /// audits precompute this; streaming audits learn it at the first pop
-    /// (engines emit one kind of queue record, never both).
-    pub(crate) has_pops: bool,
+    /// engines) or only `PolicyDecision::Pick` (the DAG engine), learnt at
+    /// the first pop (engines emit one kind of queue record, never both).
+    has_pops: bool,
     /// Index of the next event [`Replay::push`] will see.
     index: usize,
     /// Latest event timestamp seen so far.
@@ -312,13 +288,6 @@ impl<'a> Replay<'a> {
             index: 0,
             now: f64::NEG_INFINITY,
         }
-    }
-
-    fn run(mut self, events: &[SchedEvent], schedule: &Schedule, report: &mut AuditReport) {
-        for e in events {
-            self.push(e, report);
-        }
-        self.reconcile_aborts(schedule, report);
     }
 
     /// Feed one event: time-monotonicity, the settled-state list property
@@ -850,114 +819,13 @@ impl RhoIndex {
     }
 }
 
-/// Rebuild a [`Schedule`] from a recorded event stream, for auditing traces
-/// that arrive without one (e.g. a JSONL file handed to `heteroprio audit`).
-/// Completed runs come from `TaskStart`/`TaskComplete` pairs; aborted runs
-/// from `Spoliation`, `WorkerDown { lost_task }` and `TaskFailed`.
-pub fn schedule_from_events(events: &[SchedEvent]) -> Schedule {
-    let mut schedule = Schedule::default();
-    // Per-worker in-flight run, grown on demand.
-    let mut open: Vec<Option<(u32, f64)>> = Vec::new();
-    let slot = |open: &mut Vec<Option<(u32, f64)>>, w: u32| {
-        let w = w as usize;
-        if open.len() <= w {
-            open.resize(w + 1, None);
-        }
-        w
-    };
-    for e in events {
-        match *e {
-            SchedEvent::TaskStart { time, task, worker, .. } => {
-                let w = slot(&mut open, worker);
-                open[w] = Some((task, time));
-            }
-            SchedEvent::TaskComplete { time, task, worker } => {
-                let w = slot(&mut open, worker);
-                if let Some((t, start)) = open[w].take() {
-                    if t == task {
-                        // lint: allow(schedule-mut): this function *reconstructs* a schedule from a trace.
-                        schedule.runs.push(TaskRun {
-                            task: TaskId(task),
-                            worker: WorkerId(worker),
-                            start,
-                            end: time,
-                        });
-                        continue;
-                    }
-                    open[w] = Some((t, start));
-                }
-                // No matching start: record a zero-length run and let the
-                // auditor's well-formedness checks call it out.
-                // lint: allow(schedule-mut): trace reconstruction, not engine output.
-                schedule.runs.push(TaskRun {
-                    task: TaskId(task),
-                    worker: WorkerId(worker),
-                    start: time,
-                    end: time,
-                });
-            }
-            SchedEvent::Spoliation { time, task, victim, .. } => {
-                let w = slot(&mut open, victim);
-                let start = match open[w].take() {
-                    Some((t, start)) if t == task => start,
-                    other => {
-                        open[w] = other;
-                        time
-                    }
-                };
-                // lint: allow(schedule-mut): trace reconstruction, not engine output.
-                schedule.aborted.push(TaskRun {
-                    task: TaskId(task),
-                    worker: WorkerId(victim),
-                    start,
-                    end: time,
-                });
-            }
-            SchedEvent::WorkerDown { time, worker, lost_task: Some(task), .. } => {
-                let w = slot(&mut open, worker);
-                let start = match open[w].take() {
-                    Some((t, start)) if t == task => start,
-                    other => {
-                        open[w] = other;
-                        time
-                    }
-                };
-                // lint: allow(schedule-mut): trace reconstruction, not engine output.
-                schedule.aborted.push(TaskRun {
-                    task: TaskId(task),
-                    worker: WorkerId(worker),
-                    start,
-                    end: time,
-                });
-            }
-            SchedEvent::TaskFailed { time, task, worker, lost_work, .. } => {
-                let w = slot(&mut open, worker);
-                if let Some((t, _)) = open[w] {
-                    if t == task {
-                        open[w] = None;
-                    }
-                }
-                // lint: allow(schedule-mut): trace reconstruction, not engine output.
-                schedule.aborted.push(TaskRun {
-                    task: TaskId(task),
-                    worker: WorkerId(worker),
-                    start: time - lost_work,
-                    end: time,
-                });
-            }
-            _ => {}
-        }
-    }
-    schedule
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StreamAuditor;
+    use crate::schedule_from_events;
     use heteroprio_core::heteroprio::{heteroprio_traced, HeteroPrioConfig};
     use heteroprio_core::{Instance, Platform, Task};
-    use heteroprio_trace::{TraceSink, VecSink};
+    use heteroprio_trace::VecSink;
     use proptest::prelude::*;
     use std::cell::Cell;
 
@@ -1062,7 +930,7 @@ mod tests {
     fn inflated_makespan_fails_the_ratio_certificate() {
         // One task of time 1 on each class, scheduled absurdly late: the
         // schedule is ill-formed *and* busts the φ bound.
-        use heteroprio_core::{Schedule, TaskRun};
+        use heteroprio_core::TaskRun;
         let inst = Instance::from_times(&[(1.0, 1.0)]);
         let plat = Platform::new(1, 1);
         let schedule = Schedule {
@@ -1201,26 +1069,12 @@ mod tests {
         out
     }
 
-    fn stream_audit(
-        instance: &Instance,
-        platform: &Platform,
-        schedule: &Schedule,
-        events: &[SchedEvent],
-        opts: &AuditOptions,
-    ) -> AuditReport {
-        let mut auditor = StreamAuditor::new(instance, platform, opts.clone());
-        for &e in events {
-            auditor.emit(e);
-        }
-        auditor.finish(schedule)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         // The ρ index is an exact stand-in for the linear scan it replaced:
         // the same violations (rule, event, time, worker, message) and the
-        // same check count, batch and streaming, on every stream style.
+        // same check count, on every stream style.
         #[test]
         fn rho_index_agrees_with_the_linear_scan(
             tasks in prop::collection::vec((0u32..10, 0u32..4, 1u32..=3), 1..=24),
@@ -1240,13 +1094,10 @@ mod tests {
             // reads the stream.
             let schedule = Schedule::default();
             let opts = AuditOptions::dag_run(0.0, Some(1.0));
-            let batch = |on| with_oracle(on, || audit(&instance, &platform, &schedule, &events, &opts));
-            let stream =
-                |on| with_oracle(on, || stream_audit(&instance, &platform, &schedule, &events, &opts));
-            for (fast, oracle) in [(batch(false), batch(true)), (stream(false), stream(true))] {
-                prop_assert_eq!(&fast.violations, &oracle.violations);
-                prop_assert_eq!(fast.checks, oracle.checks);
-            }
+            let run = |on| with_oracle(on, || audit(&instance, &platform, &schedule, &events, &opts));
+            let (fast, oracle) = (run(false), run(true));
+            prop_assert_eq!(&fast.violations, &oracle.violations);
+            prop_assert_eq!(fast.checks, oracle.checks);
         }
     }
 

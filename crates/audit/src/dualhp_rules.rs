@@ -13,47 +13,28 @@ use crate::auditor::AuditOptions;
 use crate::report::{AuditReport, Rule, Violation};
 use heteroprio_core::time::strictly_less;
 use heteroprio_core::{Instance, Platform, ResourceKind, Schedule};
-use heteroprio_trace::SchedEvent;
 
-/// Run both DualHP rules. Called from [`crate::audit`] when
+/// Run the schedule-level halves of both DualHP rules. Called from
+/// [`crate::StreamAuditor::finish`] when
 /// [`AuditOptions::dualhp`] is set; never records skips when it is not, so
 /// the rules stay invisible to non-DualHP audits.
 pub(crate) fn check_dualhp(
     instance: &Instance,
     platform: &Platform,
     schedule: &Schedule,
-    events: &[SchedEvent],
     opts: &AuditOptions,
     report: &mut AuditReport,
 ) {
-    check_spoliation_free(schedule, events, opts, report);
+    check_spoliation_free(schedule, opts, report);
     check_partition(instance, platform, schedule, opts, report);
 }
 
-/// DualHP commits every placement: it has no spoliation mechanism, so any
-/// `Spoliation` event — a cross-class steal — is outside its rules, and
-/// (fault-free) so is any aborted run in the schedule.
-fn check_spoliation_free(
-    schedule: &Schedule,
-    events: &[SchedEvent],
-    opts: &AuditOptions,
-    report: &mut AuditReport,
-) {
+/// DualHP commits every placement: it has no spoliation mechanism, so
+/// (fault-free) any aborted run in the schedule is outside its rules. The
+/// other half of the rule, that no `Spoliation` event (a cross-class
+/// steal) appears, is checked per event by [`crate::StreamAuditor`].
+fn check_spoliation_free(schedule: &Schedule, opts: &AuditOptions, report: &mut AuditReport) {
     report.checks += 1;
-    for (i, e) in events.iter().enumerate() {
-        if let SchedEvent::Spoliation { time, task, victim, thief, .. } = *e {
-            report.violations.push(Violation {
-                rule: Rule::DualHpSpoliationFree,
-                event_index: Some(i),
-                time: Some(time),
-                worker: Some(thief),
-                message: format!(
-                    "DualHP trace contains a cross-class steal: task {task} taken from \
-                     worker {victim}"
-                ),
-            });
-        }
-    }
     // Under a fault plan aborts legitimately come from failures and crashes;
     // fault-free, DualHP aborts nothing.
     if !opts.faulty && !schedule.aborted.is_empty() {
@@ -241,6 +222,7 @@ mod tests {
     use super::*;
     use crate::audit;
     use heteroprio_core::{TaskId, TaskRun, WorkerId};
+    use heteroprio_trace::SchedEvent;
 
     fn split_instance() -> Instance {
         Instance::from_times(&[(10.0, 1.0), (1.0, 10.0), (3.0, 3.0), (6.0, 2.0)])

@@ -1,19 +1,14 @@
-//! Online auditing: the same invariant rules as [`crate::audit`], checked
-//! *while a run executes* instead of post-hoc.
+//! The auditor: the paper's invariant rules, checked event by event as a
+//! stream is fed in. [`crate::audit`] is this auditor fed a recorded slice.
 //!
-//! [`StreamAuditor`] implements
-//! [`TraceSink`], so it plugs directly into any
+//! [`StreamAuditor`] implements [`TraceSink`], so it plugs directly into any
 //! traced entry point — `heteroprio_traced`, `simulate_traced`,
 //! `Runtime::run`, or the shared event kernel they all sit on — and checks
 //! each event as the engine emits it. Violations are recorded with the
 //! offending event index the moment they happen; [`StreamAuditor::violations`]
 //! exposes them mid-run, and [`StreamAuditor::finish`] closes the books
 //! against the final [`Schedule`] (well-formedness, abort reconciliation and
-//! the certificates need the complete run) and returns the same
-//! [`AuditReport`] a batch audit of the recorded stream would.
-//!
-//! This resolves the ROADMAP item on making the auditor *streaming*: the
-//! rules fire at the offending event during the run, not after it.
+//! the certificates need the complete run) and returns the [`AuditReport`].
 
 use crate::auditor::{
     check_approx_ratio, check_area_bound, check_well_formed, AuditOptions, Replay,
@@ -77,42 +72,41 @@ impl<'a> StreamAuditor<'a> {
     /// Close the books against the completed run's [`Schedule`]: abort
     /// reconciliation, well-formedness, the DualHP rules (when enabled) and
     /// the certificate checks — everything that needs the whole run. The
-    /// returned report contains the streamed violations too, in the same
-    /// section order as a batch [`crate::audit`] of the recorded stream.
+    /// returned report contains the streamed violations too, after the
+    /// well-formedness findings and before the DualHP and certificate ones.
     pub fn finish(mut self, schedule: &Schedule) -> AuditReport {
         let mut report = AuditReport { events: self.streamed.events, ..AuditReport::default() };
         check_well_formed(self.instance, self.platform, schedule, &self.opts, &mut report);
         let queue_rules =
             [Rule::NoIdleWithReadyWork, Rule::PopOrderConsistency, Rule::SpoliationLegality];
-        if !self.opts.heteroprio {
-            for rule in queue_rules {
-                report.skipped.push((rule, "policy under audit is not HeteroPrio".into()));
-            }
+        let skip = if !self.opts.heteroprio {
+            Some("policy under audit is not HeteroPrio")
         } else if !self.saw_ready {
+            Some("trace has no queue events (reconstructed from schedule)")
+        } else {
+            None
+        };
+        if let Some(reason) = skip {
             for rule in queue_rules {
-                report
-                    .skipped
-                    .push((rule, "trace has no queue events (reconstructed from schedule)".into()));
+                report.skipped.push((rule, reason.into()));
             }
+            // Whatever the queue replay found in a stream it cannot judge
+            // does not count; the per-event DualHP steal rule still does.
+            self.streamed.checks = 0;
+            self.streamed.violations.retain(|v| v.rule == Rule::DualHpSpoliationFree);
         } else {
             self.replay.reconcile_aborts(schedule, &mut self.streamed);
-            report.checks += self.streamed.checks;
-            self.streamed.checks = 0;
-            report.violations.append(&mut self.streamed.violations);
         }
+        report.checks += self.streamed.checks;
+        report.violations.append(&mut self.streamed.violations);
         if self.opts.dualhp {
-            // The steal rule already fired per event; re-check the
-            // schedule-level half plus the partition structure.
             crate::dualhp_rules::check_dualhp(
                 self.instance,
                 self.platform,
                 schedule,
-                &[],
                 &self.opts,
                 &mut report,
             );
-            report.checks += self.streamed.checks;
-            report.violations.append(&mut self.streamed.violations);
         }
         check_area_bound(self.instance, self.platform, &mut report);
         check_approx_ratio(self.instance, self.platform, schedule, &self.opts, &mut report);
@@ -150,7 +144,7 @@ impl TraceSink for StreamAuditor<'_> {
 mod tests {
     use super::*;
     use heteroprio_core::{heteroprio_traced, HeteroPrioConfig};
-    use heteroprio_trace::{QueueEnd, TeeSink, VecSink};
+    use heteroprio_trace::QueueEnd;
 
     fn fig1_instance() -> Instance {
         Instance::from_times(&[
@@ -161,28 +155,6 @@ mod tests {
             (3.0, 3.0),
             (6.0, 1.5),
         ])
-    }
-
-    #[test]
-    fn clean_run_streams_clean_and_matches_batch_audit() {
-        let inst = fig1_instance();
-        let plat = Platform::new(2, 1);
-        let mut sink = VecSink::new();
-        let mut auditor = StreamAuditor::new(&inst, &plat, AuditOptions::independent());
-        let res = {
-            let mut both = TeeSink(&mut sink, &mut auditor);
-            heteroprio_traced(&inst, &plat, &HeteroPrioConfig::new(), &mut both)
-        };
-        assert!(auditor.is_clean_so_far());
-        let streamed = auditor.finish(&res.schedule);
-        assert!(streamed.is_clean(), "{}", streamed.render());
-        let batch =
-            crate::audit(&inst, &plat, &res.schedule, &sink.events, &AuditOptions::independent());
-        assert_eq!(streamed.violations, batch.violations);
-        assert_eq!(streamed.checks, batch.checks);
-        assert_eq!(streamed.events, batch.events);
-        assert_eq!(streamed.skipped, batch.skipped);
-        assert_eq!(streamed.certificate, batch.certificate);
     }
 
     /// A corrupted stream replayed *into* the auditor: the violation must be

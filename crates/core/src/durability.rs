@@ -25,7 +25,7 @@ use crate::model::{ClassId, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
 use heteroprio_metrics::{CounterId, HistogramId, MetricsRegistry, Stopwatch};
 use heteroprio_trace::journal::{crc32, Journal, JournalError};
-use heteroprio_trace::{json, JournalSink, SchedEvent, TeeSink, TraceSink};
+use heteroprio_trace::{json, JournalSink, OpenRuns, RunOutcome, SchedEvent, TeeSink, TraceSink};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -659,75 +659,29 @@ impl From<ResumeError> for String {
     }
 }
 
-/// Rebuild the [`Schedule`] encoded by a journaled event prefix.
+/// Rebuild the [`Schedule`] a recorded event stream encodes: the one
+/// definition, used to resume from a journaled prefix and to audit a trace
+/// that arrives without its schedule.
 ///
-/// Starts are tracked from `TaskStart` events rather than derived as
-/// `time − wasted_work` (a float round-trip that is not bit-exact), so the
-/// rebuilt intervals equal the crashed kernel's `schedule` field exactly.
-/// Push order is preserved: completions append to `runs` in
-/// `TaskComplete` order; spoliation victims, failed attempts, and runs
-/// lost to worker deaths append to `aborted` in event order — the same
-/// order the live kernel pushes them.
+/// Runs are paired by [`OpenRuns`], which takes each start from its
+/// `TaskStart` event, so the rebuilt intervals equal the kernel's
+/// `schedule` field bit for bit. Push order is preserved: completions
+/// append to `runs` in `TaskComplete` order; spoliation victims, failed
+/// attempts, and runs lost to worker deaths append to `aborted` in event
+/// order — the same order the live kernel pushes them.
 pub fn schedule_from_events(events: &[SchedEvent]) -> Schedule {
-    let mut open: Vec<Option<(u32, f64)>> = Vec::new();
-    let slot = |w: u32, open: &mut Vec<Option<(u32, f64)>>| {
-        if open.len() <= w as usize {
-            open.resize(w as usize + 1, None);
-        }
-        w as usize
-    };
+    let mut open = OpenRuns::new();
     let mut schedule = Schedule::new();
-    for e in events {
-        match *e {
-            SchedEvent::TaskStart { time, task, worker, .. } => {
-                let i = slot(worker, &mut open);
-                open[i] = Some((task, time));
-            }
-            SchedEvent::TaskComplete { time, worker, .. } => {
-                let i = slot(worker, &mut open);
-                if let Some((task, start)) = open[i].take() {
-                    schedule.runs.push(TaskRun {
-                        task: TaskId(task),
-                        worker: WorkerId(worker),
-                        start,
-                        end: time,
-                    });
-                }
-            }
-            SchedEvent::Spoliation { time, victim, .. } => {
-                let i = slot(victim, &mut open);
-                if let Some((task, start)) = open[i].take() {
-                    schedule.aborted.push(TaskRun {
-                        task: TaskId(task),
-                        worker: WorkerId(victim),
-                        start,
-                        end: time,
-                    });
-                }
-            }
-            SchedEvent::TaskFailed { time, worker, .. } => {
-                let i = slot(worker, &mut open);
-                if let Some((task, start)) = open[i].take() {
-                    schedule.aborted.push(TaskRun {
-                        task: TaskId(task),
-                        worker: WorkerId(worker),
-                        start,
-                        end: time,
-                    });
-                }
-            }
-            SchedEvent::WorkerDown { time, worker, lost_task: Some(_), .. } => {
-                let i = slot(worker, &mut open);
-                if let Some((task, start)) = open[i].take() {
-                    schedule.aborted.push(TaskRun {
-                        task: TaskId(task),
-                        worker: WorkerId(worker),
-                        start,
-                        end: time,
-                    });
-                }
-            }
-            _ => {}
+    for run in events.iter().filter_map(|e| open.step(e)) {
+        let r = TaskRun {
+            task: TaskId(run.task),
+            worker: WorkerId(run.worker),
+            start: run.start,
+            end: run.end,
+        };
+        match run.outcome {
+            RunOutcome::Completed => schedule.runs.push(r),
+            _ => schedule.aborted.push(r),
         }
     }
     schedule

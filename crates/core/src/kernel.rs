@@ -408,33 +408,19 @@ pub trait Workload {
         None
     }
 
-    /// Consume every arrival due at or before `now`, in announcement order.
-    fn arrivals_due(&mut self, now: f64) -> Vec<TaskId> {
-        let _ = now;
-        Vec::new()
+    /// Consume every arrival due at or before `now`: append them to `out`
+    /// (handed over empty) in announcement order. The kernel's loop passes
+    /// a pooled buffer, so a workload with arrivals allocates nothing per
+    /// event.
+    fn arrivals_due(&mut self, now: f64, out: &mut Vec<TaskId>) {
+        let _ = (now, out);
     }
 
-    /// Allocation-free variant of [`Workload::arrivals_due`]: append the
-    /// due arrivals to `out` (handed over empty). The kernel's steady-state
-    /// loop calls this with a pooled buffer; workloads with arrivals should
-    /// override it to avoid a `Vec` per event, the default delegates.
-    fn arrivals_due_into(&mut self, now: f64, out: &mut Vec<TaskId>) {
-        out.extend(self.arrivals_due(now));
-    }
-
-    /// `task` completed; return the tasks this makes ready (dependency
-    /// release for DAG workloads, empty otherwise).
-    fn on_complete(&mut self, task: TaskId) -> Vec<TaskId> {
-        let _ = task;
-        Vec::new()
-    }
-
-    /// Allocation-free variant of [`Workload::on_complete`]: append the
-    /// released tasks to `out` (handed over empty). Called once per
-    /// completion on the hot path; workloads that release successors
-    /// should override it, the default delegates.
-    fn on_complete_into(&mut self, task: TaskId, out: &mut Vec<TaskId>) {
-        out.extend(self.on_complete(task));
+    /// `task` completed: append the tasks this makes ready to `out` (handed
+    /// over empty) — dependency release for DAG workloads, nothing
+    /// otherwise. Called once per completion with a pooled buffer.
+    fn on_complete(&mut self, task: TaskId, out: &mut Vec<TaskId>) {
+        let _ = (task, out);
     }
 
     /// Duration the kernel charges for `task` on class `class`. `ran_kind`
@@ -1100,7 +1086,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         self.idle.push(w);
         let mut released = std::mem::take(&mut self.scratch.released);
         debug_assert!(released.is_empty());
-        workload.on_complete_into(r.task, &mut released);
+        workload.on_complete(r.task, &mut released);
         self.announce_ready(policy, &released, now);
         released.clear();
         self.scratch.released = released;
@@ -1307,7 +1293,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             // workers are offered work.
             let mut due = std::mem::take(&mut self.scratch.due);
             debug_assert!(due.is_empty());
-            workload.arrivals_due_into(now, &mut due);
+            workload.arrivals_due(now, &mut due);
             self.announce_ready(policy, &due, now);
             due.clear();
             self.scratch.due = due;
@@ -1452,9 +1438,11 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         // `now`, and the dependency releases of each completed task (in
         // completion order, read off the rebuilt schedule).
         let _ = workload.initial();
-        let _ = workload.arrivals_due(snap.now);
+        let mut scratch = Vec::new();
+        workload.arrivals_due(snap.now, &mut scratch);
         for run in &self.schedule.runs {
-            let _ = workload.on_complete(run.task);
+            scratch.clear();
+            workload.on_complete(run.task, &mut scratch);
         }
         restore(policy, &snap.ready, &self.context(snap.now));
         Ok(())

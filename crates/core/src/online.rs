@@ -95,22 +95,6 @@ impl<'a> ReleaseWorkload<'a> {
         });
         ReleaseWorkload { instance, releases, arrivals, next: 0 }
     }
-
-    fn admit_until(&mut self, now: f64) -> Vec<TaskId> {
-        let mut due = Vec::new();
-        self.admit_until_into(now, &mut due);
-        due
-    }
-
-    fn admit_until_into(&mut self, now: f64, out: &mut Vec<TaskId>) {
-        while let Some(&t) = self.arrivals.get(self.next) {
-            if release_of(self.releases, t) > now {
-                break;
-            }
-            out.push(t);
-            self.next += 1;
-        }
-    }
 }
 
 impl Workload for ReleaseWorkload<'_> {
@@ -119,21 +103,23 @@ impl Workload for ReleaseWorkload<'_> {
     }
 
     fn initial(&mut self) -> Vec<TaskId> {
-        self.admit_until(0.0)
+        let mut due = Vec::new();
+        self.arrivals_due(0.0, &mut due);
+        due
     }
 
     fn next_arrival(&self) -> Option<f64> {
         self.arrivals.get(self.next).map(|&t| release_of(self.releases, t))
     }
 
-    fn arrivals_due(&mut self, now: f64) -> Vec<TaskId> {
-        self.admit_until(now)
-    }
-
-    fn arrivals_due_into(&mut self, now: f64, out: &mut Vec<TaskId>) {
-        // Hot-path override: admissions append straight into the kernel's
-        // pooled buffer instead of allocating per event.
-        self.admit_until_into(now, out);
+    fn arrivals_due(&mut self, now: f64, out: &mut Vec<TaskId>) {
+        while let Some(&t) = self.arrivals.get(self.next) {
+            if release_of(self.releases, t) > now {
+                break;
+            }
+            out.push(t);
+            self.next += 1;
+        }
     }
 
     fn duration(&self, task: TaskId, class: ClassId, _ran_kind: &[Option<ClassId>]) -> f64 {

@@ -11,9 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use heteroprio_core::ResourceKind;
+use heteroprio_core::{schedule_from_events, ResourceKind};
 use heteroprio_experiments::{
-    ramp_up_time, ready_profile_from_events, trace_dag, utilization_profile_from_events, DAG_PAPER,
+    ramp_up_time, ready_profile_from_events, trace_dag, utilization_profile, DAG_PAPER,
 };
 use heteroprio_taskgraph::Factorization;
 use heteroprio_trace::VecSink;
@@ -29,8 +29,9 @@ fn main() {
         let sched = trace_dag(algo, &graph, &platform, &mut sink);
         let events = sink.into_events();
         let width = 56;
-        let cpu = utilization_profile_from_events(&events, &platform, ResourceKind::Cpu, width);
-        let gpu = utilization_profile_from_events(&events, &platform, ResourceKind::Gpu, width);
+        let rebuilt = schedule_from_events(&events);
+        let cpu = utilization_profile(&rebuilt, &platform, ResourceKind::Cpu, width);
+        let gpu = utilization_profile(&rebuilt, &platform, ResourceKind::Gpu, width);
         let ready = ready_profile_from_events(&events, width);
         let ramp = ramp_up_time(&sched, &platform, ResourceKind::Cpu, 0.5)
             .map_or("never".to_string(), |t| format!("{:.0}ms", t));

@@ -14,8 +14,7 @@
 //! | `fig1_example` | Figure 1 — an example HeteroPrio schedule (ASCII) |
 //! | `fig4_5` | Figures 4/5 — the Theorem 14 construction |
 //! | `fig6` | Figure 6 — independent tasks vs area bound |
-//! | `fig7` | Figure 7 — DAGs vs lower bound, 7 algorithms |
-//! | `fig8_9` | Figures 8/9 — equivalent acceleration factors & idle time |
+//! | `fig7` | Figures 7–9 — DAGs vs lower bound, 7 algorithms; equivalent acceleration factors & idle time of the same runs |
 //! | `complexity` | §1's "fast" claim — scheduler wall-clock cost |
 
 pub mod algorithms;
@@ -32,10 +31,7 @@ pub use figures::{fig6_series, fig7_series, AlgoOutcome, SweepPoint, DEFAULT_NS,
 pub use metrics::{alloc_stats, fmt_opt, AllocStats};
 pub use sweep::parallel_map;
 pub use table::{csv_flag, emit, TextTable};
-pub use timeline::{
-    ramp_up_time, ready_profile, ready_profile_from_events, utilization_profile,
-    utilization_profile_from_events, Profile,
-};
+pub use timeline::{ramp_up_time, ready_profile_from_events, utilization_profile, Profile};
 
 /// Tile counts from CLI args (any bare integers), or the given default.
 pub fn ns_from_args(default: &[usize]) -> Vec<usize> {

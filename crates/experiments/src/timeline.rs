@@ -3,15 +3,13 @@
 //! makes the Figure 9 story visible *over time*: DualHP's CPUs idle at the
 //! start of the schedule, HeteroPrio's don't.
 //!
-//! Profiles come in two flavours: the `*_from_events` functions consume the
-//! scheduler's live [`SchedEvent`] stream (the preferred path — the
-//! ready-queue depth there is the scheduler's actual queue, not a
-//! reconstruction), while the schedule-based functions remain for plain
-//! [`Schedule`] values with no trace attached.
+//! Utilization and ramp-up read a [`Schedule`]; for a recorded stream, pass
+//! the schedule `heteroprio_core::schedule_from_events` rebuilds from it.
+//! The ready-queue depth exists only in the [`SchedEvent`] stream, so
+//! [`ready_profile_from_events`] reads that.
 
 use heteroprio_core::time::F64Ord;
-use heteroprio_core::{Platform, ResourceKind, Schedule, WorkerId};
-use heteroprio_taskgraph::TaskGraph;
+use heteroprio_core::{Platform, ResourceKind, Schedule};
 use heteroprio_trace::{SchedEvent, TraceSummary};
 
 /// Piecewise-constant profile sampled at `samples` uniform points over
@@ -79,81 +77,8 @@ pub fn utilization_profile(
     Profile { times, values }
 }
 
-/// Number of *ready* tasks (all predecessors complete, not yet started) at
-/// each sample instant, reconstructed from the schedule and the graph.
-pub fn ready_profile(schedule: &Schedule, graph: &TaskGraph, samples: usize) -> Profile {
-    assert!(samples >= 1);
-    let horizon = schedule.makespan().max(1e-12);
-    let mut start_of = vec![f64::INFINITY; graph.len()];
-    let mut end_of = vec![f64::INFINITY; graph.len()];
-    // A spoliated task becomes "started" at its first (aborted) attempt.
-    for r in schedule.runs.iter().chain(&schedule.aborted) {
-        let i = r.task.index();
-        start_of[i] = start_of[i].min(r.start);
-    }
-    for r in &schedule.runs {
-        end_of[r.task.index()] = r.end;
-    }
-    let ready_at = |i: usize| -> f64 {
-        graph
-            .predecessors(heteroprio_core::TaskId(i as u32))
-            .iter()
-            .map(|p| end_of[p.index()])
-            .fold(0.0, f64::max)
-    };
-    let intervals: Vec<(f64, f64)> = (0..graph.len()).map(|i| (ready_at(i), start_of[i])).collect();
-    let times: Vec<f64> =
-        (0..samples).map(|i| horizon * (i as f64 + 0.5) / samples as f64).collect();
-    let values = times
-        .iter()
-        .map(|&t| intervals.iter().filter(|&&(r, s)| r <= t && t < s).count() as f64)
-        .collect();
-    Profile { times, values }
-}
-
-/// [`utilization_profile`] computed from an event stream: a worker counts
-/// as busy between `TaskStart` and the matching `TaskComplete` or
-/// `Spoliation` (aborted work is still occupied time).
-pub fn utilization_profile_from_events(
-    events: &[SchedEvent],
-    platform: &Platform,
-    kind: ResourceKind,
-    samples: usize,
-) -> Profile {
-    assert!(samples >= 1);
-    let mut open: Vec<Option<f64>> = vec![None; platform.workers()];
-    let mut intervals: Vec<(f64, f64)> = Vec::new();
-    let mut horizon = 0.0f64;
-    for e in events {
-        horizon = horizon.max(e.time());
-        let (worker, time, is_start) = match *e {
-            SchedEvent::TaskStart { time, worker, .. } => (worker, time, true),
-            SchedEvent::TaskComplete { time, worker, .. } => (worker, time, false),
-            SchedEvent::Spoliation { time, victim, .. } => (victim, time, false),
-            _ => continue,
-        };
-        let w = worker as usize;
-        if is_start {
-            open[w] = Some(time);
-        } else if let Some(start) = open[w].take() {
-            if platform.kind_of(WorkerId(worker)) == kind {
-                intervals.push((start, time));
-            }
-        }
-    }
-    let horizon = horizon.max(1e-12);
-    let count = platform.count(kind) as f64;
-    let times: Vec<f64> =
-        (0..samples).map(|i| horizon * (i as f64 + 0.5) / samples as f64).collect();
-    let values = times
-        .iter()
-        .map(|&t| intervals.iter().filter(|&&(s, e)| s <= t && t < e).count() as f64 / count)
-        .collect();
-    Profile { times, values }
-}
-
 /// Ready-queue depth over time from an event stream — the scheduler's own
-/// queue, not a reconstruction (cf. [`ready_profile`]).
+/// queue, which a finished schedule alone cannot show.
 pub fn ready_profile_from_events(events: &[SchedEvent], samples: usize) -> Profile {
     assert!(samples >= 1);
     let summary = TraceSummary::from_events(0, events);
@@ -203,7 +128,7 @@ pub fn ramp_up_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heteroprio_core::{Instance, TaskId, TaskRun, WorkerId};
+    use heteroprio_core::{TaskId, TaskRun, WorkerId};
 
     fn two_phase_schedule() -> (Schedule, Platform) {
         // CPU idle for the first half, busy the second; GPU busy throughout.
@@ -245,25 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn event_profile_matches_schedule_profile() {
-        use crate::{trace_dag, Scheduler};
-        use heteroprio_taskgraph::WeightScheme;
-        use heteroprio_taskgraph::{cholesky, ConstTiming};
-        let g = cholesky(5, &ConstTiming { cpu: 3.0, gpu: 1.0 });
-        let plat = Platform::new(3, 2);
-        let mut sink = heteroprio_trace::VecSink::new();
-        let sched = trace_dag(Scheduler::HeteroPrio(WeightScheme::Min), &g, &plat, &mut sink);
-        let events = sink.into_events();
-        for kind in ResourceKind::BOTH {
-            let from_sched = utilization_profile(&sched, &plat, kind, 16);
-            let from_events = utilization_profile_from_events(&events, &plat, kind, 16);
-            for (a, b) in from_sched.values.iter().zip(&from_events.values) {
-                assert!((a - b).abs() < 1e-9, "{kind}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn ready_profile_from_events_sees_the_queue() {
         use heteroprio_trace::SchedEvent as E;
         // Two tasks ready at 0; one starts at 0, the other at 2; horizon 4.
@@ -278,28 +184,5 @@ mod tests {
         let p = ready_profile_from_events(&events, 4);
         // Depth 1 on [0,2), 0 afterwards.
         assert_eq!(p.values, vec![1.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn ready_profile_counts_waiting_tasks() {
-        use heteroprio_taskgraph::DagBuilder;
-        // a → b, but b starts late on purpose: it is "ready" in between.
-        let mut builder = DagBuilder::new();
-        let a = builder.add_task(heteroprio_core::Task::new(2.0, 2.0), "a");
-        let b = builder.add_task(heteroprio_core::Task::new(2.0, 2.0), "b");
-        builder.add_edge(a, b);
-        let g = builder.build().unwrap();
-        let sched = Schedule {
-            runs: vec![
-                TaskRun { task: a, worker: WorkerId(0), start: 0.0, end: 2.0 },
-                TaskRun { task: b, worker: WorkerId(0), start: 6.0, end: 8.0 },
-            ],
-            aborted: vec![],
-        };
-        let profile = ready_profile(&sched, &g, 8);
-        // b is ready-but-unstarted on [2, 6) — half the horizon.
-        let waiting: f64 = profile.values.iter().sum::<f64>() / 8.0;
-        assert!((waiting - 0.5).abs() < 0.1, "{waiting}");
-        let _ = Instance::new();
     }
 }

@@ -52,10 +52,11 @@
 //!   depends on; route the bytes through `FileJournal` /
 //!   `FileCheckpointStore` instead.
 //! * `schedule-mut` — mutating calls on a `.runs` / `.aborted` field outside
-//!   `crates/core`. The kernel owns `Schedule` construction; everything else
-//!   receives one and must treat it as sealed. Reconstruction paths (e.g.
-//!   rebuilding a schedule from a recorded trace) allow-list each site with
-//!   the reason.
+//!   `crates/core`. The kernel owns `Schedule` construction, and the one
+//!   rebuild of a schedule from a recorded trace
+//!   (`core::schedule_from_events`) lives in core too; everything else
+//!   receives a schedule and must treat it as sealed. A site that truly
+//!   needs an exception allow-lists itself with the reason.
 //! * `hardcoded-class` — a `Cpu` / `Gpu` identifier outside
 //!   `core/src/model/compat.rs`. The class model is runtime-sized
 //!   (`ClassId` / `ClassTable`); `compat::ResourceKind` is the one module

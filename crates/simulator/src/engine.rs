@@ -191,13 +191,7 @@ impl Workload for DagWorkload<'_> {
         self.graph.sources()
     }
 
-    fn on_complete(&mut self, task: TaskId) -> Vec<TaskId> {
-        self.tracker.complete(self.graph, task)
-    }
-
-    fn on_complete_into(&mut self, task: TaskId, out: &mut Vec<TaskId>) {
-        // Hot-path override: dependency release appends straight into the
-        // kernel's pooled buffer instead of allocating per completion.
+    fn on_complete(&mut self, task: TaskId, out: &mut Vec<TaskId>) {
         self.tracker.complete_into(self.graph, task, out);
     }
 

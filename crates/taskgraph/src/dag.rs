@@ -283,16 +283,9 @@ impl ReadyTracker {
         graph.sources()
     }
 
-    /// Record completion of `task`; returns the tasks that just became ready.
-    pub fn complete(&mut self, graph: &TaskGraph, task: TaskId) -> Vec<TaskId> {
-        let mut ready = Vec::new();
-        self.complete_into(graph, task, &mut ready);
-        ready
-    }
-
-    /// Allocation-free variant of [`ReadyTracker::complete`]: appends the
-    /// newly-ready tasks to `out`. The simulator's kernel workload calls
-    /// this once per completion with a pooled buffer.
+    /// Record completion of `task`: append the tasks that just became ready
+    /// to `out`. The simulator's kernel workload calls this once per
+    /// completion with a pooled buffer.
     pub fn complete_into(&mut self, graph: &TaskGraph, task: TaskId, out: &mut Vec<TaskId>) {
         self.remaining -= 1;
         for &s in graph.successors(task) {
@@ -419,12 +412,16 @@ mod tests {
         let mut rt = ReadyTracker::new(&g);
         assert_eq!(rt.initial_ready(&g), vec![TaskId(0)]);
         assert_eq!(rt.remaining(), 4);
-        let mut next = rt.complete(&g, TaskId(0));
-        next.sort();
-        assert_eq!(next, vec![TaskId(1), TaskId(2)]);
-        assert!(rt.complete(&g, TaskId(1)).is_empty());
-        assert_eq!(rt.complete(&g, TaskId(2)), vec![TaskId(3)]);
-        assert!(rt.complete(&g, TaskId(3)).is_empty());
+        let mut complete = |t| {
+            let mut ready = Vec::new();
+            rt.complete_into(&g, t, &mut ready);
+            ready.sort();
+            ready
+        };
+        assert_eq!(complete(TaskId(0)), vec![TaskId(1), TaskId(2)]);
+        assert!(complete(TaskId(1)).is_empty());
+        assert_eq!(complete(TaskId(2)), vec![TaskId(3)]);
+        assert!(complete(TaskId(3)).is_empty());
         assert!(rt.is_done());
     }
 

@@ -3,15 +3,17 @@
 //! Produces the JSON object format understood by Perfetto
 //! (<https://ui.perfetto.dev>) and chrome://tracing: one track (`tid`) per
 //! worker, one complete (`"ph":"X"`) slice per task run — category
-//! `"aborted"` for the spoliated portion of a run — and one instant
-//! (`"ph":"i"`) marker per spoliation on the victim's track.
+//! `"aborted"` for the spoliated portion of a run, `"failed"` and `"lost"`
+//! for attempts cut short by a task failure or a worker death (runs are
+//! paired by [`OpenRuns`]) — and one instant (`"ph":"i"`) marker per
+//! spoliation, failure and worker transition.
 //!
 //! Simulated time is unitless; the exporter maps 1 simulated time unit to
 //! 1 ms (Chrome `ts`/`dur` are in µs), which puts the paper's Table-1
 //! millisecond kernel timings on a natural scale.
 
 use crate::json::escape;
-use crate::SchedEvent;
+use crate::{OpenRuns, RunOutcome, SchedEvent};
 
 /// Naming for tracks and slices. Ids beyond the provided names fall back
 /// to `worker N` / `TN`.
@@ -66,39 +68,26 @@ pub fn chrome_trace(events: &[SchedEvent], opts: &ChromeTraceOptions) -> String 
         ));
     }
 
-    // Open run per worker: (task, start time).
-    let max_worker = workers.last().map_or(0, |&w| w as usize + 1);
-    let mut open: Vec<Option<(u32, f64)>> = vec![None; max_worker];
+    let mut open = OpenRuns::new();
     for e in events {
+        if let Some(run) = open.step(e) {
+            let (suffix, cat) = match run.outcome {
+                RunOutcome::Completed => ("", "task"),
+                RunOutcome::Spoliated => (" (aborted)", "aborted"),
+                RunOutcome::Failed => (" (failed)", "failed"),
+                RunOutcome::Lost => (" (lost)", "lost"),
+            };
+            entries.push(complete_slice(
+                &format!("{}{suffix}", opts.task_name(run.task)),
+                run.worker,
+                run.start,
+                run.end,
+                cat,
+                run.task,
+            ));
+        }
         match *e {
-            SchedEvent::TaskStart { time, task, worker, .. } => {
-                open[worker as usize] = Some((task, time));
-            }
-            SchedEvent::TaskComplete { time, task, worker } => {
-                if let Some((t, start)) = open[worker as usize].take() {
-                    debug_assert_eq!(t, task);
-                    entries.push(complete_slice(
-                        &opts.task_name(task),
-                        worker,
-                        start,
-                        time,
-                        "task",
-                        task,
-                    ));
-                }
-            }
             SchedEvent::Spoliation { time, task, victim, thief, wasted_work } => {
-                if let Some((t, start)) = open[victim as usize].take() {
-                    debug_assert_eq!(t, task);
-                    entries.push(complete_slice(
-                        &format!("{} (aborted)", opts.task_name(task)),
-                        victim,
-                        start,
-                        time,
-                        "aborted",
-                        task,
-                    ));
-                }
                 entries.push(format!(
                     concat!(
                         r#"{{"ph":"i","pid":1,"tid":{victim},"ts":{ts},"s":"t","#,
@@ -114,17 +103,6 @@ pub fn chrome_trace(events: &[SchedEvent], opts: &ChromeTraceOptions) -> String 
                 ));
             }
             SchedEvent::TaskFailed { time, task, worker, lost_work, attempt } => {
-                if let Some((t, start)) = open[worker as usize].take() {
-                    debug_assert_eq!(t, task);
-                    entries.push(complete_slice(
-                        &format!("{} (failed)", opts.task_name(task)),
-                        worker,
-                        start,
-                        time,
-                        "failed",
-                        task,
-                    ));
-                }
                 entries.push(format!(
                     concat!(
                         r#"{{"ph":"i","pid":1,"tid":{worker},"ts":{ts},"s":"t","#,
@@ -139,18 +117,7 @@ pub fn chrome_trace(events: &[SchedEvent], opts: &ChromeTraceOptions) -> String 
                     attempt = attempt,
                 ));
             }
-            SchedEvent::WorkerDown { time, worker, lost_task, permanent } => {
-                if let Some((t, start)) = open[worker as usize].take() {
-                    debug_assert_eq!(Some(t), lost_task);
-                    entries.push(complete_slice(
-                        &format!("{} (lost)", opts.task_name(t)),
-                        worker,
-                        start,
-                        time,
-                        "lost",
-                        t,
-                    ));
-                }
+            SchedEvent::WorkerDown { time, worker, permanent, .. } => {
                 entries.push(format!(
                     concat!(
                         r#"{{"ph":"i","pid":1,"tid":{worker},"ts":{ts},"s":"t","#,

@@ -117,6 +117,91 @@ impl SchedEvent {
     }
 }
 
+/// How a worker's run ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// `TaskComplete`: the task finished.
+    Completed,
+    /// `Spoliation`: a worker of another class took the task over.
+    Spoliated,
+    /// `TaskFailed`: the attempt failed mid-run.
+    Failed,
+    /// `WorkerDown { lost_task }`: the worker died under the task.
+    Lost,
+}
+
+/// One run on one worker, from its `TaskStart` to the event that closed it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ClosedRun {
+    pub task: u32,
+    pub worker: u32,
+    pub start: f64,
+    pub end: f64,
+    pub outcome: RunOutcome,
+}
+
+/// Pairs each worker's `TaskStart` with the event that closes the run:
+/// `TaskComplete`, `Spoliation` (on the victim), `TaskFailed` or
+/// `WorkerDown { lost_task: Some(_) }`.
+///
+/// The start is the `TaskStart` time, never rebuilt as `time − wasted_work`
+/// or `time − lost_work` (a float round trip that is not bit-exact). A
+/// closing event whose task is not the worker's open run (a tampered or
+/// truncated stream) closes a zero-length run of its own task at its own
+/// time and leaves the open run alone, so a schedule rebuilt from the
+/// stream carries the mismatch for its well-formedness checks to find.
+#[derive(Clone, Debug, Default)]
+pub struct OpenRuns {
+    /// `(task, start)` of the run open on each worker, grown on demand.
+    open: Vec<Option<(u32, f64)>>,
+}
+
+impl OpenRuns {
+    pub fn new() -> Self {
+        OpenRuns::default()
+    }
+
+    /// Feed one event; returns the run it closes, if any.
+    pub fn step(&mut self, e: &SchedEvent) -> Option<ClosedRun> {
+        let (time, task, worker, outcome) = match *e {
+            SchedEvent::TaskStart { time, task, worker, .. } => {
+                *self.slot(worker) = Some((task, time));
+                return None;
+            }
+            SchedEvent::TaskComplete { time, task, worker } => {
+                (time, task, worker, RunOutcome::Completed)
+            }
+            SchedEvent::Spoliation { time, task, victim, .. } => {
+                (time, task, victim, RunOutcome::Spoliated)
+            }
+            SchedEvent::TaskFailed { time, task, worker, .. } => {
+                (time, task, worker, RunOutcome::Failed)
+            }
+            SchedEvent::WorkerDown { time, worker, lost_task: Some(task), .. } => {
+                (time, task, worker, RunOutcome::Lost)
+            }
+            _ => return None,
+        };
+        let slot = self.slot(worker);
+        let start = match *slot {
+            Some((open, start)) if open == task => {
+                *slot = None;
+                start
+            }
+            _ => time,
+        };
+        Some(ClosedRun { task, worker, start, end: time, outcome })
+    }
+
+    fn slot(&mut self, worker: u32) -> &mut Option<(u32, f64)> {
+        let w = worker as usize;
+        if self.open.len() <= w {
+            self.open.resize(w + 1, None);
+        }
+        &mut self.open[w]
+    }
+}
+
 /// Sort events by (time, [`SchedEvent::order_rank`]), preserving emission
 /// order within ties. Live instrumentation already emits causally; this is
 /// for event lists reconstructed from a finished schedule.
@@ -147,4 +232,42 @@ pub(crate) fn every_shape(time: f64, x: f64, id: u32) -> Vec<SchedEvent> {
         SchedEvent::TaskFailed { time, task: id, worker: id, lost_work: x, attempt: id },
         SchedEvent::TaskRetry { time, task: id, attempt: id, delay: x },
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn open_runs_pair_starts_with_their_closing_events() {
+        let mut open = OpenRuns::new();
+        let closed: Vec<ClosedRun> = [
+            SchedEvent::TaskStart { time: 0.0, task: 0, worker: 1, expected_end: 10.0 },
+            SchedEvent::TaskStart { time: 0.1, task: 1, worker: 0, expected_end: 7.0 },
+            SchedEvent::TaskFailed { time: 2.0, task: 1, worker: 0, lost_work: 1.9, attempt: 1 },
+            SchedEvent::Spoliation { time: 3.0, task: 0, victim: 1, thief: 2, wasted_work: 3.0 },
+            SchedEvent::TaskStart { time: 3.0, task: 0, worker: 2, expected_end: 4.0 },
+            // Not worker 2's open run: a zero-length run of task 5.
+            SchedEvent::TaskComplete { time: 3.5, task: 5, worker: 2 },
+            SchedEvent::TaskComplete { time: 4.0, task: 0, worker: 2 },
+            SchedEvent::TaskStart { time: 4.0, task: 3, worker: 0, expected_end: 9.0 },
+            SchedEvent::WorkerDown { time: 5.0, worker: 0, lost_task: Some(3), permanent: true },
+        ]
+        .iter()
+        .filter_map(|e| open.step(e))
+        .collect();
+        let run =
+            |task, worker, start, end, outcome| ClosedRun { task, worker, start, end, outcome };
+        assert_eq!(
+            closed,
+            vec![
+                // The start is the TaskStart's, not 2.0 − 1.9.
+                run(1, 0, 0.1, 2.0, RunOutcome::Failed),
+                run(0, 1, 0.0, 3.0, RunOutcome::Spoliated),
+                run(5, 2, 3.5, 3.5, RunOutcome::Completed),
+                run(0, 2, 3.0, 4.0, RunOutcome::Completed),
+                run(3, 0, 4.0, 5.0, RunOutcome::Lost),
+            ]
+        );
+    }
 }

@@ -36,7 +36,7 @@ mod sink;
 mod summary;
 
 pub use chrome::{chrome_trace, ChromeTraceOptions};
-pub use event::{sort_causal, Decision, QueueEnd, SchedEvent};
+pub use event::{sort_causal, ClosedRun, Decision, OpenRuns, QueueEnd, RunOutcome, SchedEvent};
 pub use journal::{
     DamageKind, FileJournal, Journal, JournalDamage, JournalError, JournalSink, MemJournal,
     SyncPolicy,

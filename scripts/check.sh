@@ -32,10 +32,11 @@ cargo run -q --release -p heteroprio-cli -- perf --smoke --against BENCH_kernel.
 echo "== scheduler-cost smoke (wall-clock times, so printed, not diffed)"
 cargo run -q --release -p heteroprio-experiments --bin complexity 100 1000
 
-echo "== committed results: the fast deterministic experiment binaries reproduce results/"
-# fig6, fig7, fig8_9 and heuristics_comparison take seconds to minutes, and
-# complexity.txt records wall-clock timings, so they are not re-run here.
-for bin in table1 table2 fig1_example fig4_5 timeline robustness faults; do
+echo "== committed results: the deterministic experiment binaries reproduce results/"
+# fig7 (Figures 7-9) takes minutes and complexity.txt records wall-clock
+# timings, so those two are not re-run here; every other binary is.
+for bin in table1 table2 fig1_example fig4_5 fig6 heuristics_comparison timeline robustness \
+    faults; do
     cargo run -q --release -p heteroprio-experiments --bin "$bin" | diff -u "results/$bin.txt" - \
         || { echo "results/$bin.txt is stale: regenerate it (see results/README.md)"; exit 1; }
 done

@@ -1,14 +1,19 @@
-//! Golden pins of everything derived by replaying a recorded event stream:
-//! the audit report (clean runs of each engine, a static DualHP packing,
-//! and tampered streams that must fire their rule) and the Chrome trace
-//! (spoliated, failed and lost slices). Each pin is the 64-bit FNV-1a of
-//! the rendered text, so any change to a violation's order, index or
-//! message, a check count, or a slice's bits shows up here.
+//! Everything derived by replaying a recorded event stream. The schedule
+//! rebuilt from a stream is the kernel's own, bit for bit, on every engine
+//! and fault path. Golden pins hold the audit report (clean runs of each
+//! engine, a static DualHP packing, and tampered streams that must fire
+//! their rule) and the Chrome trace (spoliated, failed and lost slices):
+//! each pin is the 64-bit FNV-1a of the rendered text, so any change to a
+//! violation's order, index or message, a check count, or a slice's bits
+//! shows up here.
 
-use heteroprio::audit::{audit, AuditOptions, AuditReport};
-use heteroprio::core::kernel::{self, Run};
+use heteroprio::audit::{audit, schedule_from_events, AuditOptions, AuditReport};
+use heteroprio::core::kernel::{
+    self, FaultModel, KernelPolicy, RetryPolicy as Retry, Run, TimelineEvent, Workload,
+};
 use heteroprio::core::{
-    heteroprio_traced, HeteroPrioConfig, Instance, Platform, Schedule, TaskRun, WorkerId,
+    heteroprio_traced, independent, release_dates, HeteroPrioConfig, Instance, Platform, Schedule,
+    TaskRun, WorkerId,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{dualhp_independent, HeteroPrioDagPolicy};
@@ -18,6 +23,7 @@ use heteroprio::simulator::{
 use heteroprio::taskgraph::{apply_bottom_level_priorities, Factorization, WeightScheme};
 use heteroprio::trace::{chrome_trace, ChromeTraceOptions, QueueEnd, SchedEvent, VecSink};
 use heteroprio::workloads::ChameleonTiming;
+use proptest::prelude::*;
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -274,4 +280,142 @@ fn chrome_traces_match_golden_digests() {
     let doc = chrome_trace(&events, &ChromeTraceOptions::default());
     assert!(doc.contains("\"cat\":\"failed\"") && doc.contains("\"cat\":\"lost\""));
     assert_eq!(fnv1a(doc.as_bytes()), 0xb196_269c_0df3_db60, "faulty DAG stream");
+}
+
+/// A run's completed and aborted intervals as exact bits, in push order.
+fn bits(runs: &[TaskRun]) -> Vec<(u32, u32, u64, u64)> {
+    runs.iter().map(|r| (r.task.0, r.worker.0, r.start.to_bits(), r.end.to_bits())).collect()
+}
+
+fn kernel_traced<W: Workload, P: KernelPolicy>(
+    platform: &Platform,
+    workload: &mut W,
+    policy: &mut P,
+    faults: FaultModel,
+) -> Option<(Schedule, Vec<SchedEvent>)> {
+    let mut sink = VecSink::new();
+    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    // A plan may legitimately end the run early (every attempt of a task
+    // failed): there is no finished schedule to compare then.
+    let out = kernel::run(platform, workload, policy, spec).ok()?;
+    Some((out.schedule, sink.into_events()))
+}
+
+/// One kernel run for the rebuild property. `engine` picks the
+/// independent, release-dates or DAG engine; `shape` the task times; and
+/// `faults = (kind, at, down_for, prob, jitter, seed)` a fault plan: no
+/// worker fault, a transient one, or a transient plus a permanent one,
+/// with task failures (retried) at `prob` and execution jitter.
+fn engine_run(
+    engine: u32,
+    tasks: &[(u32, u32, u32)],
+    integer: bool,
+    platform: &Platform,
+    faults: (u32, f64, f64, f64, f64, u64),
+) -> Option<(Schedule, Vec<SchedEvent>)> {
+    let (kind, at, down_for, prob, jitter, seed) = faults;
+    let workers = platform.workers() as u32;
+    let mut timeline = Vec::new();
+    if kind >= 1 {
+        let w = seed as u32 % workers;
+        timeline.push(TimelineEvent { time: at, worker: w, up: false, permanent: false });
+        timeline.push(TimelineEvent { time: at + down_for, worker: w, up: true, permanent: false });
+    }
+    if kind >= 2 && workers > 1 {
+        let w = (seed as u32 + 1) % workers;
+        timeline.push(TimelineEvent { time: 0.5 * at, worker: w, up: false, permanent: true });
+    }
+    timeline.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.up.cmp(&b.up)));
+    let model = FaultModel {
+        timeline,
+        task_failure_prob: prob,
+        exec_jitter: jitter,
+        seed,
+        retry: Retry { max_attempts: 64, ..Retry::DEFAULT },
+    };
+    // Integer times with GPU-friendly tasks parked on long CPU runs make
+    // spoliations and shared completion instants; fractional times make
+    // starts that `time − lost_work` does not give back exactly.
+    let scale = if integer { 1.0 } else { 1.37 };
+    let times: Vec<(f64, f64)> = tasks
+        .iter()
+        .map(|&(p, q, spoil)| {
+            let p = if spoil < 2 { 30.0 + p as f64 * 2.0 } else { p as f64 };
+            (p * scale, q as f64 * scale)
+        })
+        .collect();
+    let instance = Instance::from_times(&times);
+    let config = HeteroPrioConfig::new();
+    match engine {
+        0 => {
+            let (mut workload, mut policy) = independent(&instance, platform, &config);
+            kernel_traced(platform, &mut workload, &mut policy, model)
+        }
+        1 => {
+            let releases: Vec<f64> =
+                tasks.iter().map(|&(_, _, r)| (r as f64 * 2.5 * scale).floor()).collect();
+            let (mut workload, mut policy) = release_dates(&instance, &releases, platform, &config);
+            kernel_traced(platform, &mut workload, &mut policy, model)
+        }
+        _ => {
+            let f = Factorization::ALL[tasks.len() % Factorization::ALL.len()];
+            let mut graph = f.generate(3 + tasks.len() % 4, &ChameleonTiming);
+            apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+            let mut policy = HeteroPrioDagPolicy::new(config);
+            let (mut workload, mut policy, _) =
+                dag(&graph, platform, &mut policy, &TransferModel::NONE, &FaultPlan::NONE)
+                    .expect("the empty plan is valid");
+            kernel_traced(platform, &mut workload, &mut policy, model)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    // The schedule rebuilt from a run's stream is the kernel's schedule:
+    // the same completed and aborted runs, bit for bit and in push order,
+    // on every engine under every fault path.
+    #[test]
+    fn rebuilt_schedule_is_the_kernels_schedule(
+        engine in 0u32..3,
+        tasks in prop::collection::vec((1u32..=8, 1u32..=8, 0u32..4), 1..=32),
+        integer in 0u32..2,
+        counts in (1usize..=4, 1usize..=2),
+        worker_fault in (0u32..3, 1.0f64..40.0, 1.0f64..30.0),
+        noise in (0u32..3, 0u32..2, 0u64..1_000_000),
+    ) {
+        let platform = Platform::new(counts.0, counts.1);
+        let (kind, at, down_for) = worker_fault;
+        let prob = [0.0, 0.1, 0.3][noise.0 as usize];
+        let jitter = [0.0, 0.2][noise.1 as usize];
+        let faults = (kind, at, down_for, prob, jitter, noise.2);
+        if let Some((schedule, events)) =
+            engine_run(engine, &tasks, integer == 1, &platform, faults)
+        {
+            let rebuilt = schedule_from_events(&events);
+            prop_assert_eq!(bits(&rebuilt.runs), bits(&schedule.runs));
+            prop_assert_eq!(bits(&rebuilt.aborted), bits(&schedule.aborted));
+        }
+    }
+}
+
+/// Guards the rebuild property against vacuity: its generator reaches
+/// spoliated, failed and lost runs on each engine.
+#[test]
+fn rebuild_property_reaches_every_abort_path() {
+    let tasks: Vec<(u32, u32, u32)> =
+        (0..24).map(|i| (1 + (i * 4) % 8, 1 + (i * 5) % 8, i % 4)).collect();
+    let platform = Platform::new(3, 2);
+    for engine in 0..3 {
+        let clean = engine_run(engine, &tasks, true, &platform, (0, 0.0, 0.0, 0.0, 0.0, 1));
+        let (_, events) = clean.expect("a fault-free run completes");
+        assert!(events.iter().any(|e| matches!(e, SchedEvent::Spoliation { .. })));
+        let faulty = engine_run(engine, &tasks, false, &platform, (2, 8.0, 10.0, 0.3, 0.2, 3));
+        let (_, events) = faulty.expect("the faulty run completes");
+        assert!(events.iter().any(|e| matches!(e, SchedEvent::TaskFailed { .. })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, SchedEvent::WorkerDown { lost_task: Some(_), .. })));
+    }
 }
