@@ -8,9 +8,7 @@
 //! shows up here.
 
 use heteroprio::audit::{audit, schedule_from_events, AuditOptions, AuditReport};
-use heteroprio::core::kernel::{
-    self, FaultModel, KernelPolicy, RetryPolicy as Retry, Run, TimelineEvent, Workload,
-};
+use heteroprio::core::kernel::{self, FaultModel, KernelPolicy, Run, TimelineEvent, Workload};
 use heteroprio::core::{
     heteroprio_traced, independent, release_dates, HeteroPrioConfig, Instance, Platform, Schedule,
     TaskRun, WorkerId,
@@ -331,7 +329,7 @@ fn engine_run(
         task_failure_prob: prob,
         exec_jitter: jitter,
         seed,
-        retry: Retry { max_attempts: 64, ..Retry::DEFAULT },
+        retry: RetryPolicy { max_attempts: 64, ..RetryPolicy::DEFAULT },
     };
     // Integer times with GPU-friendly tasks parked on long CPU runs make
     // spoliations and shared completion instants; fractional times make
