@@ -30,9 +30,9 @@ use crate::kernel::{
     Workload,
 };
 use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
-use crate::queue::{tie_key, ClassQueue, PopSide};
+use crate::queue::{queue_key, ClassQueue, PopSide};
 use crate::schedule::Schedule;
-use crate::time::{strictly_less, F64Ord};
+use crate::time::strictly_less;
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
 use heteroprio_trace::{NullSink, QueueEnd, TraceSink, TraceSummary};
 use std::collections::VecDeque;
@@ -143,8 +143,9 @@ impl From<KernelOutcome> for HeteroPrioResult {
 /// millions of times, and the two `accel_factor()` divisions per call used
 /// to dominate the build cost. Negating a float is an exact reversal of
 /// `total_cmp`'s order (the sign-bit flip mirrors the total order,
-/// including ±0.0), so sorting ascending by `F64Ord(-ρ)` is bit-identical
-/// to the old descending `ρ.total_cmp` comparator.
+/// including ±0.0), so sorting ascending by `−ρ` in `queue_key`'s
+/// integer image of that order is bit-identical to the old descending
+/// `ρ.total_cmp` comparator.
 pub fn sorted_queue(instance: &Instance, ids: &[TaskId], tie: QueueTieBreak) -> VecDeque<TaskId> {
     match tie {
         QueueTieBreak::InsertionOrder => {
@@ -152,12 +153,15 @@ pub fn sorted_queue(instance: &Instance, ids: &[TaskId], tie: QueueTieBreak) -> 
             // is part of the (total) key, so equal-ρ ties resolve to FIFO
             // under either sort algorithm — identical to the old stable
             // ρ-only comparator.
-            let mut keyed: Vec<(F64Ord, usize)> = ids
+            let mut keyed: Vec<((u64, u64), usize)> = ids
                 .iter()
                 .enumerate()
-                .map(|(pos, &id)| (F64Ord(-instance.task(id).accel_factor()), pos))
+                .map(|(pos, &id)| {
+                    let t = instance.task(id);
+                    (queue_key(tie, t.accel_factor(), t.priority), pos)
+                })
                 .collect();
-            sort_total(&mut keyed);
+            sort_total(&mut keyed, |&e| e);
             keyed
                 .into_iter()
                 .map(|(_, pos)| *ids.get(pos).expect("pos from enumerate over ids"))
@@ -169,34 +173,35 @@ pub fn sorted_queue(instance: &Instance, ids: &[TaskId], tie: QueueTieBreak) -> 
             // served to CPUs, holds the highest priority). Encoded in the
             // key: ascending -priority ≡ descending priority under
             // total_cmp, with TaskId as the final total tie-break.
-            let mut keyed: Vec<(F64Ord, F64Ord, TaskId)> = ids
+            let mut keyed: Vec<((u64, u64), TaskId)> = ids
                 .iter()
                 .map(|&id| {
                     let t = instance.task(id);
-                    let rho = t.accel_factor();
-                    (F64Ord(-rho), F64Ord(tie_key(QueueTieBreak::Priority, rho, t.priority)), id)
+                    (queue_key(tie, t.accel_factor(), t.priority), id)
                 })
                 .collect();
-            sort_total(&mut keyed);
-            keyed.into_iter().map(|(_, _, id)| id).collect()
+            sort_total(&mut keyed, |&e| e);
+            keyed.into_iter().map(|(_, id)| id).collect()
         }
     }
 }
 
-/// Sort by a total key, picking the algorithm from the input's run
-/// structure. Generated instances arrive as a handful of long already-
-/// sorted runs of identical tasks, which the stable merge sort detects
-/// and merges in near-linear time; disordered million-task queues are
-/// better served by the unstable pattern-defeating sort's smaller
-/// constants and lack of a merge buffer. The key is total, so both
-/// algorithms produce the same order — the dispatch is purely a
-/// performance choice and cannot perturb the schedule.
-fn sort_total<T: Ord>(keyed: &mut [T]) {
+/// Sort by `key`, picking the algorithm from the input's run structure.
+/// Generated instances arrive as a handful of long already-sorted runs of
+/// identical tasks, which the stable merge sort detects and merges in
+/// near-linear time; disordered million-task queues are better served by
+/// the unstable pattern-defeating sort's smaller constants and lack of a
+/// merge buffer. A total key gives both algorithms the same order, so the
+/// dispatch is purely a performance choice and cannot perturb the
+/// schedule. The queue's rank build passes a key that is not total
+/// (equal keys share a rank, so their order does not matter) to keep the
+/// task index out of the comparisons.
+pub(crate) fn sort_total<T, K: Ord>(keyed: &mut [T], key: impl Fn(&T) -> K) {
     const MAX_RUNS: usize = 32;
     let mut runs = 1usize;
     for w in keyed.windows(2) {
         let [a, b] = w else { unreachable!("windows(2) yields pairs") };
-        if b < a {
+        if key(b) < key(a) {
             runs += 1;
             if runs > MAX_RUNS {
                 break;
@@ -204,9 +209,9 @@ fn sort_total<T: Ord>(keyed: &mut [T]) {
         }
     }
     if runs <= MAX_RUNS {
-        keyed.sort();
+        keyed.sort_by_key(key);
     } else {
-        keyed.sort_unstable();
+        keyed.sort_unstable_by_key(key);
     }
 }
 
@@ -275,9 +280,8 @@ impl HeteroPrioState {
                 // alone, and the new task goes after its equal keys.
                 let key = |id: TaskId| {
                     let t = instance.task(id);
-                    let rho = t.accel_factor();
                     let id = (tie == QueueTieBreak::Priority).then_some(id);
-                    (F64Ord(-rho), F64Ord(tie_key(tie, rho, t.priority)), id)
+                    (queue_key(tie, t.accel_factor(), t.priority), id)
                 };
                 for &task in tasks {
                     let k = key(task);

@@ -9,66 +9,40 @@
 //! [`ClassQueue`] is the ready structure of `heteroprio::HeteroPrioState`,
 //! the one HeteroPrio policy state: the release-dates engine, the DAG-mode
 //! policy in `heteroprio-schedulers`, and the independent engine at
-//! `k ≥ 3` push into it. At `k = 2` it wraps the bucketed
-//! [`AffinityQueue`] below. The independent engine at `k = 2` keeps the
-//! deque one `sorted_queue` call builds instead, whose order this queue
-//! reproduces.
+//! `k ≥ 3` push into it. It keeps one rank-indexed [`AffinityQueue`] per
+//! class pair: at `k = 2` exactly one. The independent engine at `k = 2`
+//! keeps the deque one `sorted_queue` call builds instead, whose order
+//! this queue reproduces.
 //!
-//! # Bucketed representation
+//! # Rank-indexed representation
 //!
-//! The paper only ever consumes the queue from its two ends, so a full
-//! balanced-tree total order is more structure than Algorithm 1 needs.
-//! Keys are instead quantized into **log-spaced acceleration buckets** —
-//! one per octave of ρ, derived from the raw IEEE-754 exponent, which is
-//! monotone in ρ for the positive finite values construction guarantees.
-//! Each bucket is a [`VecDeque`] kept sorted by the *exact* key
-//! `(−ρ, tie, seq, id)`; an occupancy bitmap finds the extreme non-empty
-//! buckets in a few word scans. Pushes are an `O(1)` append whenever keys
-//! arrive in within-bucket order (the common case: ready batches arrive in
-//! ascending id/seq order and real workloads have few distinct ρ per
-//! octave); out-of-order keys take the **exact-ρ spill path**, an ordered
-//! insert that restores the sorted invariant. Pops take from the front of
-//! the first or the back of the last occupied bucket.
+//! The order is `(−ρ, tie, seq)`: the queue key `queue_key` first, push
+//! order among equal keys. The key of a task never changes, so the first
+//! push **ranks** every task of the instance once, by that key with
+//! `sort_total` (the sort `sorted_queue` uses): equal keys share a rank,
+//! and rank order is key order under `total_cmp`, so ±0.0 stay distinct.
+//! Each rank then holds a FIFO list of the queued tasks that carry it,
+//! and a 64-ary bitmap tree over the ranks marks the non-empty lists.
 //!
-//! Because every bucket is exactly sorted and bucket index is monotone in
-//! the key, the concatenation of buckets *is* the old `BTreeSet` total
+//! * **Push** appends the task to its rank's list and sets one bit (more
+//!   only when a whole word was empty): no key comparison at all.
+//! * **Pop** descends the bitmap tree, a `trailing_zeros` or
+//!   `leading_zeros` per level (3 levels for 262,144 ranks), and takes the
+//!   head of the first set rank for a GPU, the tail of the last for a CPU.
+//!
+//! The lists are circular and doubly linked through a node slab. Node `i`
+//! is task `i`'s own; a task pushed again while queued takes a spare node
+//! from a free list, so duplicate pushes keep their place in the order.
+//!
+//! Within a rank, list order is push order, and the ranks are the key
+//! order, so the concatenation of the lists *is* the old `BTreeSet` total
 //! order: pop and iteration order are bit-identical to the tree-based
 //! implementation (pinned by `matches_sorted_queue_on_static_sets` below,
 //! the `queue_parity` proptests, and the `kernel_parity` suite).
 
-use crate::heteroprio::QueueTieBreak;
+use crate::heteroprio::{sort_total, QueueTieBreak};
 use crate::model::{ClassId, Instance, ResourceKind, TaskId, MAX_CLASSES};
 use crate::time::F64Ord;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Key ordering: ascending = the GPU end of the queue.
-type Key = (F64Ord, F64Ord, u64, TaskId);
-
-/// One bucket per f64 exponent value: sign (always 0 for a valid ρ) plus
-/// the 11 exponent bits.
-const BUCKET_BITS: u32 = 12;
-/// Number of log-spaced buckets (covers every positive finite ρ).
-const BUCKET_COUNT: usize = 1 << BUCKET_BITS;
-/// Words in the occupancy bitmap.
-const OCC_WORDS: usize = BUCKET_COUNT / 64;
-
-/// Bucket index for an acceleration factor, **descending** in ρ so that
-/// ascending bucket order matches ascending key order (the GPU end first).
-///
-/// For positive finite floats the IEEE-754 bit pattern is monotone in the
-/// value, so the top `BUCKET_BITS` bits (sign + exponent) quantize ρ into
-/// log-spaced octaves without touching `log2` (whose libm rounding is not
-/// guaranteed monotone).
-#[inline]
-fn bucket_of(rho: f64) -> usize {
-    let bits = rho.to_bits();
-    let raw = (bits >> (64 - BUCKET_BITS)) as usize;
-    // lint: allow(unchecked-arith): raw is the top BUCKET_BITS bits, so
-    // raw <= BUCKET_COUNT - 1 by construction; const overflow is a
-    // compile error.
-    (BUCKET_COUNT - 1) - raw
-}
 
 /// The tie component of a queue key for a task of ratio `rho`: the
 /// priority, oriented so the highest priority sits closest to the end
@@ -89,18 +63,184 @@ pub(crate) fn tie_key(tie: QueueTieBreak, rho: f64, priority: f64) -> f64 {
     }
 }
 
+/// A task's place in the two-class ready order, before arrival order
+/// breaks ties: `(−ρ, tie)` under `total_cmp`, ascending from the GPU end,
+/// as [`F64Ord::total_bits`] integers so that sorts compare it cheaply.
+/// The one key definition of the static queue (`sorted_queue`) and the
+/// dynamic one.
+#[inline]
+pub(crate) fn queue_key(tie: QueueTieBreak, rho: f64, priority: f64) -> (u64, u64) {
+    (F64Ord(-rho).total_bits(), F64Ord(tie_key(tie, rho, priority)).total_bits())
+}
+
+/// "No node" and "no rank": the end of a list, an empty rank, a task that
+/// could not be ranked.
+const NIL: u32 = u32::MAX;
+
+/// The tasks of an instance ranked by their queue key for one class pair.
+struct Ranking {
+    /// Each task's rank, ascending from the pair's front; [`NIL`] for a
+    /// task without a positive finite ratio, so only a push of it fails.
+    rank: Vec<u32>,
+    /// Number of ranks.
+    count: usize,
+    /// Each rank's ratio, when asked for.
+    rho: Vec<f64>,
+}
+
+/// Rank every task of `instance` by its queue key over the ratio
+/// `ρ = t_a / t_b`, with `sort_total`. Equal keys share a rank; keys that
+/// differ only under `total_cmp` (±0.0) do not.
+fn rank_tasks(
+    instance: &Instance,
+    tie: QueueTieBreak,
+    (a, b): (ClassId, ClassId),
+    keep_rho: bool,
+) -> Ranking {
+    let mut keyed = Vec::with_capacity(instance.len());
+    keyed.extend(
+        (0u32..)
+            .zip(instance.tasks())
+            .filter_map(|(i, t)| Some((queue_key(tie, t.try_affinity(a, b).ok()?, t.priority), i))),
+    );
+    // One 128-bit compare sorts faster than the pair's two.
+    sort_total(&mut keyed, |&((hi, lo), _)| u128::from(hi) << 64 | u128::from(lo));
+    let mut rank = vec![NIL; instance.len()];
+    let mut rho = Vec::new();
+    // `ranks` is the number of distinct keys so far; the last is `ranks - 1`.
+    let mut ranks = 0u32;
+    let mut prev = None;
+    for (key, i) in keyed {
+        if prev != Some(key) {
+            prev = Some(key);
+            ranks = ranks.checked_add(1).expect("ranks fit u32");
+            if keep_rho {
+                rho.push(-F64Ord::from_total_bits(key.0).0);
+            }
+        }
+        *rank.get_mut(i as usize).expect("i enumerates the instance") = ranks - 1;
+    }
+    Ranking { rank, count: ranks as usize, rho }
+}
+
+/// The set of non-empty ranks: a 64-ary bitmap tree. `levels[0]` has one
+/// bit per rank; each word of a level has one bit in the level above, set
+/// iff the word is non-zero; the last level is one word.
+#[derive(Clone, Debug)]
+struct RankSet {
+    levels: Vec<Vec<u64>>,
+}
+
+impl RankSet {
+    fn new(ranks: usize) -> Self {
+        let mut levels = Vec::new();
+        let mut bits = ranks.max(1);
+        loop {
+            let words = bits.div_ceil(64);
+            levels.push(vec![0; words]);
+            if words == 1 {
+                return RankSet { levels };
+            }
+            bits = words;
+        }
+    }
+
+    fn insert(&mut self, rank: u32) {
+        let mut i = rank as usize;
+        for level in &mut self.levels {
+            let word = level.get_mut(i / 64).expect("rank < the ranked count");
+            let was_empty = *word == 0;
+            *word |= 1 << (i % 64);
+            if !was_empty {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    fn remove(&mut self, rank: u32) {
+        let mut i = rank as usize;
+        for level in &mut self.levels {
+            let word = level.get_mut(i / 64).expect("rank < the ranked count");
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    /// The lowest (`Front`) or highest (`Back`) set rank.
+    #[inline]
+    fn extreme(&self, side: PopSide) -> Option<u32> {
+        let mut i = 0usize;
+        for level in self.levels.iter().rev() {
+            let word = *level.get(i).expect("a set bit's word exists one level down");
+            if word == 0 {
+                return None;
+            }
+            let bit = match side {
+                PopSide::Front => word.trailing_zeros(),
+                PopSide::Back => 63 - word.leading_zeros(),
+            };
+            i = i * 64 + bit as usize;
+        }
+        Some(u32::try_from(i).expect("ranks fit u32"))
+    }
+
+    /// The set ranks, ascending.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..).zip(self.levels.first().into_iter().flatten()).flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// A node's neighbours in its rank's circular list; `prev == NIL` while
+/// the node is in no list.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+const UNLINKED: Link = Link { prev: NIL, next: NIL };
+
 /// A dynamic ready queue ordered by acceleration factor.
+///
+/// Order: `(−ρ, tie, push order)` from the GPU end, exactly the frozen
+/// `BTreeSet` queue's. A task pushed while already queued is queued
+/// twice, and each copy pops once. Every push after the first must come
+/// with the instance the first one ranked.
 #[derive(Clone, Debug)]
 pub struct AffinityQueue {
     tie: QueueTieBreak,
-    /// `BUCKET_COUNT` sorted runs, allocated on first push (a fresh queue
-    /// costs nothing). Invariant: each deque is sorted ascending by `Key`,
-    /// and all keys in bucket `b` precede all keys in bucket `b + 1`.
-    buckets: Vec<VecDeque<Key>>,
-    /// Bit `b` set iff `buckets[b]` is non-empty.
-    occupancy: [u64; OCC_WORDS],
+    /// The class pair `(a, b)` whose ratio `t_a / t_b` orders the queue:
+    /// CPU and GPU, unless a [`ClassQueue`] for `k ≥ 3` made it.
+    pair: (ClassId, ClassId),
+    /// Keep each rank's ratio, for a [`ClassQueue`]'s advantage test.
+    keep_rho: bool,
+    /// Each rank's ratio when `keep_rho`, else empty.
+    rho: Vec<f64>,
+    /// Each task's rank; empty until the first push ranks the instance.
+    rank: Vec<u32>,
+    /// Each rank's list head (its GPU end), or `NIL`.
+    heads: Vec<u32>,
+    /// Node `i < rank.len()` is task `i`'s own; later nodes hold the
+    /// duplicate copies of `dup_tasks[i − rank.len()]`.
+    links: Vec<Link>,
+    dup_tasks: Vec<TaskId>,
+    /// Duplicate nodes that are in no list.
+    free: Vec<u32>,
+    occupied: RankSet,
     len: usize,
-    seq: u64,
 }
 
 impl Default for AffinityQueue {
@@ -111,98 +251,194 @@ impl Default for AffinityQueue {
 
 impl AffinityQueue {
     pub fn new(tie: QueueTieBreak) -> Self {
-        AffinityQueue { tie, buckets: Vec::new(), occupancy: [0; OCC_WORDS], len: 0, seq: 0 }
+        AffinityQueue::with_pair(tie, (ClassId(0), ClassId(1)), false)
     }
 
-    fn key(&mut self, instance: &Instance, task: TaskId) -> Key {
-        let t = instance.task(task);
-        // Validated construction guarantees a positive finite ρ; a task
-        // smuggled in through raw public fields or an unvalidated
-        // `Instance::from_tasks` is rejected here, before the poisoned
-        // value can reach `F64Ord` and corrupt the queue order.
-        let rho = match t.try_accel_factor() {
-            Ok(rho) => rho,
-            Err(e) => panic!("cannot queue {task}: {e}"),
-        };
-        let tie = tie_key(self.tie, rho, t.priority);
-        let seq = self.seq;
-        self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
-        (F64Ord::new(-rho), F64Ord::new(tie), seq, task)
+    /// The queue of the pair `{a, b}`, `a < b`, inside a `k ≥ 3`
+    /// [`ClassQueue`]: it also keeps each rank's ratio.
+    fn for_pair(tie: QueueTieBreak, a: ClassId, b: ClassId) -> Self {
+        AffinityQueue::with_pair(tie, (a, b), true)
+    }
+
+    fn with_pair(tie: QueueTieBreak, pair: (ClassId, ClassId), keep_rho: bool) -> Self {
+        AffinityQueue {
+            tie,
+            pair,
+            keep_rho,
+            rho: Vec::new(),
+            rank: Vec::new(),
+            heads: Vec::new(),
+            links: Vec::new(),
+            dup_tasks: Vec::new(),
+            free: Vec::new(),
+            occupied: RankSet::new(0),
+            len: 0,
+        }
+    }
+
+    /// `task`'s rank, ranking `instance` on the first push.
+    fn rank_of(&mut self, instance: &Instance, task: TaskId) -> u32 {
+        if self.links.is_empty() {
+            let Ranking { rank, count, rho } =
+                rank_tasks(instance, self.tie, self.pair, self.keep_rho);
+            self.rank = rank;
+            self.rho = rho;
+            self.heads = vec![NIL; count];
+            self.links = vec![UNLINKED; instance.len()];
+            self.occupied = RankSet::new(count);
+        }
+        assert!(
+            instance.len() == self.rank.len(),
+            "queue ranked an instance of {} tasks, pushed under one of {}",
+            self.rank.len(),
+            instance.len()
+        );
+        let rank = *self.rank.get(task.index()).expect("TaskId minted by the ranked instance");
+        if rank == NIL {
+            // Validated construction guarantees a positive finite ρ; a
+            // task smuggled in through raw public fields or an unvalidated
+            // `Instance::from_tasks` is rejected here.
+            let (a, b) = self.pair;
+            match instance.task(task).try_affinity(a, b) {
+                Ok(rho) => unreachable!("ranked every task with a valid ρ, not ρ = {rho}"),
+                Err(e) => panic!("cannot queue {task}: {e}"),
+            }
+        }
+        rank
+    }
+
+    #[inline]
+    fn link(&self, node: u32) -> Link {
+        *self.links.get(node as usize).expect("node from the slab")
+    }
+
+    #[inline]
+    fn link_mut(&mut self, node: u32) -> &mut Link {
+        self.links.get_mut(node as usize).expect("node from the slab")
+    }
+
+    #[inline]
+    fn head(&self, rank: u32) -> &u32 {
+        self.heads.get(rank as usize).expect("rank < the ranked count")
+    }
+
+    #[inline]
+    fn head_mut(&mut self, rank: u32) -> &mut u32 {
+        self.heads.get_mut(rank as usize).expect("rank < the ranked count")
+    }
+
+    /// Append `node` at the CPU end of `rank`'s list.
+    fn append(&mut self, node: u32, rank: u32) {
+        let head = *self.head(rank);
+        if head == NIL {
+            *self.head_mut(rank) = node;
+            *self.link_mut(node) = Link { prev: node, next: node };
+            self.occupied.insert(rank);
+        } else {
+            let tail = self.link(head).prev;
+            *self.link_mut(node) = Link { prev: tail, next: head };
+            self.link_mut(tail).next = node;
+            self.link_mut(head).prev = node;
+        }
+        self.len += 1;
+    }
+
+    /// Take `node` out of `rank`'s list.
+    fn unlink(&mut self, node: u32, rank: u32) {
+        let Link { prev, next } = self.link(node);
+        if next == node {
+            *self.head_mut(rank) = NIL;
+            self.occupied.remove(rank);
+        } else {
+            self.link_mut(prev).next = next;
+            self.link_mut(next).prev = prev;
+            let head = self.head_mut(rank);
+            if *head == node {
+                *head = next;
+            }
+        }
+        *self.link_mut(node) = UNLINKED;
+        self.len -= 1;
+    }
+
+    #[inline]
+    fn task_of(&self, node: u32) -> TaskId {
+        match (node as usize).checked_sub(self.rank.len()) {
+            None => TaskId(node),
+            Some(dup) => *self.dup_tasks.get(dup).expect("duplicate node from the slab"),
+        }
     }
 
     /// Insert a ready task.
     pub fn push(&mut self, instance: &Instance, task: TaskId) {
-        let key = self.key(instance, task);
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(BUCKET_COUNT, VecDeque::new);
+        let rank = self.rank_of(instance, task);
+        let node = if self.link(task.0).prev == NIL {
+            task.0
+        } else if let Some(node) = self.free.pop() {
+            let dup = node as usize - self.rank.len();
+            *self.dup_tasks.get_mut(dup).expect("free node from the slab") = task;
+            node
+        } else {
+            self.links.push(UNLINKED);
+            self.dup_tasks.push(task);
+            u32::try_from(self.links.len() - 1).ok().filter(|&n| n != NIL).expect("node fits u32")
+        };
+        self.append(node, rank);
+    }
+
+    /// Insert a ready task, or move it if it is already queued: it takes
+    /// the CPU end of its rank, as if popped and pushed again. Only for a
+    /// queue that no plain [`push`](Self::push) gave a duplicate.
+    fn push_unique(&mut self, instance: &Instance, task: TaskId) {
+        let rank = self.rank_of(instance, task);
+        self.remove(task);
+        self.append(task.0, rank);
+    }
+
+    /// Take a task out of the queue, if it is queued on its own node.
+    fn remove(&mut self, task: TaskId) {
+        if self.link(task.0).prev != NIL {
+            let rank = *self.rank.get(task.index()).expect("a queued task was ranked");
+            self.unlink(task.0, rank);
         }
-        let b = bucket_of(-(key.0).0);
-        let dq = self.buckets.get_mut(b).expect("bucket_of yields b < BUCKET_COUNT");
-        match dq.back() {
-            // Exact-ρ spill path: the new key lands *inside* the bucket's
-            // sorted run (a finer ρ in the same octave, a higher-priority
-            // tie, or a re-announced task) — an ordered insert keeps the
-            // within-bucket order exact, so pop order stays bit-identical
-            // to the tree-based total order.
-            Some(last) if *last > key => {
-                let pos = dq.partition_point(|k| k < &key);
-                dq.insert(pos, key);
-            }
-            // Common case: FIFO arrival within a ρ/tie group appends.
-            _ => dq.push_back(key),
+    }
+
+    /// The ratio of the task at the front or back, for a queue made by
+    /// [`for_pair`](Self::for_pair).
+    fn end_rho(&self, side: PopSide) -> Option<f64> {
+        let rank = self.occupied.extreme(side)?;
+        Some(*self.rho.get(rank as usize).expect("for_pair keeps every rank's ratio"))
+    }
+
+    /// Take `node`, just unlinked, back to the slab.
+    fn release(&mut self, node: u32) -> TaskId {
+        let task = self.task_of(node);
+        if node as usize >= self.rank.len() {
+            self.free.push(node);
         }
-        *self.occupancy.get_mut(b / 64).expect("occupancy sized to BUCKET_COUNT/64") |=
-            1 << (b % 64);
-        self.len += 1;
+        task
     }
 
-    /// Checked bucket accessor; `b` always comes from `bucket_of` or the
-    /// occupancy bitmap, both bounded by `BUCKET_COUNT`.
-    #[inline]
-    fn bucket_mut(&mut self, b: usize) -> &mut VecDeque<Key> {
-        self.buckets.get_mut(b).expect("bucket index from occupancy bitmap")
-    }
-
-    /// Lowest occupied bucket index (the GPU end), if any.
-    #[inline]
-    fn first_occupied(&self) -> Option<usize> {
-        self.occupancy
-            .iter()
-            .enumerate()
-            .find(|(_, &w)| w != 0)
-            .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
-    }
-
-    /// Highest occupied bucket index (the CPU end), if any.
-    #[inline]
-    fn last_occupied(&self) -> Option<usize> {
-        self.occupancy
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &w)| w != 0)
-            .map(|(i, &w)| i * 64 + 63 - w.leading_zeros() as usize)
+    /// Pop the head of the first rank (the most accelerated task) or the
+    /// tail of the last (the least accelerated).
+    fn pop_end(&mut self, side: PopSide) -> Option<TaskId> {
+        let rank = self.occupied.extreme(side)?;
+        let head = *self.head(rank);
+        let node = match side {
+            PopSide::Front => head,
+            PopSide::Back => self.link(head).prev,
+        };
+        self.unlink(node, rank);
+        Some(self.release(node))
     }
 
     /// Pop the task best suited to a worker of class `kind`: the most
     /// accelerated task for a GPU, the least accelerated for a CPU.
     pub fn pop(&mut self, kind: ResourceKind) -> Option<TaskId> {
-        let (b, key) = match kind {
-            ResourceKind::Gpu => {
-                let b = self.first_occupied()?;
-                (b, self.bucket_mut(b).pop_front().expect("occupied bucket is non-empty"))
-            }
-            ResourceKind::Cpu => {
-                let b = self.last_occupied()?;
-                (b, self.bucket_mut(b).pop_back().expect("occupied bucket is non-empty"))
-            }
-        };
-        if self.bucket_mut(b).is_empty() {
-            *self.occupancy.get_mut(b / 64).expect("occupancy sized to BUCKET_COUNT/64") &=
-                !(1 << (b % 64));
-        }
-        self.len -= 1;
-        Some(key.3)
+        self.pop_end(match kind {
+            ResourceKind::Gpu => PopSide::Front,
+            ResourceKind::Cpu => PopSide::Back,
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -215,10 +451,15 @@ impl AffinityQueue {
 
     /// Tasks from the GPU end to the CPU end, for snapshot capture.
     /// Re-pushing them in this order reproduces the queue exactly: fresh
-    /// sequence numbers are assigned ascending in iteration order, which
-    /// preserves every FIFO tie.
+    /// pushes append in iteration order, which preserves every FIFO tie.
     pub fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.buckets.iter().flat_map(|dq| dq.iter().map(|&(_, _, _, task)| task))
+        self.occupied.iter().flat_map(move |rank| {
+            let head = *self.head(rank);
+            std::iter::successors(Some(head), move |&node| {
+                Some(self.link(node).next).filter(|&next| next != head)
+            })
+            .map(|node| self.task_of(node))
+        })
     }
 }
 
@@ -233,9 +474,6 @@ pub enum PopSide {
     Back,
 }
 
-/// Most unordered class pairs a task can have.
-const MAX_PAIRS: usize = MAX_CLASSES * (MAX_CLASSES - 1) / 2;
-
 /// Index of the pair `{a, b}` (`a < b < k`) in row-major
 /// upper-triangular order.
 #[inline]
@@ -247,111 +485,37 @@ fn pair_index(k: usize, a: usize, b: usize) -> usize {
 /// `queued` value of a task that is not in the queue.
 const NOT_QUEUED: u64 = u64::MAX;
 
-/// A task's entry in class `c`'s heap: its best pair `{c, d}` for `c`,
-/// with that pair's exact key turned so that larger is better for `c`.
-///
-/// Field order is comparison order. Within one heap every entry has its
-/// own push sequence number, so `task` never decides.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct Entry {
-    /// Relative speedup on `c`: `ρ_dc` when `d < c`, `1 / ρ_cd` when
-    /// `d > c` — computed exactly as the pair's extreme is judged.
-    advantage: F64Ord,
-    /// The other class `d`; the lowest wins equal advantages.
-    other: Reverse<u8>,
-    /// The pair key `(−ρ, tie, seq)` as is when `c` takes the pair's back
-    /// (largest key), negated when `c` takes its front (smallest key).
-    rho: F64Ord,
-    tie: F64Ord,
-    seq: u64,
-    task: TaskId,
-}
-
-impl Entry {
-    /// Class `c`'s entry for `task` over the pair `{c, d}` with ratio
-    /// `rho = ρ_ab = t_a / t_b`, `a < b`, pushed with sequence `seq`.
-    #[inline]
-    fn new(c: usize, d: usize, rho: f64, tie: f64, seq: u64, task: TaskId) -> Entry {
-        let other = Reverse(u8::try_from(d).expect("class index < MAX_CLASSES"));
-        if c > d {
-            // `c` is the pair's `b`: it takes the front, the smallest key.
-            Entry {
-                advantage: F64Ord::new(rho),
-                other,
-                rho: F64Ord::new(rho),
-                tie: F64Ord::new(-tie),
-                seq: !seq,
-                task,
-            }
-        } else {
-            Entry {
-                advantage: F64Ord::new(1.0 / rho),
-                other,
-                rho: F64Ord::new(-rho),
-                tie: F64Ord::new(tie),
-                seq,
-                task,
-            }
-        }
-    }
-
-    /// Which end of the pair `{c, d}` this entry of class `c` pops from.
-    #[inline]
-    fn side(&self, c: usize) -> PopSide {
-        if c > usize::from(self.other.0) {
-            PopSide::Front
-        } else {
-            PopSide::Back
-        }
-    }
-
-    /// The push sequence number this entry was made with.
-    #[inline]
-    fn push_seq(&self, c: usize) -> u64 {
-        match self.side(c) {
-            PopSide::Front => !self.seq,
-            PopSide::Back => self.seq,
-        }
-    }
-}
-
 /// The ready queue generalized to `k` resource classes. Every unordered
 /// class pair `{a, b}` orders the tasks by the pair ratio
-/// `ρ_ab = t_a / t_b` under the exact key `(−ρ_ab, tie, seq, id)`, and a
+/// `ρ_ab = t_a / t_b` under the exact key `(−ρ_ab, tie, seq)`, and a
 /// worker of class `c` pops the task with the largest relative speedup on
 /// `c` across the `k − 1` pairs that involve `c`: each pair offers its
 /// extreme in `c`'s direction, the largest advantage wins (strict `>`, so
 /// the lowest other class wins ties). This is the argmax generalization
 /// of "GPUs pop the front, CPUs the back".
 ///
-/// On the canonical two-class platform there is exactly one pair, and the
-/// structure *is* the bucketed [`AffinityQueue`] (same keys, same pops:
+/// The queue keeps each pair as a rank-indexed [`AffinityQueue`] ranked
+/// by that pair's ratio, and every queued task sits once in each. On the
+/// canonical two-class platform there is exactly one pair, and the
+/// structure *is* an [`AffinityQueue`] (same keys, same pops:
 /// bit-identical order, pinned by `two_class_matches_affinity_queue`
-/// below).
+/// below). For `k ≥ 3`, a pop reads the `k − 1` pair extremes for its
+/// class, each an `O(log₆₄ n)` descent plus the extreme rank's ratio,
+/// takes the winner and unlinks the task from the other pairs in `O(1)`
+/// each; a push appends to every pair in `O(1)` each. The first push
+/// ranks the instance once per pair, `k(k−1)/2` sorts.
 ///
-/// For `k ≥ 3` the queue keeps **one binary max-heap per class**. Class
-/// `c`'s pop is the maximum over all `(task, d)` of
-/// `(advantage, lowest d, pair key in c's direction)`, so each task needs
-/// only its best pair for `c`: push computes the `k(k−1)/2` ratios once
-/// and pushes one `Entry` per class heap. A pop leaves the task's
-/// entries in the other heaps behind as stale (their sequence number no
-/// longer matches the task's), skips them when they surface, and compacts
-/// every heap once stale entries outnumber queued tasks. Push is
-/// `O(k log n)`, pop `O(k log n + k²)` amortized.
+/// At every `k` the queue holds each task at most once: a push of a
+/// queued task moves it, as if it were popped and pushed again. (A plain
+/// [`AffinityQueue`] queues such a task twice instead.)
 #[derive(Clone, Debug)]
 pub struct ClassQueue {
-    tie: QueueTieBreak,
     k: usize,
-    /// `k == 2` fast path: the single pair, bucketed.
-    two: Option<AffinityQueue>,
-    /// `k ≥ 3`: one max-heap of `Entry`s per class.
-    heaps: Vec<BinaryHeap<Entry>>,
-    /// Push sequence number of each queued task (by index), or
-    /// `NOT_QUEUED`; an entry with another sequence number is stale.
+    /// One queue per class pair `{a, b}`, `a < b`, in `pair_index` order.
+    pairs: Vec<AffinityQueue>,
+    /// `k ≥ 3`: the push sequence number of each queued task (by index),
+    /// or `NOT_QUEUED`; the snapshot order.
     queued: Vec<u64>,
-    live: usize,
-    /// Stale entries across all heaps.
-    stale: usize,
     seq: u64,
 }
 
@@ -359,12 +523,15 @@ impl ClassQueue {
     /// A queue for platforms with `k` resource classes.
     pub fn new(k: usize, tie: QueueTieBreak) -> Self {
         assert!((2..=MAX_CLASSES).contains(&k), "class queue needs 2..={MAX_CLASSES} classes");
-        let (two, heaps) = if k == 2 {
-            (Some(AffinityQueue::new(tie)), Vec::new())
+        let pairs = if k == 2 {
+            vec![AffinityQueue::new(tie)]
         } else {
-            (None, vec![BinaryHeap::new(); k])
+            (0..k)
+                .flat_map(|a| ((a + 1)..k).map(move |b| (a, b)))
+                .map(|(a, b)| AffinityQueue::for_pair(tie, ClassId::from(a), ClassId::from(b)))
+                .collect()
         };
-        ClassQueue { tie, k, two, heaps, queued: Vec::new(), live: 0, stale: 0, seq: 0 }
+        ClassQueue { k, pairs, queued: Vec::new(), seq: 0 }
     }
 
     /// Number of classes this queue was sized for.
@@ -375,47 +542,34 @@ impl ClassQueue {
     /// Insert a ready task. A task already in the queue takes a fresh
     /// sequence number, as if popped and pushed again.
     pub fn push(&mut self, instance: &Instance, task: TaskId) {
-        if let Some(two) = &mut self.two {
-            two.push(instance, task);
-            return;
+        for pair in &mut self.pairs {
+            pair.push_unique(instance, task);
         }
-        let t = instance.task(task);
-        let mut ratios = [0.0; MAX_PAIRS];
-        for a in 0..self.k {
-            for b in (a + 1)..self.k {
-                let rho = match t.try_affinity(ClassId::from(a), ClassId::from(b)) {
-                    Ok(rho) => rho,
-                    Err(e) => panic!("cannot queue {task}: {e}"),
-                };
-                *ratios.get_mut(pair_index(self.k, a, b)).expect("pair_index < MAX_PAIRS") = rho;
+        if self.k > 2 {
+            if self.queued.len() <= task.index() {
+                self.queued.resize(task.index() + 1, NOT_QUEUED);
+            }
+            *self.queued.get_mut(task.index()).expect("resized above") = self.seq;
+            self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
+        }
+    }
+
+    /// The pair whose extreme class `c` pops, and that extreme's end: the
+    /// largest advantage over the pairs `{c, d}`, the lowest `d` on ties.
+    fn best_pair(&self, c: usize) -> Option<(usize, PopSide)> {
+        let mut best: Option<(f64, usize, PopSide)> = None;
+        for d in (0..self.k).filter(|&d| d != c) {
+            let p = pair_index(self.k, c.min(d), c.max(d));
+            // `c` takes the front (the smallest key) when it is the
+            // pair's `b`, where ρ_dc is its speedup; the back otherwise.
+            let side = if c > d { PopSide::Front } else { PopSide::Back };
+            let rho = self.pairs.get(p).expect("pair_index < pairs").end_rho(side)?;
+            let advantage = if c > d { rho } else { 1.0 / rho };
+            if best.is_none_or(|(top, ..)| advantage > top) {
+                best = Some((advantage, p, side));
             }
         }
-        let seq = self.seq;
-        self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
-        if self.queued.len() <= task.index() {
-            self.queued.resize(task.index() + 1, NOT_QUEUED);
-        }
-        let slot = self.queued.get_mut(task.index()).expect("resized above");
-        if *slot == NOT_QUEUED {
-            self.live += 1;
-        } else {
-            self.stale += self.k;
-        }
-        *slot = seq;
-        let (k, tie) = (self.k, self.tie);
-        for (c, heap) in self.heaps.iter_mut().enumerate() {
-            let best = (0..k)
-                .filter(|&d| d != c)
-                .map(|d| {
-                    let rho = *ratios
-                        .get(pair_index(k, c.min(d), c.max(d)))
-                        .expect("pair_index < MAX_PAIRS");
-                    Entry::new(c, d, rho, tie_key(tie, rho, t.priority), seq, task)
-                })
-                .max()
-                .expect("k >= 3 gives every class another class");
-            heap.push(best);
-        }
+        best.map(|(_, p, side)| (p, side))
     }
 
     /// Pop the task best suited to a worker of class `class`: the argmax
@@ -425,43 +579,27 @@ impl ClassQueue {
     /// winning pair queue it came from.
     pub fn pop(&mut self, class: impl Into<ClassId>) -> Option<(TaskId, PopSide)> {
         let class = class.into();
-        if let Some(two) = &mut self.two {
-            return match class.index() {
-                0 => two.pop(ResourceKind::Cpu).map(|t| (t, PopSide::Back)),
-                1 => two.pop(ResourceKind::Gpu).map(|t| (t, PopSide::Front)),
-                c => panic!("class C{c} out of range on a two-class queue"),
-            };
-        }
         let c = class.index();
-        let Some(heap) = self.heaps.get_mut(c) else {
-            panic!("class {class} out of range (k = {})", self.k);
+        assert!(c < self.k, "class {class} out of range (k = {})", self.k);
+        let (p, side) = if self.k == 2 {
+            (0, if c == 1 { PopSide::Front } else { PopSide::Back })
+        } else {
+            self.best_pair(c)?
         };
-        let entry = loop {
-            let top = heap.pop()?;
-            let slot = self.queued.get_mut(top.task.index()).expect("queued task has a slot");
-            if *slot == top.push_seq(c) {
-                *slot = NOT_QUEUED;
-                break top;
+        let task = self.pairs.get_mut(p).expect("pair_index < pairs").pop_end(side)?;
+        for (q, pair) in self.pairs.iter_mut().enumerate() {
+            if q != p {
+                pair.remove(task);
             }
-            self.stale -= 1;
-        };
-        self.live -= 1;
-        self.stale += self.k - 1;
-        if self.stale > self.live {
-            let queued = &self.queued;
-            for (c, heap) in self.heaps.iter_mut().enumerate() {
-                heap.retain(|e| queued.get(e.task.index()) == Some(&e.push_seq(c)));
-            }
-            self.stale = 0;
         }
-        Some((entry.task, entry.side(c)))
+        if let Some(slot) = self.queued.get_mut(task.index()) {
+            *slot = NOT_QUEUED;
+        }
+        Some((task, side))
     }
 
     pub fn len(&self) -> usize {
-        match &self.two {
-            Some(two) => two.len(),
-            None => self.live,
-        }
+        self.pairs.first().map_or(0, AffinityQueue::len)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -472,11 +610,11 @@ impl ClassQueue {
     /// queue reproduces every pop. On a two-class queue this is the exact
     /// accelerated-to-decelerated order of the underlying
     /// [`AffinityQueue`]; for `k ≥ 3` it is push order, which keeps every
-    /// pair's FIFO ties because fresh sequence numbers ascend in it.
+    /// pair's FIFO ties because fresh pushes append in it.
     pub fn iter(&self) -> Box<dyn Iterator<Item = TaskId> + '_> {
-        match &self.two {
-            Some(two) => Box::new(two.iter()),
-            None => {
+        match self.pairs.as_slice() {
+            [two] => Box::new(two.iter()),
+            _ => {
                 let mut live: Vec<(u64, TaskId)> = (0u32..)
                     .zip(&self.queued)
                     .filter(|&(_, &seq)| seq != NOT_QUEUED)
@@ -628,23 +766,23 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_preserves_exact_order() {
-        // Exercise the spill path: push high-ρ tasks after lower-ρ ones in
-        // the same octave, interleaved with pops from both ends, and check
-        // against a straightforward sorted model.
+        // Push high-ρ tasks after lower-ρ ones with close ratios,
+        // interleaved with pops from both ends, and check against a
+        // straightforward sorted model.
         let inst = Instance::from_times(&[
             (3.0, 2.0), // ρ = 1.5
-            (7.0, 4.0), // ρ = 1.75  (same octave as 1.5)
+            (7.0, 4.0), // ρ = 1.75
             (2.0, 1.0), // ρ = 2
-            (5.0, 4.0), // ρ = 1.25  (same octave again)
+            (5.0, 4.0), // ρ = 1.25
             (9.0, 8.0), // ρ = 1.125
         ]);
         let mut q = AffinityQueue::new(QueueTieBreak::InsertionOrder);
         q.push(&inst, TaskId(0));
-        q.push(&inst, TaskId(1)); // spill: 1.75 sorts before 1.5
-        q.push(&inst, TaskId(2)); // different octave
+        q.push(&inst, TaskId(1)); // 1.75 sorts before 1.5
+        q.push(&inst, TaskId(2));
         assert_eq!(q.pop(ResourceKind::Gpu), Some(TaskId(2)));
-        q.push(&inst, TaskId(3)); // appends after 1.5
-        q.push(&inst, TaskId(4)); // appends after 1.25
+        q.push(&inst, TaskId(3)); // after 1.5
+        q.push(&inst, TaskId(4)); // after 1.25
         let mut front_drain = Vec::new();
         while let Some(t) = q.pop(ResourceKind::Gpu) {
             front_drain.push(t);
@@ -654,7 +792,7 @@ mod tests {
 
     #[test]
     fn two_class_matches_affinity_queue() {
-        // The generalized queue at k = 2 *is* the bucketed AffinityQueue:
+        // The generalized queue at k = 2 *is* the rank-indexed AffinityQueue:
         // identical pops from both ends, interleaved with pushes.
         let inst = Instance::from_times(&[
             (3.0, 1.0),
@@ -745,6 +883,126 @@ mod tests {
         assert_eq!(q.pop(ClassId(0)).map(|(t, _)| t), Some(TaskId(0)));
         assert_eq!(q.pop(ClassId(1)), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn two_class_repush_of_a_queued_task_keeps_one_copy() {
+        let inst = Instance::from_times(&[(2.0, 1.0), (2.0, 1.0)]);
+        let mut q = ClassQueue::new(2, QueueTieBreak::InsertionOrder);
+        q.push(&inst, TaskId(0));
+        q.push(&inst, TaskId(1));
+        q.push(&inst, TaskId(0));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![TaskId(1), TaskId(0)]);
+        assert_eq!(q.pop(ClassId(1)).map(|(t, _)| t), Some(TaskId(1)), "T0 lost its FIFO place");
+        assert_eq!(q.pop(ClassId(1)).map(|(t, _)| t), Some(TaskId(0)));
+        assert_eq!(q.pop(ClassId(0)), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn affinity_queue_keeps_every_copy_of_a_repushed_task() {
+        let inst = Instance::from_times(&[(2.0, 1.0), (2.0, 1.0)]);
+        let mut q = AffinityQueue::new(QueueTieBreak::InsertionOrder);
+        for t in [0, 1, 0, 0] {
+            q.push(&inst, TaskId(t));
+        }
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.iter().collect::<Vec<_>>(), [0, 1, 0, 0].map(TaskId));
+        assert_eq!(q.pop(ResourceKind::Gpu), Some(TaskId(0)));
+        // The task's own node is free again; the spare ones still hold it.
+        q.push(&inst, TaskId(1));
+        assert_eq!(q.iter().collect::<Vec<_>>(), [1, 0, 0, 1].map(TaskId));
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop(ResourceKind::Cpu)).collect();
+        assert_eq!(drained, [1, 0, 0, 1].map(TaskId));
+    }
+
+    /// The canonical pair's ranks and rank count.
+    fn ranks(instance: &Instance, tie: QueueTieBreak) -> (Vec<u32>, usize) {
+        let ranking = rank_tasks(instance, tie, (ClassId(0), ClassId(1)), false);
+        (ranking.rank, ranking.count)
+    }
+
+    #[test]
+    fn rank_build_of_the_empty_instance_has_no_ranks() {
+        for tie in [QueueTieBreak::Priority, QueueTieBreak::InsertionOrder] {
+            assert_eq!(ranks(&Instance::new(), tie), (Vec::new(), 0));
+        }
+        let mut q = AffinityQueue::new(QueueTieBreak::Priority);
+        assert_eq!(q.pop(ResourceKind::Gpu), None);
+        assert_eq!(q.pop(ResourceKind::Cpu), None);
+        assert!(q.is_empty() && q.iter().next().is_none());
+    }
+
+    #[test]
+    fn rank_build_of_a_one_task_instance() {
+        let inst = Instance::from_times(&[(3.0, 1.0)]);
+        assert_eq!(ranks(&inst, QueueTieBreak::Priority), (vec![0], 1));
+        let mut q = AffinityQueue::new(QueueTieBreak::Priority);
+        q.push(&inst, TaskId(0));
+        q.push(&inst, TaskId(0));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(ResourceKind::Cpu), Some(TaskId(0)));
+        assert_eq!(q.pop(ResourceKind::Gpu), Some(TaskId(0)));
+        assert_eq!(q.pop(ResourceKind::Gpu), None);
+        q.push(&inst, TaskId(0));
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![TaskId(0)]);
+    }
+
+    #[test]
+    fn rank_build_keeps_signed_zero_ties_apart() {
+        // ρ ≥ 1 negates the priority: the tie keys are −0.0 and +0.0, which
+        // `total_cmp` orders, so −0.0 (priority +0.0) is nearer the GPU end
+        // whatever the push order.
+        let mut inst = Instance::new();
+        let neg = inst.push(Task::new(2.0, 1.0).with_priority(-0.0));
+        let pos = inst.push(Task::new(2.0, 1.0).with_priority(0.0));
+        assert_eq!(ranks(&inst, QueueTieBreak::Priority), (vec![1, 0], 2));
+        assert_eq!(ranks(&inst, QueueTieBreak::InsertionOrder), (vec![0, 0], 1));
+        let mut q = AffinityQueue::new(QueueTieBreak::Priority);
+        q.push(&inst, neg);
+        q.push(&inst, pos);
+        assert_eq!(q.pop(ResourceKind::Gpu), Some(pos));
+        assert_eq!(q.pop(ResourceKind::Gpu), Some(neg));
+    }
+
+    #[test]
+    fn push_under_another_instance_names_the_mismatch() {
+        let ranked = Instance::from_times(&[(2.0, 1.0), (1.0, 2.0)]);
+        let other = Instance::from_times(&[(2.0, 1.0), (1.0, 2.0), (3.0, 1.0)]);
+        let mut q = AffinityQueue::new(QueueTieBreak::Priority);
+        q.push(&ranked, TaskId(0));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.push(&other, TaskId(2));
+        }))
+        .expect_err("push under an instance of another length must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("ranked an instance of 2 tasks, pushed under one of 3"),
+            "unexpected panic message: {msg}"
+        );
+    }
+
+    #[test]
+    fn rank_set_finds_both_ends_across_levels() {
+        // 70,000 ranks: three levels of words.
+        let ends = |set: &RankSet| (set.extreme(PopSide::Front), set.extreme(PopSide::Back));
+        let mut set = RankSet::new(70_000);
+        assert_eq!(set.levels.len(), 3);
+        assert_eq!(ends(&set), (None, None));
+        for r in [69_999, 4_097, 64, 63, 0] {
+            set.insert(r);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 63, 64, 4_097, 69_999]);
+        assert_eq!(ends(&set), (Some(0), Some(69_999)));
+        set.remove(0);
+        set.remove(69_999);
+        assert_eq!(ends(&set), (Some(63), Some(4_097)));
+        for r in [63, 64, 4_097] {
+            set.remove(r);
+        }
+        assert_eq!(ends(&set), (None, None));
+        assert!(set.levels.iter().flatten().all(|&w| w == 0));
     }
 
     #[test]

@@ -102,9 +102,10 @@ use frozen::FrozenAffinityQueue;
 
 /// Discrete time/priority tables: small enough that generated instances
 /// are dense in ρ collisions (exact FIFO ties), same-octave neighbours
-/// (the spill path) and the ρ = 1 orientation boundary.
+/// (the spill path) and the ρ = 1 orientation boundary. Priorities 0.0
+/// and −0.0 give tie keys that only `total_cmp` tells apart.
 const TIMES: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 8.0];
-const PRIORITIES: [f64; 3] = [0.0, 1.0, 2.0];
+const PRIORITIES: [f64; 4] = [0.0, 1.0, 2.0, -0.0];
 
 fn build_instance(specs: &[(usize, usize, usize)]) -> Instance {
     let mut inst = Instance::new();
