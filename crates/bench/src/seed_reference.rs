@@ -3,10 +3,11 @@
 //!
 //! This is the independent-task engine exactly as it existed before the
 //! discrete-event loop was extracted into `heteroprio_core::kernel`: one
-//! self-contained simulation owning its own completion heap, generation
-//! counters and idle bookkeeping. It is deliberately **not** maintained as a
-//! production engine — its sole purpose is to pin the unified kernel against
-//! the seed behaviour: `tests/kernel_parity.rs` asserts event-for-event
+//! self-contained simulation owning its own ready-queue sort, completion
+//! heap, generation counters and idle bookkeeping. It is deliberately
+//! **not** maintained as a production engine — its sole purpose is to pin
+//! the unified kernel against the seed behaviour:
+//! `tests/kernel_parity.rs` asserts event-for-event
 //! identical traces between [`seed_heteroprio_traced`] and
 //! [`heteroprio_core::heteroprio_traced`], on small random instances and on
 //! the Fig. 6-scale Cholesky instances (N = 16, 32, 64) on the paper's
@@ -17,7 +18,7 @@
 
 use heteroprio_core::time::{strictly_less, F64Ord};
 use heteroprio_core::{
-    sorted_queue, HeteroPrioConfig, HeteroPrioResult, Instance, Platform, ResourceKind, Schedule,
+    HeteroPrioConfig, HeteroPrioResult, Instance, Platform, QueueTieBreak, ResourceKind, Schedule,
     SpoliationTieBreak, TaskId, TaskRun, WorkerId, WorkerOrder,
 };
 use heteroprio_trace::{NullSink, QueueEnd, SchedEvent, TraceSink, TraceSummary};
@@ -47,7 +48,7 @@ pub fn seed_heteroprio_traced<S: TraceSink>(
     for &t in &ids {
         sim.emit(SchedEvent::TaskReady { time: 0.0, task: t.0 });
     }
-    sim.queue = sorted_queue(instance, &ids, config.queue_tie);
+    sim.queue = seed_sorted_queue(instance, &ids, config.queue_tie);
     sim.run();
     let mut summary = sim.summary;
     summary.finish();
@@ -57,6 +58,36 @@ pub fn seed_heteroprio_traced<S: TraceSink>(
         spoliations: summary.spoliation_count,
         summary,
     }
+}
+
+/// The seed's ready-queue build, frozen: one cached key per task, then a
+/// stable sort on (−ρ, tie, task id), or on (−ρ, tie, position in `ids`)
+/// under insertion order, where the tie is the priority oriented towards
+/// the end whose class the ratio favours. The live `sorted_queue` must
+/// produce this order; keeping a copy here lets `kernel_parity` check it.
+pub fn seed_sorted_queue(
+    instance: &Instance,
+    ids: &[TaskId],
+    tie: QueueTieBreak,
+) -> VecDeque<TaskId> {
+    let mut keyed: Vec<((F64Ord, F64Ord, usize), TaskId)> = ids
+        .iter()
+        .enumerate()
+        .map(|(pos, &id)| {
+            let t = instance.task(id);
+            let rho = t.accel_factor();
+            let (tie_key, anchor) = match tie {
+                // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1 exactly
+                // takes the accelerated-side tie rule.
+                QueueTieBreak::Priority if rho >= 1.0 => (-t.priority, id.index()),
+                QueueTieBreak::Priority => (t.priority, id.index()),
+                QueueTieBreak::InsertionOrder => (0.0, pos),
+            };
+            ((F64Ord(-rho), F64Ord(tie_key), anchor), id)
+        })
+        .collect();
+    keyed.sort_by_key(|&(key, _)| key);
+    keyed.into_iter().map(|(_, id)| id).collect()
 }
 
 #[derive(Clone, Copy, Debug)]

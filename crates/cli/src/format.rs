@@ -84,7 +84,10 @@ pub fn parse_instance_k(text: &str, k: usize) -> Result<Instance, ParseError> {
             }
             times.push(t);
         }
-        let mut task = Task::from_times(&times);
+        // Each time is valid alone, but their ratio may still overflow
+        // (`5e-324 1`): the model rejects such a row with a typed error.
+        let mut task = Task::try_from_times(&times)
+            .map_err(|e| ParseError { line, message: e.to_string() })?;
         if let Some(p) = fields.get(k) {
             task = task.with_priority(parse(p, "priority")?);
         }
@@ -152,6 +155,17 @@ mod tests {
     fn rejects_non_positive_times() {
         assert!(parse_instance("0 1\n").is_err());
         assert!(parse_instance("1 -2\n").is_err());
+    }
+
+    #[test]
+    fn rejects_an_overflowing_time_ratio_with_its_line() {
+        for row in ["5e-324 1", "1 1e-320", "1 1 1e-320"] {
+            let k = row.split_whitespace().count();
+            let first = vec!["2"; k].join(" ");
+            let err = parse_instance_k(&format!("{first}\n{row}\n"), k).unwrap_err();
+            assert_eq!(err.line, 2, "{row}");
+            assert!(err.message.contains("positive and finite"), "{row}: {}", err.message);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! End-to-end smoke test of the installed binary: `schedule --trace`
-//! and `dag --trace` must write parseable trace files and report them.
+//! and `dag --trace` must write parseable trace files and report them,
+//! and a bad instance file must fail with a message, not a panic.
 
 use heteroprio_core::{CheckpointStore, FileCheckpointStore};
 use std::path::PathBuf;
@@ -128,6 +129,24 @@ fn audit_reports_a_worker_beyond_the_platform_instead_of_panicking() {
 
     let _ = std::fs::remove_file(&instance);
     let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
+fn schedule_rejects_an_overflowing_time_ratio_without_panicking() {
+    for (name, row) in [("ratio-overflow.txt", "5e-324 1"), ("ratio-underflow.txt", "1 1e-320")] {
+        let instance = scratch(name);
+        std::fs::write(&instance, format!("8 1\n{row}\n")).unwrap();
+        let out = bin()
+            .args(["schedule", "--cpus", "2", "--gpus", "1"])
+            .arg(&instance)
+            .output()
+            .expect("run heteroprio-cli schedule");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{row}: stderr: {stderr}");
+        assert!(stderr.contains("line 2:"), "{row}: the error names no line:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{row}: {stderr}");
+        let _ = std::fs::remove_file(&instance);
+    }
 }
 
 #[test]

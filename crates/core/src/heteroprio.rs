@@ -30,7 +30,7 @@ use crate::kernel::{
     Workload,
 };
 use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
-use crate::queue::{queue_key, ClassQueue, PopSide};
+use crate::queue::{queue_key, sorted_runs, ClassQueue, PopSide};
 use crate::schedule::Schedule;
 use crate::time::strictly_less;
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
@@ -138,81 +138,51 @@ impl From<KernelOutcome> for HeteroPrioResult {
 /// `tie`. This is the independent engine's two-class queue, and the
 /// reference order the dynamic queues are tested against.
 ///
-/// The sort keys are computed once per task and cached, not re-derived in
-/// the comparator: on a million-task queue the comparator runs tens of
-/// millions of times, and the two `accel_factor()` divisions per call used
-/// to dominate the build cost. Negating a float is an exact reversal of
-/// `total_cmp`'s order (the sign-bit flip mirrors the total order,
-/// including ±0.0), so sorting ascending by `−ρ` in `queue_key`'s
-/// integer image of that order is bit-identical to the old descending
-/// `ρ.total_cmp` comparator.
+/// The order is `queue_key` (ascending `−ρ`, then the tie key, as
+/// `total_cmp` integers), then the task id under the priority rule or the
+/// position in `ids` under insertion order. It is built from runs of
+/// equal keys (`sorted_runs`): under insertion order a run is a stretch
+/// of consecutive positions, under the priority rule a stretch of
+/// consecutive ids. Only the runs are sorted; each group of equal-key
+/// runs is then put in position or id order, which is the per-task order.
+/// Input with no runs degenerates to one sorted entry per task.
 pub fn sorted_queue(instance: &Instance, ids: &[TaskId], tie: QueueTieBreak) -> VecDeque<TaskId> {
+    let key = |id: TaskId| {
+        let t = instance.task(id);
+        queue_key(tie, t.accel_factor(), t.priority)
+    };
+    let mut queue = Vec::with_capacity(ids.len());
     match tie {
         QueueTieBreak::InsertionOrder => {
-            // Equal-ρ tasks keep their order in `ids`: the input position
-            // is part of the (total) key, so equal-ρ ties resolve to FIFO
-            // under either sort algorithm — identical to the old stable
-            // ρ-only comparator.
-            let mut keyed: Vec<((u64, u64), usize)> = ids
-                .iter()
-                .enumerate()
-                .map(|(pos, &id)| {
-                    let t = instance.task(id);
-                    (queue_key(tie, t.accel_factor(), t.priority), pos)
-                })
-                .collect();
-            sort_total(&mut keyed, |&e| e);
-            keyed
-                .into_iter()
-                .map(|(_, pos)| *ids.get(pos).expect("pos from enumerate over ids"))
-                .collect()
+            let mut runs = sorted_runs(ids.iter().enumerate().map(|(pos, &id)| {
+                Some((key(id), u32::try_from(pos).expect("queue positions fit u32")))
+            }));
+            for group in runs.chunk_by_mut(|a, b| a.key == b.key) {
+                group.sort_unstable_by_key(|run| run.anchor);
+                for run in group {
+                    let span = run.span();
+                    queue.extend_from_slice(
+                        ids.get(span.start as usize..span.end as usize).expect("runs cover ids"),
+                    );
+                }
+            }
         }
         QueueTieBreak::Priority => {
-            // Equal ρ: for ρ >= 1 put high priority first (GPU side), for
-            // ρ < 1 put low priority first (so the back of the queue,
-            // served to CPUs, holds the highest priority). Encoded in the
-            // key: ascending -priority ≡ descending priority under
-            // total_cmp, with TaskId as the final total tie-break.
-            let mut keyed: Vec<((u64, u64), TaskId)> = ids
-                .iter()
-                .map(|&id| {
-                    let t = instance.task(id);
-                    (queue_key(tie, t.accel_factor(), t.priority), id)
-                })
-                .collect();
-            sort_total(&mut keyed, |&e| e);
-            keyed.into_iter().map(|(_, id)| id).collect()
-        }
-    }
-}
-
-/// Sort by `key`, picking the algorithm from the input's run structure.
-/// Generated instances arrive as a handful of long already-sorted runs of
-/// identical tasks, which the stable merge sort detects and merges in
-/// near-linear time; disordered million-task queues are better served by
-/// the unstable pattern-defeating sort's smaller constants and lack of a
-/// merge buffer. A total key gives both algorithms the same order, so the
-/// dispatch is purely a performance choice and cannot perturb the
-/// schedule. The queue's rank build passes a key that is not total
-/// (equal keys share a rank, so their order does not matter) to keep the
-/// task index out of the comparisons.
-pub(crate) fn sort_total<T, K: Ord>(keyed: &mut [T], key: impl Fn(&T) -> K) {
-    const MAX_RUNS: usize = 32;
-    let mut runs = 1usize;
-    for w in keyed.windows(2) {
-        let [a, b] = w else { unreachable!("windows(2) yields pairs") };
-        if key(b) < key(a) {
-            runs += 1;
-            if runs > MAX_RUNS {
-                break;
+            let runs = sorted_runs(ids.iter().map(|&id| Some((key(id), id.0))));
+            for group in runs.chunk_by(|a, b| a.key == b.key) {
+                let start = queue.len();
+                for run in group {
+                    queue.extend(run.span().map(TaskId));
+                }
+                // Sort the group's ids, not its runs: an id listed twice
+                // puts two runs over one id range.
+                if group.len() > 1 {
+                    queue.get_mut(start..).expect("the group was just pushed").sort_unstable();
+                }
             }
         }
     }
-    if runs <= MAX_RUNS {
-        keyed.sort_by_key(key);
-    } else {
-        keyed.sort_unstable_by_key(key);
-    }
+    queue.into()
 }
 
 /// All tasks of an [`Instance`] ready at time zero, no dependencies.

@@ -12,15 +12,17 @@
 //! `k ≥ 3` push into it. It keeps one rank-indexed [`AffinityQueue`] per
 //! class pair: at `k = 2` exactly one. The independent engine at `k = 2`
 //! keeps the deque one `sorted_queue` call builds instead, whose order
-//! this queue reproduces.
+//! this queue reproduces. Both builds order through one routine,
+//! `sorted_runs`, which sorts runs of equal keys rather than tasks.
 //!
 //! # Rank-indexed representation
 //!
 //! The order is `(−ρ, tie, seq)`: the queue key `queue_key` first, push
 //! order among equal keys. The key of a task never changes, so the first
-//! push **ranks** every task of the instance once, by that key with
-//! `sort_total` (the sort `sorted_queue` uses): equal keys share a rank,
-//! and rank order is key order under `total_cmp`, so ±0.0 stay distinct.
+//! push **ranks** every task of the instance once, by that key: runs of
+//! consecutive task indices with one key are sorted as one entry each,
+//! equal keys share a rank, and rank order is key order under
+//! `total_cmp`, so ±0.0 stay distinct.
 //! Each rank then holds a FIFO list of the queued tasks that carry it,
 //! and a 64-ary bitmap tree over the ranks marks the non-empty lists.
 //!
@@ -40,7 +42,7 @@
 //! implementation (pinned by `matches_sorted_queue_on_static_sets` below,
 //! the `queue_parity` proptests, and the `kernel_parity` suite).
 
-use crate::heteroprio::{sort_total, QueueTieBreak};
+use crate::heteroprio::QueueTieBreak;
 use crate::model::{ClassId, Instance, ResourceKind, TaskId, MAX_CLASSES};
 use crate::time::F64Ord;
 
@@ -77,6 +79,58 @@ pub(crate) fn queue_key(tie: QueueTieBreak, rho: f64, priority: f64) -> (u64, u6
 /// could not be ranked.
 const NIL: u32 = u32::MAX;
 
+/// `len` consecutive entries from `anchor` that share one queue key.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyRun {
+    pub(crate) key: (u64, u64),
+    pub(crate) anchor: u32,
+    pub(crate) len: u32,
+}
+
+impl KeyRun {
+    /// The anchors the run covers.
+    pub(crate) fn span(&self) -> std::ops::Range<u32> {
+        self.anchor..self.anchor.checked_add(self.len).expect("a run ends within u32 anchors")
+    }
+}
+
+/// The one ordering routine of both queue builds. `entries` yields each
+/// entry's queue key and anchor (a task id or a position), or `None` for
+/// an entry that takes no place in the order. Consecutive entries join one
+/// run while the key stays equal and each anchor is the previous one + 1;
+/// where anchors are entry indices, the gap a `None` leaves ends the run
+/// before it. The runs come back sorted by key;
+/// runs with equal keys come in no set order, and a caller that needs
+/// one orders each such group by anchor. The sort compares one entry per
+/// run, not per task: the generated instances repeat a few kernel types
+/// in long id ranges, and 695,520 Cholesky tasks collapse to 4 runs.
+///
+/// The run buffer grows geometrically but never past the number of
+/// entries, so run-free input costs no more than one key per entry.
+pub(crate) fn sorted_runs(
+    entries: impl ExactSizeIterator<Item = Option<((u64, u64), u32)>>,
+) -> Vec<KeyRun> {
+    let total = entries.len();
+    let mut runs: Vec<KeyRun> = Vec::new();
+    for (i, entry) in entries.enumerate() {
+        let Some((key, anchor)) = entry else { continue };
+        if let Some(last) = runs.last_mut() {
+            if last.key == key && last.span().end == anchor {
+                last.len = last.len.checked_add(1).expect("a run ends within u32 anchors");
+                continue;
+            }
+        }
+        if runs.len() == runs.capacity() {
+            runs.reserve_exact(runs.len().max(16).min(total.saturating_sub(i)));
+        }
+        runs.push(KeyRun { key, anchor, len: 1 });
+    }
+    // One 128-bit compare, and no anchor: on the DAG's 152,096 distinct
+    // keys a total `(key, anchor)` compare made the rank build 25% slower.
+    runs.sort_unstable_by_key(|r| u128::from(r.key.0) << 64 | u128::from(r.key.1));
+    runs
+}
+
 /// The tasks of an instance ranked by their queue key for one class pair.
 struct Ranking {
     /// Each task's rank, ascending from the pair's front; [`NIL`] for a
@@ -89,36 +143,38 @@ struct Ranking {
 }
 
 /// Rank every task of `instance` by its queue key over the ratio
-/// `ρ = t_a / t_b`, with `sort_total`. Equal keys share a rank; keys that
-/// differ only under `total_cmp` (±0.0) do not.
+/// `ρ = t_a / t_b`: [`sorted_runs`] over runs of consecutive task indices,
+/// so a run of equal keys is ranked with one entry. Equal keys share a
+/// rank; keys that differ only under `total_cmp` (±0.0) do not, since the
+/// runs compare `total_bits` integers. A task without a positive finite
+/// ratio ends its run and keeps [`NIL`].
 fn rank_tasks(
     instance: &Instance,
     tie: QueueTieBreak,
     (a, b): (ClassId, ClassId),
     keep_rho: bool,
 ) -> Ranking {
-    let mut keyed = Vec::with_capacity(instance.len());
-    keyed.extend(
-        (0u32..)
-            .zip(instance.tasks())
-            .filter_map(|(i, t)| Some((queue_key(tie, t.try_affinity(a, b).ok()?, t.priority), i))),
-    );
-    // One 128-bit compare sorts faster than the pair's two.
-    sort_total(&mut keyed, |&((hi, lo), _)| u128::from(hi) << 64 | u128::from(lo));
+    let runs = sorted_runs(instance.tasks().iter().enumerate().map(|(i, t)| {
+        let i = u32::try_from(i).expect("task indices fit u32");
+        Some((queue_key(tie, t.try_affinity(a, b).ok()?, t.priority), i))
+    }));
     let mut rank = vec![NIL; instance.len()];
     let mut rho = Vec::new();
     // `ranks` is the number of distinct keys so far; the last is `ranks - 1`.
     let mut ranks = 0u32;
     let mut prev = None;
-    for (key, i) in keyed {
-        if prev != Some(key) {
-            prev = Some(key);
+    for run in runs {
+        if prev != Some(run.key) {
+            prev = Some(run.key);
             ranks = ranks.checked_add(1).expect("ranks fit u32");
             if keep_rho {
-                rho.push(-F64Ord::from_total_bits(key.0).0);
+                rho.push(-F64Ord::from_total_bits(run.key.0).0);
             }
         }
-        *rank.get_mut(i as usize).expect("i enumerates the instance") = ranks - 1;
+        let span = run.span();
+        rank.get_mut(span.start as usize..span.end as usize)
+            .expect("runs cover task indices")
+            .fill(ranks - 1);
     }
     Ranking { rank, count: ranks as usize, rho }
 }
@@ -921,6 +977,77 @@ mod tests {
     fn ranks(instance: &Instance, tie: QueueTieBreak) -> (Vec<u32>, usize) {
         let ranking = rank_tasks(instance, tie, (ClassId(0), ClassId(1)), false);
         (ranking.rank, ranking.count)
+    }
+
+    #[test]
+    fn run_ranks_equal_per_task_ranks() {
+        // The rank build before runs: one keyed entry per task, sorted,
+        // equal keys sharing a rank.
+        fn per_task(
+            instance: &Instance,
+            tie: QueueTieBreak,
+            (a, b): (ClassId, ClassId),
+        ) -> Ranking {
+            let mut keyed: Vec<((u64, u64), usize)> = (instance.tasks().iter().enumerate())
+                .filter_map(|(i, t)| {
+                    Some((queue_key(tie, t.try_affinity(a, b).ok()?, t.priority), i))
+                })
+                .collect();
+            keyed.sort_unstable();
+            let mut rank = vec![NIL; instance.len()];
+            let (mut rho, mut prev) = (Vec::new(), None);
+            for (key, i) in keyed {
+                if prev != Some(key) {
+                    prev = Some(key);
+                    rho.push(-F64Ord::from_total_bits(key.0).0);
+                }
+                rank[i] = u32::try_from(rho.len() - 1).unwrap();
+            }
+            Ranking { count: rho.len(), rank, rho }
+        }
+        // Blocks of at most 4 task types, priorities with ±0.0 and equal
+        // values, and now and then a task without a finite ratio.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as usize
+        };
+        let priorities = [-0.0, 0.0, 1.0, 1.0, 7.5];
+        for case in 0..200 {
+            let k = 2 + case % 2;
+            let types: Vec<Vec<f64>> =
+                (0..1 + draw(4)).map(|_| (0..k).map(|_| (1 + draw(4)) as f64).collect()).collect();
+            let mut tasks = Vec::new();
+            for _ in 0..1 + draw(10) {
+                let (ty, len, prio, vary) = (draw(4), 1 + draw(8), draw(5), draw(2));
+                for j in 0..len {
+                    let priority = priorities[(prio + j * vary) % priorities.len()];
+                    let times = &types[ty % types.len()];
+                    tasks.push(if draw(16) == 0 {
+                        // Class 0's ratio to every other class overflows.
+                        let mut raw = vec![f64::MIN_POSITIVE; k];
+                        raw[0] = f64::MAX;
+                        Task::from_raw_times(&raw, priority)
+                    } else {
+                        Task::from_times(times).with_priority(priority)
+                    });
+                }
+            }
+            let instance = Instance::from_tasks(tasks);
+            let pairs: &[(u16, u16)] = if k == 2 { &[(0, 1)] } else { &[(0, 1), (0, 2), (1, 2)] };
+            for &(a, b) in pairs {
+                let pair = (ClassId(a), ClassId(b));
+                for tie in [QueueTieBreak::Priority, QueueTieBreak::InsertionOrder] {
+                    let runs = rank_tasks(&instance, tie, pair, true);
+                    let want = per_task(&instance, tie, pair);
+                    assert_eq!(runs.rank, want.rank, "case {case} {pair:?} {tie:?}");
+                    assert_eq!(runs.count, want.count, "case {case} {pair:?} {tie:?}");
+                    assert_eq!(runs.rho, want.rho, "case {case} {pair:?} {tie:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
 /// Total-order wrapper for finite `f64` keys in heaps and sorts.
 ///
 /// Panics (in debug builds) if constructed from a NaN; processing times and
-/// schedule instants are always finite in this workspace.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// schedule instants are always finite in this workspace. Equality is the
+/// order's: `F64Ord(0.0) != F64Ord(-0.0)`, and a NaN equals itself.
+#[derive(Clone, Copy, Debug)]
 pub struct F64Ord(pub f64);
 
 impl F64Ord {
@@ -76,6 +77,13 @@ impl F64Ord {
     #[inline]
     pub fn from_total_bits(bits: u64) -> Self {
         F64Ord(f64::from_bits(if bits >> 63 == 1 { bits ^ 1 << 63 } else { !bits }))
+    }
+}
+
+impl PartialEq for F64Ord {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.total_bits() == other.total_bits()
     }
 }
 
@@ -168,5 +176,21 @@ mod tests {
             let back = F64Ord::from_total_bits(F64Ord(a).total_bits());
             assert_eq!(back.0.to_bits(), a.to_bits());
         }
+    }
+
+    #[test]
+    fn equality_agrees_with_the_order() {
+        let quiet_nan = f64::NAN;
+        let payload_nan = f64::from_bits(quiet_nan.to_bits() | 1);
+        let values = [-0.0, 0.0, 1.0, quiet_nan, -quiet_nan, payload_nan];
+        for a in values {
+            for b in values {
+                let (a, b) = (F64Ord(a), F64Ord(b));
+                assert_eq!(a == b, a.cmp(&b) == Ordering::Equal, "{a:?} vs {b:?}");
+            }
+        }
+        assert_ne!(F64Ord(0.0), F64Ord(-0.0));
+        assert_eq!(F64Ord(quiet_nan), F64Ord(quiet_nan));
+        assert_ne!(F64Ord(quiet_nan), F64Ord(payload_nan));
     }
 }

@@ -8,11 +8,14 @@ use heteroprio::bounds::{
 };
 use heteroprio::core::heteroprio as hp;
 use heteroprio::core::list::{homogeneous_lower_bound, list_schedule};
-use heteroprio::core::{sorted_queue, HeteroPrioConfig, Instance, Platform, QueueTieBreak, Task};
+use heteroprio::core::{
+    sorted_queue, HeteroPrioConfig, Instance, Platform, QueueTieBreak, Task, TaskId,
+};
 use heteroprio::schedulers::dualhp_independent;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
 use heteroprio::simulator::simulate;
 use heteroprio::taskgraph::{check_precedence, random_layered, RandomDagParams, TaskGraph};
+use heteroprio_bench::seed_reference::seed_sorted_queue;
 use proptest::prelude::*;
 
 /// Strategy: a task with cpu and gpu times in (0.1, 50).
@@ -26,6 +29,69 @@ fn instance_strategy(max: usize) -> impl Strategy<Value = Instance> {
 
 fn platform_strategy() -> impl Strategy<Value = Platform> {
     (1usize..=4, 1usize..=3).prop_map(|(m, n)| Platform::new(m, n))
+}
+
+/// Priorities of the queue-order test: equal values, and ±0.0, which the
+/// order keeps apart.
+const PRIORITIES: [f64; 5] = [-0.0, 0.0, 1.0, 1.0, 7.5];
+
+/// An instance in repeated blocks of at most 4 task types, as generated
+/// workloads are. Each block is `(type, length, priority, vary)`: its tasks
+/// share the priority when `vary == 0`, else walk through [`PRIORITIES`].
+/// Integer times make equal ratios across types common.
+fn blocked_instance(types: &[(u32, u32)], blocks: &[(usize, usize, usize, u32)]) -> Instance {
+    let mut instance = Instance::new();
+    for &(ty, len, prio, vary) in blocks {
+        let (p, q) = types[ty % types.len()];
+        for j in 0..len {
+            let priority = PRIORITIES[(prio + j * vary as usize) % PRIORITIES.len()];
+            instance.push(Task::new(f64::from(p), f64::from(q)).with_priority(priority));
+        }
+    }
+    instance
+}
+
+/// The ids handed to `sorted_queue`: 0 the full ascending range, 1 a
+/// shuffle, 2 a sub-slice, 3 ascending stretches with gaps, reordered so
+/// that equal-key runs interleave in id range (`[0, 1, 2, 10, 11, 3, 4]`),
+/// 4 the full range with a stretch listed twice.
+fn id_list(n: usize, form: u32, salt: u64) -> Vec<TaskId> {
+    let mut state = salt | 1;
+    let mut draw = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let all: Vec<TaskId> = (0..n as u32).map(TaskId).collect();
+    match form {
+        0 => all,
+        1 => {
+            let mut ids = all;
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, draw(i + 1));
+            }
+            ids
+        }
+        2 => {
+            let a = draw(n);
+            let b = a + 1 + draw(n - a);
+            all[a..b].to_vec()
+        }
+        3 => {
+            let kept: Vec<TaskId> = all.into_iter().filter(|_| draw(4) != 0).collect();
+            let mut stretches: Vec<&[TaskId]> = kept.chunks(1 + draw(4)).collect();
+            for i in (1..stretches.len()).rev() {
+                stretches.swap(i, draw(i + 1));
+            }
+            stretches.concat()
+        }
+        _ => {
+            let a = draw(n);
+            let b = a + 1 + draw(n - a);
+            [&all[..], &all[a..b]].concat()
+        }
+    }
 }
 
 proptest! {
@@ -133,6 +199,24 @@ proptest! {
                 prop_assert!(w[0] >= w[1] - 1e-12);
             }
             prop_assert_eq!(q.len(), instance.len());
+        }
+    }
+
+    #[test]
+    fn queue_order_is_exactly_the_frozen_keyed_sort(
+        types in prop::collection::vec((1u32..=4, 1u32..=4), 1..=4),
+        blocks in prop::collection::vec((0usize..4, 1usize..=64, 0usize..5, 0u32..2), 1..=24),
+        ids_form in 0u32..5,
+        salt in 0u64..u64::MAX,
+    ) {
+        let instance = blocked_instance(&types, &blocks);
+        let ids = id_list(instance.len(), ids_form, salt);
+        for tie in [QueueTieBreak::Priority, QueueTieBreak::InsertionOrder] {
+            prop_assert_eq!(
+                Vec::from(sorted_queue(&instance, &ids, tie)),
+                Vec::from(seed_sorted_queue(&instance, &ids, tie)),
+                "{:?} over ids {:?}", tie, ids
+            );
         }
     }
 
