@@ -628,6 +628,12 @@ pub fn cmd_bounds(text: &str, table: &ClassTable) -> Result<String, String> {
     Ok(out)
 }
 
+/// The factorization a workload argument names.
+fn workload(kind: &str) -> Result<Factorization, String> {
+    Factorization::parse(kind)
+        .ok_or_else(|| format!("unknown workload `{kind}` (cholesky, qr, lu)"))
+}
+
 /// `dag`: generate a factorization DAG, submit it through the runtime and
 /// schedule it, optionally under a fault plan.
 pub fn cmd_dag(
@@ -638,7 +644,7 @@ pub fn cmd_dag(
     opts: &OutputOpts,
     faults: &FaultOpts,
 ) -> Result<CmdOutput, String> {
-    use heteroprio_runtime::{submit_cholesky, submit_lu, submit_qr, Runtime};
+    use heteroprio_runtime::Runtime;
     if n == 0 {
         return Err("need at least one tile".to_string());
     }
@@ -652,10 +658,7 @@ pub fn cmd_dag(
         ));
     }
     let platform = &table.platform();
-    let kind_lc = kind.to_ascii_lowercase();
-    if !matches!(kind_lc.as_str(), "cholesky" | "qr" | "lu") {
-        return Err(format!("unknown workload `{kind_lc}` (cholesky, qr, lu)"));
-    }
+    let graph = workload(kind)?.generate(n, &ChameleonTiming);
     if !algo.is_live() {
         if opts.metrics {
             return Err("--metrics instruments the live kernel; heft replays a static \
@@ -670,11 +673,7 @@ pub fn cmd_dag(
     }
     let build = || {
         let mut rt = Runtime::new(*platform);
-        match kind_lc.as_str() {
-            "cholesky" => submit_cholesky(&mut rt, n, &ChameleonTiming),
-            "qr" => submit_qr(&mut rt, n, &ChameleonTiming),
-            _ => submit_lu(&mut rt, n, &ChameleonTiming),
-        }
+        rt.submit_graph(&graph);
         rt
     };
     let (plan, baseline) = if faults.active() {
@@ -754,12 +753,7 @@ pub fn cmd_dag(
 /// `gen`: emit the independent-task kernel mix of a factorization in the
 /// CLI's instance format.
 pub fn cmd_gen(kind: &str, n: usize) -> Result<String, String> {
-    let f = match kind.to_ascii_lowercase().as_str() {
-        "cholesky" => Factorization::Cholesky,
-        "qr" => Factorization::Qr,
-        "lu" => Factorization::Lu,
-        other => return Err(format!("unknown workload `{other}` (cholesky, qr, lu)")),
-    };
+    let f = workload(kind)?;
     if n == 0 {
         return Err("need at least one tile".to_string());
     }

@@ -89,7 +89,9 @@ pub fn parse_instance_k(text: &str, k: usize) -> Result<Instance, ParseError> {
         let mut task = Task::try_from_times(&times)
             .map_err(|e| ParseError { line, message: e.to_string() })?;
         if let Some(p) = fields.get(k) {
-            task = task.with_priority(parse(p, "priority")?);
+            task = task
+                .try_with_priority(parse(p, "priority")?)
+                .map_err(|e| ParseError { line, message: e.to_string() })?;
         }
         instance.push(task);
     }
@@ -165,6 +167,17 @@ mod tests {
             let err = parse_instance_k(&format!("{first}\n{row}\n"), k).unwrap_err();
             assert_eq!(err.line, 2, "{row}");
             assert!(err.message.contains("positive and finite"), "{row}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn rejects_a_non_finite_priority_with_its_line() {
+        for row in ["1 2 nan", "2 1 inf", "2 1 -inf", "1 1 1 NaN"] {
+            let k = row.split_whitespace().count() - 1;
+            let first = vec!["2"; k].join(" ");
+            let err = parse_instance_k(&format!("{first}\n{row}\n"), k).unwrap_err();
+            assert_eq!(err.line, 2, "{row}");
+            assert!(err.message.contains("priority must be finite"), "{row}: {}", err.message);
         }
     }
 

@@ -14,6 +14,7 @@ use heteroprio_cli::{
 };
 use heteroprio_core::ClassTable;
 use heteroprio_schedulers::{IndepAlgo, Scheduler};
+use heteroprio_taskgraph::Factorization;
 use std::process::ExitCode;
 
 /// `{INDEP}` and `{DAG}` stand for the scheduler tables' names.
@@ -220,11 +221,6 @@ fn positionals(args: &Args, max: usize) -> Result<&[String], String> {
     }
 }
 
-/// Whether a positional names a factorization workload rather than a file.
-fn is_workload(first: &str) -> bool {
-    matches!(first, "cholesky" | "qr" | "lu")
-}
-
 /// The tile count after a workload kind.
 fn tile_count(pos: &[String], command: &str) -> Result<usize, String> {
     let n = pos.get(1).ok_or_else(|| format!("{command} needs a tile count"))?;
@@ -275,7 +271,9 @@ fn run() -> Result<(), String> {
                 _ => "resume needs an INSTANCE file or a workload kind",
             })?;
             // `resume` continues either form, told apart by the first argument.
-            let out = if command == "dag" || command == "resume" && is_workload(first) {
+            let out = if command == "dag"
+                || command == "resume" && Factorization::parse(first).is_some()
+            {
                 let n = tile_count(positionals(&args, 2)?, &command)?;
                 cmd_dag(first, n, &platform, dag_algo(&args)?, &args.opts, &args.faults)?
             } else {
@@ -295,7 +293,7 @@ fn run() -> Result<(), String> {
             let platform = platform_of(&args)?;
             let first =
                 args.positional.first().ok_or("audit needs an INSTANCE file or a workload kind")?;
-            if is_workload(first) {
+            if Factorization::parse(first).is_some() {
                 // Workload form: audit a fresh runtime execution.
                 let pos = positionals(&args, 2)?;
                 let n = tile_count(pos, "audit")?;

@@ -132,8 +132,13 @@ fn audit_reports_a_worker_beyond_the_platform_instead_of_panicking() {
 }
 
 #[test]
-fn schedule_rejects_an_overflowing_time_ratio_without_panicking() {
-    for (name, row) in [("ratio-overflow.txt", "5e-324 1"), ("ratio-underflow.txt", "1 1e-320")] {
+fn schedule_rejects_a_bad_row_without_panicking() {
+    for (name, row) in [
+        ("ratio-overflow.txt", "5e-324 1"),
+        ("ratio-underflow.txt", "1 1e-320"),
+        ("priority-nan.txt", "1 2 nan"),
+        ("priority-inf.txt", "2 1 inf"),
+    ] {
         let instance = scratch(name);
         std::fs::write(&instance, format!("8 1\n{row}\n")).unwrap();
         let out = bin()
@@ -147,6 +152,22 @@ fn schedule_rejects_an_overflowing_time_ratio_without_panicking() {
         assert!(!stderr.contains("panicked"), "{row}: {stderr}");
         let _ = std::fs::remove_file(&instance);
     }
+}
+
+#[test]
+fn dag_qr_runs_the_figure_7_graph() {
+    let out = bin()
+        .args(["dag", "qr", "8", "--cpus", "20", "--gpus", "4"])
+        .output()
+        .expect("run heteroprio-cli dag qr");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Fig. 7's QR N=8 row (results/fig7.txt): 204 tasks, lower bound 355.0,
+    // HeteroPrio-min ratio 1.4366. The one-handle-per-tile graph had 504
+    // edges and a 425.00 ms bound.
+    assert!(stdout.starts_with("qr N=8: 204 tasks, 476 edges"), "{stdout}");
+    assert!(stdout.contains("lower bound : 355.00 ms"), "{stdout}");
+    assert!(stdout.contains("ratio       : 1.4366"), "{stdout}");
 }
 
 #[test]

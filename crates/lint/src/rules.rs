@@ -1135,7 +1135,7 @@ mod tests {
             vec!["slice-index"]
         );
         // Chained and sliced forms count too.
-        assert_eq!(rules_of("crates/runtime/src/apps.rs", "a[i][j]\n").len(), 2);
+        assert_eq!(rules_of("crates/runtime/src/runtime.rs", "a[i][j]\n").len(), 2);
         assert_eq!(rules_of("crates/core/src/schedule.rs", "&mut row[s..e]\n").len(), 1);
         // .get()/.get_mut() are the sanctioned accessors.
         assert!(rules_of("crates/core/src/kernel.rs", "tasks.get(i).expect(\"in range\");\n")

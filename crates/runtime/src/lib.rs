@@ -7,9 +7,9 @@
 //! (read / write / read-write), and the runtime infers the dependency DAG
 //! under sequential consistency, then executes it with a pluggable
 //! scheduler (HeteroPrio by default). This is the programming model the
-//! paper's workloads actually use — [`apps`] contains the three tiled
-//! factorizations written as submission loops, cross-validated against the
-//! explicit DAG generators.
+//! paper's workloads actually use. A graph built elsewhere — the tiled
+//! factorizations of `heteroprio_taskgraph`, say — goes in whole through
+//! [`Runtime::submit_graph`].
 //!
 //! ```
 //! use heteroprio_runtime::{Access, Runtime, Scheduler};
@@ -23,11 +23,9 @@
 //! assert_eq!(report.makespan, 2.0);
 //! ```
 
-pub mod apps;
 pub mod handles;
 pub mod runtime;
 
-pub use apps::{submit_cholesky, submit_lu, submit_qr};
 pub use handles::{Access, DataHandle};
 pub use heteroprio_simulator::{FaultPlan, RetryPolicy, SimError, WorkerFault};
 pub use runtime::{Execution, Outcome, Report, Runtime, Scheduler};

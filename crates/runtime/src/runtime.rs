@@ -237,6 +237,23 @@ impl Runtime {
         id
     }
 
+    /// Submit every task of a built graph, with its edges: task `t` of
+    /// `graph` becomes task `offset + t`, where `offset` is the number of
+    /// tasks submitted before. The tasks touch no data handle. Edges are
+    /// re-added target by target in predecessor order, so a graph whose
+    /// builder added each task's in-edges right after the task (every
+    /// generator in `heteroprio_taskgraph` does) comes back identical,
+    /// successor and predecessor order included.
+    pub fn submit_graph(&mut self, graph: &TaskGraph) {
+        let offset = self.builder.len() as u32;
+        for t in graph.instance().ids() {
+            let id = self.builder.add_task(*graph.instance().task(t), graph.label(t));
+            for &p in graph.predecessors(t) {
+                self.builder.add_edge(TaskId(offset + p.0), id);
+            }
+        }
+    }
+
     /// Freeze the submitted graph (without running it).
     pub fn build_graph(self) -> Result<TaskGraph, CycleError> {
         self.builder.build()
@@ -444,6 +461,22 @@ mod tests {
         let report = rt.run(Scheduler::HeteroPrio(WeightScheme::Min)).unwrap();
         // GPU runs the first (1.0), CPU the second (1.0 + 0.5 cross penalty).
         assert!(approx_eq(report.makespan, 2.5), "{}", report.makespan);
+    }
+
+    #[test]
+    fn submit_graph_offsets_ids_past_earlier_submissions() {
+        use heteroprio_taskgraph::fork_join;
+        let mut rt = Runtime::new(Platform::new(1, 1));
+        let a = rt.register_data("a");
+        rt.submit(unit(1.0, 1.0), "w", &[(a, Access::Write)]);
+        rt.submit_graph(&fork_join(2, 1.0, 2.0));
+        let g = rt.build_graph().unwrap();
+        assert_eq!(g.len(), 5);
+        assert!(g.predecessors(TaskId(1)).is_empty(), "graph tasks touch no handle");
+        assert_eq!(g.successors(TaskId(1)), &[TaskId(2), TaskId(3)]);
+        assert_eq!(g.predecessors(TaskId(4)), &[TaskId(2), TaskId(3)]);
+        assert_eq!(g.label(TaskId(4)), "join");
+        assert_eq!(g.instance().task(TaskId(4)).times(), &[1.0, 2.0]);
     }
 
     #[test]

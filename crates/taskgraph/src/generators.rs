@@ -7,7 +7,14 @@
 //!
 //! Dependencies are derived with last-writer tracking per tile, which
 //! serializes successive updates of the same tile — matching the
-//! read-write-access dependency inference of StarPU-like runtimes.
+//! read-write-access dependency inference of StarPU-like runtimes. In QR,
+//! `GEQRT(k)` leaves two results in the diagonal tile: the reflectors
+//! below the diagonal and the R factor on and above it. `ORMQR` reads only
+//! the reflectors and `TSQRT` rewrites only R, so `ORMQR(k,j)` does not
+//! precede `TSQRT(i,k)`: a runtime that registers the reflectors as their
+//! own datum infers exactly this graph. `tests/runtime_properties.rs`
+//! pins all three generators, edge order included, against such
+//! access-mode submissions.
 
 use crate::dag::{DagBuilder, TaskGraph};
 use crate::kernels::{Kernel, KernelTiming};
@@ -160,11 +167,39 @@ impl Factorization {
         }
     }
 
+    /// The factorization named `cholesky`, `qr` or `lu`, in any case.
+    pub fn parse(name: &str) -> Option<Self> {
+        Factorization::ALL.into_iter().find(|f| f.name().eq_ignore_ascii_case(name))
+    }
+
     pub fn generate(self, n: usize, timing: &impl KernelTiming) -> TaskGraph {
         match self {
             Factorization::Cholesky => cholesky(n, timing),
             Factorization::Qr => qr(n, timing),
             Factorization::Lu => lu(n, timing),
+        }
+    }
+}
+
+/// Kernel multiset of an `n`-tile factorization: `(kernel, count)` pairs,
+/// in the order the generator first submits each kernel. A kernel the
+/// factorization never runs at this size has count 0.
+pub fn kernel_counts(f: Factorization, n: usize) -> Vec<(Kernel, usize)> {
+    let c2 = n * (n - 1) / 2; // C(n, 2)
+    let c3 = if n >= 3 { n * (n - 1) * (n - 2) / 6 } else { 0 }; // C(n, 3)
+    let sq_sum = (n - 1) * n * (2 * n - 1) / 6; // Σ_{k<n} k²
+    match f {
+        Factorization::Cholesky => {
+            vec![(Kernel::Potrf, n), (Kernel::Trsm, c2), (Kernel::Syrk, c2), (Kernel::Gemm, c3)]
+        }
+        Factorization::Qr => vec![
+            (Kernel::Geqrt, n),
+            (Kernel::Ormqr, c2),
+            (Kernel::Tsqrt, c2),
+            (Kernel::Tsmqr, sq_sum),
+        ],
+        Factorization::Lu => {
+            vec![(Kernel::Getrf, n), (Kernel::Trsm, 2 * c2), (Kernel::Gemm, sq_sum)]
         }
     }
 }
@@ -259,18 +294,6 @@ pub fn random_layered(params: &RandomDagParams, seed: u64) -> TaskGraph {
     b.build().expect("layered graph is acyclic")
 }
 
-/// Expected task counts of each factorization, used in tests and reports.
-pub fn expected_task_count(f: Factorization, n: usize) -> usize {
-    let c2 = n * (n - 1) / 2; // C(n, 2)
-    let sq_sum = (n - 1) * n * (2 * n - 1) / 6; // Σ_{k<n} k²
-    let c3 = if n >= 3 { n * (n - 1) * (n - 2) / 6 } else { 0 }; // C(n, 3)
-    match f {
-        Factorization::Cholesky => n + c2 + c2 + c3,
-        Factorization::Qr => n + c2 + c2 + sq_sum,
-        Factorization::Lu => n + 2 * c2 + sq_sum,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,40 +302,31 @@ mod tests {
     const T: ConstTiming = ConstTiming { cpu: 1.0, gpu: 1.0 };
 
     #[test]
-    fn cholesky_task_counts() {
-        for n in 1..=8 {
-            let g = cholesky(n, &T);
-            assert_eq!(g.len(), expected_task_count(Factorization::Cholesky, n), "n={n}");
+    fn kernel_counts_are_the_generated_histogram() {
+        for f in Factorization::ALL {
+            for n in 1..=12 {
+                let mut counts: Vec<(&str, usize)> = kernel_counts(f, n)
+                    .into_iter()
+                    .filter(|&(_, c)| c > 0)
+                    .map(|(k, c)| (k.name(), c))
+                    .collect();
+                counts.sort_by_key(|&(name, _)| name);
+                assert_eq!(counts, f.generate(n, &T).label_histogram(), "{} n={n}", f.name());
+            }
         }
         // Explicit: N=4 → 4 + 6 + 6 + 4 = 20 tasks.
         assert_eq!(cholesky(4, &T).len(), 20);
     }
 
     #[test]
-    fn qr_task_counts() {
-        for n in 1..=8 {
-            let g = qr(n, &T);
-            assert_eq!(g.len(), expected_task_count(Factorization::Qr, n), "n={n}");
+    fn factorization_names_parse_in_any_case() {
+        for f in Factorization::ALL {
+            assert_eq!(Factorization::parse(f.name()), Some(f));
+            assert_eq!(Factorization::parse(&f.name().to_ascii_lowercase()), Some(f));
         }
-    }
-
-    #[test]
-    fn lu_task_counts() {
-        for n in 1..=8 {
-            let g = lu(n, &T);
-            assert_eq!(g.len(), expected_task_count(Factorization::Lu, n), "n={n}");
-        }
-    }
-
-    #[test]
-    fn cholesky_kernel_histogram() {
-        let g = cholesky(5, &T);
-        let hist = g.label_histogram();
-        let count = |name: &str| hist.iter().find(|(n, _)| *n == name).map_or(0, |&(_, c)| c);
-        assert_eq!(count("DPOTRF"), 5);
-        assert_eq!(count("DTRSM"), 10);
-        assert_eq!(count("DSYRK"), 10);
-        assert_eq!(count("DGEMM"), 10); // C(5,3)
+        assert_eq!(Factorization::parse("Cholesky"), Some(Factorization::Cholesky));
+        assert_eq!(Factorization::parse("qrx"), None);
+        assert_eq!(Factorization::parse(""), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod rank;
 
 pub use dag::{check_precedence, CycleError, DagBuilder, ReadyTracker, TaskGraph};
 pub use generators::{
-    chain, cholesky, expected_task_count, fork_join, lu, qr, random_layered, Factorization,
+    chain, cholesky, fork_join, kernel_counts, lu, qr, random_layered, Factorization,
     RandomDagParams,
 };
 pub use kernels::{ConstTiming, Kernel, KernelTiming};

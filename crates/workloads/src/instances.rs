@@ -6,28 +6,7 @@
 //! N-tile factorization with dependencies dropped.
 
 use heteroprio_core::Instance;
-use heteroprio_taskgraph::{Factorization, Kernel, KernelTiming};
-
-/// Kernel multiset of an `n`-tile factorization: `(kernel, count)` pairs.
-pub fn kernel_counts(f: Factorization, n: usize) -> Vec<(Kernel, usize)> {
-    let c2 = n * (n - 1) / 2;
-    let c3 = if n >= 3 { n * (n - 1) * (n - 2) / 6 } else { 0 };
-    let sq_sum = (n - 1) * n * (2 * n - 1) / 6;
-    match f {
-        Factorization::Cholesky => {
-            vec![(Kernel::Potrf, n), (Kernel::Trsm, c2), (Kernel::Syrk, c2), (Kernel::Gemm, c3)]
-        }
-        Factorization::Qr => vec![
-            (Kernel::Geqrt, n),
-            (Kernel::Ormqr, c2),
-            (Kernel::Tsqrt, c2),
-            (Kernel::Tsmqr, sq_sum),
-        ],
-        Factorization::Lu => {
-            vec![(Kernel::Getrf, n), (Kernel::Trsm, 2 * c2), (Kernel::Gemm, sq_sum)]
-        }
-    }
-}
+use heteroprio_taskgraph::{kernel_counts, Factorization, KernelTiming};
 
 /// The tasks of an `n`-tile factorization as an independent-task instance.
 pub fn independent_instance(f: Factorization, n: usize, timing: &impl KernelTiming) -> Instance {
@@ -45,22 +24,15 @@ pub fn independent_instance(f: Factorization, n: usize, timing: &impl KernelTimi
 mod tests {
     use super::*;
     use crate::kernels::ChameleonTiming;
-    use heteroprio_taskgraph::expected_task_count;
+    use heteroprio_taskgraph::{cholesky, Kernel};
 
     #[test]
-    fn counts_match_dag_generators() {
-        for f in Factorization::ALL {
-            for n in 1..=10 {
-                let total: usize = kernel_counts(f, n).iter().map(|&(_, c)| c).sum();
-                assert_eq!(total, expected_task_count(f, n), "{} n={n}", f.name());
-            }
-        }
-    }
-
-    #[test]
-    fn instance_size_matches_counts() {
+    fn instance_is_the_dags_tasks_in_kernel_order() {
         let inst = independent_instance(Factorization::Cholesky, 8, &ChameleonTiming);
-        assert_eq!(inst.len(), expected_task_count(Factorization::Cholesky, 8));
+        assert_eq!(inst.len(), cholesky(8, &ChameleonTiming).len());
+        // One run of equal tasks per kernel: POTRF, TRSM, SYRK, GEMM.
+        let runs = 1 + inst.tasks().windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(runs, 4);
     }
 
     #[test]

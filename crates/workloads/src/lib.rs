@@ -21,7 +21,7 @@ pub mod multi_class;
 pub mod random;
 pub mod worst_case;
 
-pub use instances::{independent_instance, kernel_counts};
+pub use instances::independent_instance;
 pub use kernels::{
     paper_platform, profile, ChameleonTiming, JitteredTiming, KernelProfile, TileScaledTiming,
     PROFILES,

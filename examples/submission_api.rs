@@ -1,20 +1,21 @@
-//! Drive the StarPU-like submission front-end: register tiles, submit a
-//! tiled Cholesky factorization kernel by kernel with access modes, and let
-//! the runtime infer the DAG and schedule it with HeteroPrio.
+//! Drive the StarPU-like runtime front-end: submit the tiled Cholesky
+//! factorization's task graph and execute it under four schedulers; the
+//! runtime validates each schedule against the graph.
 //!
 //! ```sh
 //! cargo run --release --example submission_api [N]
 //! ```
 
 use heteroprio::core::gantt::to_svg;
-use heteroprio::runtime::{submit_cholesky, Runtime, Scheduler};
+use heteroprio::runtime::{Runtime, Scheduler};
 use heteroprio::schedulers::DualHpRank;
-use heteroprio::taskgraph::WeightScheme;
+use heteroprio::taskgraph::{cholesky, WeightScheme};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(10);
     let platform = paper_platform();
+    let graph = cholesky(n, &ChameleonTiming);
 
     println!("Submitting Cholesky N={n} through the runtime API...");
     let schedulers = [
@@ -33,7 +34,7 @@ fn main() {
     let mut first_svg: Option<String> = None;
     for (name, scheduler) in schedulers {
         let mut rt = Runtime::new(platform);
-        submit_cholesky(&mut rt, n, &ChameleonTiming);
+        rt.submit_graph(&graph);
         let report = rt.run(scheduler).expect("runtime execution");
         println!(
             "{:<16} {:>10.1}ms {:>8.3} {:>12} {:>8}",
@@ -53,7 +54,7 @@ fn main() {
             println!("\nHeteroPrio Gantt chart written to {}", path.display());
         }
     }
-    println!("\nThe runtime inferred all dependencies from the access modes");
-    println!("(read / write / read-write) of the submitted kernels — no DAG");
-    println!("was written by hand.");
+    println!("\nThe graph is the one a runtime infers from the kernels' access modes");
+    println!("(read / write / read-write) under sequential consistency: the");
+    println!("access-mode oracle in tests/runtime_properties.rs pins it edge for edge.");
 }

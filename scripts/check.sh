@@ -58,6 +58,10 @@ cargo run -q -p heteroprio-cli -- audit lu 16 --cpus 4 --gpus 2
 # long in the debug build).
 cargo run -q -p heteroprio-cli -- audit cholesky 48 --cpus 20 --gpus 4
 
+echo "== example smoke: the runtime front-end under four schedulers, each run validated"
+# TMPDIR: the example writes its Gantt chart to the temp directory.
+TMPDIR="$tmp" cargo run -q --release --example submission_api 6 > /dev/null
+
 echo "== recovery smoke: journal a run, kill it mid-flight, resume, diff traces and the export"
 cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 \
     --trace "$tmp/reference.jsonl" "$tmp/instance.txt" > /dev/null

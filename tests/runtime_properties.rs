@@ -1,13 +1,140 @@
 //! Property-based tests of the submission runtime: random submission
 //! sequences with random access modes always yield acyclic graphs whose
 //! execution is valid, dependency-respecting, and sequentially consistent
-//! (per-handle writer/reader ordering).
+//! (per-handle writer/reader ordering). An access-mode oracle pins the
+//! factorization generators to the graphs the runtime infers.
 
-use heteroprio::core::{Platform, Task};
-use heteroprio::runtime::{Access, DataHandle, Runtime, Scheduler};
+use heteroprio::core::kernel::Resume;
+use heteroprio::core::{CrashPlan, Platform, Task};
+use heteroprio::runtime::{Access, DataHandle, Execution, Outcome, Runtime, Scheduler};
 use heteroprio::schedulers::DualHpRank;
-use heteroprio::taskgraph::WeightScheme;
+use heteroprio::taskgraph::{Factorization, Kernel, KernelTiming, TaskGraph, WeightScheme};
+use heteroprio::trace::MemJournal;
+use heteroprio::workloads::ChameleonTiming;
 use proptest::prelude::*;
+
+/// Test-only oracle: the tiled factorizations as Chameleon submits them,
+/// loops of kernels over tile handles with access modes, leaving the DAG to
+/// the runtime's inference. QR registers the reflectors `GEQRT(k)` leaves
+/// below the diagonal of A(k,k) as their own datum, which `ORMQR` reads;
+/// with `split_reflectors` off, `ORMQR` reads the whole tile A(k,k)
+/// instead, and so precedes the `TSQRT`s that rewrite it.
+fn submit_factorization(rt: &mut Runtime, f: Factorization, n: usize, split_reflectors: bool) {
+    use Access::{Read, ReadWrite, Write};
+    let timing = ChameleonTiming;
+    let submit = |rt: &mut Runtime, kernel: Kernel, accesses: &[(DataHandle, Access)]| {
+        rt.submit(timing.task(kernel), kernel.name(), accesses);
+    };
+    let tiles: Vec<DataHandle> = (0..n * n).map(|_| rt.register_data("tile")).collect();
+    let a = |i: usize, j: usize| tiles[i * n + j];
+    for k in 0..n {
+        match f {
+            Factorization::Cholesky => {
+                submit(rt, Kernel::Potrf, &[(a(k, k), ReadWrite)]);
+                for i in k + 1..n {
+                    submit(rt, Kernel::Trsm, &[(a(k, k), Read), (a(i, k), ReadWrite)]);
+                }
+                for i in k + 1..n {
+                    submit(rt, Kernel::Syrk, &[(a(i, k), Read), (a(i, i), ReadWrite)]);
+                    for j in k + 1..i {
+                        let acc = [(a(i, k), Read), (a(j, k), Read), (a(i, j), ReadWrite)];
+                        submit(rt, Kernel::Gemm, &acc);
+                    }
+                }
+            }
+            Factorization::Qr => {
+                let v = rt.register_data("reflectors");
+                submit(rt, Kernel::Geqrt, &[(a(k, k), ReadWrite), (v, Write)]);
+                let reflectors = if split_reflectors { v } else { a(k, k) };
+                for j in k + 1..n {
+                    submit(rt, Kernel::Ormqr, &[(reflectors, Read), (a(k, j), ReadWrite)]);
+                }
+                for i in k + 1..n {
+                    submit(rt, Kernel::Tsqrt, &[(a(k, k), ReadWrite), (a(i, k), ReadWrite)]);
+                    for j in k + 1..n {
+                        let acc = [(a(i, k), Read), (a(k, j), ReadWrite), (a(i, j), ReadWrite)];
+                        submit(rt, Kernel::Tsmqr, &acc);
+                    }
+                }
+            }
+            Factorization::Lu => {
+                submit(rt, Kernel::Getrf, &[(a(k, k), ReadWrite)]);
+                for j in k + 1..n {
+                    submit(rt, Kernel::Trsm, &[(a(k, k), Read), (a(k, j), ReadWrite)]);
+                }
+                for i in k + 1..n {
+                    submit(rt, Kernel::Trsm, &[(a(k, k), Read), (a(i, k), ReadWrite)]);
+                }
+                for i in k + 1..n {
+                    for j in k + 1..n {
+                        let acc = [(a(i, k), Read), (a(k, j), Read), (a(i, j), ReadWrite)];
+                        submit(rt, Kernel::Gemm, &acc);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Node for node: task times, labels, and successor and predecessor
+/// slices in order (release order is the ready queue's FIFO order).
+fn assert_same_graph(got: &TaskGraph, want: &TaskGraph, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: task count");
+    for t in want.instance().ids() {
+        assert_eq!(got.instance().task(t), want.instance().task(t), "{what}: task {t:?}");
+        assert_eq!(got.label(t), want.label(t), "{what}: label of {t:?}");
+        assert_eq!(got.successors(t), want.successors(t), "{what}: successors of {t:?}");
+        assert_eq!(got.predecessors(t), want.predecessors(t), "{what}: predecessors of {t:?}");
+    }
+}
+
+#[test]
+fn access_mode_submissions_infer_the_generator_graphs() {
+    for f in Factorization::ALL {
+        for n in 1..=8 {
+            let generated = f.generate(n, &ChameleonTiming);
+            let mut rt = Runtime::new(Platform::new(2, 2));
+            submit_factorization(&mut rt, f, n, true);
+            let inferred = rt.build_graph().unwrap();
+            assert_same_graph(&inferred, &generated, &format!("{} n={n} inferred", f.name()));
+            let mut rt = Runtime::new(Platform::new(2, 2));
+            rt.submit_graph(&generated);
+            let resubmitted = rt.build_graph().unwrap();
+            assert_same_graph(&resubmitted, &generated, &format!("{} n={n} resubmitted", f.name()));
+        }
+    }
+}
+
+#[test]
+fn a_journal_of_the_one_handle_qr_dag_does_not_resume_on_the_generator_dag() {
+    // The one-handle QR graph, recorded up to a crash half-way through...
+    let one_handle = || {
+        let mut rt = Runtime::new(Platform::new(2, 1));
+        submit_factorization(&mut rt, Factorization::Qr, 4, false);
+        rt
+    };
+    let full = one_handle()
+        .execute(Scheduler::default(), Execution { record: true, ..Execution::default() });
+    let crash_at = full.unwrap().report().unwrap().events.len() as u64 / 2;
+    let mut journal = MemJournal::new();
+    let exec = Execution {
+        journal: Some(&mut journal),
+        crash: CrashPlan::at_event(crash_at),
+        ..Execution::default()
+    };
+    let crashed = one_handle().execute(Scheduler::default(), exec).unwrap();
+    assert!(matches!(crashed, Outcome::Crashed { .. }));
+    // ...is refused, not continued, on the generator's graph.
+    let recovered = journal.events().to_vec();
+    let mut rt = Runtime::new(Platform::new(2, 1));
+    rt.submit_graph(&Factorization::Qr.generate(4, &ChameleonTiming));
+    let exec = Execution {
+        resume: Some(Resume { journal: &recovered, snapshot: None }),
+        ..Execution::default()
+    };
+    let err = rt.execute(Scheduler::default(), exec).unwrap_err();
+    assert!(err.contains("diverged"), "{err}");
+}
 
 #[derive(Clone, Debug)]
 struct Submission {
