@@ -4,7 +4,7 @@
 
 use crate::report::{AuditReport, RatioCertificate, Rule, Violation};
 use crate::StreamAuditor;
-use heteroprio_bounds::{area_bound, check_structure, combined_lower_bound};
+use heteroprio_bounds::{area_bound, check_structure, combined_lower_bound, min_time_bound};
 use heteroprio_core::model::{Instance, Platform, ResourceKind, TaskId, WorkerId};
 use heteroprio_core::proven_upper_bound;
 use heteroprio_core::schedule::Schedule;
@@ -148,20 +148,27 @@ pub(crate) fn check_well_formed(
     }
 }
 
-pub(crate) fn check_area_bound(instance: &Instance, platform: &Platform, report: &mut AuditReport) {
+/// Check the area bound's Lemma 1/2 structure. Returns the bound's value
+/// when it computes, so the ratio certificate need not compute it again.
+pub(crate) fn check_area_bound(
+    instance: &Instance,
+    platform: &Platform,
+    report: &mut AuditReport,
+) -> Option<f64> {
     if instance.is_empty() {
         report.skipped.push((Rule::AreaBoundCertificate, "empty instance".into()));
-        return;
+        return None;
     }
     if platform.k() != 2 {
         report.skipped.push((
             Rule::AreaBoundCertificate,
             "Lemma 1/2 threshold structure is a two-class certificate".into(),
         ));
-        return;
+        return None;
     }
     report.checks += 1;
     let checked = area_bound(instance, platform).map_err(|e| e.to_string());
+    let value = checked.as_ref().ok().map(|ab| ab.value);
     if let Err(msg) = checked.and_then(|ab| check_structure(instance, platform, &ab)) {
         report.violations.push(Violation {
             rule: Rule::AreaBoundCertificate,
@@ -171,20 +178,28 @@ pub(crate) fn check_area_bound(instance: &Instance, platform: &Platform, report:
             message: msg,
         });
     }
+    value
 }
 
+/// Check the makespan against the proven ratio times a lower bound: the
+/// caller's, or [`combined_lower_bound`], whose area term is `area` when
+/// [`check_area_bound`] computed it.
 pub(crate) fn check_approx_ratio(
     instance: &Instance,
     platform: &Platform,
     schedule: &Schedule,
     opts: &AuditOptions,
+    area: Option<f64>,
     report: &mut AuditReport,
 ) {
     if instance.is_empty() {
         report.skipped.push((Rule::ApproxRatioCertificate, "empty instance".into()));
         return;
     }
-    let lower_bound = opts.lower_bound.unwrap_or_else(|| combined_lower_bound(instance, platform));
+    let lower_bound = opts.lower_bound.unwrap_or_else(|| match area {
+        Some(area) => area.max(min_time_bound(instance)),
+        None => combined_lower_bound(instance, platform),
+    });
     if !lower_bound.is_finite() || !strictly_less(0.0, lower_bound) {
         report
             .skipped

@@ -108,8 +108,8 @@ impl<'a> StreamAuditor<'a> {
                 &mut report,
             );
         }
-        check_area_bound(self.instance, self.platform, &mut report);
-        check_approx_ratio(self.instance, self.platform, schedule, &self.opts, &mut report);
+        let area = check_area_bound(self.instance, self.platform, &mut report);
+        check_approx_ratio(self.instance, self.platform, schedule, &self.opts, area, &mut report);
         report
     }
 }

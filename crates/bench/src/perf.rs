@@ -9,6 +9,11 @@
 //! depths per case. Kernel optimizations are measured against this
 //! baseline.
 //!
+//! `pick_p50_ns` and `pick_p99_ns` are quantiles of the `kernel_pick_ns`
+//! histogram, which samples one `pick` call in
+//! [`SAMPLE_EVERY`](heteroprio_metrics::SAMPLE_EVERY) (the 1st, 17th,
+//! 33rd, … of each run): a quantile of that sample, not of every pick.
+//!
 //! [`validate_baseline`] checks the schema and the non-timing invariants
 //! (non-zero counters, required scales); the `perf --smoke` gate in
 //! `scripts/check.sh` relies on it staying free of timing assertions so CI

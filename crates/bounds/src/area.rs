@@ -11,6 +11,7 @@
 
 use heteroprio_core::model::{ClassId, Instance, ModelError, Platform, ResourceKind, Task, TaskId};
 use heteroprio_core::time::{approx_le, strictly_less};
+use heteroprio_core::{sorted_queue, QueueTieBreak};
 
 /// The exact solution of the area-bound linear program.
 #[derive(Clone, Debug)]
@@ -49,7 +50,7 @@ impl AreaBound {
 
 /// Compute `AreaBound(I)` exactly.
 ///
-/// Runs in `O(|I| log |I|)` (the sort dominates). Every task's times are
+/// Runs in `O(|I| log |I|)` (the ready queue's sort dominates). Every task's times are
 /// re-checked first, so a task assembled by `Task::from_raw_times` with a
 /// zero, negative or non-finite time gets the checked constructor's typed
 /// error instead of a bound.
@@ -57,18 +58,22 @@ pub fn area_bound(instance: &Instance, platform: &Platform) -> Result<AreaBound,
     for task in instance.tasks() {
         Task::try_from_times(task.times())?;
     }
-    let n = instance.len();
-    if n == 0 {
+    if instance.is_empty() {
         return Ok(AreaBound { value: 0.0, cpu_fraction: Vec::new(), threshold: 1.0 });
     }
+    // Tasks by non-increasing acceleration factor, GPU-friendliest first,
+    // ties by id: the ready queue's own order under insertion-order ties.
+    let ids: Vec<TaskId> = instance.ids().collect();
+    let order = Vec::from(sorted_queue(instance, &ids, QueueTieBreak::InsertionOrder));
+    Ok(threshold_solution(instance, platform, &order))
+}
+
+/// The Lemma 2 threshold solution along `order`, the non-empty instance's
+/// tasks by non-increasing acceleration factor.
+fn threshold_solution(instance: &Instance, platform: &Platform, order: &[TaskId]) -> AreaBound {
+    let n = order.len();
     let m = platform.cpus() as f64;
     let g = platform.gpus() as f64;
-
-    // Tasks by non-increasing acceleration factor: GPU-friendliest first.
-    let mut order: Vec<TaskId> = instance.ids().collect();
-    order.sort_by(|&a, &b| {
-        instance.task(b).accel_factor().total_cmp(&instance.task(a).accel_factor()).then(a.cmp(&b))
-    });
 
     // Prefix GPU work and suffix CPU work along that order.
     // gpu_prefix[j] = Σ_{i<j} q_(order[i]); cpu_suffix[j] = Σ_{i>=j} p_(order[i]).
@@ -120,7 +125,7 @@ pub fn area_bound(instance: &Instance, platform: &Platform) -> Result<AreaBound,
     cpu_fraction[split.index()] = x;
     let value = base_cpu + x * p / m;
 
-    Ok(AreaBound { value, cpu_fraction, threshold: instance.task(split).accel_factor() })
+    AreaBound { value, cpu_fraction, threshold: instance.task(split).accel_factor() }
 }
 
 /// Check that a fractional assignment `x` (CPU fractions) is feasible and
@@ -295,6 +300,43 @@ mod tests {
     use super::*;
     use heteroprio_core::time::approx_eq;
     use heteroprio_core::Platform;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn the_queue_order_gives_the_comparator_sorts_bound_bit_for_bit() {
+        // The order `area_bound` used before it took the ready queue's:
+        // non-increasing ρ by `total_cmp`, ties by id, one division of
+        // p by q per comparison.
+        let comparator_order = |instance: &Instance| {
+            let mut order: Vec<TaskId> = instance.ids().collect();
+            order.sort_by(|&a, &b| {
+                let rho = |id: TaskId| instance.task(id).accel_factor();
+                rho(b).total_cmp(&rho(a)).then(a.cmp(&b))
+            });
+            order
+        };
+        let mut rng = StdRng::seed_from_u64(0xA2EA);
+        for round in 0..300 {
+            // Few integer shapes and their multiples: equal ρ from equal
+            // and from different times, in every position.
+            let n = rng.random_range(1usize..60);
+            let tasks = (0..n).map(|_| {
+                let (p, q) = [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (4.0, 2.0), (3.0, 9.0)]
+                    [rng.random_range(0usize..5)];
+                let scale = [1.0, 2.0, 0.5, 3.0][rng.random_range(0usize..4)];
+                Task::new(p * scale, q * scale)
+            });
+            let inst = Instance::from_tasks(tasks.collect());
+            let plat = Platform::new(rng.random_range(1usize..6), rng.random_range(1usize..4));
+            let got = area_bound(&inst, &plat).expect("valid instance");
+            let want = threshold_solution(&inst, &plat, &comparator_order(&inst));
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "round {round}");
+            assert_eq!(got.threshold.to_bits(), want.threshold.to_bits(), "round {round}");
+            let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.cpu_fraction), bits(&want.cpu_fraction), "round {round}");
+        }
+    }
 
     #[test]
     fn negative_raw_times_are_a_typed_error() {

@@ -141,17 +141,37 @@ struct Args {
     no_audit: bool,
 }
 
+/// Why a command failed: a bad command line, answered with the usage
+/// text, or a failure of the run itself (an unreadable file, a bad
+/// instance row, a resume divergence), which `main` reports as its one
+/// `error:` line. The commands' own `String` errors are run failures.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+/// An argument error.
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Run(msg)
+    }
+}
+
 /// A numeric flag value.
-fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
-    v.parse().map_err(|_| format!("bad {flag} `{v}`"))
+fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, Failure> {
+    v.parse().map_err(|_| usage(format!("bad {flag} `{v}`")))
 }
 
 /// Parse the flags and positionals after the command. An unknown flag is
 /// an error, not a positional.
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, Failure> {
     let mut args = Args::default();
     while let Some(flag) = argv.next() {
-        let mut value = |what: &str| argv.next().ok_or(format!("{flag} needs {what}"));
+        let mut value = |what: &str| argv.next().ok_or(usage(format!("{flag} needs {what}")));
         match flag.as_str() {
             "--platform" => args.platform = Some(value("name=count[,...]")?),
             "--cpus" => args.cpus = Some(number(&flag, value("a value")?)?),
@@ -171,18 +191,18 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--fault-seed" => args.faults.seed = Some(number(&flag, value("a value")?)?),
             "--journal" => args.opts.durable.journal = Some(value("a file name")?),
             "--crash-at" => match number(&flag, value("an event number")?)? {
-                0 => return Err("--crash-at counts from 1 (the first journaled event)".into()),
+                0 => return Err(usage("--crash-at counts from 1 (the first journaled event)")),
                 n => args.opts.durable.crash_at = Some(n),
             },
             "--snapshot" => args.opts.durable.snapshot = Some(value("a file name")?),
             "--checkpoint-every" => match number(&flag, value("a value")?)? {
-                0 => return Err("--checkpoint-every must be at least 1".into()),
+                0 => return Err(usage("--checkpoint-every must be at least 1")),
                 n => args.opts.durable.checkpoint_every = Some(n),
             },
             "--no-audit" => args.no_audit = true,
-            "--help" | "-h" => return Err(String::new()),
+            "--help" | "-h" => return Err(usage("")),
             _ if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(format!("unknown flag `{flag}`"))
+                return Err(usage(format!("unknown flag `{flag}`")))
             }
             _ => args.positional.push(flag),
         }
@@ -190,41 +210,42 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-fn platform_of(args: &Args) -> Result<ClassTable, String> {
-    parse_platform_args(args.platform.as_deref(), args.cpus, args.gpus)
+fn platform_of(args: &Args) -> Result<ClassTable, Failure> {
+    parse_platform_args(args.platform.as_deref(), args.cpus, args.gpus).map_err(Failure::Usage)
 }
 
 /// `--algo` against the independent-task table.
-fn indep_algo(args: &Args) -> Result<IndepAlgo, String> {
+fn indep_algo(args: &Args) -> Result<IndepAlgo, Failure> {
     match &args.algo {
         None => Ok(IndepAlgo::HeteroPrio),
-        Some(name) => IndepAlgo::parse(name)
-            .ok_or_else(|| format!("unknown algorithm `{name}` ({})", IndepAlgo::NAMES.join(", "))),
+        Some(name) => IndepAlgo::parse(name).ok_or_else(|| {
+            usage(format!("unknown algorithm `{name}` ({})", IndepAlgo::NAMES.join(", ")))
+        }),
     }
 }
 
 /// `--algo` against the DAG scheduler table.
-fn dag_algo(args: &Args) -> Result<Scheduler, String> {
+fn dag_algo(args: &Args) -> Result<Scheduler, Failure> {
     match &args.algo {
         None => Ok(Scheduler::default()),
         Some(name) => Scheduler::parse(name).ok_or_else(|| {
-            format!("unknown DAG algorithm `{name}` ({})", Scheduler::NAMES.join(", "))
+            usage(format!("unknown DAG algorithm `{name}` ({})", Scheduler::NAMES.join(", ")))
         }),
     }
 }
 
 /// The command's positionals, of which it takes at most `max`.
-fn positionals(args: &Args, max: usize) -> Result<&[String], String> {
+fn positionals(args: &Args, max: usize) -> Result<&[String], Failure> {
     match args.positional.get(max) {
-        Some(extra) => Err(format!("unexpected argument `{extra}`")),
+        Some(extra) => Err(usage(format!("unexpected argument `{extra}`"))),
         None => Ok(&args.positional),
     }
 }
 
 /// The tile count after a workload kind.
-fn tile_count(pos: &[String], command: &str) -> Result<usize, String> {
-    let n = pos.get(1).ok_or_else(|| format!("{command} needs a tile count"))?;
-    n.parse().map_err(|_| "bad tile count".to_string())
+fn tile_count(pos: &[String], command: &str) -> Result<usize, Failure> {
+    let n = pos.get(1).ok_or_else(|| usage(format!("{command} needs a tile count")))?;
+    n.parse().map_err(|_| usage("bad tile count"))
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -247,29 +268,29 @@ fn emit(out: CmdOutput) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), Failure> {
     let mut argv = std::env::args().skip(1);
-    let command = argv.next().ok_or("")?;
+    let command = argv.next().ok_or(usage(""))?;
     let mut args = parse_args(argv)?;
     match command.as_str() {
         "schedule" | "dag" | "resume" => {
             let platform = platform_of(&args)?;
             if command == "resume" {
                 if args.opts.durable.journal.is_none() {
-                    return Err("resume needs --journal FILE".to_string());
+                    return Err(usage("resume needs --journal FILE"));
                 }
                 if args.opts.durable.crash_at.is_some() {
-                    return Err("--crash-at only applies to the original run".to_string());
+                    return Err(usage("--crash-at only applies to the original run"));
                 }
                 args.opts.durable.resume = true;
                 // Recovery re-audits the full stream by default.
                 args.opts.audit = !args.no_audit;
             }
-            let first = args.positional.first().ok_or(match command.as_str() {
+            let first = args.positional.first().ok_or(usage(match command.as_str() {
                 "schedule" => "missing INSTANCE file",
                 "dag" => "dag needs a workload kind",
                 _ => "resume needs an INSTANCE file or a workload kind",
-            })?;
+            }))?;
             // `resume` continues either form, told apart by the first argument.
             let out = if command == "dag"
                 || command == "resume" && Factorization::parse(first).is_some()
@@ -280,19 +301,21 @@ fn run() -> Result<(), String> {
                 positionals(&args, 1)?;
                 cmd_schedule(&read(first)?, &platform, indep_algo(&args)?, &args.opts)?
             };
-            emit(out)
+            Ok(emit(out)?)
         }
         "bounds" => {
             let pos = positionals(&args, 1)?;
             let platform = platform_of(&args)?;
-            let file = pos.first().ok_or("missing INSTANCE file")?;
+            let file = pos.first().ok_or(usage("missing INSTANCE file"))?;
             print!("{}", cmd_bounds(&read(file)?, &platform)?);
             Ok(())
         }
         "audit" => {
             let platform = platform_of(&args)?;
-            let first =
-                args.positional.first().ok_or("audit needs an INSTANCE file or a workload kind")?;
+            let first = args
+                .positional
+                .first()
+                .ok_or(usage("audit needs an INSTANCE file or a workload kind"))?;
             if Factorization::parse(first).is_some() {
                 // Workload form: audit a fresh runtime execution.
                 let pos = positionals(&args, 2)?;
@@ -314,7 +337,7 @@ fn run() -> Result<(), String> {
         "perf" => {
             positionals(&args, 0)?;
             let custom = match &args.platform {
-                Some(spec) => Some(ClassTable::parse(spec).map_err(|e| e.to_string())?),
+                Some(spec) => Some(ClassTable::parse(spec).map_err(|e| usage(e.to_string()))?),
                 None => None,
             };
             let doc = cmd_perf(args.smoke, custom.as_ref())?;
@@ -330,7 +353,8 @@ fn run() -> Result<(), String> {
         }
         "export" => {
             positionals(&args, 0)?;
-            let path = args.opts.durable.journal.as_deref().ok_or("export needs --journal FILE")?;
+            let path =
+                args.opts.durable.journal.as_deref().ok_or(usage("export needs --journal FILE"))?;
             let text = cmd_export(path)?;
             match &args.opts.trace {
                 Some(out) => write(out, text)?,
@@ -340,7 +364,7 @@ fn run() -> Result<(), String> {
         }
         "gen" => {
             let pos = positionals(&args, 3)?;
-            let kind = pos.first().ok_or("gen needs a workload kind")?;
+            let kind = pos.first().ok_or(usage("gen needs a workload kind"))?;
             let text = cmd_gen(kind, tile_count(pos, "gen")?)?;
             match pos.get(2) {
                 Some(path) => write(path, text)?,
@@ -348,14 +372,18 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(usage(format!("unknown command `{other}`"))),
     }
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(msg)) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }

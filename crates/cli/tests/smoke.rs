@@ -297,6 +297,50 @@ fn unknown_flags_and_surplus_arguments_are_errors() {
 }
 
 #[test]
+fn argument_errors_print_the_usage_and_run_failures_one_line() {
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1", "--bogus"])
+        .output()
+        .expect("run heteroprio-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr.starts_with("error: unknown flag `--bogus`\n"), "{stderr}");
+    assert!(stderr.contains("usage:"), "an argument error shows the usage:\n{stderr}");
+
+    // A bad instance row fails the run, not the command line.
+    let instance = scratch("one-line-error.txt");
+    std::fs::write(&instance, "8 1\n1 2 nan\n").unwrap();
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1"])
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli schedule");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(stderr, "error: line 2: priority must be finite, got NaN\n");
+    let _ = std::fs::remove_file(&instance);
+
+    // So does resuming a journal on another workload: a divergence.
+    let journal = scratch("one-line-error.journal");
+    let platform = ["--cpus", "2", "--gpus", "1", "--journal"];
+    let out = bin()
+        .args(["dag", "cholesky", "4"])
+        .args(platform)
+        .arg(&journal)
+        .args(["--crash-at", "10"])
+        .output()
+        .expect("run heteroprio-cli dag");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out =
+        bin().args(["resume", "lu", "4"]).args(platform).arg(&journal).output().expect("resume");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr.starts_with("error: resume failed: "), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "a run failure is one line:\n{stderr}");
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
 fn export_prints_a_journal_as_the_runs_jsonl_and_refuses_a_damaged_one() {
     let instance = scratch("export.txt");
     std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();

@@ -23,7 +23,7 @@
 use crate::kernel::{EngineError, RunningTask, TaskState};
 use crate::model::{ClassId, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
-use heteroprio_metrics::{CounterId, HistogramId, MetricsRegistry, Stopwatch};
+use heteroprio_metrics::{CounterId, HistogramId, MetricsRegistry, SpanSampler, Stopwatch};
 use heteroprio_trace::journal::{crc32, Journal, JournalError};
 use heteroprio_trace::{json, JournalSink, OpenRuns, RunOutcome, SchedEvent, TeeSink, TraceSink};
 use std::fmt;
@@ -687,30 +687,35 @@ pub fn schedule_from_events(events: &[SchedEvent]) -> Schedule {
     schedule
 }
 
-/// How many appends share one `journal_append_ns` observation: the
-/// latency histogram samples 1-in-16 so the two clock reads per sample do
-/// not tax the group-commit fast path (sub-microsecond buffered appends).
-/// Counters stay exact.
-const APPEND_SAMPLE: u64 = 16;
-
 /// A [`Journal`] wrapper that meters every append and sync through
 /// `crates/metrics`: count, bytes, and latency histograms (see
 /// [`metric`]). Lives in core — not trace — so the trace crate stays
 /// dependency-free.
+///
+/// Appends, bytes and syncs are tallied locally and published on
+/// [`sync`](Journal::sync), on [`into_inner`](Self::into_inner), and on a
+/// failed append or sync: every exit of [`journaled`]. A wrapper dropped
+/// with appends after its last sync, and no error, leaves them
+/// unpublished. The append latency is sampled 1-in-
+/// [`SAMPLE_EVERY`](heteroprio_metrics::SAMPLE_EVERY), so its two clock
+/// reads do not tax the group-commit fast path (sub-microsecond buffered
+/// appends).
 pub struct MeteredJournal<'m, J: Journal, M: MetricsRegistry + ?Sized> {
     inner: J,
     m: &'m M,
-    appends: CounterId,
-    syncs: CounterId,
-    bytes: CounterId,
+    appends_id: CounterId,
+    syncs_id: CounterId,
+    bytes_id: CounterId,
     append_ns: HistogramId,
     sync_ns: HistogramId,
-    /// Appends so far, for [`APPEND_SAMPLE`] latency sampling.
-    tick: u64,
-    /// Inner [`Journal::syncs`] already reflected in the counter — so
+    append_sampler: SpanSampler,
+    /// Appends and bytes not yet published.
+    appends: u64,
+    bytes: u64,
+    /// The inner [`Journal::syncs`] at the last publication, so
     /// cadence-triggered group commits inside `append` are counted too,
     /// not only the syncs this wrapper initiates.
-    seen_syncs: u64,
+    syncs_published: u64,
 }
 
 impl<'m, J: Journal, M: MetricsRegistry + ?Sized> MeteredJournal<'m, J, M> {
@@ -718,13 +723,15 @@ impl<'m, J: Journal, M: MetricsRegistry + ?Sized> MeteredJournal<'m, J, M> {
         MeteredJournal {
             inner,
             m,
-            appends: m.counter(metric::JOURNAL_APPENDS_TOTAL),
-            syncs: m.counter(metric::JOURNAL_SYNCS_TOTAL),
-            bytes: m.counter(metric::JOURNAL_BYTES_TOTAL),
+            appends_id: m.counter(metric::JOURNAL_APPENDS_TOTAL),
+            syncs_id: m.counter(metric::JOURNAL_SYNCS_TOTAL),
+            bytes_id: m.counter(metric::JOURNAL_BYTES_TOTAL),
             append_ns: m.histogram(metric::JOURNAL_APPEND_NS),
             sync_ns: m.histogram(metric::JOURNAL_SYNC_NS),
-            tick: 0,
-            seen_syncs: 0,
+            append_sampler: SpanSampler::default(),
+            appends: 0,
+            bytes: 0,
+            syncs_published: 0,
         }
     }
 
@@ -732,39 +739,43 @@ impl<'m, J: Journal, M: MetricsRegistry + ?Sized> MeteredJournal<'m, J, M> {
         &self.inner
     }
 
-    pub fn into_inner(self) -> J {
+    /// The wrapped journal, after publishing the tallies.
+    pub fn into_inner(mut self) -> J {
+        self.publish();
         self.inner
     }
 
-    fn note_syncs(&mut self) {
-        let done = self.inner.syncs();
-        if done > self.seen_syncs {
-            let fresh = done.checked_sub(self.seen_syncs).expect("guarded by done > seen_syncs");
-            self.m.inc_by(self.syncs, fresh);
-            self.seen_syncs = done;
+    fn publish(&mut self) {
+        if !self.m.is_enabled() {
+            return;
         }
+        let syncs = self.inner.syncs();
+        self.m.inc_by(self.appends_id, std::mem::take(&mut self.appends));
+        self.m.inc_by(self.bytes_id, std::mem::take(&mut self.bytes));
+        self.m.inc_by(self.syncs_id, syncs.saturating_sub(self.syncs_published));
+        self.syncs_published = syncs;
     }
 }
 
 impl<J: Journal, M: MetricsRegistry + ?Sized> Journal for MeteredJournal<'_, J, M> {
     fn append(&mut self, event: &SchedEvent) -> Result<usize, JournalError> {
-        let clock = self.tick.is_multiple_of(APPEND_SAMPLE).then(Stopwatch::start);
-        self.tick += 1;
-        let written = self.inner.append(event)?;
+        let clock = self.append_sampler.clock(self.m);
+        let written = self.inner.append(event).inspect_err(|_| self.publish())?;
         if let Some(clock) = clock {
             self.m.observe(self.append_ns, clock.elapsed_ns());
         }
-        self.m.inc(self.appends);
-        self.m.inc_by(self.bytes, written as u64);
-        self.note_syncs();
+        if self.m.is_enabled() {
+            self.appends += 1;
+            self.bytes += written as u64;
+        }
         Ok(written)
     }
 
     fn sync(&mut self) -> Result<(), JournalError> {
         let clock = Stopwatch::start();
-        self.inner.sync()?;
+        self.inner.sync().inspect_err(|_| self.publish())?;
         self.m.observe(self.sync_ns, clock.elapsed_ns());
-        self.note_syncs();
+        self.publish();
         Ok(())
     }
 

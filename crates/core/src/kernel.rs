@@ -90,7 +90,7 @@ use crate::model::{ClassId, Platform, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
 use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{
-    CounterId, GaugeId, HistogramId, MetricsRegistry, NullRegistry, ScopedTimer,
+    CounterId, GaugeId, HistogramId, MetricsRegistry, NullRegistry, ScopedTimer, SpanSampler,
 };
 use heteroprio_trace::{Decision, QueueEnd, SchedEvent, TraceSink, TraceSummary};
 use rand::rngs::StdRng;
@@ -126,9 +126,12 @@ pub mod metric {
     /// (snapshot also carries `…_peak`). A worker has at most one, so this
     /// never exceeds the worker count.
     pub const EVENT_HEAP_DEPTH: &str = "kernel_event_heap_depth";
-    /// Latency of a single `KernelPolicy::pick` call, nanoseconds.
+    /// Latency of a single `KernelPolicy::pick` call, nanoseconds, sampled
+    /// 1-in-[`SAMPLE_EVERY`](heteroprio_metrics::SAMPLE_EVERY): the count
+    /// is ⌈pick calls / 16⌉.
     pub const PICK_NS: &str = "kernel_pick_ns";
-    /// Wall time of one assignment fixpoint, nanoseconds.
+    /// Wall time of one assignment fixpoint, nanoseconds, sampled like
+    /// [`PICK_NS`].
     pub const ASSIGN_NS: &str = "kernel_assign_ns";
     /// Wall time of the whole kernel run, nanoseconds.
     pub const RUN_NS: &str = "kernel_run_ns";
@@ -327,51 +330,168 @@ pub struct Resume<'j> {
     pub snapshot: Option<&'j KernelSnapshot>,
 }
 
-/// Pre-registered handles for every kernel metric, resolved once per run so
-/// the hot path records through copyable ids only.
+/// One counter's tally for the run.
+struct Tally {
+    id: CounterId,
+    n: u64,
+}
+
+/// One gauge's last value and peak for the run; `last` is `None` until the
+/// run first sets it, so a run that never does leaves the gauge alone.
+struct Level {
+    id: GaugeId,
+    last: Option<u64>,
+    peak: u64,
+}
+
+impl Level {
+    fn set(&mut self, value: u64) {
+        self.last = Some(value);
+        self.peak = self.peak.max(value);
+    }
+}
+
+/// The kernel's metering, run-granular: counters and gauges accumulate
+/// into plain per-run tallies and reach the registry in one batch when the
+/// meter drops with the kernel. Every exit of a run drops it: completion,
+/// an engine error, an injected crash, a resume divergence and a
+/// policy-contract panic. The pick and assign spans time one call in
+/// [`SAMPLE_EVERY`](heteroprio_metrics::SAMPLE_EVERY); the run span times
+/// every run. Each update sits behind [`MetricsRegistry::is_enabled`], so
+/// under [`NullRegistry`] the tallies compile away.
 struct Meter<'m, M: MetricsRegistry + ?Sized> {
     m: &'m M,
-    events_total: CounterId,
-    trace_events: CounterId,
-    ready_pushes: CounterId,
-    ready_pops: CounterId,
-    spoliations: CounterId,
-    retries: CounterId,
-    tasks_completed: CounterId,
-    ready_depth: GaugeId,
-    heap_depth: GaugeId,
+    events_total: Tally,
+    trace_events: Tally,
+    ready_pushes: Tally,
+    ready_pops: Tally,
+    spoliations: Tally,
+    retries: Tally,
+    tasks_completed: Tally,
+    ready_depth: Level,
+    heap_depth: Level,
     pick_ns: HistogramId,
     assign_ns: HistogramId,
     run_ns: HistogramId,
+    picks: SpanSampler,
+    assigns: SpanSampler,
 }
 
 impl<'m, M: MetricsRegistry + ?Sized> Meter<'m, M> {
     fn new(m: &'m M) -> Self {
+        let tally = |name| Tally { id: m.counter(name), n: 0 };
+        let level = |name| Level { id: m.gauge(name), last: None, peak: 0 };
         Meter {
             m,
-            events_total: m.counter(metric::EVENTS_TOTAL),
-            trace_events: m.counter(metric::TRACE_EVENTS_TOTAL),
-            ready_pushes: m.counter(metric::READY_PUSHES_TOTAL),
-            ready_pops: m.counter(metric::READY_POPS_TOTAL),
-            spoliations: m.counter(metric::SPOLIATIONS_TOTAL),
-            retries: m.counter(metric::RETRIES_TOTAL),
-            tasks_completed: m.counter(metric::TASKS_COMPLETED_TOTAL),
-            ready_depth: m.gauge(metric::READY_DEPTH),
-            heap_depth: m.gauge(metric::EVENT_HEAP_DEPTH),
+            events_total: tally(metric::EVENTS_TOTAL),
+            trace_events: tally(metric::TRACE_EVENTS_TOTAL),
+            ready_pushes: tally(metric::READY_PUSHES_TOTAL),
+            ready_pops: tally(metric::READY_POPS_TOTAL),
+            spoliations: tally(metric::SPOLIATIONS_TOTAL),
+            retries: tally(metric::RETRIES_TOTAL),
+            tasks_completed: tally(metric::TASKS_COMPLETED_TOTAL),
+            ready_depth: level(metric::READY_DEPTH),
+            heap_depth: level(metric::EVENT_HEAP_DEPTH),
             pick_ns: m.histogram(metric::PICK_NS),
             assign_ns: m.histogram(metric::ASSIGN_NS),
             run_ns: m.histogram(metric::RUN_NS),
+            picks: SpanSampler::default(),
+            assigns: SpanSampler::default(),
+        }
+    }
+
+    /// One run event (a completion or a failure) dispatched.
+    #[inline]
+    fn dispatched(&mut self) {
+        if self.m.is_enabled() {
+            self.events_total.n += 1;
+        }
+    }
+
+    /// One trace event through the emission funnel.
+    #[inline]
+    fn traced(&mut self) {
+        if self.m.is_enabled() {
+            self.trace_events.n += 1;
+        }
+    }
+
+    /// `tasks` announced, leaving the ready set at `depth`.
+    #[inline]
+    fn pushed(&mut self, tasks: u64, depth: u64) {
+        if self.m.is_enabled() {
+            self.ready_pushes.n += tasks;
+            self.ready_depth.set(depth);
+        }
+    }
+
+    /// One pick out of the ready set, leaving it at `depth`.
+    #[inline]
+    fn popped(&mut self, depth: u64) {
+        if self.m.is_enabled() {
+            self.ready_pops.n += 1;
+            self.ready_depth.set(depth);
+        }
+    }
+
+    /// A task started, with `in_flight` events now pending.
+    #[inline]
+    fn started(&mut self, in_flight: u64) {
+        if self.m.is_enabled() {
+            self.heap_depth.set(in_flight);
+        }
+    }
+
+    #[inline]
+    fn spoliated(&mut self) {
+        if self.m.is_enabled() {
+            self.spoliations.n += 1;
+        }
+    }
+
+    #[inline]
+    fn retried(&mut self) {
+        if self.m.is_enabled() {
+            self.retries.n += 1;
+        }
+    }
+
+    #[inline]
+    fn completed(&mut self) {
+        if self.m.is_enabled() {
+            self.tasks_completed.n += 1;
         }
     }
 }
 
-impl<M: MetricsRegistry + ?Sized> Clone for Meter<'_, M> {
-    fn clone(&self) -> Self {
-        *self
+impl<M: MetricsRegistry + ?Sized> Drop for Meter<'_, M> {
+    /// Publish the run's tallies. A gauge gets its peak, then its last
+    /// value, so the registry ends with the value and the high-water mark
+    /// that per-event recording would have left.
+    fn drop(&mut self) {
+        if !self.m.is_enabled() {
+            return;
+        }
+        let m = self.m;
+        for t in [
+            &self.events_total,
+            &self.trace_events,
+            &self.ready_pushes,
+            &self.ready_pops,
+            &self.spoliations,
+            &self.retries,
+            &self.tasks_completed,
+        ] {
+            m.inc_by(t.id, t.n);
+        }
+        for l in [&self.ready_depth, &self.heap_depth] {
+            if let Some(last) = l.last {
+                m.gauge_set(l.id, l.peak);
+                m.gauge_set(l.id, last);
+            }
+        }
     }
 }
-
-impl<M: MetricsRegistry + ?Sized> Copy for Meter<'_, M> {}
 
 /// What the kernel hands back after a completed run.
 #[derive(Clone, Debug)]
@@ -690,7 +810,8 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     /// failures); `None` keeps the zero model byte-identical to a
     /// fault-free run.
     rng: Option<StdRng>,
-    /// Pre-registered metric handles (all no-ops under [`NullRegistry`]).
+    /// Metric handles and the run's tallies (all no-ops under
+    /// [`NullRegistry`]); they publish when the kernel drops.
     meter: Meter<'a, M>,
     /// Current ready-set size, mirrored into the [`metric::READY_DEPTH`]
     /// gauge.
@@ -770,7 +891,8 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         }
     }
 
-    /// The finished run's outcome, summarized from the emitted events.
+    /// The finished run's outcome, summarized from the emitted events. The
+    /// meter publishes the run's metrics as the rest of the kernel drops.
     fn finish(self) -> KernelOutcome {
         let mut summary = self.summary;
         summary.finish();
@@ -789,7 +911,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         if self.crashed {
             return;
         }
-        self.meter.m.inc(self.meter.trace_events);
+        self.meter.traced();
         self.summary.record(&event);
         if let Some(want) = self.expected.get(self.verified) {
             if self.mismatch.is_none() && *want != event {
@@ -837,9 +959,8 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             self.state[t.index()] = TaskState::Ready;
             self.emit(SchedEvent::TaskReady { time: now, task: t.0 });
         }
-        self.meter.m.inc_by(self.meter.ready_pushes, tasks.len() as u64);
         self.ready_depth += tasks.len() as u64;
-        self.meter.m.gauge_set(self.meter.ready_depth, self.ready_depth);
+        self.meter.pushed(tasks.len() as u64, self.ready_depth);
         policy.on_ready(tasks, &self.context(now));
     }
 
@@ -885,7 +1006,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         *slot = event_at;
         self.earliest = self.earliest.map(|t| t.min(event_at));
         self.in_flight += 1;
-        self.meter.m.gauge_set(self.meter.heap_depth, self.in_flight);
+        self.meter.started(self.in_flight);
     }
 
     /// Clear `w`'s pending event: it is being dispatched, or its run was
@@ -932,8 +1053,8 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         policy: &mut P,
         now: f64,
     ) {
-        let meter = self.meter;
-        let _assign_span = ScopedTimer::start(meter.m, meter.assign_ns);
+        let m = self.meter.m;
+        let _assign_span = ScopedTimer::sampled(m, self.meter.assign_ns, &mut self.meter.assigns);
         loop {
             let order = policy.worker_order();
             let mut idle = std::mem::take(&mut self.idle);
@@ -948,12 +1069,11 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             for &w in &idle {
                 // The context's shared borrows conflict with emitting, so
                 // the policy is consulted first and events follow.
+                let pick_span = ScopedTimer::sampled(m, self.meter.pick_ns, &mut self.meter.picks);
                 let (picked, victim) = {
                     let ctx = self.context(now);
-                    let pick = {
-                        let _pick_span = ScopedTimer::start(meter.m, meter.pick_ns);
-                        policy.pick(w, &ctx)
-                    };
+                    let pick = policy.pick(w, &ctx);
+                    drop(pick_span);
                     match pick {
                         Some(pick) => (Some(pick), None),
                         None => (None, policy.spoliation_victim(w, &ctx)),
@@ -966,7 +1086,6 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                         TaskState::Ready,
                         "policy picked {task}, which is not ready"
                     );
-                    meter.m.inc(meter.ready_pops);
                     // A pop without a matching push is a kernel invariant
                     // violation (double pop / missed announce). Saturating
                     // here would silently pin the gauge at zero and hide
@@ -976,7 +1095,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                         .ready_depth
                         .checked_sub(1)
                         .expect("kernel invariant violated: ready_depth underflow on pop");
-                    meter.m.gauge_set(meter.ready_depth, self.ready_depth);
+                    self.meter.popped(self.ready_depth);
                     if let Some(end) = pick.queue_end {
                         self.emit(SchedEvent::QueuePop {
                             time: now,
@@ -1043,7 +1162,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                         thief: w.0,
                         wasted_work: now - r.start,
                     });
-                    meter.m.inc(meter.spoliations);
+                    self.meter.spoliated();
                     self.start(workload, w, r.task, now);
                     newly_idle.push(victim);
                     acted = true;
@@ -1077,7 +1196,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         now: f64,
     ) {
         let r = self.running[w.index()].take().expect("completion on idle worker");
-        self.meter.m.inc(self.meter.tasks_completed);
+        self.meter.completed();
         self.emit(SchedEvent::TaskComplete { time: now, task: r.task.0, worker: w.0 });
         self.schedule.runs.push(TaskRun { task: r.task, worker: w, start: r.start, end: now });
         self.state[r.task.index()] = TaskState::Done;
@@ -1135,7 +1254,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             });
         }
         let delay = self.faults.retry.delay_after(attempt);
-        self.meter.m.inc(self.meter.retries);
+        self.meter.retried();
         self.emit(SchedEvent::TaskRetry { time: now, task: r.task.0, attempt, delay });
         self.retries.push(Reverse((F64Ord::new(now + delay), r.task.0)));
         Ok(())
@@ -1262,8 +1381,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         checkpoints: &mut Option<Checkpoints<'_>>,
         ready_order: ReadyOrder<P>,
     ) -> Result<(), EngineError> {
-        let meter = self.meter;
-        let _run_span = ScopedTimer::start(meter.m, meter.run_ns);
+        let _run_span = ScopedTimer::start(self.meter.m, self.meter.run_ns);
         let total = workload.len();
         let mut now = resume_at.unwrap_or(0.0);
         if resume_at.is_none() {
@@ -1306,7 +1424,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                 while let Some(w) = self.next_due(from, now) {
                     self.clear_pending(w);
                     from = w.index() + 1;
-                    meter.m.inc(meter.events_total);
+                    self.meter.dispatched();
                     // A crash during the dispatch outranks the engine
                     // error the dispatch may have produced: state changes
                     // past the crash point never "happened".

@@ -21,7 +21,8 @@
 //!   Quantiles report the bucket's inclusive upper bound.
 //! * [`ScopedTimer`] is an RAII span: started against a histogram handle, it
 //!   observes elapsed nanoseconds on drop — and skips the clock entirely
-//!   when the registry is disabled.
+//!   when the registry is disabled. Spans around sub-microsecond calls go
+//!   through a [`SpanSampler`], which times one call in [`SAMPLE_EVERY`].
 //! * [`snapshot::MetricsSnapshot`] renders as a human report or Prometheus
 //!   text exposition ([`prometheus::render`]), and [`prometheus::parse`]
 //!   round-trips the exposition back into a snapshot (golden-tested), so a
@@ -45,4 +46,4 @@ pub use registry::{
     CounterId, GaugeId, HistogramId, InMemoryRegistry, MetricsRegistry, NullRegistry,
 };
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
-pub use timer::{ScopedTimer, Stopwatch};
+pub use timer::{ScopedTimer, SpanSampler, Stopwatch, SAMPLE_EVERY};

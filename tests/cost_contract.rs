@@ -1,5 +1,6 @@
-//! Cost contracts: what a call may allocate, counted rather than timed, so
-//! that a bound holds on any host.
+//! Cost contracts: what a call may allocate, and how often a run may touch
+//! the metrics registry, counted rather than timed, so that a bound holds
+//! on any host.
 //!
 //! A counting global allocator tracks, per thread, the bytes live on the
 //! heap and their peak. The test harness runs tests on parallel threads,
@@ -7,7 +8,18 @@
 //! net change: the allocator grows a large block in place (`mremap`), so
 //! the old and new sizes are not both held.
 
-use heteroprio::core::{sorted_queue, Instance, QueueTieBreak, Task, TaskId};
+mod common;
+
+use common::CountingPicks;
+use heteroprio::core::kernel::{self, metric, Run};
+use heteroprio::core::{
+    independent, sorted_queue, HeteroPrioConfig, Instance, Platform, QueueTieBreak, Task, TaskId,
+};
+use heteroprio::metrics::{
+    CounterId, GaugeId, HistogramId, InMemoryRegistry, MetricsRegistry, SAMPLE_EVERY,
+};
+use heteroprio::trace::NullSink;
+use heteroprio::workloads::{random_instance, RandomInstanceParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -124,4 +136,74 @@ fn sorted_queue_on_run_free_input_holds_no_more_than_the_keyed_sort() {
         assert_eq!(queue.len(), TASKS);
         assert!(peak <= ceiling, "{tie:?}: peak {peak} B over the {ceiling} B ceiling");
     }
+}
+
+/// An [`InMemoryRegistry`] that counts the calls made on it: span
+/// observations apart from everything else (registration, counters and
+/// gauges).
+#[derive(Default)]
+struct CountingRegistry {
+    inner: InMemoryRegistry,
+    calls: Cell<u64>,
+    observations: Cell<u64>,
+}
+
+impl CountingRegistry {
+    fn call(&self) {
+        self.calls.set(self.calls.get() + 1);
+    }
+}
+
+impl MetricsRegistry for CountingRegistry {
+    fn counter(&self, name: &str) -> CounterId {
+        self.call();
+        self.inner.counter(name)
+    }
+    fn gauge(&self, name: &str) -> GaugeId {
+        self.call();
+        self.inner.gauge(name)
+    }
+    fn histogram(&self, name: &str) -> HistogramId {
+        self.call();
+        self.inner.histogram(name)
+    }
+    fn inc_by(&self, id: CounterId, delta: u64) {
+        self.call();
+        self.inner.inc_by(id, delta);
+    }
+    fn gauge_set(&self, id: GaugeId, value: u64) {
+        self.call();
+        self.inner.gauge_set(id, value);
+    }
+    fn observe(&self, id: HistogramId, value: u64) {
+        self.observations.set(self.observations.get() + 1);
+        self.inner.observe(id, value);
+    }
+    fn is_enabled(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_metered_run_touches_the_registry_a_constant_number_of_times_plus_sampled_spans() {
+    let mut calls = Vec::new();
+    for tasks in [2_500, 25_000] {
+        let instance =
+            random_instance(&RandomInstanceParams { tasks, ..RandomInstanceParams::default() }, 7);
+        let platform = Platform::new(6, 2);
+        let registry = CountingRegistry::default();
+        let (mut workload, policy) = independent(&instance, &platform, &HeteroPrioConfig::new());
+        let mut policy = CountingPicks::new(policy);
+        let mut sink = NullSink;
+        let spec = Run::new(&mut sink, &registry);
+        kernel::run(&platform, &mut workload, &mut policy, spec).expect("fault-free run completes");
+        let snap = registry.inner.snapshot();
+        let pick = snap.histogram(metric::PICK_NS).expect("registered").count;
+        assert_eq!(pick, policy.picks.div_ceil(SAMPLE_EVERY), "{tasks} tasks: pick calls");
+        let spans: u64 = snap.histograms.iter().map(|h| h.count).sum();
+        assert_eq!(registry.observations.get(), spans, "{tasks} tasks: observations");
+        assert_eq!(snap.counter(metric::TASKS_COMPLETED_TOTAL), Some(tasks as u64));
+        calls.push(registry.calls.get());
+    }
+    assert_eq!(calls[0], calls[1], "registry calls grew with the task count");
 }
