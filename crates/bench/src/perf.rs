@@ -25,7 +25,7 @@ use heteroprio_core::Platform;
 use heteroprio_core::{heteroprio_metered, journaled, HeteroPrioConfig, Instance, MeteredJournal};
 use heteroprio_metrics::{InMemoryRegistry, MetricsSnapshot, Stopwatch};
 use heteroprio_schedulers::HeteroPrioDagPolicy;
-use heteroprio_simulator::{dag, FaultPlan, TransferModel};
+use heteroprio_simulator::{dag, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
 use heteroprio_trace::journal::encode_record;
 use heteroprio_trace::{json, FileJournal, NullSink, SchedEvent, TraceSink};
@@ -262,9 +262,7 @@ fn run_dag(name: &'static str, scale: &'static str, tiles: usize) -> CaseResult 
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
     let registry = InMemoryRegistry::new();
     let sw = Stopwatch::start();
-    let (mut workload, mut policy, _) =
-        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &FaultPlan::NONE)
-            .expect("the empty fault plan is valid");
+    let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
     let res =
         kernel::run(&platform, &mut workload, &mut policy, Run::new(&mut NullSink, &registry))
             .expect("fault-free simulation cannot fail");

@@ -19,7 +19,7 @@
 use heteroprio_core::time::{strictly_less, F64Ord};
 use heteroprio_core::{
     HeteroPrioConfig, HeteroPrioResult, Instance, Platform, QueueTieBreak, ResourceKind, Schedule,
-    SpoliationTieBreak, TaskId, TaskRun, WorkerId, WorkerOrder,
+    TaskId, TaskRun, WorkerId, WorkerOrder,
 };
 use heteroprio_trace::{NullSink, QueueEnd, SchedEvent, TraceSink, TraceSummary};
 use std::cmp::Reverse;
@@ -187,7 +187,8 @@ impl<'a, S: TraceSink> Sim<'a, S> {
 
     /// Pick a spoliation victim for idle worker `w` at time `now`:
     /// tasks running on the other class, in decreasing order of expected
-    /// completion time (ties per config), first one strictly improvable.
+    /// completion time (ties: highest priority, then lowest id), first one
+    /// strictly improvable.
     fn pick_victim(&self, w: WorkerId, now: f64) -> Option<WorkerId> {
         let my_kind = self.platform.kind_of(w);
         let mut candidates: Vec<(WorkerId, Running)> = self
@@ -199,13 +200,7 @@ impl<'a, S: TraceSink> Sim<'a, S> {
             b.end.total_cmp(&a.end).then_with(|| {
                 let ta = self.instance.task(a.task);
                 let tb = self.instance.task(b.task);
-                match self.config.spoliation_tie {
-                    SpoliationTieBreak::PriorityThenId => {
-                        tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
-                    }
-                    SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
-                    SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
-                }
+                tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
             })
         });
         for (v, r) in candidates {

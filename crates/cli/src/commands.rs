@@ -5,15 +5,15 @@ use crate::format::{parse_instance_k, serialize_instance};
 use heteroprio_audit::{audit, schedule_from_events, AuditOptions, AuditReport, StreamAuditor};
 use heteroprio_bounds::{combined_lower_bound, optimal_makespan, MAX_EXACT_TASKS};
 use heteroprio_core::gantt::to_svg;
-use heteroprio_core::kernel::{self, metric, Checkpoints, EngineError, Resume};
+use heteroprio_core::kernel::{self, metric, Checkpoints, Resume};
 use heteroprio_core::{
-    independent, ClassTable, CrashPlan, FileCheckpointStore, Instance, MeteredJournal, Platform,
-    ResumeError, Schedule,
+    independent, ClassTable, CrashPlan, FaultPlan, FileCheckpointStore, Instance, MeteredJournal,
+    Platform, RetryPolicy, RunError, Schedule,
 };
 use heteroprio_metrics::{InMemoryRegistry, MetricsRegistry, NullRegistry};
 use heteroprio_runtime::{Execution, Outcome};
 use heteroprio_schedulers::{HeftVariant, IndepAlgo, Scheduler};
-use heteroprio_simulator::{FaultPlan, FaultSpec, RetryPolicy};
+use heteroprio_simulator::FaultSpec;
 use heteroprio_taskgraph::Factorization;
 use heteroprio_trace::{
     chrome_trace, jsonl, parse_jsonl, ChromeTraceOptions, FileJournal, Journal, SchedEvent,
@@ -445,9 +445,7 @@ fn run_indep(
         })?;
         match result {
             Ok(outcome) => Ok(Outcome::Completed((outcome.schedule, events))),
-            Err(ResumeError::Engine(EngineError::Crashed { time, events })) => {
-                Ok(Outcome::Crashed { time, events })
-            }
+            Err(RunError::Crashed { time, events }) => Ok(Outcome::Crashed { time, events }),
             Err(e) => Err(e.to_string()),
         }
     })?;

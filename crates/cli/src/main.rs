@@ -141,11 +141,13 @@ struct Args {
     no_audit: bool,
 }
 
-/// Why a command failed: a bad command line, answered with the usage
-/// text, or a failure of the run itself (an unreadable file, a bad
-/// instance row, a resume divergence), which `main` reports as its one
-/// `error:` line. The commands' own `String` errors are run failures.
+/// Why a command stopped: `--help` (the usage alone, a success), a bad
+/// command line, answered with the usage text, or a failure of the run
+/// itself (an unreadable file, a bad instance row, a resume divergence),
+/// which `main` reports as its one `error:` line. The commands' own
+/// `String` errors are run failures.
 enum Failure {
+    Help,
     Usage(String),
     Run(String),
 }
@@ -200,7 +202,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, Failure> {
                 n => args.opts.durable.checkpoint_every = Some(n),
             },
             "--no-audit" => args.no_audit = true,
-            "--help" | "-h" => return Err(usage("")),
+            "--help" | "-h" => return Err(Failure::Help),
             _ if flag.starts_with('-') && flag.len() > 1 => {
                 return Err(usage(format!("unknown flag `{flag}`")))
             }
@@ -271,6 +273,9 @@ fn emit(out: CmdOutput) -> Result<(), String> {
 fn run() -> Result<(), Failure> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or(usage(""))?;
+    if matches!(command.as_str(), "--help" | "-h") {
+        return Err(Failure::Help);
+    }
     let mut args = parse_args(argv)?;
     match command.as_str() {
         "schedule" | "dag" | "resume" => {
@@ -376,9 +381,20 @@ fn run() -> Result<(), Failure> {
     }
 }
 
+/// The usage text, with the scheduler tables' names filled in.
+fn usage_text() -> String {
+    let indep = IndepAlgo::NAMES.join(", ");
+    let dag = Scheduler::NAMES.join(", ");
+    USAGE.replace("{INDEP}", &indep).replace("{DAG}", &dag)
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Help) => {
+            print!("{}", usage_text());
+            ExitCode::SUCCESS
+        }
         Err(Failure::Run(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
@@ -387,9 +403,7 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            let indep = IndepAlgo::NAMES.join(", ");
-            let dag = Scheduler::NAMES.join(", ");
-            eprint!("{}", USAGE.replace("{INDEP}", &indep).replace("{DAG}", &dag));
+            eprint!("{}", usage_text());
             ExitCode::FAILURE
         }
     }

@@ -341,6 +341,64 @@ fn argument_errors_print_the_usage_and_run_failures_one_line() {
 }
 
 #[test]
+fn help_prints_the_usage_alone_and_succeeds() {
+    for args in [&["--help"][..], &["-h"], &["schedule", "--help"], &["dag", "cholesky", "-h"]] {
+        let out = bin().args(args).output().expect("run heteroprio-cli");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(stdout.starts_with("usage:\n"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
+#[test]
+fn both_resume_forms_report_a_divergence_on_the_same_line() {
+    let divergence = "error: resume failed: replay diverged from the journal at event ";
+    let platform = ["--cpus", "2", "--gpus", "1", "--journal"];
+    // An instance file resumed against another instance.
+    let (recorded, other) = (scratch("diverge-a.txt"), scratch("diverge-b.txt"));
+    std::fs::write(&recorded, "2 1\n3 1.5\n1 4\n").unwrap();
+    std::fs::write(&other, "2 1\n3 1.5\n2 4\n").unwrap();
+    let journal = scratch("diverge-instance.journal");
+    let out = bin()
+        .arg("schedule")
+        .args(platform)
+        .arg(&journal)
+        .args(["--crash-at", "8"])
+        .arg(&recorded)
+        .output()
+        .expect("run heteroprio-cli schedule");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out =
+        bin().arg("resume").args(platform).arg(&journal).arg(&other).output().expect("resume");
+    let instance_form = String::from_utf8_lossy(&out.stderr).into_owned();
+    // A workload journal resumed as another workload.
+    let dag_journal = scratch("diverge-dag.journal");
+    let out = bin()
+        .args(["dag", "cholesky", "4"])
+        .args(platform)
+        .arg(&dag_journal)
+        .args(["--crash-at", "10"])
+        .output()
+        .expect("run heteroprio-cli dag");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["resume", "lu", "4"])
+        .args(platform)
+        .arg(&dag_journal)
+        .output()
+        .expect("resume");
+    let workload_form = String::from_utf8_lossy(&out.stderr).into_owned();
+    for stderr in [&instance_form, &workload_form] {
+        assert!(stderr.starts_with(divergence), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+    for path in [&recorded, &other, &journal, &dag_journal] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
 fn export_prints_a_journal_as_the_runs_jsonl_and_refuses_a_damaged_one() {
     let instance = scratch("export.txt");
     std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();

@@ -20,13 +20,12 @@
 //! checkpoint intact and a torn checkpoint is detected and discarded — the
 //! journal remains the source of truth.
 
-use crate::kernel::{EngineError, RunningTask, TaskState};
+use crate::kernel::{RunningTask, TaskState};
 use crate::model::{ClassId, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
 use heteroprio_metrics::{CounterId, HistogramId, MetricsRegistry, SpanSampler, Stopwatch};
 use heteroprio_trace::journal::{crc32, Journal, JournalError};
 use heteroprio_trace::{json, JournalSink, OpenRuns, RunOutcome, SchedEvent, TeeSink, TraceSink};
-use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -48,11 +47,11 @@ pub mod metric {
     pub const RECOVERY_REPLAY_NS: &str = "recovery_replay_ns";
 }
 
-/// Crash-injection plan, modeled on the simulator's `FaultPlan`: the kernel
-/// "dies" after emitting its `at_event`-th trace event. From that point no
-/// further events reach the sink (the journal holds exactly `at_event`
-/// records, like a real torn process) and the run aborts with
-/// [`EngineError::Crashed`].
+/// Crash-injection plan, modeled on [`FaultPlan`](crate::FaultPlan): the
+/// kernel "dies" after emitting its `at_event`-th trace event. From that
+/// point no further events reach the sink (the journal holds exactly
+/// `at_event` records, like a real torn process) and the run aborts with
+/// [`RunError::Crashed`](crate::RunError::Crashed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CrashPlan {
     /// Die after this many emitted events (`None` = never).
@@ -598,67 +597,6 @@ impl KernelSnapshot {
     }
 }
 
-/// Typed failure of a [`kernel::run`](crate::kernel::run): the engine's
-/// own error, or — when resuming — a recovery failure.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResumeError {
-    /// The run itself failed (task abandoned, all workers down, injected
-    /// crash).
-    Engine(EngineError),
-    /// The snapshot is internally inconsistent or does not match the
-    /// supplied workload/platform.
-    BadSnapshot(String),
-    /// Replay emitted a different event than the journal recorded at
-    /// `index` — the workload, policy, or fault model differs from the
-    /// recorded run.
-    Divergence { index: usize, expected: SchedEvent, got: SchedEvent },
-    /// Replay completed but produced fewer events than the journal holds —
-    /// the journal belongs to a longer (different) run.
-    ShortReplay { produced: usize, journaled: usize },
-    /// Reading the journal itself failed.
-    Journal(JournalError),
-}
-
-impl fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResumeError::Engine(e) => write!(f, "run failed: {e}"),
-            ResumeError::BadSnapshot(why) => write!(f, "bad snapshot: {why}"),
-            ResumeError::Divergence { index, expected, got } => write!(
-                f,
-                "replay diverged from the journal at event {index}: journal has {expected:?}, \
-                 replay produced {got:?} (workload/policy/faults differ from the recorded run?)"
-            ),
-            ResumeError::ShortReplay { produced, journaled } => write!(
-                f,
-                "replay finished after {produced} events but the journal holds {journaled} \
-                 (journal belongs to a different run?)"
-            ),
-            ResumeError::Journal(e) => write!(f, "journal: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
-impl From<EngineError> for ResumeError {
-    fn from(e: EngineError) -> Self {
-        ResumeError::Engine(e)
-    }
-}
-
-impl From<JournalError> for ResumeError {
-    fn from(e: JournalError) -> Self {
-        ResumeError::Journal(e)
-    }
-}
-
-impl From<ResumeError> for String {
-    fn from(e: ResumeError) -> Self {
-        e.to_string()
-    }
-}
-
 /// Rebuild the [`Schedule`] a recorded event stream encodes: the one
 /// definition, used to resume from a journaled prefix and to audit a trace
 /// that arrives without its schedule.
@@ -896,12 +834,6 @@ mod tests {
                 TaskRun { task: TaskId(0), worker: WorkerId(1), start: 0.0, end: 3.0 },
             ]
         );
-    }
-
-    #[test]
-    fn engine_errors_display_as_text_not_debug() {
-        let e = ResumeError::Engine(EngineError::TaskAbandoned { task: 3, attempts: 2, time: 1.5 });
-        assert_eq!(e.to_string(), "run failed: task 3 abandoned after 2 attempts at t=1.5");
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! aborted (all progress lost — this is not preemption) and the task restarts
 //! on the idle worker.
 //!
-//! Algorithm 1 leaves three choices unspecified; each tightness proof in the
-//! paper resolves them adversarially ("consider the following *valid*
-//! HeteroPrio schedule"), so they are explicit knobs here:
+//! Algorithm 1 leaves choices unspecified; the tightness proofs in the
+//! paper resolve them adversarially ("consider the following *valid*
+//! HeteroPrio schedule"), so two are explicit knobs here:
 //!
 //! * which idle worker acts first ([`WorkerOrder`]),
-//! * the queue order among tasks with equal ρ ([`QueueTieBreak`]),
-//! * the spoliation order among victims with equal completion time
-//!   ([`SpoliationTieBreak`]).
+//! * the queue order among tasks with equal ρ ([`QueueTieBreak`]).
+//!
+//! The third, the spoliation order among victims with equal completion
+//! time, is fixed: highest priority first, then lowest task id.
 //!
 //! The event loop itself lives in [`crate::kernel`]; this module contributes
 //! Algorithm 1's queue discipline and victim search as one
@@ -64,18 +65,6 @@ pub enum QueueTieBreak {
     InsertionOrder,
 }
 
-/// Ordering among spoliation candidates with equal expected completion time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SpoliationTieBreak {
-    /// Highest priority first (the paper's DAG-mode rule), then lowest id.
-    #[default]
-    PriorityThenId,
-    /// Lowest task id first.
-    IdAscending,
-    /// Highest task id first.
-    IdDescending,
-}
-
 /// Configuration of the unspecified choices in Algorithm 1.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HeteroPrioConfig {
@@ -83,7 +72,6 @@ pub struct HeteroPrioConfig {
     pub disable_spoliation: bool,
     pub worker_order: WorkerOrder,
     pub queue_tie: QueueTieBreak,
-    pub spoliation_tie: SpoliationTieBreak,
 }
 
 impl HeteroPrioConfig {
@@ -287,8 +275,9 @@ impl HeteroPrioState {
 
     /// The paper's spoliation victim scan for idle `worker`: tasks running
     /// on *any other* resource class, in decreasing order of expected
-    /// completion time (ties per the configured [`SpoliationTieBreak`]),
-    /// first one whose restart strictly improves its completion.
+    /// completion time (ties: highest priority, then lowest task id — the
+    /// paper's DAG-mode rule), first one whose restart strictly improves
+    /// its completion.
     /// `duration(task, class)` is what the engine would charge for the
     /// restart. On the two-class platform "any other class" is the paper's
     /// "other resource class"; for `k ≥ 3` the scan is the argmax over the
@@ -314,15 +303,8 @@ impl HeteroPrioState {
         }
         candidates.sort_by(|(_, a), (_, b)| {
             b.end.total_cmp(&a.end).then_with(|| {
-                let ta = instance.task(a.task);
-                let tb = instance.task(b.task);
-                match self.config.spoliation_tie {
-                    SpoliationTieBreak::PriorityThenId => {
-                        tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
-                    }
-                    SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
-                    SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
-                }
+                let (ta, tb) = (instance.task(a.task), instance.task(b.task));
+                tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
             })
         });
         candidates

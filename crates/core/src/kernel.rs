@@ -22,11 +22,19 @@
 //!
 //! # Determinism
 //!
-//! With [`FaultModel::none`] the kernel draws no random numbers and the
+//! With [`FaultPlan::NONE`] the kernel draws no random numbers and the
 //! event stream is a pure function of the workload and policy; the zero
 //! fault plan is byte-identical to a fault-free run. Stochastic execution
 //! (jitter, task failures) uses a seeded RNG created only when a draw can
 //! actually happen.
+//!
+//! # Errors
+//!
+//! Every way a run can fail is one [`RunError`]: the plan in
+//! [`Run::faults`] is checked against the platform before anything is
+//! emitted ([`RunError::InvalidPlan`]), the run itself can lose a task or
+//! every worker, an injected crash stops it, and a resume can find the
+//! journal or snapshot at odds with the inputs.
 //!
 //! # Durability
 //!
@@ -48,9 +56,8 @@
 //! Crash and resume an independent-task run through a journal:
 //!
 //! ```
-//! use heteroprio_core::kernel::{self, EngineError, Resume, Run};
+//! use heteroprio_core::kernel::{self, Resume, Run, RunError};
 //! use heteroprio_core::{independent, journaled, CrashPlan, HeteroPrioConfig, Instance, Platform};
-//! use heteroprio_core::ResumeError;
 //! use heteroprio_metrics::NullRegistry;
 //! use heteroprio_trace::{MemJournal, NullSink, VecSink};
 //!
@@ -65,7 +72,7 @@
 //!     kernel::run(&platform, &mut workload, &mut policy, spec)
 //! })
 //! .expect("in-memory journal");
-//! assert!(matches!(crashed, Err(ResumeError::Engine(EngineError::Crashed { events: 5, .. }))));
+//! assert!(matches!(crashed, Err(RunError::Crashed { events: 5, .. })));
 //!
 //! // 2. Resume with the same inputs: the 5 journaled events are replayed and
 //! //    verified, the continuation is appended, and the journal is committed.
@@ -82,9 +89,8 @@
 //! assert_eq!(journal.events(), stream.events.as_slice());
 //! ```
 
-use crate::durability::{
-    schedule_from_events, CheckpointStore, CrashPlan, KernelSnapshot, ResumeError,
-};
+use crate::durability::{schedule_from_events, CheckpointStore, CrashPlan, KernelSnapshot};
+use crate::fault::{expand_timeline, FaultPlan, TimelineEvent};
 use crate::heteroprio::WorkerOrder;
 use crate::model::{ClassId, Platform, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
@@ -92,6 +98,7 @@ use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, NullRegistry, ScopedTimer, SpanSampler,
 };
+use heteroprio_trace::journal::JournalError;
 use heteroprio_trace::{Decision, QueueEnd, SchedEvent, TraceSink, TraceSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,93 +155,10 @@ pub struct RunningTask {
     pub end: f64,
 }
 
-/// Retry policy for failed task attempts: capped exponential backoff with a
-/// per-task attempt budget.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts allowed per task (first run included). When the
-    /// `max_attempts`-th attempt fails the task is abandoned.
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `min(backoff_cap, backoff_base · 2^(k-1))`.
-    pub backoff_base: f64,
-    /// Upper bound on any single backoff delay.
-    pub backoff_cap: f64,
-}
-
-impl RetryPolicy {
-    pub const DEFAULT: RetryPolicy =
-        RetryPolicy { max_attempts: 3, backoff_base: 1.0, backoff_cap: 64.0 };
-
-    /// Widest doubling [`RetryPolicy::delay_after`] ever computes. The
-    /// shift must be capped *before* the multiplier is built: `1u64 << 64`
-    /// is undefined (a panic in debug, a wrap in release), and past 2^63
-    /// the `backoff_cap` min dominates anyway.
-    pub const MAX_BACKOFF_SHIFT: u32 = 63;
-
-    /// Backoff delay after the `failures`-th failed attempt (1-based).
-    /// Total for any `failures`, including `u32::MAX`: the exponent
-    /// saturates at [`RetryPolicy::MAX_BACKOFF_SHIFT`] and the result is
-    /// clamped to `backoff_cap`.
-    pub fn delay_after(&self, failures: u32) -> f64 {
-        let exp = failures.saturating_sub(1).min(Self::MAX_BACKOFF_SHIFT);
-        (self.backoff_base * (1u64 << exp) as f64).min(self.backoff_cap)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::DEFAULT
-    }
-}
-
-/// One expanded point on the worker-fault timeline (sorted by time; see
-/// `expand_timeline` in `heteroprio-simulator`, which produces these from a
-/// `FaultPlan`).
-#[derive(Clone, Copy, Debug)]
-pub struct TimelineEvent {
-    pub time: f64,
-    pub worker: u32,
-    /// `true` for a recovery, `false` for a failure.
-    pub up: bool,
-    pub permanent: bool,
-}
-
-/// Fault machinery configuration: the pre-expanded worker down/up timeline,
-/// stochastic execution noise, and the retry policy.
-#[derive(Clone, Debug)]
-pub struct FaultModel {
-    /// Worker failures/recoveries, sorted by time (failures before
-    /// recoveries at equal instants).
-    pub timeline: Vec<TimelineEvent>,
-    /// Per-attempt probability that a task fails mid-run.
-    pub task_failure_prob: f64,
-    /// Multiplicative execution-time noise `j ≥ 0`: actual durations are
-    /// drawn log-uniformly from `[estimate/(1+j), estimate·(1+j)]`.
-    pub exec_jitter: f64,
-    /// Seed for the failure/jitter draws.
-    pub seed: u64,
-    /// Retry policy for failed task attempts.
-    pub retry: RetryPolicy,
-}
-
-impl FaultModel {
-    /// The zero model: no faults, no noise, no random draws — the kernel is
-    /// then byte-identical to a fault-free run.
-    pub fn none() -> Self {
-        FaultModel {
-            timeline: Vec::new(),
-            task_failure_prob: 0.0,
-            exec_jitter: 0.0,
-            seed: 0,
-            retry: RetryPolicy::DEFAULT,
-        }
-    }
-}
-
-/// Structured failure of a kernel run. The simulator converts these into its
-/// public `SimError`.
+/// How one kernel run failed: the one error type of every engine, for the
+/// run itself, its fault plan and its recovery.
 #[derive(Clone, Debug, PartialEq)]
-pub enum EngineError {
+pub enum RunError {
     /// A task exhausted its attempt budget; the run cannot complete.
     TaskAbandoned { task: u32, attempts: u32, time: f64 },
     /// Every worker is down with no recovery scheduled while tasks remain.
@@ -243,25 +167,59 @@ pub enum EngineError {
     /// time `time` after emitting `events` trace events. Recovery
     /// continues via a [`Resume`] run.
     Crashed { time: f64, events: u64 },
+    /// The fault plan is malformed or names a worker the platform lacks.
+    /// The run emitted nothing.
+    InvalidPlan { reason: String },
+    /// The snapshot is internally inconsistent or does not match the
+    /// supplied workload/platform.
+    BadSnapshot(String),
+    /// Replay emitted a different event than the journal recorded at
+    /// `index` — the workload, policy, or fault plan differs from the
+    /// recorded run.
+    Divergence { index: usize, expected: SchedEvent, got: SchedEvent },
+    /// Replay completed but produced fewer events than the journal holds —
+    /// the journal belongs to a longer (different) run.
+    ShortReplay { produced: usize, journaled: usize },
+    /// Reading the journal itself failed.
+    Journal(JournalError),
 }
 
-impl std::fmt::Display for EngineError {
+impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::TaskAbandoned { task, attempts, time } => {
-                write!(f, "task {task} abandoned after {attempts} attempts at t={time}")
+            RunError::TaskAbandoned { task, attempts, time } => {
+                write!(f, "task {task} abandoned after {attempts} failed attempts at t={time}")
             }
-            EngineError::AllWorkersDown { time, remaining } => {
+            RunError::AllWorkersDown { time, remaining } => {
                 write!(f, "all workers down at t={time} with {remaining} tasks remaining")
             }
-            EngineError::Crashed { time, events } => {
+            RunError::Crashed { time, events } => {
                 write!(f, "injected crash at t={time} after {events} events")
             }
+            RunError::InvalidPlan { reason } => write!(f, "invalid fault plan: {reason}"),
+            RunError::BadSnapshot(why) => write!(f, "bad snapshot: {why}"),
+            RunError::Divergence { index, expected, got } => write!(
+                f,
+                "replay diverged from the journal at event {index}: journal has {expected:?}, \
+                 replay produced {got:?} (workload/policy/faults differ from the recorded run?)"
+            ),
+            RunError::ShortReplay { produced, journaled } => write!(
+                f,
+                "replay finished after {produced} events but the journal holds {journaled} \
+                 (journal belongs to a different run?)"
+            ),
+            RunError::Journal(e) => write!(f, "journal: {e}"),
         }
     }
 }
 
-impl std::error::Error for EngineError {}
+impl std::error::Error for RunError {}
+
+impl From<JournalError> for RunError {
+    fn from(e: JournalError) -> Self {
+        RunError::Journal(e)
+    }
+}
 
 /// Everything a kernel run carries besides the platform, the workload and
 /// the policy. [`Run::new`] gives a fresh, fault-free run; set the other
@@ -269,7 +227,8 @@ impl std::error::Error for EngineError {}
 /// the registry, so [`NullSink`](heteroprio_trace::NullSink) and
 /// [`NullRegistry`] compile tracing and metrics away entirely.
 pub struct Run<'r, S: TraceSink, M: MetricsRegistry + ?Sized = NullRegistry> {
-    pub faults: FaultModel,
+    /// Checked against the platform before the run emits anything.
+    pub faults: FaultPlan,
     /// Receives every emitted event; on resume, the journaled prefix too.
     pub sink: &'r mut S,
     pub metrics: &'r M,
@@ -284,7 +243,7 @@ impl<'r, S: TraceSink, M: MetricsRegistry + ?Sized> Run<'r, S, M> {
     /// A fresh, fault-free run without crash, checkpoints or resume.
     pub fn new(sink: &'r mut S, metrics: &'r M) -> Self {
         Run {
-            faults: FaultModel::none(),
+            faults: FaultPlan::NONE,
             sink,
             metrics,
             crash: CrashPlan::NONE,
@@ -315,7 +274,7 @@ pub struct Checkpoints<'c> {
 /// only the tail past it re-executes. Either way every re-emitted event
 /// inside the journaled range is checked against the journal record — a
 /// mismatch means the inputs differ from the recorded run and yields
-/// [`ResumeError::Divergence`] instead of silent corruption. A snapshot
+/// [`RunError::Divergence`] instead of silent corruption. A snapshot
 /// taken *after* the last surviving journal record (its tail was lost with
 /// the page cache) is unusable and is ignored in favor of journal-only
 /// replay.
@@ -639,7 +598,9 @@ pub enum TaskState {
 }
 
 /// Drive `policy` over `workload` on `platform` to completion, under the
-/// faults, crash plan and resume source of `spec`.
+/// faults, crash plan and resume source of `spec`. A fault plan that
+/// fails [`FaultPlan::validate`] is [`RunError::InvalidPlan`], returned
+/// before the sink sees any event.
 ///
 /// Panics on policy protocol violations: picking a task that is not ready,
 /// spoliating an idle worker or one of the same class, a spoliation that
@@ -654,7 +615,7 @@ pub fn run<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Siz
     workload: &mut W,
     policy: &mut P,
     spec: Run<'_, S, M>,
-) -> Result<KernelOutcome, ResumeError> {
+) -> Result<KernelOutcome, RunError> {
     assert!(spec.checkpoints.is_none(), "checkpoints need a SnapshotPolicy: use run_checkpointed");
     drive(platform, workload, policy, spec, |_| Vec::new(), P::on_ready)
 }
@@ -672,7 +633,7 @@ pub fn run_checkpointed<
     workload: &mut W,
     policy: &mut P,
     spec: Run<'_, S, M>,
-) -> Result<KernelOutcome, ResumeError> {
+) -> Result<KernelOutcome, RunError> {
     drive(platform, workload, policy, spec, P::ready_order, P::restore)
 }
 
@@ -689,8 +650,9 @@ fn drive<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Sized
     spec: Run<'_, S, M>,
     ready_order: ReadyOrder<P>,
     restore: Restore<P>,
-) -> Result<KernelOutcome, ResumeError> {
+) -> Result<KernelOutcome, RunError> {
     let Run { faults, sink, metrics, crash, mut checkpoints, resume } = spec;
+    faults.validate(platform)?;
     let Resume { journal, snapshot } = resume.unwrap_or(Resume { journal: &[], snapshot: None });
     let snap = snapshot.filter(|s| (s.events_seen as usize) <= journal.len());
     let (prefix, tail) = journal.split_at(snap.map_or(0, |s| s.events_seen as usize));
@@ -709,25 +671,21 @@ fn drive<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Sized
     let run_result = match snap {
         Some(s) => kernel
             .restore_from(s, prefix, workload, policy, restore)
-            .map_err(ResumeError::BadSnapshot)
+            .map_err(RunError::BadSnapshot)
             .and_then(|()| {
-                kernel
-                    .run_inner(workload, policy, Some(s.now), &mut checkpoints, ready_order)
-                    .map_err(ResumeError::from)
+                kernel.run_inner(workload, policy, Some(s.now), &mut checkpoints, ready_order)
             }),
-        None => kernel
-            .run_inner(workload, policy, None, &mut checkpoints, ready_order)
-            .map_err(ResumeError::from),
+        None => kernel.run_inner(workload, policy, None, &mut checkpoints, ready_order),
     };
     let (verified, mismatch) = (kernel.verified, kernel.mismatch);
     let outcome = kernel.finish();
     if let Some((i, got)) = mismatch {
-        return Err(ResumeError::Divergence { index: prefix.len() + i, expected: tail[i], got });
+        return Err(RunError::Divergence { index: prefix.len() + i, expected: tail[i], got });
     }
     run_result?;
     if verified < tail.len() {
         let produced = prefix.len() + verified;
-        return Err(ResumeError::ShortReplay { produced, journaled: journal.len() });
+        return Err(RunError::ShortReplay { produced, journaled: journal.len() });
     }
     Ok(outcome)
 }
@@ -801,8 +759,12 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     will_fail: Vec<bool>,
     /// Failed attempts per task.
     failures: Vec<u32>,
-    faults: FaultModel,
-    /// Cursor into the sorted fault timeline.
+    /// The validated plan's task-failure, jitter and retry settings.
+    faults: FaultPlan,
+    /// The plan's worker faults as down/up instants, sorted by time
+    /// (failures before recoveries at equal instants).
+    timeline: Vec<TimelineEvent>,
+    /// Cursor into `timeline`.
     timeline_pos: usize,
     /// Pending retries as `(ready_time, task)`.
     retries: BinaryHeap<Reverse<(F64Ord, u32)>>,
@@ -822,7 +784,7 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     crash_at: Option<u64>,
     /// Latched once the crash point is reached; from then on the kernel
     /// emits nothing (the journal ends exactly at the crash) and the run
-    /// aborts with [`EngineError::Crashed`].
+    /// aborts with [`RunError::Crashed`].
     crashed: bool,
     /// Simulated time at which the crash fired.
     crashed_time: f64,
@@ -844,7 +806,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     fn new(
         platform: &'a Platform,
         tasks: usize,
-        faults: FaultModel,
+        faults: FaultPlan,
         metrics: &'a M,
         sink: &'a mut S,
     ) -> Self {
@@ -873,6 +835,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             alive: vec![true; platform.workers()],
             will_fail: vec![false; platform.workers()],
             failures: vec![0; tasks],
+            timeline: expand_timeline(&faults, platform.workers()),
             faults,
             timeline_pos: 0,
             retries: BinaryHeap::new(),
@@ -928,9 +891,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     }
 
     #[inline]
-    fn crash_check(&self) -> Result<(), EngineError> {
+    fn crash_check(&self) -> Result<(), RunError> {
         if self.crashed {
-            Err(EngineError::Crashed { time: self.crashed_time, events: self.emitted })
+            Err(RunError::Crashed { time: self.crashed_time, events: self.emitted })
         } else {
             Ok(())
         }
@@ -1219,9 +1182,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         policy: &mut P,
         w: WorkerId,
         now: f64,
-    ) -> Result<(), EngineError> {
-        if self.will_fail[w.index()] {
-            self.will_fail[w.index()] = false;
+    ) -> Result<(), RunError> {
+        let doomed = self.will_fail.get_mut(w.index()).expect("a dispatched worker id is in range");
+        if std::mem::take(doomed) {
             self.task_fail(w, now)
         } else {
             self.complete(workload, policy, w, now);
@@ -1232,10 +1195,16 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     /// A task attempt failed on `w`: progress is lost, the worker goes back
     /// to the idle pool, and the task retries after a backoff — unless its
     /// attempt budget is exhausted.
-    fn task_fail(&mut self, w: WorkerId, now: f64) -> Result<(), EngineError> {
-        let r = self.running[w.index()].take().expect("failure on idle worker");
-        self.failures[r.task.index()] += 1;
-        let attempt = self.failures[r.task.index()];
+    fn task_fail(&mut self, w: WorkerId, now: f64) -> Result<(), RunError> {
+        let r = self
+            .running
+            .get_mut(w.index())
+            .and_then(Option::take)
+            .expect("a failing attempt runs on its worker");
+        let failures =
+            self.failures.get_mut(r.task.index()).expect("a running task id is in range");
+        *failures += 1;
+        let attempt = *failures;
         self.emit(SchedEvent::TaskFailed {
             time: now,
             task: r.task.0,
@@ -1244,14 +1213,11 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             attempt,
         });
         self.schedule.aborted.push(TaskRun { task: r.task, worker: w, start: r.start, end: now });
-        self.state[r.task.index()] = TaskState::Waiting;
+        *self.state.get_mut(r.task.index()).expect("a running task id is in range") =
+            TaskState::Waiting;
         self.idle.push(w);
         if attempt >= self.faults.retry.max_attempts {
-            return Err(EngineError::TaskAbandoned {
-                task: r.task.0,
-                attempts: attempt,
-                time: now,
-            });
+            return Err(RunError::TaskAbandoned { task: r.task.0, attempts: attempt, time: now });
         }
         let delay = self.faults.retry.delay_after(attempt);
         self.meter.retried();
@@ -1260,19 +1226,21 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         Ok(())
     }
 
+    /// `e`'s worker fails. Its id passed [`FaultPlan::validate`], so it
+    /// indexes every per-worker vector.
     fn worker_down<P: KernelPolicy>(&mut self, policy: &mut P, e: TimelineEvent, now: f64) {
+        const VALID: &str = "a validated plan names only platform workers";
         let w = WorkerId(e.worker);
-        if !self.alive[w.index()] {
+        if !std::mem::replace(self.alive.get_mut(w.index()).expect(VALID), false) {
             return;
         }
-        self.alive[w.index()] = false;
         self.idle.retain(|&x| x != w);
         // The summary closes the open idle interval at the WorkerDown
         // event itself; no separate IdleEnd is emitted for a dead worker.
-        self.idle_announced[w.index()] = false;
-        let lost = self.running[w.index()].take();
-        self.will_fail[w.index()] = false;
-        self.generation[w.index()] += 1;
+        *self.idle_announced.get_mut(w.index()).expect(VALID) = false;
+        let lost = self.running.get_mut(w.index()).expect(VALID).take();
+        *self.will_fail.get_mut(w.index()).expect(VALID) = false;
+        *self.generation.get_mut(w.index()).expect(VALID) += 1;
         self.clear_pending(w);
         self.emit(SchedEvent::WorkerDown {
             time: now,
@@ -1289,25 +1257,28 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             });
             // The in-flight task re-enters the ready set immediately at its
             // original priority; lost progress is not a retry attempt.
-            self.state[r.task.index()] = TaskState::Waiting;
+            *self.state.get_mut(r.task.index()).expect("a running task id is in range") =
+                TaskState::Waiting;
             self.announce_ready(policy, &[r.task], now);
         }
     }
 
+    /// `e`'s worker recovers; its id is validated as in
+    /// [`Kernel::worker_down`].
     fn worker_up(&mut self, e: TimelineEvent, now: f64) {
+        const VALID: &str = "a validated plan names only platform workers";
         let w = WorkerId(e.worker);
-        if self.alive[w.index()] {
+        if std::mem::replace(self.alive.get_mut(w.index()).expect(VALID), true) {
             return;
         }
-        self.alive[w.index()] = true;
         self.emit(SchedEvent::WorkerUp { time: now, worker: w.0 });
         self.idle.push(w);
-        self.idle_announced[w.index()] = false;
+        *self.idle_announced.get_mut(w.index()).expect(VALID) = false;
     }
 
     /// Apply every timeline event due at or before `now`.
     fn process_faults_at<P: KernelPolicy>(&mut self, policy: &mut P, now: f64) {
-        while let Some(&e) = self.faults.timeline.get(self.timeline_pos) {
+        while let Some(&e) = self.timeline.get(self.timeline_pos) {
             if e.time > now {
                 break;
             }
@@ -1341,7 +1312,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     fn next_time<W: Workload>(&mut self, workload: &W) -> Option<f64> {
         let pending = self.earliest_pending();
         let mut next = pending.is_finite().then_some(pending);
-        if let Some(e) = self.faults.timeline.get(self.timeline_pos) {
+        if let Some(e) = self.timeline.get(self.timeline_pos) {
             next = Some(next.map_or(e.time, |t| t.min(e.time)));
         }
         if let Some(&Reverse((F64Ord(t), _))) = self.retries.peek() {
@@ -1380,7 +1351,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         resume_at: Option<f64>,
         checkpoints: &mut Option<Checkpoints<'_>>,
         ready_order: ReadyOrder<P>,
-    ) -> Result<(), EngineError> {
+    ) -> Result<(), RunError> {
         let _run_span = ScopedTimer::start(self.meter.m, self.meter.run_ns);
         let total = workload.len();
         let mut now = resume_at.unwrap_or(0.0);
@@ -1397,7 +1368,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                 if self.alive.iter().any(|&a| a) {
                     panic!("deadlock: tasks remain but nothing is running (policy bug?)");
                 }
-                return Err(EngineError::AllWorkersDown {
+                return Err(RunError::AllWorkersDown {
                     time: now,
                     remaining: total - self.completed,
                 });
@@ -1542,7 +1513,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             (None, None) => {}
             (have, _) => {
                 return Err(format!(
-                    "snapshot {} RNG state but the fault model {} stochastic",
+                    "snapshot {} RNG state but the fault plan {} stochastic",
                     if have.is_some() { "carries" } else { "lacks" },
                     if have.is_some() { "is not" } else { "is" },
                 ))
@@ -1580,7 +1551,7 @@ mod tests {
         inst: &Instance,
         plat: &Platform,
         spec: Run<'_, S>,
-    ) -> Result<KernelOutcome, ResumeError> {
+    ) -> Result<KernelOutcome, RunError> {
         let (mut workload, mut policy) = independent(inst, plat, &HeteroPrioConfig::new());
         run_checkpointed(plat, &mut workload, &mut policy, spec)
     }
@@ -1592,27 +1563,15 @@ mod tests {
         snapshot: Option<&KernelSnapshot>,
         journal: &[SchedEvent],
         sink: &mut S,
-    ) -> Result<KernelOutcome, ResumeError> {
+    ) -> Result<KernelOutcome, RunError> {
         let resume = Some(Resume { journal, snapshot });
         drive_independent(inst, plat, Run { resume, ..Run::new(sink, &NullRegistry) })
     }
 
     #[test]
-    fn backoff_delay_is_total_and_capped() {
-        let retry = RetryPolicy { max_attempts: u32::MAX, backoff_base: 0.5, backoff_cap: 1e6 };
-        assert_eq!(retry.delay_after(0), 0.5);
-        assert_eq!(retry.delay_after(1), 0.5);
-        assert_eq!(retry.delay_after(2), 1.0);
-        // Large failure counts saturate the shift (a shift of 64+ would
-        // panic in debug builds) and clamp to the cap.
-        for failures in [53, 63, 64, 65, 1_000, u32::MAX] {
-            let d = retry.delay_after(failures);
-            assert!(d.is_finite(), "delay_after({failures}) = {d}");
-            assert_eq!(d, 1e6);
-        }
-        // Even when base · 2^63 overflows to infinity, the cap wins.
-        let retry = RetryPolicy { max_attempts: 3, backoff_base: f64::MAX, backoff_cap: 7.0 };
-        assert_eq!(retry.delay_after(u32::MAX), 7.0);
+    fn run_errors_display_as_text_not_debug() {
+        let e = RunError::TaskAbandoned { task: 3, attempts: 2, time: 1.5 };
+        assert_eq!(e.to_string(), "task 3 abandoned after 2 failed attempts at t=1.5");
     }
 
     fn spoliation_instance() -> (Instance, Platform) {
@@ -1646,10 +1605,7 @@ mod tests {
                 let spec = Run { crash, ..Run::new(&mut sink, &NullRegistry) };
                 let err = drive_independent(&inst, &plat, spec).expect_err("crash plan must fire");
                 let time = err_time(&err);
-                assert_eq!(
-                    err,
-                    ResumeError::Engine(EngineError::Crashed { time, events: crash_at })
-                );
+                assert_eq!(err, RunError::Crashed { time, events: crash_at });
             }
             assert_eq!(journal.len() as u64, crash_at, "journal ends exactly at the crash");
             let prefix = journal.replay().expect("replay");
@@ -1662,9 +1618,9 @@ mod tests {
         }
     }
 
-    fn err_time(err: &ResumeError) -> f64 {
+    fn err_time(err: &RunError) -> f64 {
         match *err {
-            ResumeError::Engine(EngineError::Crashed { time, .. }) => time,
+            RunError::Crashed { time, .. } => time,
             ref other => panic!("expected Crashed, got {other:?}"),
         }
     }
@@ -1715,10 +1671,7 @@ mod tests {
         let other = Instance::from_times(&[(1.0, 8.0), (2.0, 6.0), (4.0, 4.0)]);
         let result = resume_independent(&other, &plat, None, &full.events, &mut NullSink);
         assert!(
-            matches!(
-                result,
-                Err(ResumeError::Divergence { .. }) | Err(ResumeError::ShortReplay { .. })
-            ),
+            matches!(result, Err(RunError::Divergence { .. }) | Err(RunError::ShortReplay { .. })),
             "got {result:?}"
         );
     }

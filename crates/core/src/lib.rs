@@ -22,7 +22,8 @@
 //!   workspace ([`kernel`]): one discrete-event loop owning time, the
 //!   completion/fault/retry heaps, worker liveness and trace emission,
 //!   driven by pluggable [`kernel::Workload`] / [`kernel::KernelPolicy`]
-//!   implementations.
+//!   implementations, under one validated [`FaultPlan`] and failing with
+//!   one [`RunError`].
 //!
 //! ```
 //! use heteroprio_core::{heteroprio, HeteroPrioConfig, Instance, Platform};
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod durability;
+pub mod fault;
 pub mod gantt;
 pub mod heteroprio;
 pub mod kernel;
@@ -53,13 +55,14 @@ pub mod time;
 
 pub use durability::{
     journaled, schedule_from_events, CheckpointStore, CrashPlan, FileCheckpointStore,
-    KernelSnapshot, MemCheckpointStore, MeteredJournal, ResumeError,
+    KernelSnapshot, MemCheckpointStore, MeteredJournal,
 };
+pub use fault::{FaultPlan, RetryPolicy, WorkerFault};
 pub use heteroprio::{
     heteroprio, heteroprio_metered, heteroprio_traced, independent, sorted_queue, HeteroPrioConfig,
-    HeteroPrioPolicy, HeteroPrioResult, HeteroPrioState, QueueTieBreak, SpoliationTieBreak,
-    WorkerOrder,
+    HeteroPrioPolicy, HeteroPrioResult, HeteroPrioState, QueueTieBreak, WorkerOrder,
 };
+pub use kernel::RunError;
 pub use model::{
     ClassId, ClassTable, Instance, ModelError, Platform, ResourceKind, Task, TaskId, WorkerId,
     MAX_CLASSES,

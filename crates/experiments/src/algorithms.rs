@@ -6,7 +6,7 @@ use heteroprio_core::{Instance, Platform, Schedule};
 use heteroprio_metrics::NullRegistry;
 use heteroprio_schedulers::{DualHpRank, HeftVariant};
 pub use heteroprio_schedulers::{IndepAlgo, Scheduler};
-use heteroprio_simulator::{FaultPlan, TransferModel};
+use heteroprio_simulator::TransferModel;
 use heteroprio_taskgraph::{TaskGraph, WeightScheme};
 use heteroprio_trace::{NullSink, TraceSink};
 
@@ -64,7 +64,7 @@ pub fn trace_dag<S: TraceSink>(
     scheduler.rank(&mut ranked);
     let spec = Run::new(sink, &NullRegistry);
     scheduler
-        .run(&ranked, platform, &TransferModel::NONE, &FaultPlan::NONE, spec)
+        .run(&ranked, platform, &TransferModel::NONE, spec)
         .expect("a fault-free run cannot fail")
         .schedule
 }

@@ -19,13 +19,11 @@
 
 use heteroprio_bounds::dag_lower_bound;
 use heteroprio_core::kernel::Run;
-use heteroprio_core::{Platform, ResourceKind};
+use heteroprio_core::{FaultPlan, Platform, ResourceKind, RetryPolicy, RunError, WorkerFault};
 use heteroprio_experiments::{emit, flag_value, Scheduler, TextTable};
 use heteroprio_metrics::NullRegistry;
 use heteroprio_schedulers::DualHpRank;
-use heteroprio_simulator::{
-    FaultPlan, RetryPolicy, SimError, SimResult, TransferModel, WorkerFault,
-};
+use heteroprio_simulator::{SimResult, TransferModel};
 use heteroprio_taskgraph::{cholesky, TaskGraph, WeightScheme};
 use heteroprio_trace::NullSink;
 use heteroprio_workloads::{paper_platform, ChameleonTiming};
@@ -43,10 +41,10 @@ fn run(
     graph: &TaskGraph,
     platform: &Platform,
     plan: &FaultPlan,
-) -> Result<SimResult, SimError> {
+) -> Result<SimResult, RunError> {
     let mut sink = NullSink;
-    let spec = Run::new(&mut sink, &NullRegistry);
-    Ok(scheduler.run(graph, platform, &TransferModel::NONE, plan, spec)?.into())
+    let spec = Run { faults: plan.clone(), ..Run::new(&mut sink, &NullRegistry) };
+    Ok(scheduler.run(graph, platform, &TransferModel::NONE, spec)?.into())
 }
 
 fn ranked_cholesky(n: usize) -> TaskGraph {

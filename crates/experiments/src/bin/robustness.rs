@@ -20,7 +20,7 @@ use heteroprio_experiments::{
 };
 use heteroprio_metrics::NullRegistry;
 use heteroprio_schedulers::DualHpRank;
-use heteroprio_simulator::{FaultPlan, TransferModel};
+use heteroprio_simulator::TransferModel;
 use heteroprio_taskgraph::{apply_bottom_level_priorities, cholesky, Factorization, WeightScheme};
 use heteroprio_trace::NullSink;
 use heteroprio_workloads::{
@@ -74,7 +74,7 @@ fn penalty_sweep() {
         .map(|scheduler| {
             let mut sink = NullSink;
             let spec = Run::new(&mut sink, &NullRegistry);
-            let res = scheduler.run(&graph, &platform, &model, &FaultPlan::NONE, spec);
+            let res = scheduler.run(&graph, &platform, &model, spec);
             let res = res.expect("fault-free");
             res.schedule
                 .validate_with_overhead(graph.instance(), &platform, model.cross_class_penalty)

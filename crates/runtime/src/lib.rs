@@ -27,5 +27,4 @@ pub mod handles;
 pub mod runtime;
 
 pub use handles::{Access, DataHandle};
-pub use heteroprio_simulator::{FaultPlan, RetryPolicy, SimError, WorkerFault};
 pub use runtime::{Execution, Outcome, Report, Runtime, Scheduler};

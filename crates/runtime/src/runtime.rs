@@ -3,9 +3,11 @@
 use crate::handles::{Access, DataHandle};
 use heteroprio_bounds::dag_lower_bound;
 use heteroprio_core::kernel::{Checkpoints, Resume, Run};
-use heteroprio_core::{journaled, CrashPlan, Platform, Schedule, Task, TaskId};
+use heteroprio_core::{
+    journaled, CrashPlan, FaultPlan, Platform, RunError, Schedule, Task, TaskId,
+};
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
-use heteroprio_simulator::{FaultPlan, SimError, TransferModel};
+use heteroprio_simulator::TransferModel;
 use heteroprio_taskgraph::{check_precedence, CycleError, DagBuilder, TaskGraph};
 use heteroprio_trace::{
     Journal, JournalError, NullSink, SchedEvent, TeeSink, TraceSink, TraceSummary, VecSink,
@@ -295,11 +297,12 @@ impl Runtime {
             }
         }
         scheduler.rank(&mut graph);
-        let (result, events) =
-            exec.drive(None, |spec| scheduler.run(&graph, &platform, &transfer, &plan, spec))?;
+        let (result, events) = exec.drive(None, |spec| {
+            scheduler.run(&graph, &platform, &transfer, Run { faults: plan.clone(), ..spec })
+        })?;
         let outcome = match result {
             Ok(outcome) => outcome,
-            Err(SimError::Crashed { time, events }) => {
+            Err(RunError::Crashed { time, events }) => {
                 return Ok(Outcome::Crashed { time, events })
             }
             Err(e) => return Err(e.to_string()),
@@ -494,7 +497,7 @@ mod tests {
 
     #[test]
     fn faults_flow_through_the_runtime() {
-        use heteroprio_simulator::{FaultPlan, WorkerFault};
+        use heteroprio_core::{FaultPlan, WorkerFault};
         // 2 CPUs + 1 GPU; the GPU dies early, yet the chain completes.
         let build = || {
             let mut rt = Runtime::new(Platform::new(2, 1));
@@ -524,7 +527,7 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_matches_fault_free_run() {
-        use heteroprio_simulator::FaultPlan;
+        use heteroprio_core::FaultPlan;
         let build = || {
             let mut rt = Runtime::new(Platform::new(2, 1));
             let a = rt.register_data("a");
@@ -619,7 +622,7 @@ mod tests {
 
     #[test]
     fn heft_rejects_fault_injection() {
-        use heteroprio_simulator::{FaultPlan, WorkerFault};
+        use heteroprio_core::{FaultPlan, WorkerFault};
         let mut rt = Runtime::new(Platform::new(1, 1));
         let a = rt.register_data("a");
         rt.submit(unit(1.0, 1.0), "t", &[(a, Access::Write)]);

@@ -21,9 +21,11 @@ use crate::{
     PriorityListPolicy,
 };
 use heteroprio_core::kernel::{self, KernelOutcome, Run};
-use heteroprio_core::{heteroprio_metered, HeteroPrioConfig, Instance, Platform, Schedule};
+use heteroprio_core::{
+    heteroprio_metered, HeteroPrioConfig, Instance, Platform, RunError, Schedule,
+};
 use heteroprio_metrics::MetricsRegistry;
-use heteroprio_simulator::{dag, FaultPlan, SimError, SnapshotOnlinePolicy, TransferModel};
+use heteroprio_simulator::{dag, SnapshotOnlinePolicy, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, TaskGraph, WeightScheme};
 use heteroprio_trace::{NullSink, TraceSink, TraceSummary};
 use std::fmt;
@@ -202,38 +204,36 @@ impl Scheduler {
     }
 
     /// Schedule `graph` (ranked by [`Scheduler::rank`]) under `spec`, with
-    /// `transfer` charged and `plan`'s faults injected; `spec.faults` is
-    /// replaced by `plan`'s expansion. Live schedulers drive their policy
-    /// through the kernel. Static HEFT builds its schedule offline and
-    /// replays the reconstructed event stream into `spec.sink`; it takes no
-    /// transfer model, fault plan, crash, checkpoints or resume.
+    /// `transfer` charged and `spec.faults` injected. Live schedulers drive
+    /// their policy through the kernel. Static HEFT builds its schedule
+    /// offline and replays the reconstructed event stream into `spec.sink`;
+    /// it takes no transfer model, fault plan, crash, checkpoints or resume.
     pub fn run<S: TraceSink, M: MetricsRegistry + ?Sized>(
         self,
         graph: &TaskGraph,
         platform: &Platform,
         transfer: &TransferModel,
-        plan: &FaultPlan,
         spec: Run<'_, S, M>,
-    ) -> Result<KernelOutcome, SimError> {
+    ) -> Result<KernelOutcome, RunError> {
         match self {
             Scheduler::HeteroPrio(_) => {
                 let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                run_policy(graph, platform, transfer, plan, &mut policy, spec)
+                run_policy(graph, platform, transfer, &mut policy, spec)
             }
             Scheduler::DualHp(rank, _) => {
-                run_policy(graph, platform, transfer, plan, &mut DualHpDagPolicy::new(rank), spec)
+                run_policy(graph, platform, transfer, &mut DualHpDagPolicy::new(rank), spec)
             }
             Scheduler::PriorityList(_) => {
-                run_policy(graph, platform, transfer, plan, &mut PriorityListPolicy::new(), spec)
+                run_policy(graph, platform, transfer, &mut PriorityListPolicy::new(), spec)
             }
             Scheduler::Heft(scheme, variant) => {
                 let plain = spec.crash.is_none()
                     && spec.checkpoints.is_none()
                     && spec.resume.is_none()
                     && *transfer == TransferModel::NONE
-                    && plan.is_none();
+                    && spec.faults.is_none();
                 if !plain {
-                    return Err(SimError::InvalidPlan {
+                    return Err(RunError::InvalidPlan {
                         reason: "static HEFT builds its schedule outside the kernel: no \
                                  transfer model, faults, crash, checkpoints or resume"
                             .into(),
@@ -261,12 +261,11 @@ fn run_policy<P: SnapshotOnlinePolicy, S: TraceSink, M: MetricsRegistry + ?Sized
     graph: &TaskGraph,
     platform: &Platform,
     transfer: &TransferModel,
-    plan: &FaultPlan,
     policy: &mut P,
     spec: Run<'_, S, M>,
-) -> Result<KernelOutcome, SimError> {
-    let (mut workload, mut policy, faults) = dag(graph, platform, policy, transfer, plan)?;
-    Ok(kernel::run_checkpointed(platform, &mut workload, &mut policy, Run { faults, ..spec })?)
+) -> Result<KernelOutcome, RunError> {
+    let (mut workload, mut policy) = dag(graph, platform, policy, transfer);
+    kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
 }
 
 /// Report label: the family name, with DualHP's rank.
@@ -328,8 +327,7 @@ mod tests {
             let registry = InMemoryRegistry::new();
             let mut sink = NullSink;
             let spec = Run::new(&mut sink, &registry);
-            let outcome =
-                scheduler.run(&ranked, &platform, &TransferModel::NONE, &FaultPlan::NONE, spec);
+            let outcome = scheduler.run(&ranked, &platform, &TransferModel::NONE, spec);
             let schedule = outcome.unwrap_or_else(|e| panic!("{name}: {e}")).schedule;
             schedule
                 .validate(graph.instance(), &platform)

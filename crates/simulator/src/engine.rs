@@ -9,15 +9,13 @@
 //! The event loop itself is the shared kernel in
 //! [`heteroprio_core::kernel`]; this module contributes the DAG engine
 //! constructor [`dag`]: the availability frontend (dependency release via
-//! [`ReadyTracker`], cross-class transfer penalties), an adapter from
-//! [`OnlinePolicy`] to the kernel's policy interface, and the kernel fault
-//! model built from a [`FaultPlan`].
+//! [`ReadyTracker`], cross-class transfer penalties) and an adapter from
+//! [`OnlinePolicy`] to the kernel's policy interface. Faults travel in the
+//! kernel's own [`Run::faults`].
 
-use crate::fault::{FaultPlan, SimError};
 use crate::policy::{OnlinePolicy, SimContext, SnapshotOnlinePolicy, TransferModel};
 use heteroprio_core::kernel::{
-    self, FaultModel, KernelContext, KernelOutcome, KernelPolicy, Pick, Run, SnapshotPolicy,
-    TimelineEvent, Workload,
+    self, KernelContext, KernelOutcome, KernelPolicy, Pick, Run, SnapshotPolicy, Workload,
 };
 use heteroprio_core::{ClassId, Platform, Schedule, TaskId, WorkerId, WorkerOrder};
 use heteroprio_metrics::NullRegistry;
@@ -55,88 +53,23 @@ impl From<KernelOutcome> for SimResult {
     }
 }
 
-/// Expand a plan's worker faults into a sorted down/up timeline, merging
-/// overlapping intervals per worker (a permanent failure swallows
-/// everything after it).
-/// Checked accessor for a fault entry; callers index with loop bounds.
-fn fault_at(faults: &[(f64, Option<f64>)], j: usize) -> (f64, Option<f64>) {
-    *faults.get(j).expect("j < faults.len() loop bound")
-}
-
-fn expand_timeline(plan: &FaultPlan, workers: usize) -> Result<Vec<TimelineEvent>, SimError> {
-    let mut per: Vec<Vec<(f64, Option<f64>)>> = vec![Vec::new(); workers];
-    for f in &plan.worker_faults {
-        if f.worker as usize >= workers {
-            return Err(SimError::InvalidPlan {
-                reason: format!("worker {} out of range (platform has {workers})", f.worker),
-            });
-        }
-        per.get_mut(f.worker as usize).expect("range-checked above").push((f.at, f.down_for));
-    }
-    let mut out = Vec::new();
-    for (w, mut faults) in per.into_iter().enumerate() {
-        faults.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut i = 0;
-        while i < faults.len() {
-            let (start, dur) = *faults.get(i).expect("i < faults.len() loop bound");
-            let mut up = dur.map(|d| start + d);
-            let mut j = i + 1;
-            while j < faults.len() {
-                match up {
-                    None => j = faults.len(),
-                    Some(u) if fault_at(&faults, j).0 <= u => {
-                        let (at, down_for) = fault_at(&faults, j);
-                        up = down_for.map(|d| u.max(at + d));
-                        j += 1;
-                    }
-                    Some(_) => break,
-                }
-            }
-            out.push(TimelineEvent {
-                time: start,
-                worker: w as u32,
-                up: false,
-                permanent: up.is_none(),
-            });
-            if let Some(u) = up {
-                out.push(TimelineEvent { time: u, worker: w as u32, up: true, permanent: false });
-            }
-            i = j;
-        }
-    }
-    out.sort_by(|a, b| a.time.total_cmp(&b.time).then((a.up as u8).cmp(&(b.up as u8))));
-    Ok(out)
-}
-
 /// The DAG engine: `graph`'s tasks become ready as their predecessors
 /// complete, pay `model`'s cross-class transfer penalty, and are placed by
-/// `policy` (initialized here). Returns the (workload, policy) pair plus
-/// the kernel fault model expanded from `plan`, for [`kernel::run`] — or
-/// [`kernel::run_checkpointed`] when `policy` is a
-/// [`SnapshotOnlinePolicy`].
+/// `policy` (initialized here). Returns the (workload, policy) pair for
+/// [`kernel::run`] — or [`kernel::run_checkpointed`] when `policy` is a
+/// [`SnapshotOnlinePolicy`] — whose [`Run::faults`] injects any faults.
 ///
-/// With [`FaultPlan::NONE`] the fault model draws no random numbers and the
-/// run reproduces the fault-free event stream byte for byte. Policy
-/// protocol violations panic in the kernel (they are bugs, not simulated
-/// faults); a malformed plan is an error here.
+/// Policy protocol violations panic in the kernel (they are bugs, not
+/// simulated faults).
 pub fn dag<'a, P: OnlinePolicy>(
     graph: &'a TaskGraph,
     platform: &Platform,
     policy: &'a mut P,
     model: &'a TransferModel,
-    plan: &FaultPlan,
-) -> Result<(DagWorkload<'a>, PolicyAdapter<'a, P>, FaultModel), SimError> {
-    plan.validate()?;
-    let faults = FaultModel {
-        timeline: expand_timeline(plan, platform.workers())?,
-        task_failure_prob: plan.task_failure_prob,
-        exec_jitter: plan.exec_jitter,
-        seed: plan.seed,
-        retry: plan.retry,
-    };
+) -> (DagWorkload<'a>, PolicyAdapter<'a, P>) {
     policy.init(graph, platform);
     let workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    Ok((workload, PolicyAdapter { graph, model, policy }, faults))
+    (workload, PolicyAdapter { graph, model, policy })
 }
 
 /// Run `policy` over `graph` on `platform` to completion.
@@ -168,8 +101,7 @@ pub fn simulate_traced<P: OnlinePolicy, S: TraceSink>(
     model: &TransferModel,
     sink: &mut S,
 ) -> SimResult {
-    let (mut workload, mut policy, _) = dag(graph, platform, policy, model, &FaultPlan::NONE)
-        .expect("the empty fault plan is valid");
+    let (mut workload, mut policy) = dag(graph, platform, policy, model);
     let outcome = kernel::run(platform, &mut workload, &mut policy, Run::new(sink, &NullRegistry));
     outcome.expect("fault-free simulation cannot fail").into()
 }
@@ -265,8 +197,7 @@ impl<P: SnapshotOnlinePolicy> SnapshotPolicy for PolicyAdapter<'_, P> {
 mod tests {
     use super::*;
     use heteroprio_core::time::approx_eq;
-    use heteroprio_core::Instance;
-    use heteroprio_core::ResourceKind;
+    use heteroprio_core::{FaultPlan, Instance, ResourceKind, RetryPolicy, RunError, WorkerFault};
     use heteroprio_taskgraph::{chain, check_precedence, fork_join, DagBuilder, TaskGraph};
     use std::collections::VecDeque;
 
@@ -298,10 +229,10 @@ mod tests {
         policy: &mut P,
         plan: &FaultPlan,
         sink: &mut S,
-    ) -> Result<SimResult, SimError> {
+    ) -> Result<SimResult, RunError> {
         let model = TransferModel::NONE;
-        let (mut workload, mut policy, faults) = dag(graph, platform, policy, &model, plan)?;
-        let spec = Run { faults, ..Run::new(sink, &NullRegistry) };
+        let (mut workload, mut policy) = dag(graph, platform, policy, &model);
+        let spec = Run { faults: plan.clone(), ..Run::new(sink, &NullRegistry) };
         Ok(kernel::run(platform, &mut workload, &mut policy, spec)?.into())
     }
 
@@ -529,7 +460,7 @@ mod tests {
         let g = TaskGraph::independent(Instance::from_times(&[(4.0, 2.0)]));
         let plat = Platform::new(1, 1);
         let plan = FaultPlan {
-            worker_faults: vec![crate::fault::WorkerFault::transient(1, 1.0, 2.0)],
+            worker_faults: vec![WorkerFault::transient(1, 1.0, 2.0)],
             ..FaultPlan::NONE
         };
         let res = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap();
@@ -548,10 +479,7 @@ mod tests {
         let g = TaskGraph::independent(Instance::from_times(&[(2.0, 1.0); 6]));
         let plat = Platform::new(2, 2);
         let plan = FaultPlan {
-            worker_faults: vec![
-                crate::fault::WorkerFault::permanent(2, 0.5),
-                crate::fault::WorkerFault::permanent(3, 0.5),
-            ],
+            worker_faults: vec![WorkerFault::permanent(2, 0.5), WorkerFault::permanent(3, 0.5)],
             ..FaultPlan::NONE
         };
         let res = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap();
@@ -571,15 +499,12 @@ mod tests {
         let g = TaskGraph::independent(Instance::from_times(&[(10.0, 10.0); 3]));
         let plat = Platform::new(1, 1);
         let plan = FaultPlan {
-            worker_faults: vec![
-                crate::fault::WorkerFault::permanent(0, 1.0),
-                crate::fault::WorkerFault::permanent(1, 1.0),
-            ],
+            worker_faults: vec![WorkerFault::permanent(0, 1.0), WorkerFault::permanent(1, 1.0)],
             ..FaultPlan::NONE
         };
         let err = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap_err();
         match err {
-            SimError::AllWorkersDown { remaining, .. } => assert_eq!(remaining, 3),
+            RunError::AllWorkersDown { remaining, .. } => assert_eq!(remaining, 3),
             other => panic!("expected AllWorkersDown, got {other:?}"),
         }
     }
@@ -590,16 +515,12 @@ mod tests {
         let plat = Platform::new(1, 1);
         let plan = FaultPlan {
             task_failure_prob: 1.0,
-            retry: crate::fault::RetryPolicy {
-                max_attempts: 3,
-                backoff_base: 0.5,
-                backoff_cap: 2.0,
-            },
+            retry: RetryPolicy { max_attempts: 3, backoff_base: 0.5, backoff_cap: 2.0 },
             ..FaultPlan::NONE
         };
         let err = run_plan(&g, &plat, &mut Fifo::new(), &plan, &mut NullSink).unwrap_err();
         match err {
-            SimError::TaskAbandoned { task: 0, attempts: 3, .. } => {}
+            RunError::TaskAbandoned { task: 0, attempts: 3, .. } => {}
             other => panic!("expected TaskAbandoned after 3 attempts, got {other:?}"),
         }
     }
@@ -615,11 +536,7 @@ mod tests {
             task_failure_prob: 0.3,
             exec_jitter: 0.2,
             seed: 42,
-            retry: crate::fault::RetryPolicy {
-                max_attempts: 10,
-                backoff_base: 0.25,
-                backoff_cap: 4.0,
-            },
+            retry: RetryPolicy { max_attempts: 10, backoff_base: 0.25, backoff_cap: 4.0 },
             ..FaultPlan::NONE
         };
         let mut sink = VecSink::new();

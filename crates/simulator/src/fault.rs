@@ -1,196 +1,9 @@
-//! Deterministic fault injection: worker failures, stochastic execution
-//! times, and task-level failures with retry.
-//!
-//! A [`FaultPlan`] describes everything that can go wrong during a
-//! simulated execution. It is fully deterministic per seed (the vendored
-//! `rand` shim is a seeded xoshiro256++), so every failure scenario is
-//! replayable. The zero plan ([`FaultPlan::NONE`]) draws no random numbers
-//! and leaves the engine byte-identical to a fault-free run.
-//!
-//! Worker faults come in two flavours: *permanent* (the worker never comes
-//! back — a GPU falling off the bus) and *transient* (down for a fixed
-//! interval — a driver reset). In both cases in-flight work is lost, the
-//! running task re-enters the ready set at its original priority, and the
-//! dead worker is excluded from policy decisions until recovery.
-//!
-//! Task failures are Bernoulli per attempt; a failed attempt costs the
-//! in-progress time and is retried after a capped exponential backoff, up
-//! to [`RetryPolicy::max_attempts`] attempts, after which the engine
-//! returns [`SimError::TaskAbandoned`].
+//! The `--faults` grammar: a [`FaultSpec`] parses a spec string and
+//! resolves it on a platform into the worker faults of a
+//! [`FaultPlan`](heteroprio_core::FaultPlan), the kernel's one fault input.
+//! Every rejection is [`RunError::InvalidPlan`].
 
-use heteroprio_core::Platform;
-use std::fmt;
-
-/// One scheduled worker failure.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WorkerFault {
-    /// Raw worker id (the `u32` payload of `WorkerId`).
-    pub worker: u32,
-    /// Simulated time at which the worker goes down.
-    pub at: f64,
-    /// Downtime duration; `None` means the failure is permanent.
-    pub down_for: Option<f64>,
-}
-
-impl WorkerFault {
-    /// A worker that dies at `at` and never recovers.
-    pub fn permanent(worker: u32, at: f64) -> Self {
-        WorkerFault { worker, at, down_for: None }
-    }
-
-    /// A worker that is down for `down_for` time units starting at `at`.
-    pub fn transient(worker: u32, at: f64, down_for: f64) -> Self {
-        WorkerFault { worker, at, down_for: Some(down_for) }
-    }
-}
-
-/// Retry policy for failed task attempts (re-exported from the shared event
-/// kernel, which owns the retry heap).
-pub use heteroprio_core::kernel::RetryPolicy;
-
-/// Everything that can go wrong in one simulated execution.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultPlan {
-    /// Scheduled worker failures. Overlapping intervals on one worker are
-    /// merged; a permanent failure swallows everything after it.
-    pub worker_faults: Vec<WorkerFault>,
-    /// Per-attempt probability that a task fails mid-run.
-    pub task_failure_prob: f64,
-    /// Multiplicative execution-time noise `j ≥ 0`: actual durations are
-    /// drawn log-uniformly from `[estimate/(1+j), estimate·(1+j)]`.
-    /// Policies still decide on the estimates.
-    pub exec_jitter: f64,
-    /// Seed for the failure/jitter draws.
-    pub seed: u64,
-    /// Retry policy for failed task attempts.
-    pub retry: RetryPolicy,
-}
-
-impl FaultPlan {
-    /// The zero plan: no faults, no noise, no random draws.
-    pub const NONE: FaultPlan = FaultPlan {
-        worker_faults: Vec::new(),
-        task_failure_prob: 0.0,
-        exec_jitter: 0.0,
-        seed: 0,
-        retry: RetryPolicy::DEFAULT,
-    };
-
-    /// True when the plan injects nothing (the engine then skips the fault
-    /// machinery entirely and reproduces fault-free traces exactly).
-    pub fn is_none(&self) -> bool {
-        // lint: allow(float-eq): exact sentinel — 0.0 means "feature off", set literally by
-        // FaultPlan::NONE / the parser, never produced by arithmetic.
-        self.worker_faults.is_empty() && self.task_failure_prob == 0.0 && self.exec_jitter == 0.0
-    }
-
-    /// Check the plan's numeric sanity. The engine calls this before a run.
-    pub fn validate(&self) -> Result<(), SimError> {
-        let bad = |reason: String| Err(SimError::InvalidPlan { reason });
-        if !self.task_failure_prob.is_finite() || !(0.0..=1.0).contains(&self.task_failure_prob) {
-            return bad(format!("task_failure_prob {} not in [0, 1]", self.task_failure_prob));
-        }
-        if !self.exec_jitter.is_finite() || self.exec_jitter < 0.0 {
-            return bad(format!("exec_jitter {} must be finite and >= 0", self.exec_jitter));
-        }
-        if self.retry.max_attempts == 0 {
-            return bad("retry.max_attempts must be at least 1".into());
-        }
-        if !self.retry.backoff_base.is_finite() || self.retry.backoff_base < 0.0 {
-            return bad(format!(
-                "backoff_base {} must be finite and >= 0",
-                self.retry.backoff_base
-            ));
-        }
-        if !self.retry.backoff_cap.is_finite() || self.retry.backoff_cap < 0.0 {
-            return bad(format!("backoff_cap {} must be finite and >= 0", self.retry.backoff_cap));
-        }
-        for f in &self.worker_faults {
-            if !f.at.is_finite() || f.at < 0.0 {
-                return bad(format!(
-                    "worker {} fault time {} must be finite and >= 0",
-                    f.worker, f.at
-                ));
-            }
-            if let Some(d) = f.down_for {
-                if !d.is_finite() || d <= 0.0 {
-                    return bad(format!("worker {} downtime {d} must be finite and > 0", f.worker));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::NONE
-    }
-}
-
-/// Structured failure of a simulated execution.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SimError {
-    /// A task exhausted its attempt budget; the run cannot complete.
-    TaskAbandoned { task: u32, attempts: u32, time: f64 },
-    /// Every worker is down with no recovery scheduled while tasks remain.
-    AllWorkersDown { time: f64, remaining: usize },
-    /// The fault plan itself is malformed.
-    InvalidPlan { reason: String },
-    /// An injected `CrashPlan` fired after `events` emitted events; recover
-    /// by running again with a `Resume` from the journal (see
-    /// `heteroprio_core::kernel::Resume`).
-    Crashed { time: f64, events: u64 },
-    /// Recovery failed: the journal or snapshot disagrees with the
-    /// supplied graph/policy/plan (see
-    /// [`ResumeError`](heteroprio_core::ResumeError) for the cases).
-    Recovery { detail: String },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::TaskAbandoned { task, attempts, time } => {
-                write!(f, "task {task} abandoned after {attempts} failed attempts at t={time}")
-            }
-            SimError::AllWorkersDown { time, remaining } => {
-                write!(f, "all workers down at t={time} with {remaining} tasks remaining")
-            }
-            SimError::InvalidPlan { reason } => write!(f, "invalid fault plan: {reason}"),
-            SimError::Crashed { time, events } => {
-                write!(f, "simulated crash at t={time} after {events} journaled events")
-            }
-            SimError::Recovery { detail } => write!(f, "recovery failed: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-impl From<heteroprio_core::kernel::EngineError> for SimError {
-    fn from(e: heteroprio_core::kernel::EngineError) -> Self {
-        use heteroprio_core::kernel::EngineError;
-        match e {
-            EngineError::TaskAbandoned { task, attempts, time } => {
-                SimError::TaskAbandoned { task, attempts, time }
-            }
-            EngineError::AllWorkersDown { time, remaining } => {
-                SimError::AllWorkersDown { time, remaining }
-            }
-            EngineError::Crashed { time, events } => SimError::Crashed { time, events },
-        }
-    }
-}
-
-impl From<heteroprio_core::ResumeError> for SimError {
-    fn from(e: heteroprio_core::ResumeError) -> Self {
-        use heteroprio_core::ResumeError;
-        match e {
-            ResumeError::Engine(engine) => engine.into(),
-            other => SimError::Recovery { detail: other.to_string() },
-        }
-    }
-}
+use heteroprio_core::{Platform, RunError, WorkerFault};
 
 /// A time in a fault spec: absolute, or a percentage of the fault-free
 /// makespan (resolved by the caller after a baseline run).
@@ -201,11 +14,11 @@ pub enum TimeSpec {
 }
 
 impl TimeSpec {
-    fn resolve(self, baseline: Option<f64>) -> Result<f64, SimError> {
+    fn resolve(self, baseline: Option<f64>) -> Result<f64, RunError> {
         match self {
             TimeSpec::Abs(t) => Ok(t),
             TimeSpec::Percent(p) => {
-                baseline.map(|m| m * p / 100.0).ok_or_else(|| SimError::InvalidPlan {
+                baseline.map(|m| m * p / 100.0).ok_or_else(|| RunError::InvalidPlan {
                     reason: "percent time in spec but no baseline makespan given".into(),
                 })
             }
@@ -262,7 +75,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// Parse a spec string. Whitespace around clauses is ignored.
-    pub fn parse(s: &str) -> Result<FaultSpec, SimError> {
+    pub fn parse(s: &str) -> Result<FaultSpec, RunError> {
         FaultSpec::parse_with(s, None)
     }
 
@@ -272,8 +85,8 @@ impl FaultSpec {
     pub fn parse_with(
         s: &str,
         table: Option<&heteroprio_core::ClassTable>,
-    ) -> Result<FaultSpec, SimError> {
-        let bad = |reason: String| SimError::InvalidPlan { reason };
+    ) -> Result<FaultSpec, RunError> {
+        let bad = |reason: String| RunError::InvalidPlan { reason };
         let mut spec = FaultSpec::default();
         for raw in s.split(',') {
             let clause = raw.trim();
@@ -347,14 +160,14 @@ impl FaultSpec {
         &self,
         platform: &Platform,
         baseline: Option<f64>,
-    ) -> Result<Vec<WorkerFault>, SimError> {
+    ) -> Result<Vec<WorkerFault>, RunError> {
         let mut out = Vec::new();
         for c in &self.clauses {
             let at = c.at.resolve(baseline)?;
             let workers: Vec<u32> = match c.target {
                 FaultTarget::Worker(w) => {
                     if w as usize >= platform.workers() {
-                        return Err(SimError::InvalidPlan {
+                        return Err(RunError::InvalidPlan {
                             reason: format!(
                                 "worker {w} out of range (platform has {})",
                                 platform.workers()
@@ -365,7 +178,7 @@ impl FaultSpec {
                 }
                 FaultTarget::Class(c) => {
                     if usize::from(c) >= platform.k() {
-                        return Err(SimError::InvalidPlan {
+                        return Err(RunError::InvalidPlan {
                             reason: format!(
                                 "class c{c} out of range (platform has {} classes)",
                                 platform.k()
@@ -389,16 +202,6 @@ impl FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let r = RetryPolicy { max_attempts: 10, backoff_base: 1.0, backoff_cap: 5.0 };
-        assert_eq!(r.delay_after(1), 1.0);
-        assert_eq!(r.delay_after(2), 2.0);
-        assert_eq!(r.delay_after(3), 4.0);
-        assert_eq!(r.delay_after(4), 5.0, "capped");
-        assert_eq!(r.delay_after(60), 5.0, "no overflow");
-    }
 
     #[test]
     fn parses_full_spec() {
@@ -471,22 +274,5 @@ mod tests {
         assert!(spec.resolve(&plat, None).is_err());
         // Out-of-range worker is an error.
         assert!(FaultSpec::parse("w9@1").unwrap().resolve(&plat, None).is_err());
-    }
-
-    #[test]
-    fn plan_validation_catches_bad_numbers() {
-        let mut p = FaultPlan::NONE.clone();
-        assert!(p.validate().is_ok() && p.is_none());
-        p.task_failure_prob = 1.5;
-        assert!(p.validate().is_err());
-        p.task_failure_prob = 0.0;
-        p.exec_jitter = -1.0;
-        assert!(p.validate().is_err());
-        p.exec_jitter = 0.0;
-        p.retry.max_attempts = 0;
-        assert!(p.validate().is_err());
-        p.retry = RetryPolicy::DEFAULT;
-        p.worker_faults.push(WorkerFault::transient(0, 1.0, 0.0));
-        assert!(p.validate().is_err());
     }
 }

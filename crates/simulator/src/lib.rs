@@ -17,7 +17,7 @@ pub mod fault;
 pub mod policy;
 
 pub use engine::{dag, simulate, simulate_traced, DagWorkload, PolicyAdapter, SimResult};
-pub use fault::{FaultPlan, FaultSpec, RetryPolicy, SimError, WorkerFault};
+pub use fault::FaultSpec;
 pub use policy::{
     OnlinePolicy, RunningTask, SimContext, SnapshotOnlinePolicy, TransferModel, WorkerOrder,
 };

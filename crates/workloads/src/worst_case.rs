@@ -9,8 +9,8 @@
 
 use heteroprio_core::time::PHI;
 use heteroprio_core::{
-    HeteroPrioConfig, Instance, Platform, QueueTieBreak, Schedule, SpoliationTieBreak, Task,
-    TaskId, TaskRun, WorkerId, WorkerOrder,
+    HeteroPrioConfig, Instance, Platform, QueueTieBreak, Schedule, Task, TaskId, TaskRun, WorkerId,
+    WorkerOrder,
 };
 
 /// A worst-case family member.
@@ -316,7 +316,6 @@ pub fn theorem14(k: usize) -> WorstCase {
         platform,
         config: HeteroPrioConfig {
             queue_tie: QueueTieBreak::InsertionOrder,
-            spoliation_tie: SpoliationTieBreak::PriorityThenId,
             worker_order: WorkerOrder::GpusFirst,
             ..HeteroPrioConfig::new()
         },

@@ -4,12 +4,13 @@
 
 use heteroprio::audit::{audit, schedule_from_events, AuditOptions, Rule};
 use heteroprio::core::kernel::{self, Run};
-use heteroprio::core::{heteroprio_traced, HeteroPrioConfig, Instance, Platform, Task};
+use heteroprio::core::{
+    heteroprio_traced, FaultPlan, HeteroPrioConfig, Instance, Platform, RetryPolicy, Task,
+    WorkerFault,
+};
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
-use heteroprio::simulator::{
-    dag, simulate_traced, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
-};
+use heteroprio::simulator::{dag, simulate_traced, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, WeightScheme};
 use heteroprio::trace::{jsonl, parse_jsonl, QueueEnd, SchedEvent, VecSink};
 use heteroprio::workloads::ChameleonTiming;
@@ -116,9 +117,8 @@ fn faulty_run_audits_clean_modulo_liveness() {
     };
     let mut sink = VecSink::new();
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let (mut workload, mut policy, faults) =
-        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
-    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
+    let spec = Run { faults: plan, ..Run::new(&mut sink, &NullRegistry) };
     let res = kernel::run(&platform, &mut workload, &mut policy, spec)
         .expect("run completes under this plan");
     let events = sink.into_events();

@@ -5,16 +5,15 @@
 use heteroprio::bounds::dag_lower_bound;
 use heteroprio::core::kernel::{self, Run};
 use heteroprio::core::{
-    heteroprio_online_traced, heteroprio_traced, HeteroPrioConfig, Instance, Platform,
+    heteroprio_online_traced, heteroprio_traced, FaultPlan, HeteroPrioConfig, Instance, Platform,
+    RetryPolicy, WorkerFault,
 };
 use heteroprio::experiments::{alloc_stats, run_dag, Scheduler, DAG_PAPER};
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{
     dualhp_independent, DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy,
 };
-use heteroprio::simulator::{
-    dag, simulate_traced, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
-};
+use heteroprio::simulator::{dag, simulate_traced, TransferModel};
 use heteroprio::taskgraph::{
     apply_bottom_level_priorities, check_precedence, ConstTiming, Factorization, WeightScheme,
 };
@@ -162,10 +161,9 @@ fn faulty_dag_stream_matches_golden_digest() {
         retry: RetryPolicy::DEFAULT,
     };
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let (mut workload, mut policy, faults) =
-        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
+    let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
     let mut sink = VecSink::new();
-    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let spec = Run { faults: plan, ..Run::new(&mut sink, &NullRegistry) };
     let out = kernel::run(&platform, &mut workload, &mut policy, spec).expect("run completes");
     let s = &out.summary;
     assert!(s.worker_failures == 2 && s.worker_recoveries == 1, "both outages hit");
@@ -366,10 +364,9 @@ fn faulty_dualhp_dag_stream_matches_golden_digest() {
         retry: RetryPolicy::DEFAULT,
     };
     let mut policy = DualHpDagPolicy::new(DualHpRank::Priority);
-    let (mut workload, mut policy, faults) =
-        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
+    let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
     let mut sink = VecSink::new();
-    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let spec = Run { faults: plan, ..Run::new(&mut sink, &NullRegistry) };
     let out = kernel::run(&platform, &mut workload, &mut policy, spec).expect("run completes");
     let s = &out.summary;
     assert!(s.worker_failures == 3 && s.worker_recoveries == 2, "every outage hits");

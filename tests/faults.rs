@@ -1,17 +1,21 @@
 //! Integration tests of the fault-injection layer: conservation of time
 //! under arbitrary fault plans, byte-identity of the zero plan, structured
-//! abandonment, and the headline all-GPUs-die recovery scenario.
+//! abandonment, the headline all-GPUs-die recovery scenario, and the one
+//! plan check every engine runs before it emits anything, fuzzed from the
+//! `--faults` text down to the kernel.
 
-use heteroprio::core::kernel::{self, FaultModel, Run, TimelineEvent};
-use heteroprio::core::{independent, HeteroPrioConfig, Instance, Platform};
+use heteroprio::core::kernel::{self, KernelOutcome, Run};
+use heteroprio::core::{
+    independent, journaled, release_dates, ClassTable, FaultPlan, HeteroPrioConfig, Instance,
+    Platform, RetryPolicy, RunError, WorkerFault,
+};
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{HeteroPrioDagPolicy, PriorityListPolicy};
 use heteroprio::simulator::{
-    dag, simulate_traced, FaultPlan, OnlinePolicy, RetryPolicy, SimError, SimResult, TransferModel,
-    WorkerFault,
+    dag, simulate_traced, FaultSpec, OnlinePolicy, SimResult, TransferModel,
 };
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
-use heteroprio::trace::{NullSink, TraceSink, TraceSummary, VecSink};
+use heteroprio::trace::{Journal, MemJournal, NullSink, TraceSink, TraceSummary, VecSink};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 use proptest::prelude::*;
 
@@ -23,9 +27,9 @@ fn run_plan<P: OnlinePolicy, S: TraceSink>(
     model: &TransferModel,
     plan: &FaultPlan,
     sink: &mut S,
-) -> Result<SimResult, SimError> {
-    let (mut workload, mut policy, faults) = dag(graph, platform, policy, model, plan)?;
-    let spec = Run { faults, ..Run::new(sink, &NullRegistry) };
+) -> Result<SimResult, RunError> {
+    let (mut workload, mut policy) = dag(graph, platform, policy, model);
+    let spec = Run { faults: plan.clone(), ..Run::new(sink, &NullRegistry) };
     Ok(kernel::run(platform, &mut workload, &mut policy, spec)?.into())
 }
 
@@ -75,7 +79,7 @@ fn certain_failure_is_a_structured_error() {
     )
     .unwrap_err();
     match err {
-        SimError::TaskAbandoned { attempts, .. } => assert_eq!(attempts, 2),
+        RunError::TaskAbandoned { attempts, .. } => assert_eq!(attempts, 2),
         other => panic!("expected TaskAbandoned, got {other:?}"),
     }
 }
@@ -237,7 +241,7 @@ proptest! {
 #[test]
 fn independent_engine_keeps_its_queue_when_a_worker_dies() {
     let three: [&[f64]; 8] = [&[4.0, 1.0, 2.0]; 8];
-    let down = TimelineEvent { time: 0.5, worker: 2, up: false, permanent: true };
+    let down = WorkerFault::permanent(2, 0.5);
     let cases = [
         (Instance::from_times(&[(4.0, 1.0); 8]), Platform::new(2, 1)),
         (Instance::from_class_times(&three), Platform::from_counts(&[2, 1, 1])),
@@ -245,7 +249,7 @@ fn independent_engine_keeps_its_queue_when_a_worker_dies() {
     for (instance, platform) in &cases {
         for config in [HeteroPrioConfig::new(), HeteroPrioConfig::without_spoliation()] {
             let (mut workload, mut policy) = independent(instance, platform, &config);
-            let faults = FaultModel { timeline: vec![down], ..FaultModel::none() };
+            let faults = FaultPlan { worker_faults: vec![down], ..FaultPlan::NONE };
             let mut sink = NullSink;
             let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
             let out = kernel::run(platform, &mut workload, &mut policy, spec)
@@ -256,5 +260,209 @@ fn independent_engine_keeps_its_queue_when_a_worker_dies() {
             assert_eq!(done, instance.ids().collect::<Vec<_>>(), "k={}", platform.k());
             assert_eq!(out.summary.worker_failures, 1);
         }
+    }
+}
+
+/// Plans the kernel must refuse on `Platform::new(2, 1)`, each with what
+/// is wrong with it.
+fn invalid_plans() -> Vec<(&'static str, FaultPlan)> {
+    let worker = |f| FaultPlan { worker_faults: vec![f], ..FaultPlan::NONE };
+    let retry = |retry| FaultPlan { retry, ..FaultPlan::NONE };
+    vec![
+        ("a worker the platform lacks", worker(WorkerFault::permanent(99, 1.0))),
+        ("a failure probability above 1", FaultPlan { task_failure_prob: 1.5, ..FaultPlan::NONE }),
+        ("no attempt at all", retry(RetryPolicy { max_attempts: 0, ..RetryPolicy::DEFAULT })),
+        ("NaN jitter", FaultPlan { exec_jitter: f64::NAN, ..FaultPlan::NONE }),
+        ("a negative fault time", worker(WorkerFault::transient(0, -1.0, 2.0))),
+        ("a NaN fault time", worker(WorkerFault::permanent(1, f64::NAN))),
+        ("a zero downtime", worker(WorkerFault::transient(2, 1.0, 0.0))),
+        ("a negative downtime", worker(WorkerFault::transient(0, 1.0, -2.0))),
+        ("a recovery past f64::MAX", worker(WorkerFault::transient(0, 1e308, 1e308))),
+        ("a NaN backoff", retry(RetryPolicy { backoff_base: f64::NAN, ..RetryPolicy::DEFAULT })),
+        ("a NaN backoff cap", retry(RetryPolicy { backoff_cap: f64::NAN, ..RetryPolicy::DEFAULT })),
+    ]
+}
+
+/// Run every invalid plan, journaled, through `run` (which builds a fresh
+/// engine and hands it the spec): each must be `InvalidPlan`, with no event
+/// in the sink and no record in the journal.
+fn refuses_every_invalid_plan(
+    mut run: impl FnMut(Run<'_, &mut dyn TraceSink>) -> Result<KernelOutcome, RunError>,
+) {
+    for (what, plan) in invalid_plans() {
+        let (mut journal, mut sink) = (MemJournal::new(), VecSink::new());
+        let result = journaled(&mut journal, &mut sink, |tee| {
+            let mut sink: &mut dyn TraceSink = tee;
+            run(Run { faults: plan, ..Run::new(&mut sink, &NullRegistry) })
+        })
+        .expect("in-memory journal");
+        match result {
+            Err(RunError::InvalidPlan { .. }) => {}
+            other => panic!("{what}: expected InvalidPlan, got {other:?}"),
+        }
+        assert!(sink.events.is_empty(), "{what}: the sink saw {} events", sink.events.len());
+        assert_eq!(journal.len(), 0, "{what}: the journal holds records");
+    }
+}
+
+fn small_instance() -> Instance {
+    Instance::from_times(&[(4.0, 1.0), (2.0, 2.0), (1.0, 3.0), (3.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+}
+
+#[test]
+fn independent_engine_refuses_invalid_plans_before_emitting() {
+    let (instance, platform) = (small_instance(), Platform::new(2, 1));
+    refuses_every_invalid_plan(|spec| {
+        let (mut workload, mut policy) =
+            independent(&instance, &platform, &HeteroPrioConfig::new());
+        kernel::run(&platform, &mut workload, &mut policy, spec)
+    });
+}
+
+#[test]
+fn release_dates_engine_refuses_invalid_plans_before_emitting() {
+    let (instance, platform) = (small_instance(), Platform::new(2, 1));
+    let releases = [0.0, 0.0, 1.0, 2.0, 2.5, 4.0];
+    refuses_every_invalid_plan(|spec| {
+        let config = HeteroPrioConfig::new();
+        let (mut workload, mut policy) = release_dates(&instance, &releases, &platform, &config);
+        kernel::run(&platform, &mut workload, &mut policy, spec)
+    });
+}
+
+#[test]
+fn dag_engine_refuses_invalid_plans_before_emitting() {
+    let (graph, platform) = (ranked_cholesky(3), Platform::new(2, 1));
+    refuses_every_invalid_plan(|spec| {
+        let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+        let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
+        kernel::run(&platform, &mut workload, &mut policy, spec)
+    });
+}
+
+/// Clause-shaped `--faults` text: targets, times and durations drawn from
+/// well-formed, boundary and malformed pieces, plus `fail=`/`seed=`
+/// clauses and stray separators.
+fn clause_spec(parts: &[(u32, u32, u32, u32)]) -> String {
+    const TARGETS: [&str; 12] =
+        ["w0", "w2", "w3", "w99", "c0", "c1", "c2", "cpu", "GPU", "all", "fpga", "x"];
+    const TIMES: [&str; 12] =
+        ["0", "1.5", "4", "-1", "nan", "inf", "1e308", "25%", "150%", "-5%", "1e309%", ""];
+    const DURATIONS: [&str; 10] =
+        ["", "+1", "+2.5", "+0", "+-2", "+nan", "+inf", "+1e308", "+", "+x"];
+    const OTHERS: [&str; 10] = [
+        "fail=0.1",
+        "fail=1",
+        "fail=1.5",
+        "fail=nan",
+        "fail=-0.2",
+        "seed=7",
+        "seed=-1",
+        "",
+        " , ",
+        "@",
+    ];
+    let pick = |table: &[&'static str], i: u32| table[i as usize % table.len()];
+    parts
+        .iter()
+        .map(|&(kind, a, b, c)| match kind {
+            0 => pick(&OTHERS, a).to_string(),
+            _ => format!("{}@{}{}", pick(&TARGETS, a), pick(&TIMES, b), pick(&DURATIONS, c)),
+        })
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Feed `text` through the `--faults` pipeline — parse with a class table,
+/// resolve against a baseline makespan, then run the independent engine
+/// and a small DAG under the plan. Nothing may panic, and every rejection,
+/// at any stage, must be `InvalidPlan`. Returns the stage that refused the
+/// text, or `"ran"`.
+fn spec_reaches_the_kernel_or_is_an_invalid_plan(text: &str) -> &'static str {
+    let table = ClassTable::new(&[("cpu", 2), ("gpu", 1)]).expect("a valid table");
+    let platform = table.platform();
+    let invalid = |stage: &'static str, e: RunError| {
+        assert!(matches!(e, RunError::InvalidPlan { .. }), "{stage} of {text:?}: {e:?}");
+        stage
+    };
+    let spec = match FaultSpec::parse_with(text, Some(&table)) {
+        Ok(spec) => spec,
+        Err(e) => return invalid("parse", e),
+    };
+    let worker_faults = match spec.resolve(&platform, Some(10.0)) {
+        Ok(faults) => faults,
+        Err(e) => return invalid("resolve", e),
+    };
+    let plan = FaultPlan {
+        worker_faults,
+        task_failure_prob: spec.task_failure_prob.unwrap_or(0.0),
+        seed: spec.seed.unwrap_or(0),
+        retry: RetryPolicy { max_attempts: 8, ..RetryPolicy::DEFAULT },
+        ..FaultPlan::NONE
+    };
+    let instance = small_instance();
+    let graph = ranked_cholesky(3);
+    let mut sink = NullSink;
+    let (mut workload, mut policy) = independent(&instance, &platform, &HeteroPrioConfig::new());
+    let spec = Run { faults: plan.clone(), ..Run::new(&mut sink, &NullRegistry) };
+    let independent = kernel::run(&platform, &mut workload, &mut policy, spec);
+    let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+    let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
+    let spec = Run { faults: plan, ..Run::new(&mut sink, &NullRegistry) };
+    let dag = kernel::run(&platform, &mut workload, &mut policy, spec);
+    let mut stage = "ran";
+    for result in [independent.err(), dag.err()] {
+        match result {
+            None | Some(RunError::TaskAbandoned { .. } | RunError::AllWorkersDown { .. }) => {}
+            Some(e) => stage = invalid("kernel", e),
+        }
+    }
+    stage
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Arbitrary text, mostly ASCII with some wider code points.
+    #[test]
+    fn arbitrary_fault_specs_never_panic(
+        chars in prop::collection::vec((0u32..4, 0u32..0x80, 0u32..0x3000), 0..24),
+    ) {
+        let text: String = chars
+            .into_iter()
+            .filter_map(|(wide, ascii, any)| char::from_u32(if wide == 0 { any } else { ascii }))
+            .collect();
+        spec_reaches_the_kernel_or_is_an_invalid_plan(&text);
+    }
+
+    // Clause-shaped text, so that most specs parse and reach the kernel.
+    #[test]
+    fn clause_shaped_fault_specs_never_panic(
+        parts in prop::collection::vec((0u32..4, 0u32..64, 0u32..64, 0u32..64), 0..5),
+    ) {
+        spec_reaches_the_kernel_or_is_an_invalid_plan(&clause_spec(&parts));
+    }
+}
+
+/// Guards the clause-shaped fuzz against vacuity: its generator reaches
+/// every stage — specs refused by the parser, by resolution and by the
+/// kernel's plan check, and specs that run.
+#[test]
+fn clause_shaped_specs_reach_every_stage() {
+    let mut x = 7u64;
+    let mut next = move || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) as u32
+    };
+    let mut stages = std::collections::BTreeMap::new();
+    for _ in 0..400 {
+        let parts: Vec<_> =
+            (0..1 + next() % 3).map(|_| (next() % 4, next(), next(), next())).collect();
+        *stages
+            .entry(spec_reaches_the_kernel_or_is_an_invalid_plan(&clause_spec(&parts)))
+            .or_insert(0) += 1;
+    }
+    for stage in ["parse", "resolve", "kernel", "ran"] {
+        assert!(stages.get(stage).is_some_and(|&n| n >= 10), "{stage}: {stages:?}");
     }
 }

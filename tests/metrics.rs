@@ -9,18 +9,16 @@ mod common;
 
 use common::CountingPicks;
 use heteroprio::core::durability::metric as journal_metric;
-use heteroprio::core::kernel::{
-    self, metric, Checkpoints, EngineError, FaultModel, Resume, Run, TimelineEvent,
-};
+use heteroprio::core::kernel::{self, metric, Checkpoints, Resume, Run};
 use heteroprio::core::{
-    heteroprio_metered, independent, journaled, CrashPlan, HeteroPrioConfig, Instance,
-    MemCheckpointStore, MeteredJournal, Platform, ResumeError,
+    heteroprio_metered, independent, journaled, CrashPlan, FaultPlan, HeteroPrioConfig, Instance,
+    MemCheckpointStore, MeteredJournal, Platform, RunError, WorkerFault,
 };
 use heteroprio::metrics::{
     prometheus, InMemoryRegistry, MetricsRegistry, MetricsSnapshot, NullRegistry, SAMPLE_EVERY,
 };
 use heteroprio::schedulers::HeteroPrioDagPolicy;
-use heteroprio::simulator::{dag, FaultPlan, TransferModel};
+use heteroprio::simulator::{dag, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio::trace::journal::{JournalError, SyncPolicy};
 use heteroprio::trace::{
@@ -79,9 +77,7 @@ fn null_registry_dag_run_is_byte_identical_too() {
     let run = |metrics: &dyn MetricsRegistry| {
         let mut sink = VecSink::new();
         let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-        let (mut workload, mut policy, _) =
-            dag(&graph, &platform, &mut policy, &TransferModel::NONE, &FaultPlan::NONE)
-                .expect("the empty fault plan is valid");
+        let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
         let res = kernel::run(&platform, &mut workload, &mut policy, Run::new(&mut sink, metrics))
             .expect("fault-free simulation cannot fail");
         (sink.into_events(), res.schedule)
@@ -226,18 +222,14 @@ fn published(snap: &MetricsSnapshot) -> BTreeMap<String, u64> {
 
 /// A faulty two-class run: a CPU goes down for a while, a GPU dies for
 /// good, and attempts fail at random, so every counter moves.
-fn faulty() -> (Instance, Platform, FaultModel) {
+fn faulty() -> (Instance, Platform, FaultPlan) {
     let times: Vec<(f64, f64)> =
         (0..24).map(|i| (1.0 + 0.7 * (i % 5) as f64, 0.5 + 0.3 * (i % 7) as f64)).collect();
-    let faults = FaultModel {
-        timeline: vec![
-            TimelineEvent { time: 0.4, worker: 0, up: false, permanent: false },
-            TimelineEvent { time: 0.9, worker: 4, up: false, permanent: true },
-            TimelineEvent { time: 1.6, worker: 0, up: true, permanent: false },
-        ],
+    let faults = FaultPlan {
+        worker_faults: vec![WorkerFault::transient(0, 0.4, 1.2), WorkerFault::permanent(4, 0.9)],
         task_failure_prob: 0.1,
         seed: 5,
-        ..FaultModel::none()
+        ..FaultPlan::NONE
     };
     (Instance::from_times(&times), Platform::new(3, 2), faults)
 }
@@ -274,7 +266,7 @@ fn counters_and_gauges_after_a_crash_equal_what_the_sink_received() {
             ..Run::new(&mut sink, &registry)
         };
         let err = kernel::run(&platform, &mut workload, &mut policy, spec).unwrap_err();
-        assert!(matches!(err, ResumeError::Engine(EngineError::Crashed { .. })), "{err:?}");
+        assert!(matches!(err, RunError::Crashed { .. }), "{err:?}");
         assert_eq!(sink.events, reference[..crash_at]);
         assert_eq!(
             published(&registry.snapshot()),

@@ -9,16 +9,15 @@
 //! truncation, trailing garbage) must recover without panics and without
 //! silently dropping any record written before the damage.
 
-use heteroprio::core::kernel::{
-    self, Checkpoints, EngineError, FaultModel, KernelOutcome, Resume, Run, TimelineEvent,
-};
+use heteroprio::core::kernel::{self, Checkpoints, KernelOutcome, Resume, Run};
 use heteroprio::core::{
-    independent, journaled, CrashPlan, HeteroPrioConfig, HeteroPrioResult, Instance,
-    KernelSnapshot, MemCheckpointStore, Platform, QueueTieBreak, ResumeError, Task, TaskRun,
+    independent, journaled, CrashPlan, FaultPlan, HeteroPrioConfig, HeteroPrioResult, Instance,
+    KernelSnapshot, MemCheckpointStore, Platform, QueueTieBreak, RunError, Task, TaskRun,
+    WorkerFault,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
-use heteroprio::simulator::{dag, FaultPlan, SimError, SimResult, TransferModel};
+use heteroprio::simulator::{dag, SimResult, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio::trace::journal::{crc32, frame_len, MAGIC};
 use heteroprio::trace::{
@@ -36,7 +35,7 @@ fn run_independent<S: TraceSink>(
     platform: &Platform,
     config: &HeteroPrioConfig,
     spec: Run<'_, S>,
-) -> Result<KernelOutcome, ResumeError> {
+) -> Result<KernelOutcome, RunError> {
     let (mut workload, mut policy) = independent(instance, platform, config);
     kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
 }
@@ -49,7 +48,7 @@ fn resume_independent<S: TraceSink>(
     snapshot: Option<&KernelSnapshot>,
     journal: &[SchedEvent],
     sink: &mut S,
-) -> Result<KernelOutcome, ResumeError> {
+) -> Result<KernelOutcome, RunError> {
     let resume = Some(Resume { journal, snapshot });
     run_independent(instance, platform, config, Run { resume, ..Run::new(sink, &M) })
 }
@@ -60,7 +59,7 @@ fn independent_reference(
     instance: &Instance,
     platform: &Platform,
     config: &HeteroPrioConfig,
-    faults: &FaultModel,
+    faults: &FaultPlan,
 ) -> (Vec<SchedEvent>, HeteroPrioResult) {
     let mut sink = VecSink::new();
     let (mut workload, mut policy) = independent(instance, platform, config);
@@ -77,7 +76,7 @@ fn crash_resume_independent(
     instance: &Instance,
     platform: &Platform,
     config: &HeteroPrioConfig,
-    faults: &FaultModel,
+    faults: &FaultPlan,
     reference: &(Vec<SchedEvent>, HeteroPrioResult),
     crash_at: u64,
     checkpoint_every: Option<u64>,
@@ -98,7 +97,7 @@ fn crash_resume_independent(
     .expect("in-memory journal appends and syncs cannot fail")
     .expect_err("the crash plan must abort the run");
     match err {
-        ResumeError::Engine(EngineError::Crashed { events, .. }) => assert_eq!(events, crash_at),
+        RunError::Crashed { events, .. } => assert_eq!(events, crash_at),
         other => panic!("expected Crashed, got {other:?}"),
     }
     assert_eq!(journal.len() as u64, crash_at, "journal must hold exactly the pre-crash events");
@@ -127,7 +126,7 @@ fn independent_engine_recovers_from_every_crash_point() {
     let instance = Instance::from_times(&times);
     let platform = Platform::new(3, 2);
     let config = HeteroPrioConfig::new();
-    let reference = independent_reference(&instance, &platform, &config, &FaultModel::none());
+    let reference = independent_reference(&instance, &platform, &config, &FaultPlan::NONE);
     let total = reference.0.len() as u64;
     assert!(total > 0);
     for crash_at in 1..=total {
@@ -136,7 +135,7 @@ fn independent_engine_recovers_from_every_crash_point() {
                 &instance,
                 &platform,
                 &config,
-                &FaultModel::none(),
+                &FaultPlan::NONE,
                 &reference,
                 crash_at,
                 checkpoint_every,
@@ -161,7 +160,7 @@ fn three_class_engine_recovers_ties_from_every_crash_point() {
     let platform = Platform::from_counts(&[1, 1, 1]);
     for queue_tie in [QueueTieBreak::InsertionOrder, QueueTieBreak::Priority] {
         let config = HeteroPrioConfig { queue_tie, ..HeteroPrioConfig::new() };
-        let reference = independent_reference(&instance, &platform, &config, &FaultModel::none());
+        let reference = independent_reference(&instance, &platform, &config, &FaultPlan::NONE);
         let total = reference.0.len() as u64;
         for crash_at in 1..=total {
             for checkpoint_every in [None, Some(2), Some(5)] {
@@ -169,7 +168,7 @@ fn three_class_engine_recovers_ties_from_every_crash_point() {
                     &instance,
                     &platform,
                     &config,
-                    &FaultModel::none(),
+                    &FaultPlan::NONE,
                     &reference,
                     crash_at,
                     checkpoint_every,
@@ -190,15 +189,11 @@ fn independent_engine_recovers_from_every_crash_point_under_faults() {
     let instance = Instance::from_times(&times);
     let platform = Platform::new(3, 2);
     let config = HeteroPrioConfig::new();
-    let faults = FaultModel {
-        timeline: vec![
-            TimelineEvent { time: 0.4, worker: 0, up: false, permanent: false },
-            TimelineEvent { time: 0.9, worker: 4, up: false, permanent: true },
-            TimelineEvent { time: 1.6, worker: 0, up: true, permanent: false },
-        ],
+    let faults = FaultPlan {
+        worker_faults: vec![WorkerFault::transient(0, 0.4, 1.2), WorkerFault::permanent(4, 0.9)],
         task_failure_prob: 0.1,
         seed: 5,
-        ..FaultModel::none()
+        ..FaultPlan::NONE
     };
     let reference = independent_reference(&instance, &platform, &config, &faults);
     let s = &reference.1.summary;
@@ -219,18 +214,16 @@ fn independent_engine_recovers_from_every_crash_point_under_faults() {
     }
 }
 
-/// Drive HeteroPrio over a ranked Cholesky DAG under `plan` and `spec`
-/// (whose fault model is taken from the plan).
+/// Drive HeteroPrio over a ranked Cholesky DAG under `plan` and `spec`.
 fn run_dag<S: TraceSink>(
     graph: &TaskGraph,
     platform: &Platform,
     plan: &FaultPlan,
     spec: Run<'_, S>,
-) -> Result<SimResult, SimError> {
+) -> Result<SimResult, RunError> {
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let (mut workload, mut policy, faults) =
-        dag(graph, platform, &mut policy, &TransferModel::NONE, plan)?;
-    let spec = Run { faults, ..spec };
+    let (mut workload, mut policy) = dag(graph, platform, &mut policy, &TransferModel::NONE);
+    let spec = Run { faults: plan.clone(), ..spec };
     Ok(kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)?.into())
 }
 
@@ -276,7 +269,7 @@ fn crash_resume_dag(
     .expect("in-memory journal appends and syncs cannot fail")
     .expect_err("the crash plan must abort the run");
     match err {
-        SimError::Crashed { events, .. } => assert_eq!(events, crash_at),
+        RunError::Crashed { events, .. } => assert_eq!(events, crash_at),
         other => panic!("expected Crashed, got {other:?}"),
     }
     assert_eq!(journal.events(), &ref_events[..crash_at as usize]);
@@ -320,7 +313,7 @@ fn resume_rejects_a_foreign_journal() {
     let b = Instance::from_times(&[(2.0, 1.0), (3.0, 1.5), (2.0, 4.0)]);
     let platform = Platform::new(2, 1);
     let config = HeteroPrioConfig::new();
-    let (events_a, _) = independent_reference(&a, &platform, &config, &FaultModel::none());
+    let (events_a, _) = independent_reference(&a, &platform, &config, &FaultPlan::NONE);
     let mut sink = VecSink::new();
     let err = resume_independent(&b, &platform, &config, None, &events_a, &mut sink)
         .expect_err("a journal recorded from another instance must not verify");
@@ -377,13 +370,13 @@ fn resume_rejects_pending_events_that_disagree_with_running_workers() {
         assert!(s.validate().is_err(), "validate accepted {what}");
         let mut sink = VecSink::new();
         match resume_independent(&instance, &platform, &config, Some(s), &tail, &mut sink) {
-            Err(ResumeError::BadSnapshot(_)) => {}
+            Err(RunError::BadSnapshot(_)) => {}
             other => panic!("resume with {what} returned {other:?}"),
         }
     }
 
     // The untampered checkpoint still resumes to the reference stream.
-    let (reference, _) = independent_reference(&instance, &platform, &config, &FaultModel::none());
+    let (reference, _) = independent_reference(&instance, &platform, &config, &FaultPlan::NONE);
     let mut sink = VecSink::new();
     resume_independent(&instance, &platform, &config, Some(&snap), &tail, &mut sink)
         .expect("the genuine checkpoint resumes");
@@ -426,12 +419,12 @@ proptest! {
         let instance = Instance::from_times(&times);
         let platform = Platform::new(cpus, gpus);
         let config = HeteroPrioConfig::new();
-        let reference = independent_reference(&instance, &platform, &config, &FaultModel::none());
+        let reference = independent_reference(&instance, &platform, &config, &FaultPlan::NONE);
         let total = reference.0.len() as u64;
         prop_assert!(total > 0, "a non-empty instance must emit events");
         // lint: allow(cast-trunc): picking a crash index is intentional truncation.
         let crash_at = 1 + ((crash_frac * (total - 1) as f64) as u64).min(total - 1);
-        let none = FaultModel::none();
+        let none = FaultPlan::NONE;
         crash_resume_independent(&instance, &platform, &config, &none, &reference, crash_at, ckpt);
     }
 
@@ -469,7 +462,7 @@ proptest! {
         let instance = Instance::from_times(&times);
         let platform = Platform::new(2, 1);
         let config = HeteroPrioConfig::new();
-        let (ref_events, ref_res) = independent_reference(&instance, &platform, &config, &FaultModel::none());
+        let (ref_events, ref_res) = independent_reference(&instance, &platform, &config, &FaultPlan::NONE);
 
         let path = temp_journal_path();
         {

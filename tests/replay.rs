@@ -8,16 +8,14 @@
 //! shows up here.
 
 use heteroprio::audit::{audit, schedule_from_events, AuditOptions, AuditReport};
-use heteroprio::core::kernel::{self, FaultModel, KernelPolicy, Run, TimelineEvent, Workload};
+use heteroprio::core::kernel::{self, KernelPolicy, Run, Workload};
 use heteroprio::core::{
-    heteroprio_traced, independent, release_dates, HeteroPrioConfig, Instance, Platform, Schedule,
-    TaskRun, WorkerId,
+    heteroprio_traced, independent, release_dates, FaultPlan, HeteroPrioConfig, Instance, Platform,
+    RetryPolicy, RunError, Schedule, TaskRun, WorkerFault, WorkerId,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::{dualhp_independent, HeteroPrioDagPolicy};
-use heteroprio::simulator::{
-    dag, simulate_traced, FaultPlan, RetryPolicy, TransferModel, WorkerFault,
-};
+use heteroprio::simulator::{dag, simulate_traced, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, Factorization, WeightScheme};
 use heteroprio::trace::{chrome_trace, ChromeTraceOptions, QueueEnd, SchedEvent, VecSink};
 use heteroprio::workloads::ChameleonTiming;
@@ -99,10 +97,9 @@ fn faulty_dag_run() -> (Instance, Schedule, Vec<SchedEvent>) {
         retry: RetryPolicy::DEFAULT,
     };
     let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-    let (mut workload, mut policy, faults) =
-        dag(&graph, &platform, &mut policy, &TransferModel::NONE, &plan).expect("valid plan");
+    let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &TransferModel::NONE);
     let mut sink = VecSink::new();
-    let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+    let spec = Run { faults: plan, ..Run::new(&mut sink, &NullRegistry) };
     let out = kernel::run(&platform, &mut workload, &mut policy, spec).expect("run completes");
     (graph.instance().clone(), out.schedule, sink.into_events())
 }
@@ -289,14 +286,18 @@ fn kernel_traced<W: Workload, P: KernelPolicy>(
     platform: &Platform,
     workload: &mut W,
     policy: &mut P,
-    faults: FaultModel,
+    faults: FaultPlan,
 ) -> Option<(Schedule, Vec<SchedEvent>)> {
     let mut sink = VecSink::new();
     let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
     // A plan may legitimately end the run early (every attempt of a task
-    // failed): there is no finished schedule to compare then.
-    let out = kernel::run(platform, workload, policy, spec).ok()?;
-    Some((out.schedule, sink.into_events()))
+    // failed, or every worker died): there is no finished schedule to
+    // compare then. Any other error, a rejected plan above all, fails.
+    match kernel::run(platform, workload, policy, spec) {
+        Ok(out) => Some((out.schedule, sink.into_events())),
+        Err(RunError::TaskAbandoned { .. } | RunError::AllWorkersDown { .. }) => None,
+        Err(e) => panic!("the generated run failed: {e}"),
+    }
 }
 
 /// One kernel run for the rebuild property. `engine` picks the
@@ -313,19 +314,15 @@ fn engine_run(
 ) -> Option<(Schedule, Vec<SchedEvent>)> {
     let (kind, at, down_for, prob, jitter, seed) = faults;
     let workers = platform.workers() as u32;
-    let mut timeline = Vec::new();
+    let mut worker_faults = Vec::new();
     if kind >= 1 {
-        let w = seed as u32 % workers;
-        timeline.push(TimelineEvent { time: at, worker: w, up: false, permanent: false });
-        timeline.push(TimelineEvent { time: at + down_for, worker: w, up: true, permanent: false });
+        worker_faults.push(WorkerFault::transient(seed as u32 % workers, at, down_for));
     }
     if kind >= 2 && workers > 1 {
-        let w = (seed as u32 + 1) % workers;
-        timeline.push(TimelineEvent { time: 0.5 * at, worker: w, up: false, permanent: true });
+        worker_faults.push(WorkerFault::permanent((seed as u32 + 1) % workers, 0.5 * at));
     }
-    timeline.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.up.cmp(&b.up)));
-    let model = FaultModel {
-        timeline,
+    let model = FaultPlan {
+        worker_faults,
         task_failure_prob: prob,
         exec_jitter: jitter,
         seed,
@@ -360,9 +357,8 @@ fn engine_run(
             let mut graph = f.generate(3 + tasks.len() % 4, &ChameleonTiming);
             apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
             let mut policy = HeteroPrioDagPolicy::new(config);
-            let (mut workload, mut policy, _) =
-                dag(&graph, platform, &mut policy, &TransferModel::NONE, &FaultPlan::NONE)
-                    .expect("the empty plan is valid");
+            let (mut workload, mut policy) =
+                dag(&graph, platform, &mut policy, &TransferModel::NONE);
             kernel_traced(platform, &mut workload, &mut policy, model)
         }
     }
