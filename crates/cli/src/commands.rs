@@ -5,10 +5,10 @@ use crate::format::{parse_instance_k, serialize_instance};
 use heteroprio_audit::{audit, schedule_from_events, AuditOptions, AuditReport, StreamAuditor};
 use heteroprio_bounds::{combined_lower_bound, optimal_makespan, MAX_EXACT_TASKS};
 use heteroprio_core::gantt::to_svg;
-use heteroprio_core::kernel::{self, metric, Checkpoints, Resume};
+use heteroprio_core::kernel::{metric, Checkpoints, Resume};
 use heteroprio_core::{
-    independent, ClassTable, CrashPlan, FaultPlan, FileCheckpointStore, Instance, MeteredJournal,
-    Platform, RetryPolicy, RunError, Schedule,
+    ClassTable, CrashPlan, FaultPlan, FileCheckpointStore, Instance, MeteredJournal, Platform,
+    RetryPolicy, RunError, Schedule,
 };
 use heteroprio_metrics::{InMemoryRegistry, MetricsRegistry, NullRegistry};
 use heteroprio_runtime::{Execution, Outcome};
@@ -413,11 +413,9 @@ fn read_instance(text: &str, table: &ClassTable) -> Result<Instance, String> {
     Ok(instance)
 }
 
-/// Run an independent-task algorithm observed as `opts` asks. A live
-/// algorithm is one kernel call whose sink (the event recorder, teed into
-/// the streaming auditor under `--audit`), registry and journal come from
-/// the flags. A static one runs, then has its event stream reconstructed
-/// from the schedule and batch-audited.
+/// Run an independent-task algorithm observed as `opts` asks: one kernel
+/// call whose sink (the event recorder, teed into the streaming auditor
+/// under `--audit`), registry and journal come from the flags.
 fn run_indep(
     instance: &Instance,
     platform: &Platform,
@@ -425,24 +423,12 @@ fn run_indep(
     opts: &OutputOpts,
     metrics: &dyn MetricsRegistry,
 ) -> Result<DurableRun<IndepRun>, String> {
-    let audit_opts = audit_opts(algo);
-    let Some(config) = algo.config() else {
-        let schedule = algo.run(instance, platform, HeftVariant::Insertion, metrics);
-        let events = if opts.wants_events() { schedule.to_events(platform) } else { Vec::new() };
-        let audit = opts.audit.then(|| audit(instance, platform, &schedule, &events, &audit_opts));
-        return Ok(DurableRun::Done {
-            value: IndepRun { schedule, events, audit },
-            notes: Vec::new(),
-        });
-    };
-    let mut auditor = opts.audit.then(|| StreamAuditor::new(instance, platform, audit_opts));
+    let mut auditor = opts.audit.then(|| StreamAuditor::new(instance, platform, audit_opts(algo)));
     let ran = journaled_run(&opts.durable, metrics, |exec| {
-        let (mut workload, mut policy) = independent(instance, platform, &config);
         let exec = Execution { record: opts.wants_events(), ..exec };
         let observer = auditor.as_mut().map(|a| a as &mut dyn TraceSink);
-        let (result, events) = exec.drive(observer, |spec| {
-            kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
-        })?;
+        let (result, events) = exec
+            .drive(observer, |spec| algo.run(instance, platform, HeftVariant::Insertion, spec))?;
         match result {
             Ok(outcome) => Ok(Outcome::Completed((outcome.schedule, events))),
             Err(RunError::Crashed { time, events }) => Ok(Outcome::Crashed { time, events }),
@@ -467,15 +453,6 @@ pub fn cmd_schedule(
 ) -> Result<CmdOutput, String> {
     let platform = &table.platform();
     let instance = read_instance(text, table)?;
-    if !algo.is_live() {
-        let why = format!("{algo:?} is a static algorithm that never enters it (use hp or hp-ns)");
-        if opts.metrics {
-            return Err(format!("--metrics instruments the live kernel; {why}"));
-        }
-        if opts.durable.active() {
-            return Err(format!("--journal/--crash-at/resume need the live kernel; {why}"));
-        }
-    }
     let registry = InMemoryRegistry::new();
     let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
     let (IndepRun { schedule, events, audit }, notes) =
@@ -657,18 +634,6 @@ pub fn cmd_dag(
     }
     let platform = &table.platform();
     let graph = workload(kind)?.generate(n, &ChameleonTiming);
-    if !algo.is_live() {
-        if opts.metrics {
-            return Err("--metrics instruments the live kernel; heft replays a static \
-                 schedule and never enters it"
-                .to_string());
-        }
-        if opts.durable.active() {
-            return Err("static HEFT builds its schedule outside the kernel and cannot journal; \
-                 use an online scheduler"
-                .to_string());
-        }
-    }
     let build = || {
         let mut rt = Runtime::new(*platform);
         rt.submit_graph(&graph);
@@ -870,10 +835,10 @@ mod tests {
     fn audit_flag_streams_clean_for_live_and_static_algorithms() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { audit: true, ..OutputOpts::default() };
-        // HeteroPrio goes through the streaming auditor, HEFT and DualHP
-        // through the batch path (DualHP with its partition rules enabled);
-        // all must report clean and end up in the same report format.
-        for algo in [IndepAlgo::HeteroPrio, IndepAlgo::Heft, IndepAlgo::DualHp] {
+        // Every algorithm's kernel stream goes through the streaming
+        // auditor (DualHP with its partition rules enabled); all must
+        // report clean.
+        for algo in IndepAlgo::NAMES.map(|name| IndepAlgo::parse(name).unwrap()) {
             let out = cmd_schedule(SAMPLE, &plat, algo, &opts).unwrap();
             assert!(out.report.contains("audit clean"), "{algo:?}: {}", out.report);
         }
@@ -883,16 +848,13 @@ mod tests {
     fn metrics_flag_reports_and_cross_checks() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { metrics: true, summary: true, ..OutputOpts::default() };
-        for algo in [IndepAlgo::HeteroPrio, IndepAlgo::HeteroPrioNoSpoliation] {
+        // Every algorithm runs in the kernel, static plans included.
+        for algo in IndepAlgo::NAMES.map(|name| IndepAlgo::parse(name).unwrap()) {
             let out = cmd_schedule(SAMPLE, &plat, algo, &opts).unwrap();
             assert!(out.report.contains("metrics:"), "{algo:?}: {}", out.report);
             assert!(out.report.contains("kernel_trace_events_total"), "{algo:?}");
             assert!(out.report.contains("kernel_pick_ns"), "{algo:?}");
         }
-        // Static algorithms never enter the kernel: refuse rather than
-        // print an all-zero report.
-        let err = cmd_schedule(SAMPLE, &plat, IndepAlgo::Heft, &opts).unwrap_err();
-        assert!(err.contains("static"), "{err}");
     }
 
     #[test]
@@ -905,15 +867,14 @@ mod tests {
     }
 
     #[test]
-    fn dag_metrics_flag_reports_and_rejects_static_heft() {
+    fn dag_metrics_flag_reports_for_every_scheduler() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { metrics: true, ..OutputOpts::default() };
-        let out = cmd_dag("cholesky", 4, &plat, Scheduler::default(), &opts, &FaultOpts::default())
-            .unwrap();
-        assert!(out.report.contains("kernel_events_total"), "{}", out.report);
-        assert!(out.report.contains("kernel_tasks_completed_total"), "{}", out.report);
-        let err = cmd_dag("cholesky", 4, &plat, HEFT, &opts, &FaultOpts::default()).unwrap_err();
-        assert!(err.contains("static"), "{err}");
+        for algo in Scheduler::NAMES.map(|name| Scheduler::parse(name).unwrap()) {
+            let out = cmd_dag("cholesky", 4, &plat, algo, &opts, &FaultOpts::default()).unwrap();
+            assert!(out.report.contains("kernel_events_total"), "{algo}: {}", out.report);
+            assert!(out.report.contains("kernel_tasks_completed_total"), "{algo}: {}", out.report);
+        }
     }
 
     #[test]
@@ -1010,7 +971,7 @@ mod tests {
         let faults = FaultOpts { spec: Some("gpu@nonsense".to_string()), ..FaultOpts::default() };
         let err = cmd_dag("cholesky", 4, &plat, Scheduler::default(), &opts, &faults);
         assert!(err.unwrap_err().contains("invalid fault plan"));
-        // HEFT is static and must refuse fault injection.
+        // HEFT's plan is made for the fault-free model and refuses faults.
         let faults = FaultOpts { spec: Some("w0@1+2".to_string()), ..FaultOpts::default() };
         let err = cmd_dag("cholesky", 4, &plat, HEFT, &opts, &faults);
         assert!(err.unwrap_err().contains("fault injection"));
@@ -1133,23 +1094,70 @@ mod tests {
         let _ = std::fs::remove_file(&snapshot);
     }
 
-    #[test]
-    fn durable_flags_reject_static_algorithms() {
-        let plat = ClassTable::cpu_gpu(1, 1).unwrap();
-        let opts = OutputOpts {
+    /// Crash a run after `crash_at` journaled events, resume it with (or
+    /// without) its snapshot, and return the uninterrupted trace and the
+    /// resumed one.
+    fn crash_and_resume(
+        tag: &str,
+        run: impl Fn(&OutputOpts) -> Result<CmdOutput, String>,
+        crash_at: u64,
+        snapshot: bool,
+    ) -> (String, String) {
+        let (journal, snap) = temp_paths(tag);
+        let snap = snapshot.then_some(snap);
+        let trace_opts = OutputOpts { trace: Some("ref.jsonl".into()), ..OutputOpts::default() };
+        let (_, reference) = run(&trace_opts).unwrap().trace.unwrap();
+        let crash = OutputOpts {
             durable: DurableOpts {
-                journal: Some("unused.journal".into()),
+                journal: Some(journal.clone()),
+                crash_at: Some(crash_at),
+                snapshot: snap.clone(),
+                checkpoint_every: Some(3),
+                resume: false,
+            },
+            ..OutputOpts::default()
+        };
+        let out = run(&crash).unwrap();
+        assert!(out.report.contains("simulated crash"), "{tag}: {}", out.report);
+        let resume = OutputOpts {
+            trace: Some("res.jsonl".into()),
+            durable: DurableOpts {
+                journal: Some(journal.clone()),
+                snapshot: snap.clone(),
+                resume: true,
                 ..DurableOpts::default()
             },
             ..OutputOpts::default()
         };
-        let err = cmd_schedule(SAMPLE, &plat, IndepAlgo::Heft, &opts).unwrap_err();
-        assert!(err.contains("static"), "{err}");
-        let err = cmd_dag("cholesky", 4, &plat, HEFT, &opts, &FaultOpts::default()).unwrap_err();
-        assert!(err.contains("cannot journal"), "{err}");
-        // The rejection must fire before the journal file is created — a
-        // refused run leaves nothing behind.
-        assert!(!std::path::Path::new("unused.journal").exists());
+        let (_, resumed) = run(&resume).unwrap().trace.unwrap();
+        let _ = std::fs::remove_file(&journal);
+        if let Some(snap) = snap {
+            let _ = std::fs::remove_file(snap);
+        }
+        (reference, resumed)
+    }
+
+    #[test]
+    fn every_algorithm_crashes_and_resumes_to_its_uninterrupted_trace() {
+        let plat = ClassTable::cpu_gpu(1, 1).unwrap();
+        for (i, algo) in
+            IndepAlgo::NAMES.map(|name| IndepAlgo::parse(name).unwrap()).into_iter().enumerate()
+        {
+            let run = |opts: &OutputOpts| cmd_schedule(SAMPLE, &plat, algo, opts);
+            let (reference, resumed) =
+                crash_and_resume(&format!("resume_{}", algo.name()), run, 7, i % 2 == 0);
+            assert_eq!(resumed, reference, "{algo:?}");
+        }
+        for (i, algo) in
+            Scheduler::NAMES.map(|name| Scheduler::parse(name).unwrap()).into_iter().enumerate()
+        {
+            let run = |opts: &OutputOpts| {
+                cmd_dag("cholesky", 4, &plat, algo, opts, &FaultOpts::default())
+            };
+            let (reference, resumed) =
+                crash_and_resume(&format!("resume_dag_{}", algo.name()), run, 30, i % 2 == 1);
+            assert_eq!(resumed, reference, "{algo}");
+        }
     }
 
     #[test]

@@ -80,8 +80,9 @@ printed with their rule name and the exit code is nonzero.
 enabled and appends the counter/gauge/histogram report (events, queue
 pushes/pops, spoliations, pick latency percentiles, peak queue depths).
 The kernel's own event counter is cross-checked against the recorded
-trace, so dropped events fail the command. Only live kernel runs can be
-metered; static algorithms (heft, minmin, ...) are rejected.
+trace, so dropped events fail the command. Every --algo runs in the
+kernel (heft, minmin, ... execute their plan there), so every run can be
+metered, journaled and resumed; `dag --algo heft` refuses --faults.
 
 perf runs the kernel self-profiling suite (Fig. 6-scale and 1000x-scale
 workloads) and prints the schema-versioned BENCH_kernel.json document;

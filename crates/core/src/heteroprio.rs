@@ -178,6 +178,13 @@ pub struct IndependentWorkload<'a> {
     instance: &'a Instance,
 }
 
+impl<'a> IndependentWorkload<'a> {
+    /// `instance` for any [`KernelPolicy`], as [`independent`] builds it.
+    pub fn new(instance: &'a Instance) -> Self {
+        IndependentWorkload { instance }
+    }
+}
+
 impl Workload for IndependentWorkload<'_> {
     fn len(&self) -> usize {
         self.instance.len()
@@ -370,7 +377,7 @@ pub fn independent<'a>(
     } else {
         HeteroPrioState::new(platform.k(), *config)
     };
-    (IndependentWorkload { instance }, HeteroPrioPolicy { instance, state })
+    (IndependentWorkload::new(instance), HeteroPrioPolicy { instance, state })
 }
 
 /// Run HeteroPrio (Algorithm 1) on an instance of independent tasks.
@@ -408,7 +415,7 @@ pub fn heteroprio_metered<S: TraceSink, M: MetricsRegistry + ?Sized>(
     let (mut workload, mut policy) = independent(instance, platform, config);
     let spec = Run::new(sink, metrics);
     let outcome = kernel::run(platform, &mut workload, &mut policy, spec);
-    outcome.expect("fault-free run cannot fail").into()
+    outcome.expect("a fault-free run fails only on RunError::InstantOverflow").into()
 }
 
 #[cfg(test)]

@@ -34,7 +34,8 @@
 //! [`Run::faults`] is checked against the platform before anything is
 //! emitted ([`RunError::InvalidPlan`]), the run itself can lose a task or
 //! every worker, an injected crash stops it, and a resume can find the
-//! journal or snapshot at odds with the inputs.
+//! journal or snapshot at odds with the inputs. An event instant past
+//! `f64::MAX` is [`RunError::InstantOverflow`], the one fault-free failure.
 //!
 //! # Durability
 //!
@@ -98,7 +99,6 @@ use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, NullRegistry, ScopedTimer, SpanSampler,
 };
-use heteroprio_trace::journal::JournalError;
 use heteroprio_trace::{Decision, QueueEnd, SchedEvent, TraceSink, TraceSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,8 +180,9 @@ pub enum RunError {
     /// Replay completed but produced fewer events than the journal holds —
     /// the journal belongs to a longer (different) run.
     ShortReplay { produced: usize, journaled: usize },
-    /// Reading the journal itself failed.
-    Journal(JournalError),
+    /// Starting `task` on `worker` at `time`, or retrying it, would put an
+    /// event past `f64::MAX`; nothing at that instant was emitted.
+    InstantOverflow { task: u32, worker: u32, time: f64 },
 }
 
 impl std::fmt::Display for RunError {
@@ -208,17 +209,19 @@ impl std::fmt::Display for RunError {
                 "replay finished after {produced} events but the journal holds {journaled} \
                  (journal belongs to a different run?)"
             ),
-            RunError::Journal(e) => write!(f, "journal: {e}"),
+            RunError::InstantOverflow { task, worker, time } => {
+                write!(f, "task {task} on worker {worker} at t={time:e}: an instant overflows")
+            }
         }
     }
 }
 
 impl std::error::Error for RunError {}
 
-impl From<JournalError> for RunError {
-    fn from(e: JournalError) -> Self {
-        RunError::Journal(e)
-    }
+/// Starting `task` on `w` at `now` would put an event past `f64::MAX`.
+#[cold]
+fn overflow(task: TaskId, w: WorkerId, now: f64) -> RunError {
+    RunError::InstantOverflow { task: task.0, worker: w.0, time: now }
 }
 
 /// Everything a kernel run carries besides the platform, the workload and
@@ -927,9 +930,39 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         policy.on_ready(tasks, &self.context(now));
     }
 
-    fn start<W: Workload>(&mut self, workload: &W, w: WorkerId, task: TaskId, now: f64) {
+    /// Start `task` on idle worker `w`; `false`, with nothing emitted, if
+    /// either of the run's instants would not be finite.
+    #[must_use]
+    fn start<W: Workload>(&mut self, workload: &W, w: WorkerId, task: TaskId, now: f64) -> bool {
         let estimate = workload.duration(task, self.platform.class_of(w), &self.ran_kind);
         let end = now + estimate;
+        // The policy decides on the estimate; the pending event carries
+        // reality: a jittered duration, cut short at the failure point if
+        // this attempt is doomed. Draw order (jitter, then failure) is
+        // fixed so traces are reproducible per seed. Without draws the
+        // event is at `end`, so one finiteness test covers both instants.
+        let (mut event_at, mut will_fail) = (end, false);
+        if let Some(rng) = self.rng.as_mut() {
+            let mut actual = estimate;
+            let j = self.faults.exec_jitter;
+            if j > 0.0 {
+                let (lo, hi) = ((1.0f64 / (1.0 + j)).ln(), (1.0f64 + j).ln());
+                let u: f64 = rng.random_range(0.0..1.0);
+                actual = estimate * (lo + u * (hi - lo)).exp();
+            }
+            event_at = now + actual;
+            let p = self.faults.task_failure_prob;
+            if p > 0.0 && rng.random_bool(p) {
+                let frac: f64 = rng.random_range(0.0..1.0);
+                (event_at, will_fail) = (now + frac * actual, true);
+            }
+            if !end.is_finite() {
+                return false;
+            }
+        }
+        if !event_at.is_finite() {
+            return false;
+        }
         if self.idle_announced[w.index()] {
             self.idle_announced[w.index()] = false;
             self.emit(SchedEvent::WorkerIdleEnd { time: now, worker: w.0 });
@@ -940,36 +973,16 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             worker: w.0,
             expected_end: end,
         });
-        // The policy decides on the estimate; the pending event carries
-        // reality: a jittered duration, cut short at the failure point if
-        // this attempt is doomed. Draw order (jitter, then failure) is
-        // fixed so traces are reproducible per seed.
-        let mut actual = estimate;
-        let mut fail_at = None;
-        if let Some(rng) = self.rng.as_mut() {
-            let j = self.faults.exec_jitter;
-            if j > 0.0 {
-                let (lo, hi) = ((1.0f64 / (1.0 + j)).ln(), (1.0f64 + j).ln());
-                let u: f64 = rng.random_range(0.0..1.0);
-                actual = estimate * (lo + u * (hi - lo)).exp();
-            }
-            let p = self.faults.task_failure_prob;
-            if p > 0.0 && rng.random_bool(p) {
-                let frac: f64 = rng.random_range(0.0..1.0);
-                fail_at = Some(now + frac * actual);
-            }
-        }
         self.running[w.index()] = Some(RunningTask { task, start: now, end });
-        self.will_fail[w.index()] = fail_at.is_some();
+        self.will_fail[w.index()] = will_fail;
         self.state[task.index()] = TaskState::Running;
-        let event_at = fail_at.unwrap_or(now + actual);
-        debug_assert!(event_at.is_finite(), "{task} on worker {} ends at {event_at}", w.0);
         let slot = self.pending.get_mut(w.index()).expect("worker ids index the slots");
         debug_assert!(!slot.is_finite(), "worker {} started {task} with an event pending", w.0);
         *slot = event_at;
         self.earliest = self.earliest.map(|t| t.min(event_at));
         self.in_flight += 1;
         self.meter.started(self.in_flight);
+        true
     }
 
     /// Clear `w`'s pending event: it is being dispatched, or its run was
@@ -1015,7 +1028,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         workload: &W,
         policy: &mut P,
         now: f64,
-    ) {
+    ) -> Result<(), RunError> {
         let m = self.meter.m;
         let _assign_span = ScopedTimer::sampled(m, self.meter.assign_ns, &mut self.meter.assigns);
         loop {
@@ -1074,7 +1087,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                             decision: Decision::Pick(task.0),
                         });
                     }
-                    self.start(workload, w, task, now);
+                    if !self.start(workload, w, task, now) {
+                        return Err(overflow(task, w, now));
+                    }
                     acted = true;
                     continue;
                 }
@@ -1126,7 +1141,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                         wasted_work: now - r.start,
                     });
                     self.meter.spoliated();
-                    self.start(workload, w, r.task, now);
+                    if !self.start(workload, w, r.task, now) {
+                        return Err(overflow(r.task, w, now));
+                    }
                     newly_idle.push(victim);
                     acted = true;
                     continue;
@@ -1146,7 +1163,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             self.scratch.workers_a = idle;
             self.scratch.workers_b = newly_idle;
             if !acted {
-                return;
+                return Ok(());
             }
         }
     }
@@ -1220,9 +1237,13 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             return Err(RunError::TaskAbandoned { task: r.task.0, attempts: attempt, time: now });
         }
         let delay = self.faults.retry.delay_after(attempt);
+        let retry_at = now + delay;
+        if !retry_at.is_finite() {
+            return Err(overflow(r.task, w, now));
+        }
         self.meter.retried();
         self.emit(SchedEvent::TaskRetry { time: now, task: r.task.0, attempt, delay });
-        self.retries.push(Reverse((F64Ord::new(now + delay), r.task.0)));
+        self.retries.push(Reverse((F64Ord::new(retry_at), r.task.0)));
         Ok(())
     }
 
@@ -1359,8 +1380,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             let initial = workload.initial();
             self.announce_ready(policy, &initial, now);
             self.process_faults_at(policy, now);
-            self.assign_fixpoint(workload, policy, now);
+            let assigned = self.assign_fixpoint(workload, policy, now);
             self.crash_check()?;
+            assigned?;
             self.checkpoint(checkpoints, policy, ready_order, now);
         }
         while self.completed < total {
@@ -1406,8 +1428,9 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             }
             self.process_faults_at(policy, now);
             self.process_retries_at(policy, now);
-            self.assign_fixpoint(workload, policy, now);
+            let assigned = self.assign_fixpoint(workload, policy, now);
             self.crash_check()?;
+            assigned?;
             self.checkpoint(checkpoints, policy, ready_order, now);
         }
         self.crash_check()
@@ -1572,6 +1595,8 @@ mod tests {
     fn run_errors_display_as_text_not_debug() {
         let e = RunError::TaskAbandoned { task: 3, attempts: 2, time: 1.5 };
         assert_eq!(e.to_string(), "task 3 abandoned after 2 failed attempts at t=1.5");
+        let e = RunError::InstantOverflow { task: 2, worker: 1, time: 1e308 };
+        assert_eq!(e.to_string(), "task 2 on worker 1 at t=1e308: an instant overflows");
     }
 
     fn spoliation_instance() -> (Instance, Platform) {

@@ -60,7 +60,8 @@ pub use durability::{
 pub use fault::{FaultPlan, RetryPolicy, WorkerFault};
 pub use heteroprio::{
     heteroprio, heteroprio_metered, heteroprio_traced, independent, sorted_queue, HeteroPrioConfig,
-    HeteroPrioPolicy, HeteroPrioResult, HeteroPrioState, QueueTieBreak, WorkerOrder,
+    HeteroPrioPolicy, HeteroPrioResult, HeteroPrioState, IndependentWorkload, QueueTieBreak,
+    WorkerOrder,
 };
 pub use kernel::RunError;
 pub use model::{

@@ -68,7 +68,7 @@ pub fn heteroprio_online_traced<S: TraceSink>(
     let (mut workload, mut policy) = release_dates(instance, releases, platform, config);
     let spec = Run::new(sink, &NullRegistry);
     let outcome = kernel::run(platform, &mut workload, &mut policy, spec);
-    outcome.expect("fault-free run cannot fail").into()
+    outcome.expect("a fault-free run fails only on RunError::InstantOverflow").into()
 }
 
 /// Independent tasks with release dates: arrivals sorted by (release, id)

@@ -152,9 +152,9 @@ impl Schedule {
         self.aborted.len()
     }
 
-    /// Reconstruct a best-effort [`SchedEvent`] stream from the finished
-    /// schedule, for schedulers that were not traced live (HEFT and the
-    /// other static heuristics).
+    /// Reconstruct a best-effort [`SchedEvent`] stream from a finished
+    /// schedule produced outside the kernel (every scheduler in this
+    /// workspace runs in the kernel and emits its own stream).
     ///
     /// The stream contains a `TaskStart`/`TaskComplete` pair per completed
     /// run, a `TaskStart`/`Spoliation` pair per aborted run (the thief is

@@ -37,10 +37,12 @@ pub const DAG_PAPER: [(&str, Scheduler); 7] = [
     ("HEFT-min", Scheduler::Heft(WeightScheme::Min, HeftVariant::Insertion)),
 ];
 
-/// Run an independent-task algorithm; HEFT drops insertion above
-/// [`HEFT_INSERTION_LIMIT`] tasks.
+/// Run an independent-task algorithm in the kernel, untraced and
+/// unmetered; HEFT drops insertion above [`HEFT_INSERTION_LIMIT`] tasks.
 pub fn run_indep(algo: IndepAlgo, instance: &Instance, platform: &Platform) -> Schedule {
-    algo.run(instance, platform, heft_variant(instance.len()), &NullRegistry)
+    let variant = heft_variant(instance.len());
+    let outcome = algo.run(instance, platform, variant, Run::new(&mut NullSink, &NullRegistry));
+    outcome.expect("a fault-free run fails only on RunError::InstantOverflow").schedule
 }
 
 /// Run a DAG scheduler on a ranked copy of `graph`.
@@ -48,8 +50,7 @@ pub fn run_dag(scheduler: Scheduler, graph: &TaskGraph, platform: &Platform) -> 
     trace_dag(scheduler, graph, platform, &mut NullSink)
 }
 
-/// [`run_dag`] streaming the scheduler's events into `sink`: live events
-/// for the kernel policies, the reconstructed stream for static HEFT.
+/// [`run_dag`] streaming the kernel's events into `sink`.
 pub fn trace_dag<S: TraceSink>(
     scheduler: Scheduler,
     graph: &TaskGraph,
@@ -58,15 +59,13 @@ pub fn trace_dag<S: TraceSink>(
 ) -> Schedule {
     let scheduler = match scheduler {
         Scheduler::Heft(scheme, _) => Scheduler::Heft(scheme, heft_variant(graph.len())),
-        live => live,
+        online => online,
     };
     let mut ranked = graph.clone();
     scheduler.rank(&mut ranked);
-    let spec = Run::new(sink, &NullRegistry);
-    scheduler
-        .run(&ranked, platform, &TransferModel::NONE, spec)
-        .expect("a fault-free run cannot fail")
-        .schedule
+    let outcome =
+        scheduler.run(&ranked, platform, &TransferModel::NONE, Run::new(sink, &NullRegistry));
+    outcome.expect("a fault-free run fails only on RunError::InstantOverflow").schedule
 }
 
 #[cfg(test)]

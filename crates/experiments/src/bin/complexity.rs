@@ -2,9 +2,11 @@
 //! independent ready tasks, per algorithm, on the paper's 20 CPU + 4 GPU
 //! platform. HeteroPrio's per-decision work is a queue pop, O(log k) in the
 //! ready-set size; DualHP re-packs the whole ready set; HEFT scans every
-//! worker per task. Only the task count varies here, never the platform
-//! width: at larger widths HeteroPrio's spoliation victim search adds a
-//! term quadratic in the worker count (ROADMAP item 2).
+//! worker per task. Every algorithm is timed end to end through the event
+//! kernel: HeteroPrio's online run, and DualHP's and HEFT's plan plus the
+//! kernel's execution of it. Only the task count varies here, never the
+//! platform width: at larger widths HeteroPrio's spoliation victim search
+//! adds a term quadratic in the worker count (ROADMAP item 3).
 //!
 //! Usage: `complexity [sizes...] [--csv]`.
 

@@ -26,8 +26,7 @@ pub struct Report {
     pub lower_bound: f64,
     pub spoliations: usize,
     /// Per-worker busy/idle/aborted accounting aggregated from the
-    /// scheduler's event stream (or reconstructed from the schedule for
-    /// static schedulers such as HEFT).
+    /// kernel's event stream.
     pub summary: TraceSummary,
     /// The full event stream; empty unless [`Execution::record`] was set
     /// or the run was journaled.
@@ -48,12 +47,10 @@ impl Report {
 /// plain run ([`Runtime::run`]).
 pub struct Execution<'e> {
     /// Keep the full event stream in [`Report::events`] (journaled runs
-    /// always do). Static schedulers get a stream reconstructed from the
-    /// finished schedule.
+    /// always do).
     pub record: bool,
     /// Where the kernel's perf counters, queue-depth gauges and
-    /// pick-latency histograms go. Static HEFT builds its schedule outside
-    /// the kernel, so it reports no kernel metrics.
+    /// pick-latency histograms go.
     pub metrics: &'e dyn MetricsRegistry,
     /// Append the event stream to this journal as it is emitted, and commit
     /// it at the end — on completion, at an injected crash, and after a
@@ -176,7 +173,8 @@ impl Runtime {
     }
 
     /// Execute under a fault plan (worker failures, stochastic runtimes,
-    /// task-level failures with retry). Not supported by static HEFT.
+    /// task-level failures with retry). HEFT's plan refuses one (see
+    /// [`Scheduler::run`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -270,8 +268,7 @@ impl Runtime {
 
     /// [`Runtime::run`] under an [`Execution`] spec: record the event
     /// stream, meter the kernel, journal, crash on cue, checkpoint, or
-    /// resume an interrupted run. Static HEFT builds its schedule outside
-    /// the kernel and cannot journal, crash or resume.
+    /// resume an interrupted run, under any scheduler.
     pub fn execute(self, scheduler: Scheduler, exec: Execution<'_>) -> Result<Outcome, String> {
         let platform = self.platform.ok_or("runtime has no platform")?;
         let transfer = self.transfer;
@@ -279,22 +276,6 @@ impl Runtime {
         let mut graph = self.builder.build().map_err(|e| e.to_string())?;
         if graph.is_empty() {
             return Err("no tasks were submitted".to_string());
-        }
-        if !scheduler.is_live() {
-            let Execution { journal, crash, checkpoints, resume, .. } = &exec;
-            if journal.is_some() || !crash.is_none() || checkpoints.is_some() || resume.is_some() {
-                return Err("static HEFT builds its schedule outside the kernel and cannot \
-                     journal; use an online scheduler"
-                    .to_string());
-            }
-            if transfer != TransferModel::NONE {
-                return Err("static HEFT does not support transfer penalties".to_string());
-            }
-            if !plan.is_none() {
-                return Err("static HEFT does not support fault injection; \
-                     use an online scheduler"
-                    .to_string());
-            }
         }
         scheduler.rank(&mut graph);
         let (result, events) = exec.drive(None, |spec| {
@@ -559,6 +540,7 @@ mod tests {
             Scheduler::HeteroPrio(WeightScheme::Min),
             Scheduler::DualHp(DualHpRank::Priority, WeightScheme::Min),
             Scheduler::PriorityList(WeightScheme::Min),
+            Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion),
         ] {
             let reference = build().execute(scheduler, traced()).unwrap().report().unwrap();
             let total = reference.events.len() as u64;
@@ -613,11 +595,14 @@ mod tests {
         assert_eq!(report.events, reference.events);
         assert_eq!(journal.events(), reference.events.as_slice());
         assert_eq!(journal.syncs(), 1, "completion commits the journal tail");
-        // HEFT has no kernel to journal.
+        // HEFT's plan executes in the kernel, so it journals the same way.
+        let heft = Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion);
+        let reference = build().execute(heft, traced()).unwrap().report().unwrap();
         let mut journal = MemJournal::new();
         let exec = Execution { journal: Some(&mut journal), ..Execution::default() };
-        let err = build().execute(Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion), exec);
-        assert!(err.unwrap_err().contains("cannot journal"));
+        let report = build().execute(heft, exec).unwrap().report().expect("no crash was injected");
+        assert_eq!(report.events, reference.events);
+        assert_eq!(journal.events(), reference.events.as_slice());
     }
 
     #[test]

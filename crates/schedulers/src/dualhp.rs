@@ -18,7 +18,6 @@
 //! nothing, which keeps the per-ready-event cost low enough for the N=64
 //! task graphs of Figure 7 (tens of thousands of ready events).
 
-use heteroprio_core::list::list_schedule;
 use heteroprio_core::{
     ClassId, Instance, Platform, Schedule, Task, TaskId, TaskRun, WorkerId, WorkerOrder,
 };
@@ -378,45 +377,6 @@ impl SnapshotOnlinePolicy for DualHpDagPolicy {
     }
 }
 
-/// Upper-bound schedule used in tests: every task on its fastest class
-/// (ties prefer the higher class id, matching the two-class GPU-on-tie
-/// convention), longest-first list schedule per class.
-pub fn faster_class_schedule(instance: &Instance, platform: &Platform) -> Schedule {
-    let k = platform.k();
-    let mut per_class: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-    for id in instance.ids() {
-        let t = instance.task(id);
-        let mut best = ClassId(0);
-        for c in 1..k {
-            let c = ClassId(c as u16);
-            if t.time_on(c) <= t.time_on(best) {
-                best = c;
-            }
-        }
-        per_class[best.index()].push(id);
-    }
-    let mut runs = Vec::with_capacity(instance.len());
-    for (c, ids) in per_class.into_iter().enumerate() {
-        let class = ClassId(c as u16);
-        let mut sorted = ids;
-        sorted.sort_by(|&a, &b| {
-            instance.task(b).time_on(class).total_cmp(&instance.task(a).time_on(class))
-        });
-        let durations: Vec<f64> = sorted.iter().map(|&t| instance.task(t).time_on(class)).collect();
-        let ls = list_schedule(&durations, platform.count(class));
-        let workers: Vec<WorkerId> = platform.workers_of(class).collect();
-        for (i, &t) in sorted.iter().enumerate() {
-            runs.push(TaskRun {
-                task: t,
-                worker: workers[ls.assignment[i]],
-                start: ls.starts[i],
-                end: ls.starts[i] + durations[i],
-            });
-        }
-    }
-    Schedule { runs, aborted: Vec::new() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,14 +459,6 @@ mod tests {
         // the online DAG variant repartitions greedily — allow some slack.
         let lb = combined_lower_bound(&inst, &plat);
         assert!(res.makespan() <= 3.0 * lb + 1e-6, "{} vs lb {lb}", res.makespan());
-    }
-
-    #[test]
-    fn faster_class_schedule_is_valid() {
-        let inst = Instance::from_times(&[(3.0, 1.0), (1.0, 3.0), (2.0, 2.0)]);
-        let plat = Platform::new(2, 1);
-        let sched = faster_class_schedule(&inst, &plat);
-        sched.validate(&inst, &plat).unwrap();
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub fn heft(
             .fold(0.0, f64::max);
         let mut best: Option<(F64Ord, WorkerId, f64)> = None;
         for w in platform.all_workers() {
-            let dur = instance.task(task).time_on(platform.kind_of(w));
+            let dur = instance.task(task).time_on(platform.class_of(w));
             let start = match variant {
                 HeftVariant::Insertion => earliest_gap(busy_of(&busy, w), ready, dur),
                 HeftVariant::NoInsertion => {

@@ -33,7 +33,7 @@ fn options(instance: &Instance, platform: &Platform, avail: &[f64], task: TaskId
     let mut second_finish = f64::INFINITY;
     for w in platform.all_workers() {
         let ready_at = *avail.get(w.index()).expect("avail sized to platform.workers()");
-        let finish = ready_at + instance.task(task).time_on(platform.kind_of(w));
+        let finish = ready_at + instance.task(task).time_on(platform.class_of(w));
         if finish < best_finish {
             second_finish = best_finish;
             best_finish = finish;
@@ -67,40 +67,22 @@ pub(crate) fn heuristic_schedule(
         IndepAlgo::MinMin | IndepAlgo::MaxMin | IndepAlgo::Sufferage => {
             let mut unmapped: Vec<TaskId> = instance.ids().collect();
             while !unmapped.is_empty() {
-                let pick = match heuristic {
-                    IndepAlgo::MinMin => unmapped
-                        .iter()
-                        .enumerate()
-                        .min_by(|&(_, &a), &(_, &b)| {
-                            let fa = options(instance, platform, &avail, a).best_finish;
-                            let fb = options(instance, platform, &avail, b).best_finish;
-                            fa.total_cmp(&fb).then(a.cmp(&b))
-                        })
-                        .map(|(i, _)| i)
-                        .expect("unmapped is non-empty inside the while loop"),
-                    IndepAlgo::MaxMin => unmapped
-                        .iter()
-                        .enumerate()
-                        .max_by(|&(_, &a), &(_, &b)| {
-                            let fa = options(instance, platform, &avail, a).best_finish;
-                            let fb = options(instance, platform, &avail, b).best_finish;
-                            fa.total_cmp(&fb).then(b.cmp(&a))
-                        })
-                        .map(|(i, _)| i)
-                        .expect("unmapped is non-empty inside the while loop"),
-                    _ => unmapped
-                        .iter()
-                        .enumerate()
-                        .max_by(|&(_, &a), &(_, &b)| {
-                            let oa = options(instance, platform, &avail, a);
-                            let ob = options(instance, platform, &avail, b);
-                            let sa = oa.second_finish - oa.best_finish;
-                            let sb = ob.second_finish - ob.best_finish;
-                            sa.total_cmp(&sb).then(b.cmp(&a))
-                        })
-                        .map(|(i, _)| i)
-                        .expect("unmapped is non-empty inside the while loop"),
+                // The largest key wins, ties to the lowest id: MinMin
+                // negates its key, and negation reverses `total_cmp` exactly.
+                let key = |task| {
+                    let o = options(instance, platform, &avail, task);
+                    match heuristic {
+                        IndepAlgo::MinMin => -o.best_finish,
+                        IndepAlgo::MaxMin => o.best_finish,
+                        _ => o.second_finish - o.best_finish,
+                    }
                 };
+                let pick = unmapped
+                    .iter()
+                    .enumerate()
+                    .max_by(|&(_, &a), &(_, &b)| key(a).total_cmp(&key(b)).then(b.cmp(&a)))
+                    .map(|(i, _)| i)
+                    .expect("unmapped is non-empty inside the while loop");
                 let task = unmapped.swap_remove(pick);
                 place(task, &mut avail, &mut runs);
             }

@@ -14,7 +14,8 @@
 //!   ([`DualHpDagPolicy`]) with `fifo` or priority ranks;
 //! * **HEFT** (Topcuoglu et al. \[11\]) with `avg`/`min` weight schemes and
 //!   insertion / no-insertion variants ([`heft()`](heft::heft));
-//! * baselines: plain priority list scheduling and a random scheduler.
+//! * baselines: plain priority list scheduling and a random scheduler;
+//! * [`PlanPolicy`], which executes a static scheduler's plan in the kernel.
 //!
 //! The [`table`] module names them once per task model ([`IndepAlgo`] for
 //! independent tasks, [`Scheduler`] for DAGs) for every front-end.
@@ -24,10 +25,12 @@ pub mod dualhp;
 pub mod heft;
 pub mod heteroprio_dag;
 pub mod heuristics;
+pub mod plan;
 pub mod table;
 
 pub use baselines::{PriorityListPolicy, RandomPolicy};
-pub use dualhp::{dualhp_independent, faster_class_schedule, DualHpDagPolicy, DualHpRank};
+pub use dualhp::{dualhp_independent, DualHpDagPolicy, DualHpRank};
 pub use heft::{heft, HeftVariant};
 pub use heteroprio_dag::HeteroPrioDagPolicy;
+pub use plan::PlanPolicy;
 pub use table::{IndepAlgo, Scheduler};

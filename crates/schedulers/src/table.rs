@@ -3,31 +3,29 @@
 //!
 //! * [`IndepAlgo`] — independent task sets: HeteroPrio with and without
 //!   spoliation, the DualHP packer, HEFT and the classic heuristics.
-//! * [`Scheduler`] — task graphs executed through the event kernel:
-//!   HeteroPrio, DualHP and plain list scheduling as online policies, and
-//!   static HEFT. The bottom-level ranking scheme and HEFT's insertion
-//!   variant are data of the entry.
+//! * [`Scheduler`] — task graphs: HeteroPrio, DualHP and plain list
+//!   scheduling as online policies, and HEFT. The bottom-level ranking
+//!   scheme and HEFT's insertion variant are data of the entry.
 //!
 //! Each table has `parse`/`name`/`NAMES` for the command line and one
-//! `is_live` predicate. A *live* algorithm makes its decisions inside the
-//! kernel, so its run can be metered, journaled, crashed and resumed, and
-//! (for DAGs) faulted or charged transfer penalties. A *static* one builds
-//! its schedule offline; its event stream is reconstructed from the finished
-//! schedule. Every "static algorithms cannot do X" check calls `is_live`.
+//! `run` in the event kernel under a [`Run`] spec. The static algorithms
+//! (HEFT, the DualHP packer, the heuristics) compute a plan that
+//! [`PlanPolicy`] executes. A plan is made for the fault-free model, so a
+//! planned run refuses a fault plan and a transfer penalty.
 
 use crate::heuristics::heuristic_schedule;
 use crate::{
     dualhp_independent, heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy,
-    PriorityListPolicy,
+    PlanPolicy, PriorityListPolicy,
 };
-use heteroprio_core::kernel::{self, KernelOutcome, Run};
+use heteroprio_core::kernel::{self, KernelOutcome, Run, Workload};
 use heteroprio_core::{
-    heteroprio_metered, HeteroPrioConfig, Instance, Platform, RunError, Schedule,
+    independent, HeteroPrioConfig, IndependentWorkload, Instance, Platform, RunError, Schedule,
 };
 use heteroprio_metrics::MetricsRegistry;
-use heteroprio_simulator::{dag, SnapshotOnlinePolicy, TransferModel};
+use heteroprio_simulator::{dag, DagWorkload, SnapshotOnlinePolicy, TransferModel};
 use heteroprio_taskgraph::{apply_bottom_level_priorities, TaskGraph, WeightScheme};
-use heteroprio_trace::{NullSink, TraceSink, TraceSummary};
+use heteroprio_trace::TraceSink;
 use std::fmt;
 
 /// The independent-task algorithms, by the names `--algo` accepts.
@@ -98,44 +96,47 @@ impl IndepAlgo {
         }
     }
 
-    /// The kernel configuration of the live HeteroPrio variants; `None` for
-    /// the static algorithms.
-    pub fn config(self) -> Option<HeteroPrioConfig> {
-        match self {
-            IndepAlgo::HeteroPrio => Some(HeteroPrioConfig::new()),
-            IndepAlgo::HeteroPrioNoSpoliation => Some(HeteroPrioConfig::without_spoliation()),
-            _ => None,
-        }
-    }
-
-    /// Whether the algorithm runs inside the event kernel (see the module
-    /// docs).
-    pub fn is_live(self) -> bool {
-        self.config().is_some()
-    }
-
-    /// Schedule `instance`. `heft_variant` picks HEFT's variant; the other
-    /// algorithms ignore it. The live variants record their kernel metrics
-    /// into `metrics`; static algorithms never enter the kernel and record
-    /// nothing.
-    pub fn run<M: MetricsRegistry + ?Sized>(
+    /// The plan a static algorithm computes before the kernel executes it;
+    /// `None` for the HeteroPrio variants, which decide online.
+    /// `heft_variant` picks HEFT's variant; the other algorithms ignore it.
+    pub fn plan(
         self,
         instance: &Instance,
         platform: &Platform,
         heft_variant: HeftVariant,
-        metrics: &M,
-    ) -> Schedule {
-        match (self.config(), self) {
-            (Some(config), _) => {
-                heteroprio_metered(instance, platform, &config, &mut NullSink, metrics).schedule
-            }
-            (None, IndepAlgo::DualHp) => dualhp_independent(instance, platform),
-            (None, IndepAlgo::Heft) => {
+    ) -> Option<Schedule> {
+        Some(match self {
+            IndepAlgo::HeteroPrio | IndepAlgo::HeteroPrioNoSpoliation => return None,
+            IndepAlgo::DualHp => dualhp_independent(instance, platform),
+            IndepAlgo::Heft => {
                 let graph = TaskGraph::independent(instance.clone());
                 heft(&graph, platform, WeightScheme::Avg, heft_variant)
             }
-            (None, heuristic) => heuristic_schedule(heuristic, instance, platform),
-        }
+            heuristic => heuristic_schedule(heuristic, instance, platform),
+        })
+    }
+
+    /// Schedule `instance` in the kernel under `spec`: HeteroPrio online,
+    /// every other entry by executing its [`IndepAlgo::plan`].
+    pub fn run<S: TraceSink, M: MetricsRegistry + ?Sized>(
+        self,
+        instance: &Instance,
+        platform: &Platform,
+        heft_variant: HeftVariant,
+        spec: Run<'_, S, M>,
+    ) -> Result<KernelOutcome, RunError> {
+        let config = match self {
+            IndepAlgo::HeteroPrio => HeteroPrioConfig::new(),
+            IndepAlgo::HeteroPrioNoSpoliation => HeteroPrioConfig::without_spoliation(),
+            _ => {
+                let plan =
+                    self.plan(instance, platform, heft_variant).expect("a static entry plans");
+                let mut workload = IndependentWorkload::new(instance);
+                return run_plan(&plan, platform, &mut workload, &TransferModel::NONE, spec);
+            }
+        };
+        let (mut workload, mut policy) = independent(instance, platform, &config);
+        kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
     }
 }
 
@@ -187,13 +188,6 @@ impl Scheduler {
         }
     }
 
-    /// Whether the scheduler runs inside the event kernel (see the module
-    /// docs). Callers should check this *before* creating journal or
-    /// checkpoint files, so a rejected run leaves nothing behind.
-    pub fn is_live(self) -> bool {
-        !matches!(self, Scheduler::Heft(..))
-    }
-
     /// Attach the bottom-level priorities this scheduler ranks by.
     pub fn rank(self, graph: &mut TaskGraph) {
         let (Scheduler::HeteroPrio(scheme)
@@ -203,11 +197,9 @@ impl Scheduler {
         apply_bottom_level_priorities(graph, scheme);
     }
 
-    /// Schedule `graph` (ranked by [`Scheduler::rank`]) under `spec`, with
-    /// `transfer` charged and `spec.faults` injected. Live schedulers drive
-    /// their policy through the kernel. Static HEFT builds its schedule
-    /// offline and replays the reconstructed event stream into `spec.sink`;
-    /// it takes no transfer model, fault plan, crash, checkpoints or resume.
+    /// Schedule `graph` (ranked by [`Scheduler::rank`]) in the kernel under
+    /// `spec`, with `transfer` charged and `spec.faults` injected. HEFT
+    /// executes its plan, which refuses both (see the module docs).
     pub fn run<S: TraceSink, M: MetricsRegistry + ?Sized>(
         self,
         graph: &TaskGraph,
@@ -227,36 +219,14 @@ impl Scheduler {
                 run_policy(graph, platform, transfer, &mut PriorityListPolicy::new(), spec)
             }
             Scheduler::Heft(scheme, variant) => {
-                let plain = spec.crash.is_none()
-                    && spec.checkpoints.is_none()
-                    && spec.resume.is_none()
-                    && *transfer == TransferModel::NONE
-                    && spec.faults.is_none();
-                if !plain {
-                    return Err(RunError::InvalidPlan {
-                        reason: "static HEFT builds its schedule outside the kernel: no \
-                                 transfer model, faults, crash, checkpoints or resume"
-                            .into(),
-                    });
-                }
-                let schedule = heft(graph, platform, scheme, variant);
-                let events = schedule.to_events(platform);
-                let summary = TraceSummary::from_events(platform.workers(), &events);
-                if spec.sink.is_enabled() {
-                    events.into_iter().for_each(|e| spec.sink.emit(e));
-                }
-                Ok(KernelOutcome {
-                    schedule,
-                    first_idle: summary.first_idle,
-                    spoliations: summary.spoliation_count,
-                    summary,
-                })
+                let plan = heft(graph, platform, scheme, variant);
+                run_plan(&plan, platform, &mut DagWorkload::new(graph, transfer), transfer, spec)
             }
         }
     }
 }
 
-/// Drive one concrete policy over `graph` through the kernel.
+/// Drive one concrete online policy over `graph` through the kernel.
 fn run_policy<P: SnapshotOnlinePolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
     graph: &TaskGraph,
     platform: &Platform,
@@ -266,6 +236,29 @@ fn run_policy<P: SnapshotOnlinePolicy, S: TraceSink, M: MetricsRegistry + ?Sized
 ) -> Result<KernelOutcome, RunError> {
     let (mut workload, mut policy) = dag(graph, platform, policy, transfer);
     kernel::run_checkpointed(platform, &mut workload, &mut policy, spec)
+}
+
+/// Execute `plan` over `workload` through the kernel with [`PlanPolicy`].
+/// A plan is made for the fault-free model without transfer penalties: it
+/// cannot follow a worker that never comes back, nor absorb a penalty it
+/// did not price. So a non-empty fault plan or a non-zero `transfer` is
+/// [`RunError::InvalidPlan`], before anything is emitted.
+fn run_plan<W: Workload, S: TraceSink, M: MetricsRegistry + ?Sized>(
+    plan: &Schedule,
+    platform: &Platform,
+    workload: &mut W,
+    transfer: &TransferModel,
+    spec: Run<'_, S, M>,
+) -> Result<KernelOutcome, RunError> {
+    if !spec.faults.is_none() || *transfer != TransferModel::NONE {
+        return Err(RunError::InvalidPlan {
+            reason: "a static plan is made for the fault-free model: it takes no fault \
+                     injection and no transfer penalty"
+                .into(),
+        });
+    }
+    let mut policy = PlanPolicy::new(plan, platform);
+    kernel::run_checkpointed(platform, workload, &mut policy, spec)
 }
 
 /// Report label: the family name, with DualHP's rank.
@@ -285,8 +278,9 @@ impl fmt::Display for Scheduler {
 mod tests {
     use super::*;
     use heteroprio_core::kernel::metric;
-    use heteroprio_metrics::InMemoryRegistry;
+    use heteroprio_metrics::{InMemoryRegistry, NullRegistry};
     use heteroprio_taskgraph::{cholesky, ConstTiming};
+    use heteroprio_trace::NullSink;
 
     /// Kernel events a registry counted.
     fn events(registry: &InMemoryRegistry) -> u64 {
@@ -294,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn every_table_entry_round_trips_and_is_live_exactly_when_it_enters_the_kernel() {
+    fn every_table_entry_round_trips_and_enters_the_kernel() {
         let platform = Platform::new(2, 1);
         let instance = Instance::from_times(&[(3.0, 1.0), (1.0, 2.0), (2.0, 2.0), (4.0, 1.0)]);
         let mut seen: Vec<IndepAlgo> = Vec::new();
@@ -305,9 +299,12 @@ mod tests {
             assert!(seen.iter().all(|s| *s != algo && s.label() != algo.label()), "{name}");
             seen.push(algo);
             let registry = InMemoryRegistry::new();
-            let schedule = algo.run(&instance, &platform, HeftVariant::Insertion, &registry);
+            let mut sink = NullSink;
+            let spec = Run::new(&mut sink, &registry);
+            let outcome = algo.run(&instance, &platform, HeftVariant::Insertion, spec);
+            let schedule = outcome.unwrap_or_else(|e| panic!("{name}: {e}")).schedule;
             schedule.validate(&instance, &platform).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(algo.is_live(), events(&registry) > 0, "{name}");
+            assert!(events(&registry) > 0, "{name}");
         }
         assert_eq!(IndepAlgo::parse("heteroprio"), Some(IndepAlgo::HeteroPrio));
         assert_eq!(IndepAlgo::parse("heteroprio-ns"), Some(IndepAlgo::HeteroPrioNoSpoliation));
@@ -332,7 +329,7 @@ mod tests {
             schedule
                 .validate(graph.instance(), &platform)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(scheduler.is_live(), events(&registry) > 0, "{name}");
+            assert!(events(&registry) > 0, "{name}");
         }
         assert_eq!(Scheduler::parse("heteroprio"), Some(Scheduler::default()));
         // Each table rejects the other's names and garbage.
@@ -340,5 +337,25 @@ mod tests {
             assert_eq!(IndepAlgo::parse(indep), None);
             assert_eq!(Scheduler::parse(dag), None);
         }
+    }
+
+    #[test]
+    fn a_plan_refuses_faults_and_transfer_penalties() {
+        use heteroprio_core::{FaultPlan, WorkerFault};
+        let platform = Platform::new(1, 1);
+        let graph = cholesky(2, &ConstTiming { cpu: 3.0, gpu: 1.0 });
+        let heft = Scheduler::parse("heft").expect("heft is a table entry");
+        let faults =
+            FaultPlan { worker_faults: vec![WorkerFault::permanent(0, 1.0)], ..FaultPlan::NONE };
+        let mut sink = NullSink;
+        let spec = Run { faults: faults.clone(), ..Run::new(&mut sink, &NullRegistry) };
+        let err = heft.run(&graph, &platform, &TransferModel::NONE, spec).unwrap_err();
+        assert!(err.to_string().contains("fault injection"), "{err}");
+        let spec = Run::new(&mut sink, &NullRegistry);
+        let err = heft.run(&graph, &platform, &TransferModel::new(1.0), spec).unwrap_err();
+        assert!(matches!(err, RunError::InvalidPlan { .. }), "{err}");
+        let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+        let err = IndepAlgo::MinMin.run(graph.instance(), &platform, HeftVariant::Insertion, spec);
+        assert!(matches!(err, Err(RunError::InvalidPlan { .. })));
     }
 }

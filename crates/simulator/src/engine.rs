@@ -68,8 +68,7 @@ pub fn dag<'a, P: OnlinePolicy>(
     model: &'a TransferModel,
 ) -> (DagWorkload<'a>, PolicyAdapter<'a, P>) {
     policy.init(graph, platform);
-    let workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    (workload, PolicyAdapter { graph, model, policy })
+    (DagWorkload::new(graph, model), PolicyAdapter { graph, model, policy })
 }
 
 /// Run `policy` over `graph` on `platform` to completion.
@@ -103,7 +102,7 @@ pub fn simulate_traced<P: OnlinePolicy, S: TraceSink>(
 ) -> SimResult {
     let (mut workload, mut policy) = dag(graph, platform, policy, model);
     let outcome = kernel::run(platform, &mut workload, &mut policy, Run::new(sink, &NullRegistry));
-    outcome.expect("fault-free simulation cannot fail").into()
+    outcome.expect("a fault-free run fails only on RunError::InstantOverflow").into()
 }
 
 /// DAG availability: tasks become ready when their predecessors complete,
@@ -112,6 +111,13 @@ pub struct DagWorkload<'a> {
     graph: &'a TaskGraph,
     tracker: ReadyTracker,
     model: &'a TransferModel,
+}
+
+impl<'a> DagWorkload<'a> {
+    /// `graph` under `model` for any [`KernelPolicy`], as [`dag`] builds it.
+    pub fn new(graph: &'a TaskGraph, model: &'a TransferModel) -> Self {
+        DagWorkload { graph, tracker: ReadyTracker::new(graph), model }
+    }
 }
 
 impl Workload for DagWorkload<'_> {

@@ -15,7 +15,9 @@ use heteroprio::simulator::{
     dag, simulate_traced, FaultSpec, OnlinePolicy, SimResult, TransferModel,
 };
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
-use heteroprio::trace::{Journal, MemJournal, NullSink, TraceSink, TraceSummary, VecSink};
+use heteroprio::trace::{
+    Journal, MemJournal, NullSink, SchedEvent, TraceSink, TraceSummary, VecSink,
+};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 use proptest::prelude::*;
 
@@ -465,4 +467,80 @@ fn clause_shaped_specs_reach_every_stage() {
     for stage in ["parse", "resolve", "kernel", "ran"] {
         assert!(stages.get(stage).is_some_and(|&n| n >= 10), "{stage}: {stages:?}");
     }
+}
+
+/// Run `run` journaled under `faults` and require the instant-overflow
+/// error, with no event at a non-finite instant in the sink or the journal.
+/// Returns the emitted events.
+fn overflows_before_emitting(
+    faults: &FaultPlan,
+    mut run: impl FnMut(Run<'_, &mut dyn TraceSink>) -> Result<KernelOutcome, RunError>,
+) -> Vec<SchedEvent> {
+    let (mut journal, mut sink) = (MemJournal::new(), VecSink::new());
+    let result = journaled(&mut journal, &mut sink, |tee| {
+        let mut sink: &mut dyn TraceSink = tee;
+        run(Run { faults: faults.clone(), ..Run::new(&mut sink, &NullRegistry) })
+    })
+    .expect("in-memory journal");
+    match result {
+        Err(RunError::InstantOverflow { time, .. }) => assert!(time.is_finite(), "{time}"),
+        other => panic!("expected InstantOverflow, got {other:?}"),
+    }
+    assert!(!sink.events.is_empty(), "the run emits its finite prefix");
+    assert_eq!(journal.events(), sink.events.as_slice());
+    for e in &sink.events {
+        assert!(e.time().is_finite(), "{e:?}");
+        if let SchedEvent::TaskStart { expected_end, .. } = e {
+            assert!(expected_end.is_finite(), "{e:?}");
+        }
+    }
+    sink.events
+}
+
+/// Three tasks of `1e308` on one CPU and one GPU: the first two end at
+/// `1e308`, so the third would end past `f64::MAX`.
+fn overflowing_instance() -> Instance {
+    Instance::from_times(&[(1e308, 1e308); 3])
+}
+
+#[test]
+fn instant_overflow_is_an_error_on_every_engine() {
+    let (instance, platform) = (overflowing_instance(), Platform::new(1, 1));
+    let graph = TaskGraph::independent(instance.clone());
+    let releases = [0.0; 3];
+    for config in [HeteroPrioConfig::new(), HeteroPrioConfig::without_spoliation()] {
+        let _ = overflows_before_emitting(&FaultPlan::NONE, |spec| {
+            let (mut workload, mut policy) = independent(&instance, &platform, &config);
+            kernel::run(&platform, &mut workload, &mut policy, spec)
+        });
+        let _ = overflows_before_emitting(&FaultPlan::NONE, |spec| {
+            let (mut workload, mut policy) =
+                release_dates(&instance, &releases, &platform, &config);
+            kernel::run(&platform, &mut workload, &mut policy, spec)
+        });
+        let _ = overflows_before_emitting(&FaultPlan::NONE, |spec| {
+            let mut policy = HeteroPrioDagPolicy::new(config);
+            let model = TransferModel::NONE;
+            let (mut workload, mut policy) = dag(&graph, &platform, &mut policy, &model);
+            kernel::run(&platform, &mut workload, &mut policy, spec)
+        });
+    }
+}
+
+/// A failed attempt whose backoff ends past `f64::MAX` is the same error,
+/// raised before the retry is announced.
+#[test]
+fn retry_backoff_overflow_is_an_error() {
+    let (instance, platform) = (overflowing_instance(), Platform::new(1, 1));
+    let faults = FaultPlan {
+        task_failure_prob: 1.0,
+        retry: RetryPolicy { max_attempts: 5, backoff_base: f64::MAX, backoff_cap: f64::MAX },
+        ..FaultPlan::NONE
+    };
+    let events = overflows_before_emitting(&faults, |spec| {
+        let (mut workload, mut policy) =
+            independent(&instance, &platform, &HeteroPrioConfig::new());
+        kernel::run(&platform, &mut workload, &mut policy, spec)
+    });
+    assert!(matches!(events.last(), Some(SchedEvent::TaskFailed { .. })), "{events:?}");
 }

@@ -7,14 +7,17 @@ use heteroprio::bounds::{
     optimal_homogeneous_makespan, optimal_makespan,
 };
 use heteroprio::core::heteroprio as hp;
+use heteroprio::core::kernel::Run;
 use heteroprio::core::list::{homogeneous_lower_bound, list_schedule};
 use heteroprio::core::{
-    sorted_queue, HeteroPrioConfig, Instance, Platform, QueueTieBreak, Task, TaskId,
+    sorted_queue, HeteroPrioConfig, Instance, Platform, QueueTieBreak, Task, TaskId, TaskRun,
 };
+use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::dualhp_independent;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
 use heteroprio::simulator::simulate;
 use heteroprio::taskgraph::{check_precedence, random_layered, RandomDagParams, TaskGraph};
+use heteroprio::trace::NullSink;
 use heteroprio_bench::seed_reference::seed_sorted_queue;
 use proptest::prelude::*;
 
@@ -29,6 +32,23 @@ fn instance_strategy(max: usize) -> impl Strategy<Value = Instance> {
 
 fn platform_strategy() -> impl Strategy<Value = Platform> {
     (1usize..=4, 1usize..=3).prop_map(|(m, n)| Platform::new(m, n))
+}
+
+/// Strategy: k = 3 tasks with every time in (0.1, 50).
+fn k3_instance_strategy(max: usize) -> impl Strategy<Value = Instance> {
+    let task = (0.1f64..50.0, 0.1f64..50.0, 0.1f64..50.0)
+        .prop_map(|(a, b, c)| Task::from_times(&[a, b, c]));
+    prop::collection::vec(task, 1..=max).prop_map(Instance::from_tasks)
+}
+
+fn k3_platform_strategy() -> impl Strategy<Value = Platform> {
+    (1usize..=3, 1usize..=2, 1usize..=2).prop_map(|(a, b, c)| Platform::from_counts(&[a, b, c]))
+}
+
+/// A schedule's runs in task order.
+fn by_task(mut runs: Vec<TaskRun>) -> Vec<TaskRun> {
+    runs.sort_by_key(|r| r.task);
+    runs
 }
 
 /// Priorities of the queue-order test: equal values, and ±0.0, which the
@@ -254,15 +274,14 @@ proptest! {
         instance in instance_strategy(7),
         platform in platform_strategy(),
     ) {
-        use heteroprio::metrics::NullRegistry;
-        use heteroprio::schedulers::{HeftVariant, IndepAlgo};
+        use heteroprio::experiments::{run_indep, IndepAlgo};
         let opt = optimal_makespan(&instance, &platform).makespan;
         let hp_ms = hp(&instance, &platform, &HeteroPrioConfig::new()).makespan();
         prop_assert!(hp_ms >= opt - 1e-9, "HeteroPrio {hp_ms} beat OPT {opt}");
         let dual_ms = dualhp_independent(&instance, &platform).makespan();
         prop_assert!(dual_ms >= opt - 1e-9, "DualHP {dual_ms} beat OPT {opt}");
         for h in IndepAlgo::HEURISTICS {
-            let ms = h.run(&instance, &platform, HeftVariant::Insertion, &NullRegistry).makespan();
+            let ms = run_indep(h, &instance, &platform).makespan();
             prop_assert!(ms >= opt - 1e-9, "{} {ms} beat OPT {opt}", h.label());
         }
     }
@@ -272,10 +291,9 @@ proptest! {
         instance in instance_strategy(20),
         platform in platform_strategy(),
     ) {
-        use heteroprio::metrics::NullRegistry;
-        use heteroprio::schedulers::{HeftVariant, IndepAlgo};
+        use heteroprio::experiments::{run_indep, IndepAlgo};
         for h in IndepAlgo::HEURISTICS {
-            let sched = h.run(&instance, &platform, HeftVariant::Insertion, &NullRegistry);
+            let sched = run_indep(h, &instance, &platform);
             prop_assert!(sched.validate(&instance, &platform).is_ok(), "{}", h.label());
             prop_assert!(
                 sched.makespan() >= combined_lower_bound(&instance, &platform) - 1e-9
@@ -299,6 +317,70 @@ proptest! {
                 let sched = heft(&graph, &platform, scheme, variant);
                 prop_assert!(sched.validate(graph.instance(), &platform).is_ok());
                 prop_assert!(check_precedence(&graph, &sched).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn every_plan_executes_bit_identically_in_the_kernel(
+        instance in instance_strategy(24),
+        platform in platform_strategy(),
+        k3 in k3_instance_strategy(16),
+        k3_platform in k3_platform_strategy(),
+    ) {
+        use heteroprio::schedulers::{HeftVariant, IndepAlgo};
+        for (instance, platform) in [(&instance, &platform), (&k3, &k3_platform)] {
+            for algo in IndepAlgo::NAMES.map(|name| IndepAlgo::parse(name).unwrap()) {
+                let Some(plan) = algo.plan(instance, platform, HeftVariant::Insertion) else {
+                    continue;
+                };
+                let mut sink = NullSink;
+                let spec = Run::new(&mut sink, &NullRegistry);
+                let ran = algo.run(instance, platform, HeftVariant::Insertion, spec);
+                let ran = ran.unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+                prop_assert!(ran.schedule.aborted.is_empty(), "{:?}", algo);
+                prop_assert_eq!(by_task(ran.schedule.runs), by_task(plan.runs), "{:?}", algo);
+            }
+        }
+    }
+
+    #[test]
+    fn heft_plans_execute_in_the_kernel(
+        seed in 0u64..300,
+        layers in 2usize..5,
+        width in 1usize..5,
+    ) {
+        use heteroprio::core::time::approx_eq;
+        use heteroprio::schedulers::{heft, HeftVariant, Scheduler};
+        use heteroprio::simulator::TransferModel;
+        use heteroprio::taskgraph::WeightScheme;
+        let params = RandomDagParams { layers, width, ..RandomDagParams::default() };
+        let graph = random_layered(&params, seed);
+        let platform = Platform::new(2, 2);
+        for scheme in [WeightScheme::Avg, WeightScheme::Min] {
+            for variant in [HeftVariant::Insertion, HeftVariant::NoInsertion] {
+                let scheduler = Scheduler::Heft(scheme, variant);
+                let mut ranked = graph.clone();
+                scheduler.rank(&mut ranked);
+                let plan = by_task(heft(&ranked, &platform, scheme, variant).runs);
+                let mut sink = NullSink;
+                let spec = Run::new(&mut sink, &NullRegistry);
+                let ran = scheduler.run(&ranked, &platform, &TransferModel::NONE, spec);
+                let ran = ran.unwrap_or_else(|e| panic!("{scheduler:?}: {e}"));
+                let ran = by_task(ran.schedule.runs);
+                if variant == HeftVariant::NoInsertion {
+                    prop_assert_eq!(ran, plan);
+                    continue;
+                }
+                // Insertion accepts a gap up to a rounding tolerance, so
+                // the plan may overlap its next run by an ulp; the kernel
+                // starts that run when the inserted one really ends.
+                prop_assert_eq!(ran.len(), plan.len());
+                for (r, p) in ran.iter().zip(&plan) {
+                    prop_assert!(r.task == p.task && r.worker == p.worker, "{r:?} vs {p:?}");
+                    prop_assert!(approx_eq(r.start, p.start) && approx_eq(r.end, p.end),
+                        "{r:?} vs {p:?}");
+                }
             }
         }
     }

@@ -16,7 +16,7 @@ use heteroprio::core::{
     WorkerFault,
 };
 use heteroprio::metrics::NullRegistry;
-use heteroprio::schedulers::HeteroPrioDagPolicy;
+use heteroprio::schedulers::{HeftVariant, HeteroPrioDagPolicy, IndepAlgo, Scheduler};
 use heteroprio::simulator::{dag, SimResult, TransferModel};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio::trace::journal::{crc32, frame_len, MAGIC};
@@ -301,6 +301,77 @@ fn dag_engine_recovers_from_every_crash_point_under_faults() {
         };
         crash_resume_dag(4, &platform, &plan, &reference, crash_at, checkpoint_every);
     }
+}
+
+/// Crash a plan-driven run (`run` builds a fresh scheduler and hands it
+/// the spec) after every event and resume it from the journal alone and
+/// from the latest checkpoint: each recovered stream and schedule must be
+/// bit-identical to the uninterrupted run's.
+fn plan_run_recovers_from_every_crash_point(
+    run: impl Fn(Run<'_, &mut dyn TraceSink>) -> Result<KernelOutcome, RunError>,
+) {
+    let mut reference = VecSink::new();
+    let ref_runs = {
+        let mut sink: &mut dyn TraceSink = &mut reference;
+        run(Run::new(&mut sink, &M)).expect("reference completes").schedule.runs
+    };
+    let total = reference.events.len() as u64;
+    assert!(total > 20, "want a non-trivial stream, got {total}");
+    let mut from_snapshot = 0;
+    for crash_at in 1..=total {
+        for checkpoint_every in [None, Some(3)] {
+            let mut journal = MemJournal::new();
+            let mut store = MemCheckpointStore::new();
+            let checkpoints =
+                checkpoint_every.map(|every| Checkpoints { every, store: &mut store });
+            let err = journaled(&mut journal, &mut NullSink, |tee| {
+                let mut sink: &mut dyn TraceSink = tee;
+                let crash = CrashPlan::at_event(crash_at);
+                run(Run { crash, checkpoints, ..Run::new(&mut sink, &M) })
+            })
+            .expect("in-memory journal appends and syncs cannot fail")
+            .expect_err("the crash plan must abort the run");
+            assert!(matches!(err, RunError::Crashed { events, .. } if events == crash_at));
+            assert_eq!(journal.events(), &reference.events[..crash_at as usize]);
+            let tail = journal.replay().expect("MemJournal replay cannot fail");
+            let snapshot = store.latest.take();
+            assert!(snapshot.is_none() || checkpoint_every.is_some());
+            from_snapshot += u64::from(snapshot.is_some());
+            let mut resumed = VecSink::new();
+            let res = {
+                let mut sink: &mut dyn TraceSink = &mut resumed;
+                let resume = Some(Resume { journal: &tail, snapshot: snapshot.as_ref() });
+                run(Run { resume, ..Run::new(&mut sink, &M) }).expect("recovery must complete")
+            };
+            assert_eq!(resumed.events, reference.events, "stream diverged (crash_at={crash_at})");
+            assert_eq!(res.schedule.runs, ref_runs);
+        }
+    }
+    assert!(from_snapshot > total / 2, "{from_snapshot} of {total} resumes used a snapshot");
+}
+
+/// HEFT's plan over a Cholesky DAG, swept over every crash point.
+#[test]
+fn heft_plan_recovers_from_every_crash_point() {
+    let scheduler = Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion);
+    let mut graph = cholesky(4, &ChameleonTiming);
+    scheduler.rank(&mut graph);
+    let platform = Platform::new(2, 1);
+    plan_run_recovers_from_every_crash_point(|spec| {
+        scheduler.run(&graph, &platform, &TransferModel::NONE, spec)
+    });
+}
+
+/// MinMin's plan over an independent instance, swept over every crash point.
+#[test]
+fn minmin_plan_recovers_from_every_crash_point() {
+    let times: Vec<(f64, f64)> =
+        (0..14).map(|i| (1.0 + 0.7 * (i % 5) as f64, 0.5 + 0.3 * (i % 7) as f64)).collect();
+    let instance = Instance::from_times(&times);
+    let platform = Platform::new(3, 2);
+    plan_run_recovers_from_every_crash_point(|spec| {
+        IndepAlgo::MinMin.run(&instance, &platform, HeftVariant::Insertion, spec)
+    });
 }
 
 /// A journal from a *different* run must be rejected, not replayed into a

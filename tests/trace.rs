@@ -100,8 +100,8 @@ proptest! {
         }
     }
 
-    // `Schedule::to_events` (the post-hoc reconstruction used for HEFT and
-    // the static heuristics) obeys the same conservation law.
+    // `Schedule::to_events` (the post-hoc reconstruction of a schedule
+    // made outside the kernel) obeys the same conservation law.
     #[test]
     fn reconstructed_events_reconcile_with_the_schedule(
         instance in instance_strategy(16),
