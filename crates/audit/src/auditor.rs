@@ -84,11 +84,6 @@ impl AuditOptions {
     pub fn dualhp() -> Self {
         AuditOptions { dualhp: true, ..AuditOptions::generic() }
     }
-
-    pub fn with_faults(mut self) -> Self {
-        self.faulty = true;
-        self
-    }
 }
 
 impl Default for AuditOptions {

@@ -319,7 +319,13 @@ mod tests {
         });
         let report = audit(&inst, &plat, &schedule, &[], &AuditOptions::dualhp());
         assert!(report.violations.iter().any(|v| v.rule == Rule::DualHpSpoliationFree));
-        let faulty = audit(&inst, &plat, &schedule, &[], &AuditOptions::dualhp().with_faults());
+        let faulty = audit(
+            &inst,
+            &plat,
+            &schedule,
+            &[],
+            &AuditOptions { faulty: true, ..AuditOptions::dualhp() },
+        );
         assert!(!faulty.violations.iter().any(|v| v.rule == Rule::DualHpSpoliationFree));
     }
 

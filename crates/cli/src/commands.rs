@@ -5,22 +5,23 @@ use crate::format::{parse_instance_k, serialize_instance};
 use heteroprio_audit::{audit, schedule_from_events, AuditOptions, AuditReport, StreamAuditor};
 use heteroprio_bounds::{combined_lower_bound, optimal_makespan, MAX_EXACT_TASKS};
 use heteroprio_core::gantt::to_svg;
-use heteroprio_core::kernel::{metric, Checkpoints, Resume};
+use heteroprio_core::kernel::{metric, Checkpoints, Resume, Run};
 use heteroprio_core::{
-    ClassTable, CrashPlan, FaultPlan, FileCheckpointStore, Instance, MeteredJournal, Platform,
-    RetryPolicy, RunError, Schedule,
+    journaled, ClassTable, CrashPlan, FaultPlan, FileCheckpointStore, Instance, MeteredJournal,
+    RetryPolicy, RunError,
 };
 use heteroprio_metrics::{InMemoryRegistry, MetricsRegistry, NullRegistry};
-use heteroprio_runtime::{Execution, Outcome};
+use heteroprio_runtime::{ExecError, Runtime};
 use heteroprio_schedulers::{HeftVariant, IndepAlgo, Scheduler};
 use heteroprio_simulator::FaultSpec;
 use heteroprio_taskgraph::Factorization;
 use heteroprio_trace::{
-    chrome_trace, jsonl, parse_jsonl, ChromeTraceOptions, FileJournal, Journal, SchedEvent,
-    TraceSink, TraceSummary,
+    chrome_trace, jsonl, parse_jsonl, ChromeTraceOptions, FileJournal, Journal, NullSink,
+    SchedEvent, TeeSink, TraceSink, TraceSummary, VecSink,
 };
 use heteroprio_workloads::{independent_instance, ChameleonTiming};
 use std::fmt::Write as _;
+use std::ops::ControlFlow::{self, Break, Continue};
 
 /// Extra outputs a command may produce alongside its text report.
 #[derive(Clone, Debug, Default)]
@@ -270,30 +271,38 @@ fn metrics_report(registry: &InMemoryRegistry, summary: &TraceSummary) -> Result
     Ok(snapshot.render())
 }
 
-/// Outcome of a run: either the injected crash fired (the report is final
-/// and the command exits cleanly — the crash is the point of the harness),
-/// or the run completed and flows into the normal report path.
-enum DurableRun<T> {
-    Crashed(String),
-    Done { value: T, notes: Vec<String> },
+/// A finished run: the scheduler's result, the event stream (empty unless
+/// the flags need it) and the report's notes on the journal and checkpoint.
+struct Ran<T> {
+    value: T,
+    events: Vec<SchedEvent>,
+    notes: Vec<String>,
 }
 
-/// The one run path of `schedule`, `dag`, `audit` and `resume`: hand `run`
-/// the run's [`Execution`] — its metrics registry and, under a durable
-/// flag, its journal, crash plan, checkpoints and recovered record. A
-/// durable run creates the journal — or recovers it and its checkpoint on
-/// `resume` — meters it into `metrics`, and turns the outcome into report
-/// notes or the crash report.
-fn journaled_run<T>(
-    d: &DurableOpts,
+/// The one place `schedule` and `dag` build their kernel [`Run`] from the
+/// flags: the event recorder, teed into `observer` (a streaming auditor,
+/// say), the metrics registry and, under a durable flag, the metered
+/// journal — created, or recovered with its checkpoint on `resume`, and
+/// committed by [`journaled`] — with the crash plan, checkpoints and
+/// recovered record. `run` executes the spec. An injected crash breaks out
+/// with the crash report, the command's whole output. A fresh run that
+/// fails before journaling an event leaves no journal file.
+fn journaled_run<T, E: Into<ExecError>>(
+    opts: &OutputOpts,
     metrics: &dyn MetricsRegistry,
-    run: impl FnOnce(Execution<'_>) -> Result<Outcome<T>, String>,
-) -> Result<DurableRun<T>, String> {
+    observer: Option<&mut dyn TraceSink>,
+    run: impl FnOnce(Run<'_, &mut dyn TraceSink, dyn MetricsRegistry + '_>) -> Result<T, E>,
+) -> Result<ControlFlow<CmdOutput, Ran<T>>, String> {
+    let d = &opts.durable;
+    let (mut events, mut null, mut tee) = (VecSink::new(), NullSink, None);
+    let recorder: &mut dyn TraceSink = if opts.wants_events() { &mut events } else { &mut null };
+    let mut sink: &mut dyn TraceSink = match observer {
+        Some(observer) => tee.insert(TeeSink(recorder, observer)),
+        None => recorder,
+    };
     if !d.active() {
-        return match run(Execution { metrics, ..Execution::default() })? {
-            Outcome::Completed(value) => Ok(DurableRun::Done { value, notes: Vec::new() }),
-            Outcome::Crashed { .. } => Err("crashed without a crash plan".to_string()),
-        };
+        let value = run(Run::new(&mut sink, metrics)).map_err(|e| e.into().to_string())?;
+        return Ok(Continue(Ran { value, events: events.into_events(), notes: Vec::new() }));
     }
     let path = d.journal.as_deref().ok_or("durable runs need --journal PATH")?;
     let mut notes = Vec::new();
@@ -306,33 +315,46 @@ fn journaled_run<T>(
     let mut journal = MeteredJournal::new(journal, metrics);
     let mut store = d.snapshot.as_deref().filter(|_| !d.resume).map(FileCheckpointStore::new);
     let every = d.checkpoint_every.unwrap_or(64);
-    let durable = Execution {
-        record: false,
-        metrics,
-        journal: Some(&mut journal),
-        crash: d.crash_at.map(CrashPlan::at_event).unwrap_or(CrashPlan::NONE),
-        checkpoints: store.as_mut().map(|store| Checkpoints { every, store }),
-        resume: d.resume.then_some(Resume { journal: &recovered, snapshot: snapshot.as_ref() }),
-    };
-    let value = match run(durable) {
-        Ok(Outcome::Completed(value)) => value,
-        Ok(Outcome::Crashed { time, events }) => {
-            return Ok(DurableRun::Crashed(crash_report(path, time, events, store.as_mut())))
+    let result = journaled(&mut journal, &mut sink, |tee| {
+        let mut sink: &mut dyn TraceSink = tee;
+        run(Run {
+            crash: d.crash_at.map_or(CrashPlan::NONE, CrashPlan::at_event),
+            checkpoints: store.as_mut().map(|store| Checkpoints { every, store }),
+            resume: d.resume.then_some(Resume { journal: &recovered, snapshot: snapshot.as_ref() }),
+            ..Run::new(&mut sink, metrics)
+        })
+    });
+    let failure = match result {
+        Ok(Ok(value)) => {
+            if d.resume {
+                notes.push(format!(
+                    "resumed    : replayed {} journaled events, continued to {} total",
+                    recovered.len(),
+                    journal.len()
+                ));
+            } else {
+                notes.push(format!("journal    : {path} ({} records)", journal.len()));
+                notes.extend(store.as_mut().map(checkpoint_note));
+            }
+            return Ok(Continue(Ran { value, events: events.into_events(), notes }));
         }
-        Err(e) if d.resume => return Err(format!("resume failed: {e}")),
-        Err(e) => return Err(e),
+        Ok(Err(e)) => match e.into() {
+            ExecError::Run(RunError::Crashed { time, events }) => {
+                let report = crash_report(path, time, events, store.as_mut());
+                return Ok(Break(CmdOutput { report, svg: None, trace: None }));
+            }
+            e => e.to_string(),
+        },
+        Err(e) => e.to_string(),
     };
     if d.resume {
-        notes.push(format!(
-            "resumed    : replayed {} journaled events, continued to {} total",
-            recovered.len(),
-            journal.len()
-        ));
-    } else {
-        notes.push(format!("journal    : {path} ({} records)", journal.len()));
-        notes.extend(store.as_mut().map(checkpoint_note));
+        return Err(format!("resume failed: {failure}"));
     }
-    Ok(DurableRun::Done { value, notes })
+    if journal.len() == 0 {
+        drop(journal);
+        let _ = std::fs::remove_file(path);
+    }
+    Err(failure)
 }
 
 /// The report printed when `--crash-at` fires: where the run died and what
@@ -396,14 +418,6 @@ fn open_journal(
     Ok((journal, prefix))
 }
 
-/// A finished independent-task run: the schedule, its event stream (empty
-/// unless the flags need it) and, under `--audit`, the audit report.
-struct IndepRun {
-    schedule: Schedule,
-    events: Vec<SchedEvent>,
-    audit: Option<AuditReport>,
-}
-
 /// Parse an instance file for `table`'s classes; empty is an error.
 fn read_instance(text: &str, table: &ClassTable) -> Result<Instance, String> {
     let instance = parse_instance_k(text, table.k()).map_err(|e| e.to_string())?;
@@ -411,37 +425,6 @@ fn read_instance(text: &str, table: &ClassTable) -> Result<Instance, String> {
         return Err("instance is empty".to_string());
     }
     Ok(instance)
-}
-
-/// Run an independent-task algorithm observed as `opts` asks: one kernel
-/// call whose sink (the event recorder, teed into the streaming auditor
-/// under `--audit`), registry and journal come from the flags.
-fn run_indep(
-    instance: &Instance,
-    platform: &Platform,
-    algo: IndepAlgo,
-    opts: &OutputOpts,
-    metrics: &dyn MetricsRegistry,
-) -> Result<DurableRun<IndepRun>, String> {
-    let mut auditor = opts.audit.then(|| StreamAuditor::new(instance, platform, audit_opts(algo)));
-    let ran = journaled_run(&opts.durable, metrics, |exec| {
-        let exec = Execution { record: opts.wants_events(), ..exec };
-        let observer = auditor.as_mut().map(|a| a as &mut dyn TraceSink);
-        let (result, events) = exec
-            .drive(observer, |spec| algo.run(instance, platform, HeftVariant::Insertion, spec))?;
-        match result {
-            Ok(outcome) => Ok(Outcome::Completed((outcome.schedule, events))),
-            Err(RunError::Crashed { time, events }) => Ok(Outcome::Crashed { time, events }),
-            Err(e) => Err(e.to_string()),
-        }
-    })?;
-    Ok(match ran {
-        DurableRun::Crashed(report) => DurableRun::Crashed(report),
-        DurableRun::Done { value: (schedule, events), notes } => {
-            let audit = auditor.map(|auditor| auditor.finish(&schedule));
-            DurableRun::Done { value: IndepRun { schedule, events, audit }, notes }
-        }
-    })
 }
 
 /// `schedule`: run one scheduler on an instance file's contents.
@@ -455,11 +438,17 @@ pub fn cmd_schedule(
     let instance = read_instance(text, table)?;
     let registry = InMemoryRegistry::new();
     let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
-    let (IndepRun { schedule, events, audit }, notes) =
-        match run_indep(&instance, platform, algo, opts, metrics)? {
-            DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
-            DurableRun::Done { value, notes } => (value, notes),
-        };
+    let mut auditor = opts.audit.then(|| StreamAuditor::new(&instance, platform, audit_opts(algo)));
+    let observer = auditor.as_mut().map(|a| a as &mut dyn TraceSink);
+    let ran = journaled_run(opts, metrics, observer, |spec| {
+        algo.run(&instance, platform, HeftVariant::Insertion, spec)
+    })?;
+    let Ran { value: outcome, events, notes } = match ran {
+        Continue(ran) => ran,
+        Break(crashed) => return Ok(crashed),
+    };
+    let schedule = outcome.schedule;
+    let audit = auditor.map(|auditor| auditor.finish(&schedule));
     schedule
         .validate(&instance, platform)
         .map_err(|e| format!("internal error: invalid schedule: {e}"))?;
@@ -549,11 +538,12 @@ pub fn cmd_audit(
             audit(&instance, platform, &schedule_from_events(&events), &events, &audit_opts(algo))
         }
         None => {
-            let opts = OutputOpts { audit: true, ..OutputOpts::default() };
-            match run_indep(&instance, platform, algo, &opts, &NullRegistry)? {
-                DurableRun::Done { value: IndepRun { audit: Some(report), .. }, .. } => report,
-                _ => return Err("audit run produced no report".to_string()),
-            }
+            let mut auditor = StreamAuditor::new(&instance, platform, audit_opts(algo));
+            let spec = Run::new(&mut auditor, &NullRegistry);
+            let outcome = algo
+                .run(&instance, platform, HeftVariant::Insertion, spec)
+                .map_err(|e| e.to_string())?;
+            auditor.finish(&outcome.schedule)
         }
     };
     finish_audit(&report)
@@ -619,7 +609,6 @@ pub fn cmd_dag(
     opts: &OutputOpts,
     faults: &FaultOpts,
 ) -> Result<CmdOutput, String> {
-    use heteroprio_runtime::Runtime;
     if n == 0 {
         return Err("need at least one tile".to_string());
     }
@@ -640,20 +629,18 @@ pub fn cmd_dag(
         rt
     };
     let (plan, baseline) = if faults.active() {
-        faults.plan(table, || build().run(algo).map(|r| r.makespan))?
+        faults.plan(table, || build().run(algo).map(|r| r.makespan).map_err(|e| e.to_string()))?
     } else {
         (FaultPlan::NONE, None)
     };
-    let rt = build().with_faults(plan.clone());
     let registry = InMemoryRegistry::new();
     let metrics: &dyn MetricsRegistry = if opts.metrics { &registry } else { &NullRegistry };
-    let ran = journaled_run(&opts.durable, metrics, |exec| {
-        let exec = Execution { record: opts.wants_events(), ..exec };
-        rt.execute(algo, exec)
+    let ran = journaled_run(opts, metrics, None, |spec| {
+        build().execute(algo, Run { faults: plan.clone(), ..spec })
     })?;
-    let (report, notes) = match ran {
-        DurableRun::Crashed(report) => return Ok(CmdOutput { report, svg: None, trace: None }),
-        DurableRun::Done { value, notes } => (*value, notes),
+    let Ran { value: report, events, notes } = match ran {
+        Continue(ran) => ran,
+        Break(crashed) => return Ok(crashed),
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -695,19 +682,19 @@ pub fn cmd_dag(
     }
     let instance = report.graph.instance();
     if opts.audit {
-        let mut aopts = AuditOptions::dag_run(0.0, Some(report.lower_bound));
-        aopts.heteroprio = matches!(algo, Scheduler::HeteroPrio(_));
-        if faults.active() {
-            aopts = aopts.with_faults();
-        }
-        let audit_report = audit(instance, platform, &report.schedule, &report.events, &aopts);
+        let aopts = AuditOptions {
+            heteroprio: matches!(algo, Scheduler::HeteroPrio(_)),
+            faulty: faults.active(),
+            ..AuditOptions::dag_run(0.0, Some(report.lower_bound))
+        };
+        let audit_report = audit(instance, platform, &report.schedule, &events, &aopts);
         out.push_str(&finish_audit(&audit_report)?);
     }
     let trace = opts.trace.as_ref().map(|path| {
         let task_names =
             instance.ids().map(|t| format!("{}[{}]", report.graph.label(t), t.0)).collect();
         let chrome_opts = ChromeTraceOptions { worker_names: worker_names(table), task_names };
-        (path.clone(), render_trace(&report.events, path, &chrome_opts))
+        (path.clone(), render_trace(&events, path, &chrome_opts))
     });
     let svg = opts.svg.clone().map(|path| (path, to_svg(&report.schedule, instance, platform)));
     Ok(CmdOutput { report: out, svg, trace })

@@ -15,6 +15,7 @@ use heteroprio_cli::{
 use heteroprio_core::ClassTable;
 use heteroprio_schedulers::{IndepAlgo, Scheduler};
 use heteroprio_taskgraph::Factorization;
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 /// `{INDEP}` and `{DAG}` stand for the scheduler tables' names.
@@ -255,16 +256,26 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Print to stdout. A reader that closes the pipe early (`| head`) ends
+/// the output, not the command: the rest of the text is dropped, and
+/// output files are still written.
+fn print(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 /// Write an output file and say so.
 fn write(path: &str, contents: String) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
+    print(&format!("wrote {path}\n"))
 }
 
 /// Print the report and write the artifacts a command produced.
 fn emit(out: CmdOutput) -> Result<(), String> {
-    print!("{}", out.report);
+    print(&out.report)?;
     for (path, contents) in out.svg.into_iter().chain(out.trace) {
         write(&path, contents)?;
     }
@@ -313,7 +324,7 @@ fn run() -> Result<(), Failure> {
             let pos = positionals(&args, 1)?;
             let platform = platform_of(&args)?;
             let file = pos.first().ok_or(usage("missing INSTANCE file"))?;
-            print!("{}", cmd_bounds(&read(file)?, &platform)?);
+            print(&cmd_bounds(&read(file)?, &platform)?)?;
             Ok(())
         }
         "audit" => {
@@ -328,7 +339,7 @@ fn run() -> Result<(), Failure> {
                 let n = tile_count(pos, "audit")?;
                 let opts = OutputOpts { audit: true, ..OutputOpts::default() };
                 let out = cmd_dag(first, n, &platform, dag_algo(&args)?, &opts, &args.faults)?;
-                print!("{}", out.report);
+                print(&out.report)?;
             } else {
                 // Instance form: audit a recorded JSONL trace, or a fresh
                 // traced run when no --trace is given.
@@ -336,7 +347,7 @@ fn run() -> Result<(), Failure> {
                 let text = read(first)?;
                 let trace_text = args.opts.trace.as_deref().map(read).transpose()?;
                 let algo = indep_algo(&args)?;
-                print!("{}", cmd_audit(&text, &platform, algo, trace_text.as_deref())?);
+                print(&cmd_audit(&text, &platform, algo, trace_text.as_deref())?)?;
             }
             Ok(())
         }
@@ -349,11 +360,11 @@ fn run() -> Result<(), Failure> {
             let doc = cmd_perf(args.smoke, custom.as_ref())?;
             match &args.out {
                 Some(path) => write(path, doc.clone())?,
-                None if args.against.is_none() => print!("{doc}"),
+                None if args.against.is_none() => print(&doc)?,
                 None => {}
             }
             if let Some(path) = &args.against {
-                print!("{}", cmd_perf_gate(&doc, &read(path)?)?);
+                print(&cmd_perf_gate(&doc, &read(path)?)?)?;
             }
             Ok(())
         }
@@ -364,7 +375,7 @@ fn run() -> Result<(), Failure> {
             let text = cmd_export(path)?;
             match &args.opts.trace {
                 Some(out) => write(out, text)?,
-                None => print!("{text}"),
+                None => print(&text)?,
             }
             Ok(())
         }
@@ -374,7 +385,7 @@ fn run() -> Result<(), Failure> {
             let text = cmd_gen(kind, tile_count(pos, "gen")?)?;
             match pos.get(2) {
                 Some(path) => write(path, text)?,
-                None => print!("{text}"),
+                None => print(&text)?,
             }
             Ok(())
         }
@@ -389,17 +400,20 @@ fn usage_text() -> String {
     USAGE.replace("{INDEP}", &indep).replace("{DAG}", &dag)
 }
 
+/// Report a run failure as the one `error:` line.
+fn fail(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(Failure::Help) => {
-            print!("{}", usage_text());
-            ExitCode::SUCCESS
-        }
-        Err(Failure::Run(msg)) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
+        Err(Failure::Help) => match print(&usage_text()) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(msg) => fail(&msg),
+        },
+        Err(Failure::Run(msg)) => fail(&msg),
         Err(Failure::Usage(msg)) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");

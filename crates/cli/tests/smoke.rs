@@ -261,6 +261,76 @@ fn algo_is_checked_against_the_commands_own_table() {
 }
 
 #[test]
+fn a_refused_run_leaves_no_journal_and_a_failed_one_keeps_its_prefix() {
+    let journal = scratch("refused.journal");
+    // The kernel refuses both fault plans before emitting an event: a
+    // zero retry budget, and any plan under HEFT's fault-free plan.
+    for flags in [["--retry-max", "0"], ["--algo", "heft"]] {
+        let out = bin()
+            .args(["dag", "cholesky", "4", "--cpus", "2", "--gpus", "1", "--faults", "w0@1+2"])
+            .args(flags)
+            .arg("--journal")
+            .arg(&journal)
+            .output()
+            .expect("run heteroprio-cli dag");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: invalid fault plan: "), "{flags:?}: {stderr}");
+        assert!(!journal.exists(), "{flags:?}: a refused run leaves no journal");
+    }
+    // A run that fails after emitting events keeps what it journaled.
+    let instance = scratch("overflow.txt");
+    std::fs::write(&instance, "1e308 1e308\n1e308 1e308\n1e308 1e308\n").unwrap();
+    let out = bin()
+        .args(["schedule", "--cpus", "1", "--gpus", "1", "--journal"])
+        .arg(&journal)
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli schedule");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("an instant overflows"), "{stderr}");
+    let bytes = std::fs::read(&journal).expect("the failed run keeps its journal");
+    assert!(bytes.len() > 6, "more than the header: {} bytes", bytes.len());
+    for path in [&journal, &instance] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    let trace = scratch("closed-stdout.jsonl");
+    let svg = scratch("closed-stdout.svg");
+    let dag = ["dag", "cholesky", "4", "--cpus", "2", "--gpus", "1"];
+    let with_files = || {
+        let mut cmd = bin();
+        cmd.args(dag).arg("--trace").arg(&trace).arg("--svg").arg(&svg);
+        cmd
+    };
+    let mut gen = bin();
+    gen.args(["gen", "cholesky", "12"]);
+    let mut help = bin();
+    help.arg("--help");
+    for (what, mut cmd) in [("dag", with_files()), ("gen", gen), ("help", help)] {
+        // A pipe whose read end is closed before the command writes.
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = cmd.stdout(writer).output().expect("run heteroprio-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{what}: {stderr}");
+        assert!(stderr.is_empty(), "{what}: {stderr}");
+    }
+    // The output files were written all the same.
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    assert!(text.lines().count() > 20, "{text}");
+    let picture = std::fs::read_to_string(&svg).expect("svg file written");
+    assert!(picture.starts_with("<svg"), "{picture}");
+    for path in [&trace, &svg] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
 fn unknown_flags_and_surplus_arguments_are_errors() {
     let instance = scratch("typo.txt");
     std::fs::write(&instance, "8 1\n4 1\n2 2\n").unwrap();

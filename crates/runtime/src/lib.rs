@@ -27,4 +27,4 @@ pub mod handles;
 pub mod runtime;
 
 pub use handles::{Access, DataHandle};
-pub use runtime::{Execution, Outcome, Report, Runtime, Scheduler};
+pub use runtime::{ExecError, Report, Runtime, Scheduler};

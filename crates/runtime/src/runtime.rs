@@ -2,22 +2,19 @@
 
 use crate::handles::{Access, DataHandle};
 use heteroprio_bounds::dag_lower_bound;
-use heteroprio_core::kernel::{Checkpoints, Resume, Run};
-use heteroprio_core::{
-    journaled, CrashPlan, FaultPlan, Platform, RunError, Schedule, Task, TaskId,
-};
+use heteroprio_core::kernel::Run;
+use heteroprio_core::{Platform, RunError, Schedule, Task, TaskId};
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
 use heteroprio_simulator::TransferModel;
 use heteroprio_taskgraph::{check_precedence, CycleError, DagBuilder, TaskGraph};
-use heteroprio_trace::{
-    Journal, JournalError, NullSink, SchedEvent, TeeSink, TraceSink, TraceSummary, VecSink,
-};
+use heteroprio_trace::{NullSink, TraceSink, TraceSummary};
 
 /// Which scheduler executes the submitted graph: the DAG table of
 /// [`heteroprio_schedulers::table`].
 pub use heteroprio_schedulers::Scheduler;
 
-/// Everything the runtime knows after an execution.
+/// Everything the runtime knows after an execution. The event stream goes
+/// to the run's sink; pass a `VecSink` to keep it.
 #[derive(Clone, Debug)]
 pub struct Report {
     pub graph: TaskGraph,
@@ -26,14 +23,8 @@ pub struct Report {
     pub lower_bound: f64,
     pub spoliations: usize,
     /// Per-worker busy/idle/aborted accounting aggregated from the
-    /// kernel's event stream.
+    /// kernel's event stream, fault counters included.
     pub summary: TraceSummary,
-    /// The full event stream; empty unless [`Execution::record`] was set
-    /// or the run was journaled.
-    pub events: Vec<SchedEvent>,
-    /// The fault plan the run executed under ([`FaultPlan::NONE`] for a
-    /// fault-free run). Failure/retry/downtime counters live in `summary`.
-    pub fault_plan: FaultPlan,
 }
 
 impl Report {
@@ -42,94 +33,34 @@ impl Report {
     }
 }
 
-/// What [`Runtime::execute`] records and persists besides the schedule:
-/// the observation and durability planes of one run. The default is a
-/// plain run ([`Runtime::run`]).
-pub struct Execution<'e> {
-    /// Keep the full event stream in [`Report::events`] (journaled runs
-    /// always do).
-    pub record: bool,
-    /// Where the kernel's perf counters, queue-depth gauges and
-    /// pick-latency histograms go.
-    pub metrics: &'e dyn MetricsRegistry,
-    /// Append the event stream to this journal as it is emitted, and commit
-    /// it at the end — on completion, at an injected crash, and after a
-    /// resume.
-    pub journal: Option<&'e mut dyn Journal>,
-    /// Cut the run after the chosen event ([`Outcome::Crashed`]); the
-    /// journal then holds exactly the pre-crash prefix.
-    pub crash: CrashPlan,
-    pub checkpoints: Option<Checkpoints<'e>>,
-    /// Continue an interrupted run from its recovered journal (and
-    /// snapshot) instead of starting over. Replay is verified
-    /// event-for-event: a journal from different inputs is rejected, never
-    /// silently accepted. When `journal` is set it must hold exactly the
-    /// recovered events; the continuation is appended to it.
-    pub resume: Option<Resume<'e>>,
+/// Why [`Runtime::execute`] returned no report.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ExecError {
+    /// The submitted tasks are no runnable graph: a cycle, or no task.
+    Submission(String),
+    /// The kernel run failed, or stopped at an injected crash
+    /// ([`RunError::Crashed`]); a journal then holds the pre-crash prefix.
+    Run(RunError),
+    /// The finished schedule breaks its structure or a dependency.
+    Invalid(String),
 }
 
-impl Default for Execution<'_> {
-    fn default() -> Self {
-        Execution {
-            record: false,
-            metrics: &NullRegistry,
-            journal: None,
-            crash: CrashPlan::NONE,
-            checkpoints: None,
-            resume: None,
-        }
+impl From<RunError> for ExecError {
+    fn from(e: RunError) -> Self {
+        ExecError::Run(e)
     }
 }
 
-impl<'e> Execution<'e> {
-    /// Drive one kernel run under this execution. `run` gets the kernel
-    /// spec; its sink records the event stream when `record` is set or a
-    /// journal is given, tees it into `observer` (a streaming auditor, say)
-    /// and appends it to the journal, which [`journaled`] commits at the
-    /// end. Returns `run`'s result and the recorded events.
-    pub fn drive<R>(
-        self,
-        observer: Option<&mut dyn TraceSink>,
-        run: impl FnOnce(Run<'_, &mut dyn TraceSink, dyn MetricsRegistry + 'e>) -> R,
-    ) -> Result<(R, Vec<SchedEvent>), JournalError> {
-        let Execution { record, metrics, journal, crash, checkpoints, resume } = self;
-        let (mut events, mut null, mut tee) = (VecSink::new(), NullSink, None);
-        let recorder: &mut dyn TraceSink =
-            if record || journal.is_some() { &mut events } else { &mut null };
-        let mut sink: &mut dyn TraceSink = match observer {
-            Some(observer) => tee.insert(TeeSink(recorder, observer)),
-            None => recorder,
-        };
-        let result = match journal {
-            Some(journal) => journaled(journal, &mut sink, |tee| {
-                let mut sink: &mut dyn TraceSink = tee;
-                run(Run { crash, checkpoints, resume, ..Run::new(&mut sink, metrics) })
-            })?,
-            None => run(Run { crash, checkpoints, resume, ..Run::new(&mut sink, metrics) }),
-        };
-        Ok((result, events.into_events()))
-    }
-}
-
-/// What an execution produced: its result (a finished [`Report`] for
-/// [`Runtime::execute`]), or the injected crash point. On a crash everything
-/// emitted before the cut is already in the journal, ready for a resumed
-/// run.
-#[derive(Debug)]
-pub enum Outcome<T = Box<Report>> {
-    Completed(T),
-    Crashed { time: f64, events: u64 },
-}
-
-impl Outcome {
-    /// The report, if the run survived to the end.
-    pub fn report(self) -> Option<Report> {
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Outcome::Completed(r) => Some(*r),
-            Outcome::Crashed { .. } => None,
+            ExecError::Submission(why) | ExecError::Invalid(why) => f.write_str(why),
+            ExecError::Run(e) => e.fmt(f),
         }
     }
 }
+
+impl std::error::Error for ExecError {}
 
 /// A StarPU-like runtime: data registration, task submission with access
 /// modes, sequential-consistency dependency inference, and execution on a
@@ -148,35 +79,33 @@ impl Outcome {
 /// let report = rt.run(Scheduler::default()).unwrap();
 /// assert_eq!(report.makespan, 2.0); // both on the GPU, back to back
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Runtime {
-    platform: Option<Platform>,
+    platform: Platform,
     builder: DagBuilder,
     data_labels: Vec<&'static str>,
     /// Per handle: the last writer and the readers since that write.
     last_writer: Vec<Option<TaskId>>,
     readers: Vec<Vec<TaskId>>,
     transfer: TransferModel,
-    faults: FaultPlan,
 }
 
 impl Runtime {
     pub fn new(platform: Platform) -> Self {
-        Runtime { platform: Some(platform), ..Runtime::default() }
+        Runtime {
+            platform,
+            builder: DagBuilder::default(),
+            data_labels: Vec::new(),
+            last_writer: Vec::new(),
+            readers: Vec::new(),
+            transfer: TransferModel::NONE,
+        }
     }
 
     /// Set a cross-class transfer penalty (see
     /// [`heteroprio_simulator::TransferModel`]). Zero by default.
     pub fn with_transfer_penalty(mut self, penalty: f64) -> Self {
         self.transfer = TransferModel::new(penalty);
-        self
-    }
-
-    /// Execute under a fault plan (worker failures, stochastic runtimes,
-    /// task-level failures with retry). HEFT's plan refuses one (see
-    /// [`Scheduler::run`]).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
         self
     }
 
@@ -261,72 +190,72 @@ impl Runtime {
 
     /// Execute everything submitted so far and return the report.
     /// The schedule is validated (structure + precedence) before returning.
-    pub fn run(self, scheduler: Scheduler) -> Result<Report, String> {
-        let outcome = self.execute(scheduler, Execution::default())?;
-        Ok(outcome.report().expect("no crash plan was given"))
+    pub fn run(self, scheduler: Scheduler) -> Result<Report, ExecError> {
+        self.execute(scheduler, Run::new(&mut NullSink, &NullRegistry))
     }
 
-    /// [`Runtime::run`] under an [`Execution`] spec: record the event
-    /// stream, meter the kernel, journal, crash on cue, checkpoint, or
-    /// resume an interrupted run, under any scheduler.
-    pub fn execute(self, scheduler: Scheduler, exec: Execution<'_>) -> Result<Outcome, String> {
-        let platform = self.platform.ok_or("runtime has no platform")?;
-        let transfer = self.transfer;
-        let plan = self.faults;
-        let mut graph = self.builder.build().map_err(|e| e.to_string())?;
+    /// [`Runtime::run`] under a kernel [`Run`] spec, as
+    /// [`Scheduler::run`] takes it: its sink records or audits the event
+    /// stream, its registry meters the kernel, and its fault plan, crash
+    /// plan, checkpoints and resume apply to the run. Journal a run by
+    /// calling this inside [`heteroprio_core::journaled`]. A run under a
+    /// fault plan is validated structurally only: jitter perturbs durations
+    /// and failures truncate aborted runs.
+    pub fn execute<S: TraceSink, M: MetricsRegistry + ?Sized>(
+        self,
+        scheduler: Scheduler,
+        spec: Run<'_, S, M>,
+    ) -> Result<Report, ExecError> {
+        let Runtime { platform, builder, transfer, .. } = self;
+        let mut graph = builder.build().map_err(|e| ExecError::Submission(e.to_string()))?;
         if graph.is_empty() {
-            return Err("no tasks were submitted".to_string());
+            return Err(ExecError::Submission("no tasks were submitted".to_string()));
         }
         scheduler.rank(&mut graph);
-        let (result, events) = exec.drive(None, |spec| {
-            scheduler.run(&graph, &platform, &transfer, Run { faults: plan.clone(), ..spec })
-        })?;
-        let outcome = match result {
-            Ok(outcome) => outcome,
-            Err(RunError::Crashed { time, events }) => {
-                return Ok(Outcome::Crashed { time, events })
-            }
-            Err(e) => return Err(e.to_string()),
-        };
+        let exact = spec.faults.is_none();
+        let outcome = scheduler.run(&graph, &platform, &transfer, spec)?;
         let schedule = outcome.schedule;
-        if plan.is_none() {
-            schedule
-                .validate_with_overhead(graph.instance(), &platform, transfer.cross_class_penalty)
-                .map_err(|e| format!("invalid schedule: {e}"))?;
+        let valid = if exact {
+            schedule.validate_with_overhead(
+                graph.instance(),
+                &platform,
+                transfer.cross_class_penalty,
+            )
         } else {
-            // Jitter perturbs durations and failures truncate aborted runs,
-            // so only the duration-agnostic invariants can be enforced.
-            schedule
-                .validate_structure(graph.instance(), &platform)
-                .map_err(|e| format!("invalid schedule: {e}"))?;
-        }
-        check_precedence(&graph, &schedule)?;
-        Ok(Outcome::Completed(Box::new(Report {
+            schedule.validate_structure(graph.instance(), &platform)
+        };
+        valid.map_err(|e| ExecError::Invalid(format!("invalid schedule: {e}")))?;
+        check_precedence(&graph, &schedule).map_err(ExecError::Invalid)?;
+        Ok(Report {
             makespan: schedule.makespan(),
             spoliations: schedule.spoliation_count(),
             lower_bound: dag_lower_bound(&graph, &platform),
             graph,
             schedule,
             summary: outcome.summary,
-            events,
-            fault_plan: plan,
-        })))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heteroprio_core::kernel::{Checkpoints, Resume};
     use heteroprio_core::time::approx_eq;
+    use heteroprio_core::{journaled, CrashPlan, FaultPlan, WorkerFault};
     use heteroprio_schedulers::{DualHpRank, HeftVariant};
     use heteroprio_taskgraph::WeightScheme;
+    use heteroprio_trace::{Journal, MemJournal, SchedEvent, VecSink};
 
     fn unit(p: f64, q: f64) -> Task {
         Task::new(p, q)
     }
 
-    fn traced() -> Execution<'static> {
-        Execution { record: true, ..Execution::default() }
+    /// Run `rt` under `scheduler`, recording the event stream.
+    fn traced(rt: Runtime, scheduler: Scheduler) -> (Report, Vec<SchedEvent>) {
+        let mut sink = VecSink::new();
+        let report = rt.execute(scheduler, Run::new(&mut sink, &NullRegistry)).unwrap();
+        (report, sink.events)
     }
 
     #[test]
@@ -466,7 +395,8 @@ mod tests {
     #[test]
     fn empty_submission_is_an_error() {
         let rt = Runtime::new(Platform::new(1, 1));
-        assert!(rt.run(Scheduler::default()).is_err());
+        let err = rt.run(Scheduler::default()).unwrap_err();
+        assert_eq!(err, ExecError::Submission("no tasks were submitted".to_string()));
     }
 
     #[test]
@@ -478,7 +408,6 @@ mod tests {
 
     #[test]
     fn faults_flow_through_the_runtime() {
-        use heteroprio_core::{FaultPlan, WorkerFault};
         // 2 CPUs + 1 GPU; the GPU dies early, yet the chain completes.
         let build = || {
             let mut rt = Runtime::new(Platform::new(2, 1));
@@ -489,17 +418,13 @@ mod tests {
             rt
         };
         let baseline = build().run(Scheduler::default()).unwrap();
-        let plan = FaultPlan {
+        let faults = FaultPlan {
             worker_faults: vec![WorkerFault::permanent(2, 1.5)],
             ..FaultPlan::default()
         };
-        let report = build()
-            .with_faults(plan.clone())
-            .execute(Scheduler::default(), traced())
-            .unwrap()
-            .report()
-            .unwrap();
-        assert_eq!(report.fault_plan, plan);
+        let mut sink = NullSink;
+        let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+        let report = build().execute(Scheduler::default(), spec).unwrap();
         assert_eq!(report.summary.worker_failures, 1);
         assert!(report.makespan > baseline.makespan, "losing the GPU must cost time");
         // Every task still completed exactly once.
@@ -508,7 +433,6 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_matches_fault_free_run() {
-        use heteroprio_core::FaultPlan;
         let build = || {
             let mut rt = Runtime::new(Platform::new(2, 1));
             let a = rt.register_data("a");
@@ -517,7 +441,9 @@ mod tests {
             rt
         };
         let plain = build().run(Scheduler::default()).unwrap();
-        let faulty = build().with_faults(FaultPlan::NONE).run(Scheduler::default()).unwrap();
+        let mut sink = NullSink;
+        let spec = Run { faults: FaultPlan::NONE, ..Run::new(&mut sink, &NullRegistry) };
+        let faulty = build().execute(Scheduler::default(), spec).unwrap();
         assert_eq!(plain.makespan, faulty.makespan);
         assert_eq!(plain.schedule.runs, faulty.schedule.runs);
     }
@@ -525,7 +451,6 @@ mod tests {
     #[test]
     fn crash_and_resume_matches_the_uninterrupted_run() {
         use heteroprio_core::MemCheckpointStore;
-        use heteroprio_trace::MemJournal;
         let build = || {
             let mut rt = Runtime::new(Platform::new(2, 1));
             let cells: Vec<DataHandle> = (0..4).map(|_| rt.register_data("c")).collect();
@@ -542,32 +467,39 @@ mod tests {
             Scheduler::PriorityList(WeightScheme::Min),
             Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion),
         ] {
-            let reference = build().execute(scheduler, traced()).unwrap().report().unwrap();
-            let total = reference.events.len() as u64;
+            let (reference, events) = traced(build(), scheduler);
+            let total = events.len() as u64;
             for crash_at in [1, total / 2, total] {
                 let mut journal = MemJournal::new();
                 let mut store = MemCheckpointStore::default();
-                let exec = Execution {
-                    journal: Some(&mut journal),
-                    crash: CrashPlan::at_event(crash_at),
-                    checkpoints: Some(Checkpoints { every: 3, store: &mut store }),
-                    ..Execution::default()
-                };
-                let outcome = build().execute(scheduler, exec).unwrap();
-                assert!(matches!(outcome, Outcome::Crashed { events, .. } if events == crash_at));
+                let crashed = journaled(&mut journal, &mut NullSink, |sink| {
+                    let crash = CrashPlan::at_event(crash_at);
+                    let checkpoints = Some(Checkpoints { every: 3, store: &mut store });
+                    build().execute(
+                        scheduler,
+                        Run { crash, checkpoints, ..Run::new(sink, &NullRegistry) },
+                    )
+                })
+                .unwrap();
+                assert!(
+                    matches!(crashed, Err(ExecError::Run(RunError::Crashed { events, .. })) if events == crash_at),
+                    "{crashed:?}"
+                );
                 assert_eq!(journal.len() as u64, crash_at);
                 let recovered = journal.events().to_vec();
-                let exec = Execution {
-                    resume: Some(Resume { journal: &recovered, snapshot: store.latest.as_ref() }),
-                    journal: Some(&mut journal),
-                    ..Execution::default()
-                };
-                let resumed = build().execute(scheduler, exec).unwrap().report().unwrap();
-                assert_eq!(resumed.events, reference.events, "{scheduler:?} @ {crash_at}");
-                assert_eq!(resumed.schedule.runs, reference.schedule.runs);
+                let mut resumed = VecSink::new();
+                let report = journaled(&mut journal, &mut resumed, |sink| {
+                    let resume =
+                        Some(Resume { journal: &recovered, snapshot: store.latest.as_ref() });
+                    build().execute(scheduler, Run { resume, ..Run::new(sink, &NullRegistry) })
+                })
+                .unwrap()
+                .unwrap();
+                assert_eq!(resumed.events, events, "{scheduler:?} @ {crash_at}");
+                assert_eq!(report.schedule.runs, reference.schedule.runs);
                 // The journal now holds the full stream again, and both the
                 // crashed run and the resume committed their tails.
-                assert_eq!(journal.events(), reference.events.as_slice());
+                assert_eq!(journal.events(), events.as_slice());
                 assert!(journal.syncs() >= 2, "final syncs at crash and at resume");
             }
         }
@@ -575,7 +507,6 @@ mod tests {
 
     #[test]
     fn durable_run_without_crash_completes_and_journals_everything() {
-        use heteroprio_trace::MemJournal;
         let build = || {
             let mut rt = Runtime::new(Platform::new(1, 1));
             let a = rt.register_data("a");
@@ -584,40 +515,37 @@ mod tests {
             }
             rt
         };
-        let reference = build().execute(Scheduler::default(), traced()).unwrap().report().unwrap();
-        let mut journal = MemJournal::new();
-        let exec = Execution { journal: Some(&mut journal), ..Execution::default() };
-        let report = build()
-            .execute(Scheduler::default(), exec)
-            .unwrap()
-            .report()
-            .expect("no crash was injected");
-        assert_eq!(report.events, reference.events);
-        assert_eq!(journal.events(), reference.events.as_slice());
-        assert_eq!(journal.syncs(), 1, "completion commits the journal tail");
         // HEFT's plan executes in the kernel, so it journals the same way.
         let heft = Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion);
-        let reference = build().execute(heft, traced()).unwrap().report().unwrap();
-        let mut journal = MemJournal::new();
-        let exec = Execution { journal: Some(&mut journal), ..Execution::default() };
-        let report = build().execute(heft, exec).unwrap().report().expect("no crash was injected");
-        assert_eq!(report.events, reference.events);
-        assert_eq!(journal.events(), reference.events.as_slice());
+        for scheduler in [Scheduler::default(), heft] {
+            let (reference, events) = traced(build(), scheduler);
+            let mut journal = MemJournal::new();
+            let report = journaled(&mut journal, &mut NullSink, |sink| {
+                build().execute(scheduler, Run::new(sink, &NullRegistry))
+            })
+            .unwrap()
+            .expect("no crash was injected");
+            assert_eq!(report.schedule.runs, reference.schedule.runs, "{scheduler:?}");
+            assert_eq!(journal.events(), events.as_slice(), "{scheduler:?}");
+            assert_eq!(journal.syncs(), 1, "completion commits the journal tail");
+        }
     }
 
     #[test]
     fn heft_rejects_fault_injection() {
-        use heteroprio_core::{FaultPlan, WorkerFault};
         let mut rt = Runtime::new(Platform::new(1, 1));
         let a = rt.register_data("a");
         rt.submit(unit(1.0, 1.0), "t", &[(a, Access::Write)]);
-        let plan = FaultPlan {
+        let faults = FaultPlan {
             worker_faults: vec![WorkerFault::permanent(0, 1.0)],
             ..FaultPlan::default()
         };
-        let err =
-            rt.with_faults(plan).run(Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion));
-        assert!(err.unwrap_err().contains("fault injection"));
+        let mut sink = NullSink;
+        let spec = Run { faults, ..Run::new(&mut sink, &NullRegistry) };
+        let err = rt.execute(Scheduler::Heft(WeightScheme::Avg, HeftVariant::Insertion), spec);
+        let err = err.unwrap_err();
+        assert!(matches!(err, ExecError::Run(RunError::InvalidPlan { .. })), "{err:?}");
+        assert!(err.to_string().contains("fault injection"), "{err}");
     }
 
     #[test]

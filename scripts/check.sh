@@ -83,6 +83,25 @@ cargo run -q -p heteroprio-cli -- export --journal "$tmp/run.journal" \
     --trace "$tmp/exported.jsonl" > /dev/null
 diff "$tmp/reference.jsonl" "$tmp/exported.jsonl"
 
+echo "== dag recovery smoke: every DAG scheduler, and a faulty run, crashes, resumes and exports"
+crash=40
+for run in hp dualhp heft list "hp --faults w1@20+30,fail=0.05,seed=3 --exec-jitter 0.2"; do
+    rm -f "$tmp/dag.journal" "$tmp/dag.ckpt"
+    # Unquoted on purpose: the last entry carries its fault flags.
+    # shellcheck disable=SC2086
+    set -- cholesky 6 --cpus 2 --gpus 1 --algo $run
+    cargo run -q -p heteroprio-cli -- dag "$@" --trace "$tmp/dag-reference.jsonl" > /dev/null
+    cargo run -q -p heteroprio-cli -- dag "$@" --journal "$tmp/dag.journal" --crash-at "$crash" \
+        --snapshot "$tmp/dag.ckpt" --checkpoint-every 8 > /dev/null
+    cargo run -q -p heteroprio-cli -- resume "$@" --journal "$tmp/dag.journal" \
+        --snapshot "$tmp/dag.ckpt" --trace "$tmp/dag-resumed.jsonl" > /dev/null
+    diff "$tmp/dag-reference.jsonl" "$tmp/dag-resumed.jsonl"
+    cargo run -q -p heteroprio-cli -- export --journal "$tmp/dag.journal" \
+        --trace "$tmp/dag-exported.jsonl" > /dev/null
+    diff "$tmp/dag-reference.jsonl" "$tmp/dag-exported.jsonl"
+    crash=$((100 - crash))
+done
+
 echo "== three-class smoke: audit, then crash, resume and diff at k = 3"
 k3="cpu=2,gpu=1,fpga=1"
 printf '8 1 4\n4 1 2\n2 2 1\n1 4 4\n3 3 1\n' > "$tmp/k3.txt"

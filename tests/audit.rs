@@ -122,7 +122,7 @@ fn faulty_run_audits_clean_modulo_liveness() {
     let res = kernel::run(&platform, &mut workload, &mut policy, spec)
         .expect("run completes under this plan");
     let events = sink.into_events();
-    let opts = AuditOptions::dag_run(0.0, None).with_faults();
+    let opts = AuditOptions { faulty: true, ..AuditOptions::dag_run(0.0, None) };
     let report = audit(graph.instance(), &platform, &res.schedule, &events, &opts);
     assert!(report.is_clean(), "violations: {:?}", report.violations);
     // Duration checks are explicitly skipped under jitter, not silently passed.

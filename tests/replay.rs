@@ -145,7 +145,7 @@ fn clean_audit_reports_match_golden_digests() {
     pin("dag", &report, 0xd736_a447_28a5_0fd1);
 
     let (instance, schedule, events) = faulty_dag_run();
-    let opts = AuditOptions::dag_run(0.0, None).with_faults();
+    let opts = AuditOptions { faulty: true, ..AuditOptions::dag_run(0.0, None) };
     let report = audit(&instance, &platform, &schedule, &events, &opts);
     assert!(report.is_clean(), "{}", report.render());
     pin("faulty dag", &report, 0xf7a7_2280_32f7_b7af);

@@ -1,15 +1,18 @@
 //! Property-based tests of the submission runtime: random submission
 //! sequences with random access modes always yield acyclic graphs whose
 //! execution is valid, dependency-respecting, and sequentially consistent
-//! (per-handle writer/reader ordering). An access-mode oracle pins the
-//! factorization generators to the graphs the runtime infers.
+//! (per-handle writer/reader ordering), and that every scheduler resumes a
+//! crashed journaled run to the uninterrupted event stream. An access-mode
+//! oracle pins the factorization generators to the graphs the runtime
+//! infers.
 
-use heteroprio::core::kernel::Resume;
-use heteroprio::core::{CrashPlan, Platform, Task};
-use heteroprio::runtime::{Access, DataHandle, Execution, Outcome, Runtime, Scheduler};
+use heteroprio::core::kernel::{Checkpoints, Resume, Run};
+use heteroprio::core::{journaled, CrashPlan, MemCheckpointStore, Platform, RunError, Task};
+use heteroprio::metrics::NullRegistry;
+use heteroprio::runtime::{Access, DataHandle, ExecError, Runtime, Scheduler};
 use heteroprio::schedulers::DualHpRank;
 use heteroprio::taskgraph::{Factorization, Kernel, KernelTiming, TaskGraph, WeightScheme};
-use heteroprio::trace::MemJournal;
+use heteroprio::trace::{MemJournal, NullSink, VecSink};
 use heteroprio::workloads::ChameleonTiming;
 use proptest::prelude::*;
 
@@ -113,27 +116,25 @@ fn a_journal_of_the_one_handle_qr_dag_does_not_resume_on_the_generator_dag() {
         submit_factorization(&mut rt, Factorization::Qr, 4, false);
         rt
     };
-    let full = one_handle()
-        .execute(Scheduler::default(), Execution { record: true, ..Execution::default() });
-    let crash_at = full.unwrap().report().unwrap().events.len() as u64 / 2;
+    let mut full = VecSink::new();
+    one_handle().execute(Scheduler::default(), Run::new(&mut full, &NullRegistry)).unwrap();
+    let crash_at = full.events.len() as u64 / 2;
     let mut journal = MemJournal::new();
-    let exec = Execution {
-        journal: Some(&mut journal),
-        crash: CrashPlan::at_event(crash_at),
-        ..Execution::default()
-    };
-    let crashed = one_handle().execute(Scheduler::default(), exec).unwrap();
-    assert!(matches!(crashed, Outcome::Crashed { .. }));
+    let crashed = journaled(&mut journal, &mut NullSink, |sink| {
+        let crash = CrashPlan::at_event(crash_at);
+        one_handle().execute(Scheduler::default(), Run { crash, ..Run::new(sink, &NullRegistry) })
+    })
+    .unwrap();
+    assert!(matches!(crashed, Err(ExecError::Run(RunError::Crashed { .. }))), "{crashed:?}");
     // ...is refused, not continued, on the generator's graph.
     let recovered = journal.events().to_vec();
     let mut rt = Runtime::new(Platform::new(2, 1));
     rt.submit_graph(&Factorization::Qr.generate(4, &ChameleonTiming));
-    let exec = Execution {
-        resume: Some(Resume { journal: &recovered, snapshot: None }),
-        ..Execution::default()
-    };
-    let err = rt.execute(Scheduler::default(), exec).unwrap_err();
-    assert!(err.contains("diverged"), "{err}");
+    let resume = Some(Resume { journal: &recovered, snapshot: None });
+    let err = rt
+        .execute(Scheduler::default(), Run { resume, ..Run::new(&mut NullSink, &NullRegistry) })
+        .unwrap_err();
+    assert!(matches!(err, ExecError::Run(RunError::Divergence { .. })), "{err}");
 }
 
 #[derive(Clone, Debug)]
@@ -249,6 +250,52 @@ proptest! {
         ] {
             let report = build(&subs, 4, platform).run(scheduler).unwrap();
             prop_assert_eq!(report.schedule.runs.len(), subs.len());
+        }
+    }
+
+    #[test]
+    fn every_scheduler_resumes_a_crashed_submission_to_its_uninterrupted_stream(
+        subs in prop::collection::vec(submission_strategy(4), 1..15),
+        crash_point in 0.0f64..1.0,
+        snapshot in 0u8..2,
+    ) {
+        // Crash a journaled run at a random event (checkpointing every 3
+        // events or not), then resume it from the journal (and the latest
+        // checkpoint): the resumed stream, the journal and the schedule
+        // must all be the uninterrupted run's.
+        let platform = Platform::new(2, 1);
+        let runtime = || build(&subs, 4, platform);
+        for scheduler in Scheduler::NAMES.map(|name| Scheduler::parse(name).unwrap()) {
+            let mut reference = VecSink::new();
+            let report =
+                runtime().execute(scheduler, Run::new(&mut reference, &NullRegistry)).unwrap();
+            let total = reference.events.len() as u64;
+            let crash_at = 1 + (crash_point * total as f64) as u64;
+            let mut journal = MemJournal::new();
+            let mut store = MemCheckpointStore::default();
+            let crashed = journaled(&mut journal, &mut NullSink, |sink| {
+                let crash = CrashPlan::at_event(crash_at);
+                let checkpoints = (snapshot == 1).then_some(Checkpoints { every: 3, store: &mut store });
+                let spec = Run { crash, checkpoints, ..Run::new(sink, &NullRegistry) };
+                runtime().execute(scheduler, spec)
+            })
+            .unwrap();
+            prop_assert!(
+                matches!(crashed, Err(ExecError::Run(RunError::Crashed { events, .. })) if events == crash_at),
+                "{scheduler} @ {crash_at}/{total}: {crashed:?}"
+            );
+            prop_assert_eq!(journal.events(), &reference.events[..crash_at as usize]);
+            let recovered = journal.events().to_vec();
+            let mut resumed = VecSink::new();
+            let resumed_report = journaled(&mut journal, &mut resumed, |sink| {
+                let resume = Some(Resume { journal: &recovered, snapshot: store.latest.as_ref() });
+                runtime().execute(scheduler, Run { resume, ..Run::new(sink, &NullRegistry) })
+            })
+            .unwrap()
+            .unwrap();
+            prop_assert_eq!(&resumed.events, &reference.events, "{} @ {}", scheduler, crash_at);
+            prop_assert_eq!(journal.events(), reference.events.as_slice());
+            prop_assert_eq!(resumed_report.schedule.runs, report.schedule.runs);
         }
     }
 }
